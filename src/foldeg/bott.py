@@ -10,7 +10,6 @@ can only mean a wrong fiber.
 """
 
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .exact import (
@@ -145,6 +144,10 @@ def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None, jobs=1):
 
     fps = fixed_points_p5()
     if jobs > 1:
+        # imported here: it pulls in multiprocessing, which serial runs
+        # never need
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(fp.pair, d, w.values, method) for fp in fps]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             fibers = dict(pool.map(_legendrian_task, tasks))

@@ -12,8 +12,10 @@ Four subcommands:
   closed form (``--partial`` compares pointwise instead).
 
 Exit codes: 0 success; 1 for a non-integral localization sum or any
-verify/interpolate mismatch; 2 for invalid weights or bad usage.  All
-output is deterministic for fixed flags.
+verify/interpolate mismatch; 2 for invalid weights or bad usage (a
+degree below the family's minimum, --jobs below 1, an --out file that
+cannot be written), reported on one ``error:`` line.  All output is
+deterministic for fixed flags.
 """
 
 import argparse
@@ -22,7 +24,12 @@ import sys
 from fractions import Fraction
 
 from . import reference
-from .bott import NonIntegralDegree, default_method, legendrian_degree
+from .bott import (
+    LEGENDRIAN_MIN_DEGREE,
+    NonIntegralDegree,
+    default_method,
+    legendrian_degree,
+)
 from .exact import (
     InadmissibleWeights,
     WeightMultiset,
@@ -36,7 +43,7 @@ from .limits import (
     METHOD_KERNEL,
     limit_fiber_weights,
 )
-from .pencil import pencil_degree
+from .pencil import PENCIL_MIN_DEGREE, pencil_degree
 from .polyfit import (
     FAMILIES,
     InsufficientPoints,
@@ -49,13 +56,32 @@ from .polyfit import (
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_BAD_WEIGHTS = 2
+EXIT_USAGE = 2
+
+MIN_DEGREE = {
+    "legendrian": LEGENDRIAN_MIN_DEGREE,
+    "pencil": PENCIL_MIN_DEGREE,
+}
 
 METHOD_FLAGS = {
     "image": METHOD_IMAGE,
     "kernel": METHOD_KERNEL,
     "both": METHOD_BOTH,
 }
+
+
+class UsageError(ValueError):
+    """A flag value the command cannot run with (exit code 2)."""
+
+
+def _check_usage(args):
+    if args.command in MIN_DEGREE and args.degree < MIN_DEGREE[args.command]:
+        raise UsageError(
+            "%s family needs --degree >= %d, got %d"
+            % (args.command, MIN_DEGREE[args.command], args.degree)
+        )
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
 
 
 def _parse_weights(text):
@@ -73,15 +99,21 @@ def _parse_weights(text):
 
 
 def _emit(args, json_dict, text_lines):
+    # the file first, so a report that cannot be saved is not printed
+    if getattr(args, "out", None):
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(json_dict, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise UsageError(
+                "cannot write %s: %s" % (args.out, exc.strerror or exc)
+            ) from None
     if args.format == "json":
         print(json.dumps(json_dict, indent=2))
     else:
         for line in text_lines:
             print(line)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(json_dict, fh, indent=2)
-            fh.write("\n")
 
 
 def _degree_text(report, method=None):
@@ -375,12 +407,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_usage(args)
         if hasattr(args, "weights"):
             args.weights.require_admissible()
         return args.func(args)
-    except InadmissibleWeights as exc:
+    except (InadmissibleWeights, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_WEIGHTS
+        return EXIT_USAGE
     except NonIntegralDegree as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH

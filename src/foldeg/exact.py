@@ -5,6 +5,7 @@ Everything in this package happens over Q.  Scalars are
 anywhere, so every equality test downstream is exact.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -166,15 +167,12 @@ class WeightMultiset:
 
     def difference(self, other):
         """Multiset difference; raises if other is not contained in self."""
-        rest = list(self.values)
+        rest = Counter(self.values)
         for v in other:
-            try:
-                rest.remove(v)
-            except ValueError:
-                raise ValueError(
-                    "weight %r not available in %r" % (v, self)
-                ) from None
-        return WeightMultiset(rest)
+            if not rest[v]:
+                raise ValueError("weight %r not available in %r" % (v, self))
+            rest[v] -= 1
+        return WeightMultiset(rest.elements())
 
     def elementary_symmetric(self, k):
         return elementary_symmetric(k, self.values)

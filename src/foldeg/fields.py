@@ -3,10 +3,12 @@
 Phi_d is the space of degree-d polynomial vector fields sum c*mu*d/dx_j
 with identically zero divergence; it has dimension (d+4)(d+2)(d+1)/2 and
 models the global vector fields of the plane-field geometry twisted so
-that coefficients are degree-d forms.  A torus with coordinate weights
-w_1..w_4 gives the monomial field mu*d/dx_j the weight wt(mu) - w_j, and
-divergence preserves that grading, so the basis is assembled one weight
-block at a time with exact kernels.
+that coefficients are degree-d forms.  The monomial field mu*d/dx_j has
+the Z^4 character mu - e_j, and divergence preserves characters: for
+each character chi the divergence is a single row x^chi with
+coefficients mu_j.  Its kernel has a closed form, so the basis is written
+down directly; a torus with coordinate weights w_1..w_4 then gives each
+field the numeric weight wt(mu) - w_j.
 
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
@@ -16,6 +18,7 @@ field multiplies components and sums, landing in degree d+1.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact import (
     DEFAULT_WEIGHTS,
@@ -27,7 +30,10 @@ from .exact import (
     monomials_of_degree,
     scalar_to_string,
 )
-from .linalg import fraction_rows_to_int, kernel_basis, rank
+from .linalg import rank
+# Not called here: the basis has a closed form.  The name stays because
+# perfbench/tracing.py hooks foldeg.fields.kernel_basis.
+from .linalg import kernel_basis  # noqa: F401
 
 P5_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
@@ -295,11 +301,15 @@ class SectionBasis:
 def build_phi_basis(d, weights=DEFAULT_WEIGHTS):
     """Weight-graded basis of the divergence-free degree-d fields.
 
-    Monomial fields are enumerated direction-major (all d/dx1 fields
-    first, monomials in graded-lex order within a direction), grouped by
-    torus weight; each block contributes the exact kernel of its
-    divergence matrix, canonicalized to reduced echelon form with +1
-    pivots.  Blocks are concatenated by ascending weight.
+    Written down in closed form, one Z^4 character at a time.  For each
+    degree-d monomial mu and direction j: x^mu d/dx_j itself when
+    mu_j = 0 (its divergence vanishes); when mu_j > 0 and j < 4,
+    x^mu d/dx_j - mu_j/(mu_4+1) * x^(mu-e_j+e_4) d/dx_4, which cancels
+    the divergence mu_j*x^(mu-e_j) against the d/dx_4 term of the same
+    character; nothing for j = 4 with mu_4 > 0.  Fields are ordered by
+    numeric weight, then direction, then the graded-lex position of mu.
+    This is the reduced echelon basis with +1 pivots of each weight
+    block's divergence kernel, columns taken direction-major.
     """
     w = as_weight_system(weights)
     w.require_admissible()
@@ -311,39 +321,85 @@ def build_phi_basis(d, weights=DEFAULT_WEIGHTS):
 @lru_cache(maxsize=None)
 def _phi_basis_cached(d, wvalues):
     w = WeightSystem(wvalues)
-    monos = monomials_of_degree(d)
-    groups = {}
-    for j in (1, 2, 3, 4):
-        wj = w.weight(j)
-        for m in monos:
-            groups.setdefault(monomial_weight(m, w) - wj, []).append((m, j))
-    fields = []
-    for wt in sorted(groups):
-        block = groups[wt]
-        rows = [
-            m
-            for m in monomials_of_degree(d - 1)
-            if monomial_weight(m, w) == wt
-        ]
-        rowindex = {m: i for i, m in enumerate(rows)}
-        mat = [[0] * len(block) for _ in rows]
-        for c, (m, j) in enumerate(block):
-            e = m[j - 1]
-            if e:
-                mat[rowindex[_lower(m, j)]][c] = e
-        for vec in kernel_basis(mat, len(block)):
-            terms = [
-                MonomialField(coeff, m, j)
-                for coeff, (m, j) in zip(vec, block)
-                if coeff
-            ]
-            fields.append(BasisField(terms, wt))
+    one = Fraction(1)
+    keyed = []
+    for k, mu in enumerate(monomials_of_degree(d)):
+        wt = monomial_weight(mu, w)
+        for j in (1, 2, 3, 4):
+            e = mu[j - 1]
+            if not e:
+                terms = (MonomialField(one, mu, j),)
+            elif j < 4:
+                partner = _bump(_lower(mu, j), 4)
+                terms = (
+                    MonomialField(one, mu, j),
+                    MonomialField(Fraction(-e, mu[3] + 1), partner, 4),
+                )
+            else:
+                continue
+            keyed.append((wt - w.weight(j), j, k, terms))
+    keyed.sort(key=lambda item: item[:3])
+    fields = [BasisField(terms, wt) for wt, _, _, terms in keyed]
     if len(fields) != phi_dimension(d):
         raise ArithmeticError(
             "basis size %d != %d for d=%d, weights %r"
             % (len(fields), phi_dimension(d), d, wvalues)
         )
     return SectionBasis(d, w, fields)
+
+
+def scaled_terms(field):
+    """The terms of a basis field times the common denominator of its
+    coefficients (mu_4+1 or a divisor of it), as (int coefficient,
+    monomial, direction).  Scaling a column by a positive constant
+    changes neither a rank nor which entries vanish."""
+    terms = field.terms
+    den = lcm(*[c.denominator for c, _, _ in terms])
+    return [(c.numerator * (den // c.denominator), mono, j)
+            for c, mono, j in terms]
+
+
+def _integer_linear_forms(form):
+    """Per direction, the (variable, (c0, c1)) pairs of the form's linear
+    forms with int entries: a PerturbedForm reads c0 + c1*t, a plain
+    form c0 scaled by the common denominator of its coefficients."""
+    if isinstance(form, PerturbedForm):
+        return [
+            [(var, (int(c0), int(c1))) for var, (c0, c1) in a.items()]
+            for a in form.linear_forms()
+        ]
+    den = lcm(*(c.denominator for c in form.alpha))
+    return [
+        [(var, (int(c * den), 0)) for var, c in a.items()]
+        for a in form.linear_forms()
+    ]
+
+
+def integer_contraction(form, basis):
+    """Sparse integer matrix of phi -> contract(form, phi) on a basis.
+
+    Rows are the degree-(d+1) monomials in graded-lex order, columns the
+    basis fields, each field scaled by scaled_terms and a plain form by
+    the common denominator of its coefficients.  Returns
+    {(row, column): (c0, c1)} for the nonzero entries c0 + c1*t; c1 is
+    always 0 for a plain form.
+    """
+    a = _integer_linear_forms(form)
+    mindex = {m: i for i, m in enumerate(monomials_of_degree(basis.d + 1))}
+    # row of x^mu * x_var, looked up as raised[mu][var - 1]
+    raised = {
+        m: [mindex[_bump(m, var)] for var in (1, 2, 3, 4)]
+        for m in monomials_of_degree(basis.d)
+    }
+    entries = {}
+    for col, field in enumerate(basis):
+        for coeff, mono, j in scaled_terms(field):
+            up = raised[mono]
+            for var, (c0, c1) in a[j - 1]:
+                key = (up[var - 1], col)
+                o0, o1 = entries.get(key, (0, 0))
+                entries[key] = (o0 + coeff * c0, o1 + coeff * c1)
+    return {k: v for k, v in entries.items() if v[0] or v[1]}
 
 
 def tangent_kernel_dimension(form, d, weights=DEFAULT_WEIGHTS):
@@ -354,11 +410,7 @@ def tangent_kernel_dimension(form, d, weights=DEFAULT_WEIGHTS):
     organize the computation.
     """
     basis = build_phi_basis(d, weights)
-    monos = monomials_of_degree(d + 1)
-    mindex = {m: i for i, m in enumerate(monos)}
-    mat = [[Fraction(0)] * len(basis) for _ in monos]
-    for cidx, f in enumerate(basis):
-        for m, v in contract(form, f).items():
-            mat[mindex[m]][cidx] = v
-    int_rows = fraction_rows_to_int(mat)
-    return len(basis) - rank(int_rows, len(basis))
+    mat = [[0] * len(basis) for _ in monomials_of_degree(d + 1)]
+    for (r, c), (v, _) in integer_contraction(form, basis).items():
+        mat[r][c] = v
+    return len(basis) - rank(mat, len(basis))

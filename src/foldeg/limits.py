@@ -21,7 +21,6 @@ pairs), so both routes run on small connected blocks.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, gcd
 
 from .exact import (
@@ -31,21 +30,23 @@ from .exact import (
 )
 from .fields import (
     P5_PAIRS,
-    BasisField,
     PerturbedForm,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
-    contract,
+    integer_contraction,
     monomials_of_degree,
 )
-from .linalg import kernel_basis, limit_rows, rank
+from .linalg import limit_rows, rank
+# Not called here: the kernel route finds its dependencies with
+# _first_dependency.  The name stays because perfbench/tracing.py hooks
+# foldeg.limits.kernel_basis.
+from .linalg import kernel_basis  # noqa: F401
 from .tpolys import (
     TP_ZERO,
     tp_add,
     tp_constant_term,
     tp_divexact,
-    tp_from_coeffs,
     tp_mul,
     tp_neg,
     tp_scale,
@@ -98,8 +99,9 @@ def as_fixed_point(fp):
 
 class ContractionMatrix:
     """Contraction of omega_t against a field basis, rows indexed by the
-    degree-(d+1) monomials, columns by the basis fields; entries are
-    pairs (c0, c1) for c0 + c1*t."""
+    degree-(d+1) monomials, columns by the basis fields; entries are int
+    pairs (c0, c1) for c0 + c1*t, each column scaled by its field's
+    denominator (see fields.integer_contraction)."""
 
     __slots__ = ("fp", "d", "basis", "row_monomials", "entries")
 
@@ -130,14 +132,10 @@ def build_contraction_matrix(fp, d, basis):
         raise ValueError(
             "basis is for degree %d, not %d" % (basis.d, d)
         )
-    form = PerturbedForm(fp.pair)
-    monos = monomials_of_degree(d + 1)
-    mindex = {m: i for i, m in enumerate(monos)}
-    entries = {}
-    for c, f in enumerate(basis):
-        for m, pair in contract(form, f).items():
-            entries[(mindex[m], c)] = pair
-    return ContractionMatrix(fp, d, basis, monos, entries)
+    entries = integer_contraction(PerturbedForm(fp.pair), basis)
+    return ContractionMatrix(
+        fp, d, basis, monomials_of_degree(d + 1), entries
+    )
 
 
 def _connected_blocks(matrix):
@@ -172,25 +170,35 @@ def _connected_blocks(matrix):
     return [(rows_of[root], cols_of[root]) for root in order]
 
 
-def _int_block(matrix, row_idx, col_idx):
-    """Dense t-polynomial rows of a block, denominators cleared per row."""
-    colpos = {c: k for k, c in enumerate(col_idx)}
-    sparse_rows = {r: [] for r in row_idx}
+def _blocks(matrix):
+    """(columns, dense t-polynomial rows) of each connected block, in
+    the order of _connected_blocks; one pass over the entries buckets
+    them by row."""
+    nrows, ncols = matrix.shape
+    by_row = [[] for _ in range(nrows)]
     for (r, c), (c0, c1) in matrix.entries.items():
-        if r in sparse_rows and c in colpos:
-            sparse_rows[r].append((colpos[c], c0, c1))
-    out = []
-    for r in row_idx:
-        den = 1
-        for _, c0, c1 in sparse_rows[r]:
-            for e in (c0, c1):
-                d = e.denominator
-                den = den * d // gcd(den, d)
-        row = [TP_ZERO] * len(col_idx)
-        for k, c0, c1 in sparse_rows[r]:
-            row[k] = tp_from_coeffs((int(c0 * den), int(c1 * den)))
-        out.append(row)
-    return out
+        by_row[r].append((c, (c0, c1) if c1 else (c0,)))
+    local = [0] * ncols
+    for row_idx, col_idx in _connected_blocks(matrix):
+        for k, c in enumerate(col_idx):
+            local[c] = k
+        rows = []
+        for r in row_idx:
+            row = [TP_ZERO] * len(col_idx)
+            for c, e in by_row[r]:
+                row[local[c]] = e
+            rows.append(row)
+        yield col_idx, rows
+
+
+def _quotient_columns(matrix):
+    """Basis columns whose weights make up the image fiber: the pivot
+    columns that limit_rows picks, block by block."""
+    cols = []
+    for col_idx, rows in _blocks(matrix):
+        _, pivots = limit_rows(rows, len(col_idx))
+        cols += [col_idx[k] for k in pivots]
+    return cols
 
 
 def _tpoly_echelon(rows, ncols):
@@ -277,6 +285,41 @@ def _vec_normalize(v):
     return v
 
 
+def _first_dependency(vectors):
+    """Integer coefficients of a linear dependency among int vectors, or
+    None if they are independent.
+
+    One fraction-free elimination in the given order: the first vector
+    that reduces to zero against the earlier ones gives the dependency,
+    with a nonzero coefficient at that vector and zeros after it.
+    """
+    n = len(vectors)
+    reduced = []  # (pivot, row, combination of the input vectors)
+    for k, v in enumerate(vectors):
+        row = list(v)
+        combo = [0] * n
+        combo[k] = 1
+        for p, brow, bcombo in reduced:
+            e = row[p]
+            if e:
+                b = brow[p]
+                row = [b * x - e * y for x, y in zip(row, brow)]
+                combo = [b * x - e * y for x, y in zip(combo, bcombo)]
+                g = 0
+                for x in row + combo:
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+                if g > 1:
+                    row = [x // g for x in row]
+                    combo = [x // g for x in combo]
+        pivot = next((i for i, x in enumerate(row) if x), -1)
+        if pivot < 0:
+            return combo
+        reduced.append((pivot, row, combo))
+    return None
+
+
 def _limit_kernel_vectors(int_rows, ncols):
     """t -> 0 limit of the kernel family by repeated re-adaptation.
 
@@ -287,14 +330,9 @@ def _limit_kernel_vectors(int_rows, ncols):
     vecs = [_vec_normalize(v) for v in _tpoly_nullspace(int_rows, ncols)]
     for _ in range(10000):
         evaluated = [[tp_constant_term(e) for e in v] for v in vecs]
-        if not vecs or rank(evaluated, ncols) == len(vecs):
+        ints = _first_dependency(evaluated)
+        if ints is None:
             return vecs, evaluated
-        deps = kernel_basis([list(col) for col in zip(*evaluated)], len(vecs))
-        coeffs = deps[0]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
         k = max(i for i, c in enumerate(ints) if c)
         combo = [TP_ZERO] * ncols
         for i, ci in enumerate(ints):
@@ -390,15 +428,10 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
 
     basis = build_phi_basis(d, w)
     matrix = build_contraction_matrix(fp, d, basis)
-    blocks = _connected_blocks(matrix)
     all_weights = basis.weight_multiset()
 
     if method == METHOD_IMAGE:
-        quotient_cols = []
-        for row_idx, col_idx in blocks:
-            int_rows = _int_block(matrix, row_idx, col_idx)
-            _, pivots_local = limit_rows(int_rows, len(col_idx))
-            quotient_cols += [col_idx[k] for k in pivots_local]
+        quotient_cols = _quotient_columns(matrix)
         expected = comb(d + 4, 3)
         if len(quotient_cols) != expected:
             raise SaturationRankError(
@@ -409,8 +442,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
         kw = all_weights.difference(qw)
     else:
         kernel_list = []
-        for row_idx, col_idx in blocks:
-            int_rows = _int_block(matrix, row_idx, col_idx)
+        for col_idx, int_rows in _blocks(matrix):
             _, evaluated = _limit_kernel_vectors(int_rows, len(col_idx))
             kernel_list += _kernel_weights_for_block(
                 evaluated, col_idx, basis

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q and over Q[t] localized at t.
 
 Everything is fraction-free where it counts: the two elimination kernels
-(echelon, limit_rows) work on plain-integer data, and the small Fraction
-routines (rref, kernel bases) serve the basis construction.  All results
-are exact; nothing here ever sees a float.
+(echelon, limit_rows) work on plain-integer data.  The small Fraction
+routines (rref, kernel bases) are kept as the tests' oracle for the
+closed-form field basis.  All results are exact; nothing here ever sees
+a float.
 """
 
 from fractions import Fraction
@@ -183,15 +184,3 @@ def kernel_basis(rows, ncols):
         return []
     canon, _ = rref(vecs)
     return canon
-
-
-def fraction_rows_to_int(rows):
-    """Clear denominators row by row (the row span is unchanged)."""
-    out = []
-    for row in rows:
-        den = 1
-        for e in row:
-            d = e.denominator if isinstance(e, Fraction) else 1
-            den = den * d // gcd(den, d)
-        out.append([int(e * den) for e in row])
-    return out

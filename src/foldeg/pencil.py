@@ -69,21 +69,29 @@ def tangent_weights_g24(fp, weights=DEFAULT_WEIGHTS):
     )
 
 
-def pd_twisted_weights(fp, d, weights=DEFAULT_WEIGHTS):
+def _monomial_weights(d, w):
+    """Weights of all degree-(d+1) monomials; the same at every pencil."""
+    return WeightMultiset(
+        monomial_weight(m, w) for m in monomials_of_degree(d + 1)
+    )
+
+
+def pd_twisted_weights(fp, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
     """Fiber weights of the twisted quotient sheaf at a fixed pencil.
 
     Take the weights of all degree-(d+1) monomials, remove the d+2
     weights a*w_k + b*w_l of the monomials in the two complementary
     variables alone, and shift everything by w_k + w_l (the line-bundle
-    twist).  Size: C(d+4,3) - (d+2).
+    twist).  Size: C(d+4,3) - (d+2).  monomial_weights, if given, is
+    that first multiset, computed once for all six pencils.
     """
     fp = as_g24_fixed_point(fp)
     w = as_weight_system(weights).require_admissible()
     k, l = fp.complement
     wk, wl = w.weight(k), w.weight(l)
-    full = WeightMultiset(
-        monomial_weight(m, w) for m in monomials_of_degree(d + 1)
-    )
+    full = monomial_weights
+    if full is None:
+        full = _monomial_weights(d, w)
     removed = [a * wk + (d + 1 - a) * wl for a in range(d + 2)]
     twist = wk + wl
     return WeightMultiset(v + twist for v in full.difference(removed))
@@ -99,9 +107,10 @@ def pencil_degree(d, weights=DEFAULT_WEIGHTS):
         raise ValueError("pencil family needs d >= 2, got %r" % (d,))
     w = as_weight_system(weights)
     w.require_admissible()
+    full = _monomial_weights(d, w)
     contributions = []
     for fp in fixed_points_g24():
-        fiber = pd_twisted_weights(fp, d, w)
+        fiber = pd_twisted_weights(fp, d, w, full)
         tangent = tangent_weights_g24(fp, w)
         k = len(tangent)
         num = fiber.elementary_symmetric(k)

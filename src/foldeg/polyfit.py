@@ -8,7 +8,6 @@ freshly computed degree sequences to compare — polynomial identity, not
 just pointwise agreement.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -145,6 +144,10 @@ def compute_degree_points(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
     w.require_admissible()
     tasks = [(family, d, w.values) for d in range(d_min, d_max + 1)]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it pulls in multiprocessing, which serial runs
+        # never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             pairs = list(pool.map(_degree_task, tasks))
     else:

@@ -20,7 +20,7 @@ from math import comb
 import pytest
 
 from foldeg.bott import legendrian_degree, tangent_weights_p5
-from foldeg.exact import WeightMultiset, WeightSystem
+from foldeg.exact import WeightMultiset, WeightSystem, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
@@ -48,8 +48,10 @@ WEIGHT_SYSTEMS = (
 
 
 def _cold_caches():
-    """Clear the basis cache so timed criteria measure a real run."""
+    """Clear the basis and monomial caches so timed criteria measure a
+    real run."""
     _phi_basis_cached.cache_clear()
+    monomials_of_degree.cache_clear()
 
 
 def test_criterion_01_legendrian_d2_total_and_contributions():

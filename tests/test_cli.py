@@ -1,6 +1,9 @@
 """Tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -219,3 +222,48 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["legendrian", "--degree", "1"],
+        ["pencil", "--degree", "0"],
+        ["legendrian", "--degree", "2", "--jobs", "0"],
+        ["interpolate", "--family", "pencil", "--min", "2", "--max", "14",
+         "--jobs", "-3"],
+    ],
+    ids=["legendrian-degree-1", "pencil-degree-0", "jobs-0", "jobs-minus-3"],
+)
+def test_bad_flag_values_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(
+        capsys, ["pencil", "--degree", "2", "--out", str(target)]
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_import_leaves_the_process_pool_out():
+    """Only --jobs needs concurrent.futures; a serial run does not pay
+    for importing it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, foldeg, foldeg.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"

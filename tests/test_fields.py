@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from foldeg.exact import monomial_weight, monomials_of_degree
+from foldeg.exact import WeightSystem, monomial_weight, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
@@ -18,8 +18,10 @@ from foldeg.fields import (
     divergence,
     field_weight,
     phi_dimension,
+    scaled_terms,
     tangent_kernel_dimension,
 )
+from foldeg.linalg import kernel_basis
 
 WEIGHTS = (0, 2, 7, 10)
 
@@ -272,13 +274,13 @@ def test_phi_basis_is_linearly_independent():
             index[(m, j)] = len(index)
     rows = []
     for f in basis:
-        row = [Fraction(0)] * len(index)
-        for coeff, m, j in f.terms:
+        row = [0] * len(index)
+        for coeff, m, j in scaled_terms(f):
             row[index[(m, j)]] = coeff
         rows.append(row)
-    from foldeg.linalg import fraction_rows_to_int, rank
+    from foldeg.linalg import rank
 
-    assert rank(fraction_rows_to_int(rows), len(index)) == len(basis)
+    assert rank(rows, len(index)) == len(basis)
 
 
 def test_phi_basis_validates_input():
@@ -304,6 +306,11 @@ def test_tangent_kernel_dimension_contact_law():
         tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), 2, WEIGHTS)
         > contact_kernel_dimension(2)
     )
+    # non-integral coefficients: kappa_12/3 + kappa_34/2 is contact
+    halves = AntisymmetricForm({(1, 2): Fraction(1, 3), (3, 4): Fraction(1, 2)})
+    assert tangent_kernel_dimension(halves, 2, WEIGHTS) == (
+        contact_kernel_dimension(2)
+    )
 
 
 def test_basis_field_render():
@@ -312,3 +319,50 @@ def test_basis_field_render():
     assert "d/dx" in text
     rendered = {f.render() for f in basis}
     assert len(rendered) == len(basis)
+
+
+ORACLE_SYSTEMS = ((0, 2, 7, 10), (0, 1, 5, 16), (0, 3, 10, 16), (1, 3, 9, 20))
+
+
+def _rref_phi_basis(d, weights):
+    """The basis as elimination builds it: monomial fields taken
+    direction-major, grouped by numeric weight, each group's divergence
+    kernel in reduced echelon form with +1 pivots, groups ascending."""
+    w = WeightSystem(weights)
+    groups = {}
+    for j in (1, 2, 3, 4):
+        for m in monomials_of_degree(d):
+            wt = monomial_weight(m, w) - w.weight(j)
+            groups.setdefault(wt, []).append((m, j))
+    fields = []
+    for wt in sorted(groups):
+        block = groups[wt]
+        rows = [m for m in monomials_of_degree(d - 1)
+                if monomial_weight(m, w) == wt]
+        rowindex = {m: i for i, m in enumerate(rows)}
+        mat = [[0] * len(block) for _ in rows]
+        for c, (m, j) in enumerate(block):
+            if m[j - 1]:
+                lowered = tuple(e - (k == j - 1) for k, e in enumerate(m))
+                mat[rowindex[lowered]][c] = m[j - 1]
+        for vec in kernel_basis(mat, len(block)):
+            terms = tuple(
+                MonomialField(coeff, m, j)
+                for coeff, (m, j) in zip(vec, block)
+                if coeff
+            )
+            fields.append((terms, wt))
+    return fields
+
+
+@pytest.mark.parametrize("weights", ORACLE_SYSTEMS)
+def test_closed_form_basis_matches_rref_oracle(weights):
+    """Field for field, coefficient for coefficient and weight for
+    weight, the closed form is the echelon basis."""
+    for d in range(1, 10):
+        got = [(f.terms, f.weight) for f in build_phi_basis(d, weights)]
+        want = _rref_phi_basis(d, weights)
+        assert got == want
+        assert all(
+            type(c) is Fraction for terms, _ in got for c, _, _ in terms
+        )

@@ -1,26 +1,34 @@
 """Tests for the exact limit fibers at the torus-fixed forms."""
 
-from math import comb
+from math import comb, lcm
 
 import pytest
 
-from foldeg.exact import WeightMultiset
+from foldeg.exact import WeightMultiset, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
+    PerturbedForm,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
+    contract,
 )
 from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHOD_KERNEL,
+    ContractionMatrix,
     FixedPointP5,
+    MethodDisagreement,
+    _connected_blocks,
+    _first_dependency,
+    _quotient_columns,
     as_fixed_point,
     build_contraction_matrix,
     fixed_points_p5,
     limit_fiber_weights,
 )
+from foldeg.linalg import limit_rows
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -137,3 +145,79 @@ def test_result_json_schema():
 def test_method_validation():
     with pytest.raises(ValueError):
         limit_fiber_weights((1, 2), 2, method="nonsense")
+
+
+def _fraction_quotient_columns(d, pair, basis):
+    """The image route's pivot columns as the Fraction pipeline found
+    them: contract each field exactly over Q, then clear the
+    denominators of every block row by row before limit_rows."""
+    form = PerturbedForm(pair)
+    monos = monomials_of_degree(d + 1)
+    mindex = {m: i for i, m in enumerate(monos)}
+    entries = {}
+    for c, f in enumerate(basis):
+        for m, value in contract(form, f).items():
+            entries[(mindex[m], c)] = value
+    matrix = ContractionMatrix(pair, d, basis, monos, entries)
+    cols = []
+    for row_idx, col_idx in _connected_blocks(matrix):
+        rows = []
+        for r in row_idx:
+            row = [entries.get((r, c), (0, 0)) for c in col_idx]
+            den = lcm(*(e.denominator for pair_ in row for e in pair_
+                        if e))
+            tp = []
+            for c0, c1 in row:
+                c0, c1 = int(c0 * den), int(c1 * den)
+                tp.append((c0, c1) if c1 else (c0,) if c0 else ())
+            rows.append(tp)
+        _, pivots = limit_rows(rows, len(col_idx))
+        cols += [col_idx[k] for k in pivots]
+    return entries, cols
+
+
+def test_integer_contraction_keeps_the_fraction_pivots():
+    """Scaling each column by its field's denominator leaves the zero
+    pattern and the t-free entries alone, so limit_rows picks the same
+    pivot columns as on the row-cleared Fraction matrix."""
+    for d in range(1, 9):
+        basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+        scale = [lcm(*(t.coefficient.denominator for t in f.terms))
+                 for f in basis]
+        for pair in P5_PAIRS:
+            matrix = build_contraction_matrix(pair, d, basis)
+            entries, want = _fraction_quotient_columns(d, pair, basis)
+            assert matrix.entries == {
+                (r, c): (v0 * scale[c], v1 * scale[c])
+                for (r, c), (v0, v1) in entries.items()
+            }
+            assert all(
+                type(v) is int for pair_ in matrix.entries.values()
+                for v in pair_
+            )
+            assert _quotient_columns(matrix) == want
+
+
+def test_first_dependency():
+    assert _first_dependency([]) is None
+    assert _first_dependency([[1, 0, 2], [0, 3, 1]]) is None
+    # 2*v0 + v1 - v2 = 0, so v2 is the first dependent vector
+    vectors = [[1, 0, 2], [0, 3, 1], [2, 3, 5], [7, 7, 7]]
+    dep = _first_dependency(vectors)
+    assert dep[3] == 0 and dep[2] != 0
+    assert all(
+        sum(c * v[i] for c, v in zip(dep, vectors)) == 0 for i in range(3)
+    )
+    assert _first_dependency([[0, 0]]) == [1]
+
+
+def test_method_disagreement_is_raised(monkeypatch):
+    """--method both compares the two routes and raises on a mismatch."""
+    import foldeg.limits as limits
+
+    def first_columns(matrix):
+        return list(range(comb(matrix.d + 4, 3)))
+
+    monkeypatch.setattr(limits, "_quotient_columns", first_columns)
+    with pytest.raises(MethodDisagreement):
+        limit_fiber_weights((1, 2), 2, method=METHOD_BOTH)

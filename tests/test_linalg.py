@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from foldeg.linalg import (
     echelon,
-    fraction_rows_to_int,
     kernel_basis,
     limit_rows,
     rank,
@@ -90,21 +89,6 @@ def test_rref_shape():
     red, pivots = rref(mat)
     assert pivots == [0]
     assert red[0] == [Fraction(1), Fraction(2)]
-
-
-def test_fraction_rows_to_int_preserves_span():
-    rng = random.Random(44)
-    for _ in range(40):
-        n, m = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [
-            [Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-             for _ in range(m)]
-            for _ in range(n)
-        ]
-        ints = fraction_rows_to_int(mat)
-        assert all(isinstance(e, int) for row in ints for e in row)
-        stacked = [[Fraction(e) for e in row] for row in ints] + mat
-        assert _fraction_rank(stacked) == _fraction_rank(mat)
 
 
 def _tp_matrix_from_int(mat):
