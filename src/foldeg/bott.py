@@ -7,10 +7,22 @@ the limit fiber weights (from foldeg.limits) divided by the product of
 the five tangent weights of the form space.  The sum of these rational
 numbers must be an integer — a hard error otherwise, since a non-integer
 can only mean a wrong fiber.
+
+The six limit fibers are one fiber moved around by S_4.  A coordinate
+permutation sigma carries the path kappa_12 + t*kappa_34 to the path at
+[kappa_sigma(1)sigma(2)], up to the sign of t, and the limit is fixed by
+the whole torus T^4, so its Z^4 characters do not depend on the weight
+system.  The image route therefore computes the fiber once per degree,
+at SOURCE_PAIR, as characters; pair (k,l) takes it through
+sigma = (k, l, m, n), {m,n} the complement, with weights
+sum chi_i * w_sigma(i).  The kernel route and "both" still compute all
+six fibers directly, and "both" also checks each against the
+transported one.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 from .exact import (
     DEFAULT_WEIGHTS,
@@ -18,17 +30,22 @@ from .exact import (
     as_weight_system,
     scalar_to_string,
 )
-from .fields import P5_PAIRS
+from .fields import P5_PAIRS, complementary_pair
 from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHODS,
+    MethodDisagreement,
     as_fixed_point,
     fixed_points_p5,
     limit_fiber_weights,
 )
 
 LEGENDRIAN_MIN_DEGREE = 2
+
+# The fixed point whose limit fiber the image route computes; the other
+# five are reached from it by a coordinate permutation.
+SOURCE_PAIR = (1, 2)
 
 
 class NonIntegralDegree(ArithmeticError):
@@ -120,18 +137,70 @@ def _sum_contributions(family, d, w, contributions):
     return DegreeReport(family, d, w, contributions, int(total))
 
 
-def _legendrian_task(args):
-    pair, d, wvalues, method = args
-    res = limit_fiber_weights(pair, d, wvalues, method)
-    return pair, tuple(res.quotient_weights)
+def transport_characters(characters, sigma):
+    """Move characters by the coordinate permutation i -> sigma[i-1]:
+    chi goes to chi' with chi'_sigma(i) = chi_i.  Returned sorted.
+
+    >>> transport_characters([(2, -1, 0, 0)], (3, 4, 1, 2))
+    ((0, 0, 2, -1),)
+    """
+    move = itemgetter(*(sigma.index(j) for j in (1, 2, 3, 4)))
+    return tuple(sorted(map(move, characters)))
 
 
-def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None, jobs=1):
+def _source_permutation(pair):
+    """The permutation (k, l, m, n) that takes SOURCE_PAIR to pair (k, l),
+    and its complement (3, 4) to the complement (m, n)."""
+    return tuple(pair) + complementary_pair(pair)
+
+
+def _source_fiber(d, weights):
+    """The image fiber at SOURCE_PAIR as characters: one limit
+    computation; the weights only organize it."""
+    return limit_fiber_weights(
+        SOURCE_PAIR, d, weights, METHOD_IMAGE
+    ).quotient_characters
+
+
+def fiber_characters(d, pair):
+    """The image fiber at [kappa_pair] as sorted Z^4 characters,
+    transported from SOURCE_PAIR."""
+    pair = as_fixed_point(pair).pair
+    return transport_characters(
+        _source_fiber(d, DEFAULT_WEIGHTS), _source_permutation(pair)
+    )
+
+
+def character_weights(characters, weights):
+    """Evaluate Z^4 characters at a weight system: chi -> sum chi_i * w_i.
+
+    >>> list(character_weights([(2, -1, 0, 0), (0, 0, 1, 0)], (0, 2, 7, 10)))
+    [-2, 7]
+    """
+    w1, w2, w3, w4 = as_weight_system(weights).values
+    return WeightMultiset(
+        a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters
+    )
+
+
+def transported_fiber(characters, pair, weights):
+    """Numeric fiber at pair from the characters at SOURCE_PAIR: the
+    characters moved by sigma (transport_characters), evaluated at the
+    weights."""
+    return character_weights(
+        transport_characters(characters, _source_permutation(pair)), weights
+    )
+
+
+def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None):
     """Degree of the degree-d Legendrian family by localization.
 
     method is one of the foldeg.limits METHODS (None picks
-    default_method(d)); jobs > 1 distributes the six fixed points over
-    worker processes.
+    default_method(d)).  The image route takes all six fibers from one
+    limit computation (_source_fiber); the kernel route and "both"
+    compute each fixed point directly, and "both" raises
+    MethodDisagreement unless every direct fiber equals the one
+    transported from its own SOURCE_PAIR result.
     """
     if d < LEGENDRIAN_MIN_DEGREE:
         raise ValueError("legendrian family needs d >= 2, got %r" % (d,))
@@ -143,22 +212,28 @@ def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None, jobs=1):
         raise ValueError("unknown method %r" % (method,))
 
     fps = fixed_points_p5()
-    if jobs > 1:
-        # imported here: it pulls in multiprocessing, which serial runs
-        # never need
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(fp.pair, d, w.values, method) for fp in fps]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            fibers = dict(pool.map(_legendrian_task, tasks))
+    if method == METHOD_IMAGE:
+        characters = _source_fiber(d, w)
+        fibers = {
+            fp.pair: transported_fiber(characters, fp.pair, w) for fp in fps
+        }
     else:
-        fibers = dict(
-            _legendrian_task((fp.pair, d, w.values, method)) for fp in fps
-        )
+        direct = {
+            fp.pair: limit_fiber_weights(fp.pair, d, w, method) for fp in fps
+        }
+        fibers = {pair: res.quotient_weights for pair, res in direct.items()}
+        if method == METHOD_BOTH:
+            characters = direct[SOURCE_PAIR].quotient_characters
+            for pair, fiber in fibers.items():
+                if transported_fiber(characters, pair, w) != fiber:
+                    raise MethodDisagreement(
+                        "transported and direct fibers disagree at %r, d=%d"
+                        % (pair, d)
+                    )
 
     contributions = []
     for fp in fps:
-        quotient = WeightMultiset(fibers[fp.pair])
+        quotient = fibers[fp.pair]
         tangent = tangent_weights_p5(fp, w)
         # the integrand has the dimension of the ambient space of forms,
         # which is the number of tangent weights (5): e_5 over e_5

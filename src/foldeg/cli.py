@@ -23,7 +23,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import reference
 from .bott import (
     LEGENDRIAN_MIN_DEGREE,
     NonIntegralDegree,
@@ -134,9 +133,9 @@ def _degree_text(report, method=None):
 
 def cmd_legendrian(args):
     method = METHOD_FLAGS[args.method] if args.method else default_method(args.degree)
-    report = legendrian_degree(
-        args.degree, args.weights, method=method, jobs=args.jobs
-    )
+    # --jobs is parsed and checked but has nothing to fan out: the six
+    # fixed points share one limit computation
+    report = legendrian_degree(args.degree, args.weights, method=method)
     _emit(args, report.to_json_dict(), _degree_text(report, method))
     return EXIT_OK
 
@@ -171,6 +170,10 @@ def run_verify_checks(example=False):
     compares each piece against the frozen constants; returns a list of
     (name, passed, detail) triples.
     """
+    # imported here: only verify reads the frozen constants, so the
+    # other commands do not load them
+    from . import reference
+
     checks = []
 
     res = limit_fiber_weights((3, 4), 2, method=METHOD_BOTH)
@@ -316,7 +319,9 @@ def cmd_interpolate(args):
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _add_common_flags(sub, jobs=True):
+def _add_common_flags(
+    sub, jobs_help="worker processes for independent tasks (default 1)"
+):
     sub.add_argument(
         "--weights",
         type=_parse_weights,
@@ -335,13 +340,9 @@ def _add_common_flags(sub, jobs=True):
         metavar="FILE",
         help="also write the JSON report to FILE",
     )
-    if jobs:
+    if jobs_help:
         sub.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="K",
-            help="worker processes for independent tasks (default 1)",
+            "--jobs", type=int, default=1, metavar="K", help=jobs_help
         )
 
 
@@ -362,14 +363,17 @@ def build_parser():
         default=None,
         help="limit computation route (default: both for d <= 4, image above)",
     )
-    _add_common_flags(leg)
+    _add_common_flags(
+        leg, jobs_help="accepted and checked (K >= 1), but has no effect: "
+        "one limit computation serves all six fixed points"
+    )
     leg.set_defaults(func=cmd_legendrian)
 
     pen = subparsers.add_parser(
         "pencil", help="degree of the pencil-of-planes family"
     )
     pen.add_argument("--degree", type=int, required=True, metavar="N")
-    _add_common_flags(pen, jobs=False)
+    _add_common_flags(pen, jobs_help=None)
     pen.set_defaults(func=cmd_pencil)
 
     ver = subparsers.add_parser(

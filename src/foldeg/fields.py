@@ -243,6 +243,14 @@ class BasisField:
         self.terms = tuple(terms)
         self.weight = weight
 
+    @property
+    def character(self):
+        """The Z^4 character mu - e_j of the leading term; every term of
+        a basis field has the same one, and weight is its value at the
+        numeric weight system."""
+        _, mono, j = self.terms[0]
+        return _lower(mono, j)
+
     def render(self):
         parts = []
         for coeff, mono, j in self.terms:

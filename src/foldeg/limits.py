@@ -8,12 +8,12 @@ by t is computed here by two deliberately independent routes:
 
 * image-fiber: a one-pass unit-pivot elimination over Q[t] localized at
   t (the limit_rows kernel) gives a basis of the limit of the row span;
-  its pivot columns name basis fields whose weights are the fiber of the
-  image sheaf at the fixed point.
+  its pivot columns name basis fields whose weights (and Z^4
+  characters) are the fiber of the image sheaf at the fixed point.
 * kernel-limit: a fraction-free (Bareiss) nullspace over Z[t], followed
   by the classical re-adaptation loop — evaluate at t = 0, and while the
   evaluations are dependent, push a dependency back into the family,
-  divide by t, try again.
+  divide by t, try again, at most _readaptation_bound times.
 
 Torus equivariance makes the matrix block-diagonal after grouping rows
 and columns by weight (t itself carries the weight difference of the two
@@ -21,6 +21,7 @@ pairs), so both routes run on small connected blocks.
 """
 
 from collections import namedtuple
+from itertools import count
 from math import comb, gcd
 
 from .exact import (
@@ -320,19 +321,37 @@ def _first_dependency(vectors):
     return None
 
 
+def _readaptation_bound(vecs):
+    """Most re-adaptation steps a kernel family can take: the sum of its
+    members' largest t-degrees.
+
+    Each step divides the family's wedge by t^v with v >= 1, and that
+    wedge is a nonzero vector of minors of t-degree at most this sum, so
+    its t-valuation starts no higher."""
+    return sum(max(map(len, v)) - 1 for v in vecs)
+
+
 def _limit_kernel_vectors(int_rows, ncols):
     """t -> 0 limit of the kernel family by repeated re-adaptation.
 
     Start with a Z[t] kernel basis; evaluate at t = 0; while the
     evaluations are linearly dependent, replace one member by the
     dependency combination divided by its t-valuation, and repeat.
-    Returns (vectors over Z[t], their values at t = 0)."""
+    Returns (the limit vectors, i.e. the values at t = 0, and the number
+    of steps taken)."""
     vecs = [_vec_normalize(v) for v in _tpoly_nullspace(int_rows, ncols)]
-    for _ in range(10000):
+    for steps in count():
         evaluated = [[tp_constant_term(e) for e in v] for v in vecs]
         ints = _first_dependency(evaluated)
         if ints is None:
-            return vecs, evaluated
+            return evaluated, steps
+        if not steps:
+            # only a family that needs re-adapting pays for its bound
+            bound = _readaptation_bound(vecs)
+        if steps == bound:
+            raise SaturationRankError(
+                "kernel re-adaptation did not stabilize within its bound"
+            )
         k = max(i for i, c in enumerate(ints) if c)
         combo = [TP_ZERO] * ncols
         for i, ci in enumerate(ints):
@@ -343,7 +362,6 @@ def _limit_kernel_vectors(int_rows, ncols):
                             combo[pos], tp_scale(vecs[i][pos], ci)
                         )
         vecs[k] = _vec_normalize(combo)
-    raise SaturationRankError("kernel re-adaptation failed to stabilize")
 
 
 def _kernel_weights_for_block(evaluated, col_idx, basis):
@@ -368,16 +386,33 @@ def _kernel_weights_for_block(evaluated, col_idx, basis):
 class LimitFiberResult:
     """Fiber weights at one fixed point: quotient_weights is the fiber of
     the image sheaf (what the Euler class is made of), kernel_weights its
-    complement inside the weights of the full field basis."""
+    complement inside the weights of the full field basis.
 
-    __slots__ = ("pair", "d", "quotient_weights", "kernel_weights", "method")
+    quotient_fields are the basis fields behind the image fiber (image
+    route and "both"; None from the kernel route alone)."""
 
-    def __init__(self, pair, d, quotient_weights, kernel_weights, method):
+    __slots__ = (
+        "pair", "d", "quotient_weights", "kernel_weights", "method",
+        "quotient_fields",
+    )
+
+    def __init__(self, pair, d, quotient_weights, kernel_weights, method,
+                 quotient_fields=None):
         self.pair = pair
         self.d = d
         self.quotient_weights = quotient_weights
         self.kernel_weights = kernel_weights
         self.method = method
+        self.quotient_fields = quotient_fields
+
+    @property
+    def quotient_characters(self):
+        """The image fiber as sorted Z^4 characters, or None.  The limit
+        is fixed by the whole torus, so these do not depend on the weight
+        system."""
+        if self.quotient_fields is None:
+            return None
+        return tuple(sorted(f.character for f in self.quotient_fields))
 
     def to_json_dict(self):
         return {
@@ -423,7 +458,8 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
                 % (fp, d)
             )
         return LimitFiberResult(
-            fp.pair, d, img.quotient_weights, img.kernel_weights, METHOD_BOTH
+            fp.pair, d, img.quotient_weights, img.kernel_weights, METHOD_BOTH,
+            img.quotient_fields,
         )
 
     basis = build_phi_basis(d, w)
@@ -438,12 +474,13 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
                 "limit image rank %d != %d at %r, d=%d"
                 % (len(quotient_cols), expected, fp, d)
             )
-        qw = WeightMultiset(basis[c].weight for c in quotient_cols)
+        fields = [basis[c] for c in quotient_cols]
+        qw = WeightMultiset(f.weight for f in fields)
         kw = all_weights.difference(qw)
     else:
         kernel_list = []
         for col_idx, int_rows in _blocks(matrix):
-            _, evaluated = _limit_kernel_vectors(int_rows, len(col_idx))
+            evaluated, _ = _limit_kernel_vectors(int_rows, len(col_idx))
             kernel_list += _kernel_weights_for_block(
                 evaluated, col_idx, basis
             )
@@ -455,5 +492,6 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
             )
         kw = WeightMultiset(kernel_list)
         qw = all_weights.difference(kw)
+        fields = None
 
-    return LimitFiberResult(fp.pair, d, qw, kw, method)
+    return LimitFiberResult(fp.pair, d, qw, kw, method, fields)

@@ -7,13 +7,11 @@ transport, or a closed-form evaluation).  The constants are inlined so
 the test suite can detect regressions without recomputing oracles.
 """
 
-from fractions import Fraction
-
-from .exact import WeightSystem
-
 # Weight systems accepted everywhere in the test suite.  Each one has
 # four pairwise-distinct entries and six pairwise-distinct pair sums.
-DEFAULT_WEIGHTS = WeightSystem((0, 2, 7, 10))
+# DEFAULT_WEIGHTS, (0, 2, 7, 10), is the package default itself.
+from .exact import DEFAULT_WEIGHTS, WeightSystem  # noqa: F401
+
 ALT_WEIGHTS_A = WeightSystem((0, 1, 5, 13))
 ALT_WEIGHTS_B = WeightSystem((1, 3, 9, 20))
 
@@ -34,18 +32,6 @@ LEGENDRIAN_D2_CONTRIBUTIONS = (
     ((2, 3), -4199874, 336),
     ((2, 4), -3398841, 1500),
     ((3, 4), -105534, 42000),
-)
-
-# The same six values arranged by increasing pair in the wedge-basis
-# order (1,2), (1,3), (2,3), (1,4), (2,4), (3,4), reduced.  This is the
-# order in which the sequence is conventionally displayed.
-LEGENDRIAN_D2_WEDGE_ORDER_VALUES = (
-    Fraction(833800359, 42000),
-    Fraction(-38740434, 1500),
-    Fraction(-4199874, 336),
-    Fraction(7716777, 336),
-    Fraction(-3398841, 1500),
-    Fraction(-105534, 42000),
 )
 
 LEGENDRIAN_D2_DEGREE = 2224
@@ -84,7 +70,9 @@ D2_P34_E5 = 105534
 
 # The same twenty weights written symbolically as integer combinations
 # of the four torus weights (w1, w2, w3, w4); each row is the coefficient
-# vector (c1, c2, c3, c4) meaning c1*w1 + c2*w2 + c3*w3 + c4*w4.
+# vector (c1, c2, c3, c4) meaning c1*w1 + c2*w2 + c3*w3 + c4*w4.  These
+# are the Z^4 characters of the fiber: as a multiset, the table is
+# foldeg.bott.fiber_characters(2, (3, 4)).
 D2_P34_SYMBOLIC_WEIGHTS = (
     (2, -1, 0, 0),   # 2w1 - w2
     (1, 0, 0, 0),    # w1

@@ -2,22 +2,36 @@
 
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+import foldeg.bott as bott
 from foldeg.bott import (
     LEGENDRIAN_MIN_DEGREE,
+    SOURCE_PAIR,
     NonIntegralDegree,
+    character_weights,
     default_method,
+    fiber_characters,
     legendrian_degree,
     tangent_weights_p5,
+    transport_characters,
+    transported_fiber,
 )
-from foldeg.exact import InadmissibleWeights, WeightSystem
+from foldeg.exact import InadmissibleWeights, WeightMultiset, WeightSystem
 from foldeg.fields import P5_PAIRS
-from foldeg.limits import METHOD_BOTH, METHOD_IMAGE, METHOD_KERNEL
+from foldeg.limits import (
+    METHOD_BOTH,
+    METHOD_IMAGE,
+    METHOD_KERNEL,
+    MethodDisagreement,
+    limit_fiber_weights,
+)
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
+    D2_P34_SYMBOLIC_WEIGHTS,
     DEFAULT_WEIGHTS,
     LEGENDRIAN_D2_CONTRIBUTIONS,
     LEGENDRIAN_D2_DEGREE,
@@ -85,15 +99,6 @@ def test_methods_give_same_degree():
         )
 
 
-def test_parallel_jobs_match_serial():
-    serial = legendrian_degree(3)
-    parallel = legendrian_degree(3, jobs=3)
-    assert parallel.degree == serial.degree
-    assert [c.value for c in parallel.contributions] == [
-        c.value for c in serial.contributions
-    ]
-
-
 def test_json_schema():
     report = legendrian_degree(2)
     out = report.to_json_dict()
@@ -127,3 +132,76 @@ def test_weights_accept_plain_sequences():
     report = legendrian_degree(2, [0, 2, 7, 10])
     assert report.degree == LEGENDRIAN_D2_DEGREE
     assert report.weights == WeightSystem((0, 2, 7, 10))
+
+
+@pytest.mark.parametrize(
+    "weights", (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B),
+    ids=lambda w: ",".join(map(str, w.values)),
+)
+def test_transport_matches_direct_fibers(weights):
+    """Every coordinate permutation sigma carries the fiber at
+    SOURCE_PAIR, as characters, onto the directly computed fiber at
+    sigma(SOURCE_PAIR); in particular the permutation the image route
+    picks for each pair does."""
+    for d in range(2, 7):
+        source = limit_fiber_weights(SOURCE_PAIR, d, weights)
+        characters = source.quotient_characters
+        direct = {
+            pair: limit_fiber_weights(pair, d, weights).quotient_weights
+            for pair in P5_PAIRS
+        }
+        for sigma in permutations((1, 2, 3, 4)):
+            pair = tuple(sorted(sigma[:2]))
+            moved = transport_characters(characters, sigma)
+            assert character_weights(moved, weights) == direct[pair], (d, sigma)
+        for pair in P5_PAIRS:
+            assert transported_fiber(characters, pair, weights) == direct[pair]
+
+
+def test_image_route_computes_one_limit_per_degree(monkeypatch):
+    calls = []
+
+    def counting(pair, d, weights, method):
+        calls.append((pair, method))
+        return limit_fiber_weights(pair, d, weights, method)
+
+    monkeypatch.setattr(bott, "limit_fiber_weights", counting)
+    image = legendrian_degree(5, method=METHOD_IMAGE)
+    assert calls == [(SOURCE_PAIR, METHOD_IMAGE)]
+    kernel = legendrian_degree(5, method=METHOD_KERNEL)
+    assert image.contributions == kernel.contributions
+    assert len(calls) == 1 + 6
+
+
+def test_both_checks_transported_fibers(monkeypatch):
+    """method="both" compares each direct fiber with the one transported
+    from its own SOURCE_PAIR result, and raises on a mismatch."""
+    assert legendrian_degree(3, method=METHOD_BOTH).degree == (
+        LEGENDRIAN_D3_DEGREE
+    )
+    original = bott.transported_fiber
+
+    def off_at_34(characters, pair, weights):
+        fiber = original(characters, pair, weights)
+        if pair != (3, 4):
+            return fiber
+        return WeightMultiset(v + 1 if i == 0 else v
+                              for i, v in enumerate(fiber))
+
+    monkeypatch.setattr(bott, "transported_fiber", off_at_34)
+    with pytest.raises(MethodDisagreement):
+        legendrian_degree(3, method=METHOD_BOTH)
+    # the image route has no direct fiber to compare with; the
+    # integrality of the sum is what catches a wrong one there
+    with pytest.raises(NonIntegralDegree):
+        legendrian_degree(3, method=METHOD_IMAGE)
+
+
+def test_fiber_characters_reproduce_the_frozen_table():
+    """The symbolic d = 2 fiber at (3,4) is the character fiber moved
+    there from SOURCE_PAIR."""
+    got = fiber_characters(2, (3, 4))
+    assert sorted(got) == sorted(D2_P34_SYMBOLIC_WEIGHTS)
+    assert character_weights(got, DEFAULT_WEIGHTS) == (
+        limit_fiber_weights((3, 4), 2).quotient_weights
+    )

@@ -49,6 +49,11 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, ["legendrian", "--degree", "2", "--format", "json"])
     _, second, _ = run(capsys, ["legendrian", "--degree", "2", "--format", "json"])
     assert first == second
+    # legendrian --jobs is still accepted, but the output is the same
+    _, third, _ = run(
+        capsys, ["legendrian", "--degree", "2", "--format", "json", "--jobs", "3"]
+    )
+    assert third == first
 
 
 def test_pencil_output(capsys):

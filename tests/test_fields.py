@@ -264,6 +264,19 @@ def test_phi_basis_weights_are_homogeneous_and_sorted():
                 assert field_weight(term, WEIGHTS) == f.weight
 
 
+def test_phi_basis_fields_carry_their_character():
+    """Every term of a basis field has the character mu - e_j of the
+    leading term, and the numeric weight is that character evaluated."""
+    for d in (1, 2, 3):
+        basis = build_phi_basis(d, WEIGHTS)
+        for f in basis:
+            for _, mono, j in f.terms:
+                chi = list(mono)
+                chi[j - 1] -= 1
+                assert tuple(chi) == f.character
+            assert f.weight == sum(c * w for c, w in zip(f.character, WEIGHTS))
+
+
 def test_phi_basis_is_linearly_independent():
     d = 2
     basis = build_phi_basis(d, WEIGHTS)

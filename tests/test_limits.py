@@ -20,9 +20,15 @@ from foldeg.limits import (
     ContractionMatrix,
     FixedPointP5,
     MethodDisagreement,
+    SaturationRankError,
+    _blocks,
     _connected_blocks,
     _first_dependency,
+    _limit_kernel_vectors,
     _quotient_columns,
+    _readaptation_bound,
+    _tpoly_nullspace,
+    _vec_normalize,
     as_fixed_point,
     build_contraction_matrix,
     fixed_points_p5,
@@ -221,3 +227,48 @@ def test_method_disagreement_is_raised(monkeypatch):
     monkeypatch.setattr(limits, "_quotient_columns", first_columns)
     with pytest.raises(MethodDisagreement):
         limit_fiber_weights((1, 2), 2, method=METHOD_BOTH)
+
+
+def test_quotient_characters():
+    """The image route reports the fiber as sorted Z^4 characters that
+    evaluate to its weights; the kernel route alone reports none, and
+    "both" passes the image route's on."""
+    img = limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_IMAGE)
+    chars = img.quotient_characters
+    assert list(chars) == sorted(chars)
+    assert WeightMultiset(
+        sum(c * w for c, w in zip(chi, ALT_WEIGHTS_A.values)) for chi in chars
+    ) == img.quotient_weights
+    ker = limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_KERNEL)
+    assert ker.quotient_characters is None
+    both = limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_BOTH)
+    assert both.quotient_characters == chars
+    assert "quotient_characters" not in both.to_json_dict()
+
+
+def test_readaptation_stabilizes_within_its_bound():
+    """Every block at d = 2..6, at all six points, stabilizes within the
+    sum of the largest t-degrees of its initial kernel family."""
+    steps_total = 0
+    for d in range(2, 7):
+        basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+        for pair in P5_PAIRS:
+            matrix = build_contraction_matrix(pair, d, basis)
+            for col_idx, rows in _blocks(matrix):
+                family = [_vec_normalize(v)
+                          for v in _tpoly_nullspace(rows, len(col_idx))]
+                bound = _readaptation_bound(family)
+                _, steps = _limit_kernel_vectors(rows, len(col_idx))
+                assert steps <= bound
+                steps_total += steps
+    assert steps_total > 0
+
+
+def test_readaptation_past_its_bound_raises(monkeypatch):
+    """A family still dependent once its bound is spent is an error; at
+    d = 2 some blocks need one step, so a bound of 0 trips it."""
+    import foldeg.limits as limits
+
+    monkeypatch.setattr(limits, "_readaptation_bound", lambda vecs: 0)
+    with pytest.raises(SaturationRankError):
+        limit_fiber_weights((1, 2), 2, method=METHOD_KERNEL)
