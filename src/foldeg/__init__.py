@@ -9,151 +9,59 @@ here, both by torus (Bott) localization with all arithmetic over Q:
   saturation (see foldeg.limits);
 * the pencil family (foliations tangent to a varying pencil of planes),
   localized on the Grassmannian of pencils, where the fiber weights can
-  be written down directly.
+  be written down directly (foldeg.pencil).
 
-Both counting functions are polynomials in d; foldeg.polyfit evaluates
-the closed forms and reproduces them by exact interpolation of freshly
-computed degrees.  The command-line entry point lives in foldeg.cli.
+Each family is a Family record, and foldeg.bott.localize computes the
+six-point localization sum for either.  Both counting functions are
+polynomials in d; foldeg.polyfit evaluates the closed forms and
+reproduces them by exact interpolation of freshly computed degrees.  The
+command-line entry point lives in foldeg.cli.
 """
 
 from .bott import (
-    LEGENDRIAN_MIN_DEGREE,
     DegreeReport,
+    Family,
     NonIntegralDegree,
-    default_method,
     legendrian_degree,
-    tangent_weights_p5,
+    localize,
 )
-from .exact import (
-    DEFAULT_WEIGHTS,
-    InadmissibleWeights,
-    RationalPolynomial,
-    Scalar,
-    WeightMultiset,
-    WeightSystem,
-    as_weight_system,
-    elementary_symmetric,
-    lagrange_interpolate,
-    monomial_weight,
-    monomials_of_degree,
-)
-from .fields import (
-    P5_PAIRS,
-    AntisymmetricForm,
-    BasisField,
-    MonomialField,
-    PerturbedForm,
-    SectionBasis,
-    build_phi_basis,
-    complementary_pair,
-    contact_kernel_dimension,
-    contract,
-    divergence,
-    field_weight,
-    phi_dimension,
-    tangent_kernel_dimension,
-)
-from .limits import (
-    METHOD_BOTH,
-    METHOD_IMAGE,
-    METHOD_KERNEL,
-    METHODS,
-    FixedPointP5,
-    LimitFiberResult,
-    MethodDisagreement,
-    SaturationRankError,
-    fixed_points_p5,
-    limit_fiber_weights,
-)
-from .pencil import (
-    PENCIL_MIN_DEGREE,
-    FixedPointG24,
-    fixed_points_g24,
-    pd_twisted_weights,
-    pencil_degree,
-    pencil_degree_closed_form,
-    pencil_rank_checks,
-    tangent_weights_g24,
-)
+from .exact import InadmissibleWeights, WeightSystem
+from .fields import AntisymmetricForm, build_phi_basis, contract, tangent_kernel_dimension
+from .limits import MethodDisagreement, SaturationRankError, limit_fiber_weights
+from .pencil import pencil_degree
 from .polyfit import (
     FAMILIES,
-    LEGENDRIAN_DEGREE_BOUND,
-    PENCIL_DEGREE_BOUND,
     InsufficientPoints,
     IntegralityError,
-    compute_degree_points,
     family_closed_form,
     family_closed_form_polynomial,
-    family_degree_bound,
     interpolate_family,
-    legendrian_closed_form,
-    legendrian_closed_form_polynomial,
-    pencil_closed_form_polynomial,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AntisymmetricForm",
-    "BasisField",
-    "DEFAULT_WEIGHTS",
     "DegreeReport",
     "FAMILIES",
-    "FixedPointG24",
-    "FixedPointP5",
+    "Family",
     "InadmissibleWeights",
     "InsufficientPoints",
     "IntegralityError",
-    "LEGENDRIAN_DEGREE_BOUND",
-    "LEGENDRIAN_MIN_DEGREE",
-    "LimitFiberResult",
-    "METHODS",
-    "METHOD_BOTH",
-    "METHOD_IMAGE",
-    "METHOD_KERNEL",
     "MethodDisagreement",
-    "MonomialField",
     "NonIntegralDegree",
-    "P5_PAIRS",
-    "PENCIL_DEGREE_BOUND",
-    "PENCIL_MIN_DEGREE",
-    "PerturbedForm",
-    "RationalPolynomial",
     "SaturationRankError",
-    "Scalar",
-    "SectionBasis",
-    "WeightMultiset",
     "WeightSystem",
-    "as_weight_system",
     "build_phi_basis",
-    "complementary_pair",
-    "compute_degree_points",
-    "contact_kernel_dimension",
+    "cli",
     "contract",
-    "default_method",
-    "divergence",
-    "elementary_symmetric",
     "family_closed_form",
     "family_closed_form_polynomial",
-    "family_degree_bound",
-    "field_weight",
-    "fixed_points_g24",
-    "fixed_points_p5",
     "interpolate_family",
-    "lagrange_interpolate",
-    "legendrian_closed_form",
-    "legendrian_closed_form_polynomial",
     "legendrian_degree",
     "limit_fiber_weights",
-    "monomial_weight",
-    "monomials_of_degree",
-    "pd_twisted_weights",
-    "pencil_closed_form_polynomial",
+    "localize",
+    "pencil",
     "pencil_degree",
-    "pencil_degree_closed_form",
-    "pencil_rank_checks",
-    "phi_dimension",
     "tangent_kernel_dimension",
-    "tangent_weights_g24",
-    "tangent_weights_p5",
 ]

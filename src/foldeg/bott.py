@@ -1,19 +1,23 @@
-"""Torus localization for the Legendrian family.
+"""Torus localization: one routine for both families.
 
-The degree of the closure of the degree-d Legendrian foliations inside
-the space of antisymmetric forms is a sum over the six torus-fixed
-points [kappa_ij]: at each one, the top elementary symmetric function of
-the limit fiber weights (from foldeg.limits) divided by the product of
-the five tangent weights of the form space.  The sum of these rational
-numbers must be an integer — a hard error otherwise, since a non-integer
-can only mean a wrong fiber.
+Both degrees are Bott sums over the six torus-fixed points, named by the
+index pairs (i,j) of P5_PAIRS: at each one, the top elementary symmetric
+function of the fiber weights divided by the one of the tangent weights
+(Ellingsrud-Stromme, Bott's formula and enumerative geometry, JAMS 1996).
+The sum must be an integer -- a hard error otherwise, since a
+non-integer can only mean a wrong fiber.  A family is data (Family): its
+minimum degree, polynomial bound, fibers, tangent weights and published
+closed form; localize computes the sum for any of them.  This module
+holds the Legendrian family (LEGENDRIAN, legendrian_degree), whose
+parameter space is the P^5 of antisymmetric forms; foldeg.pencil holds
+the pencil family.
 
-The six limit fibers are one fiber moved around by S_4.  A coordinate
-permutation sigma carries the path kappa_12 + t*kappa_34 to the path at
-[kappa_sigma(1)sigma(2)], up to the sign of t, and the limit is fixed by
-the whole torus T^4, so its Z^4 characters do not depend on the weight
-system.  The image route therefore computes the fiber once per degree,
-at SOURCE_PAIR, as characters; pair (k,l) takes it through
+The six Legendrian limit fibers are one fiber moved around by S_4.  A
+coordinate permutation sigma carries the path kappa_12 + t*kappa_34 to
+the path at [kappa_sigma(1)sigma(2)], up to the sign of t, and the limit
+is fixed by the whole torus T^4, so its Z^4 characters do not depend on
+the weight system.  The image route therefore computes the fiber once
+per degree, at SOURCE_PAIR, as characters; pair (k,l) takes it through
 sigma = (k, l, m, n), {m,n} the complement, with weights
 sum chi_i * w_sigma(i).  The kernel route and "both" still compute all
 six fibers directly, and "both" also checks each against the
@@ -22,26 +26,24 @@ transported one.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from .exact import (
     DEFAULT_WEIGHTS,
+    RationalPolynomial,
     WeightMultiset,
     as_weight_system,
     scalar_to_string,
 )
-from .fields import P5_PAIRS, complementary_pair
+from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHODS,
     MethodDisagreement,
-    as_fixed_point,
-    fixed_points_p5,
     limit_fiber_weights,
 )
-
-LEGENDRIAN_MIN_DEGREE = 2
 
 # The fixed point whose limit fiber the image route computes; the other
 # five are reached from it by a coordinate permutation.
@@ -52,18 +54,18 @@ class NonIntegralDegree(ArithmeticError):
     """A localization sum came out non-integral (always a bug, never data)."""
 
 
-def tangent_weights_p5(fp, weights=DEFAULT_WEIGHTS):
+def tangent_weights_p5(pair, weights=DEFAULT_WEIGHTS):
     """Tangent weights of the form space at [kappa_ij]: the five values
     (w_k + w_l) - (w_i + w_j) over the other pairs.
 
     >>> list(tangent_weights_p5((1, 2), (0, 2, 7, 10)))
     [5, 7, 8, 10, 15]
     """
-    fp = as_fixed_point(fp)
+    pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
-    s = w.pair_sum(fp.pair)
+    s = w.pair_sum(pair)
     return WeightMultiset(
-        w.pair_sum(q) - s for q in P5_PAIRS if q != fp.pair
+        w.pair_sum(q) - s for q in P5_PAIRS if q != pair
     )
 
 
@@ -121,20 +123,70 @@ class DegreeReport:
         )
 
 
-def _normalized_contribution(pair, num, den):
-    if den < 0:
-        num, den = -num, -den
-    return FixedPointContribution(pair, num, den, Fraction(num, den))
+class Family(namedtuple(
+    "Family",
+    "name min_degree degree_bound fibers tangent_weights "
+    "closed_form_polynomial",
+)):
+    """One family of foliations, as the data its localization needs.
+
+    fibers(d, weights, **options) yields (pair, fiber weights) at the six
+    fixed points in P5_PAIRS order; tangent_weights(pair, weights) gives
+    the tangent weights of the parameter space there.  degree_bound is
+    the degree of the counting polynomial in d (thrice the dimension of
+    the parameter space) and closed_form_polynomial() returns the
+    published one.
+    """
+
+    __slots__ = ()
+
+    def closed_form(self, d):
+        """The published degree at d: the closed-form polynomial
+        evaluated exactly, which must be an integer."""
+        if d < self.min_degree:
+            raise ValueError(
+                "the %s closed form starts at d = %d, got %r"
+                % (self.name, self.min_degree, d)
+            )
+        value = self.closed_form_polynomial()(d)
+        if value.denominator != 1:
+            raise ArithmeticError("closed form not integral at d=%d" % d)
+        return int(value)
 
 
-def _sum_contributions(family, d, w, contributions):
+def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
+    """Degree of a Family in degree d by Bott's formula.
+
+    Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
+    dimension of the parameter space (the number of tangent weights);
+    options go to family.fibers.  Fibers are taken one at a time, so
+    only one is alive at once.  Raises NonIntegralDegree unless the sum
+    is an integer.
+    """
+    if d < family.min_degree:
+        raise ValueError(
+            "%s family needs d >= %d, got %r"
+            % (family.name, family.min_degree, d)
+        )
+    w = as_weight_system(weights).require_admissible()
+    contributions = []
+    for pair, fiber in family.fibers(d, w, **options):
+        tangent = family.tangent_weights(pair, w)
+        n = len(tangent)
+        num = fiber.elementary_symmetric(n)
+        den = tangent.elementary_symmetric(n)
+        if den < 0:
+            num, den = -num, -den
+        contributions.append(
+            FixedPointContribution(pair, num, den, Fraction(num, den))
+        )
     total = sum((c.value for c in contributions), Fraction(0))
     if total.denominator != 1:
         raise NonIntegralDegree(
             "%s localization sum %s is not an integer (d=%d, weights %r)"
-            % (family, scalar_to_string(total), d, w.values)
+            % (family.name, scalar_to_string(total), d, w.values)
         )
-    return DegreeReport(family, d, w, contributions, int(total))
+    return DegreeReport(family.name, d, w, contributions, int(total))
 
 
 def transport_characters(characters, sigma):
@@ -165,7 +217,7 @@ def _source_fiber(d, weights):
 def fiber_characters(d, pair):
     """The image fiber at [kappa_pair] as sorted Z^4 characters,
     transported from SOURCE_PAIR."""
-    pair = as_fixed_point(pair).pair
+    pair = as_fixed_point(pair)
     return transport_characters(
         _source_fiber(d, DEFAULT_WEIGHTS), _source_permutation(pair)
     )
@@ -192,8 +244,8 @@ def transported_fiber(characters, pair, weights):
     )
 
 
-def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None):
-    """Degree of the degree-d Legendrian family by localization.
+def legendrian_fibers(d, weights, method=None):
+    """(pair, image fiber weights) at the six fixed forms.
 
     method is one of the foldeg.limits METHODS (None picks
     default_method(d)).  The image route takes all six fibers from one
@@ -202,43 +254,56 @@ def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None):
     MethodDisagreement unless every direct fiber equals the one
     transported from its own SOURCE_PAIR result.
     """
-    if d < LEGENDRIAN_MIN_DEGREE:
-        raise ValueError("legendrian family needs d >= 2, got %r" % (d,))
-    w = as_weight_system(weights)
-    w.require_admissible()
     if method is None:
         method = default_method(d)
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
-
-    fps = fixed_points_p5()
     if method == METHOD_IMAGE:
-        characters = _source_fiber(d, w)
-        fibers = {
-            fp.pair: transported_fiber(characters, fp.pair, w) for fp in fps
-        }
-    else:
-        direct = {
-            fp.pair: limit_fiber_weights(fp.pair, d, w, method) for fp in fps
-        }
-        fibers = {pair: res.quotient_weights for pair, res in direct.items()}
+        characters = _source_fiber(d, weights)
+        for pair in P5_PAIRS:
+            yield pair, transported_fiber(characters, pair, weights)
+        return
+    for pair in P5_PAIRS:
+        res = limit_fiber_weights(pair, d, weights, method)
         if method == METHOD_BOTH:
-            characters = direct[SOURCE_PAIR].quotient_characters
-            for pair, fiber in fibers.items():
-                if transported_fiber(characters, pair, w) != fiber:
-                    raise MethodDisagreement(
-                        "transported and direct fibers disagree at %r, d=%d"
-                        % (pair, d)
-                    )
+            if pair == SOURCE_PAIR:  # the first of P5_PAIRS
+                characters = res.quotient_characters
+            moved = transported_fiber(characters, pair, weights)
+            if moved != res.quotient_weights:
+                raise MethodDisagreement(
+                    "transported and direct fibers disagree at %r, d=%d"
+                    % (pair, d)
+                )
+        yield pair, res.quotient_weights
 
-    contributions = []
-    for fp in fps:
-        quotient = fibers[fp.pair]
-        tangent = tangent_weights_p5(fp, w)
-        # the integrand has the dimension of the ambient space of forms,
-        # which is the number of tangent weights (5): e_5 over e_5
-        k = len(tangent)
-        num = quotient.elementary_symmetric(k)
-        den = tangent.elementary_symmetric(k)
-        contributions.append(_normalized_contribution(fp.pair, num, den))
-    return _sum_contributions("legendrian", d, w, contributions)
+
+@lru_cache(maxsize=None)
+def legendrian_closed_form_polynomial():
+    """The published Legendrian degree, a polynomial of degree 15:
+    C(d+2,4) * (d^3+9d^2+14d+24) * (d^8+34d^7+...+29808) / 38880.
+
+    >>> legendrian_closed_form_polynomial()(2)
+    Fraction(2224, 1)
+    """
+    # C(d+2,4) = (d^4 + 2d^3 - d^2 - 2d) / 24
+    return (
+        RationalPolynomial([0, -2, -1, 2, 1])
+        * RationalPolynomial([24, 14, 9, 1])
+        * RationalPolynomial(
+            [29808, 44856, 45444, 29872, 13480, 3430, 475, 34, 1]
+        )
+        * Fraction(1, 24 * 38880)
+    )
+
+
+# The P^5 of antisymmetric forms: five tangent weights, so e_5 / e_5.
+LEGENDRIAN = Family(
+    "legendrian", 2, 15, legendrian_fibers, tangent_weights_p5,
+    legendrian_closed_form_polynomial,
+)
+
+
+def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None):
+    """Degree of the degree-d Legendrian family by localization; method
+    picks the limit route (see legendrian_fibers)."""
+    return localize(LEGENDRIAN, d, weights, method=method)

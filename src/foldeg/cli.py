@@ -23,18 +23,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .bott import (
-    LEGENDRIAN_MIN_DEGREE,
-    NonIntegralDegree,
-    default_method,
-    legendrian_degree,
-)
-from .exact import (
-    InadmissibleWeights,
-    WeightMultiset,
-    WeightSystem,
-    scalar_to_string,
-)
+from .bott import NonIntegralDegree, default_method, legendrian_degree
+from .exact import InadmissibleWeights, WeightMultiset, WeightSystem
 from .fields import AntisymmetricForm, MonomialField, contract
 from .limits import (
     METHOD_BOTH,
@@ -42,25 +32,19 @@ from .limits import (
     METHOD_KERNEL,
     limit_fiber_weights,
 )
-from .pencil import PENCIL_MIN_DEGREE, pencil_degree
+from .pencil import pencil_degree
 from .polyfit import (
     FAMILIES,
     InsufficientPoints,
     compute_degree_points,
     family_closed_form,
     family_closed_form_polynomial,
-    family_degree_bound,
     interpolate_family,
 )
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-MIN_DEGREE = {
-    "legendrian": LEGENDRIAN_MIN_DEGREE,
-    "pencil": PENCIL_MIN_DEGREE,
-}
 
 METHOD_FLAGS = {
     "image": METHOD_IMAGE,
@@ -74,10 +58,11 @@ class UsageError(ValueError):
 
 
 def _check_usage(args):
-    if args.command in MIN_DEGREE and args.degree < MIN_DEGREE[args.command]:
+    family = FAMILIES.get(args.command)
+    if family and args.degree < family.min_degree:
         raise UsageError(
             "%s family needs --degree >= %d, got %d"
-            % (args.command, MIN_DEGREE[args.command], args.degree)
+            % (family.name, family.min_degree, args.degree)
         )
     if getattr(args, "jobs", 1) < 1:
         raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
@@ -302,7 +287,7 @@ def cmd_interpolate(args):
         "family: %s" % family,
         "points: d=%d..%d" % (args.min, args.max),
         "polynomial degree: %d (bound %d)"
-        % (poly.degree, family_degree_bound(family)),
+        % (poly.degree, FAMILIES[family].degree_bound),
         "polynomial: %s" % poly.render(),
         "closed form match: %s" % ("yes" if ok else "NO"),
     ]

@@ -16,14 +16,9 @@ def scalar_to_string(x):
     """Serialize a Scalar as "num/den", omitting "/den" when den == 1.
 
     Fraction keeps lowest terms with a positive denominator, so the
-    rendering is canonical and round-trips through scalar_from_string.
+    rendering is canonical and Fraction(s) parses it back.
     """
     return str(Fraction(x))
-
-
-def scalar_from_string(s):
-    """Parse the output of scalar_to_string back into a Scalar."""
-    return Fraction(s)
 
 
 class InadmissibleWeights(ValueError):
@@ -161,9 +156,6 @@ class WeightMultiset:
 
     def __repr__(self):
         return "WeightMultiset(%r)" % (list(self.values),)
-
-    def union(self, other):
-        return WeightMultiset(self.values + tuple(other))
 
     def difference(self, other):
         """Multiset difference; raises if other is not contained in self."""

@@ -38,6 +38,20 @@ from .linalg import kernel_basis  # noqa: F401
 P5_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
+def as_fixed_point(pair):
+    """A torus-fixed point, validated: an index pair from P5_PAIRS.  The
+    same six pairs name the fixed forms [kappa_ij] of the form space and
+    the fixed pencils <x_i, x_j> of G(2,4).
+
+    >>> as_fixed_point([2, 3])
+    (2, 3)
+    """
+    pair = tuple(pair)
+    if pair not in P5_PAIRS:
+        raise ValueError("not a fixed-point pair: %r" % (pair,))
+    return pair
+
+
 def complementary_pair(pair):
     """The other two indices, e.g. (1, 3) -> (2, 4)."""
     i, j = pair

@@ -20,7 +20,6 @@ and columns by weight (t itself carries the weight difference of the two
 pairs), so both routes run on small connected blocks.
 """
 
-from collections import namedtuple
 from itertools import count
 from math import comb, gcd
 
@@ -30,10 +29,9 @@ from .exact import (
     as_weight_system,
 )
 from .fields import (
-    P5_PAIRS,
     PerturbedForm,
+    as_fixed_point,
     build_phi_basis,
-    complementary_pair,
     contact_kernel_dimension,
     integer_contraction,
     monomials_of_degree,
@@ -71,33 +69,6 @@ class MethodDisagreement(ArithmeticError):
     """The two limit routes produced different weight multisets."""
 
 
-class FixedPointP5(namedtuple("FixedPointP5", "pair")):
-    """A torus-fixed form [kappa_ij] in the space of antisymmetric forms."""
-
-    __slots__ = ()
-
-    @property
-    def complement(self):
-        return complementary_pair(self.pair)
-
-    def __repr__(self):
-        return "FixedPointP5(%d,%d)" % self.pair
-
-
-def fixed_points_p5():
-    """The six fixed points in canonical pair order."""
-    return tuple(FixedPointP5(p) for p in P5_PAIRS)
-
-
-def as_fixed_point(fp):
-    if isinstance(fp, FixedPointP5):
-        return fp
-    pair = tuple(fp)
-    if pair not in P5_PAIRS:
-        raise ValueError("not a fixed-point pair: %r" % (fp,))
-    return FixedPointP5(pair)
-
-
 class ContractionMatrix:
     """Contraction of omega_t against a field basis, rows indexed by the
     degree-(d+1) monomials, columns by the basis fields; entries are int
@@ -133,7 +104,7 @@ def build_contraction_matrix(fp, d, basis):
         raise ValueError(
             "basis is for degree %d, not %d" % (basis.d, d)
         )
-    entries = integer_contraction(PerturbedForm(fp.pair), basis)
+    entries = integer_contraction(PerturbedForm(fp), basis)
     return ContractionMatrix(
         fp, d, basis, monomials_of_degree(d + 1), entries
     )
@@ -458,7 +429,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
                 % (fp, d)
             )
         return LimitFiberResult(
-            fp.pair, d, img.quotient_weights, img.kernel_weights, METHOD_BOTH,
+            fp, d, img.quotient_weights, img.kernel_weights, METHOD_BOTH,
             img.quotient_fields,
         )
 
@@ -494,4 +465,4 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
         qw = all_weights.difference(kw)
         fields = None
 
-    return LimitFiberResult(fp.pair, d, qw, kw, method, fields)
+    return LimitFiberResult(fp, d, qw, kw, method, fields)

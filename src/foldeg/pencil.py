@@ -1,71 +1,43 @@
-"""Localization for the pencil family over the Grassmannian of planes.
+"""The pencil family, localized over the Grassmannian of planes.
 
 Foliations everywhere tangent to a varying pencil of planes form the
-second family.  The fixed points of the torus on the Grassmannian G(2,4)
-are the coordinate pencils <x_i, x_j>; no saturation is needed here —
-the fiber of the relevant twisted quotient sheaf at a fixed pencil is
-written down directly from monomial weights, and the degree is again a
-six-point localization sum, now with e_4 over the 4-dimensional
-Grassmannian.
+second family (PENCIL, pencil_degree).  The fixed points of the torus on
+the Grassmannian G(2,4) are the coordinate pencils <x_i, x_j>, named by
+the same pairs as the fixed forms; no saturation is needed here -- the
+fiber of the relevant twisted quotient sheaf at a fixed pencil is
+written down directly from monomial weights, and foldeg.bott.localize
+sums e_4 over e_4 on the 4-dimensional Grassmannian.
 """
 
-from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .bott import _normalized_contribution, _sum_contributions
+from .bott import Family, localize
 from .exact import (
     DEFAULT_WEIGHTS,
+    RationalPolynomial,
     WeightMultiset,
     as_weight_system,
     monomial_weight,
     monomials_of_degree,
 )
-from .fields import P5_PAIRS, complementary_pair, phi_dimension
-
-PENCIL_MIN_DEGREE = 2
+from .fields import P5_PAIRS, as_fixed_point, complementary_pair, phi_dimension
 
 
-class FixedPointG24(namedtuple("FixedPointG24", "pair")):
-    """The torus-fixed pencil spanned by the coordinates x_i, x_j."""
-
-    __slots__ = ()
-
-    @property
-    def complement(self):
-        return complementary_pair(self.pair)
-
-    def __repr__(self):
-        return "FixedPointG24(%d,%d)" % self.pair
-
-
-def fixed_points_g24():
-    """The six fixed pencils in canonical pair order."""
-    return tuple(FixedPointG24(p) for p in P5_PAIRS)
-
-
-def as_g24_fixed_point(fp):
-    if isinstance(fp, FixedPointG24):
-        return fp
-    pair = tuple(fp)
-    if pair not in P5_PAIRS:
-        raise ValueError("not a fixed-pencil pair: %r" % (fp,))
-    return FixedPointG24(pair)
-
-
-def tangent_weights_g24(fp, weights=DEFAULT_WEIGHTS):
+def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
     """Tangent weights of G(2,4) at <x_i, x_j>: the four differences
     w_k - w_i with k outside the pair and i inside.
 
     >>> list(tangent_weights_g24((1, 2), (0, 2, 7, 10)))
     [5, 7, 8, 10]
     """
-    fp = as_g24_fixed_point(fp)
+    pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
     return WeightMultiset(
         w.weight(k) - w.weight(i)
-        for k in fp.complement
-        for i in fp.pair
+        for k in complementary_pair(pair)
+        for i in pair
     )
 
 
@@ -76,7 +48,7 @@ def _monomial_weights(d, w):
     )
 
 
-def pd_twisted_weights(fp, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
+def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
     """Fiber weights of the twisted quotient sheaf at a fixed pencil.
 
     Take the weights of all degree-(d+1) monomials, remove the d+2
@@ -85,9 +57,9 @@ def pd_twisted_weights(fp, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
     twist).  Size: C(d+4,3) - (d+2).  monomial_weights, if given, is
     that first multiset, computed once for all six pencils.
     """
-    fp = as_g24_fixed_point(fp)
+    pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
-    k, l = fp.complement
+    k, l = complementary_pair(pair)
     wk, wl = w.weight(k), w.weight(l)
     full = monomial_weights
     if full is None:
@@ -97,40 +69,43 @@ def pd_twisted_weights(fp, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
     return WeightMultiset(v + twist for v in full.difference(removed))
 
 
-def pencil_degree(d, weights=DEFAULT_WEIGHTS):
-    """Degree of the degree-d pencil family by localization.
+def pencil_fibers(d, weights):
+    """(pair, twisted fiber weights) at the six fixed pencils, one at a
+    time; the monomial weights are computed once for all six."""
+    full = _monomial_weights(d, weights)
+    for pair in P5_PAIRS:
+        yield pair, pd_twisted_weights(pair, d, weights, full)
 
-    Summand at each fixed pencil: e_4 of the twisted fiber weights over
-    e_4 (= the product) of the four tangent weights.
+
+@lru_cache(maxsize=None)
+def pencil_closed_form_polynomial():
+    """The published pencil degree, a polynomial of degree 12:
+    5 * C(d+4,5) * C(d+3,3) * (d^2+2d+3) * (d^2+6d+11) / 108.
+
+    >>> pencil_closed_form_polynomial()(2)
+    Fraction(825, 1)
     """
-    if d < PENCIL_MIN_DEGREE:
-        raise ValueError("pencil family needs d >= 2, got %r" % (d,))
-    w = as_weight_system(weights)
-    w.require_admissible()
-    full = _monomial_weights(d, w)
-    contributions = []
-    for fp in fixed_points_g24():
-        fiber = pd_twisted_weights(fp, d, w, full)
-        tangent = tangent_weights_g24(fp, w)
-        k = len(tangent)
-        num = fiber.elementary_symmetric(k)
-        den = tangent.elementary_symmetric(k)
-        contributions.append(_normalized_contribution(fp.pair, num, den))
-    return _sum_contributions("pencil", d, w, contributions)
-
-
-def pencil_degree_closed_form(d):
-    """Closed form 5*C(d+4,5)*C(d+3,3)*(d^2+2d+3)*(d^2+6d+11)/108."""
-    if d < PENCIL_MIN_DEGREE:
-        raise ValueError("pencil family needs d >= 2, got %r" % (d,))
-    value = Fraction(
-        5 * comb(d + 4, 5) * comb(d + 3, 3)
-        * (d * d + 2 * d + 3) * (d * d + 6 * d + 11),
-        108,
+    # C(d+4,5) = (d+4)(d+3)(d+2)(d+1)d / 120, C(d+3,3) = (d+3)(d+2)(d+1) / 6
+    poly = (
+        RationalPolynomial([3, 2, 1])
+        * RationalPolynomial([11, 6, 1])
+        * Fraction(5, 120 * 6 * 108)
     )
-    if value.denominator != 1:
-        raise ArithmeticError("closed form not integral at d=%d" % d)
-    return int(value)
+    for a in (4, 3, 2, 1, 0, 3, 2, 1):
+        poly = poly * RationalPolynomial([a, 1])
+    return poly
+
+
+# G(2,4): four tangent weights, so e_4 / e_4.
+PENCIL = Family(
+    "pencil", 2, 12, pencil_fibers, tangent_weights_g24,
+    pencil_closed_form_polynomial,
+)
+
+
+def pencil_degree(d, weights=DEFAULT_WEIGHTS):
+    """Degree of the degree-d pencil family by localization."""
+    return localize(PENCIL, d, weights)
 
 
 def pencil_rank_checks(d):

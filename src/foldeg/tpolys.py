@@ -6,8 +6,6 @@ scale their matrices to integer entries first, so coefficients here are
 plain ints and all arithmetic is exact.
 """
 
-from math import gcd
-
 TP_ZERO = ()
 
 
@@ -82,16 +80,6 @@ def tp_shift_down(a, k):
 
 def tp_constant_term(a):
     return a[0] if a else 0
-
-
-def tp_content(a):
-    """gcd of the integer coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g
 
 
 def tp_divexact(a, b):

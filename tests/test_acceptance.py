@@ -33,11 +33,11 @@ from foldeg.fields import (
 )
 from foldeg.fields import _phi_basis_cached
 from foldeg.limits import METHOD_BOTH, METHOD_IMAGE, METHOD_KERNEL, limit_fiber_weights
-from foldeg.pencil import pencil_degree, pencil_degree_closed_form
+from foldeg.pencil import pencil_degree
 from foldeg.polyfit import (
+    family_closed_form,
+    family_closed_form_polynomial,
     interpolate_family,
-    legendrian_closed_form,
-    legendrian_closed_form_polynomial,
 )
 
 WEIGHT_SYSTEMS = (
@@ -160,7 +160,7 @@ def test_criterion_06_weight_independence():
 def test_criterion_07_closed_form_pointwise():
     """Computed Legendrian degrees match the closed form for d = 2..8."""
     for d in range(2, 9):
-        assert legendrian_degree(d).degree == legendrian_closed_form(d)
+        assert legendrian_degree(d).degree == family_closed_form("legendrian", d)
 
 
 @pytest.mark.slow
@@ -173,7 +173,7 @@ def test_criterion_07_full_interpolation():
         "legendrian", 2, 17, jobs=min(8, os.cpu_count() or 1)
     )
     elapsed = time.monotonic() - t0
-    assert poly == legendrian_closed_form_polynomial()
+    assert poly == family_closed_form_polynomial("legendrian")
     assert elapsed < 120.0, "interpolation took %.1fs" % elapsed
 
 
@@ -185,7 +185,7 @@ def test_criterion_08_pencil_degrees():
     assert pencil_degree(2).degree == 825
     assert pencil_degree(3).degree == 13300
     for d in range(2, 15):
-        assert pencil_degree(d).degree == pencil_degree_closed_form(d)
+        assert pencil_degree(d).degree == family_closed_form("pencil", d)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, "criterion 8 took %.2fs" % elapsed
 

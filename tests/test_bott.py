@@ -8,7 +8,7 @@ import pytest
 
 import foldeg.bott as bott
 from foldeg.bott import (
-    LEGENDRIAN_MIN_DEGREE,
+    LEGENDRIAN,
     SOURCE_PAIR,
     NonIntegralDegree,
     character_weights,
@@ -120,7 +120,7 @@ def test_json_schema():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        legendrian_degree(LEGENDRIAN_MIN_DEGREE - 1)
+        legendrian_degree(LEGENDRIAN.min_degree - 1)
     with pytest.raises(InadmissibleWeights):
         legendrian_degree(2, (0, 1, 2, 3))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""Run the doctest examples embedded in the package docstrings."""
+"""Run the doctest examples in the package docstrings and the README."""
 
 import doctest
+import os
 
 import pytest
 
@@ -18,9 +19,17 @@ MODULES = (
     foldeg.polyfit,
 )
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_readme_python_api():
+    result = doctest.testfile(README, module_relative=False)
     assert result.failed == 0
     assert result.attempted > 0

@@ -19,7 +19,6 @@ from foldeg.exact import (
     monomial_string,
     monomial_weight,
     monomials_of_degree,
-    scalar_from_string,
     scalar_to_string,
 )
 
@@ -28,7 +27,7 @@ def test_scalar_string_round_trip():
     rng = random.Random(101)
     for _ in range(200):
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-        assert scalar_from_string(scalar_to_string(x)) == x
+        assert Fraction(scalar_to_string(x)) == x
     assert scalar_to_string(Fraction(6, 3)) == "2"
     assert scalar_to_string(Fraction(-1, 2)) == "-1/2"
 
@@ -100,7 +99,7 @@ def test_weight_multiset_operations():
     assert a.values == (-2, 1, 1, 3)
     assert len(a) == 4
     assert a == WeightMultiset([1, -2, 3, 1])
-    b = a.union([1, 5])
+    b = WeightMultiset(a.values + (1, 5))
     assert b.values == (-2, 1, 1, 1, 3, 5)
     assert b.difference([1, 1]).values == (-2, 1, 3, 5)
     with pytest.raises(ValueError):

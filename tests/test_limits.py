@@ -8,6 +8,7 @@ from foldeg.exact import WeightMultiset, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
     PerturbedForm,
+    as_fixed_point,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
@@ -18,7 +19,6 @@ from foldeg.limits import (
     METHOD_IMAGE,
     METHOD_KERNEL,
     ContractionMatrix,
-    FixedPointP5,
     MethodDisagreement,
     SaturationRankError,
     _blocks,
@@ -29,9 +29,7 @@ from foldeg.limits import (
     _readaptation_bound,
     _tpoly_nullspace,
     _vec_normalize,
-    as_fixed_point,
     build_contraction_matrix,
-    fixed_points_p5,
     limit_fiber_weights,
 )
 from foldeg.linalg import limit_rows
@@ -46,15 +44,15 @@ from foldeg.reference import (
 
 
 def test_fixed_points_enumeration():
-    fps = fixed_points_p5()
-    assert [fp.pair for fp in fps] == list(P5_PAIRS)
-    assert fps[0].complement == (3, 4)
-    assert as_fixed_point((2, 3)) == FixedPointP5((2, 3))
-    assert as_fixed_point(fps[1]) is fps[1]
-    with pytest.raises(ValueError):
-        as_fixed_point((1, 1))
-    with pytest.raises(ValueError):
-        as_fixed_point((4, 3))
+    """A fixed point is one of the six pairs, in canonical order."""
+    assert P5_PAIRS == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    assert [as_fixed_point(list(p)) for p in P5_PAIRS] == list(P5_PAIRS)
+    assert complementary_pair(P5_PAIRS[0]) == (3, 4)
+    for bad in ((1, 1), (4, 3), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            as_fixed_point(bad)
+        with pytest.raises(ValueError):
+            limit_fiber_weights(bad, 2)
 
 
 def test_frozen_fiber_at_pair34():
@@ -78,8 +76,8 @@ def test_fiber_sizes_and_partition():
             assert len(res.quotient_weights) == comb(d + 4, 3)
             assert len(res.kernel_weights) == contact_kernel_dimension(d)
             full = build_phi_basis(d, DEFAULT_WEIGHTS).weight_multiset()
-            recombined = WeightMultiset(res.quotient_weights).union(
-                res.kernel_weights
+            recombined = WeightMultiset(
+                res.quotient_weights.values + res.kernel_weights.values
             )
             assert recombined == full
 

@@ -8,16 +8,14 @@ import pytest
 from foldeg.exact import InadmissibleWeights
 from foldeg.fields import AntisymmetricForm, P5_PAIRS, tangent_kernel_dimension
 from foldeg.pencil import (
-    PENCIL_MIN_DEGREE,
-    FixedPointG24,
-    as_g24_fixed_point,
-    fixed_points_g24,
+    PENCIL,
     pd_twisted_weights,
     pencil_degree,
-    pencil_degree_closed_form,
+    pencil_fibers,
     pencil_rank_checks,
     tangent_weights_g24,
 )
+from foldeg.polyfit import family_closed_form
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -29,12 +27,16 @@ from foldeg.reference import (
 
 
 def test_fixed_pencils():
-    fps = fixed_points_g24()
-    assert [fp.pair for fp in fps] == list(P5_PAIRS)
-    assert fps[0].complement == (3, 4)
-    assert as_g24_fixed_point((1, 3)) == FixedPointG24((1, 3))
-    with pytest.raises(ValueError):
-        as_g24_fixed_point((3, 3))
+    """The fixed pencils are the six pairs, in canonical order; anything
+    else is rejected."""
+    pairs = [pair for pair, _ in pencil_fibers(2, DEFAULT_WEIGHTS)]
+    assert pairs == list(P5_PAIRS)
+    assert pencil_degree(2).contributions[0].pair == (1, 2)
+    for bad in ((3, 3), (2, 1)):
+        with pytest.raises(ValueError):
+            tangent_weights_g24(bad)
+        with pytest.raises(ValueError):
+            pd_twisted_weights(bad, 2)
 
 
 def test_tangent_weights():
@@ -62,7 +64,7 @@ def test_degrees_match_frozen_and_closed_form():
     for d in (2, 3, 4, 5, 6):
         report = pencil_degree(d)
         assert report.degree == PENCIL_DEGREES[d]
-        assert report.degree == pencil_degree_closed_form(d)
+        assert report.degree == family_closed_form("pencil", d)
     assert PENCIL_DEGREES[2] == PENCIL_D2_DEGREE
     assert PENCIL_DEGREES[3] == PENCIL_D3_DEGREE
 
@@ -125,10 +127,10 @@ def test_json_schema():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        pencil_degree(PENCIL_MIN_DEGREE - 1)
+        pencil_degree(PENCIL.min_degree - 1)
     with pytest.raises(InadmissibleWeights):
         pencil_degree(2, (0, 1, 2, 3))
     with pytest.raises(ValueError):
-        pencil_degree_closed_form(1)
+        family_closed_form("pencil", 1)
     with pytest.raises(ValueError):
         pencil_rank_checks(0)

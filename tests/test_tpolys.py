@@ -9,7 +9,6 @@ from foldeg.tpolys import (
     TP_ZERO,
     tp_add,
     tp_constant_term,
-    tp_content,
     tp_divexact,
     tp_from_coeffs,
     tp_mul,
@@ -80,13 +79,6 @@ def test_valuation_and_shift():
     assert tp_shift_down(TP_ZERO, 3) == TP_ZERO
     with pytest.raises(ValueError):
         tp_shift_down((1, 2), 1)
-
-
-def test_content():
-    assert tp_content((6, -9, 12)) == 3
-    assert tp_content((5,)) == 5
-    assert tp_content(TP_ZERO) == 0
-    assert tp_content((2, 3)) == 1
 
 
 def test_divexact_round_trip():

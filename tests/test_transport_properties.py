@@ -1,11 +1,14 @@
-"""Property tests of the Legendrian fiber transport (need hypothesis)."""
+"""Property tests of the Legendrian fiber transport and of localize
+under random admissible weights (need hypothesis)."""
 
 from itertools import combinations
 
 import pytest
 
-from foldeg.bott import SOURCE_PAIR, fiber_characters
+from foldeg.bott import SOURCE_PAIR, fiber_characters, localize
 from foldeg.limits import METHOD_IMAGE, limit_fiber_weights
+from foldeg.polyfit import FAMILIES
+from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -26,3 +29,19 @@ def test_source_characters_do_not_depend_on_weights(values, d):
     weights organize its computation."""
     direct = limit_fiber_weights(SOURCE_PAIR, d, values, METHOD_IMAGE)
     assert direct.quotient_characters == fiber_characters(d, SOURCE_PAIR)
+
+
+@hypothesis.given(
+    values=ADMISSIBLE_WEIGHTS,
+    case=st.one_of(
+        st.tuples(st.just("legendrian"), st.integers(2, 5)),
+        st.tuples(st.just("pencil"), st.integers(2, 14)),
+    ),
+)
+def test_localize_gives_the_frozen_degree(values, case):
+    """localize reproduces the frozen degree tables under any admissible
+    weights: Legendrian d = 2..5 (the default route, so "both" for
+    d <= 4), pencil d = 2..14."""
+    name, d = case
+    table = {"legendrian": LEGENDRIAN_DEGREES, "pencil": PENCIL_DEGREES}[name]
+    assert localize(FAMILIES[name], d, values).degree == table[d]
