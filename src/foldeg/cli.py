@@ -238,9 +238,10 @@ def cmd_verify(args):
 
 def cmd_interpolate(args):
     family = args.family
-    if args.min < 2 or args.max < args.min:
+    lowest = FAMILIES[family].min_degree
+    if args.min < lowest or args.max < args.min:
         raise InsufficientPoints(
-            "need 2 <= min <= max, got %d..%d" % (args.min, args.max)
+            "need %d <= min <= max, got %d..%d" % (lowest, args.min, args.max)
         )
     if args.partial:
         points = compute_degree_points(

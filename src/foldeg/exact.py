@@ -1,24 +1,46 @@
 """Exact scalars, monomials, torus weights, and Lagrange interpolation.
 
 Everything in this package happens over Q.  Scalars are
-``fractions.Fraction`` (aliased ``Scalar``); no floating point is used
-anywhere, so every equality test downstream is exact.
+``fractions.Fraction``; no floating point is used anywhere, so every
+equality test downstream is exact.
 """
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-Scalar = Fraction
-
 
 def scalar_to_string(x):
-    """Serialize a Scalar as "num/den", omitting "/den" when den == 1.
+    """Serialize a scalar as "num/den", omitting "/den" when den == 1.
 
     Fraction keeps lowest terms with a positive denominator, so the
     rendering is canonical and Fraction(s) parses it back.
     """
     return str(Fraction(x))
+
+
+def signed_sum(terms):
+    """Render (coefficient, body) terms as "body - 2*body + ...": a
+    magnitude of 1 is left out, an empty body stands for the constant
+    term, and the first term shows its sign only when negative.
+
+    >>> signed_sum([(-1, "x"), (Fraction(1, 2), "y"), (-3, "")])
+    '-x + 1/2*y - 3'
+    """
+    out = ""
+    for c, body in terms:
+        mag = abs(c)
+        if not body:
+            body = scalar_to_string(mag)
+        elif mag != 1:
+            body = scalar_to_string(mag) + "*" + body
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += body
+    return out
 
 
 class InadmissibleWeights(ValueError):
@@ -27,7 +49,9 @@ class InadmissibleWeights(ValueError):
 
 class WeightSystem:
     """Weights (w1, w2, w3, w4) of a one-parameter torus acting by
-    x_i -> t^{w_i} x_i on the coordinates of projective 3-space.
+    x_i -> t^{w_i} x_i on the coordinates of projective 3-space.  Each
+    must be an integer (a float or a Fraction raises InadmissibleWeights
+    rather than being truncated).
 
     Admissible means the four weights are pairwise distinct and the six
     pair sums w_i + w_j (i < j) are pairwise distinct; both conditions
@@ -37,7 +61,12 @@ class WeightSystem:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = tuple(int(v) for v in values)
+        try:
+            vals = tuple(operator.index(v) for v in values)
+        except TypeError:
+            raise InadmissibleWeights(
+                "weights must be integers, got %r" % (values,)
+            ) from None
         if len(vals) != 4:
             raise InadmissibleWeights("need exactly 4 weights, got %r" % (values,))
         self.values = vals
@@ -261,26 +290,11 @@ class RationalPolynomial:
 
     def render(self, var="d"):
         """Readable form, highest degree first, e.g. "d^2 + 2*d + 3"."""
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for k in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = scalar_to_string(mag)
-            else:
-                head = "" if mag == 1 else scalar_to_string(mag) + "*"
-                body = head + (var if k == 1 else "%s^%d" % (var, k))
-            parts.append((sign, body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return signed_sum(
+            (c, "" if k == 0 else var if k == 1 else "%s^%d" % (var, k))
+            for k, c in reversed(list(enumerate(self.coefficients)))
+            if c
+        ) or "0"
 
 
 def lagrange_interpolate(points):

@@ -12,7 +12,10 @@ field the numeric weight wt(mu) - w_j.
 
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
-field multiplies components and sums, landing in degree d+1.
+field multiplies components and sums, landing in degree d+1: over Q for
+one field (contract), or over Z[t] for a whole basis from the integer
+linear forms of the path kappa_ij + t*kappa_kl (integer_contraction,
+path_linear_forms).
 """
 
 from collections import namedtuple
@@ -29,6 +32,7 @@ from .exact import (
     monomial_weight,
     monomials_of_degree,
     scalar_to_string,
+    signed_sum,
 )
 from .linalg import rank
 # Not called here: the basis has a closed form.  The name stays because
@@ -73,12 +77,6 @@ MonomialField.__doc__ = (
     "One term c * mu * d/dx_j of a polynomial field "
     "(direction j is 1-based)."
 )
-
-
-def field_weight(term, weights):
-    """Torus weight wt(mu) - w_j of a monomial field."""
-    w = as_weight_system(weights)
-    return monomial_weight(term.monomial, w) - w.weight(term.direction)
 
 
 def _lower(mono, j):
@@ -183,65 +181,16 @@ class AntisymmetricForm:
         return "AntisymmetricForm({%s})" % inside
 
 
-class PerturbedForm:
-    """omega_t = kappa(base) + t * kappa(complement).
-
-    The straight-line path that moves the degenerate fixed form kappa_ij
-    toward the contact locus; equivariance forces the deformation
-    parameter t to carry the weight s_base - s_complement, which is
-    nonzero for admissible weights.
-    """
-
-    __slots__ = ("base_pair", "perturb_pair")
-
-    def __init__(self, base_pair):
-        pair = tuple(base_pair)
-        if pair not in P5_PAIRS:
-            raise ValueError("base pair must be one of %r" % (P5_PAIRS,))
-        self.base_pair = pair
-        self.perturb_pair = complementary_pair(pair)
-
-    def t_weight(self, weights):
-        w = as_weight_system(weights)
-        return w.pair_sum(self.base_pair) - w.pair_sum(self.perturb_pair)
-
-    def linear_forms(self):
-        """Components {variable: (c0, c1)} with entries c0 + c1*t."""
-        a = ({}, {}, {}, {})
-        bi, bj = self.base_pair
-        pi, pj = self.perturb_pair
-        a[bi - 1][bj] = (Fraction(1), Fraction(0))
-        a[bj - 1][bi] = (Fraction(-1), Fraction(0))
-        a[pi - 1][pj] = (Fraction(0), Fraction(1))
-        a[pj - 1][pi] = (Fraction(0), Fraction(-1))
-        return a
-
-    def __repr__(self):
-        return "PerturbedForm(base=%r, perturb=%r)" % (
-            self.base_pair,
-            self.perturb_pair,
-        )
-
-
 def contract(form, field):
     """Contraction of a form with a degree-d field: a degree-(d+1) poly.
 
-    Returns {monomial: coefficient}; for a PerturbedForm each coefficient
-    is a pair (c0, c1) meaning c0 + c1*t.  A field is tangent to the
-    plane field cut out by the form exactly when this vanishes.
+    Returns {monomial: coefficient} over Q.  A field is tangent to the
+    plane field cut out by the form exactly when this vanishes.  The
+    limits use integer_contraction; this is its Fraction oracle.
     """
-    terms = _terms_of(field)
     a = form.linear_forms()
-    if isinstance(form, PerturbedForm):
-        out = {}
-        for coeff, mono, direction in terms:
-            for var, (c0, c1) in a[direction - 1].items():
-                m = _bump(mono, var)
-                o0, o1 = out.get(m, (0, 0))
-                out[m] = (o0 + coeff * c0, o1 + coeff * c1)
-        return {m: v for m, v in out.items() if v[0] or v[1]}
     out = {}
-    for coeff, mono, direction in terms:
+    for coeff, mono, direction in _terms_of(field):
         for var, c in a[direction - 1].items():
             m = _bump(mono, var)
             out[m] = out.get(m, 0) + coeff * c
@@ -266,17 +215,10 @@ class BasisField:
         return _lower(mono, j)
 
     def render(self):
-        parts = []
-        for coeff, mono, j in self.terms:
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            head = "" if mag == 1 else scalar_to_string(mag) + "*"
-            parts.append((sign, head + monomial_string(mono) + "*d/dx%d" % j))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return signed_sum(
+            (coeff, monomial_string(mono) + "*d/dx%d" % j)
+            for coeff, mono, j in self.terms
+        )
 
     def __eq__(self, other):
         if isinstance(other, BasisField):
@@ -381,32 +323,31 @@ def scaled_terms(field):
             for c, mono, j in terms]
 
 
-def _integer_linear_forms(form):
-    """Per direction, the (variable, (c0, c1)) pairs of the form's linear
-    forms with int entries: a PerturbedForm reads c0 + c1*t, a plain
-    form c0 scaled by the common denominator of its coefficients."""
-    if isinstance(form, PerturbedForm):
-        return [
-            [(var, (int(c0), int(c1))) for var, (c0, c1) in a.items()]
-            for a in form.linear_forms()
-        ]
-    den = lcm(*(c.denominator for c in form.alpha))
-    return [
-        [(var, (int(c * den), 0)) for var, c in a.items()]
-        for a in form.linear_forms()
-    ]
+def path_linear_forms(pair):
+    """The linear forms of omega_t = kappa_ij + t*kappa_kl, {k,l} the
+    complementary pair: per direction, (variable, (c0, c1)) lists for
+    c0 + c1*t, namely a_i = x_j, a_j = -x_i, a_k = t*x_l, a_l = -t*x_k.
+
+    The path leaves the degenerate fixed form kappa_ij for the contact
+    locus; equivariance gives t the weight s_ij - s_kl, nonzero for
+    admissible weights."""
+    (i, j), (k, l) = pair, complementary_pair(pair)
+    a = [None] * 4
+    a[i - 1], a[j - 1] = [(j, (1, 0))], [(i, (-1, 0))]
+    a[k - 1], a[l - 1] = [(l, (0, 1))], [(k, (0, -1))]
+    return a
 
 
-def integer_contraction(form, basis):
-    """Sparse integer matrix of phi -> contract(form, phi) on a basis.
+def integer_contraction(linear_forms, basis):
+    """Sparse integer matrix of phi -> sum_i a_i * phi_i on a basis.
 
-    Rows are the degree-(d+1) monomials in graded-lex order, columns the
-    basis fields, each field scaled by scaled_terms and a plain form by
-    the common denominator of its coefficients.  Returns
-    {(row, column): (c0, c1)} for the nonzero entries c0 + c1*t; c1 is
-    always 0 for a plain form.
+    linear_forms gives, per direction i, the (variable, (c0, c1)) pairs
+    of a_i with int entries c0 + c1*t (path_linear_forms, or a plain
+    form's with c1 = 0).  Rows are the degree-(d+1) monomials in
+    graded-lex order, columns the basis fields, each field scaled by
+    scaled_terms.  Returns {(row, column): (c0, c1)} for the nonzero
+    entries.
     """
-    a = _integer_linear_forms(form)
     mindex = {m: i for i, m in enumerate(monomials_of_degree(basis.d + 1))}
     # row of x^mu * x_var, looked up as raised[mu][var - 1]
     raised = {
@@ -417,7 +358,7 @@ def integer_contraction(form, basis):
     for col, field in enumerate(basis):
         for coeff, mono, j in scaled_terms(field):
             up = raised[mono]
-            for var, (c0, c1) in a[j - 1]:
+            for var, (c0, c1) in linear_forms[j - 1]:
                 key = (up[var - 1], col)
                 o0, o1 = entries.get(key, (0, 0))
                 entries[key] = (o0 + coeff * c0, o1 + coeff * c1)
@@ -427,12 +368,16 @@ def integer_contraction(form, basis):
 def tangent_kernel_dimension(form, d, weights=DEFAULT_WEIGHTS):
     """Dimension of the fields in Phi_d tangent to the given form.
 
-    Computed as dim Phi_d minus the exact rank of the contraction matrix;
-    the answer does not depend on the admissible weight system used to
+    Computed as dim Phi_d minus the exact rank of the contraction matrix,
+    the form's coefficients scaled by their common denominator; the
+    answer does not depend on the admissible weight system used to
     organize the computation.
     """
     basis = build_phi_basis(d, weights)
+    den = lcm(*(c.denominator for c in form.alpha))
+    a = [[(var, (int(c * den), 0)) for var, c in lf.items()]
+         for lf in form.linear_forms()]
     mat = [[0] * len(basis) for _ in monomials_of_degree(d + 1)]
-    for (r, c), (v, _) in integer_contraction(form, basis).items():
+    for (r, c), (v, _) in integer_contraction(a, basis).items():
         mat[r][c] = v
     return len(basis) - rank(mat, len(basis))

@@ -3,8 +3,9 @@
 At each torus-fixed form kappa_ij the straight path
 omega_t = kappa_ij + t * kappa_kl ({k,l} the complementary pair) enters
 the contact locus for t != 0.  Contraction against the degree-d field
-basis gives a matrix over Q[t]; what survives at t = 0 after saturating
-by t is computed here by two deliberately independent routes:
+basis (fields.integer_contraction of fields.path_linear_forms) gives a
+matrix over Z[t]; what survives at t = 0 after saturating by t is
+computed here by two deliberately independent routes:
 
 * image-fiber: a one-pass unit-pivot elimination over Q[t] localized at
   t (the limit_rows kernel) gives a basis of the limit of the row span;
@@ -15,9 +16,11 @@ by t is computed here by two deliberately independent routes:
   evaluations are dependent, push a dependency back into the family,
   divide by t, try again, at most _readaptation_bound times.
 
-Torus equivariance makes the matrix block-diagonal after grouping rows
-and columns by weight (t itself carries the weight difference of the two
-pairs), so both routes run on small connected blocks.
+Torus equivariance makes the matrix block-diagonal: a column of Z^4
+character chi meets only the rows chi + e_i + e_j (t^0) and
+chi + e_k + e_l (t^1), so the connected blocks that union-find returns
+are the classes of column characters modulo e_k + e_l - e_i - e_j,
+(d+2)^2 of them, and both routes run on these small blocks.
 """
 
 from itertools import count
@@ -29,12 +32,12 @@ from .exact import (
     as_weight_system,
 )
 from .fields import (
-    PerturbedForm,
     as_fixed_point,
     build_phi_basis,
     contact_kernel_dimension,
     integer_contraction,
     monomials_of_degree,
+    path_linear_forms,
 )
 from .linalg import limit_rows, rank
 # Not called here: the kernel route finds its dependencies with
@@ -98,13 +101,14 @@ class ContractionMatrix:
 
 
 def build_contraction_matrix(fp, d, basis):
-    """Assemble the sparse matrix of phi -> contract(omega_t, phi)."""
+    """Assemble the sparse matrix of phi -> contract(omega_t, phi) from
+    the integer linear forms of the path at fp."""
     fp = as_fixed_point(fp)
     if basis.d != d:
         raise ValueError(
             "basis is for degree %d, not %d" % (basis.d, d)
         )
-    entries = integer_contraction(PerturbedForm(fp), basis)
+    entries = integer_contraction(path_linear_forms(fp), basis)
     return ContractionMatrix(
         fp, d, basis, monomials_of_degree(d + 1), entries
     )

@@ -11,7 +11,6 @@ sums e_4 over e_4 on the 4-dimensional Grassmannian.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .bott import Family, localize
 from .exact import (
@@ -22,7 +21,7 @@ from .exact import (
     monomial_weight,
     monomials_of_degree,
 )
-from .fields import P5_PAIRS, as_fixed_point, complementary_pair, phi_dimension
+from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 
 
 def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
@@ -106,25 +105,3 @@ PENCIL = Family(
 def pencil_degree(d, weights=DEFAULT_WEIGHTS):
     """Degree of the degree-d pencil family by localization."""
     return localize(PENCIL, d, weights)
-
-
-def pencil_rank_checks(d):
-    """The dimension bookkeeping of the pencil construction.
-
-    rank_Pd = C(d+4,3) - (d+2) is the rank of the quotient sheaf;
-    rank_Pi_d = dim_phi - rank_Pd is the kernel, and it coincides with
-    2*C(d+3,3) for every d (e.g. {7, 8, 15} at d=1, {16, 20, 36} at d=2,
-    {30, 40, 70} at d=3) — the exact-rank oracle on a rank-2 form
-    confirms the kernel values, see the pencil tests.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1, got %r" % (d,))
-    dim_phi = phi_dimension(d)
-    rank_pd = comb(d + 4, 3) - (d + 2)
-    rank_pi = dim_phi - rank_pd
-    if rank_pi != 2 * comb(d + 3, 3):
-        raise ArithmeticError(
-            "kernel-rank identity broke at d=%d: %d vs %d"
-            % (d, rank_pi, 2 * comb(d + 3, 3))
-        )
-    return {"rank_Pd": rank_pd, "rank_Pi_d": rank_pi, "dim_phi": dim_phi}

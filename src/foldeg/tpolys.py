@@ -17,11 +17,6 @@ def tp_trim(coeffs):
     return tuple(coeffs[:n])
 
 
-def tp_from_coeffs(coeffs):
-    """Build a t-polynomial from an iterable of coefficients (t^0 first)."""
-    return tp_trim(list(coeffs))
-
-
 def tp_add(a, b):
     if not a:
         return b

@@ -259,16 +259,17 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys):
 
 
 def test_import_leaves_the_process_pool_out():
-    """Only --jobs needs concurrent.futures; a serial run does not pay
-    for importing it."""
+    """Only --jobs needs concurrent.futures and only verify reads
+    foldeg.reference; a plain start imports neither."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys, foldeg, foldeg.cli; "
-        "print('concurrent.futures' in sys.modules)"
+        "print('concurrent.futures' in sys.modules, "
+        "'foldeg.reference' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

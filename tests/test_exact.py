@@ -56,6 +56,21 @@ def test_weight_admissibility():
         WeightSystem((1, 2, 3))
 
 
+def test_weight_system_requires_integers():
+    """A non-integer weight is refused, not truncated: 2.9 used to
+    become 2 and 1/2 become 0."""
+    for bad in ((0, 2.9, 7, 10), (0, Fraction(1, 2), 7, 10),
+                (0, 2.0, 7, 10), ("0", 2, 7, 10)):
+        with pytest.raises(InadmissibleWeights):
+            WeightSystem(bad)
+    from foldeg import legendrian_degree, pencil_degree
+
+    with pytest.raises(InadmissibleWeights):
+        legendrian_degree(2, (0, 2.9, 7, 10))
+    with pytest.raises(InadmissibleWeights):
+        pencil_degree(2, (0, Fraction(1, 2), 7, 10))
+
+
 def test_weight_admissibility_matches_definition():
     """Cross-check is_admissible against the raw definition on random
     small systems (which include plenty of inadmissible ones)."""

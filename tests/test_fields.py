@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,17 +11,18 @@ from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
     MonomialField,
-    PerturbedForm,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
     contract,
     divergence,
-    field_weight,
+    integer_contraction,
+    path_linear_forms,
     phi_dimension,
     scaled_terms,
     tangent_kernel_dimension,
 )
+from foldeg.limits import build_contraction_matrix
 from foldeg.linalg import kernel_basis
 
 WEIGHTS = (0, 2, 7, 10)
@@ -215,35 +217,45 @@ def test_contraction_is_bilinear_in_the_form():
             assert cs.get(m, 0) == ca.get(m, 0) + cb.get(m, 0)
 
 
-def test_perturbed_form_matches_its_two_pieces():
-    """The (c0, c1) entries of a perturbed contraction are the
-    contractions against the base and complement Koszul forms."""
-    rng = random.Random(90)
-    monos = monomials_of_degree(2)
+def test_path_contraction_matches_its_two_pieces():
+    """The (c0, c1) entries of the path's contraction are the Fraction
+    contractions against kappa_ij and kappa_kl, paired up and scaled by
+    each field's denominator."""
+    basis = build_phi_basis(2, WEIGHTS)
+    rows = monomials_of_degree(3)
     for pair in P5_PAIRS:
-        pf = PerturbedForm(pair)
-        assert pf.perturb_pair == complementary_pair(pair)
         base = AntisymmetricForm.koszul(pair)
-        pert = AntisymmetricForm.koszul(pf.perturb_pair)
-        field = [
-            MonomialField(Fraction(rng.randint(-3, 3)), rng.choice(monos),
-                          rng.randint(1, 4))
-            for _ in range(5)
-        ]
-        out = contract(pf, field)
-        c0 = {m: v0 for m, (v0, v1) in out.items() if v0}
-        c1 = {m: v1 for m, (v0, v1) in out.items() if v1}
-        assert c0 == contract(base, field)
-        assert c1 == contract(pert, field)
+        pert = AntisymmetricForm.koszul(complementary_pair(pair))
+        want = {}
+        for c, f in enumerate(basis):
+            scale = lcm(*(t.coefficient.denominator for t in f.terms))
+            c0, c1 = contract(base, f), contract(pert, f)
+            for m in set(c0) | set(c1):
+                want[(rows.index(m), c)] = (
+                    c0.get(m, 0) * scale, c1.get(m, 0) * scale
+                )
+        assert integer_contraction(path_linear_forms(pair), basis) == want
 
 
-def test_perturbed_form_t_weight():
-    assert PerturbedForm((1, 2)).t_weight(WEIGHTS) == (0 + 2) - (7 + 10)
-    assert PerturbedForm((3, 4)).t_weight(WEIGHTS) == (7 + 10) - (0 + 2)
+def test_path_t_weight():
+    """t carries the weight s_ij - s_kl: a t^0 entry of the path's
+    contraction sits s_ij above its column's weight and a t^1 entry
+    s_kl above, and s_ij != s_kl at every pair of an admissible
+    system."""
+    w = WeightSystem(WEIGHTS)
+    assert w.pair_sum((1, 2)) - w.pair_sum((3, 4)) == (0 + 2) - (7 + 10)
+    basis = build_phi_basis(2, w)
+    rows = monomials_of_degree(3)
     for pair in P5_PAIRS:
-        assert PerturbedForm(pair).t_weight(WEIGHTS) != 0
+        comp = complementary_pair(pair)
+        assert w.pair_sum(pair) != w.pair_sum(comp)
+        matrix = integer_contraction(path_linear_forms(pair), basis)
+        for (r, c), (c0, c1) in matrix.items():
+            assert not (c0 and c1)
+            shift = monomial_weight(rows[r], w) - basis[c].weight
+            assert shift == w.pair_sum(pair if c0 else comp)
     with pytest.raises(ValueError):
-        PerturbedForm((2, 1))
+        build_contraction_matrix((2, 1), 2, basis)
 
 
 def test_phi_basis_dimensions_and_divergence():
@@ -255,13 +267,14 @@ def test_phi_basis_dimensions_and_divergence():
 
 
 def test_phi_basis_weights_are_homogeneous_and_sorted():
+    w = WeightSystem(WEIGHTS)
     for d in (1, 2, 3):
-        basis = build_phi_basis(d, WEIGHTS)
+        basis = build_phi_basis(d, w)
         weights = [f.weight for f in basis]
         assert weights == sorted(weights)
         for f in basis:
-            for term in f.terms:
-                assert field_weight(term, WEIGHTS) == f.weight
+            for _, mono, j in f.terms:
+                assert monomial_weight(mono, w) - w.weight(j) == f.weight
 
 
 def test_phi_basis_fields_carry_their_character():

@@ -7,7 +7,7 @@ import pytest
 from foldeg.exact import WeightMultiset, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
-    PerturbedForm,
+    AntisymmetricForm,
     as_fixed_point,
     build_phi_basis,
     complementary_pair,
@@ -153,15 +153,18 @@ def test_method_validation():
 
 def _fraction_quotient_columns(d, pair, basis):
     """The image route's pivot columns as the Fraction pipeline found
-    them: contract each field exactly over Q, then clear the
+    them: contract each field exactly over Q with kappa_ij and with
+    kappa_kl, pair the values up as c0 + c1*t, then clear the
     denominators of every block row by row before limit_rows."""
-    form = PerturbedForm(pair)
+    base = AntisymmetricForm.koszul(pair)
+    pert = AntisymmetricForm.koszul(complementary_pair(pair))
     monos = monomials_of_degree(d + 1)
     mindex = {m: i for i, m in enumerate(monos)}
     entries = {}
     for c, f in enumerate(basis):
-        for m, value in contract(form, f).items():
-            entries[(mindex[m], c)] = value
+        c0, c1 = contract(base, f), contract(pert, f)
+        for m in set(c0) | set(c1):
+            entries[(mindex[m], c)] = (c0.get(m, 0), c1.get(m, 0))
     matrix = ContractionMatrix(pair, d, basis, monos, entries)
     cols = []
     for row_idx, col_idx in _connected_blocks(matrix):
@@ -200,6 +203,37 @@ def test_integer_contraction_keeps_the_fraction_pivots():
                 for v in pair_
             )
             assert _quotient_columns(matrix) == want
+
+
+def _character_classes(basis, pair):
+    """The oracle for the blocks: columns grouped by Z^4 character
+    modulo v = e_k + e_l - e_i - e_j, each class named by its member
+    chi + chi_i * v, the one with i-th entry 0."""
+    (i, j), (k, l) = pair, complementary_pair(pair)
+    classes = {}
+    for c, f in enumerate(basis):
+        chi = list(f.character)
+        s = chi[i - 1]
+        for a, sign in ((i, -1), (j, -1), (k, 1), (l, 1)):
+            chi[a - 1] += sign * s
+        classes.setdefault(tuple(chi), []).append(c)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize(
+    "weights", (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+)
+def test_blocks_are_the_character_classes(weights):
+    """t carries e_i + e_j - e_k - e_l, so the union-find blocks are
+    exactly the classes of column characters modulo that vector:
+    (d+2)^2 of them at every fixed point."""
+    for d in range(1, 11):
+        basis = build_phi_basis(d, weights)
+        for pair in P5_PAIRS:
+            matrix = build_contraction_matrix(pair, d, basis)
+            blocks = sorted(cols for cols, _ in _blocks(matrix))
+            assert blocks == sorted(_character_classes(basis, pair))
+            assert len(blocks) == (d + 2) ** 2
 
 
 def test_first_dependency():

@@ -16,7 +16,7 @@ from foldeg.linalg import (
     rank,
     rref,
 )
-from foldeg.tpolys import tp_add, tp_from_coeffs, tp_mul, tp_scale
+from foldeg.tpolys import tp_add, tp_mul, tp_trim
 
 
 def _random_int_matrix(rng, nrows, ncols, bound=9, density=0.7):
@@ -92,7 +92,7 @@ def test_rref_shape():
 
 
 def _tp_matrix_from_int(mat):
-    return [[tp_from_coeffs([e]) for e in row] for row in mat]
+    return [[tp_trim([e]) for e in row] for row in mat]
 
 
 def test_limit_rows_on_constant_matrix_is_row_space():
@@ -124,7 +124,7 @@ def test_limit_rows_ignores_t_scaling():
         scaled = []
         for row in plain:
             k = rng.randint(0, 3)
-            tk = tp_from_coeffs([0] * k + [1])
+            tk = tp_trim([0] * k + [1])
             scaled.append([tp_mul(tk, e) for e in row])
         base, _ = limit_rows(plain, m)
         twisted, _ = limit_rows(scaled, m)
@@ -146,7 +146,7 @@ def test_limit_rows_invariant_under_row_operations():
             i, j = rng.randrange(n), rng.randrange(n)
             if i == j:
                 continue
-            f = tp_from_coeffs(
+            f = tp_trim(
                 [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
             )
             mixed[i] = [
@@ -163,17 +163,17 @@ def test_limit_rows_saturation_example():
     """The textbook saturation effect: the span of (t, t) and (0, t^2)
     contains (t, t) - combinations giving t*(1, 1) and t^2*(0, 1), so
     the saturated limit at t = 0 is all of Q^2, not the line (1, 1)."""
-    t = tp_from_coeffs([0, 1])
-    t2 = tp_from_coeffs([0, 0, 1])
-    rows = [[t, t], [tp_from_coeffs([]), t2]]
+    t = tp_trim([0, 1])
+    t2 = tp_trim([0, 0, 1])
+    rows = [[t, t], [tp_trim([]), t2]]
     int_rows, pivots = limit_rows(rows, 2)
     assert _fraction_rank(int_rows) == 2
     assert sorted(pivots) == [0, 1]
 
 
 def test_limit_rows_drops_dependent_rows():
-    t = tp_from_coeffs([0, 1])
-    one = tp_from_coeffs([1])
+    t = tp_trim([0, 1])
+    one = tp_trim([1])
     # second row is t times the first: contributes nothing new
     rows = [[one, one], [t, t]]
     int_rows, pivots = limit_rows(rows, 2)

@@ -6,13 +6,17 @@ from math import comb
 import pytest
 
 from foldeg.exact import InadmissibleWeights
-from foldeg.fields import AntisymmetricForm, P5_PAIRS, tangent_kernel_dimension
+from foldeg.fields import (
+    P5_PAIRS,
+    AntisymmetricForm,
+    phi_dimension,
+    tangent_kernel_dimension,
+)
 from foldeg.pencil import (
     PENCIL,
     pd_twisted_weights,
     pencil_degree,
     pencil_fibers,
-    pencil_rank_checks,
     tangent_weights_g24,
 )
 from foldeg.polyfit import family_closed_form
@@ -78,36 +82,29 @@ def test_weight_independence():
         assert degrees == {PENCIL_DEGREES[d]}
 
 
+def _pencil_ranks(d):
+    """(rank P_d, rank Pi_d, dim Phi_d): the quotient sheaf has rank
+    C(d+4,3) - (d+2) and the kernel Pi_d the rest of Phi_d."""
+    rank_pd = comb(d + 4, 3) - (d + 2)
+    return rank_pd, phi_dimension(d) - rank_pd, phi_dimension(d)
+
+
 def test_rank_checks_table():
-    assert pencil_rank_checks(1) == {
-        "rank_Pd": 7,
-        "rank_Pi_d": 8,
-        "dim_phi": 15,
-    }
-    assert pencil_rank_checks(2) == {
-        "rank_Pd": 16,
-        "rank_Pi_d": 20,
-        "dim_phi": 36,
-    }
-    assert pencil_rank_checks(3) == {
-        "rank_Pd": 30,
-        "rank_Pi_d": 40,
-        "dim_phi": 70,
-    }
+    assert _pencil_ranks(1) == (7, 8, 15)
+    assert _pencil_ranks(2) == (16, 20, 36)
+    assert _pencil_ranks(3) == (30, 40, 70)
     for d in range(1, 12):
-        checks = pencil_rank_checks(d)
-        assert checks["rank_Pd"] + checks["rank_Pi_d"] == checks["dim_phi"]
-        assert checks["rank_Pi_d"] == 2 * comb(d + 3, 3)
+        rank_pd, rank_pi, dim_phi = _pencil_ranks(d)
+        assert rank_pd + rank_pi == dim_phi
+        assert rank_pi == 2 * comb(d + 3, 3)
 
 
 def test_rank_checks_against_exact_kernel_oracle():
-    """rank_Pi_d is the tangency kernel of a rank-2 (decomposable) form;
+    """rank Pi_d is the tangency kernel of a rank-2 (decomposable) form;
     the exact rank computation must agree with the closed formula."""
     form = AntisymmetricForm.koszul((1, 2))
     for d in (1, 2, 3):
-        assert tangent_kernel_dimension(form, d) == (
-            pencil_rank_checks(d)["rank_Pi_d"]
-        )
+        assert tangent_kernel_dimension(form, d) == _pencil_ranks(d)[1]
 
 
 def test_json_schema():
@@ -132,5 +129,3 @@ def test_input_validation():
         pencil_degree(2, (0, 1, 2, 3))
     with pytest.raises(ValueError):
         family_closed_form("pencil", 1)
-    with pytest.raises(ValueError):
-        pencil_rank_checks(0)
