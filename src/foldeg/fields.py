@@ -286,15 +286,18 @@ def build_phi_basis(d, weights=DEFAULT_WEIGHTS):
 def _phi_basis_cached(d, wvalues):
     w = WeightSystem(wvalues)
     one = Fraction(1)
+    monos = monomials_of_degree(d)
+    # partners are degree-d monomials too: reuse those tuples
+    shared = dict(zip(monos, monos))
     keyed = []
-    for k, mu in enumerate(monomials_of_degree(d)):
+    for k, mu in enumerate(monos):
         wt = monomial_weight(mu, w)
         for j in (1, 2, 3, 4):
             e = mu[j - 1]
             if not e:
                 terms = (MonomialField(one, mu, j),)
             elif j < 4:
-                partner = _bump(_lower(mu, j), 4)
+                partner = shared[_bump(_lower(mu, j), 4)]
                 terms = (
                     MonomialField(one, mu, j),
                     MonomialField(Fraction(-e, mu[3] + 1), partner, 4),

@@ -11,10 +11,12 @@ computed here by two deliberately independent routes:
   t (the limit_rows kernel) gives a basis of the limit of the row span;
   its pivot columns name basis fields whose weights (and Z^4
   characters) are the fiber of the image sheaf at the fixed point.
-* kernel-limit: a fraction-free (Bareiss) nullspace over Z[t], followed
-  by the classical re-adaptation loop — evaluate at t = 0, and while the
-  evaluations are dependent, push a dependency back into the family,
-  divide by t, try again, at most _readaptation_bound times.
+* kernel-limit: the nullspace at t = 1.  Within a block the entry at
+  row r and column c carries t^(lev(r) - lev(c)), 2*lev = chi_k + chi_l,
+  so M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal T(t) = diag(t^lev), and
+  ker M(t) = T_c(t) ker M(1): the path is a torus orbit, and its limit
+  is the initial subspace of ker M(1) for the lowest levels.  One
+  integer echelon per block gives it (_kernel_limits).
 
 Torus equivariance makes the matrix block-diagonal: a column of Z^4
 character chi meets only the rows chi + e_i + e_j (t^0) and
@@ -23,8 +25,7 @@ are the classes of column characters modulo e_k + e_l - e_i - e_j,
 (d+2)^2 of them, and both routes run on these small blocks.
 """
 
-from itertools import count
-from math import comb, gcd
+from math import comb
 
 from .exact import (
     DEFAULT_WEIGHTS,
@@ -34,28 +35,17 @@ from .exact import (
 from .fields import (
     as_fixed_point,
     build_phi_basis,
+    complementary_pair,
     contact_kernel_dimension,
     integer_contraction,
     monomials_of_degree,
     path_linear_forms,
 )
-from .linalg import limit_rows, rank
-# Not called here: the kernel route finds its dependencies with
-# _first_dependency.  The name stays because perfbench/tracing.py hooks
+from .linalg import echelon, limit_rows, rank
+# Not called here.  The name stays because perfbench/tracing.py hooks
 # foldeg.limits.kernel_basis.
 from .linalg import kernel_basis  # noqa: F401
-from .tpolys import (
-    TP_ZERO,
-    tp_add,
-    tp_constant_term,
-    tp_divexact,
-    tp_mul,
-    tp_neg,
-    tp_scale,
-    tp_shift_down,
-    tp_sub,
-    tp_valuation,
-)
+from .tpolys import TP_ZERO
 
 METHOD_IMAGE = "image-fiber"
 METHOD_KERNEL = "kernel-limit"
@@ -177,166 +167,36 @@ def _quotient_columns(matrix):
     return cols
 
 
-def _tpoly_echelon(rows, ncols):
-    """Fraction-free row echelon over Z[t] (Bareiss: every 2x2 cross is
-    divided by the previous pivot, exactly).  Returns (rows, pivot_cols)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    prev = (1,)
-    rk = 0
-    for col in range(ncols):
-        best = -1
-        best_key = None
-        for r in range(rk, len(mat)):
-            e = mat[r][col]
-            if e:
-                key = (len(e), max(abs(c) for c in e).bit_length(), r)
-                if best < 0 or key < best_key:
-                    best, best_key = r, key
-        if best < 0:
-            continue
-        mat[rk], mat[best] = mat[best], mat[rk]
-        prow = mat[rk]
-        p = prow[col]
-        for r in range(rk + 1, len(mat)):
-            row = mat[r]
-            e = row[col]
-            row[col] = TP_ZERO
-            for c in range(col + 1, ncols):
-                num = tp_sub(tp_mul(p, row[c]), tp_mul(e, prow[c]))
-                row[c] = tp_divexact(num, prev) if num else TP_ZERO
-        pivots.append(col)
-        prev = p
-        rk += 1
-    return mat[:rk], pivots
+def _kernel_limits(matrix):
+    """(columns, limit kernel vectors) of each block, in the order of
+    _blocks.
 
-
-def _tpoly_nullspace(rows, ncols):
-    """Basis of the right kernel over the fraction field Q(t), with
-    entries cleared to Z[t] (Cramer scaling keeps every division exact)."""
-    ech, pivots = _tpoly_echelon(rows, ncols)
-    pivot_set = set(pivots)
-    vecs = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        active = [i for i, c in enumerate(pivots) if c < f]
-        scale = (1,)
-        for i in active:
-            scale = tp_mul(scale, ech[i][pivots[i]])
-        x = [TP_ZERO] * ncols
-        x[f] = scale
-        for i in reversed(active):
-            ci = pivots[i]
-            s = TP_ZERO
-            for j in range(ci + 1, ncols):
-                if ech[i][j] and x[j]:
-                    s = tp_add(s, tp_mul(ech[i][j], x[j]))
-            if s:
-                x[ci] = tp_neg(tp_divexact(s, ech[i][ci]))
-        vecs.append(x)
-    return vecs
-
-
-def _vec_normalize(v):
-    """Divide a t-polynomial vector by its t-valuation and int content."""
-    val = None
-    for e in v:
-        if e:
-            ev = tp_valuation(e)
-            if val is None or ev < val:
-                val = ev
-    if val is None:
-        raise SaturationRankError("zero vector in kernel family")
-    if val:
-        v = [tp_shift_down(e, val) if e else e for e in v]
-    g = 0
-    for e in v:
-        for c in e:
-            g = gcd(g, c)
-        if g == 1:
-            break
-    if g > 1:
-        v = [tuple(c // g for c in e) for e in v]
-    return v
-
-
-def _first_dependency(vectors):
-    """Integer coefficients of a linear dependency among int vectors, or
-    None if they are independent.
-
-    One fraction-free elimination in the given order: the first vector
-    that reduces to zero against the earlier ones gives the dependency,
-    with a nonzero coefficient at that vector and zeros after it.
-    """
-    n = len(vectors)
-    reduced = []  # (pivot, row, combination of the input vectors)
-    for k, v in enumerate(vectors):
-        row = list(v)
-        combo = [0] * n
-        combo[k] = 1
-        for p, brow, bcombo in reduced:
-            e = row[p]
-            if e:
-                b = brow[p]
-                row = [b * x - e * y for x, y in zip(row, brow)]
-                combo = [b * x - e * y for x, y in zip(combo, bcombo)]
-                g = 0
-                for x in row + combo:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g > 1:
-                    row = [x // g for x in row]
-                    combo = [x // g for x in combo]
-        pivot = next((i for i, x in enumerate(row) if x), -1)
-        if pivot < 0:
-            return combo
-        reduced.append((pivot, row, combo))
-    return None
-
-
-def _readaptation_bound(vecs):
-    """Most re-adaptation steps a kernel family can take: the sum of its
-    members' largest t-degrees.
-
-    Each step divides the family's wedge by t^v with v >= 1, and that
-    wedge is a nonzero vector of minors of t-degree at most this sum, so
-    its t-valuation starts no higher."""
-    return sum(max(map(len, v)) - 1 for v in vecs)
-
-
-def _limit_kernel_vectors(int_rows, ncols):
-    """t -> 0 limit of the kernel family by repeated re-adaptation.
-
-    Start with a Z[t] kernel basis; evaluate at t = 0; while the
-    evaluations are linearly dependent, replace one member by the
-    dependency combination divided by its t-valuation, and repeat.
-    Returns (the limit vectors, i.e. the values at t = 0, and the number
-    of steps taken)."""
-    vecs = [_vec_normalize(v) for v in _tpoly_nullspace(int_rows, ncols)]
-    for steps in count():
-        evaluated = [[tp_constant_term(e) for e in v] for v in vecs]
-        ints = _first_dependency(evaluated)
-        if ints is None:
-            return evaluated, steps
-        if not steps:
-            # only a family that needs re-adapting pays for its bound
-            bound = _readaptation_bound(vecs)
-        if steps == bound:
-            raise SaturationRankError(
-                "kernel re-adaptation did not stabilize within its bound"
-            )
-        k = max(i for i, c in enumerate(ints) if c)
-        combo = [TP_ZERO] * ncols
-        for i, ci in enumerate(ints):
-            if ci:
-                for pos in range(ncols):
-                    if vecs[i][pos]:
-                        combo[pos] = tp_add(
-                            combo[pos], tp_scale(vecs[i][pos], ci)
-                        )
-        vecs[k] = _vec_normalize(combo)
+    In a block, entry (r, c) is a multiple of t^(lev(r) - lev(c)) with
+    2*lev = chi_k + chi_l, so M(t) = T_r(t) M(1) T_c(t)^-1 and
+    ker M(t) = T_c(t) ker M(1).  The limit at t = 0 is spanned by the
+    lowest-level parts of an echelon basis of ker M(1) whose columns run
+    by ascending level: the rows of the integer echelon of [M(1)^T | I]
+    that pivot in the identity part, each cut down to its pivot's level.
+    The vectors are indexed like the block's columns."""
+    k, l = complementary_pair(matrix.fp)
+    for col_idx, rows in _blocks(matrix):
+        chars = [matrix.basis[c].character for c in col_idx]
+        levels = [chi[k - 1] + chi[l - 1] for chi in chars]
+        order = sorted(range(len(col_idx)), key=levels.__getitem__)
+        m = len(rows)
+        aug = [[sum(row[q]) for row in rows] + [int(p == q) for p in order]
+               for q in order]
+        ech, pivots = echelon(aug, m + len(order))
+        vectors = []
+        for row, p in zip(ech, pivots):
+            if p >= m:
+                lev = levels[order[p - m]]
+                vec = [0] * len(order)
+                for x, q in zip(row[m:], order):
+                    if levels[q] == lev:
+                        vec[q] = x
+                vectors.append(vec)
+        yield col_idx, vectors
 
 
 def _kernel_weights_for_block(evaluated, col_idx, basis):
@@ -411,8 +271,9 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
     """Quotient and kernel weight multisets of the contraction limit at a
     fixed point.
 
-    method "image-fiber" saturates the row module, "kernel-limit" adapts
-    the kernel family, "both" runs the two and insists they agree.
+    method "image-fiber" saturates the row module, "kernel-limit" takes
+    the initial subspace of the kernel at t = 1, "both" runs the two and
+    insists they agree.
     Either way the image rank must come out as C(d+4, 3) and the kernel
     as (d+4)(d+2)d/3, or SaturationRankError is raised.
     """
@@ -454,10 +315,9 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
         kw = all_weights.difference(qw)
     else:
         kernel_list = []
-        for col_idx, int_rows in _blocks(matrix):
-            evaluated, _ = _limit_kernel_vectors(int_rows, len(col_idx))
+        for col_idx, vectors in _kernel_limits(matrix):
             kernel_list += _kernel_weights_for_block(
-                evaluated, col_idx, basis
+                vectors, col_idx, basis
             )
         expected = contact_kernel_dimension(d)
         if len(kernel_list) != expected:

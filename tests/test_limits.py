@@ -23,16 +23,12 @@ from foldeg.limits import (
     SaturationRankError,
     _blocks,
     _connected_blocks,
-    _first_dependency,
-    _limit_kernel_vectors,
+    _kernel_limits,
     _quotient_columns,
-    _readaptation_bound,
-    _tpoly_nullspace,
-    _vec_normalize,
     build_contraction_matrix,
     limit_fiber_weights,
 )
-from foldeg.linalg import limit_rows
+from foldeg.linalg import limit_rows, rank
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -236,19 +232,6 @@ def test_blocks_are_the_character_classes(weights):
             assert len(blocks) == (d + 2) ** 2
 
 
-def test_first_dependency():
-    assert _first_dependency([]) is None
-    assert _first_dependency([[1, 0, 2], [0, 3, 1]]) is None
-    # 2*v0 + v1 - v2 = 0, so v2 is the first dependent vector
-    vectors = [[1, 0, 2], [0, 3, 1], [2, 3, 5], [7, 7, 7]]
-    dep = _first_dependency(vectors)
-    assert dep[3] == 0 and dep[2] != 0
-    assert all(
-        sum(c * v[i] for c, v in zip(dep, vectors)) == 0 for i in range(3)
-    )
-    assert _first_dependency([[0, 0]]) == [1]
-
-
 def test_method_disagreement_is_raised(monkeypatch):
     """--method both compares the two routes and raises on a mismatch."""
     import foldeg.limits as limits
@@ -278,29 +261,47 @@ def test_quotient_characters():
     assert "quotient_characters" not in both.to_json_dict()
 
 
-def test_readaptation_stabilizes_within_its_bound():
-    """Every block at d = 2..6, at all six points, stabilizes within the
-    sum of the largest t-degrees of its initial kernel family."""
-    steps_total = 0
-    for d in range(2, 7):
-        basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+@pytest.mark.parametrize(
+    "weights", (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+)
+def test_kernel_limit_annihilates_the_image_limit(weights):
+    """Block by block, the kernel route's limit vectors are independent,
+    annihilate the rows limit_rows gives for the image limit, and the
+    two ranks add up to the block width: the two limits are each
+    other's annihilators, as the limits of a kernel and a row space."""
+    for d in range(2, 9):
+        basis = build_phi_basis(d, weights)
         for pair in P5_PAIRS:
             matrix = build_contraction_matrix(pair, d, basis)
-            for col_idx, rows in _blocks(matrix):
-                family = [_vec_normalize(v)
-                          for v in _tpoly_nullspace(rows, len(col_idx))]
-                bound = _readaptation_bound(family)
-                _, steps = _limit_kernel_vectors(rows, len(col_idx))
-                assert steps <= bound
-                steps_total += steps
-    assert steps_total > 0
+            for (cols, rows), (kcols, vectors) in zip(
+                _blocks(matrix), _kernel_limits(matrix)
+            ):
+                assert kcols == cols
+                image, _ = limit_rows(rows, len(cols))
+                assert len(image) + len(vectors) == len(cols)
+                assert rank(vectors, len(cols)) == len(vectors)
+                assert all(
+                    sum(a * b for a, b in zip(r, v)) == 0
+                    for r in image for v in vectors
+                )
 
 
-def test_readaptation_past_its_bound_raises(monkeypatch):
-    """A family still dependent once its bound is spent is an error; at
-    d = 2 some blocks need one step, so a bound of 0 trips it."""
+def test_kernel_route_guards_raise(monkeypatch):
+    """The kernel route refuses a limit vector that mixes weights and a
+    limit kernel of the wrong rank."""
     import foldeg.limits as limits
 
-    monkeypatch.setattr(limits, "_readaptation_bound", lambda vecs: 0)
-    with pytest.raises(SaturationRankError):
-        limit_fiber_weights((1, 2), 2, method=METHOD_KERNEL)
+    basis = build_phi_basis(3, DEFAULT_WEIGHTS)
+    matrix = build_contraction_matrix((1, 2), 3, basis)
+    cols = next(cols for cols, _ in _kernel_limits(matrix)
+                if len({basis[c].weight for c in cols}) > 1)
+    with pytest.raises(SaturationRankError, match="weight spaces"):
+        limits._kernel_weights_for_block([[1] * len(cols)], cols, basis)
+
+    def one_short(matrix):
+        for cols, vectors in _kernel_limits(matrix):
+            yield cols, vectors[1:]
+
+    monkeypatch.setattr(limits, "_kernel_limits", one_short)
+    with pytest.raises(SaturationRankError, match="kernel rank"):
+        limit_fiber_weights((1, 2), 3, method=METHOD_KERNEL)

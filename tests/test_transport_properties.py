@@ -1,12 +1,14 @@
-"""Property tests of the Legendrian fiber transport and of localize
-under random admissible weights (need hypothesis)."""
+"""Property tests of the Legendrian fiber transport, of the two limit
+routes and of localize under random admissible weights (need
+hypothesis)."""
 
 from itertools import combinations
 
 import pytest
 
 from foldeg.bott import SOURCE_PAIR, fiber_characters, localize
-from foldeg.limits import METHOD_IMAGE, limit_fiber_weights
+from foldeg.fields import P5_PAIRS
+from foldeg.limits import METHOD_BOTH, METHOD_IMAGE, limit_fiber_weights
 from foldeg.polyfit import FAMILIES
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 
@@ -29,6 +31,19 @@ def test_source_characters_do_not_depend_on_weights(values, d):
     weights organize its computation."""
     direct = limit_fiber_weights(SOURCE_PAIR, d, values, METHOD_IMAGE)
     assert direct.quotient_characters == fiber_characters(d, SOURCE_PAIR)
+
+
+@hypothesis.given(
+    values=ADMISSIBLE_WEIGHTS,
+    pair=st.sampled_from(P5_PAIRS),
+    d=st.integers(1, 6),
+)
+def test_both_routes_agree_under_any_weights(values, pair, d):
+    """The image and the kernel route pass their rank checks and agree
+    at any fixed point under any admissible weights: no
+    SaturationRankError and no MethodDisagreement."""
+    res = limit_fiber_weights(pair, d, values, METHOD_BOTH)
+    assert res.method == METHOD_BOTH
 
 
 @hypothesis.given(
