@@ -159,66 +159,85 @@ def monomial_string(monomial):
 
 
 class WeightMultiset:
-    """A multiset of integer torus weights (the weights of a T-module).
+    """A multiset of integer torus weights (the weights of a T-module) as
+    a Counter, value -> multiplicity; iteration and .values give them
+    ascending.  A weight that is not an integer raises TypeError."""
 
-    Stored as a sorted tuple; equality is multiset equality.
-    """
-
-    __slots__ = ("values",)
+    __slots__ = ("counts",)
 
     def __init__(self, values=()):
-        self.values = tuple(sorted(int(v) for v in values))
+        self.counts = Counter(map(operator.index, values))
+
+    @classmethod
+    def from_counts(cls, counts):
+        """The multiset with these positive multiplicities, unchecked."""
+        out = cls.__new__(cls)
+        out.counts = Counter(counts)
+        return out
+
+    @property
+    def values(self):
+        return tuple(sorted(self.counts.elements()))
 
     def __len__(self):
-        return len(self.values)
+        return sum(self.counts.values())
 
     def __iter__(self):
         return iter(self.values)
 
     def __eq__(self, other):
-        if isinstance(other, WeightMultiset):
-            return self.values == other.values
+        if isinstance(other, WeightMultiset):  # no zero counts are kept
+            return dict.__eq__(self.counts, other.counts)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.values)
+        return hash(frozenset(self.counts.items()))
 
     def __repr__(self):
         return "WeightMultiset(%r)" % (list(self.values),)
 
     def difference(self, other):
         """Multiset difference; raises if other is not contained in self."""
-        rest = Counter(self.values)
-        for v in other:
-            if not rest[v]:
+        if not isinstance(other, WeightMultiset):
+            other = WeightMultiset(other)
+        rest = self.counts.copy()
+        for v, m in other.counts.items():
+            if rest[v] < m:
                 raise ValueError("weight %r not available in %r" % (v, self))
-            rest[v] -= 1
-        return WeightMultiset(rest.elements())
+            rest[v] -= m
+            if not rest[v]:
+                del rest[v]
+        return WeightMultiset.from_counts(rest)
 
     def elementary_symmetric(self, k):
-        return elementary_symmetric(k, self.values)
+        return elementary_symmetric(k, self)
 
 
 def elementary_symmetric(k, values):
-    """Elementary symmetric polynomial e_k of the given scalars.
-
-    Exact over Q; e_0 = 1, e_len = product, and k outside 0..len is
-    rejected.
+    """e_k of a WeightMultiset or of integers (else ValueError: the
+    division is exact only on integers), for k in 0..len.  Newton's
+    identities j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i take it from
+    the power sums p_j = sum m_v * v^j over the distinct values v.
 
     >>> elementary_symmetric(2, [1, 2, 3])
     11
     """
-    vals = list(values)
-    if k < 0 or k > len(vals):
-        raise ValueError(
-            "e_%r undefined for %d values" % (k, len(vals))
-        )
-    e = [1] + [0] * k
-    seen = 0
-    for v in vals:
-        seen += 1
-        for i in range(min(k, seen), 0, -1):
-            e[i] = e[i] + v * e[i - 1]
+    if not isinstance(values, WeightMultiset):
+        try:
+            values = WeightMultiset(values)
+        except TypeError:
+            raise ValueError("e_k needs integers, got %r" % (values,)) from None
+    n = len(values)
+    if k < 0 or k > n:
+        raise ValueError("e_%r undefined for %d values" % (k, n))
+    terms, p = list(values.counts.values()), [n]
+    for _ in range(k):
+        terms = list(map(operator.mul, terms, values.counts))
+        p.append(sum(terms))
+    e = [1]
+    for j in range(1, k + 1):
+        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i]
+                     for i in range(1, j + 1)) // j)
     return e[k]
 
 
@@ -298,7 +317,8 @@ class RationalPolynomial:
 
 
 def lagrange_interpolate(points):
-    """Exact polynomial through (x, y) pairs with pairwise-distinct x.
+    """Exact polynomial through (x, y) pairs with pairwise-distinct x, by
+    divided differences c_i = y[x_0..x_i]: c_0 + (x - x_0)(c_1 + ...).
 
     >>> lagrange_interpolate([(0, 1), (1, 3), (2, 7)]).coefficients
     (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
@@ -309,14 +329,11 @@ def lagrange_interpolate(points):
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be distinct")
-    total = RationalPolynomial()
-    for i, (xi, yi) in enumerate(pts):
-        num = RationalPolynomial([1])
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            num = num * RationalPolynomial([-xj, 1])
-            den *= xi - xj
-        total = total + num * (yi / den)
-    return total
+    c = [y for _, y in pts]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    poly = RationalPolynomial()
+    for x0, ci in zip(reversed(xs), reversed(c)):
+        poly = poly * RationalPolynomial([-x0, 1]) + RationalPolynomial([ci])
+    return poly

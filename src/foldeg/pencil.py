@@ -6,19 +6,18 @@ the Grassmannian G(2,4) are the coordinate pencils <x_i, x_j>, named by
 the same pairs as the fixed forms; no saturation is needed here -- the
 fiber of the relevant twisted quotient sheaf at a fixed pencil is
 written down directly from monomial weights, and foldeg.bott.localize
-sums e_4 over e_4 on the 4-dimensional Grassmannian.
+sums e_4 over e_4 on the 4-dimensional Grassmannian.  Fibers are counts.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .bott import Family, localize
+from .bott import Family, character_weights, localize
 from .exact import (
     DEFAULT_WEIGHTS,
     RationalPolynomial,
     WeightMultiset,
     as_weight_system,
-    monomial_weight,
     monomials_of_degree,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
@@ -41,18 +40,17 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
 
 
 def _monomial_weights(d, w):
-    """Weights of all degree-(d+1) monomials; the same at every pencil."""
-    return WeightMultiset(
-        monomial_weight(m, w) for m in monomials_of_degree(d + 1)
-    )
+    """Weight counts of the degree-(d+1) monomials, shared by all pencils:
+    an exponent vector is a character, so its weight is a dot product."""
+    return character_weights(monomials_of_degree(d + 1), w)
 
 
 def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
-    """Fiber weights of the twisted quotient sheaf at a fixed pencil.
+    """Fiber weight counts of the twisted quotient sheaf at a fixed pencil.
 
-    Take the weights of all degree-(d+1) monomials, remove the d+2
+    Take the weight counts of all degree-(d+1) monomials, remove the d+2
     weights a*w_k + b*w_l of the monomials in the two complementary
-    variables alone, and shift everything by w_k + w_l (the line-bundle
+    variables alone, and shift every value by w_k + w_l (the line-bundle
     twist).  Size: C(d+4,3) - (d+2).  monomial_weights, if given, is
     that first multiset, computed once for all six pencils.
     """
@@ -60,17 +58,15 @@ def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
     w = as_weight_system(weights).require_admissible()
     k, l = complementary_pair(pair)
     wk, wl = w.weight(k), w.weight(l)
-    full = monomial_weights
-    if full is None:
-        full = _monomial_weights(d, w)
+    if monomial_weights is None:
+        monomial_weights = _monomial_weights(d, w)
     removed = [a * wk + (d + 1 - a) * wl for a in range(d + 2)]
-    twist = wk + wl
-    return WeightMultiset(v + twist for v in full.difference(removed))
+    rest = monomial_weights.difference(removed).counts
+    return WeightMultiset.from_counts({v + wk + wl: m for v, m in rest.items()})
 
 
 def pencil_fibers(d, weights):
-    """(pair, twisted fiber weights) at the six fixed pencils, one at a
-    time; the monomial weights are computed once for all six."""
+    """(pair, twisted fiber weights) at the six pencils, one at a time."""
     full = _monomial_weights(d, weights)
     for pair in P5_PAIRS:
         yield pair, pd_twisted_weights(pair, d, weights, full)

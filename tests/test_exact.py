@@ -123,6 +123,38 @@ def test_weight_multiset_operations():
         a.difference([1, 1, 1])
 
 
+def test_weight_multiset_is_counts():
+    """Counts in, sorted weights out; equality and hashing ignore how
+    the multiset was built."""
+    a = WeightMultiset([5, -1, 5, 0, 5])
+    assert a.counts == {5: 3, -1: 1, 0: 1}
+    assert a.values == tuple(a) == (-1, 0, 5, 5, 5)
+    assert len(a) == 5
+    b = WeightMultiset.from_counts({0: 1, 5: 3, -1: 1})
+    assert a == b and hash(a) == hash(b)
+    assert a != WeightMultiset([5, -1, 0, 5])
+    assert a.difference(b) == WeightMultiset()
+    assert len(a.difference(WeightMultiset([5, 5]))) == 3
+    assert repr(WeightMultiset([2, 1])) == "WeightMultiset([1, 2])"
+
+
+def test_weight_multiset_requires_integers():
+    """A non-integer weight raises instead of being truncated: [1.5, 2]
+    used to equal [1, 2], and 7/2 used to become 3."""
+    for bad in ([1.5, 2], [Fraction(7, 2)], [2.0], ["3"]):
+        with pytest.raises(TypeError):
+            WeightMultiset(bad)
+    assert WeightMultiset([True, 2]).values == (1, 2)
+
+
+def test_elementary_symmetric_requires_integers():
+    """Newton's identities divide exactly only on integers, so anything
+    else is refused rather than answered wrongly."""
+    for bad in ([Fraction(1, 2), 1], [1.5, 2], [Fraction(4, 2)]):
+        with pytest.raises(ValueError):
+            elementary_symmetric(1, bad)
+
+
 def test_elementary_symmetric_against_brute_force():
     rng = random.Random(303)
     for _ in range(60):

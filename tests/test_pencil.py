@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from foldeg.exact import InadmissibleWeights
+from foldeg.exact import InadmissibleWeights, WeightMultiset
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
@@ -62,6 +62,14 @@ def test_twisted_fiber_size():
         for pair in P5_PAIRS:
             fibre = pd_twisted_weights(pair, d, DEFAULT_WEIGHTS)
             assert len(fibre) == comb(d + 4, 3) - (d + 2)
+
+
+def test_twisted_fiber_needs_every_removed_weight():
+    """The d+2 removed weights are subtracted from the shared counts; a
+    multiset that lacks one of them is refused, not clipped at zero."""
+    short = WeightMultiset([0, 10, 20, 30])  # d=2 at (1,2) removes 21..30 by 3
+    with pytest.raises(ValueError):
+        pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, short)
 
 
 def test_degrees_match_frozen_and_closed_form():

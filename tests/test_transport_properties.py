@@ -1,6 +1,6 @@
 """Property tests of the Legendrian fiber transport, of the two limit
-routes and of localize under random admissible weights (need
-hypothesis)."""
+routes, of the pencil fibers and of localize under random admissible
+weights (need hypothesis)."""
 
 from itertools import combinations
 
@@ -9,8 +9,10 @@ import pytest
 from foldeg.bott import SOURCE_PAIR, fiber_characters, localize
 from foldeg.fields import P5_PAIRS
 from foldeg.limits import METHOD_BOTH, METHOD_IMAGE, limit_fiber_weights
-from foldeg.polyfit import FAMILIES
+from foldeg.pencil import pd_twisted_weights, pencil_degree
+from foldeg.polyfit import FAMILIES, family_closed_form
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
+from oracles import enumerated_pencil_fiber
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -60,3 +62,21 @@ def test_localize_gives_the_frozen_degree(values, case):
     name, d = case
     table = {"legendrian": LEGENDRIAN_DEGREES, "pencil": PENCIL_DEGREES}[name]
     assert localize(FAMILIES[name], d, values).degree == table[d]
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(0, 10))
+def test_pencil_fiber_counts_equal_the_enumerated_fiber(values, d):
+    """The twisted fiber built from one Counter of monomial weights is
+    the enumerated, sorted and differenced fiber at all six pencils."""
+    for pair in P5_PAIRS:
+        fiber = pd_twisted_weights(pair, d, values)
+        expected = enumerated_pencil_fiber(pair, d, values)
+        assert list(fiber) == expected
+        assert len(fiber) == len(expected)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(2, 12))
+def test_pencil_degree_is_the_closed_form_under_any_weights(values, d):
+    """Weight independence against the published formula itself, not
+    against a frozen table."""
+    assert pencil_degree(d, values).degree == family_closed_form("pencil", d)
