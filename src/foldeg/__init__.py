@@ -5,8 +5,8 @@ here, both by torus (Bott) localization with all arithmetic over Q:
 
 * the Legendrian family (foliations tangent to a contact distribution),
   whose degree sits inside the P^5 of antisymmetric forms; the fiber
-  data at each fixed point is a genuine limit computed by exact
-  saturation (see foldeg.limits);
+  data at each fixed point is a genuine limit, an initial subspace of
+  integer data computed by exact elimination (see foldeg.limits);
 * the pencil family (foliations tangent to a varying pencil of planes),
   localized on the Grassmannian of pencils, where the fiber weights can
   be written down directly (foldeg.pencil).

@@ -4,19 +4,22 @@ At each torus-fixed form kappa_ij the straight path
 omega_t = kappa_ij + t * kappa_kl ({k,l} the complementary pair) enters
 the contact locus for t != 0.  Contraction against the degree-d field
 basis (fields.integer_contraction of fields.path_linear_forms) gives a
-matrix over Z[t]; what survives at t = 0 after saturating by t is
-computed here by two deliberately independent routes:
+matrix over Z[t].  Within a block the entry at row r and column c
+carries t^(lev(r) - lev(c)), 2*lev = chi_k + chi_l, so
+M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal T(t) = diag(t^lev): the path
+is a torus orbit, and what survives at t = 0 is an initial subspace of
+the t = 1 data.  Two deliberately independent routes compute it, each
+with one integer echelon of M(1) per block:
 
-* image-fiber: a one-pass unit-pivot elimination over Q[t] localized at
-  t (the limit_rows kernel) gives a basis of the limit of the row span;
-  its pivot columns name basis fields whose weights (and Z^4
-  characters) are the fiber of the image sheaf at the fixed point.
-* kernel-limit: the nullspace at t = 1.  Within a block the entry at
-  row r and column c carries t^(lev(r) - lev(c)), 2*lev = chi_k + chi_l,
-  so M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal T(t) = diag(t^lev), and
-  ker M(t) = T_c(t) ker M(1): the path is a torus orbit, and its limit
-  is the initial subspace of ker M(1) for the lowest levels.  One
-  integer echelon per block gives it (_kernel_limits).
+* image-fiber: the row span.  Its limit is the initial subspace of the
+  row span of M(1) for the highest levels; an echelon of M(1) with the
+  columns by descending level gives it (linalg.limit_rows).  The pivot
+  columns name basis fields whose weights (and Z^4 characters) are the
+  fiber of the image sheaf at the fixed point.
+* kernel-limit: the nullspace.  ker M(t) = T_c(t) ker M(1), so its limit
+  is the initial subspace of ker M(1) for the lowest levels; an echelon
+  of [M(1)^T | I] with the columns by ascending level gives it
+  (_kernel_limits).
 
 Torus equivariance makes the matrix block-diagonal: a column of Z^4
 character chi meets only the rows chi + e_i + e_j (t^0) and
@@ -41,11 +44,10 @@ from .fields import (
     monomials_of_degree,
     path_linear_forms,
 )
-from .linalg import echelon, limit_rows, rank
+from .linalg import echelon, level_part, limit_rows, rank
 # Not called here.  The name stays because perfbench/tracing.py hooks
 # foldeg.limits.kernel_basis.
 from .linalg import kernel_basis  # noqa: F401
-from .tpolys import TP_ZERO
 
 METHOD_IMAGE = "image-fiber"
 METHOD_KERNEL = "kernel-limit"
@@ -54,7 +56,7 @@ METHODS = (METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH)
 
 
 class SaturationRankError(ArithmeticError):
-    """The saturated limit has the wrong rank — a computation bug, never
+    """A limit has the wrong rank — a computation bug, never
     a property of the input, so it is raised loudly instead of patched."""
 
 
@@ -137,32 +139,35 @@ def _connected_blocks(matrix):
 
 
 def _blocks(matrix):
-    """(columns, dense t-polynomial rows) of each connected block, in
-    the order of _connected_blocks; one pass over the entries buckets
-    them by row."""
+    """(columns, column levels, dense rows) of each connected block, in
+    the order of _connected_blocks.  A column's level is chi_k + chi_l of
+    its character; a row entry is (c0, c1) for c0 + c1*t, (c0,) or ().
+    One pass over the entries buckets them by row."""
     nrows, ncols = matrix.shape
+    k, l = complementary_pair(matrix.fp)
+    level = [f.character[k - 1] + f.character[l - 1] for f in matrix.basis]
     by_row = [[] for _ in range(nrows)]
     for (r, c), (c0, c1) in matrix.entries.items():
         by_row[r].append((c, (c0, c1) if c1 else (c0,)))
     local = [0] * ncols
     for row_idx, col_idx in _connected_blocks(matrix):
-        for k, c in enumerate(col_idx):
-            local[c] = k
+        for i, c in enumerate(col_idx):
+            local[c] = i
         rows = []
         for r in row_idx:
-            row = [TP_ZERO] * len(col_idx)
+            row = [()] * len(col_idx)
             for c, e in by_row[r]:
                 row[local[c]] = e
             rows.append(row)
-        yield col_idx, rows
+        yield col_idx, [level[c] for c in col_idx], rows
 
 
 def _quotient_columns(matrix):
     """Basis columns whose weights make up the image fiber: the pivot
     columns that limit_rows picks, block by block."""
     cols = []
-    for col_idx, rows in _blocks(matrix):
-        _, pivots = limit_rows(rows, len(col_idx))
+    for col_idx, levels, rows in _blocks(matrix):
+        _, pivots = limit_rows(rows, len(col_idx), levels)
         cols += [col_idx[k] for k in pivots]
     return cols
 
@@ -171,31 +176,19 @@ def _kernel_limits(matrix):
     """(columns, limit kernel vectors) of each block, in the order of
     _blocks.
 
-    In a block, entry (r, c) is a multiple of t^(lev(r) - lev(c)) with
-    2*lev = chi_k + chi_l, so M(t) = T_r(t) M(1) T_c(t)^-1 and
-    ker M(t) = T_c(t) ker M(1).  The limit at t = 0 is spanned by the
+    ker M(t) = T_c(t) ker M(1), so the limit at t = 0 is spanned by the
     lowest-level parts of an echelon basis of ker M(1) whose columns run
     by ascending level: the rows of the integer echelon of [M(1)^T | I]
     that pivot in the identity part, each cut down to its pivot's level.
     The vectors are indexed like the block's columns."""
-    k, l = complementary_pair(matrix.fp)
-    for col_idx, rows in _blocks(matrix):
-        chars = [matrix.basis[c].character for c in col_idx]
-        levels = [chi[k - 1] + chi[l - 1] for chi in chars]
+    for col_idx, levels, rows in _blocks(matrix):
         order = sorted(range(len(col_idx)), key=levels.__getitem__)
         m = len(rows)
         aug = [[sum(row[q]) for row in rows] + [int(p == q) for p in order]
                for q in order]
         ech, pivots = echelon(aug, m + len(order))
-        vectors = []
-        for row, p in zip(ech, pivots):
-            if p >= m:
-                lev = levels[order[p - m]]
-                vec = [0] * len(order)
-                for x, q in zip(row[m:], order):
-                    if levels[q] == lev:
-                        vec[q] = x
-                vectors.append(vec)
+        vectors = [level_part(row[m:], order, levels, levels[order[p - m]])
+                   for row, p in zip(ech, pivots) if p >= m]
         yield col_idx, vectors
 
 
@@ -271,8 +264,8 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
     """Quotient and kernel weight multisets of the contraction limit at a
     fixed point.
 
-    method "image-fiber" saturates the row module, "kernel-limit" takes
-    the initial subspace of the kernel at t = 1, "both" runs the two and
+    method "image-fiber" takes the initial subspace of the row span at
+    t = 1, "kernel-limit" that of the kernel, "both" runs the two and
     insists they agree.
     Either way the image rank must come out as C(d+4, 3) and the kernel
     as (d+4)(d+2)d/3, or SaturationRankError is raised.

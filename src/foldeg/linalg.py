@@ -1,16 +1,14 @@
-"""Exact linear algebra over Q and over Q[t] localized at t.
+"""Exact linear algebra over Q.
 
-Everything is fraction-free where it counts: the two elimination kernels
-(echelon, limit_rows) work on plain-integer data.  The small Fraction
-routines (rref, kernel bases) are kept as the tests' oracle for the
-closed-form field basis.  All results are exact; nothing here ever sees
-a float.
+Everything is fraction-free where it counts: one elimination kernel,
+the integer echelon, also gives the limit at t = 0 of a torus block's
+row span (limit_rows).  The small Fraction routines (rref, kernel bases)
+are kept as the tests' oracle for the closed-form field basis.  All
+results are exact; nothing here ever sees a float.
 """
 
 from fractions import Fraction
 from math import gcd
-
-from .tpolys import tp_mul, tp_sub
 
 
 def echelon(rows, ncols):
@@ -67,64 +65,37 @@ def rank(rows, ncols):
     return len(echelon(rows, ncols)[1])
 
 
-def limit_rows(rows, ncols):
-    """Limit at t = 0 of the span of a t-polynomial row module.
+def limit_rows(rows, ncols, levels):
+    """Limit at t = 0 of the row span of one torus block.
 
-    rows: each row is a sequence of t-polynomials (int-coefficient tuples,
-    ascending powers, () = 0).  Returns (int_rows, pivot_columns): the
-    rows span the fiber at t = 0 of the saturation of the row module over
-    Q[t] localized at t, and row k has a nonzero entry at
-    pivot_columns[k] with zeros there in every later row (triangular
-    after reordering, hence independent rows and a valid pivot set).
+    rows: each row is a sequence of coefficient tuples of c0 + c1*t,
+    ((c0, c1), (c0,) or () for 0); levels[c] = 2*lev(c), and entry
+    (r, c) is a multiple of t^(lev(r) - lev(c)).  Then
+    M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal T(t) = diag(t^lev): the
+    path is a torus orbit, and the limit of the row span is its initial
+    subspace for the highest levels.  An integer echelon of M(1) with the
+    columns by descending level gives it: each echelon row cut down to
+    its pivot's level is a limit row.
 
-    Single pass of unit-pivot elimination over the local ring: each row
-    is reduced against the basis collected so far (every claimed pivot
-    entry has a nonzero constant term, hence is a unit there), then
-    divided by its t-valuation and integer content, then claims a pivot
-    column of its own — preferring an entry that is an exact t-free
-    constant, since plain constants keep later reductions scalar.
+    Returns (cut_rows, pivot_columns) in the block's column order; row k
+    is nonzero at pivot_columns[k].
     """
-    basis = []  # (pivot_col, row) in claim order
-    for row in rows:
-        r = list(row)
-        for c, b in basis:
-            rc = r[c]
-            if rc:
-                u = b[c]
-                r = [tp_sub(tp_mul(u, r[k]), tp_mul(rc, b[k]))
-                     for k in range(ncols)]
-        val = -1
-        for e in r:
-            if e:
-                for i, ci in enumerate(e):
-                    if ci:
-                        if val < 0 or i < val:
-                            val = i
-                        break
-        if val < 0:
-            continue  # row reduced to zero
-        if val:
-            r = [e[val:] if e else e for e in r]
-        g = 0
-        for e in r:
-            for ci in e:
-                g = gcd(g, ci)
-            if g == 1:
-                break
-        if g > 1:
-            r = [tuple(ci // g for ci in e) for e in r]
-        pc = -1
-        for k in range(ncols):
-            e = r[k]
-            if e and e[0]:
-                if len(e) == 1:
-                    pc = k
-                    break
-                if pc < 0:
-                    pc = k
-        basis.append((pc, r))
-    int_rows = [[e[0] if e else 0 for e in r] for _, r in basis]
-    return int_rows, [c for c, _ in basis]
+    order = sorted(range(ncols), key=levels.__getitem__, reverse=True)
+    ech, pivots = echelon([[sum(row[q]) for q in order] for row in rows],
+                          ncols)
+    return ([level_part(row, order, levels, levels[order[p]])
+             for row, p in zip(ech, pivots)],
+            [order[p] for p in pivots])
+
+
+def level_part(row, order, levels, lev):
+    """The entries of row (whose k-th entry is column order[k]) that lie
+    in columns of level lev, as a vector in column order."""
+    vec = [0] * len(order)
+    for x, q in zip(row, order):
+        if levels[q] == lev:
+            vec[q] = x
+    return vec
 
 
 def rref(rows):

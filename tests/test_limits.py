@@ -24,11 +24,10 @@ from foldeg.limits import (
     _blocks,
     _connected_blocks,
     _kernel_limits,
-    _quotient_columns,
     build_contraction_matrix,
     limit_fiber_weights,
 )
-from foldeg.linalg import limit_rows, rank
+from foldeg.linalg import limit_rows, rank, rref
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -37,6 +36,7 @@ from foldeg.reference import (
     D2_P34_SYMBOLIC_WEIGHTS,
     DEFAULT_WEIGHTS,
 )
+from oracles import saturated_limit_rows
 
 
 def test_fixed_points_enumeration():
@@ -147,11 +147,21 @@ def test_method_validation():
         limit_fiber_weights((1, 2), 2, method="nonsense")
 
 
+def _saturated_pivots(blocks):
+    """The pivot columns the Z[t] saturation oracle picks over
+    (columns, t-polynomial rows) blocks."""
+    cols = []
+    for col_idx, rows in blocks:
+        _, pivots = saturated_limit_rows(rows, len(col_idx))
+        cols += [col_idx[k] for k in pivots]
+    return cols
+
+
 def _fraction_quotient_columns(d, pair, basis):
-    """The image route's pivot columns as the Fraction pipeline found
-    them: contract each field exactly over Q with kappa_ij and with
-    kappa_kl, pair the values up as c0 + c1*t, then clear the
-    denominators of every block row by row before limit_rows."""
+    """The saturation oracle's pivot columns on the Fraction pipeline:
+    contract each field exactly over Q with kappa_ij and with kappa_kl,
+    pair the values up as c0 + c1*t, then clear the denominators of
+    every block row by row before saturating."""
     base = AntisymmetricForm.koszul(pair)
     pert = AntisymmetricForm.koszul(complementary_pair(pair))
     monos = monomials_of_degree(d + 1)
@@ -162,7 +172,7 @@ def _fraction_quotient_columns(d, pair, basis):
         for m in set(c0) | set(c1):
             entries[(mindex[m], c)] = (c0.get(m, 0), c1.get(m, 0))
     matrix = ContractionMatrix(pair, d, basis, monos, entries)
-    cols = []
+    blocks = []
     for row_idx, col_idx in _connected_blocks(matrix):
         rows = []
         for r in row_idx:
@@ -174,15 +184,14 @@ def _fraction_quotient_columns(d, pair, basis):
                 c0, c1 = int(c0 * den), int(c1 * den)
                 tp.append((c0, c1) if c1 else (c0,) if c0 else ())
             rows.append(tp)
-        _, pivots = limit_rows(rows, len(col_idx))
-        cols += [col_idx[k] for k in pivots]
-    return entries, cols
+        blocks.append((col_idx, rows))
+    return entries, _saturated_pivots(blocks)
 
 
 def test_integer_contraction_keeps_the_fraction_pivots():
     """Scaling each column by its field's denominator leaves the zero
-    pattern and the t-free entries alone, so limit_rows picks the same
-    pivot columns as on the row-cleared Fraction matrix."""
+    pattern and the t-free entries alone, so the saturation oracle picks
+    the same pivot columns as on the row-cleared Fraction matrix."""
     for d in range(1, 9):
         basis = build_phi_basis(d, DEFAULT_WEIGHTS)
         scale = [lcm(*(t.coefficient.denominator for t in f.terms))
@@ -198,7 +207,29 @@ def test_integer_contraction_keeps_the_fraction_pivots():
                 type(v) is int for pair_ in matrix.entries.values()
                 for v in pair_
             )
-            assert _quotient_columns(matrix) == want
+            assert _saturated_pivots(
+                (cols, rows) for cols, _, rows in _blocks(matrix)
+            ) == want
+
+
+@pytest.mark.parametrize(
+    "weights", (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+)
+def test_torus_image_limit_equals_the_saturation_oracle(weights):
+    """Block by block, the echelon of M(1) with the columns by descending
+    level and the Z[t] saturation oracle pick pivot columns of the same
+    characters, and their limit rows span the same space."""
+    for d in range(1, 9):
+        basis = build_phi_basis(d, weights)
+        for pair in P5_PAIRS:
+            matrix = build_contraction_matrix(pair, d, basis)
+            for cols, levels, rows in _blocks(matrix):
+                got, got_pivots = limit_rows(rows, len(cols), levels)
+                want, want_pivots = saturated_limit_rows(rows, len(cols))
+                assert sorted(
+                    basis[cols[k]].character for k in got_pivots
+                ) == sorted(basis[cols[k]].character for k in want_pivots)
+                assert rref(got) == rref(want)
 
 
 def _character_classes(basis, pair):
@@ -227,7 +258,7 @@ def test_blocks_are_the_character_classes(weights):
         basis = build_phi_basis(d, weights)
         for pair in P5_PAIRS:
             matrix = build_contraction_matrix(pair, d, basis)
-            blocks = sorted(cols for cols, _ in _blocks(matrix))
+            blocks = sorted(cols for cols, _, _ in _blocks(matrix))
             assert blocks == sorted(_character_classes(basis, pair))
             assert len(blocks) == (d + 2) ** 2
 
@@ -273,11 +304,11 @@ def test_kernel_limit_annihilates_the_image_limit(weights):
         basis = build_phi_basis(d, weights)
         for pair in P5_PAIRS:
             matrix = build_contraction_matrix(pair, d, basis)
-            for (cols, rows), (kcols, vectors) in zip(
+            for (cols, levels, rows), (kcols, vectors) in zip(
                 _blocks(matrix), _kernel_limits(matrix)
             ):
                 assert kcols == cols
-                image, _ = limit_rows(rows, len(cols))
+                image, _ = limit_rows(rows, len(cols), levels)
                 assert len(image) + len(vectors) == len(cols)
                 assert rank(vectors, len(cols)) == len(vectors)
                 assert all(
@@ -305,3 +336,18 @@ def test_kernel_route_guards_raise(monkeypatch):
     monkeypatch.setattr(limits, "_kernel_limits", one_short)
     with pytest.raises(SaturationRankError, match="kernel rank"):
         limit_fiber_weights((1, 2), 3, method=METHOD_KERNEL)
+
+
+def test_image_route_rank_guard_raises(monkeypatch):
+    """The image route refuses a limit of the wrong rank."""
+    import foldeg.limits as limits
+
+    real = limits.limit_rows
+
+    def one_short(rows, ncols, levels):
+        cut, pivots = real(rows, ncols, levels)
+        return cut[1:], pivots[1:]
+
+    monkeypatch.setattr(limits, "limit_rows", one_short)
+    with pytest.raises(SaturationRankError, match="image rank"):
+        limit_fiber_weights((1, 2), 3, method=METHOD_IMAGE)

@@ -1,6 +1,7 @@
-"""Tests for the exact elimination kernels.
+"""Tests for the exact elimination kernel and the Q oracles.
 
-The limit_rows tests exercise the defining property of saturation: the
+The limit_rows tests check the Z[t] saturation oracle of
+tests/oracles.py against the defining property of saturation: the
 limit of a row span over the local ring at t = 0 must not change when
 rows are rescaled by powers of t or mixed by invertible row operations,
 and for t-free input the limit is the ordinary row space.
@@ -12,11 +13,10 @@ from fractions import Fraction
 from foldeg.linalg import (
     echelon,
     kernel_basis,
-    limit_rows,
     rank,
     rref,
 )
-from foldeg.tpolys import tp_add, tp_mul, tp_trim
+from oracles import saturated_limit_rows, tp_add, tp_mul, tp_trim
 
 
 def _random_int_matrix(rng, nrows, ncols, bound=9, density=0.7):
@@ -100,7 +100,7 @@ def test_limit_rows_on_constant_matrix_is_row_space():
     for _ in range(50):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         mat = _random_int_matrix(rng, n, m)
-        int_rows, pivots = limit_rows(_tp_matrix_from_int(mat), m)
+        int_rows, pivots = saturated_limit_rows(_tp_matrix_from_int(mat), m)
         assert len(int_rows) == len(pivots) == _fraction_rank(mat)
         # same span as the input
         assert _fraction_rank(int_rows + mat) == _fraction_rank(mat)
@@ -126,8 +126,8 @@ def test_limit_rows_ignores_t_scaling():
             k = rng.randint(0, 3)
             tk = tp_trim([0] * k + [1])
             scaled.append([tp_mul(tk, e) for e in row])
-        base, _ = limit_rows(plain, m)
-        twisted, _ = limit_rows(scaled, m)
+        base, _ = saturated_limit_rows(plain, m)
+        twisted, _ = saturated_limit_rows(scaled, m)
         assert _fraction_rank(base) == _fraction_rank(twisted)
         assert _fraction_rank(base + twisted) == _fraction_rank(base)
 
@@ -153,8 +153,8 @@ def test_limit_rows_invariant_under_row_operations():
                 tp_add(a, tp_mul(f, b)) for a, b in zip(mixed[i], mixed[j])
             ]
         rng.shuffle(mixed)
-        base, _ = limit_rows(plain, m)
-        other, _ = limit_rows(mixed, m)
+        base, _ = saturated_limit_rows(plain, m)
+        other, _ = saturated_limit_rows(mixed, m)
         assert _fraction_rank(base) == _fraction_rank(other)
         assert _fraction_rank(base + other) == _fraction_rank(base)
 
@@ -166,7 +166,7 @@ def test_limit_rows_saturation_example():
     t = tp_trim([0, 1])
     t2 = tp_trim([0, 0, 1])
     rows = [[t, t], [tp_trim([]), t2]]
-    int_rows, pivots = limit_rows(rows, 2)
+    int_rows, pivots = saturated_limit_rows(rows, 2)
     assert _fraction_rank(int_rows) == 2
     assert sorted(pivots) == [0, 1]
 
@@ -176,7 +176,7 @@ def test_limit_rows_drops_dependent_rows():
     one = tp_trim([1])
     # second row is t times the first: contributes nothing new
     rows = [[one, one], [t, t]]
-    int_rows, pivots = limit_rows(rows, 2)
+    int_rows, pivots = saturated_limit_rows(rows, 2)
     assert len(int_rows) == 1
     assert pivots == [0]
     scale = int_rows[0][0]

@@ -1,9 +1,10 @@
-"""Tests for integer polynomials in the deformation parameter t."""
+"""Tests for the oracle's integer polynomials in the deformation
+parameter t."""
 
 import random
 from fractions import Fraction
 
-from foldeg.tpolys import TP_ZERO, tp_add, tp_mul, tp_neg, tp_sub, tp_trim
+from oracles import TP_ZERO, tp_add, tp_mul, tp_neg, tp_sub, tp_trim
 
 
 def _random_tp(rng, maxdeg=5, bound=9):

@@ -1,14 +1,19 @@
-"""Property tests of the Legendrian fiber transport, of the two limit
-routes, of the pencil fibers and of localize under random admissible
-weights (need hypothesis)."""
+"""Property tests of the Legendrian fiber transport, of the contraction
+matrix and the two limit routes, of the pencil fibers and of localize
+under random admissible weights (need hypothesis)."""
 
 from itertools import combinations
 
 import pytest
 
 from foldeg.bott import SOURCE_PAIR, fiber_characters, localize
-from foldeg.fields import P5_PAIRS
-from foldeg.limits import METHOD_BOTH, METHOD_IMAGE, limit_fiber_weights
+from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
+from foldeg.limits import (
+    METHOD_BOTH,
+    METHOD_IMAGE,
+    build_contraction_matrix,
+    limit_fiber_weights,
+)
 from foldeg.pencil import pd_twisted_weights, pencil_degree
 from foldeg.polyfit import FAMILIES, family_closed_form
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
@@ -33,6 +38,21 @@ def test_source_characters_do_not_depend_on_weights(values, d):
     weights organize its computation."""
     direct = limit_fiber_weights(SOURCE_PAIR, d, values, METHOD_IMAGE)
     assert direct.quotient_characters == fiber_characters(d, SOURCE_PAIR)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(1, 8))
+def test_a_pair_and_its_complement_share_m1(values, d):
+    """The paths at kappa_ij and at kappa_kl both pass through
+    kappa_ij + kappa_kl at t = 1, so the two contraction matrices have
+    the same integer entries c0 + c1 there."""
+    basis = build_phi_basis(d, values)
+
+    def m1(pair):
+        matrix = build_contraction_matrix(pair, d, basis)
+        return {rc: c0 + c1 for rc, (c0, c1) in matrix.entries.items()}
+
+    for pair in P5_PAIRS:
+        assert m1(pair) == m1(complementary_pair(pair))
 
 
 @hypothesis.given(
