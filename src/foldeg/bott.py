@@ -20,8 +20,9 @@ the weight system.  The image route therefore computes the fiber once
 per degree, at SOURCE_PAIR, as characters; pair (k,l) takes it through
 sigma = (k, l, m, n), {m,n} the complement, with weights
 sum chi_i * w_sigma(i).  The kernel route and "both" still compute all
-six fibers directly, and "both" also checks each against the
-transported one.
+six fibers directly ("both" from one contraction per fixed point, shared
+by its two routes), and "both" also checks each against the transported
+one.
 """
 
 from collections import namedtuple

@@ -19,13 +19,15 @@ with one integer echelon of M(1) per block:
 * kernel-limit: the nullspace.  ker M(t) = T_c(t) ker M(1), so its limit
   is the initial subspace of ker M(1) for the lowest levels; an echelon
   of [M(1)^T | I] with the columns by ascending level gives it
-  (_kernel_limits).
+  (_kernel_limits).  Each limit vector lies on its pivot's level, one
+  character within a block, so its weight is read off its support.
 
 Torus equivariance makes the matrix block-diagonal: a column of Z^4
 character chi meets only the rows chi + e_i + e_j (t^0) and
 chi + e_k + e_l (t^1), so the connected blocks that union-find returns
 are the classes of column characters modulo e_k + e_l - e_i - e_j,
-(d+2)^2 of them, and both routes run on these small blocks.
+(d+2)^2 of them, and both routes run on these small blocks.  "both"
+builds one contraction and one set of blocks for the two routes.
 """
 
 from math import comb
@@ -44,10 +46,10 @@ from .fields import (
     monomials_of_degree,
     path_linear_forms,
 )
-from .linalg import echelon, level_part, limit_rows, rank
-# Not called here.  The name stays because perfbench/tracing.py hooks
-# foldeg.limits.kernel_basis.
-from .linalg import kernel_basis  # noqa: F401
+from .linalg import echelon, level_part, limit_rows
+# Not called here.  The names stay because perfbench/tracing.py hooks
+# foldeg.limits.kernel_basis and foldeg.limits.rank.
+from .linalg import kernel_basis, rank  # noqa: F401
 
 METHOD_IMAGE = "image-fiber"
 METHOD_KERNEL = "kernel-limit"
@@ -147,8 +149,11 @@ def _blocks(matrix):
     k, l = complementary_pair(matrix.fp)
     level = [f.character[k - 1] + f.character[l - 1] for f in matrix.basis]
     by_row = [[] for _ in range(nrows)]
-    for (r, c), (c0, c1) in matrix.entries.items():
-        by_row[r].append((c, (c0, c1) if c1 else (c0,)))
+    constant = {}  # one (c0,) per value: _point_blocks keeps the blocks
+    for (r, c), e in matrix.entries.items():
+        if not e[1]:
+            e = constant.setdefault(e[0], e[:1])
+        by_row[r].append((c, e))
     local = [0] * ncols
     for row_idx, col_idx in _connected_blocks(matrix):
         for i, c in enumerate(col_idx):
@@ -162,26 +167,41 @@ def _blocks(matrix):
         yield col_idx, [level[c] for c in col_idx], rows
 
 
-def _quotient_columns(matrix):
+_last_point = None  # (fp, basis, blocks) of the last _point_blocks call
+
+
+def _point_blocks(fp, basis):
+    """The blocks of the contraction at fp, as a tuple.  The last one is
+    kept for the second route under "both", and dropped before the next
+    is built."""
+    global _last_point
+    last = _last_point
+    if not (last and last[0] == fp and last[1] is basis):
+        last = _last_point = None  # free the old blocks first
+        matrix = build_contraction_matrix(fp, basis.d, basis)
+        last = _last_point = (fp, basis, tuple(_blocks(matrix)))
+    return last[2]
+
+
+def _quotient_columns(blocks):
     """Basis columns whose weights make up the image fiber: the pivot
     columns that limit_rows picks, block by block."""
     cols = []
-    for col_idx, levels, rows in _blocks(matrix):
+    for col_idx, levels, rows in blocks:
         _, pivots = limit_rows(rows, len(col_idx), levels)
         cols += [col_idx[k] for k in pivots]
     return cols
 
 
-def _kernel_limits(matrix):
-    """(columns, limit kernel vectors) of each block, in the order of
-    _blocks.
+def _kernel_limits(blocks):
+    """(columns, limit kernel vectors) of each of the blocks.
 
     ker M(t) = T_c(t) ker M(1), so the limit at t = 0 is spanned by the
     lowest-level parts of an echelon basis of ker M(1) whose columns run
     by ascending level: the rows of the integer echelon of [M(1)^T | I]
     that pivot in the identity part, each cut down to its pivot's level.
     The vectors are indexed like the block's columns."""
-    for col_idx, levels, rows in _blocks(matrix):
+    for col_idx, levels, rows in blocks:
         order = sorted(range(len(col_idx)), key=levels.__getitem__)
         m = len(rows)
         aug = [[sum(row[q]) for row in rows] + [int(p == q) for p in order]
@@ -192,22 +212,18 @@ def _kernel_limits(matrix):
         yield col_idx, vectors
 
 
-def _kernel_weights_for_block(evaluated, col_idx, basis):
-    """Weights of a T-stable kernel limit: project the limit vectors onto
-    each weight's coordinates; the projection ranks are the
-    multiplicities (and must add up to the kernel dimension)."""
-    if not evaluated:
-        return []
-    weights = sorted({basis[c].weight for c in col_idx})
+def _kernel_weights_for_block(vectors, col_idx, basis):
+    """Weights of a T-stable kernel limit, one per limit vector.  Each
+    vector is cut down to its pivot's level, and within a block one
+    level is one character, so its support must lie in one weight
+    space."""
     out = []
-    for chi in weights:
-        pos = [k for k, c in enumerate(col_idx) if basis[c].weight == chi]
-        proj = [[v[k] for k in pos] for v in evaluated]
-        out += [chi] * rank(proj, len(pos))
-    if len(out) != len(evaluated):
-        raise SaturationRankError(
-            "limit kernel is not a sum of weight spaces"
-        )
+    for v in vectors:
+        support = {basis[c].weight for c, x in zip(col_idx, v) if x}
+        if len(support) != 1:
+            raise SaturationRankError("limit kernel is not a sum of "
+                                      "weight spaces")
+        out += support
     return out
 
 
@@ -292,11 +308,11 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
         )
 
     basis = build_phi_basis(d, w)
-    matrix = build_contraction_matrix(fp, d, basis)
+    blocks = _point_blocks(fp, basis)
     all_weights = basis.weight_multiset()
 
     if method == METHOD_IMAGE:
-        quotient_cols = _quotient_columns(matrix)
+        quotient_cols = _quotient_columns(blocks)
         expected = comb(d + 4, 3)
         if len(quotient_cols) != expected:
             raise SaturationRankError(
@@ -308,10 +324,8 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
         kw = all_weights.difference(qw)
     else:
         kernel_list = []
-        for col_idx, vectors in _kernel_limits(matrix):
-            kernel_list += _kernel_weights_for_block(
-                vectors, col_idx, basis
-            )
+        for cols, vectors in _kernel_limits(blocks):
+            kernel_list += _kernel_weights_for_block(vectors, cols, basis)
         expected = contact_kernel_dimension(d)
         if len(kernel_list) != expected:
             raise SaturationRankError(

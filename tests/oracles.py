@@ -3,10 +3,11 @@
 Each is the plain algorithm the package used before: e_k by the O(n*k)
 product recurrence over every value, the pencil fiber by enumerating
 every monomial weight, the interpolant as a sum of Lagrange basis
-polynomials, and the image limit as a saturation over Z[t] localized
-at t, which knows nothing of torus levels.  They share no code with
-what they check beyond RationalPolynomial, the monomial list and the
-complement of a pair.
+polynomials, the image limit as a saturation over Z[t] localized at t,
+which knows nothing of torus levels, and the kernel limit's weights as
+ranks of its projections onto each weight space.  They share no code
+with what they check beyond RationalPolynomial, the monomial list, the
+complement of a pair and the Fraction rref.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from math import gcd
 
 from foldeg.exact import RationalPolynomial, monomials_of_degree
 from foldeg.fields import complementary_pair
+from foldeg.linalg import rref
 
 
 def elementary_symmetric_recurrence(k, values):
@@ -160,3 +162,15 @@ def saturated_limit_rows(rows, ncols):
         basis.append((pc, r))
     int_rows = [[e[0] if e else 0 for e in r] for _, r in basis]
     return int_rows, [c for c, _ in basis]
+
+
+def projected_kernel_weights(vectors, col_idx, basis):
+    """Weights of a T-stable kernel limit spanned by vectors (indexed
+    like col_idx): the rank of the vectors projected onto one weight's
+    coordinates is that weight's multiplicity.  Sorted."""
+    out = []
+    for chi in sorted({basis[c].weight for c in col_idx}):
+        pos = [k for k, c in enumerate(col_idx) if basis[c].weight == chi]
+        proj = [[v[k] for k in pos] for v in vectors]
+        out += [chi] * len(rref(proj)[1])
+    return out

@@ -4,6 +4,8 @@ from math import comb, lcm
 
 import pytest
 
+from foldeg import limits
+from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightMultiset, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
@@ -36,7 +38,7 @@ from foldeg.reference import (
     D2_P34_SYMBOLIC_WEIGHTS,
     DEFAULT_WEIGHTS,
 )
-from oracles import saturated_limit_rows
+from oracles import projected_kernel_weights, saturated_limit_rows
 
 
 def test_fixed_points_enumeration():
@@ -265,10 +267,8 @@ def test_blocks_are_the_character_classes(weights):
 
 def test_method_disagreement_is_raised(monkeypatch):
     """--method both compares the two routes and raises on a mismatch."""
-    import foldeg.limits as limits
-
-    def first_columns(matrix):
-        return list(range(comb(matrix.d + 4, 3)))
+    def first_columns(blocks):
+        return list(range(comb(2 + 4, 3)))
 
     monkeypatch.setattr(limits, "_quotient_columns", first_columns)
     with pytest.raises(MethodDisagreement):
@@ -303,9 +303,9 @@ def test_kernel_limit_annihilates_the_image_limit(weights):
     for d in range(2, 9):
         basis = build_phi_basis(d, weights)
         for pair in P5_PAIRS:
-            matrix = build_contraction_matrix(pair, d, basis)
+            blocks = tuple(_blocks(build_contraction_matrix(pair, d, basis)))
             for (cols, levels, rows), (kcols, vectors) in zip(
-                _blocks(matrix), _kernel_limits(matrix)
+                blocks, _kernel_limits(blocks)
             ):
                 assert kcols == cols
                 image, _ = limit_rows(rows, len(cols), levels)
@@ -317,20 +317,84 @@ def test_kernel_limit_annihilates_the_image_limit(weights):
                 )
 
 
+@pytest.mark.parametrize(
+    "weights", (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+)
+def test_kernel_weights_equal_the_projection_rank_oracle(weights):
+    """Block by block, one weight per limit vector, read off its level,
+    gives the multiplicities that the ranks of the projections onto each
+    weight space give."""
+    for d in range(1, 9):
+        basis = build_phi_basis(d, weights)
+        for pair in P5_PAIRS:
+            blocks = tuple(_blocks(build_contraction_matrix(pair, d, basis)))
+            for cols, vectors in _kernel_limits(blocks):
+                got = limits._kernel_weights_for_block(vectors, cols, basis)
+                assert sorted(got) == projected_kernel_weights(
+                    vectors, cols, basis
+                )
+
+
+def _count_contractions(monkeypatch):
+    """Count the calls of build_contraction_matrix from now on, with no
+    contraction remembered from before."""
+    calls = []
+    real = limits.build_contraction_matrix
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(limits, "build_contraction_matrix", counted)
+    monkeypatch.setattr(limits, "_last_point", None)
+    return calls
+
+
+def test_both_builds_one_contraction_per_fixed_point(monkeypatch):
+    """Under "both" the image and the kernel route share one contraction
+    and its blocks."""
+    calls = _count_contractions(monkeypatch)
+    limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_BOTH)
+    assert calls == [((2, 4), 3)]
+    del calls[:]
+    legendrian_degree(3, method=METHOD_BOTH)
+    assert calls == [(pair, 3) for pair in P5_PAIRS]
+
+
+def _fiber(pair, d, weights, method):
+    res = limit_fiber_weights(pair, d, weights, method)
+    return res.quotient_weights, res.kernel_weights, res.quotient_characters
+
+
+def test_shared_blocks_are_never_stale(monkeypatch):
+    """Calls in a row, each of which differs from the one before only in
+    the degree, the weight system or the pair (the complement shares
+    M(1)), give what the same calls give from scratch."""
+    calls = [((1, 2), 3, DEFAULT_WEIGHTS), ((1, 2), 4, DEFAULT_WEIGHTS),
+             ((1, 2), 4, ALT_WEIGHTS_B), ((3, 4), 4, ALT_WEIGHTS_B),
+             ((1, 2), 4, ALT_WEIGHTS_B)]
+    methods = (METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH)
+    in_a_row = [_fiber(*call, m) for call in calls for m in methods]
+    fresh = []
+    for call in calls:
+        for m in methods:
+            monkeypatch.setattr(limits, "_last_point", None)
+            fresh.append(_fiber(*call, m))
+    assert in_a_row == fresh
+
+
 def test_kernel_route_guards_raise(monkeypatch):
     """The kernel route refuses a limit vector that mixes weights and a
     limit kernel of the wrong rank."""
-    import foldeg.limits as limits
-
     basis = build_phi_basis(3, DEFAULT_WEIGHTS)
-    matrix = build_contraction_matrix((1, 2), 3, basis)
-    cols = next(cols for cols, _ in _kernel_limits(matrix)
+    blocks = tuple(_blocks(build_contraction_matrix((1, 2), 3, basis)))
+    cols = next(cols for cols, _ in _kernel_limits(blocks)
                 if len({basis[c].weight for c in cols}) > 1)
     with pytest.raises(SaturationRankError, match="weight spaces"):
         limits._kernel_weights_for_block([[1] * len(cols)], cols, basis)
 
-    def one_short(matrix):
-        for cols, vectors in _kernel_limits(matrix):
+    def one_short(blocks):
+        for cols, vectors in _kernel_limits(blocks):
             yield cols, vectors[1:]
 
     monkeypatch.setattr(limits, "_kernel_limits", one_short)
@@ -340,8 +404,6 @@ def test_kernel_route_guards_raise(monkeypatch):
 
 def test_image_route_rank_guard_raises(monkeypatch):
     """The image route refuses a limit of the wrong rank."""
-    import foldeg.limits as limits
-
     real = limits.limit_rows
 
     def one_short(rows, ncols, levels):

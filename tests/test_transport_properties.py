@@ -55,17 +55,14 @@ def test_a_pair_and_its_complement_share_m1(values, d):
         assert m1(pair) == m1(complementary_pair(pair))
 
 
-@hypothesis.given(
-    values=ADMISSIBLE_WEIGHTS,
-    pair=st.sampled_from(P5_PAIRS),
-    d=st.integers(1, 6),
-)
-def test_both_routes_agree_under_any_weights(values, pair, d):
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS, pair=st.sampled_from(P5_PAIRS))
+def test_both_routes_agree_under_any_weights(values, pair):
     """The image and the kernel route pass their rank checks and agree
-    at any fixed point under any admissible weights: no
-    SaturationRankError and no MethodDisagreement."""
-    res = limit_fiber_weights(pair, d, values, METHOD_BOTH)
-    assert res.method == METHOD_BOTH
+    at any fixed point under any admissible weights, at every
+    d = 1..8: no SaturationRankError and no MethodDisagreement."""
+    for d in range(1, 9):
+        res = limit_fiber_weights(pair, d, values, METHOD_BOTH)
+        assert res.method == METHOD_BOTH
 
 
 @hypothesis.given(
@@ -82,6 +79,37 @@ def test_localize_gives_the_frozen_degree(values, case):
     name, d = case
     table = {"legendrian": LEGENDRIAN_DEGREES, "pencil": PENCIL_DEGREES}[name]
     assert localize(FAMILIES[name], d, values).degree == table[d]
+
+
+@hypothesis.given(
+    values=ADMISSIBLE_WEIGHTS,
+    sigma=st.permutations((1, 2, 3, 4)),
+    case=st.one_of(
+        st.tuples(st.just("legendrian"), st.integers(2, 4)),
+        st.tuples(st.just("pencil"), st.integers(2, 10)),
+    ),
+)
+def test_contributions_are_s4_equivariant(values, sigma, case):
+    """Relabeling the coordinates by sigma permutes the fixed points:
+    the contribution at pair p under the weights w o sigma equals the one
+    at sigma(p) under w, numerator and denominator alike.  Legendrian
+    d <= 4 goes through "both", so every fiber is computed directly;
+    pencil d <= 10."""
+    name, d = case
+    options = {"method": METHOD_BOTH} if name == "legendrian" else {}
+    family = FAMILIES[name]
+
+    def contributions(weights):
+        return {
+            c.pair: (c.numerator, c.denominator)
+            for c in localize(family, d, weights, **options).contributions
+        }
+
+    base = contributions(values)
+    moved = contributions([values[s - 1] for s in sigma])
+    for pair in P5_PAIRS:
+        image = tuple(sorted(sigma[i - 1] for i in pair))
+        assert moved[pair] == base[image]
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(0, 10))
