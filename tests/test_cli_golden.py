@@ -41,6 +41,11 @@ COMMANDS = (
     "interpolate --family pencil --min 2 --max 14 --jobs 0",
     "interpolate --family nope --min 2 --max 14",
     "interpolate --help",
+    "verify --example --format json",
+    "interpolate --family legendrian --min 2 --max 5 --partial --format json",
+    "legendrian --help",
+    "pencil --help",
+    "verify --help",
 )
 
 
