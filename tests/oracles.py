@@ -4,18 +4,25 @@ Each is the plain algorithm the package used before: e_k by the O(n*k)
 product recurrence over every value, the pencil fiber by enumerating
 every monomial weight, the interpolant as a sum of Lagrange basis
 polynomials, the image limit as a saturation over Z[t] localized at t,
-which knows nothing of torus levels, and the kernel limit's weights as
-ranks of its projections onto each weight space.  They share no code
-with what they check beyond RationalPolynomial, the monomial list, the
-complement of a pair and the Fraction rref.
+which knows nothing of torus levels, the kernel limit's weights as
+ranks of its projections onto each weight space, and the basis Phi_d
+as the divergence kernel of each weight space in echelon form.  They
+share no code with what they check beyond RationalPolynomial, the
+monomial list and weights, MonomialField, the complement of a pair and
+the Fraction rref and kernel basis.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from foldeg.exact import RationalPolynomial, monomials_of_degree
-from foldeg.fields import complementary_pair
-from foldeg.linalg import rref
+from foldeg.exact import (
+    RationalPolynomial,
+    WeightSystem,
+    monomial_weight,
+    monomials_of_degree,
+)
+from foldeg.fields import MonomialField, complementary_pair
+from foldeg.linalg import kernel_basis, rref
 
 
 def elementary_symmetric_recurrence(k, values):
@@ -174,3 +181,34 @@ def projected_kernel_weights(vectors, col_idx, basis):
         proj = [[v[k] for k in pos] for v in vectors]
         out += [chi] * len(rref(proj)[1])
     return out
+
+
+def rref_phi_basis(d, weights):
+    """The basis as elimination builds it: monomial fields taken
+    direction-major, grouped by numeric weight, each group's divergence
+    kernel in reduced echelon form with +1 pivots, groups ascending."""
+    w = WeightSystem(weights)
+    groups = {}
+    for j in (1, 2, 3, 4):
+        for m in monomials_of_degree(d):
+            wt = monomial_weight(m, w) - w.weight(j)
+            groups.setdefault(wt, []).append((m, j))
+    fields = []
+    for wt in sorted(groups):
+        block = groups[wt]
+        rows = [m for m in monomials_of_degree(d - 1)
+                if monomial_weight(m, w) == wt]
+        rowindex = {m: i for i, m in enumerate(rows)}
+        mat = [[0] * len(block) for _ in rows]
+        for c, (m, j) in enumerate(block):
+            if m[j - 1]:
+                lowered = tuple(e - (k == j - 1) for k, e in enumerate(m))
+                mat[rowindex[lowered]][c] = m[j - 1]
+        for vec in kernel_basis(mat, len(block)):
+            terms = tuple(
+                MonomialField(coeff, m, j)
+                for coeff, (m, j) in zip(vec, block)
+                if coeff
+            )
+            fields.append((terms, wt))
+    return fields

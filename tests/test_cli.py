@@ -159,6 +159,82 @@ def test_verify_detects_tampered_fiber(capsys, monkeypatch):
     )
 
 
+TAMPERED_DETAILS = {
+    "fiber-weights-d2-pair34": "computed "
+    "[-10, -8, -7, -6, -5, -3, -3, -2, -1, 0, 0, 2, 2, 3, 4, 4, 5, 7, 10, 13]"
+    ", frozen "
+    "[-11, -8, -7, -6, -5, -3, -3, -2, -1, 0, 0, 2, 2, 3, 4, 4, 5, 7, 10, 13]",
+    "fiber-e5-d2-pair34": "computed 105534, frozen 105535",
+    "contribution-d2-pair13": "computed -38740434/1500, frozen -38740434/1501",
+    "total-degree-d2": "computed 2224, frozen 9999",
+}
+
+
+def test_verify_failure_details_are_exact(capsys, monkeypatch):
+    """One frozen constant of each kind tampered: each failing check
+    reports its computed and frozen values byte for byte."""
+    fiber = list(reference.D2_P34_QUOTIENT_WEIGHTS)
+    fiber[0] -= 1
+    monkeypatch.setattr(reference, "D2_P34_QUOTIENT_WEIGHTS", tuple(fiber))
+    monkeypatch.setattr(reference, "D2_P34_E5", reference.D2_P34_E5 + 1)
+    contributions = list(reference.LEGENDRIAN_D2_CONTRIBUTIONS)
+    contributions[1] = ((1, 3), -38740434, 1501)
+    monkeypatch.setattr(
+        reference, "LEGENDRIAN_D2_CONTRIBUTIONS", tuple(contributions)
+    )
+    monkeypatch.setattr(reference, "LEGENDRIAN_D2_DEGREE", 9999)
+
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL fiber-weights-d2-pair34: " + TAMPERED_DETAILS["fiber-weights-d2-pair34"],
+        "FAIL fiber-e5-d2-pair34: computed 105534, frozen 105535",
+        "PASS contribution-d2-pair12",
+        "FAIL contribution-d2-pair13: computed -38740434/1500, frozen -38740434/1501",
+        "PASS contribution-d2-pair14",
+        "PASS contribution-d2-pair23",
+        "PASS contribution-d2-pair24",
+        "PASS contribution-d2-pair34",
+        "FAIL total-degree-d2: computed 2224, frozen 9999",
+        "5/9 checks passed",
+    ]
+
+    code, out, _ = run(capsys, ["verify", "--format", "json"])
+    assert code == 1
+    report = json.loads(out)
+    assert (report["passed"], report["total"]) == (5, 9)
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert failed == TAMPERED_DETAILS
+    passed = [c["detail"] for c in report["checks"] if c["passed"]]
+    assert passed == [
+        "computed 833800359/42000, frozen 833800359/42000",
+        "computed 7716777/336, frozen 7716777/336",
+        "computed -4199874/336, frozen -4199874/336",
+        "computed -3398841/1500, frozen -3398841/1500",
+        "computed -105534/42000, frozen -105534/42000",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "legendrian --degree 3",
+        "pencil --degree 4 --weights 0,1,5,13",
+        "verify --example",
+        "interpolate --family pencil --min 2 --max 14",
+        "interpolate --family legendrian --min 2 --max 5 --partial",
+    ],
+    ids=["legendrian", "pencil", "verify", "interpolate", "partial"],
+)
+def test_out_file_equals_json_stdout(tmp_path, capsys, command):
+    target = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, command.split() + ["--format", "json", "--out", str(target)]
+    )
+    assert (code, err) == (0, "")
+    assert target.read_text() == out
+
+
 def test_interpolate_partial(capsys):
     code, out, _ = run(
         capsys,

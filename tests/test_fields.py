@@ -23,7 +23,7 @@ from foldeg.fields import (
     tangent_kernel_dimension,
 )
 from foldeg.limits import build_contraction_matrix
-from foldeg.linalg import kernel_basis
+from oracles import rref_phi_basis
 
 WEIGHTS = (0, 2, 7, 10)
 
@@ -350,44 +350,13 @@ def test_basis_field_render():
 ORACLE_SYSTEMS = ((0, 2, 7, 10), (0, 1, 5, 16), (0, 3, 10, 16), (1, 3, 9, 20))
 
 
-def _rref_phi_basis(d, weights):
-    """The basis as elimination builds it: monomial fields taken
-    direction-major, grouped by numeric weight, each group's divergence
-    kernel in reduced echelon form with +1 pivots, groups ascending."""
-    w = WeightSystem(weights)
-    groups = {}
-    for j in (1, 2, 3, 4):
-        for m in monomials_of_degree(d):
-            wt = monomial_weight(m, w) - w.weight(j)
-            groups.setdefault(wt, []).append((m, j))
-    fields = []
-    for wt in sorted(groups):
-        block = groups[wt]
-        rows = [m for m in monomials_of_degree(d - 1)
-                if monomial_weight(m, w) == wt]
-        rowindex = {m: i for i, m in enumerate(rows)}
-        mat = [[0] * len(block) for _ in rows]
-        for c, (m, j) in enumerate(block):
-            if m[j - 1]:
-                lowered = tuple(e - (k == j - 1) for k, e in enumerate(m))
-                mat[rowindex[lowered]][c] = m[j - 1]
-        for vec in kernel_basis(mat, len(block)):
-            terms = tuple(
-                MonomialField(coeff, m, j)
-                for coeff, (m, j) in zip(vec, block)
-                if coeff
-            )
-            fields.append((terms, wt))
-    return fields
-
-
 @pytest.mark.parametrize("weights", ORACLE_SYSTEMS)
 def test_closed_form_basis_matches_rref_oracle(weights):
     """Field for field, coefficient for coefficient and weight for
     weight, the closed form is the echelon basis."""
     for d in range(1, 10):
         got = [(f.terms, f.weight) for f in build_phi_basis(d, weights)]
-        want = _rref_phi_basis(d, weights)
+        want = rref_phi_basis(d, weights)
         assert got == want
         assert all(
             type(c) is Fraction for terms, _ in got for c, _, _ in terms

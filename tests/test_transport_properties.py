@@ -17,7 +17,7 @@ from foldeg.limits import (
 from foldeg.pencil import pd_twisted_weights, pencil_degree
 from foldeg.polyfit import FAMILIES, family_closed_form
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
-from oracles import enumerated_pencil_fiber
+from oracles import enumerated_pencil_fiber, rref_phi_basis
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -53,6 +53,16 @@ def test_a_pair_and_its_complement_share_m1(values, d):
 
     for pair in P5_PAIRS:
         assert m1(pair) == m1(complementary_pair(pair))
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+def test_closed_form_basis_matches_rref_oracle_under_any_weights(values):
+    """Field for field, coefficient for coefficient and weight for
+    weight, the closed-form basis is the echelon basis under any
+    admissible weights, at every d = 1..6."""
+    for d in range(1, 7):
+        got = [(f.terms, f.weight) for f in build_phi_basis(d, values)]
+        assert got == rref_phi_basis(d, values)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, pair=st.sampled_from(P5_PAIRS))
