@@ -82,7 +82,7 @@ def _parse_weights(text):
         ) from None
 
 
-def _emit(args, json_dict, text_lines):
+def _emit(args, json_dict, text_lines, ok=True):
     # the file first, so a report that cannot be saved is not printed
     if getattr(args, "out", None):
         try:
@@ -98,6 +98,7 @@ def _emit(args, json_dict, text_lines):
     else:
         for line in text_lines:
             print(line)
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _degree_text(report, method=None):
@@ -121,14 +122,12 @@ def cmd_legendrian(args):
     # --jobs is parsed and checked but has nothing to fan out: the six
     # fixed points share one limit computation
     report = legendrian_degree(args.degree, args.weights, method=method)
-    _emit(args, report.to_json_dict(), _degree_text(report, method))
-    return EXIT_OK
+    return _emit(args, report.to_json_dict(), _degree_text(report, method))
 
 
 def cmd_pencil(args):
     report = pencil_degree(args.degree, args.weights)
-    _emit(args, report.to_json_dict(), _degree_text(report))
-    return EXIT_OK
+    return _emit(args, report.to_json_dict(), _degree_text(report))
 
 
 def _example_tangency_check():
@@ -161,79 +160,48 @@ def run_verify_checks(example=False):
 
     checks = []
 
-    res = limit_fiber_weights((3, 4), 2, method=METHOD_BOTH)
-    got_fiber = tuple(res.quotient_weights)
-    want_fiber = tuple(reference.D2_P34_QUOTIENT_WEIGHTS)
-    checks.append(
-        (
-            "fiber-weights-d2-pair34",
-            got_fiber == want_fiber,
-            "computed %r, frozen %r" % (list(got_fiber), list(want_fiber)),
-        )
-    )
-    got_e5 = WeightMultiset(got_fiber).elementary_symmetric(5)
-    checks.append(
-        (
-            "fiber-e5-d2-pair34",
-            got_e5 == reference.D2_P34_E5,
-            "computed %d, frozen %d" % (got_e5, reference.D2_P34_E5),
-        )
-    )
+    def check(name, ok, computed, frozen):
+        checks.append((name, ok, "computed %s, frozen %s" % (computed, frozen)))
+
+    fiber = list(limit_fiber_weights((3, 4), 2, method=METHOD_BOTH).quotient_weights)
+    frozen_fiber = list(reference.D2_P34_QUOTIENT_WEIGHTS)
+    check("fiber-weights-d2-pair34", fiber == frozen_fiber, fiber, frozen_fiber)
+    e5 = WeightMultiset(fiber).elementary_symmetric(5)
+    check("fiber-e5-d2-pair34", e5 == reference.D2_P34_E5, e5, reference.D2_P34_E5)
 
     report = legendrian_degree(2, method=METHOD_BOTH)
-    for contrib, (pair, num, den) in zip(
-        report.contributions, reference.LEGENDRIAN_D2_CONTRIBUTIONS
-    ):
-        ok = (
-            contrib.pair == pair
-            and Fraction(contrib.numerator, contrib.denominator)
-            == Fraction(num, den)
+    frozen = reference.LEGENDRIAN_D2_CONTRIBUTIONS
+    for contrib, (pair, num, den) in zip(report.contributions, frozen):
+        check(
+            "contribution-d2-pair%d%d" % pair,
+            contrib.pair == pair and contrib.value == Fraction(num, den),
+            "%d/%d" % (contrib.numerator, contrib.denominator),
+            "%d/%d" % (num, den),
         )
-        checks.append(
-            (
-                "contribution-d2-pair%d%d" % pair,
-                ok,
-                "computed %d/%d, frozen %d/%d"
-                % (contrib.numerator, contrib.denominator, num, den),
-            )
-        )
-
-    checks.append(
-        (
-            "total-degree-d2",
-            report.degree == reference.LEGENDRIAN_D2_DEGREE,
-            "computed %d, frozen %d"
-            % (report.degree, reference.LEGENDRIAN_D2_DEGREE),
-        )
-    )
+    degree = reference.LEGENDRIAN_D2_DEGREE
+    check("total-degree-d2", report.degree == degree, report.degree, degree)
 
     if example:
-        ok, detail = _example_tangency_check()
-        checks.append(("example-tangency", ok, detail))
+        checks.append(("example-tangency", *_example_tangency_check()))
 
     return checks
 
 
 def cmd_verify(args):
     checks = run_verify_checks(example=args.example)
-    lines = []
-    for name, ok, detail in checks:
-        if ok:
-            lines.append("PASS %s" % name)
-        else:
-            lines.append("FAIL %s: %s" % (name, detail))
-    passed = sum(1 for _, ok, _ in checks if ok)
-    lines.append("%d/%d checks passed" % (passed, len(checks)))
     json_dict = {
         "checks": [
             {"name": name, "passed": ok, "detail": detail}
             for name, ok, detail in checks
         ],
-        "passed": passed,
+        "passed": sum(1 for _, ok, _ in checks if ok),
         "total": len(checks),
     }
-    _emit(args, json_dict, lines)
-    return EXIT_OK if passed == len(checks) else EXIT_MISMATCH
+    lines = [
+        "PASS %s" % name if ok else "FAIL %s: %s" % (name, detail)
+        for name, ok, detail in checks
+    ] + ["%(passed)d/%(total)d checks passed" % json_dict]
+    return _emit(args, json_dict, lines, json_dict["passed"] == len(checks))
 
 
 def cmd_interpolate(args):
@@ -244,54 +212,29 @@ def cmd_interpolate(args):
             "need %d <= min <= max, got %d..%d" % (lowest, args.min, args.max)
         )
     if args.partial:
-        points = compute_degree_points(
+        lines = ["family: %s" % family, "mode: pointwise"]
+        points = []
+        for d, degree in compute_degree_points(
             family, args.min, args.max, args.weights, jobs=args.jobs
-        )
-        rows = []
-        matches = 0
-        for d, degree in points:
+        ):
             expected = family_closed_form(family, d)
             ok = degree == expected
-            matches += ok
-            rows.append((d, degree, expected, ok))
-        lines = ["family: %s" % family, "mode: pointwise"]
-        for d, degree, expected, ok in rows:
             lines.append(
                 "d=%d: computed %d, closed form %d, %s"
                 % (d, degree, expected, "match" if ok else "MISMATCH")
             )
-        lines.append("%d/%d points match" % (matches, len(rows)))
-        json_dict = {
-            "family": family,
-            "mode": "pointwise",
-            "points": [
-                {
-                    "d": d,
-                    "degree": str(degree),
-                    "closed_form": str(expected),
-                    "match": ok,
-                }
-                for d, degree, expected, ok in rows
-            ],
-            "matches": matches,
-            "total": len(rows),
-        }
-        _emit(args, json_dict, lines)
-        return EXIT_OK if matches == len(rows) else EXIT_MISMATCH
+            points.append(
+                dict(d=d, degree=str(degree), closed_form=str(expected), match=ok)
+            )
+        json_dict = {"family": family, "mode": "pointwise", "points": points}
+        json_dict.update(matches=sum(p["match"] for p in points), total=len(points))
+        lines.append("%(matches)d/%(total)d points match" % json_dict)
+        return _emit(args, json_dict, lines, json_dict["matches"] == len(points))
 
     poly = interpolate_family(
         family, args.min, args.max, args.weights, jobs=args.jobs
     )
-    expected = family_closed_form_polynomial(family)
-    ok = poly == expected
-    lines = [
-        "family: %s" % family,
-        "points: d=%d..%d" % (args.min, args.max),
-        "polynomial degree: %d (bound %d)"
-        % (poly.degree, FAMILIES[family].degree_bound),
-        "polynomial: %s" % poly.render(),
-        "closed form match: %s" % ("yes" if ok else "NO"),
-    ]
+    ok = poly == family_closed_form_polynomial(family)
     json_dict = {
         "family": family,
         "d_min": args.min,
@@ -301,8 +244,15 @@ def cmd_interpolate(args):
         "polynomial": poly.render(),
         "matches_closed_form": ok,
     }
-    _emit(args, json_dict, lines)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    lines = [
+        "family: %s" % family,
+        "points: d=%d..%d" % (args.min, args.max),
+        "polynomial degree: %d (bound %d)"
+        % (poly.degree, FAMILIES[family].degree_bound),
+        "polynomial: %s" % json_dict["polynomial"],
+        "closed form match: %s" % ("yes" if ok else "NO"),
+    ]
+    return _emit(args, json_dict, lines, ok)
 
 
 def _add_common_flags(
