@@ -46,6 +46,7 @@ COMMANDS = (
     "legendrian --help",
     "pencil --help",
     "verify --help",
+    "legendrian --degree 20 --format json",
 )
 
 
