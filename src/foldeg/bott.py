@@ -16,13 +16,13 @@ The six Legendrian limit fibers are one fiber moved around by S_4.  A
 coordinate permutation sigma carries the path kappa_12 + t*kappa_34 to
 the path at [kappa_sigma(1)sigma(2)], up to the sign of t, and the limit
 is fixed by the whole torus T^4, so its Z^4 characters do not depend on
-the weight system.  The image route therefore computes the fiber once
-per degree, at SOURCE_PAIR, as characters; pair (k,l) takes it through
-sigma = (k, l, m, n), {m,n} the complement, with weights
-sum chi_i * w_sigma(i).  The kernel route and "both" still compute all
-six fibers directly ("both" from one contraction per fixed point, shared
-by its two routes), and "both" also checks each against the transported
-one.
+the weight system.  The image route therefore takes the fiber at
+SOURCE_PAIR once per degree, as characters counted along the chains of
+its contraction (foldeg.limits._chain_fiber: no field basis, no global
+matrix, no weights); pair (k,l) takes it through sigma = (k, l, m, n),
+{m,n} the complement, with weights sum chi_i * w_sigma(i).  The kernel
+route and "both" still compute all six fibers directly under the given
+weights, and "both" also checks each against the transported one.
 """
 
 from collections import namedtuple
@@ -43,6 +43,7 @@ from .limits import (
     METHOD_IMAGE,
     METHODS,
     MethodDisagreement,
+    _chain_fiber,
     limit_fiber_weights,
 )
 
@@ -207,12 +208,11 @@ def _source_permutation(pair):
     return tuple(pair) + complementary_pair(pair)
 
 
-def _source_fiber(d, weights):
-    """The image fiber at SOURCE_PAIR as characters: one limit
-    computation; the weights only organize it."""
-    return limit_fiber_weights(
-        SOURCE_PAIR, d, weights, METHOD_IMAGE
-    ).quotient_characters
+@lru_cache(maxsize=None)
+def _source_fiber(d):
+    """The image fiber at SOURCE_PAIR as sorted characters, built from
+    its chains once per degree: it does not depend on the weights."""
+    return _chain_fiber(d)
 
 
 def fiber_characters(d, pair):
@@ -220,7 +220,7 @@ def fiber_characters(d, pair):
     transported from SOURCE_PAIR."""
     pair = as_fixed_point(pair)
     return transport_characters(
-        _source_fiber(d, DEFAULT_WEIGHTS), _source_permutation(pair)
+        _source_fiber(d), _source_permutation(pair)
     )
 
 
@@ -250,7 +250,7 @@ def legendrian_fibers(d, weights, method=None):
 
     method is one of the foldeg.limits METHODS (None picks
     default_method(d)).  The image route takes all six fibers from one
-    limit computation (_source_fiber); the kernel route and "both"
+    cached chain fiber (_source_fiber); the kernel route and "both"
     compute each fixed point directly, and "both" raises
     MethodDisagreement unless every direct fiber equals the one
     transported from its own SOURCE_PAIR result.
@@ -260,7 +260,7 @@ def legendrian_fibers(d, weights, method=None):
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     if method == METHOD_IMAGE:
-        characters = _source_fiber(d, weights)
+        characters = _source_fiber(d)
         for pair in P5_PAIRS:
             yield pair, transported_fiber(characters, pair, weights)
         return

@@ -4,39 +4,34 @@ At each torus-fixed form kappa_ij the straight path
 omega_t = kappa_ij + t * kappa_kl ({k,l} the complementary pair) enters
 the contact locus for t != 0.  Contraction against the degree-d field
 basis (fields.integer_contraction of fields.path_linear_forms) gives a
-matrix over Z[t].  Within a block the entry at row r and column c
-carries t^(lev(r) - lev(c)), 2*lev = chi_k + chi_l, so
-M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal T(t) = diag(t^lev): the path
-is a torus orbit, and what survives at t = 0 is an initial subspace of
-the t = 1 data.  Two deliberately independent routes compute it, each
-with one integer echelon of M(1) per block:
+matrix over Z[t] in which a field of Z^4 character chi meets two rows
+only: chi + e_i + e_j (low, t^0) and chi + e_k + e_l (high, t^1).  The
+high row of chi is the low row of chi + v, v = e_k + e_l - e_i - e_j,
+so the blocks are chains chi_0, chi_0 + v, ... ((d+2)^2 of them), one
+character per level 2*lev = chi_k + chi_l, and the entry at row r and
+column c carries t^(lev(r) - lev(c)).  So M(t) = T_r(t) M(1) T_c(t)^-1
+with diagonal T(t) = diag(t^lev): the path is a torus orbit, and what
+survives at t = 0 is an initial subspace of the t = 1 data.  Two
+independent routes compute it, one integer echelon of M(1) per block:
 
-* image-fiber: the row span.  Its limit is the initial subspace of the
-  row span of M(1) for the highest levels; an echelon of M(1) with the
-  columns by descending level gives it (linalg.limit_rows).  The pivot
-  columns name basis fields whose weights (and Z^4 characters) are the
-  fiber of the image sheaf at the fixed point.
-* kernel-limit: the nullspace.  ker M(t) = T_c(t) ker M(1), so its limit
-  is the initial subspace of ker M(1) for the lowest levels; an echelon
-  of [M(1)^T | I] with the columns by ascending level gives it
-  (_kernel_limits).  Each limit vector lies on its pivot's level, one
-  character within a block, so its weight is read off its support.
-
-Torus equivariance makes the matrix block-diagonal: a column of Z^4
-character chi meets only the rows chi + e_i + e_j (t^0) and
-chi + e_k + e_l (t^1), so the connected blocks that union-find returns
-are the classes of column characters modulo e_k + e_l - e_i - e_j,
-(d+2)^2 of them, and both routes run on these small blocks.  "both"
-builds one contraction and one set of blocks for the two routes.
+* image-fiber: the row span, at the highest levels.  An echelon of M(1)
+  with the columns by descending level gives it (linalg.limit_rows);
+  its pivot columns name the fields whose weights and characters are
+  the fiber of the image sheaf.  A level is one character, and the
+  rank its pivots add to the levels above is its multiplicity in the
+  fiber, whatever the weights: _chain_fiber, foldeg.bott's image route,
+  writes the chains at (1,2) in closed form and counts their pivots.
+* kernel-limit: the nullspace, at the lowest levels.
+  ker M(t) = T_c(t) ker M(1), so an echelon of [M(1)^T | I] with the
+  columns by ascending level gives it (_kernel_limits).  Each limit
+  vector lies on its pivot's level, one character, so its weight is
+  read off its support.  "both" builds one contraction and one set of
+  blocks (union-find) for the two routes.
 """
 
 from math import comb
 
-from .exact import (
-    DEFAULT_WEIGHTS,
-    WeightMultiset,
-    as_weight_system,
-)
+from .exact import DEFAULT_WEIGHTS, WeightMultiset, as_weight_system
 from .fields import (
     as_fixed_point,
     build_phi_basis,
@@ -191,6 +186,51 @@ def _quotient_columns(blocks):
         _, pivots = limit_rows(rows, len(col_idx), levels)
         cols += [col_idx[k] for k in pivots]
     return cols
+
+
+def _chain_entries(chi):
+    """(low, high) entries of the fields of character chi at (1,2)."""
+    c1, c2, c3, c4 = chi
+    if -1 in chi:  # the one field x^(chi + e_j) d/dx_j, chi_j = -1
+        return [((1, 0), (-1, 0), (0, 1), (0, -1))[chi.index(-1)]]
+    return [(c4 + 1, c1 + 1), (-c4 - 1, c2 + 1), (0, c3 + c4 + 2)]
+
+
+def _chains(d):
+    """(column characters, rows of M(1)) of each chain at (1,2), whose
+    characters run by descending level chi_3 + chi_4: row k is the high
+    row of the k-th character and the low row of the one before.  Each
+    column is scaled by chi_4 + 1, which makes its entries closed forms."""
+    if d < 1:
+        raise ValueError("field degree must be >= 1, got %r" % (d,))
+    n, chains = d - 1, {}
+    for lev in range(n + 1, -2, -1):
+        for c3 in range(-1, lev + 2):
+            for c1 in range(-1, n - lev + 2):
+                chi = (c1, n - lev - c1, c3, lev - c3)
+                if chi.count(-1) <= 1:  # a chain's key is constant along v
+                    key = (c1 - chi[1], c3 - chi[3], c1 + c3)
+                    chains.setdefault(key, []).append(chi)
+    for chain in chains.values():
+        cols = [(k, chi, e) for k, chi in enumerate(chain)
+                for e in _chain_entries(chi)]
+        rows = [[0] * len(cols) for _ in range(len(chain) + 1)]
+        for c, (k, _, (low, high)) in enumerate(cols):
+            rows[k + 1][c], rows[k][c] = low, high
+        yield [chi for _, chi, _ in cols], rows
+
+
+def _chain_fiber(d):
+    """The image fiber at (1,2) as sorted Z^4 characters: one copy of a
+    column's character per pivot of its chain's echelon, no basis and no
+    weights.  Raises SaturationRankError unless there are C(d+4, 3)."""
+    fiber = []
+    for owner, rows in _chains(d):
+        fiber += [owner[p] for p in echelon(rows, len(owner))[1]]
+    if len(fiber) != comb(d + 4, 3):
+        raise SaturationRankError("chain image rank %d != %d at d=%d"
+                                  % (len(fiber), comb(d + 4, 3), d))
+    return tuple(sorted(fiber))
 
 
 def _kernel_limits(blocks):

@@ -1,8 +1,8 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v`` for a pass/fail line per
-criterion.  Criterion 7's full sixteen-point interpolation is in the
-slow suite (``pytest -m slow``); everything else runs by default.
+criterion.  All of them run by default, criterion 7's full
+sixteen-point interpolation included.
 
 Every expected number here was verified two independent ways before
 being frozen: localization totals against the closed-form polynomials,
@@ -17,9 +17,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-import pytest
-
-from foldeg.bott import legendrian_degree, tangent_weights_p5
+from foldeg.bott import _source_fiber, legendrian_degree, tangent_weights_p5
 from foldeg.exact import WeightMultiset, WeightSystem, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
@@ -48,9 +46,10 @@ WEIGHT_SYSTEMS = (
 
 
 def _cold_caches():
-    """Clear the basis and monomial caches so timed criteria measure a
-    real run."""
+    """Clear the basis, monomial and source-fiber caches so timed
+    criteria measure a real run."""
     _phi_basis_cached.cache_clear()
+    _source_fiber.cache_clear()
     monomials_of_degree.cache_clear()
 
 
@@ -163,7 +162,6 @@ def test_criterion_07_closed_form_pointwise():
         assert legendrian_degree(d).degree == family_closed_form("legendrian", d)
 
 
-@pytest.mark.slow
 def test_criterion_07_full_interpolation():
     """Sixteen freshly computed degrees (d = 2..17) interpolate to the
     exact degree-15 counting polynomial."""

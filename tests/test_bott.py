@@ -7,6 +7,8 @@ from itertools import permutations
 import pytest
 
 import foldeg.bott as bott
+import foldeg.fields as fields
+import foldeg.limits as limits
 from foldeg.bott import (
     LEGENDRIAN,
     SOURCE_PAIR,
@@ -26,6 +28,7 @@ from foldeg.limits import (
     METHOD_IMAGE,
     METHOD_KERNEL,
     MethodDisagreement,
+    _chain_fiber,
     limit_fiber_weights,
 )
 from foldeg.reference import (
@@ -159,18 +162,35 @@ def test_transport_matches_direct_fibers(weights):
 
 
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
-    calls = []
+    """The image route builds the chain fiber once per degree, under any
+    weights, and neither a field basis nor a contraction matrix."""
+    builds, calls = [], []
+
+    def counting_chains(d):
+        builds.append(d)
+        return _chain_fiber(d)
 
     def counting(pair, d, weights, method):
         calls.append((pair, method))
         return limit_fiber_weights(pair, d, weights, method)
 
+    def refused(*args):
+        raise AssertionError("the image route built a global structure")
+
+    monkeypatch.setattr(bott, "_chain_fiber", counting_chains)
     monkeypatch.setattr(bott, "limit_fiber_weights", counting)
-    image = legendrian_degree(5, method=METHOD_IMAGE)
-    assert calls == [(SOURCE_PAIR, METHOD_IMAGE)]
+    bott._source_fiber.cache_clear()
+    with monkeypatch.context() as m:
+        for module in (fields, limits):
+            m.setattr(module, "build_phi_basis", refused)
+        m.setattr(limits, "build_contraction_matrix", refused)
+        image = legendrian_degree(5, method=METHOD_IMAGE)
+        legendrian_degree(5, ALT_WEIGHTS_A, method=METHOD_IMAGE)
+    bott._source_fiber.cache_clear()
+    assert builds == [5] and calls == []
     kernel = legendrian_degree(5, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
-    assert len(calls) == 1 + 6
+    assert len(calls) == 6
 
 
 def test_both_checks_transported_fibers(monkeypatch):

@@ -1,10 +1,10 @@
 """Tests for the exact limit fibers at the torus-fixed forms."""
 
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
-from foldeg import limits
+from foldeg import bott, limits
 from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightMultiset, monomials_of_degree
 from foldeg.fields import (
@@ -263,6 +263,71 @@ def test_blocks_are_the_character_classes(weights):
             blocks = sorted(cols for cols, _, _ in _blocks(matrix))
             assert blocks == sorted(_character_classes(basis, pair))
             assert len(blocks) == (d + 2) ** 2
+
+
+def _primitive(column):
+    """A column {row monomial: entry}, zeros dropped and divided by the
+    gcd of its entries, as a sorted tuple."""
+    g = gcd(*column.values()) or 1
+    return tuple(sorted((r, v // g) for r, v in column.items() if v))
+
+
+def _shift(chi, e):
+    return tuple(a + b for a, b in zip(chi, e))
+
+
+def test_chains_are_the_union_find_blocks():
+    """At (1,2), d = 1..10: each chain is one union-find block of the
+    contraction, with the same column characters listed by descending
+    level, n + 1 rows for n characters, and the same M(1) up to a
+    positive scale per column.  Chain row k is named by the rule it must
+    follow: the high row chi_k + e3 + e4, and the last one the low row
+    of the last character."""
+    for d in range(1, 11):
+        basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+        matrix = build_contraction_matrix((1, 2), d, basis)
+        blocks = {}
+        for (row_idx, _), (col_idx, _, rows) in zip(
+                _connected_blocks(matrix), _blocks(matrix)):
+            cols = sorted(
+                (basis[c].character, _primitive({
+                    matrix.row_monomials[r]: sum(row[i])
+                    for r, row in zip(row_idx, rows)}))
+                for i, c in enumerate(col_idx))
+            blocks[frozenset(chi for chi, _ in cols)] = cols
+        chains = {}
+        for owner, rows in limits._chains(d):
+            chars = list(dict.fromkeys(owner))
+            levels = [chi[2] + chi[3] for chi in chars]
+            assert levels == list(range(levels[0], levels[-1] - 1, -2))
+            assert len(rows) == len(chars) + 1
+            names = [_shift(chi, (0, 0, 1, 1)) for chi in chars]
+            names.append(_shift(chars[-1], (1, 1, 0, 0)))
+            chains[frozenset(chars)] = sorted(
+                (chi, _primitive({n: row[c] for n, row in zip(names, rows)}))
+                for c, chi in enumerate(owner))
+        assert chains == blocks
+        assert len(chains) == (d + 2) ** 2
+
+
+def test_chain_rank_guard_raises(monkeypatch):
+    """A chain echelon that loses one pivot makes the image route of
+    legendrian_degree raise."""
+    real, dropped = limits.echelon, []
+
+    def one_short(rows, ncols):
+        ech, pivots = real(rows, ncols)
+        if pivots and not dropped:
+            dropped.append(pivots[-1])
+            return ech[:-1], pivots[:-1]
+        return ech, pivots
+
+    monkeypatch.setattr(limits, "echelon", one_short)
+    bott._source_fiber.cache_clear()
+    with pytest.raises(SaturationRankError, match="chain image rank"):
+        legendrian_degree(6, method=METHOD_IMAGE)
+    bott._source_fiber.cache_clear()
+    assert len(dropped) == 1
 
 
 def test_method_disagreement_is_raised(monkeypatch):

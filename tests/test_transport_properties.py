@@ -11,6 +11,7 @@ from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
+    _chain_fiber,
     build_contraction_matrix,
     limit_fiber_weights,
 )
@@ -38,6 +39,16 @@ def test_source_characters_do_not_depend_on_weights(values, d):
     weights organize its computation."""
     direct = limit_fiber_weights(SOURCE_PAIR, d, values, METHOD_IMAGE)
     assert direct.quotient_characters == fiber_characters(d, SOURCE_PAIR)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+def test_chain_fiber_equals_the_weighted_image_route(values):
+    """The chain fiber, built afresh rather than read from the cache of
+    bott._source_fiber, equals the characters of the image route at
+    SOURCE_PAIR under any admissible weights, d = 1..12."""
+    for d in range(1, 13):
+        direct = limit_fiber_weights(SOURCE_PAIR, d, values, METHOD_IMAGE)
+        assert _chain_fiber(d) == direct.quotient_characters, d
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(1, 8))
