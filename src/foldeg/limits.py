@@ -208,8 +208,8 @@ def _chains(d):
         for c3 in range(-1, lev + 2):
             for c1 in range(-1, n - lev + 2):
                 chi = (c1, n - lev - c1, c3, lev - c3)
-                if chi.count(-1) <= 1:  # a chain's key is constant along v
-                    key = (c1 - chi[1], c3 - chi[3], c1 + c3)
+                if chi.count(-1) <= 1:  # chi is a basis character
+                    key = (c1 - chi[1], c3 - chi[3], c1 + c3)  # v-invariant
                     chains.setdefault(key, []).append(chi)
     for chain in chains.values():
         cols = [(k, chi, e) for k, chi in enumerate(chain)
