@@ -47,6 +47,7 @@ COMMANDS = (
     "pencil --help",
     "verify --help",
     "legendrian --degree 20 --format json",
+    "legendrian --degree 12 --method kernel --weights 0,1,5,16 --format json",
 )
 
 
