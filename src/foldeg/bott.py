@@ -20,9 +20,12 @@ the weight system.  The image route therefore takes the fiber at
 SOURCE_PAIR once per degree, as characters counted along the chains of
 its contraction (foldeg.limits._chain_fiber: no field basis, no global
 matrix, no weights); pair (k,l) takes it through sigma = (k, l, m, n),
-{m,n} the complement, with weights sum chi_i * w_sigma(i).  The kernel
-route and "both" still compute all six fibers directly under the given
-weights, and "both" also checks each against the transported one.
+{m,n} the complement: the characters are evaluated at the permuted
+weights w_sigma(1..4), so chi weighs sum chi_i * w_sigma(i).  The
+kernel route and "both" compute all six fibers directly under the given
+weights, on chains written for each pair rather than moved from
+SOURCE_PAIR (the field basis is not S_4-symmetric), and "both" also
+checks each against the transported one.
 """
 
 from collections import namedtuple
@@ -35,6 +38,7 @@ from .exact import (
     RationalPolynomial,
     WeightMultiset,
     as_weight_system,
+    character_weights,
     scalar_to_string,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
@@ -42,14 +46,11 @@ from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHODS,
+    SOURCE_PAIR,
     MethodDisagreement,
     _chain_fiber,
     limit_fiber_weights,
 )
-
-# The fixed point whose limit fiber the image route computes; the other
-# five are reached from it by a coordinate permutation.
-SOURCE_PAIR = (1, 2)
 
 
 class NonIntegralDegree(ArithmeticError):
@@ -224,24 +225,14 @@ def fiber_characters(d, pair):
     )
 
 
-def character_weights(characters, weights):
-    """Evaluate Z^4 characters at a weight system: chi -> sum chi_i * w_i.
-
-    >>> list(character_weights([(2, -1, 0, 0), (0, 0, 1, 0)], (0, 2, 7, 10)))
-    [-2, 7]
-    """
-    w1, w2, w3, w4 = as_weight_system(weights).values
-    return WeightMultiset(
-        a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters
-    )
-
-
 def transported_fiber(characters, pair, weights):
-    """Numeric fiber at pair from the characters at SOURCE_PAIR: the
-    characters moved by sigma (transport_characters), evaluated at the
-    weights."""
+    """Numeric fiber at pair from the characters at SOURCE_PAIR.  A
+    character moved by sigma weighs sum chi_i * w_sigma(i), so the
+    characters are evaluated at the permuted weights, neither moved nor
+    sorted."""
+    w = as_weight_system(weights).values
     return character_weights(
-        transport_characters(characters, _source_permutation(pair)), weights
+        characters, [w[s - 1] for s in _source_permutation(pair)]
     )
 
 

@@ -213,6 +213,18 @@ class WeightMultiset:
         return elementary_symmetric(k, self)
 
 
+def character_weights(characters, weights):
+    """Evaluate Z^4 characters at a weight system: chi -> sum chi_i * w_i.
+
+    >>> list(character_weights([(2, -1, 0, 0), (0, 0, 1, 0)], (0, 2, 7, 10)))
+    [-2, 7]
+    """
+    w1, w2, w3, w4 = as_weight_system(weights).values
+    return WeightMultiset(
+        a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters
+    )
+
+
 def elementary_symmetric(k, values):
     """e_k of a WeightMultiset or of integers (else ValueError: the
     division is exact only on integers), for k in 0..len.  Newton's

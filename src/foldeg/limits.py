@@ -1,37 +1,44 @@
 """Limits of tangency data along the contact deformation, exactly.
 
-At each torus-fixed form kappa_ij the straight path
-omega_t = kappa_ij + t * kappa_kl ({k,l} the complementary pair) enters
-the contact locus for t != 0.  Contraction against the degree-d field
-basis (fields.integer_contraction of fields.path_linear_forms) gives a
-matrix over Z[t] in which a field of Z^4 character chi meets two rows
-only: chi + e_i + e_j (low, t^0) and chi + e_k + e_l (high, t^1).  The
-high row of chi is the low row of chi + v, v = e_k + e_l - e_i - e_j,
-so the blocks are chains chi_0, chi_0 + v, ... ((d+2)^2 of them), one
-character per level 2*lev = chi_k + chi_l, and the entry at row r and
-column c carries t^(lev(r) - lev(c)).  So M(t) = T_r(t) M(1) T_c(t)^-1
-with diagonal T(t) = diag(t^lev): the path is a torus orbit, and what
-survives at t = 0 is an initial subspace of the t = 1 data.  Two
-independent routes compute it, one integer echelon of M(1) per block:
+At each torus-fixed form kappa_pq the straight path
+omega_t = kappa_pq + t * kappa_kl ({k,l} the complementary pair) enters
+the contact locus for t != 0.  Contracted along the path, a field of
+Z^4 character chi meets two rows only: low = chi + e_p + e_q (t^0) and
+high = chi + e_k + e_l (t^1).  The high row of chi is the low row of
+chi + v, v = e_k + e_l - e_p - e_q, so the matrix falls apart into
+chains chi_0, chi_0 - v, ... ((d+2)^2 of them), one character per level
+chi_k + chi_l, and the entry at row r and column c carries
+t^(lev(r) - lev(c)).  So M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal
+T(t) = diag(t^lev): the path is a torus orbit, and what survives at
+t = 0 is an initial subspace of the t = 1 data.  _chains writes the
+chains of a pair in closed form, from the basis formula of
+fields.build_phi_basis and the path of fields.path_linear_forms; no
+matrix is assembled.  Two independent routes compute the limit on them:
 
-* image-fiber: the row span, at the highest levels.  An echelon of M(1)
-  with the columns by descending level gives it (linalg.limit_rows);
-  its pivot columns name the fields whose weights and characters are
-  the fiber of the image sheaf.  A level is one character, and the
-  rank its pivots add to the levels above is its multiplicity in the
-  fiber, whatever the weights: _chain_fiber, foldeg.bott's image route,
-  writes the chains at (1,2) in closed form and counts their pivots.
-* kernel-limit: the nullspace, at the lowest levels.
-  ker M(t) = T_c(t) ker M(1), so an echelon of [M(1)^T | I] with the
-  columns by ascending level gives it (_kernel_limits).  Each limit
-  vector lies on its pivot's level, one character, so its weight is
-  read off its support.  "both" builds one contraction and one set of
-  blocks (union-find) for the two routes.
+* image-fiber: the row span, at the highest levels.  An integer echelon
+  of a chain's M(1) with the columns by descending level gives it
+  (linalg.limit_rows); each pivot is one copy of its column's character
+  in the fiber, whatever the weights.  _chain_fiber, foldeg.bott's image
+  route, counts these pivots at SOURCE_PAIR once per degree.
+* kernel-limit: the nullspace, at the lowest levels, by a rank rule per
+  character and no elimination (_kernel_counts).  Number a chain's
+  characters c_0, c_1, ... from the top, so that c_K has its high row
+  on r_K and its low row on r_(K+1).  A kernel vector x of M(1) whose
+  lowest level is c_K has the limit x_K, with low . x_K = 0 (row
+  r_(K+1)) and high . x_K in A_K, the values that the characters above
+  can absorb on row r_K.  So c_K counts dim {x : low . x = 0,
+  high . x in A_K}.  A_0 = 0 and A_(K+1) = {low . x : high . x in A_K},
+  so every A_K is 0 or Q: it is Q after c_K if A_K = Q and low != 0, or
+  if A_K = 0 and rank [low; high] > rank high.
+
+"both" runs the two routes on one set of chains (_pair_chains).
 """
 
+from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
-from .exact import DEFAULT_WEIGHTS, WeightMultiset, as_weight_system
+from .exact import DEFAULT_WEIGHTS, as_weight_system, character_weights
 from .fields import (
     as_fixed_point,
     build_phi_basis,
@@ -41,7 +48,7 @@ from .fields import (
     monomials_of_degree,
     path_linear_forms,
 )
-from .linalg import echelon, level_part, limit_rows
+from .linalg import echelon, limit_rows
 # Not called here.  The names stay because perfbench/tracing.py hooks
 # foldeg.limits.kernel_basis and foldeg.limits.rank.
 from .linalg import kernel_basis, rank  # noqa: F401
@@ -50,6 +57,10 @@ METHOD_IMAGE = "image-fiber"
 METHOD_KERNEL = "kernel-limit"
 METHOD_BOTH = "both"
 METHODS = (METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH)
+
+# The fixed point whose limit fiber the image route computes; the other
+# five are reached from it by a coordinate permutation (foldeg.bott).
+SOURCE_PAIR = (1, 2)
 
 
 class SaturationRankError(ArithmeticError):
@@ -61,6 +72,9 @@ class MethodDisagreement(ArithmeticError):
     """The two limit routes produced different weight multisets."""
 
 
+# The global contraction is the tests' oracle for the chains.  It stays
+# here because perfbench/tracing.py hooks
+# foldeg.limits.build_contraction_matrix.
 class ContractionMatrix:
     """Contraction of omega_t against a field basis, rows indexed by the
     degree-(d+1) monomials, columns by the basis fields; entries are int
@@ -103,129 +117,83 @@ def build_contraction_matrix(fp, d, basis):
     )
 
 
-def _connected_blocks(matrix):
-    """Column/row index sets of the connected components of the bipartite
-    incidence graph; every column appears in exactly one block (columns
-    with no entries form row-less singletons)."""
-    nrows, ncols = matrix.shape
-    parent = list(range(nrows + ncols))
+def _chains(d, pair):
+    """The chains of the contraction at pair: each a list of
+    (character, ((low, high), ...)) with one entry pair per basis field
+    of the character, the characters by descending level chi_k + chi_l.
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for (r, c) in matrix.entries:
-        a, b = find(r), find(nrows + c)
-        if a != b:
-            parent[a] = b
-
-    cols_of = {}
-    for c in range(ncols):
-        cols_of.setdefault(find(nrows + c), []).append(c)
-    rows_of = {root: [] for root in cols_of}
-    for r in range(nrows):
-        root = find(r)
-        if root in rows_of:
-            rows_of[root].append(r)
-    order = sorted(cols_of, key=lambda root: cols_of[root][0])
-    return [(rows_of[root], cols_of[root]) for root in order]
-
-
-def _blocks(matrix):
-    """(columns, column levels, dense rows) of each connected block, in
-    the order of _connected_blocks.  A column's level is chi_k + chi_l of
-    its character; a row entry is (c0, c1) for c0 + c1*t, (c0,) or ().
-    One pass over the entries buckets them by row."""
-    nrows, ncols = matrix.shape
-    k, l = complementary_pair(matrix.fp)
-    level = [f.character[k - 1] + f.character[l - 1] for f in matrix.basis]
-    by_row = [[] for _ in range(nrows)]
-    constant = {}  # one (c0,) per value: _point_blocks keeps the blocks
-    for (r, c), e in matrix.entries.items():
-        if not e[1]:
-            e = constant.setdefault(e[0], e[:1])
-        by_row[r].append((c, e))
-    local = [0] * ncols
-    for row_idx, col_idx in _connected_blocks(matrix):
-        for i, c in enumerate(col_idx):
-            local[c] = i
-        rows = []
-        for r in row_idx:
-            row = [()] * len(col_idx)
-            for c, e in by_row[r]:
-                row[local[c]] = e
-            rows.append(row)
-        yield col_idx, [level[c] for c in col_idx], rows
-
-
-_last_point = None  # (fp, basis, blocks) of the last _point_blocks call
-
-
-def _point_blocks(fp, basis):
-    """The blocks of the contraction at fp, as a tuple.  The last one is
-    kept for the second route under "both", and dropped before the next
-    is built."""
-    global _last_point
-    last = _last_point
-    if not (last and last[0] == fp and last[1] is basis):
-        last = _last_point = None  # free the old blocks first
-        matrix = build_contraction_matrix(fp, basis.d, basis)
-        last = _last_point = (fp, basis, tuple(_blocks(matrix)))
-    return last[2]
-
-
-def _quotient_columns(blocks):
-    """Basis columns whose weights make up the image fiber: the pivot
-    columns that limit_rows picks, block by block."""
-    cols = []
-    for col_idx, levels, rows in blocks:
-        _, pivots = limit_rows(rows, len(col_idx), levels)
-        cols += [col_idx[k] for k in pivots]
-    return cols
-
-
-def _chain_entries(chi):
-    """(low, high) entries of the fields of character chi at (1,2)."""
-    c1, c2, c3, c4 = chi
-    if -1 in chi:  # the one field x^(chi + e_j) d/dx_j, chi_j = -1
-        return [((1, 0), (-1, 0), (0, 1), (0, -1))[chi.index(-1)]]
-    return [(c4 + 1, c1 + 1), (-c4 - 1, c2 + 1), (0, c3 + c4 + 2)]
-
-
-def _chains(d):
-    """(column characters, rows of M(1)) of each chain at (1,2), whose
-    characters run by descending level chi_3 + chi_4: row k is the high
-    row of the k-th character and the low row of the one before.  Each
-    column is scaled by chi_4 + 1, which makes its entries closed forms."""
+    A character chi of degree d - 1 has entries >= -1, at most one -1.
+    With chi_j = -1 its one field is x^(chi + e_j) d/dx_j.  Otherwise it
+    has three, x^(chi + e_j) d/dx_j - (chi_j + 1)/s * x^(chi + e_4) d/dx_4
+    for j = 1, 2, 3, scaled here by s = chi_4 + 1.  Direction j goes into
+    low with the t^0 coefficient of the path's a_j and into high with
+    its t^1 one."""
     if d < 1:
         raise ValueError("field degree must be >= 1, got %r" % (d,))
-    n, chains = d - 1, {}
-    for lev in range(n + 1, -2, -1):
-        for c3 in range(-1, lev + 2):
-            for c1 in range(-1, n - lev + 2):
-                chi = (c1, n - lev - c1, c3, lev - c3)
-                if chi.count(-1) <= 1:  # chi is a basis character
-                    key = (c1 - chi[1], c3 - chi[3], c1 + c3)  # v-invariant
-                    chains.setdefault(key, []).append(chi)
-    for chain in chains.values():
-        cols = [(k, chi, e) for k, chi in enumerate(chain)
-                for e in _chain_entries(chi)]
-        rows = [[0] * len(cols) for _ in range(len(chain) + 1)]
-        for c, (k, _, (low, high)) in enumerate(cols):
-            rows[k + 1][c], rows[k][c] = low, high
-        yield [chi for _, chi, _ in cols], rows
+    (p, q), (k, l) = pair, complementary_pair(pair)
+    low, high = zip(*(form[0][1] for form in path_linear_forms(pair)))
+    (l1, l2, l3, l4), (h1, h2, h3, h4) = low, high
+    # chi from (chi_p, chi_q, chi_k, chi_l)
+    place = itemgetter(*((p, q, k, l).index(j) for j in (1, 2, 3, 4)))
+    n, chains = d - 1, []
+    # A chain keeps a = chi_p - chi_q and b = chi_k - chi_l, with
+    # a + b = n mod 2.  Its level runs down in steps of 2, from where
+    # chi_p, chi_q >= -1 allow to where chi_k, chi_l >= -1 do.
+    for a in range(-n - 2, n + 3):
+        for b in range(abs(a) - n - 4, n + 5 - abs(a), 2):
+            chain = []
+            for lev in range(n + 2 - abs(a), abs(b) - 3, -2):
+                cp, ck = (n - lev + a) // 2, (lev + b) // 2
+                chi = place((cp, cp - a, ck, ck - b))
+                if -1 not in chi:
+                    m1, m2, m3, s = chi
+                    m1, m2, m3, s = m1 + 1, m2 + 1, m3 + 1, s + 1
+                    fields = ((s * l1 - m1 * l4, s * h1 - m1 * h4),
+                              (s * l2 - m2 * l4, s * h2 - m2 * h4),
+                              (s * l3 - m3 * l4, s * h3 - m3 * h4))
+                elif chi.count(-1) == 1:
+                    j = chi.index(-1)
+                    fields = ((low[j], high[j]),)
+                else:
+                    continue
+                chain.append((chi, fields))
+            if chain:
+                chains.append(chain)
+    return chains
+
+
+@lru_cache(maxsize=1)
+def _pair_chains(d, pair):
+    """The chains at pair, kept for the second route under "both"; one
+    entry, so nothing is kept across degrees."""
+    return tuple(map(tuple, _chains(d, pair)))
+
+
+def _chain_matrix(chain):
+    """The column characters and the dense integer rows of M(1) on a
+    chain, one column per field: row K is the high row of the K-th
+    character and the low row of the one before."""
+    owner = []
+    for chi, fields in chain:
+        owner += [chi] * len(fields)
+    rows = [[0] * len(owner) for _ in range(len(chain) + 1)]
+    c = 0
+    for K, (_, fields) in enumerate(chain):
+        above, below = rows[K], rows[K + 1]
+        for low, high in fields:
+            above[c], below[c] = high, low
+            c += 1
+    return owner, rows
 
 
 def _chain_fiber(d):
-    """The image fiber at (1,2) as sorted Z^4 characters: one copy of a
-    column's character per pivot of its chain's echelon, no basis and no
-    weights.  Raises SaturationRankError unless there are C(d+4, 3)."""
+    """The image fiber at SOURCE_PAIR as sorted Z^4 characters: one copy
+    of a column's character per pivot of its chain's echelon, no basis
+    and no weights.  Raises SaturationRankError unless there are
+    C(d+4, 3)."""
     fiber = []
-    for owner, rows in _chains(d):
+    for chain in _chains(d, SOURCE_PAIR):
+        owner, rows = _chain_matrix(chain)
         fiber += [owner[p] for p in echelon(rows, len(owner))[1]]
     if len(fiber) != comb(d + 4, 3):
         raise SaturationRankError("chain image rank %d != %d at d=%d"
@@ -233,38 +201,43 @@ def _chain_fiber(d):
     return tuple(sorted(fiber))
 
 
-def _kernel_limits(blocks):
-    """(columns, limit kernel vectors) of each of the blocks.
-
-    ker M(t) = T_c(t) ker M(1), so the limit at t = 0 is spanned by the
-    lowest-level parts of an echelon basis of ker M(1) whose columns run
-    by ascending level: the rows of the integer echelon of [M(1)^T | I]
-    that pivot in the identity part, each cut down to its pivot's level.
-    The vectors are indexed like the block's columns."""
-    for col_idx, levels, rows in blocks:
-        order = sorted(range(len(col_idx)), key=levels.__getitem__)
-        m = len(rows)
-        aug = [[sum(row[q]) for row in rows] + [int(p == q) for p in order]
-               for q in order]
-        ech, pivots = echelon(aug, m + len(order))
-        vectors = [level_part(row[m:], order, levels, levels[order[p - m]])
-                   for row, p in zip(ech, pivots) if p >= m]
-        yield col_idx, vectors
+def _image_characters(chains):
+    """The image fiber on chains, one character per pivot that
+    limit_rows picks.  A chain's level falls by one step per character,
+    so -K orders the columns of its K-th character."""
+    fiber = []
+    for chain in chains:
+        owner, rows = _chain_matrix(chain)
+        rows = [[(x,) if x else () for x in row] for row in rows]
+        levels = [-K for K, (_, fields) in enumerate(chain) for _ in fields]
+        fiber += [owner[p] for p in limit_rows(rows, len(owner), levels)[1]]
+    return fiber
 
 
-def _kernel_weights_for_block(vectors, col_idx, basis):
-    """Weights of a T-stable kernel limit, one per limit vector.  Each
-    vector is cut down to its pivot's level, and within a block one
-    level is one character, so its support must lie in one weight
-    space."""
-    out = []
-    for v in vectors:
-        support = {basis[c].weight for c, x in zip(col_idx, v) if x}
-        if len(support) != 1:
-            raise SaturationRankError("limit kernel is not a sum of "
-                                      "weight spaces")
-        out += support
-    return out
+def _rank2(fields):
+    """Rank of the 2 x f matrix whose columns are the (low, high) pairs."""
+    nonzero = [e for e in fields if e != (0, 0)]
+    if not nonzero:
+        return 0
+    a, b = nonzero[0]
+    return 1 + any(a * y != b * x for x, y in nonzero[1:])
+
+
+def _kernel_counts(chain):
+    """The multiplicity of each character of a chain in the kernel
+    limit, by the rank rule of the module docstring.  absorbs is
+    A_K = Q; it starts false."""
+    counts, absorbs = [], False
+    for _, fields in chain:
+        low = int(any(x for x, _ in fields))  # rank of the low row
+        if absorbs:
+            counts.append(len(fields) - low)
+            absorbs = bool(low)
+        else:
+            both = _rank2(fields)
+            counts.append(len(fields) - both)
+            absorbs = both > any(y for _, y in fields)
+    return counts
 
 
 class LimitFiberResult:
@@ -272,31 +245,24 @@ class LimitFiberResult:
     the image sheaf (what the Euler class is made of), kernel_weights its
     complement inside the weights of the full field basis.
 
-    quotient_fields are the basis fields behind the image fiber (image
-    route and "both"; None from the kernel route alone)."""
+    quotient_characters is the image fiber as sorted Z^4 characters
+    (image route and "both"; None from the kernel route alone).  The
+    limit is fixed by the whole torus, so they do not depend on the
+    weight system."""
 
     __slots__ = (
         "pair", "d", "quotient_weights", "kernel_weights", "method",
-        "quotient_fields",
+        "quotient_characters",
     )
 
     def __init__(self, pair, d, quotient_weights, kernel_weights, method,
-                 quotient_fields=None):
+                 quotient_characters=None):
         self.pair = pair
         self.d = d
         self.quotient_weights = quotient_weights
         self.kernel_weights = kernel_weights
         self.method = method
-        self.quotient_fields = quotient_fields
-
-    @property
-    def quotient_characters(self):
-        """The image fiber as sorted Z^4 characters, or None.  The limit
-        is fixed by the whole torus, so these do not depend on the weight
-        system."""
-        if self.quotient_fields is None:
-            return None
-        return tuple(sorted(f.character for f in self.quotient_fields))
+        self.quotient_characters = quotient_characters
 
     def to_json_dict(self):
         return {
@@ -344,36 +310,36 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
             )
         return LimitFiberResult(
             fp, d, img.quotient_weights, img.kernel_weights, METHOD_BOTH,
-            img.quotient_fields,
+            img.quotient_characters,
         )
 
-    basis = build_phi_basis(d, w)
-    blocks = _point_blocks(fp, basis)
-    all_weights = basis.weight_multiset()
+    all_weights = build_phi_basis(d, w).weight_multiset()
+    chains = _pair_chains(d, fp)
 
     if method == METHOD_IMAGE:
-        quotient_cols = _quotient_columns(blocks)
+        characters = _image_characters(chains)
         expected = comb(d + 4, 3)
-        if len(quotient_cols) != expected:
+        if len(characters) != expected:
             raise SaturationRankError(
                 "limit image rank %d != %d at %r, d=%d"
-                % (len(quotient_cols), expected, fp, d)
+                % (len(characters), expected, fp, d)
             )
-        fields = [basis[c] for c in quotient_cols]
-        qw = WeightMultiset(f.weight for f in fields)
+        characters = tuple(sorted(characters))
+        qw = character_weights(characters, w)
         kw = all_weights.difference(qw)
     else:
-        kernel_list = []
-        for cols, vectors in _kernel_limits(blocks):
-            kernel_list += _kernel_weights_for_block(vectors, cols, basis)
+        kernel = []
+        for chain in chains:
+            for (chi, _), count in zip(chain, _kernel_counts(chain)):
+                kernel += [chi] * count
         expected = contact_kernel_dimension(d)
-        if len(kernel_list) != expected:
+        if len(kernel) != expected:
             raise SaturationRankError(
                 "limit kernel rank %d != %d at %r, d=%d"
-                % (len(kernel_list), expected, fp, d)
+                % (len(kernel), expected, fp, d)
             )
-        kw = WeightMultiset(kernel_list)
+        kw = character_weights(kernel, w)
         qw = all_weights.difference(kw)
-        fields = None
+        characters = None
 
-    return LimitFiberResult(fp, d, qw, kw, method, fields)
+    return LimitFiberResult(fp, d, qw, kw, method, characters)

@@ -5,13 +5,16 @@ product recurrence over every value, the pencil fiber by enumerating
 every monomial weight, the interpolant as a sum of Lagrange basis
 polynomials, the image limit as a saturation over Z[t] localized at t,
 which knows nothing of torus levels, the kernel limit's weights as
-ranks of its projections onto each weight space, and the basis Phi_d
-as the divergence kernel of each weight space in echelon form.  They
-share no code with what they check beyond RationalPolynomial, the
-monomial list and weights, MonomialField, the complement of a pair and
-the Fraction rref and kernel basis.
+ranks of its projections onto each weight space, the basis Phi_d as the
+divergence kernel of each weight space in echelon form, the blocks of
+the global contraction by union-find, and the kernel limit as one
+integer echelon of [M(1)^T | I] per block.  They share no code with
+what they check beyond RationalPolynomial, the monomial list and
+weights, MonomialField, the complement of a pair, the Fraction rref and
+kernel basis, and the integer echelon.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +25,8 @@ from foldeg.exact import (
     monomials_of_degree,
 )
 from foldeg.fields import MonomialField, complementary_pair
-from foldeg.linalg import kernel_basis, rref
+from foldeg.limits import SaturationRankError
+from foldeg.linalg import echelon, kernel_basis, level_part, rref
 
 
 def elementary_symmetric_recurrence(k, values):
@@ -212,3 +216,131 @@ def rref_phi_basis(d, weights):
             )
             fields.append((terms, wt))
     return fields
+
+
+def _connected_blocks(matrix):
+    """Column/row index sets of the connected components of the bipartite
+    incidence graph; every column appears in exactly one block (columns
+    with no entries form row-less singletons)."""
+    nrows, ncols = matrix.shape
+    parent = list(range(nrows + ncols))
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for (r, c) in matrix.entries:
+        a, b = find(r), find(nrows + c)
+        if a != b:
+            parent[a] = b
+
+    cols_of = {}
+    for c in range(ncols):
+        cols_of.setdefault(find(nrows + c), []).append(c)
+    rows_of = {root: [] for root in cols_of}
+    for r in range(nrows):
+        root = find(r)
+        if root in rows_of:
+            rows_of[root].append(r)
+    order = sorted(cols_of, key=lambda root: cols_of[root][0])
+    return [(rows_of[root], cols_of[root]) for root in order]
+
+
+def _blocks(matrix):
+    """(columns, column levels, dense rows) of each connected block, in
+    the order of _connected_blocks.  A column's level is chi_k + chi_l of
+    its character; a row entry is (c0, c1) for c0 + c1*t, (c0,) or ().
+    One pass over the entries buckets them by row."""
+    nrows, ncols = matrix.shape
+    k, l = complementary_pair(matrix.fp)
+    level = [f.character[k - 1] + f.character[l - 1] for f in matrix.basis]
+    by_row = [[] for _ in range(nrows)]
+    constant = {}  # one (c0,) per value: _point_blocks keeps the blocks
+    for (r, c), e in matrix.entries.items():
+        if not e[1]:
+            e = constant.setdefault(e[0], e[:1])
+        by_row[r].append((c, e))
+    local = [0] * ncols
+    for row_idx, col_idx in _connected_blocks(matrix):
+        for i, c in enumerate(col_idx):
+            local[c] = i
+        rows = []
+        for r in row_idx:
+            row = [()] * len(col_idx)
+            for c, e in by_row[r]:
+                row[local[c]] = e
+            rows.append(row)
+        yield col_idx, [level[c] for c in col_idx], rows
+
+
+def _kernel_limits(blocks):
+    """(columns, limit kernel vectors) of each of the blocks.
+
+    ker M(t) = T_c(t) ker M(1), so the limit at t = 0 is spanned by the
+    lowest-level parts of an echelon basis of ker M(1) whose columns run
+    by ascending level: the rows of the integer echelon of [M(1)^T | I]
+    that pivot in the identity part, each cut down to its pivot's level.
+    The vectors are indexed like the block's columns."""
+    for col_idx, levels, rows in blocks:
+        order = sorted(range(len(col_idx)), key=levels.__getitem__)
+        m = len(rows)
+        aug = [[sum(row[q]) for row in rows] + [int(p == q) for p in order]
+               for q in order]
+        ech, pivots = echelon(aug, m + len(order))
+        vectors = [level_part(row[m:], order, levels, levels[order[p - m]])
+                   for row, p in zip(ech, pivots) if p >= m]
+        yield col_idx, vectors
+
+
+def _kernel_weights_for_block(vectors, col_idx, basis):
+    """Weights of a T-stable kernel limit, one per limit vector.  Each
+    vector is cut down to its pivot's level, and within a block one
+    level is one character, so its support must lie in one weight
+    space."""
+    out = []
+    for v in vectors:
+        support = {basis[c].weight for c, x in zip(col_idx, v) if x}
+        if len(support) != 1:
+            raise SaturationRankError("limit kernel is not a sum of "
+                                      "weight spaces")
+        out += support
+    return out
+
+
+def kernel_counts_by_block(matrix):
+    """Per union-find block of a contraction, named by the set of its
+    column characters: how many of its kernel limit vectors
+    (_kernel_limits) lie on each character.  The support of each vector
+    must lie on one."""
+    basis = matrix.basis
+    out = {}
+    for cols, vectors in _kernel_limits(tuple(_blocks(matrix))):
+        counts = Counter()
+        for v in vectors:
+            (chi,) = {basis[c].character for c, x in zip(cols, v) if x}
+            counts[chi] += 1
+        out[frozenset(basis[c].character for c in cols)] = counts
+    return out
+
+
+def chain_kernel_counts(chain):
+    """The kernel limit count of each character of a chain, given as
+    (character, ((low, high), ...)) by descending level, from
+    _kernel_limits on its dense rows: row K holds the high entries of
+    the K-th character and the low entries of the one before."""
+    cols = [(K, e) for K, (_, fields) in enumerate(chain) for e in fields]
+    rows = [[()] * len(cols) for _ in range(len(chain) + 1)]
+    for c, (K, (low, high)) in enumerate(cols):
+        rows[K][c] = (high,) if high else ()
+        rows[K + 1][c] = (low,) if low else ()
+    levels = [-K for K, _ in cols]
+    ((_, vectors),) = _kernel_limits([(list(range(len(cols))), levels, rows)])
+    counts = [0] * len(chain)
+    for v in vectors:
+        (K,) = {cols[c][0] for c, x in enumerate(v) if x}
+        counts[K] += 1
+    return counts

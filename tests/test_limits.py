@@ -1,5 +1,6 @@
 """Tests for the exact limit fibers at the torus-fixed forms."""
 
+from collections import Counter
 from math import comb, gcd, lcm
 
 import pytest
@@ -23,9 +24,6 @@ from foldeg.limits import (
     ContractionMatrix,
     MethodDisagreement,
     SaturationRankError,
-    _blocks,
-    _connected_blocks,
-    _kernel_limits,
     build_contraction_matrix,
     limit_fiber_weights,
 )
@@ -38,7 +36,15 @@ from foldeg.reference import (
     D2_P34_SYMBOLIC_WEIGHTS,
     DEFAULT_WEIGHTS,
 )
-from oracles import projected_kernel_weights, saturated_limit_rows
+from oracles import (
+    _blocks,
+    _connected_blocks,
+    _kernel_limits,
+    _kernel_weights_for_block,
+    kernel_counts_by_block,
+    projected_kernel_weights,
+    saturated_limit_rows,
+)
 
 
 def test_fixed_points_enumeration():
@@ -277,37 +283,73 @@ def _shift(chi, e):
 
 
 def test_chains_are_the_union_find_blocks():
-    """At (1,2), d = 1..10: each chain is one union-find block of the
-    contraction, with the same column characters listed by descending
-    level, n + 1 rows for n characters, and the same M(1) up to a
-    positive scale per column.  Chain row k is named by the rule it must
-    follow: the high row chi_k + e3 + e4, and the last one the low row
-    of the last character."""
+    """At every fixed point (i,j), complement (k,l), d = 1..10: each
+    chain is one union-find block of the contraction, with the same
+    column characters listed by descending level chi_k + chi_l, n + 1
+    rows for n characters, and the same M(1) up to a positive scale per
+    column.  Chain row K is named by the rule it must follow: the high
+    row chi_K + e_k + e_l, and the last one the low row
+    chi + e_i + e_j of the last character."""
+    for pair in P5_PAIRS:
+        (i, j), (k, l) = pair, complementary_pair(pair)
+        e_low = tuple(int(a in (i, j)) for a in (1, 2, 3, 4))
+        e_high = tuple(int(a in (k, l)) for a in (1, 2, 3, 4))
+        for d in range(1, 11):
+            basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+            matrix = build_contraction_matrix(pair, d, basis)
+            blocks = {}
+            for (row_idx, _), (col_idx, _, rows) in zip(
+                    _connected_blocks(matrix), _blocks(matrix)):
+                cols = sorted(
+                    (basis[c].character, _primitive({
+                        matrix.row_monomials[r]: sum(row[a])
+                        for r, row in zip(row_idx, rows)}))
+                    for a, c in enumerate(col_idx))
+                blocks[frozenset(chi for chi, _ in cols)] = cols
+            chains = {}
+            for chain in limits._chains(d, pair):
+                chars = [chi for chi, _ in chain]
+                levels = [chi[k - 1] + chi[l - 1] for chi in chars]
+                assert levels == list(range(levels[0], levels[-1] - 1, -2))
+                owner, rows = limits._chain_matrix(chain)
+                assert len(rows) == len(chars) + 1
+                names = [_shift(chi, e_high) for chi in chars]
+                names.append(_shift(chars[-1], e_low))
+                chains[frozenset(chars)] = sorted(
+                    (chi, _primitive({n: row[c]
+                                      for n, row in zip(names, rows)}))
+                    for c, chi in enumerate(owner))
+            assert chains == blocks, (pair, d)
+            assert len(chains) == (d + 2) ** 2
+
+
+def test_chain_columns_are_the_basis_characters():
+    """At every fixed point, the chains' columns carry the characters of
+    the basis fields, as multisets, d = 1..10."""
     for d in range(1, 11):
-        basis = build_phi_basis(d, DEFAULT_WEIGHTS)
-        matrix = build_contraction_matrix((1, 2), d, basis)
-        blocks = {}
-        for (row_idx, _), (col_idx, _, rows) in zip(
-                _connected_blocks(matrix), _blocks(matrix)):
-            cols = sorted(
-                (basis[c].character, _primitive({
-                    matrix.row_monomials[r]: sum(row[i])
-                    for r, row in zip(row_idx, rows)}))
-                for i, c in enumerate(col_idx))
-            blocks[frozenset(chi for chi, _ in cols)] = cols
-        chains = {}
-        for owner, rows in limits._chains(d):
-            chars = list(dict.fromkeys(owner))
-            levels = [chi[2] + chi[3] for chi in chars]
-            assert levels == list(range(levels[0], levels[-1] - 1, -2))
-            assert len(rows) == len(chars) + 1
-            names = [_shift(chi, (0, 0, 1, 1)) for chi in chars]
-            names.append(_shift(chars[-1], (1, 1, 0, 0)))
-            chains[frozenset(chars)] = sorted(
-                (chi, _primitive({n: row[c] for n, row in zip(names, rows)}))
-                for c, chi in enumerate(owner))
-        assert chains == blocks
-        assert len(chains) == (d + 2) ** 2
+        want = sorted(f.character for f in build_phi_basis(d))
+        for pair in P5_PAIRS:
+            got = [chi for chain in limits._chains(d, pair)
+                   for chi in limits._chain_matrix(chain)[0]]
+            assert sorted(got) == want, (pair, d)
+
+
+@pytest.mark.parametrize(
+    "weights", (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+)
+def test_kernel_rule_equals_the_echelon_oracle(weights):
+    """Chain by chain and character by character, the rank rule counts
+    what the [M(1)^T | I] echelon of each union-find block counts, at
+    every fixed point, d = 1..10."""
+    for d in range(1, 11):
+        basis = build_phi_basis(d, weights)
+        for pair in P5_PAIRS:
+            want = kernel_counts_by_block(
+                build_contraction_matrix(pair, d, basis))
+            for chain in limits._chains(d, pair):
+                chars = [chi for chi, _ in chain]
+                got = dict(zip(chars, limits._kernel_counts(chain)))
+                assert Counter(got) == want[frozenset(chars)], (pair, d)
 
 
 def test_chain_rank_guard_raises(monkeypatch):
@@ -332,10 +374,11 @@ def test_chain_rank_guard_raises(monkeypatch):
 
 def test_method_disagreement_is_raised(monkeypatch):
     """--method both compares the two routes and raises on a mismatch."""
-    def first_columns(blocks):
-        return list(range(comb(2 + 4, 3)))
+    def first_columns(chains):
+        return [chi for chain in chains
+                for chi in limits._chain_matrix(chain)[0]][:comb(2 + 4, 3)]
 
-    monkeypatch.setattr(limits, "_quotient_columns", first_columns)
+    monkeypatch.setattr(limits, "_image_characters", first_columns)
     with pytest.raises(MethodDisagreement):
         limit_fiber_weights((1, 2), 2, method=METHOD_BOTH)
 
@@ -394,31 +437,31 @@ def test_kernel_weights_equal_the_projection_rank_oracle(weights):
         for pair in P5_PAIRS:
             blocks = tuple(_blocks(build_contraction_matrix(pair, d, basis)))
             for cols, vectors in _kernel_limits(blocks):
-                got = limits._kernel_weights_for_block(vectors, cols, basis)
+                got = _kernel_weights_for_block(vectors, cols, basis)
                 assert sorted(got) == projected_kernel_weights(
                     vectors, cols, basis
                 )
 
 
-def _count_contractions(monkeypatch):
-    """Count the calls of build_contraction_matrix from now on, with no
-    contraction remembered from before."""
+def _count_chains(monkeypatch):
+    """Count the chain builds from now on, with no chains remembered
+    from before."""
     calls = []
-    real = limits.build_contraction_matrix
+    real = limits._chains
 
-    def counted(*args):
-        calls.append(args[:2])
-        return real(*args)
+    def counted(d, pair):
+        calls.append((pair, d))
+        return real(d, pair)
 
-    monkeypatch.setattr(limits, "build_contraction_matrix", counted)
-    monkeypatch.setattr(limits, "_last_point", None)
+    monkeypatch.setattr(limits, "_chains", counted)
+    limits._pair_chains.cache_clear()
     return calls
 
 
 def test_both_builds_one_contraction_per_fixed_point(monkeypatch):
-    """Under "both" the image and the kernel route share one contraction
-    and its blocks."""
-    calls = _count_contractions(monkeypatch)
+    """Under "both" the image and the kernel route share the chains of
+    each fixed point, built once."""
+    calls = _count_chains(monkeypatch)
     limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_BOTH)
     assert calls == [((2, 4), 3)]
     del calls[:]
@@ -443,26 +486,29 @@ def test_shared_blocks_are_never_stale(monkeypatch):
     fresh = []
     for call in calls:
         for m in methods:
-            monkeypatch.setattr(limits, "_last_point", None)
+            limits._pair_chains.cache_clear()
             fresh.append(_fiber(*call, m))
     assert in_a_row == fresh
 
 
 def test_kernel_route_guards_raise(monkeypatch):
-    """The kernel route refuses a limit vector that mixes weights and a
-    limit kernel of the wrong rank."""
+    """The kernel oracle refuses a limit vector that mixes weights, and
+    the kernel route a limit kernel of the wrong rank."""
     basis = build_phi_basis(3, DEFAULT_WEIGHTS)
     blocks = tuple(_blocks(build_contraction_matrix((1, 2), 3, basis)))
     cols = next(cols for cols, _ in _kernel_limits(blocks)
                 if len({basis[c].weight for c in cols}) > 1)
     with pytest.raises(SaturationRankError, match="weight spaces"):
-        limits._kernel_weights_for_block([[1] * len(cols)], cols, basis)
+        _kernel_weights_for_block([[1] * len(cols)], cols, basis)
 
-    def one_short(blocks):
-        for cols, vectors in _kernel_limits(blocks):
-            yield cols, vectors[1:]
+    real = limits._kernel_counts
 
-    monkeypatch.setattr(limits, "_kernel_limits", one_short)
+    def one_short(chain):
+        counts = real(chain)
+        return [max(counts[0] - 1, 0)] + counts[1:]
+
+    monkeypatch.setattr(limits, "_kernel_counts", one_short)
+    limits._pair_chains.cache_clear()
     with pytest.raises(SaturationRankError, match="kernel rank"):
         limit_fiber_weights((1, 2), 3, method=METHOD_KERNEL)
 

@@ -6,6 +6,9 @@ from itertools import combinations
 
 import pytest
 
+from collections import Counter
+
+from foldeg import limits
 from foldeg.bott import SOURCE_PAIR, fiber_characters, localize
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
@@ -18,7 +21,12 @@ from foldeg.limits import (
 from foldeg.pencil import pd_twisted_weights, pencil_degree
 from foldeg.polyfit import FAMILIES, family_closed_form
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
-from oracles import enumerated_pencil_fiber, rref_phi_basis
+from oracles import (
+    chain_kernel_counts,
+    enumerated_pencil_fiber,
+    kernel_counts_by_block,
+    rref_phi_basis,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -49,6 +57,41 @@ def test_chain_fiber_equals_the_weighted_image_route(values):
     for d in range(1, 13):
         direct = limit_fiber_weights(SOURCE_PAIR, d, values, METHOD_IMAGE)
         assert _chain_fiber(d) == direct.quotient_characters, d
+
+
+@hypothesis.given(
+    values=ADMISSIBLE_WEIGHTS, pair=st.sampled_from(P5_PAIRS),
+    d=st.integers(1, 8),
+)
+def test_kernel_rule_equals_the_echelon_oracle_under_any_weights(
+        values, pair, d):
+    """Chain by chain, the rank rule counts what the [M(1)^T | I]
+    echelon of the union-find blocks counts under any admissible
+    weights."""
+    want = kernel_counts_by_block(
+        build_contraction_matrix(pair, d, build_phi_basis(d, values)))
+    for chain in limits._chains(d, pair):
+        chars = [chi for chi, _ in chain]
+        got = dict(zip(chars, limits._kernel_counts(chain)))
+        assert Counter(got) == want[frozenset(chars)]
+
+
+ENTRY = st.integers(-2, 2)
+
+
+@hypothesis.given(fields=st.lists(
+    st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=3),
+    min_size=1, max_size=6,
+))
+@hypothesis.example(fields=[[(1, 1)], [(0, 1)]])
+def test_kernel_rule_holds_on_any_chain(fields):
+    """The rank rule is the echelon oracle on any chain with two rows per
+    character, not only on the contraction's.  There A_K is 0 only above
+    the top character and below the bottom one, so the test
+    "rank [low; high] > rank high" changes no count; here, as in the
+    example, it does."""
+    chain = [((K,), tuple(f)) for K, f in enumerate(fields)]
+    assert limits._kernel_counts(chain) == chain_kernel_counts(chain)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(1, 8))
