@@ -10,28 +10,44 @@ minimum degree, polynomial bound, fibers, tangent weights and published
 closed form; localize computes the sum for any of them.  This module
 holds the Legendrian family (LEGENDRIAN, legendrian_degree), whose
 parameter space is the P^5 of antisymmetric forms; foldeg.pencil holds
-the pencil family.
+the pencil family.  Both build their fibers from one count of the
+degree-(d+1) monomial weights, split at each pair the same way.
 
-The six Legendrian limit fibers are one fiber moved around by S_4.  A
-coordinate permutation sigma carries the path kappa_12 + t*kappa_34 to
-the path at [kappa_sigma(1)sigma(2)], up to the sign of t, and the limit
-is fixed by the whole torus T^4, so its Z^4 characters do not depend on
-the weight system.  The image route therefore takes the fiber at
-SOURCE_PAIR once per degree, as characters counted along the chains of
-its contraction (foldeg.limits._chain_fiber: no field basis, no global
-matrix, no weights); pair (k,l) takes it through sigma = (k, l, m, n),
-{m,n} the complement: the characters are evaluated at the permuted
-weights w_sigma(1..4), so chi weighs sum chi_i * w_sigma(i).  The
-kernel route and "both" compute all six fibers directly under the given
-weights, on chains written for each pair rather than moved from
-SOURCE_PAIR (the field basis is not S_4-symmetric), and "both" also
-checks each against the transported one.
+The Legendrian image fiber has a closed form.  At the pair (p,q) with
+complement (k,l) it is one character per degree-(d+1) monomial m:
+m - e_p - e_q if m involves x_p or x_q, and m - e_k - e_l for the d + 2
+monomials in x_k, x_l alone.  The limit is fixed by the torus and S_4
+moves the path at (1,2) to the one at any pair, as it moves the monomials,
+so it is enough to argue at (1,2), on the chains of foldeg.limits.  There
+the fiber count of a character is the rank its columns add to the
+echelon of its chain's M(1), with the columns by descending level.  The
+real rows of a chain are monomials, and its M(1) has full row rank,
+because the contraction is onto S_(d+1).  A real row m with m_1 or
+m_2 > 0 is the low row of the character m - e_1 - e_2, the first by
+level to touch it, whose low entries are not all zero ((s, -s, 0) with
+s = chi_4 + 1 >= 1 for three fields, the t^0 coefficient of a_1 or a_2
+for one), so that character adds rank 1 at least.  A real row m with
+m_1 = m_2 = 0 is the top row of its chain: m - e_1 - e_2 has two -1
+entries and no field, so only the top character m - e_3 - e_4 touches
+m, through its high row.  Its fields have the (low, high) entries
+(s, 1), (-s, 1), (0, m_3 + m_4), so it adds rank 2, one for each row;
+for m = x_3^(d+1) or x_4^(d+1) it has one field, no low row, and adds 1.
+These lower bounds add up to the number of real rows, the full rank, so
+they are exact.  In short, each real row m is first spanned by the
+character whose low row it is, m - e_1 - e_2.  The exception is
+m_1 = m_2 = 0: that character has no field, so the character below
+claims m through its high row, m - e_3 - e_4.
+
+The image route therefore counts the monomial weights once per degree
+and weight system and shifts them per pair (image_fiber_weights); it
+builds no chains, echelon or field basis.  The kernel route and "both"
+compute all six fibers directly under the given weights (foldeg.limits),
+and "both" also checks each against the closed form at its own pair.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from .exact import (
     DEFAULT_WEIGHTS,
@@ -39,6 +55,7 @@ from .exact import (
     WeightMultiset,
     as_weight_system,
     character_weights,
+    monomials_of_degree,
     scalar_to_string,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
@@ -46,9 +63,7 @@ from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHODS,
-    SOURCE_PAIR,
     MethodDisagreement,
-    _chain_fiber,
     limit_fiber_weights,
 )
 
@@ -192,81 +207,77 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     return DegreeReport(family.name, d, w, contributions, int(total))
 
 
-def transport_characters(characters, sigma):
-    """Move characters by the coordinate permutation i -> sigma[i-1]:
-    chi goes to chi' with chi'_sigma(i) = chi_i.  Returned sorted.
-
-    >>> transport_characters([(2, -1, 0, 0)], (3, 4, 1, 2))
-    ((0, 0, 2, -1),)
-    """
-    move = itemgetter(*(sigma.index(j) for j in (1, 2, 3, 4)))
-    return tuple(sorted(map(move, characters)))
+def _monomial_weights(d, w):
+    """Weight counts of the degree-(d+1) monomials, shared by the six
+    fixed points of either family: an exponent vector is a character, so
+    its weight is a dot product."""
+    return character_weights(monomials_of_degree(d + 1), w)
 
 
-def _source_permutation(pair):
-    """The permutation (k, l, m, n) that takes SOURCE_PAIR to pair (k, l),
-    and its complement (3, 4) to the complement (m, n)."""
-    return tuple(pair) + complementary_pair(pair)
+def split_monomial_weights(pair, d, w, monomial_weights):
+    """The degree-(d+1) monomial weight counts split at pair (p,q) with
+    complement (k,l): those of the monomials that involve x_p or x_q, and
+    the d+2 weights a*w_k + (d+1-a)*w_l of those in x_k, x_l alone."""
+    k, l = complementary_pair(pair)
+    wk, wl = w.weight(k), w.weight(l)
+    removed = WeightMultiset(a * wk + (d + 1 - a) * wl for a in range(d + 2))
+    return monomial_weights.difference(removed), removed
 
 
-@lru_cache(maxsize=None)
-def _source_fiber(d):
-    """The image fiber at SOURCE_PAIR as sorted characters, built from
-    its chains once per degree: it does not depend on the weights."""
-    return _chain_fiber(d)
+def image_fiber_weights(pair, d, w, monomial_weights):
+    """The image fiber at [kappa_pair] in closed form (module docstring):
+    the monomials that involve x_p or x_q shifted by -(w_p + w_q), the
+    rest by -(w_k + w_l)."""
+    rest, removed = split_monomial_weights(pair, d, w, monomial_weights)
+    low, high = w.pair_sum(pair), w.pair_sum(complementary_pair(pair))
+    counts = Counter({v - low: m for v, m in rest.counts.items()})
+    for v, m in removed.counts.items():
+        counts[v - high] += m
+    return WeightMultiset.from_counts(counts)
 
 
 def fiber_characters(d, pair):
-    """The image fiber at [kappa_pair] as sorted Z^4 characters,
-    transported from SOURCE_PAIR."""
+    """The image fiber at [kappa_pair] as sorted Z^4 characters, in
+    closed form: m - e_p - e_q for each degree-(d+1) monomial m that
+    involves x_p or x_q, m - e_k - e_l for the others."""
+    if d < 1:
+        raise ValueError("field degree must be >= 1, got %r" % (d,))
     pair = as_fixed_point(pair)
-    return transport_characters(
-        _source_fiber(d), _source_permutation(pair)
-    )
-
-
-def transported_fiber(characters, pair, weights):
-    """Numeric fiber at pair from the characters at SOURCE_PAIR.  A
-    character moved by sigma weighs sum chi_i * w_sigma(i), so the
-    characters are evaluated at the permuted weights, neither moved nor
-    sorted."""
-    w = as_weight_system(weights).values
-    return character_weights(
-        characters, [w[s - 1] for s in _source_permutation(pair)]
-    )
+    (p, q), rest = pair, complementary_pair(pair)
+    fiber = []
+    for m in monomials_of_degree(d + 1):
+        shift = pair if m[p - 1] or m[q - 1] else rest
+        fiber.append(tuple(e - (j in shift) for j, e in enumerate(m, 1)))
+    return tuple(sorted(fiber))
 
 
 def legendrian_fibers(d, weights, method=None):
     """(pair, image fiber weights) at the six fixed forms.
 
     method is one of the foldeg.limits METHODS (None picks
-    default_method(d)).  The image route takes all six fibers from one
-    cached chain fiber (_source_fiber); the kernel route and "both"
-    compute each fixed point directly, and "both" raises
-    MethodDisagreement unless every direct fiber equals the one
-    transported from its own SOURCE_PAIR result.
+    default_method(d)).  The image route takes all six fibers in closed
+    form from one count of the degree-(d+1) monomial weights; the kernel
+    route and "both" compute each fixed point directly, and "both"
+    raises MethodDisagreement unless every direct fiber equals the
+    closed-form one at its own pair.
     """
     if method is None:
         method = default_method(d)
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
-    if method == METHOD_IMAGE:
-        characters = _source_fiber(d)
-        for pair in P5_PAIRS:
-            yield pair, transported_fiber(characters, pair, weights)
-        return
+    w = as_weight_system(weights)
+    full = _monomial_weights(d, w)
     for pair in P5_PAIRS:
-        res = limit_fiber_weights(pair, d, weights, method)
-        if method == METHOD_BOTH:
-            if pair == SOURCE_PAIR:  # the first of P5_PAIRS
-                characters = res.quotient_characters
-            moved = transported_fiber(characters, pair, weights)
-            if moved != res.quotient_weights:
+        fiber = image_fiber_weights(pair, d, w, full)
+        if method != METHOD_IMAGE:
+            direct = limit_fiber_weights(pair, d, w, method).quotient_weights
+            if method == METHOD_BOTH and direct != fiber:
                 raise MethodDisagreement(
-                    "transported and direct fibers disagree at %r, d=%d"
+                    "closed-form and direct fibers disagree at %r, d=%d"
                     % (pair, d)
                 )
-        yield pair, res.quotient_weights
+            fiber = direct
+        yield pair, fiber
 
 
 @lru_cache(maxsize=None)

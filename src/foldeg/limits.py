@@ -18,8 +18,9 @@ matrix is assembled.  Two independent routes compute the limit on them:
 * image-fiber: the row span, at the highest levels.  An integer echelon
   of a chain's M(1) with the columns by descending level gives it
   (linalg.limit_rows); each pivot is one copy of its column's character
-  in the fiber, whatever the weights.  _chain_fiber, foldeg.bott's image
-  route, counts these pivots at SOURCE_PAIR once per degree.
+  in the fiber, whatever the weights.  The fiber this gives has a closed
+  form, which foldeg.bott's image route evaluates instead (the argument
+  is in the foldeg.bott docstring); this route checks it under "both".
 * kernel-limit: the nullspace, at the lowest levels, by a rank rule per
   character and no elimination (_kernel_counts).  Number a chain's
   characters c_0, c_1, ... from the top, so that c_K has its high row
@@ -48,7 +49,7 @@ from .fields import (
     monomials_of_degree,
     path_linear_forms,
 )
-from .linalg import echelon, limit_rows
+from .linalg import limit_rows
 # Not called here.  The names stay because perfbench/tracing.py hooks
 # foldeg.limits.kernel_basis and foldeg.limits.rank.
 from .linalg import kernel_basis, rank  # noqa: F401
@@ -57,11 +58,6 @@ METHOD_IMAGE = "image-fiber"
 METHOD_KERNEL = "kernel-limit"
 METHOD_BOTH = "both"
 METHODS = (METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH)
-
-# The fixed point whose limit fiber the image route computes; the other
-# five are reached from it by a coordinate permutation (foldeg.bott).
-SOURCE_PAIR = (1, 2)
-
 
 class SaturationRankError(ArithmeticError):
     """A limit has the wrong rank — a computation bug, never
@@ -184,21 +180,6 @@ def _chain_matrix(chain):
             above[c], below[c] = high, low
             c += 1
     return owner, rows
-
-
-def _chain_fiber(d):
-    """The image fiber at SOURCE_PAIR as sorted Z^4 characters: one copy
-    of a column's character per pivot of its chain's echelon, no basis
-    and no weights.  Raises SaturationRankError unless there are
-    C(d+4, 3)."""
-    fiber = []
-    for chain in _chains(d, SOURCE_PAIR):
-        owner, rows = _chain_matrix(chain)
-        fiber += [owner[p] for p in echelon(rows, len(owner))[1]]
-    if len(fiber) != comb(d + 4, 3):
-        raise SaturationRankError("chain image rank %d != %d at d=%d"
-                                  % (len(fiber), comb(d + 4, 3), d))
-    return tuple(sorted(fiber))
 
 
 def _image_characters(chains):

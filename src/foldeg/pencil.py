@@ -12,13 +12,12 @@ sums e_4 over e_4 on the 4-dimensional Grassmannian.  Fibers are counts.
 from fractions import Fraction
 from functools import lru_cache
 
-from .bott import Family, character_weights, localize
+from .bott import Family, _monomial_weights, localize, split_monomial_weights
 from .exact import (
     DEFAULT_WEIGHTS,
     RationalPolynomial,
     WeightMultiset,
     as_weight_system,
-    monomials_of_degree,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 
@@ -39,12 +38,6 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
     )
 
 
-def _monomial_weights(d, w):
-    """Weight counts of the degree-(d+1) monomials, shared by all pencils:
-    an exponent vector is a character, so its weight is a dot product."""
-    return character_weights(monomials_of_degree(d + 1), w)
-
-
 def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
     """Fiber weight counts of the twisted quotient sheaf at a fixed pencil.
 
@@ -56,13 +49,12 @@ def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
     """
     pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
-    k, l = complementary_pair(pair)
-    wk, wl = w.weight(k), w.weight(l)
     if monomial_weights is None:
         monomial_weights = _monomial_weights(d, w)
-    removed = [a * wk + (d + 1 - a) * wl for a in range(d + 2)]
-    rest = monomial_weights.difference(removed).counts
-    return WeightMultiset.from_counts({v + wk + wl: m for v, m in rest.items()})
+    rest, _ = split_monomial_weights(pair, d, w, monomial_weights)
+    twist = w.pair_sum(complementary_pair(pair))
+    return WeightMultiset.from_counts(
+        {v + twist: m for v, m in rest.counts.items()})
 
 
 def pencil_fibers(d, weights):

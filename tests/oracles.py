@@ -4,19 +4,23 @@ Each is the plain algorithm the package used before: e_k by the O(n*k)
 product recurrence over every value, the pencil fiber by enumerating
 every monomial weight, the interpolant as a sum of Lagrange basis
 polynomials, the image limit as a saturation over Z[t] localized at t,
-which knows nothing of torus levels, the kernel limit's weights as
+which knows nothing of torus levels, the Legendrian image fiber as
+one echelon per chain at SOURCE_PAIR and moved to the other fixed
+points by a coordinate permutation, the kernel limit's weights as
 ranks of its projections onto each weight space, the basis Phi_d as the
 divergence kernel of each weight space in echelon form, the blocks of
 the global contraction by union-find, and the kernel limit as one
 integer echelon of [M(1)^T | I] per block.  They share no code with
 what they check beyond RationalPolynomial, the monomial list and
 weights, MonomialField, the complement of a pair, the Fraction rref and
-kernel basis, and the integer echelon.
+kernel basis, the integer echelon, and (for the image fiber) the chains
+of foldeg.limits.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
+from operator import itemgetter
 
 from foldeg.exact import (
     RationalPolynomial,
@@ -25,7 +29,7 @@ from foldeg.exact import (
     monomials_of_degree,
 )
 from foldeg.fields import MonomialField, complementary_pair
-from foldeg.limits import SaturationRankError
+from foldeg.limits import SaturationRankError, _chain_matrix, _chains
 from foldeg.linalg import echelon, kernel_basis, level_part, rref
 
 
@@ -344,3 +348,34 @@ def chain_kernel_counts(chain):
         (K,) = {cols[c][0] for c, x in enumerate(v) if x}
         counts[K] += 1
     return counts
+
+
+# The fixed point whose image fiber _chain_fiber computes; the other five
+# are reached from it by a coordinate permutation (transport_characters).
+SOURCE_PAIR = (1, 2)
+
+
+def _chain_fiber(d):
+    """The image fiber at SOURCE_PAIR as sorted Z^4 characters: one copy
+    of a column's character per pivot of its chain's echelon, no basis
+    and no weights.  Raises SaturationRankError unless there are
+    C(d+4, 3)."""
+    fiber = []
+    for chain in _chains(d, SOURCE_PAIR):
+        owner, rows = _chain_matrix(chain)
+        fiber += [owner[p] for p in echelon(rows, len(owner))[1]]
+    if len(fiber) != comb(d + 4, 3):
+        raise SaturationRankError("chain image rank %d != %d at d=%d"
+                                  % (len(fiber), comb(d + 4, 3), d))
+    return tuple(sorted(fiber))
+
+
+def transport_characters(characters, sigma):
+    """Move characters by the coordinate permutation i -> sigma[i-1]:
+    chi goes to chi' with chi'_sigma(i) = chi_i.  Returned sorted.
+
+    >>> transport_characters([(2, -1, 0, 0)], (3, 4, 1, 2))
+    ((0, 0, 2, -1),)
+    """
+    move = itemgetter(*(sigma.index(j) for j in (1, 2, 3, 4)))
+    return tuple(sorted(map(move, characters)))

@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from foldeg.bott import _source_fiber, legendrian_degree, tangent_weights_p5
+from foldeg.bott import legendrian_degree, tangent_weights_p5
 from foldeg.exact import WeightMultiset, WeightSystem, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
@@ -46,10 +46,9 @@ WEIGHT_SYSTEMS = (
 
 
 def _cold_caches():
-    """Clear the basis, monomial and source-fiber caches so timed
-    criteria measure a real run."""
+    """Clear the basis and monomial caches so timed criteria measure a
+    real run."""
     _phi_basis_cached.cache_clear()
-    _source_fiber.cache_clear()
     monomials_of_degree.cache_clear()
 
 

@@ -11,15 +11,14 @@ import foldeg.fields as fields
 import foldeg.limits as limits
 from foldeg.bott import (
     LEGENDRIAN,
-    SOURCE_PAIR,
     NonIntegralDegree,
+    _monomial_weights,
     character_weights,
     default_method,
     fiber_characters,
+    image_fiber_weights,
     legendrian_degree,
     tangent_weights_p5,
-    transport_characters,
-    transported_fiber,
 )
 from foldeg.exact import InadmissibleWeights, WeightMultiset, WeightSystem
 from foldeg.fields import P5_PAIRS
@@ -28,7 +27,6 @@ from foldeg.limits import (
     METHOD_IMAGE,
     METHOD_KERNEL,
     MethodDisagreement,
-    _chain_fiber,
     limit_fiber_weights,
 )
 from foldeg.reference import (
@@ -40,6 +38,7 @@ from foldeg.reference import (
     LEGENDRIAN_D2_DEGREE,
     LEGENDRIAN_D3_DEGREE,
 )
+from oracles import SOURCE_PAIR, _chain_fiber, transport_characters
 
 
 def test_tangent_weights():
@@ -144,8 +143,8 @@ def test_weights_accept_plain_sequences():
 def test_transport_matches_direct_fibers(weights):
     """Every coordinate permutation sigma carries the fiber at
     SOURCE_PAIR, as characters, onto the directly computed fiber at
-    sigma(SOURCE_PAIR); in particular the permutation the image route
-    picks for each pair does."""
+    sigma(SOURCE_PAIR); and the closed form the image route evaluates
+    is the direct fiber at every pair."""
     for d in range(2, 7):
         source = limit_fiber_weights(SOURCE_PAIR, d, weights)
         characters = source.quotient_characters
@@ -157,18 +156,20 @@ def test_transport_matches_direct_fibers(weights):
             pair = tuple(sorted(sigma[:2]))
             moved = transport_characters(characters, sigma)
             assert character_weights(moved, weights) == direct[pair], (d, sigma)
+        full = _monomial_weights(d, weights)
         for pair in P5_PAIRS:
-            assert transported_fiber(characters, pair, weights) == direct[pair]
+            assert image_fiber_weights(pair, d, weights, full) == direct[pair]
 
 
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
-    """The image route builds the chain fiber once per degree, under any
-    weights, and neither a field basis nor a contraction matrix."""
+    """The image route counts the monomial weights once per degree and
+    weight system, and builds neither chains, nor a field basis, nor a
+    contraction matrix."""
     builds, calls = [], []
 
-    def counting_chains(d):
+    def counting_weights(d, w):
         builds.append(d)
-        return _chain_fiber(d)
+        return _monomial_weights(d, w)
 
     def counting(pair, d, weights, method):
         calls.append((pair, method))
@@ -177,38 +178,38 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
     def refused(*args):
         raise AssertionError("the image route built a global structure")
 
-    monkeypatch.setattr(bott, "_chain_fiber", counting_chains)
+    monkeypatch.setattr(bott, "_monomial_weights", counting_weights)
     monkeypatch.setattr(bott, "limit_fiber_weights", counting)
-    bott._source_fiber.cache_clear()
     with monkeypatch.context() as m:
         for module in (fields, limits):
             m.setattr(module, "build_phi_basis", refused)
         m.setattr(limits, "build_contraction_matrix", refused)
+        m.setattr(limits, "_chains", refused)
+        limits._pair_chains.cache_clear()
         image = legendrian_degree(5, method=METHOD_IMAGE)
         legendrian_degree(5, ALT_WEIGHTS_A, method=METHOD_IMAGE)
-    bott._source_fiber.cache_clear()
-    assert builds == [5] and calls == []
+    assert builds == [5, 5] and calls == []
     kernel = legendrian_degree(5, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
     assert len(calls) == 6
 
 
-def test_both_checks_transported_fibers(monkeypatch):
-    """method="both" compares each direct fiber with the one transported
-    from its own SOURCE_PAIR result, and raises on a mismatch."""
+def test_both_checks_closed_form_fibers(monkeypatch):
+    """method="both" compares each direct fiber with the closed form at
+    its own pair, and raises on a mismatch."""
     assert legendrian_degree(3, method=METHOD_BOTH).degree == (
         LEGENDRIAN_D3_DEGREE
     )
-    original = bott.transported_fiber
+    original = bott.image_fiber_weights
 
-    def off_at_34(characters, pair, weights):
-        fiber = original(characters, pair, weights)
+    def off_at_34(pair, d, w, full):
+        fiber = original(pair, d, w, full)
         if pair != (3, 4):
             return fiber
         return WeightMultiset(v + 1 if i == 0 else v
                               for i, v in enumerate(fiber))
 
-    monkeypatch.setattr(bott, "transported_fiber", off_at_34)
+    monkeypatch.setattr(bott, "image_fiber_weights", off_at_34)
     with pytest.raises(MethodDisagreement):
         legendrian_degree(3, method=METHOD_BOTH)
     # the image route has no direct fiber to compare with; the
@@ -218,10 +219,30 @@ def test_both_checks_transported_fibers(monkeypatch):
 
 
 def test_fiber_characters_reproduce_the_frozen_table():
-    """The symbolic d = 2 fiber at (3,4) is the character fiber moved
-    there from SOURCE_PAIR."""
+    """The symbolic d = 2 fiber at (3,4) is the closed-form character
+    fiber there."""
     got = fiber_characters(2, (3, 4))
     assert sorted(got) == sorted(D2_P34_SYMBOLIC_WEIGHTS)
     assert character_weights(got, DEFAULT_WEIGHTS) == (
         limit_fiber_weights((3, 4), 2).quotient_weights
     )
+
+
+def test_fiber_characters_need_a_positive_degree():
+    with pytest.raises(ValueError, match="field degree"):
+        fiber_characters(0, (1, 2))
+
+
+def test_closed_form_equals_the_chain_fiber_oracle():
+    """The closed form at SOURCE_PAIR is the chain fiber, one echelon per
+    chain, d = 1..30."""
+    for d in range(1, 31):
+        assert fiber_characters(d, SOURCE_PAIR) == _chain_fiber(d), d
+
+
+@pytest.mark.parametrize("weights", (DEFAULT_WEIGHTS, ALT_WEIGHTS_A))
+def test_published_polynomial_pointwise_at_high_degree(weights):
+    """The image route gives the published degree at d = 40, 60, 100."""
+    for d in (40, 60, 100):
+        report = legendrian_degree(d, weights)
+        assert report.degree == LEGENDRIAN.closed_form(d), d

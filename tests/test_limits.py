@@ -5,7 +5,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from foldeg import bott, limits
+from foldeg import limits
 from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightMultiset, monomials_of_degree
 from foldeg.fields import (
@@ -36,6 +36,7 @@ from foldeg.reference import (
     D2_P34_SYMBOLIC_WEIGHTS,
     DEFAULT_WEIGHTS,
 )
+import oracles
 from oracles import (
     _blocks,
     _connected_blocks,
@@ -353,9 +354,9 @@ def test_kernel_rule_equals_the_echelon_oracle(weights):
 
 
 def test_chain_rank_guard_raises(monkeypatch):
-    """A chain echelon that loses one pivot makes the image route of
-    legendrian_degree raise."""
-    real, dropped = limits.echelon, []
+    """A chain echelon that loses one pivot makes the chain fiber oracle
+    raise its C(d+4, 3) rank guard."""
+    real, dropped = oracles.echelon, []
 
     def one_short(rows, ncols):
         ech, pivots = real(rows, ncols)
@@ -364,11 +365,9 @@ def test_chain_rank_guard_raises(monkeypatch):
             return ech[:-1], pivots[:-1]
         return ech, pivots
 
-    monkeypatch.setattr(limits, "echelon", one_short)
-    bott._source_fiber.cache_clear()
+    monkeypatch.setattr(oracles, "echelon", one_short)
     with pytest.raises(SaturationRankError, match="chain image rank"):
-        legendrian_degree(6, method=METHOD_IMAGE)
-    bott._source_fiber.cache_clear()
+        oracles._chain_fiber(6)
     assert len(dropped) == 1
 
 

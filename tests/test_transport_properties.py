@@ -9,12 +9,18 @@ import pytest
 from collections import Counter
 
 from foldeg import limits
-from foldeg.bott import SOURCE_PAIR, fiber_characters, localize
+from foldeg.bott import (
+    _monomial_weights,
+    fiber_characters,
+    image_fiber_weights,
+    localize,
+)
+from foldeg.exact import WeightSystem
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
-    _chain_fiber,
+    METHOD_KERNEL,
     build_contraction_matrix,
     limit_fiber_weights,
 )
@@ -22,6 +28,7 @@ from foldeg.pencil import pd_twisted_weights, pencil_degree
 from foldeg.polyfit import FAMILIES, family_closed_form
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import (
+    SOURCE_PAIR,
     chain_kernel_counts,
     enumerated_pencil_fiber,
     kernel_counts_by_block,
@@ -50,13 +57,20 @@ def test_source_characters_do_not_depend_on_weights(values, d):
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
-def test_chain_fiber_equals_the_weighted_image_route(values):
-    """The chain fiber, built afresh rather than read from the cache of
-    bott._source_fiber, equals the characters of the image route at
-    SOURCE_PAIR under any admissible weights, d = 1..12."""
-    for d in range(1, 13):
-        direct = limit_fiber_weights(SOURCE_PAIR, d, values, METHOD_IMAGE)
-        assert _chain_fiber(d) == direct.quotient_characters, d
+def test_closed_form_equals_the_weighted_routes(values):
+    """The closed form equals the image route's characters and both
+    routes' quotient weights under any admissible weights, at all six
+    pairs, d = 1..10."""
+    w = WeightSystem(values)
+    for d in range(1, 11):
+        full = _monomial_weights(d, w)
+        for pair in P5_PAIRS:
+            img = limit_fiber_weights(pair, d, w, METHOD_IMAGE)
+            ker = limit_fiber_weights(pair, d, w, METHOD_KERNEL)
+            assert img.quotient_characters == fiber_characters(d, pair)
+            closed = image_fiber_weights(pair, d, w, full)
+            assert img.quotient_weights == closed, (pair, d)
+            assert ker.quotient_weights == closed, (pair, d)
 
 
 @hypothesis.given(
