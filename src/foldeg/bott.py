@@ -243,10 +243,10 @@ def fiber_characters(d, pair):
     if d < 1:
         raise ValueError("field degree must be >= 1, got %r" % (d,))
     pair = as_fixed_point(pair)
-    (p, q), rest = pair, complementary_pair(pair)
+    (p, q), complement = pair, complementary_pair(pair)
     fiber = []
     for m in monomials_of_degree(d + 1):
-        shift = pair if m[p - 1] or m[q - 1] else rest
+        shift = pair if m[p - 1] or m[q - 1] else complement
         fiber.append(tuple(e - (j in shift) for j, e in enumerate(m, 1)))
     return tuple(sorted(fiber))
 
@@ -268,15 +268,16 @@ def legendrian_fibers(d, weights, method=None):
     w = as_weight_system(weights)
     full = _monomial_weights(d, w)
     for pair in P5_PAIRS:
-        fiber = image_fiber_weights(pair, d, w, full)
-        if method != METHOD_IMAGE:
-            direct = limit_fiber_weights(pair, d, w, method).quotient_weights
-            if method == METHOD_BOTH and direct != fiber:
-                raise MethodDisagreement(
-                    "closed-form and direct fibers disagree at %r, d=%d"
-                    % (pair, d)
-                )
-            fiber = direct
+        if method == METHOD_IMAGE:
+            yield pair, image_fiber_weights(pair, d, w, full)
+            continue
+        fiber = limit_fiber_weights(pair, d, w, method).quotient_weights
+        if method == METHOD_BOTH and (
+                fiber != image_fiber_weights(pair, d, w, full)):
+            raise MethodDisagreement(
+                "closed-form and direct fibers disagree at %r, d=%d"
+                % (pair, d)
+            )
         yield pair, fiber
 
 
