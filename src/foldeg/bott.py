@@ -48,13 +48,13 @@ and "both" also checks each against the closed form at its own pair.
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .exact import (
     DEFAULT_WEIGHTS,
     RationalPolynomial,
     WeightMultiset,
     as_weight_system,
-    character_weights,
     monomials_of_degree,
     scalar_to_string,
 )
@@ -209,9 +209,20 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
 
 def _monomial_weights(d, w):
     """Weight counts of the degree-(d+1) monomials, shared by the six
-    fixed points of either family: an exponent vector is a character, so
-    its weight is a dot product."""
-    return character_weights(monomials_of_degree(d + 1), w)
+    fixed points of either family, counted by progressions: with x_3^c
+    x_4^e fixed and r = d + 1 - c - e, the weights of x_1^a x_2^(r-a)
+    are c*w_3 + e*w_4 + r*w_2 + a*(w_1 - w_2) for a = 0..r.  No monomial
+    is built; the step is nonzero for admissible weights."""
+    w1, w2, w3, w4 = w.values
+    n, step = d + 1, w1 - w2
+    progressions = []
+    for c in range(n + 1):
+        for e in range(n + 1 - c):
+            r = n - c - e
+            base = c * w3 + e * w4 + r * w2
+            progressions.append(range(base, base + (r + 1) * step, step))
+    counts = Counter(chain.from_iterable(progressions))
+    return WeightMultiset.from_counts(counts)
 
 
 def split_monomial_weights(pair, d, w, monomial_weights):
@@ -220,7 +231,9 @@ def split_monomial_weights(pair, d, w, monomial_weights):
     the d+2 weights a*w_k + (d+1-a)*w_l of those in x_k, x_l alone."""
     k, l = complementary_pair(pair)
     wk, wl = w.weight(k), w.weight(l)
-    removed = WeightMultiset(a * wk + (d + 1 - a) * wl for a in range(d + 2))
+    start, step = (d + 1) * wl, wk - wl
+    removed = WeightMultiset.from_counts(
+        Counter(range(start, start + (d + 2) * step, step)))
     return monomial_weights.difference(removed), removed
 
 

@@ -165,33 +165,27 @@ def _pair_chains(d, pair):
     return tuple(map(tuple, _chains(d, pair)))
 
 
-def _chain_matrix(chain):
-    """The column characters and the dense integer rows of M(1) on a
-    chain, one column per field: row K is the high row of the K-th
-    character and the low row of the one before."""
-    owner = []
-    for chi, fields in chain:
-        owner += [chi] * len(fields)
-    rows = [[0] * len(owner) for _ in range(len(chain) + 1)]
-    c = 0
-    for K, (_, fields) in enumerate(chain):
-        above, below = rows[K], rows[K + 1]
-        for low, high in fields:
-            above[c], below[c] = high, low
-            c += 1
-    return owner, rows
-
-
 def _image_characters(chains):
     """The image fiber on chains, one character per pivot that
-    limit_rows picks.  A chain's level falls by one step per character,
-    so -K orders the columns of its K-th character."""
+    limit_rows picks.  Row K of a chain's M(1) is the high row of its
+    K-th character and the low row of the one before, each entry
+    written as (x,) or () for limit_rows; a chain's level falls by one
+    step per character, so -K orders the columns of its K-th character."""
     fiber = []
     for chain in chains:
-        owner, rows = _chain_matrix(chain)
-        rows = [[(x,) if x else () for x in row] for row in rows]
-        levels = [-K for K, (_, fields) in enumerate(chain) for _ in fields]
-        fiber += [owner[p] for p in limit_rows(rows, len(owner), levels)[1]]
+        ncols = sum(len(fields) for _, fields in chain)
+        rows = [[()] * ncols for _ in range(len(chain) + 1)]
+        owner, levels = [], []
+        for K, (chi, fields) in enumerate(chain):
+            above, below = rows[K], rows[K + 1]
+            for low, high in fields:
+                if high:
+                    above[len(owner)] = (high,)
+                if low:
+                    below[len(owner)] = (low,)
+                owner.append(chi)
+                levels.append(-K)
+        fiber += [owner[p] for p in limit_rows(rows, ncols, levels)[1]]
     return fiber
 
 

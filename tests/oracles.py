@@ -1,8 +1,8 @@
 """Slow, direct versions of the exact layer, kept as test oracles.
 
 Each is the plain algorithm the package used before: e_k by the O(n*k)
-product recurrence over every value, the pencil fiber by enumerating
-every monomial weight, the interpolant as a sum of Lagrange basis
+product recurrence over every value, the monomial weight count and the
+pencil fiber by enumerating every monomial weight, the interpolant as a sum of Lagrange basis
 polynomials, the image limit as a saturation over Z[t] localized at t,
 which knows nothing of torus levels, the Legendrian image fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
@@ -25,11 +25,12 @@ from operator import itemgetter
 from foldeg.exact import (
     RationalPolynomial,
     WeightSystem,
+    character_weights,
     monomial_weight,
     monomials_of_degree,
 )
 from foldeg.fields import MonomialField, complementary_pair
-from foldeg.limits import SaturationRankError, _chain_matrix, _chains
+from foldeg.limits import SaturationRankError, _chains
 from foldeg.linalg import echelon, kernel_basis, level_part, rref
 
 
@@ -40,6 +41,12 @@ def elementary_symmetric_recurrence(k, values):
         for i in range(min(k, seen), 0, -1):
             e[i] += v * e[i - 1]
     return e[k]
+
+
+def enumerated_monomial_weights(d, weights):
+    """Weight counts of the degree-(d+1) monomials, one dot product per
+    enumerated exponent vector."""
+    return character_weights(monomials_of_degree(d + 1), weights)
 
 
 def enumerated_pencil_fiber(pair, d, weights):
@@ -348,6 +355,25 @@ def chain_kernel_counts(chain):
         (K,) = {cols[c][0] for c, x in enumerate(v) if x}
         counts[K] += 1
     return counts
+
+
+def _chain_matrix(chain):
+    """The column characters and the dense integer rows of M(1) on a
+    chain, one column per field: row K is the high row of the K-th
+    character and the low row of the one before."""
+    owner = []
+    for chi, fields in chain:
+        owner += [chi] * len(fields)
+    rows = [[0] * len(owner) for _ in range(len(chain) + 1)]
+    c = 0
+    for K, (_, fields) in enumerate(chain):
+        above, below = rows[K], rows[K + 1]
+        for low, high in fields:
+            above[c], below[c] = high, low
+            c += 1
+    return owner, rows
+
+
 
 
 # The fixed point whose image fiber _chain_fiber computes; the other five

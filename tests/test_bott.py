@@ -13,14 +13,20 @@ from foldeg.bott import (
     LEGENDRIAN,
     NonIntegralDegree,
     _monomial_weights,
-    character_weights,
     default_method,
     fiber_characters,
     image_fiber_weights,
     legendrian_degree,
+    split_monomial_weights,
     tangent_weights_p5,
 )
-from foldeg.exact import InadmissibleWeights, WeightMultiset, WeightSystem
+from foldeg.exact import (
+    InadmissibleWeights,
+    WeightMultiset,
+    WeightSystem,
+    character_weights,
+    monomials_of_degree,
+)
 from foldeg.fields import P5_PAIRS
 from foldeg.limits import (
     METHOD_BOTH,
@@ -38,7 +44,12 @@ from foldeg.reference import (
     LEGENDRIAN_D2_DEGREE,
     LEGENDRIAN_D3_DEGREE,
 )
-from oracles import SOURCE_PAIR, _chain_fiber, transport_characters
+from oracles import (
+    SOURCE_PAIR,
+    _chain_fiber,
+    enumerated_monomial_weights,
+    transport_characters,
+)
 
 
 def test_tangent_weights():
@@ -246,3 +257,17 @@ def test_published_polynomial_pointwise_at_high_degree(weights):
     for d in (40, 60, 100):
         report = legendrian_degree(d, weights)
         assert report.degree == LEGENDRIAN.closed_form(d), d
+
+
+def test_monomial_weight_progressions_at_degree_60():
+    """At d = 60, under unsorted weights with a negative entry, the count
+    by progressions is the enumerated count, and at each pair the removed
+    weights are those of the monomials in x_k, x_l alone."""
+    w, d = WeightSystem((9, -4, 2, 0)), 60
+    full = _monomial_weights(d, w)
+    assert full == enumerated_monomial_weights(d, w)
+    for pair in P5_PAIRS:
+        alone = [m for m in monomials_of_degree(d + 1)
+                 if not m[pair[0] - 1] and not m[pair[1] - 1]]
+        _, removed = split_monomial_weights(pair, d, w, full)
+        assert removed == character_weights(alone, w), pair

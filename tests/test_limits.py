@@ -312,7 +312,7 @@ def test_chains_are_the_union_find_blocks():
                 chars = [chi for chi, _ in chain]
                 levels = [chi[k - 1] + chi[l - 1] for chi in chars]
                 assert levels == list(range(levels[0], levels[-1] - 1, -2))
-                owner, rows = limits._chain_matrix(chain)
+                owner, rows = oracles._chain_matrix(chain)
                 assert len(rows) == len(chars) + 1
                 names = [_shift(chi, e_high) for chi in chars]
                 names.append(_shift(chars[-1], e_low))
@@ -331,7 +331,7 @@ def test_chain_columns_are_the_basis_characters():
         want = sorted(f.character for f in build_phi_basis(d))
         for pair in P5_PAIRS:
             got = [chi for chain in limits._chains(d, pair)
-                   for chi in limits._chain_matrix(chain)[0]]
+                   for chi in oracles._chain_matrix(chain)[0]]
             assert sorted(got) == want, (pair, d)
 
 
@@ -375,7 +375,7 @@ def test_method_disagreement_is_raised(monkeypatch):
     """--method both compares the two routes and raises on a mismatch."""
     def first_columns(chains):
         return [chi for chain in chains
-                for chi in limits._chain_matrix(chain)[0]][:comb(2 + 4, 3)]
+                for chi in oracles._chain_matrix(chain)[0]][:comb(2 + 4, 3)]
 
     monkeypatch.setattr(limits, "_image_characters", first_columns)
     with pytest.raises(MethodDisagreement):

@@ -81,6 +81,15 @@ def test_degrees_match_frozen_and_closed_form():
     assert PENCIL_DEGREES[3] == PENCIL_D3_DEGREE
 
 
+@pytest.mark.parametrize("weights", (DEFAULT_WEIGHTS, (3, -5, 11, 0)))
+def test_published_polynomial_pointwise_at_high_degree(weights):
+    """The pencil degree is the published one at d = 40, 60 and 100, also
+    under weights with a negative entry."""
+    for d in (40, 60, 100):
+        report = pencil_degree(d, weights)
+        assert report.degree == family_closed_form("pencil", d), d
+
+
 def test_weight_independence():
     for d in (2, 3):
         degrees = {

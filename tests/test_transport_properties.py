@@ -14,8 +14,9 @@ from foldeg.bott import (
     fiber_characters,
     image_fiber_weights,
     localize,
+    split_monomial_weights,
 )
-from foldeg.exact import WeightSystem
+from foldeg.exact import WeightSystem, character_weights, monomials_of_degree
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
     METHOD_BOTH,
@@ -30,6 +31,7 @@ from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import (
     SOURCE_PAIR,
     chain_kernel_counts,
+    enumerated_monomial_weights,
     enumerated_pencil_fiber,
     kernel_counts_by_block,
     rref_phi_basis,
@@ -188,6 +190,24 @@ def test_contributions_are_s4_equivariant(values, sigma, case):
     for pair in P5_PAIRS:
         image = tuple(sorted(sigma[i - 1] for i in pair))
         assert moved[pair] == base[image]
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+@hypothesis.example(values=[9, -4, 2, 0])
+@hypothesis.example(values=[24, 3, -12, 5])
+def test_monomial_weight_progressions_equal_the_enumeration(values):
+    """The count by progressions is the enumerated count of the
+    degree-(d+1) monomial weights, and at all six pairs the removed
+    weights are those of the monomials in x_k, x_l alone, d = 0..30."""
+    w = WeightSystem(values)
+    for d in range(31):
+        full = _monomial_weights(d, w)
+        assert full == enumerated_monomial_weights(d, w), d
+        for p, q in P5_PAIRS:
+            alone = [m for m in monomials_of_degree(d + 1)
+                     if not m[p - 1] and not m[q - 1]]
+            _, removed = split_monomial_weights((p, q), d, w, full)
+            assert removed == character_weights(alone, w), ((p, q), d)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(0, 10))
