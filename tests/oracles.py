@@ -1,10 +1,11 @@
 """Slow, direct versions of the exact layer, kept as test oracles.
 
 Each is the plain algorithm the package used before: e_k by the O(n*k)
-product recurrence over every value, the monomial weight count and the
-pencil fiber by enumerating every monomial weight, the interpolant as a sum of Lagrange basis
-polynomials, the image limit as a saturation over Z[t] localized at t,
-which knows nothing of torus levels, the Legendrian image fiber as
+product recurrence over every value, the monomial weight count, its
+split at a pair and the pencil fiber by enumerating every monomial
+weight, the interpolant as a sum of Lagrange basis polynomials, the
+image limit as a saturation over Z[t] localized at t, which knows
+nothing of torus levels, the Legendrian image fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
 points by a coordinate permutation, the kernel limit's weights as
 ranks of its projections onto each weight space, the basis Phi_d as the
@@ -47,6 +48,15 @@ def enumerated_monomial_weights(d, weights):
     """Weight counts of the degree-(d+1) monomials, one dot product per
     enumerated exponent vector."""
     return character_weights(monomials_of_degree(d + 1), weights)
+
+
+def enumerated_complement_weights(pair, d, weights):
+    """Weight counts of the degree-(d+1) monomials in the two variables
+    outside pair alone, picked from the enumerated monomials."""
+    p, q = pair
+    alone = [m for m in monomials_of_degree(d + 1)
+             if not m[p - 1] and not m[q - 1]]
+    return character_weights(alone, weights)
 
 
 def enumerated_pencil_fiber(pair, d, weights):
@@ -372,8 +382,6 @@ def _chain_matrix(chain):
             above[c], below[c] = high, low
             c += 1
     return owner, rows
-
-
 
 
 # The fixed point whose image fiber _chain_fiber computes; the other five

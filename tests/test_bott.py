@@ -25,7 +25,6 @@ from foldeg.exact import (
     WeightMultiset,
     WeightSystem,
     character_weights,
-    monomials_of_degree,
 )
 from foldeg.fields import P5_PAIRS
 from foldeg.limits import (
@@ -47,6 +46,7 @@ from foldeg.reference import (
 from oracles import (
     SOURCE_PAIR,
     _chain_fiber,
+    enumerated_complement_weights,
     enumerated_monomial_weights,
     transport_characters,
 )
@@ -267,7 +267,5 @@ def test_monomial_weight_progressions_at_degree_60():
     full = _monomial_weights(d, w)
     assert full == enumerated_monomial_weights(d, w)
     for pair in P5_PAIRS:
-        alone = [m for m in monomials_of_degree(d + 1)
-                 if not m[pair[0] - 1] and not m[pair[1] - 1]]
         _, removed = split_monomial_weights(pair, d, w, full)
-        assert removed == character_weights(alone, w), pair
+        assert removed == enumerated_complement_weights(pair, d, w), pair
