@@ -282,7 +282,9 @@ def build_phi_basis(d, weights=DEFAULT_WEIGHTS):
     return _phi_basis_cached(d, w.values)
 
 
-@lru_cache(maxsize=None)
+# One entry: every caller asks for one (d, weights) at a time, so
+# nothing is kept across degrees or weight systems.
+@lru_cache(maxsize=1)
 def _phi_basis_cached(d, wvalues):
     w = WeightSystem(wvalues)
     one = Fraction(1)

@@ -15,8 +15,9 @@ chains of a pair in closed form, from the basis formula of
 fields.build_phi_basis and the path of fields.path_linear_forms; no
 matrix is assembled.  Two independent routes compute the limit on them:
 
-* image-fiber: the row span, at the highest levels.  An integer echelon
-  of a chain's M(1) with the columns by descending level gives it
+* image-fiber: the row span, at the highest levels.  The route reads
+  only the pivots of an integer echelon of a chain's M(1), whose
+  columns _chains already writes by descending level
   (linalg.limit_rows); each pivot is one copy of its column's character
   in the fiber, whatever the weights.  The fiber this gives has a closed
   form, which foldeg.bott's image route evaluates instead (the argument
@@ -169,13 +170,13 @@ def _image_characters(chains):
     """The image fiber on chains, one character per pivot that
     limit_rows picks.  Row K of a chain's M(1) is the high row of its
     K-th character and the low row of the one before, each entry
-    written as (x,) or () for limit_rows; a chain's level falls by one
-    step per character, so -K orders the columns of its K-th character."""
+    written as (x,) or () for limit_rows; the columns follow the chain,
+    whose level falls by one step per character, as limit_rows needs."""
     fiber = []
     for chain in chains:
         ncols = sum(len(fields) for _, fields in chain)
         rows = [[()] * ncols for _ in range(len(chain) + 1)]
-        owner, levels = [], []
+        owner = []
         for K, (chi, fields) in enumerate(chain):
             above, below = rows[K], rows[K + 1]
             for low, high in fields:
@@ -184,8 +185,7 @@ def _image_characters(chains):
                 if low:
                     below[len(owner)] = (low,)
                 owner.append(chi)
-                levels.append(-K)
-        fiber += [owner[p] for p in limit_rows(rows, ncols, levels)[1]]
+        fiber += [owner[p] for p in limit_rows(rows, ncols)]
     return fiber
 
 

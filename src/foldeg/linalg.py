@@ -1,10 +1,10 @@
 """Exact linear algebra over Q.
 
 Everything is fraction-free where it counts: one elimination kernel,
-the integer echelon, also gives the limit at t = 0 of a torus block's
-row span (limit_rows).  The small Fraction routines (rref, kernel bases)
-are kept as the tests' oracle for the closed-form field basis.  All
-results are exact; nothing here ever sees a float.
+the integer echelon, also reads the limit at t = 0 of a torus block's
+row span off its pivots (limit_rows).  The small Fraction routines
+(rref, kernel bases) are kept as the tests' oracle for the closed-form
+field basis.  All results are exact; nothing here ever sees a float.
 """
 
 from fractions import Fraction
@@ -65,37 +65,29 @@ def rank(rows, ncols):
     return len(echelon(rows, ncols)[1])
 
 
-def limit_rows(rows, ncols, levels):
-    """Limit at t = 0 of the row span of one torus block.
+def limit_rows(rows, ncols):
+    """Pivot columns of the limit at t = 0 of one torus block's row span.
 
-    rows: each row is a sequence of coefficient tuples of c0 + c1*t,
-    ((c0, c1), (c0,) or () for 0); levels[c] = 2*lev(c), and entry
-    (r, c) is a multiple of t^(lev(r) - lev(c)).  Then
-    M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal T(t) = diag(t^lev): the
-    path is a torus orbit, and the limit of the row span is its initial
-    subspace for the highest levels.  An integer echelon of M(1) with the
-    columns by descending level gives it: each echelon row cut down to
-    its pivot's level is a limit row.
+    rows: the block's M(t), each entry a tuple of coefficients that sum
+    to its value at t = 1 ((x,), or () for 0); entry (r, c) is a
+    multiple of t^(lev(r) - lev(c)), and the columns must come by
+    descending level.  Then M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal
+    T(t) = diag(t^lev): the path is a torus orbit, and the limit is the
+    initial subspace of the row span of M(1) for the highest levels.  An
+    integer echelon of M(1) with the columns in that order pivots in
+    each level as often as the limit has dimensions there.  Returns the
+    pivot columns, ascending.
 
-    Returns (cut_rows, pivot_columns) in the block's column order; row k
-    is nonzero at pivot_columns[k].
+    The order is the caller's contract: the same block with its columns
+    reversed pivots elsewhere.
+
+    >>> rows = [[(1,), (1,), ()], [(), (1,), (1,)]]
+    >>> limit_rows(rows, 3)
+    [0, 1]
+    >>> [2 - p for p in limit_rows([row[::-1] for row in rows], 3)]
+    [2, 1]
     """
-    order = sorted(range(ncols), key=levels.__getitem__, reverse=True)
-    ech, pivots = echelon([[sum(row[q]) for q in order] for row in rows],
-                          ncols)
-    return ([level_part(row, order, levels, levels[order[p]])
-             for row, p in zip(ech, pivots)],
-            [order[p] for p in pivots])
-
-
-def level_part(row, order, levels, lev):
-    """The entries of row (whose k-th entry is column order[k]) that lie
-    in columns of level lev, as a vector in column order."""
-    vec = [0] * len(order)
-    for x, q in zip(row, order):
-        if levels[q] == lev:
-            vec[q] = x
-    return vec
+    return echelon([[sum(e) for e in row] for row in rows], ncols)[1]
 
 
 def rref(rows):

@@ -5,7 +5,8 @@ product recurrence over every value, the monomial weight count, its
 split at a pair and the pencil fiber by enumerating every monomial
 weight, the interpolant as a sum of Lagrange basis polynomials, the
 image limit as a saturation over Z[t] localized at t, which knows
-nothing of torus levels, the Legendrian image fiber as
+nothing of torus levels, the image limit's rows as an echelon of M(1)
+cut down to the pivots' levels, the Legendrian image fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
 points by a coordinate permutation, the kernel limit's weights as
 ranks of its projections onto each weight space, the basis Phi_d as the
@@ -32,7 +33,7 @@ from foldeg.exact import (
 )
 from foldeg.fields import MonomialField, complementary_pair
 from foldeg.limits import SaturationRankError, _chains
-from foldeg.linalg import echelon, kernel_basis, level_part, rref
+from foldeg.linalg import echelon, kernel_basis, rref
 
 
 def elementary_symmetric_recurrence(k, values):
@@ -194,6 +195,30 @@ def saturated_limit_rows(rows, ncols):
         basis.append((pc, r))
     int_rows = [[e[0] if e else 0 for e in r] for _, r in basis]
     return int_rows, [c for c, _ in basis]
+
+
+def level_part(row, order, levels, lev):
+    """The entries of row (whose k-th entry is column order[k]) that lie
+    in columns of level lev, as a vector in column order."""
+    vec = [0] * len(order)
+    for x, q in zip(row, order):
+        if levels[q] == lev:
+            vec[q] = x
+    return vec
+
+
+def cut_limit_rows(rows, ncols, levels):
+    """The limit rows of one torus block, as (cut_rows, pivot_columns)
+    in the block's column order: an integer echelon of M(1) with the
+    columns sorted by descending levels[c], each row cut down to its
+    pivot's level.  rows holds entries (c0, c1), (c0,) or () for
+    c0 + c1*t; row k is nonzero at pivot_columns[k]."""
+    order = sorted(range(ncols), key=levels.__getitem__, reverse=True)
+    ech, pivots = echelon([[sum(row[q]) for q in order] for row in rows],
+                          ncols)
+    return ([level_part(row, order, levels, levels[order[p]])
+             for row, p in zip(ech, pivots)],
+            [order[p] for p in pivots])
 
 
 def projected_kernel_weights(vectors, col_idx, basis):

@@ -8,12 +8,14 @@ import pytest
 import foldeg.bott
 import foldeg.exact
 import foldeg.fields
+import foldeg.linalg
 import foldeg.pencil
 import foldeg.polyfit
 
 MODULES = (
     foldeg.exact,
     foldeg.fields,
+    foldeg.linalg,
     foldeg.bott,
     foldeg.pencil,
     foldeg.polyfit,

@@ -6,11 +6,13 @@ from math import lcm
 
 import pytest
 
+from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightSystem, monomial_weight, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
     MonomialField,
+    _phi_basis_cached,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
@@ -316,6 +318,18 @@ def test_phi_basis_validates_input():
 
     with pytest.raises(InadmissibleWeights):
         build_phi_basis(2, (0, 1, 2, 3))
+
+
+def test_phi_basis_cache_keeps_one_entry():
+    """The basis cache holds one (d, weights): the twelve requests of
+    each "both" degree hit it after one build, and the next degree
+    replaces it."""
+    _phi_basis_cached.cache_clear()
+    legendrian_degree(2, method="both")
+    legendrian_degree(3, method="both")
+    info = _phi_basis_cached.cache_info()
+    assert info.misses == 2
+    assert info.currsize == 1
 
 
 def test_tangent_kernel_dimension_contact_law():

@@ -166,6 +166,14 @@ def _saturated_pivots(blocks):
     return cols
 
 
+def _limit_pivots(rows, levels):
+    """limit_rows on a block whose columns are first sorted by descending
+    level, as it requires; the pivots mapped back to the block's order."""
+    order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
+    pivots = limit_rows([[row[q] for q in order] for row in rows], len(order))
+    return [order[p] for p in pivots]
+
+
 def _fraction_quotient_columns(d, pair, basis):
     """The saturation oracle's pivot columns on the Fraction pipeline:
     contract each field exactly over Q with kappa_ij and with kappa_kl,
@@ -227,13 +235,18 @@ def test_integer_contraction_keeps_the_fraction_pivots():
 def test_torus_image_limit_equals_the_saturation_oracle(weights):
     """Block by block, the echelon of M(1) with the columns by descending
     level and the Z[t] saturation oracle pick pivot columns of the same
-    characters, and their limit rows span the same space."""
+    characters, and their limit rows span the same space.  The rows are
+    the cut rows of oracles.cut_limit_rows, whose pivots must be those
+    of limit_rows."""
     for d in range(1, 9):
         basis = build_phi_basis(d, weights)
         for pair in P5_PAIRS:
             matrix = build_contraction_matrix(pair, d, basis)
             for cols, levels, rows in _blocks(matrix):
-                got, got_pivots = limit_rows(rows, len(cols), levels)
+                got_pivots = _limit_pivots(rows, levels)
+                got, cut_pivots = oracles.cut_limit_rows(rows, len(cols),
+                                                         levels)
+                assert cut_pivots == got_pivots
                 want, want_pivots = saturated_limit_rows(rows, len(cols))
                 assert sorted(
                     basis[cols[k]].character for k in got_pivots
@@ -404,9 +417,10 @@ def test_quotient_characters():
 )
 def test_kernel_limit_annihilates_the_image_limit(weights):
     """Block by block, the kernel route's limit vectors are independent,
-    annihilate the rows limit_rows gives for the image limit, and the
-    two ranks add up to the block width: the two limits are each
-    other's annihilators, as the limits of a kernel and a row space."""
+    annihilate the cut rows of the image limit at the pivots limit_rows
+    picks, and the two ranks add up to the block width: the two limits
+    are each other's annihilators, as the limits of a kernel and a row
+    space."""
     for d in range(2, 9):
         basis = build_phi_basis(d, weights)
         for pair in P5_PAIRS:
@@ -415,7 +429,9 @@ def test_kernel_limit_annihilates_the_image_limit(weights):
                 blocks, _kernel_limits(blocks)
             ):
                 assert kcols == cols
-                image, _ = limit_rows(rows, len(cols), levels)
+                image, pivots = oracles.cut_limit_rows(rows, len(cols),
+                                                       levels)
+                assert pivots == _limit_pivots(rows, levels)
                 assert len(image) + len(vectors) == len(cols)
                 assert rank(vectors, len(cols)) == len(vectors)
                 assert all(
@@ -516,9 +532,8 @@ def test_image_route_rank_guard_raises(monkeypatch):
     """The image route refuses a limit of the wrong rank."""
     real = limits.limit_rows
 
-    def one_short(rows, ncols, levels):
-        cut, pivots = real(rows, ncols, levels)
-        return cut[1:], pivots[1:]
+    def one_short(rows, ncols):
+        return real(rows, ncols)[1:]
 
     monkeypatch.setattr(limits, "limit_rows", one_short)
     with pytest.raises(SaturationRankError, match="image rank"):
