@@ -62,6 +62,7 @@ from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
+    METHOD_KERNEL,
     METHODS,
     MethodDisagreement,
     limit_fiber_weights,
@@ -279,7 +280,8 @@ def legendrian_fibers(d, weights, method=None):
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     w = as_weight_system(weights)
-    full = _monomial_weights(d, w)
+    # the closed form, which the kernel route alone never reads
+    full = None if method == METHOD_KERNEL else _monomial_weights(d, w)
     for pair in P5_PAIRS:
         if method == METHOD_IMAGE:
             yield pair, image_fiber_weights(pair, d, w, full)

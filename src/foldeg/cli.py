@@ -20,6 +20,7 @@ deterministic for fixed flags.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -343,9 +344,20 @@ def build_parser():
     return parser
 
 
+def _join_weights(argv):
+    """Join "--weights -4,0,2,7", which argparse reads as two flags, into
+    "--weights=-4,0,2,7"; only a minus sign and a digit are joined."""
+    words = []
+    for word in argv:
+        if words[-1:] == ["--weights"] and re.match(r"-\d", word):
+            word = words.pop() + "=" + word
+        words.append(word)
+    return words
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_weights(sys.argv[1:] if argv is None else argv))
     try:
         _check_usage(args)
         if hasattr(args, "weights"):

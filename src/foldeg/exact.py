@@ -141,12 +141,6 @@ def monomials_of_degree(k):
     return tuple(out)
 
 
-def monomial_weight(monomial, weights):
-    """Torus weight of a monomial: sum of e_i * w_i."""
-    w = as_weight_system(weights).values
-    return sum(e * wi for e, wi in zip(monomial, w))
-
-
 def monomial_string(monomial):
     """Human-readable monomial, e.g. (2,0,1,0) -> "x1^2*x3"."""
     parts = []

@@ -7,8 +7,8 @@ that coefficients are degree-d forms.  The monomial field mu*d/dx_j has
 the Z^4 character mu - e_j, and divergence preserves characters: for
 each character chi the divergence is a single row x^chi with
 coefficients mu_j.  Its kernel has a closed form, so the basis is written
-down directly; a torus with coordinate weights w_1..w_4 then gives each
-field the numeric weight wt(mu) - w_j.
+down directly, for d alone, graded by the characters; torus weights
+w_1..w_4 give chi the weight sum chi_i * w_i (SectionBasis.weight_multiset).
 
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
@@ -18,18 +18,15 @@ linear forms of the path kappa_ij + t*kappa_kl (integer_contraction,
 path_linear_forms).
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .exact import (
-    DEFAULT_WEIGHTS,
     WeightMultiset,
-    WeightSystem,
     as_weight_system,
     monomial_string,
-    monomial_weight,
     monomials_of_degree,
     scalar_to_string,
     signed_sum,
@@ -89,28 +86,6 @@ def _bump(mono, var):
     out = list(mono)
     out[var - 1] += 1
     return tuple(out)
-
-
-def _terms_of(field):
-    terms = field.terms if isinstance(field, BasisField) else tuple(field)
-    if len({sum(t.monomial) for t in terms}) > 1:
-        raise ValueError("field mixes monomial degrees")
-    return terms
-
-
-def divergence(field):
-    """Divergence as {monomial: coefficient}; zero coefficients dropped.
-
-    >>> divergence([MonomialField(Fraction(1), (2, 0, 0, 0), 1)])
-    {(1, 0, 0, 0): Fraction(2, 1)}
-    """
-    out = {}
-    for coeff, mono, j in _terms_of(field):
-        e = mono[j - 1]
-        if e:
-            m = _lower(mono, j)
-            out[m] = out.get(m, 0) + coeff * e
-    return {m: v for m, v in out.items() if v}
 
 
 class AntisymmetricForm:
@@ -188,9 +163,12 @@ def contract(form, field):
     plane field cut out by the form exactly when this vanishes.  The
     limits use integer_contraction; this is its Fraction oracle.
     """
+    terms = field.terms if isinstance(field, BasisField) else tuple(field)
+    if len({sum(t.monomial) for t in terms}) > 1:
+        raise ValueError("field mixes monomial degrees")
     a = form.linear_forms()
     out = {}
-    for coeff, mono, direction in _terms_of(field):
+    for coeff, mono, direction in terms:
         for var, c in a[direction - 1].items():
             m = _bump(mono, var)
             out[m] = out.get(m, 0) + coeff * c
@@ -198,19 +176,17 @@ def contract(form, field):
 
 
 class BasisField:
-    """A divergence-free field, homogeneous of one torus weight."""
+    """A divergence-free field, homogeneous of one Z^4 character."""
 
-    __slots__ = ("terms", "weight")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, weight):
+    def __init__(self, terms):
         self.terms = tuple(terms)
-        self.weight = weight
 
     @property
     def character(self):
         """The Z^4 character mu - e_j of the leading term; every term of
-        a basis field has the same one, and weight is its value at the
-        numeric weight system."""
+        a basis field has the same one."""
         _, mono, j = self.terms[0]
         return _lower(mono, j)
 
@@ -229,18 +205,19 @@ class BasisField:
         return hash(self.terms)
 
     def __repr__(self):
-        return "BasisField(%s; weight=%d)" % (self.render(), self.weight)
+        return "BasisField(%s; character=%r)" % (self.render(), self.character)
 
 
 class SectionBasis:
-    """Weight-graded basis of Phi_d, blocks in ascending weight order."""
+    """Basis of Phi_d in generation order, with the multiplicity of each
+    Z^4 character counted once, when the basis is built."""
 
-    __slots__ = ("d", "weights", "fields")
+    __slots__ = ("d", "fields", "characters")
 
-    def __init__(self, d, weights, fields):
+    def __init__(self, d, fields):
         self.d = d
-        self.weights = weights
         self.fields = tuple(fields)
+        self.characters = Counter(f.character for f in self.fields)
 
     def __len__(self):
         return len(self.fields)
@@ -251,70 +228,69 @@ class SectionBasis:
     def __getitem__(self, i):
         return self.fields[i]
 
-    def weight_multiset(self):
-        return WeightMultiset(f.weight for f in self.fields)
+    def weight_multiset(self, weights):
+        """The weights of the fields at a weight system: each distinct
+        character evaluated once, its multiplicity added."""
+        w1, w2, w3, w4 = as_weight_system(weights).values
+        counts = {}
+        for (a, b, c, e), m in self.characters.items():
+            v = a * w1 + b * w2 + c * w3 + e * w4
+            counts[v] = counts.get(v, 0) + m
+        return WeightMultiset.from_counts(counts)
 
     def __repr__(self):
-        return "SectionBasis(d=%d, weights=%r, %d fields)" % (
-            self.d,
-            self.weights.values,
-            len(self.fields),
-        )
+        return "SectionBasis(d=%d, %d fields)" % (self.d, len(self.fields))
 
 
-def build_phi_basis(d, weights=DEFAULT_WEIGHTS):
-    """Weight-graded basis of the divergence-free degree-d fields.
+def build_phi_basis(d):
+    """Basis of the divergence-free degree-d fields, each of one Z^4
+    character.
 
-    Written down in closed form, one Z^4 character at a time.  For each
-    degree-d monomial mu and direction j: x^mu d/dx_j itself when
-    mu_j = 0 (its divergence vanishes); when mu_j > 0 and j < 4,
+    Written down in closed form.  For each degree-d monomial mu and
+    direction j: x^mu d/dx_j itself when mu_j = 0 (its divergence
+    vanishes); when mu_j > 0 and j < 4,
     x^mu d/dx_j - mu_j/(mu_4+1) * x^(mu-e_j+e_4) d/dx_4, which cancels
     the divergence mu_j*x^(mu-e_j) against the d/dx_4 term of the same
-    character; nothing for j = 4 with mu_4 > 0.  Fields are ordered by
-    numeric weight, then direction, then the graded-lex position of mu.
-    This is the reduced echelon basis with +1 pivots of each weight
-    block's divergence kernel, columns taken direction-major.
+    character; nothing for j = 4 with mu_4 > 0.  Fields come in
+    generation order: the graded-lex position of mu, then the direction.
+    Within one character these are the reduced echelon basis with +1
+    pivots of the divergence kernel, columns taken direction-major.
+
+    >>> basis = build_phi_basis(1)
+    >>> len(basis)
+    15
+    >>> basis[1].render(), basis[1].character
+    ('x1*d/dx2', (1, -1, 0, 0))
     """
-    w = as_weight_system(weights)
-    w.require_admissible()
     if d < 1:
         raise ValueError("field degree must be >= 1, got %r" % (d,))
-    return _phi_basis_cached(d, w.values)
+    return _phi_basis_cached(d)
 
 
-# One entry: every caller asks for one (d, weights) at a time, so
-# nothing is kept across degrees or weight systems.
+# One entry: every caller asks for one degree at a time, so nothing is
+# kept across degrees.
 @lru_cache(maxsize=1)
-def _phi_basis_cached(d, wvalues):
-    w = WeightSystem(wvalues)
+def _phi_basis_cached(d):
     one = Fraction(1)
     monos = monomials_of_degree(d)
     # partners are degree-d monomials too: reuse those tuples
     shared = dict(zip(monos, monos))
-    keyed = []
-    for k, mu in enumerate(monos):
-        wt = monomial_weight(mu, w)
+    fields = []
+    for mu in monos:
         for j in (1, 2, 3, 4):
             e = mu[j - 1]
-            if not e:
-                terms = (MonomialField(one, mu, j),)
-            elif j < 4:
-                partner = shared[_bump(_lower(mu, j), 4)]
-                terms = (
-                    MonomialField(one, mu, j),
-                    MonomialField(Fraction(-e, mu[3] + 1), partner, 4),
-                )
-            else:
+            if j == 4 and e:
                 continue
-            keyed.append((wt - w.weight(j), j, k, terms))
-    keyed.sort(key=lambda item: item[:3])
-    fields = [BasisField(terms, wt) for wt, _, _, terms in keyed]
+            terms = (MonomialField(one, mu, j),)
+            if e:
+                partner = shared[_bump(_lower(mu, j), 4)]
+                terms += (MonomialField(Fraction(-e, mu[3] + 1), partner, 4),)
+            fields.append(BasisField(terms))
     if len(fields) != phi_dimension(d):
         raise ArithmeticError(
-            "basis size %d != %d for d=%d, weights %r"
-            % (len(fields), phi_dimension(d), d, wvalues)
+            "basis size %d != %d for d=%d" % (len(fields), phi_dimension(d), d)
         )
-    return SectionBasis(d, w, fields)
+    return SectionBasis(d, fields)
 
 
 def scaled_terms(field):
@@ -370,15 +346,13 @@ def integer_contraction(linear_forms, basis):
     return {k: v for k, v in entries.items() if v[0] or v[1]}
 
 
-def tangent_kernel_dimension(form, d, weights=DEFAULT_WEIGHTS):
+def tangent_kernel_dimension(form, d):
     """Dimension of the fields in Phi_d tangent to the given form.
 
     Computed as dim Phi_d minus the exact rank of the contraction matrix,
-    the form's coefficients scaled by their common denominator; the
-    answer does not depend on the admissible weight system used to
-    organize the computation.
+    the form's coefficients scaled by their common denominator.
     """
-    basis = build_phi_basis(d, weights)
+    basis = build_phi_basis(d)
     den = lcm(*(c.denominator for c in form.alpha))
     a = [[(var, (int(c * den), 0)) for var, c in lf.items()]
          for lf in form.linear_forms()]

@@ -288,7 +288,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
             img.quotient_characters,
         )
 
-    all_weights = build_phi_basis(d, w).weight_multiset()
+    all_weights = build_phi_basis(d).weight_multiset(w)
     chains = _pair_chains(d, fp)
 
     if method == METHOD_IMAGE:

@@ -9,14 +9,17 @@ nothing of torus levels, the image limit's rows as an echelon of M(1)
 cut down to the pivots' levels, the Legendrian image fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
 points by a coordinate permutation, the kernel limit's weights as
-ranks of its projections onto each weight space, the basis Phi_d as the
-divergence kernel of each weight space in echelon form, the blocks of
-the global contraction by union-find, and the kernel limit as one
-integer echelon of [M(1)^T | I] per block.  They share no code with
-what they check beyond RationalPolynomial, the monomial list and
-weights, MonomialField, the complement of a pair, the Fraction rref and
-kernel basis, the integer echelon, and (for the image fiber) the chains
-of foldeg.limits.
+ranks of its projections onto each weight space, the divergence of a
+field term by term, the basis Phi_d as the divergence kernel of each
+weight space in echelon form, the blocks of the global contraction by
+union-find, and the kernel limit as one integer echelon of
+[M(1)^T | I] per block.  They share no code with what they check beyond
+RationalPolynomial, the monomial list and weights, MonomialField, the
+complement of a pair, the Fraction rref and kernel basis, the integer
+echelon, and (for the image fiber) the chains of foldeg.limits.
+weight_ordered_basis puts the package's basis, which depends on d
+alone, in the order the echelon basis has under a weight system, so
+that the oracles built on it see the columns that order gives.
 """
 
 from collections import Counter
@@ -28,10 +31,14 @@ from foldeg.exact import (
     RationalPolynomial,
     WeightSystem,
     character_weights,
-    monomial_weight,
     monomials_of_degree,
 )
-from foldeg.fields import MonomialField, complementary_pair
+from foldeg.fields import (
+    MonomialField,
+    SectionBasis,
+    build_phi_basis,
+    complementary_pair,
+)
 from foldeg.limits import SaturationRankError, _chains
 from foldeg.linalg import echelon, kernel_basis, rref
 
@@ -221,16 +228,37 @@ def cut_limit_rows(rows, ncols, levels):
             [order[p] for p in pivots])
 
 
-def projected_kernel_weights(vectors, col_idx, basis):
+def character_weight(chi, weights):
+    """The weight sum chi_i * w_i of a Z^4 character (or a monomial)."""
+    return sum(a * b for a, b in zip(chi, WeightSystem(weights).values))
+
+
+def projected_kernel_weights(vectors, col_idx, basis, weights):
     """Weights of a T-stable kernel limit spanned by vectors (indexed
     like col_idx): the rank of the vectors projected onto one weight's
     coordinates is that weight's multiplicity.  Sorted."""
+    wt = {c: character_weight(basis[c].character, weights) for c in col_idx}
     out = []
-    for chi in sorted({basis[c].weight for c in col_idx}):
-        pos = [k for k, c in enumerate(col_idx) if basis[c].weight == chi]
+    for chi in sorted(set(wt.values())):
+        pos = [k for k, c in enumerate(col_idx) if wt[c] == chi]
         proj = [[v[k] for k in pos] for v in vectors]
         out += [chi] * len(rref(proj)[1])
     return out
+
+
+def divergence(field):
+    """Divergence of a field (a BasisField or a list of MonomialField
+    terms of one degree) as {monomial: coefficient}, zero coefficients
+    dropped.  A field that mixes monomial degrees raises ValueError."""
+    terms = getattr(field, "terms", field)
+    if len({sum(t.monomial) for t in terms}) > 1:
+        raise ValueError("field mixes monomial degrees")
+    out = {}
+    for coeff, mono, j in terms:
+        if mono[j - 1]:
+            m = tuple(e - (i == j) for i, e in enumerate(mono, 1))
+            out[m] = out.get(m, 0) + coeff * mono[j - 1]
+    return {m: v for m, v in out.items() if v}
 
 
 def rref_phi_basis(d, weights):
@@ -241,13 +269,13 @@ def rref_phi_basis(d, weights):
     groups = {}
     for j in (1, 2, 3, 4):
         for m in monomials_of_degree(d):
-            wt = monomial_weight(m, w) - w.weight(j)
+            wt = character_weight(m, w) - w.weight(j)
             groups.setdefault(wt, []).append((m, j))
     fields = []
     for wt in sorted(groups):
         block = groups[wt]
         rows = [m for m in monomials_of_degree(d - 1)
-                if monomial_weight(m, w) == wt]
+                if character_weight(m, w) == wt]
         rowindex = {m: i for i, m in enumerate(rows)}
         mat = [[0] * len(block) for _ in rows]
         for c, (m, j) in enumerate(block):
@@ -262,6 +290,20 @@ def rref_phi_basis(d, weights):
             )
             fields.append((terms, wt))
     return fields
+
+
+def weight_ordered_basis(d, weights):
+    """build_phi_basis(d) with its fields in the order of rref_phi_basis:
+    by weight at the weight system, then by direction, then by the
+    graded-lex position of the leading monomial."""
+    position = {m: k for k, m in enumerate(monomials_of_degree(d))}
+
+    def key(field):
+        lead = field.terms[0]
+        return (character_weight(field.character, weights), lead.direction,
+                position[lead.monomial])
+
+    return SectionBasis(d, sorted(build_phi_basis(d), key=key))
 
 
 def _connected_blocks(matrix):
@@ -342,14 +384,15 @@ def _kernel_limits(blocks):
         yield col_idx, vectors
 
 
-def _kernel_weights_for_block(vectors, col_idx, basis):
+def _kernel_weights_for_block(vectors, col_idx, basis, weights):
     """Weights of a T-stable kernel limit, one per limit vector.  Each
     vector is cut down to its pivot's level, and within a block one
     level is one character, so its support must lie in one weight
     space."""
     out = []
     for v in vectors:
-        support = {basis[c].weight for c, x in zip(col_idx, v) if x}
+        support = {character_weight(basis[c].character, weights)
+                   for c, x in zip(col_idx, v) if x}
         if len(support) != 1:
             raise SaturationRankError("limit kernel is not a sum of "
                                       "weight spaces")

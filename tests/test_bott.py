@@ -175,7 +175,7 @@ def test_transport_matches_direct_fibers(weights):
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
     """The image route counts the monomial weights once per degree and
     weight system, and builds neither chains, nor a field basis, nor a
-    contraction matrix."""
+    contraction matrix; the kernel route counts none."""
     builds, calls = [], []
 
     def counting_weights(d, w):
@@ -203,6 +203,8 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
     kernel = legendrian_degree(5, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
     assert len(calls) == 6
+    # the kernel route reads no closed form, so it counts no weights
+    assert builds == [5, 5]
 
 
 def test_both_checks_closed_form_fibers(monkeypatch):

@@ -98,6 +98,28 @@ def test_alternative_weights_same_degree(capsys):
     assert out.splitlines()[-1] == "degree: 2224"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_first_weight_as_a_separate_word(capsys, monkeypatch, fmt):
+    """--weights -4,0,2,7 prints the bytes of --weights=-4,0,2,7, from
+    an argument list and from the command line alike."""
+    head = ["legendrian", "--degree", "2", "--format", fmt]
+    want = run(capsys, head + ["--weights=-4,0,2,7"])
+    assert want[0] == 0 and "2224" in want[1]
+    assert run(capsys, head + ["--weights", "-4,0,2,7"]) == want
+    monkeypatch.setattr(sys, "argv", ["foldeg"] + head + ["--weights", "-4,0,2,7"])
+    assert run(capsys, None) == want
+
+
+def test_only_a_minus_sign_and_a_digit_join_weights(capsys):
+    """A word after --weights that starts with "-" but not with a minus
+    sign and a digit stays a flag, so the option lacks its value."""
+    for word in ("-x,0,2,7", "-,4,0,2", "--format"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["legendrian", "--degree", "2", "--weights", word])
+        assert info.value.code == 2
+        assert "--weights: expected one argument" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -42,6 +42,7 @@ from oracles import (
     _connected_blocks,
     _kernel_limits,
     _kernel_weights_for_block,
+    character_weight,
     kernel_counts_by_block,
     projected_kernel_weights,
     saturated_limit_rows,
@@ -80,7 +81,7 @@ def test_fiber_sizes_and_partition():
             res = limit_fiber_weights(pair, d)
             assert len(res.quotient_weights) == comb(d + 4, 3)
             assert len(res.kernel_weights) == contact_kernel_dimension(d)
-            full = build_phi_basis(d, DEFAULT_WEIGHTS).weight_multiset()
+            full = build_phi_basis(d).weight_multiset(DEFAULT_WEIGHTS)
             recombined = WeightMultiset(
                 res.quotient_weights.values + res.kernel_weights.values
             )
@@ -133,7 +134,7 @@ def test_methods_agree():
 
 def test_contraction_matrix_shape():
     d = 2
-    basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+    basis = build_phi_basis(d)
     matrix = build_contraction_matrix((1, 2), d, basis)
     assert matrix.shape == (comb(d + 4, 3), len(basis))
     assert matrix.entries
@@ -210,7 +211,7 @@ def test_integer_contraction_keeps_the_fraction_pivots():
     pattern and the t-free entries alone, so the saturation oracle picks
     the same pivot columns as on the row-cleared Fraction matrix."""
     for d in range(1, 9):
-        basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+        basis = build_phi_basis(d)
         scale = [lcm(*(t.coefficient.denominator for t in f.terms))
                  for f in basis]
         for pair in P5_PAIRS:
@@ -239,7 +240,7 @@ def test_torus_image_limit_equals_the_saturation_oracle(weights):
     the cut rows of oracles.cut_limit_rows, whose pivots must be those
     of limit_rows."""
     for d in range(1, 9):
-        basis = build_phi_basis(d, weights)
+        basis = oracles.weight_ordered_basis(d, weights)
         for pair in P5_PAIRS:
             matrix = build_contraction_matrix(pair, d, basis)
             for cols, levels, rows in _blocks(matrix):
@@ -277,7 +278,7 @@ def test_blocks_are_the_character_classes(weights):
     exactly the classes of column characters modulo that vector:
     (d+2)^2 of them at every fixed point."""
     for d in range(1, 11):
-        basis = build_phi_basis(d, weights)
+        basis = oracles.weight_ordered_basis(d, weights)
         for pair in P5_PAIRS:
             matrix = build_contraction_matrix(pair, d, basis)
             blocks = sorted(cols for cols, _, _ in _blocks(matrix))
@@ -309,7 +310,7 @@ def test_chains_are_the_union_find_blocks():
         e_low = tuple(int(a in (i, j)) for a in (1, 2, 3, 4))
         e_high = tuple(int(a in (k, l)) for a in (1, 2, 3, 4))
         for d in range(1, 11):
-            basis = build_phi_basis(d, DEFAULT_WEIGHTS)
+            basis = build_phi_basis(d)
             matrix = build_contraction_matrix(pair, d, basis)
             blocks = {}
             for (row_idx, _), (col_idx, _, rows) in zip(
@@ -356,7 +357,7 @@ def test_kernel_rule_equals_the_echelon_oracle(weights):
     what the [M(1)^T | I] echelon of each union-find block counts, at
     every fixed point, d = 1..10."""
     for d in range(1, 11):
-        basis = build_phi_basis(d, weights)
+        basis = oracles.weight_ordered_basis(d, weights)
         for pair in P5_PAIRS:
             want = kernel_counts_by_block(
                 build_contraction_matrix(pair, d, basis))
@@ -422,7 +423,7 @@ def test_kernel_limit_annihilates_the_image_limit(weights):
     are each other's annihilators, as the limits of a kernel and a row
     space."""
     for d in range(2, 9):
-        basis = build_phi_basis(d, weights)
+        basis = oracles.weight_ordered_basis(d, weights)
         for pair in P5_PAIRS:
             blocks = tuple(_blocks(build_contraction_matrix(pair, d, basis)))
             for (cols, levels, rows), (kcols, vectors) in zip(
@@ -448,13 +449,13 @@ def test_kernel_weights_equal_the_projection_rank_oracle(weights):
     gives the multiplicities that the ranks of the projections onto each
     weight space give."""
     for d in range(1, 9):
-        basis = build_phi_basis(d, weights)
+        basis = oracles.weight_ordered_basis(d, weights)
         for pair in P5_PAIRS:
             blocks = tuple(_blocks(build_contraction_matrix(pair, d, basis)))
             for cols, vectors in _kernel_limits(blocks):
-                got = _kernel_weights_for_block(vectors, cols, basis)
+                got = _kernel_weights_for_block(vectors, cols, basis, weights)
                 assert sorted(got) == projected_kernel_weights(
-                    vectors, cols, basis
+                    vectors, cols, basis, weights
                 )
 
 
@@ -509,12 +510,14 @@ def test_shared_blocks_are_never_stale(monkeypatch):
 def test_kernel_route_guards_raise(monkeypatch):
     """The kernel oracle refuses a limit vector that mixes weights, and
     the kernel route a limit kernel of the wrong rank."""
-    basis = build_phi_basis(3, DEFAULT_WEIGHTS)
+    basis = build_phi_basis(3)
     blocks = tuple(_blocks(build_contraction_matrix((1, 2), 3, basis)))
     cols = next(cols for cols, _ in _kernel_limits(blocks)
-                if len({basis[c].weight for c in cols}) > 1)
+                if len({character_weight(basis[c].character, DEFAULT_WEIGHTS)
+                        for c in cols}) > 1)
     with pytest.raises(SaturationRankError, match="weight spaces"):
-        _kernel_weights_for_block([[1] * len(cols)], cols, basis)
+        _kernel_weights_for_block([[1] * len(cols)], cols, basis,
+                                  DEFAULT_WEIGHTS)
 
     real = limits._kernel_counts
 

@@ -16,7 +16,7 @@ from foldeg.bott import (
     localize,
     split_monomial_weights,
 )
-from foldeg.exact import WeightSystem
+from foldeg.exact import WeightMultiset, WeightSystem
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
     METHOD_BOTH,
@@ -31,11 +31,13 @@ from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import (
     SOURCE_PAIR,
     chain_kernel_counts,
+    character_weight,
     enumerated_complement_weights,
     enumerated_monomial_weights,
     enumerated_pencil_fiber,
     kernel_counts_by_block,
     rref_phi_basis,
+    weight_ordered_basis,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -86,7 +88,7 @@ def test_kernel_rule_equals_the_echelon_oracle_under_any_weights(
     echelon of the union-find blocks counts under any admissible
     weights."""
     want = kernel_counts_by_block(
-        build_contraction_matrix(pair, d, build_phi_basis(d, values)))
+        build_contraction_matrix(pair, d, weight_ordered_basis(d, values)))
     for chain in limits._chains(d, pair):
         chars = [chi for chi, _ in chain]
         got = dict(zip(chars, limits._kernel_counts(chain)))
@@ -116,7 +118,7 @@ def test_a_pair_and_its_complement_share_m1(values, d):
     """The paths at kappa_ij and at kappa_kl both pass through
     kappa_ij + kappa_kl at t = 1, so the two contraction matrices have
     the same integer entries c0 + c1 there."""
-    basis = build_phi_basis(d, values)
+    basis = weight_ordered_basis(d, values)
 
     def m1(pair):
         matrix = build_contraction_matrix(pair, d, basis)
@@ -129,11 +131,23 @@ def test_a_pair_and_its_complement_share_m1(values, d):
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
 def test_closed_form_basis_matches_rref_oracle_under_any_weights(values):
     """Field for field, coefficient for coefficient and weight for
-    weight, the closed-form basis is the echelon basis under any
+    weight, the closed-form basis, put in the echelon basis's order by
+    the weights of its characters, is the echelon basis under any
     admissible weights, at every d = 1..6."""
     for d in range(1, 7):
-        got = [(f.terms, f.weight) for f in build_phi_basis(d, values)]
+        got = [(f.terms, character_weight(f.character, values))
+               for f in weight_ordered_basis(d, values)]
         assert got == rref_phi_basis(d, values)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+def test_basis_weight_multiset_equals_the_echelon_weights(values):
+    """The basis weights, each distinct character evaluated once and its
+    multiplicity added, are the weights of the echelon basis under any
+    admissible weights, at every d = 1..8."""
+    for d in range(1, 9):
+        want = WeightMultiset(wt for _, wt in rref_phi_basis(d, values))
+        assert build_phi_basis(d).weight_multiset(values) == want
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, pair=st.sampled_from(P5_PAIRS))
