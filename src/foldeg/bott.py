@@ -103,18 +103,13 @@ def default_method(d):
     return METHOD_BOTH if d <= 4 else METHOD_IMAGE
 
 
-class DegreeReport:
+class DegreeReport(namedtuple(
+    "DegreeReport", "family d weights contributions degree"
+)):
     """Result of one localization run: the per-point contributions and
     the integer degree they sum to."""
 
-    __slots__ = ("family", "d", "weights", "contributions", "degree")
-
-    def __init__(self, family, d, weights, contributions, degree):
-        self.family = family
-        self.d = d
-        self.weights = weights
-        self.contributions = tuple(contributions)
-        self.degree = degree
+    __slots__ = ()
 
     def to_json_dict(self):
         out = {}
@@ -136,9 +131,7 @@ class DegreeReport:
 
     def __repr__(self):
         return "DegreeReport(%s, d=%d, degree=%d)" % (
-            self.family,
-            self.d,
-            self.degree,
+            self.family, self.d, self.degree
         )
 
 
@@ -205,7 +198,7 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             "%s localization sum %s is not an integer (d=%d, weights %r)"
             % (family.name, scalar_to_string(total), d, w.values)
         )
-    return DegreeReport(family.name, d, w, contributions, int(total))
+    return DegreeReport(family.name, d, w, tuple(contributions), int(total))
 
 
 def _monomial_weights(d, w):

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .bott import NonIntegralDegree, default_method, legendrian_degree
-from .exact import InadmissibleWeights, WeightMultiset, WeightSystem
+from .exact import DEFAULT_WEIGHTS, InadmissibleWeights, WeightMultiset, WeightSystem
 from .fields import AntisymmetricForm, MonomialField, contract
 from .limits import (
     METHOD_BOTH,
@@ -262,7 +262,7 @@ def _add_common_flags(
     sub.add_argument(
         "--weights",
         type=_parse_weights,
-        default=WeightSystem((0, 2, 7, 10)),
+        default=DEFAULT_WEIGHTS,
         metavar="a,b,c,d",
         help="torus weights (default 0,2,7,10)",
     )
@@ -346,10 +346,12 @@ def build_parser():
 
 def _join_weights(argv):
     """Join "--weights -4,0,2,7", which argparse reads as two flags, into
-    "--weights=-4,0,2,7"; only a minus sign and a digit are joined."""
+    "--weights=-4,0,2,7", after --weights or any prefix of it down to
+    --w, as argparse takes; only a minus sign and a digit are joined."""
     words = []
     for word in argv:
-        if words[-1:] == ["--weights"] and re.match(r"-\d", word):
+        flag = words[-1] if words else ""
+        if len(flag) > 2 and "--weights".startswith(flag) and re.match(r"-\d", word):
             word = words.pop() + "=" + word
         words.append(word)
     return words

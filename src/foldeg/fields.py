@@ -175,13 +175,10 @@ def contract(form, field):
     return {m: v for m, v in out.items() if v}
 
 
-class BasisField:
+class BasisField(namedtuple("BasisField", "terms")):
     """A divergence-free field, homogeneous of one Z^4 character."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = tuple(terms)
+    __slots__ = ()
 
     @property
     def character(self):
@@ -195,14 +192,6 @@ class BasisField:
             (coeff, monomial_string(mono) + "*d/dx%d" % j)
             for coeff, mono, j in self.terms
         )
-
-    def __eq__(self, other):
-        if isinstance(other, BasisField):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self):
         return "BasisField(%s; character=%r)" % (self.render(), self.character)

@@ -36,6 +36,7 @@ matrix is assembled.  Two independent routes compute the limit on them:
 "both" runs the two routes on one set of chains (_pair_chains).
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
@@ -72,20 +73,15 @@ class MethodDisagreement(ArithmeticError):
 # The global contraction is the tests' oracle for the chains.  It stays
 # here because perfbench/tracing.py hooks
 # foldeg.limits.build_contraction_matrix.
-class ContractionMatrix:
+class ContractionMatrix(namedtuple(
+    "ContractionMatrix", "fp d basis row_monomials entries"
+)):
     """Contraction of omega_t against a field basis, rows indexed by the
     degree-(d+1) monomials, columns by the basis fields; entries are int
     pairs (c0, c1) for c0 + c1*t, each column scaled by its field's
     denominator (see fields.integer_contraction)."""
 
-    __slots__ = ("fp", "d", "basis", "row_monomials", "entries")
-
-    def __init__(self, fp, d, basis, row_monomials, entries):
-        self.fp = fp
-        self.d = d
-        self.basis = basis
-        self.row_monomials = row_monomials
-        self.entries = entries
+    __slots__ = ()
 
     @property
     def shape(self):
@@ -93,10 +89,7 @@ class ContractionMatrix:
 
     def __repr__(self):
         return "ContractionMatrix(fp=%r, d=%d, shape=%r, %d entries)" % (
-            self.fp,
-            self.d,
-            self.shape,
-            len(self.entries),
+            self.fp, self.d, self.shape, len(self.entries)
         )
 
 
@@ -215,7 +208,10 @@ def _kernel_counts(chain):
     return counts
 
 
-class LimitFiberResult:
+class LimitFiberResult(namedtuple(
+    "LimitFiberResult",
+    "pair d quotient_weights kernel_weights method quotient_characters",
+)):
     """Fiber weights at one fixed point: quotient_weights is the fiber of
     the image sheaf (what the Euler class is made of), kernel_weights its
     complement inside the weights of the full field basis.
@@ -225,34 +221,11 @@ class LimitFiberResult:
     limit is fixed by the whole torus, so they do not depend on the
     weight system."""
 
-    __slots__ = (
-        "pair", "d", "quotient_weights", "kernel_weights", "method",
-        "quotient_characters",
-    )
-
-    def __init__(self, pair, d, quotient_weights, kernel_weights, method,
-                 quotient_characters=None):
-        self.pair = pair
-        self.d = d
-        self.quotient_weights = quotient_weights
-        self.kernel_weights = kernel_weights
-        self.method = method
-        self.quotient_characters = quotient_characters
-
-    def to_json_dict(self):
-        return {
-            "pair": list(self.pair),
-            "d": self.d,
-            "weights": list(self.quotient_weights),
-            "kernel_weights": list(self.kernel_weights),
-            "method": self.method,
-        }
+    __slots__ = ()
 
     def __repr__(self):
         return "LimitFiberResult(pair=%r, d=%d, %d quotient / %d kernel)" % (
-            self.pair,
-            self.d,
-            len(self.quotient_weights),
+            self.pair, self.d, len(self.quotient_weights),
             len(self.kernel_weights),
         )
 
@@ -266,6 +239,12 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
     insists they agree.
     Either way the image rank must come out as C(d+4, 3) and the kernel
     as (d+4)(d+2)d/3, or SaturationRankError is raised.
+
+    >>> res = limit_fiber_weights((3, 4), 2)
+    >>> res.method, len(res.quotient_weights)
+    ('image-fiber', 20)
+    >>> res
+    LimitFiberResult(pair=(3, 4), d=2, 20 quotient / 16 kernel)
     """
     fp = as_fixed_point(fp)
     w = as_weight_system(weights)
@@ -283,10 +262,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
                 "image-fiber and kernel-limit disagree at %r, d=%d"
                 % (fp, d)
             )
-        return LimitFiberResult(
-            fp, d, img.quotient_weights, img.kernel_weights, METHOD_BOTH,
-            img.quotient_characters,
-        )
+        return img._replace(method=METHOD_BOTH)
 
     all_weights = build_phi_basis(d).weight_multiset(w)
     chains = _pair_chains(d, fp)

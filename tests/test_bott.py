@@ -114,6 +114,7 @@ def test_methods_give_same_degree():
 
 def test_json_schema():
     report = legendrian_degree(2)
+    assert repr(report) == "DegreeReport(legendrian, d=2, degree=2224)"
     out = report.to_json_dict()
     # the Legendrian family is the default: no "family" key
     assert "family" not in out

@@ -110,6 +110,20 @@ def test_negative_first_weight_as_a_separate_word(capsys, monkeypatch, fmt):
     assert run(capsys, None) == want
 
 
+@pytest.mark.parametrize("flag", ["--weight", "--w"])
+def test_negative_first_weight_after_an_abbreviated_flag(capsys, flag):
+    """argparse takes any prefix of --weights down to --w, so a separate
+    negative system is joined to each of them too."""
+    head = ["legendrian", "--degree", "2"]
+    want = run(capsys, head + ["--weights=-4,0,2,7"])
+    assert want[0] == 0 and "2224" in want[1]
+    assert run(capsys, head + [flag, "-4,0,2,7"]) == want
+    with pytest.raises(SystemExit) as info:
+        cli.main(head + [flag, "-x,0,2,7"])
+    assert info.value.code == 2
+    assert "--weights: expected one argument" in capsys.readouterr().err
+
+
 def test_only_a_minus_sign_and_a_digit_join_weights(capsys):
     """A word after --weights that starts with "-" but not with a minus
     sign and a digit stays a flag, so the option lacks its value."""

@@ -8,6 +8,7 @@ import pytest
 import foldeg.bott
 import foldeg.exact
 import foldeg.fields
+import foldeg.limits
 import foldeg.linalg
 import foldeg.pencil
 import foldeg.polyfit
@@ -16,6 +17,7 @@ MODULES = (
     foldeg.exact,
     foldeg.fields,
     foldeg.linalg,
+    foldeg.limits,
     foldeg.bott,
     foldeg.pencil,
     foldeg.polyfit,

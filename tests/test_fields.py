@@ -367,6 +367,9 @@ def test_basis_field_render():
     assert "d/dx" in text
     rendered = {f.render() for f in basis}
     assert len(rendered) == len(basis)
+    assert repr(build_phi_basis(2)[0]) == (
+        "BasisField(x1^2*d/dx1 - 2*x1*x4*d/dx4; character=(1, 0, 0, 0))"
+    )
 
 
 ORACLE_SYSTEMS = ((0, 2, 7, 10), (0, 1, 5, 16), (0, 3, 10, 16), (1, 3, 9, 20))

@@ -138,18 +138,30 @@ def test_contraction_matrix_shape():
     matrix = build_contraction_matrix((1, 2), d, basis)
     assert matrix.shape == (comb(d + 4, 3), len(basis))
     assert matrix.entries
+    assert repr(matrix) == "ContractionMatrix(fp=(1, 2), d=2, shape=(20, 36), 44 entries)"
     with pytest.raises(ValueError):
         build_contraction_matrix((1, 2), 3, basis)
 
 
-def test_result_json_schema():
+def test_result_fields():
     res = limit_fiber_weights((3, 4), 2)
-    out = res.to_json_dict()
-    assert out["pair"] == [3, 4]
-    assert out["d"] == 2
-    assert out["weights"] == list(res.quotient_weights)
-    assert out["kernel_weights"] == list(res.kernel_weights)
-    assert out["method"] == "image-fiber"
+    assert res.pair == (3, 4)
+    assert res.d == 2
+    assert res.method == METHOD_IMAGE
+    assert list(res.quotient_weights) == list(D2_P34_QUOTIENT_WEIGHTS)
+    assert len(res.kernel_weights) == contact_kernel_dimension(2)
+    assert res.kernel_weights == (
+        build_phi_basis(2).weight_multiset(DEFAULT_WEIGHTS).difference(
+            res.quotient_weights
+        )
+    )
+
+
+def test_both_is_the_image_result_with_its_method_replaced():
+    for pair in P5_PAIRS:
+        img = limit_fiber_weights(pair, 2, ALT_WEIGHTS_B, METHOD_IMAGE)
+        both = limit_fiber_weights(pair, 2, ALT_WEIGHTS_B, METHOD_BOTH)
+        assert both == img._replace(method=METHOD_BOTH)
 
 
 def test_method_validation():
@@ -410,7 +422,6 @@ def test_quotient_characters():
     assert ker.quotient_characters is None
     both = limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_BOTH)
     assert both.quotient_characters == chars
-    assert "quotient_characters" not in both.to_json_dict()
 
 
 @pytest.mark.parametrize(
