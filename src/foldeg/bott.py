@@ -10,7 +10,7 @@ minimum degree, polynomial bound, fibers, tangent weights and published
 closed form; localize computes the sum for any of them.  This module
 holds the Legendrian family (LEGENDRIAN, legendrian_degree), whose
 parameter space is the P^5 of antisymmetric forms; foldeg.pencil holds
-the pencil family.  Both build their fibers from one count of the
+the pencil family.  Both build their fibers from the power sums of the
 degree-(d+1) monomial weights, split at each pair the same way.
 
 The Legendrian image fiber has a closed form.  At the pair (p,q) with
@@ -38,11 +38,11 @@ character whose low row it is, m - e_1 - e_2.  The exception is
 m_1 = m_2 = 0: that character has no field, so the character below
 claims m through its high row, m - e_3 - e_4.
 
-The image route therefore counts the monomial weights once per degree
-and weight system and shifts them per pair (image_fiber_weights); it
-builds no chains, echelon or field basis.  The kernel route and "both"
-compute all six fibers directly under the given weights (foldeg.limits),
-and "both" also checks each against the closed form at its own pair.
+The image route therefore takes each fiber's power sums p_0..p_5, all
+that e_5 needs, in closed form in a number of operations that does not
+depend on d (image_power_sums), with no chains, echelon or field basis.  The kernel
+route and "both" compute all six fibers directly (foldeg.limits), and
+"both" checks each against the counted closed form (image_fiber_weights).
 """
 
 from collections import Counter, namedtuple
@@ -55,6 +55,7 @@ from .exact import (
     RationalPolynomial,
     WeightMultiset,
     as_weight_system,
+    monomial_power_sums,
     monomials_of_degree,
     scalar_to_string,
 )
@@ -243,6 +244,16 @@ def image_fiber_weights(pair, d, w, monomial_weights):
     return WeightMultiset.from_counts(counts)
 
 
+def image_power_sums(pair, d, w, full):
+    """image_fiber_weights as power sums p_0..p_5: full, those of all
+    degree-(d+1) monomial weights, less the part of the monomials in x_k,
+    x_l alone, by -(w_p + w_q), plus that part by -(w_k + w_l)."""
+    k, l = complementary_pair(pair)
+    part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, 5)
+    return ((full - part).shifted(-w.pair_sum(pair))
+            + part.shifted(-w.pair_sum((k, l))))
+
+
 def fiber_characters(d, pair):
     """The image fiber at [kappa_pair] as sorted Z^4 characters, in
     closed form: m - e_p - e_q for each degree-(d+1) monomial m that
@@ -259,26 +270,28 @@ def fiber_characters(d, pair):
 
 
 def legendrian_fibers(d, weights, method=None):
-    """(pair, image fiber weights) at the six fixed forms.
+    """(pair, image fiber) at the six fixed forms.
 
     method is one of the foldeg.limits METHODS (None picks
-    default_method(d)).  The image route takes all six fibers in closed
-    form from one count of the degree-(d+1) monomial weights; the kernel
-    route and "both" compute each fixed point directly, and "both"
-    raises MethodDisagreement unless every direct fiber equals the
-    closed-form one at its own pair.
+    default_method(d)).  The image route takes all six fibers as power
+    sums in closed form (image_power_sums); the kernel route and "both"
+    compute each fixed point directly as weights, and "both" raises
+    MethodDisagreement unless every direct fiber equals the counted
+    closed form (image_fiber_weights) at its own pair.
     """
     if method is None:
         method = default_method(d)
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     w = as_weight_system(weights)
-    # the closed form, which the kernel route alone never reads
+    if method == METHOD_IMAGE:
+        full = monomial_power_sums(w.values, d + 1, 5)
+        for pair in P5_PAIRS:
+            yield pair, image_power_sums(pair, d, w, full)
+        return
+    # the counted closed form, which the kernel route alone never reads
     full = None if method == METHOD_KERNEL else _monomial_weights(d, w)
     for pair in P5_PAIRS:
-        if method == METHOD_IMAGE:
-            yield pair, image_fiber_weights(pair, d, w, full)
-            continue
         fiber = limit_fiber_weights(pair, d, w, method).quotient_weights
         if method == METHOD_BOTH and (
                 fiber != image_fiber_weights(pair, d, w, full)):

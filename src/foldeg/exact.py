@@ -9,6 +9,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 
 def scalar_to_string(x):
@@ -219,32 +220,112 @@ def character_weights(characters, weights):
     )
 
 
+class PowerSums:
+    """The power sums p_0..p_K of a multiset of integers, p_j = sum v^j,
+    which is all e_1..e_K need; len is p_0, the number of values.  + and
+    - add and remove multisets term by term, and shifted(c) gives the
+    power sums of every v + c by the binomial theorem."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = tuple(p)
+
+    @classmethod
+    def of(cls, values, top):
+        """p_0..p_top of a WeightMultiset, over its distinct values."""
+        terms, p = list(values.counts.values()), [len(values)]
+        for _ in range(top):
+            terms = list(map(operator.mul, terms, values.counts))
+            p.append(sum(terms))
+        return cls(p)
+
+    def __len__(self):
+        return self.p[0]
+
+    def __add__(self, other):
+        return PowerSums(map(operator.add, self.p, other.p))
+
+    def __sub__(self, other):
+        return PowerSums(map(operator.sub, self.p, other.p))
+
+    def shifted(self, c):
+        return PowerSums(
+            sum(comb(j, i) * c ** (j - i) * self.p[i] for i in range(j + 1))
+            for j in range(len(self.p))
+        )
+
+    def elementary_symmetric(self, k):
+        return elementary_symmetric(k, self)
+
+
+def newton_step(k, p):
+    """e_k from p_0..p_k by Newton's identities, j*e_j = sum_{i=1..j}
+    (-1)^(i-1) e_(j-i) p_i.  ValueError unless 0 <= k <= p_0 and p_k is
+    given; ArithmeticError unless each division by j is exact."""
+    if k < 0 or k > p[0] or k >= len(p):
+        raise ValueError("no e_%r of %d values, p_0..p_%d" % (k, p[0], len(p) - 1))
+    e = [1]
+    for j in range(1, k + 1):
+        q, r = divmod(sum((-1) ** (i - 1) * e[j - i] * p[i]
+                          for i in range(1, j + 1)), j)
+        if r:
+            raise ArithmeticError("e_%d of these power sums is not integral" % j)
+        e.append(q)
+    return e[k]
+
+
 def elementary_symmetric(k, values):
-    """e_k of a WeightMultiset or of integers (else ValueError: the
-    division is exact only on integers), for k in 0..len.  Newton's
-    identities j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i take it from
-    the power sums p_j = sum m_v * v^j over the distinct values v.
+    """e_k of PowerSums, of a WeightMultiset or of integers (else
+    ValueError: Newton's step divides exactly only on integers).
 
     >>> elementary_symmetric(2, [1, 2, 3])
     11
     """
-    if not isinstance(values, WeightMultiset):
-        try:
-            values = WeightMultiset(values)
-        except TypeError:
-            raise ValueError("e_k needs integers, got %r" % (values,)) from None
-    n = len(values)
-    if k < 0 or k > n:
-        raise ValueError("e_%r undefined for %d values" % (k, n))
-    terms, p = list(values.counts.values()), [n]
-    for _ in range(k):
-        terms = list(map(operator.mul, terms, values.counts))
-        p.append(sum(terms))
-    e = [1]
-    for j in range(1, k + 1):
-        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i]
-                     for i in range(1, j + 1)) // j)
-    return e[k]
+    if not isinstance(values, PowerSums):
+        if not isinstance(values, WeightMultiset):
+            try:
+                values = WeightMultiset(values)
+            except TypeError:
+                raise ValueError("e_k needs integers, got %r" % (values,)) from None
+        values = PowerSums.of(values, max(0, min(k, len(values))))
+    return newton_step(k, values.p)
+
+
+@lru_cache(maxsize=256)
+def _power_sum_table(steps, top):
+    """c[j][s], j, s = 0..top, of monomial_power_sums, one variable at a
+    time; onto[b][a] = a! S(b, a) counts the maps of b things onto a."""
+    onto = [[sum((-1) ** (a - i) * comb(a, i) * i ** b for i in range(a + 1))
+             for a in range(top + 1)] for b in range(top + 1)]
+    first, *rest = steps
+    c = [[first ** j * x for x in row] for j, row in enumerate(onto)]
+    for u in rest:
+        c = [[sum(comb(j, b) * u ** b * onto[b][a] * c[j - b][s - a]
+                  for b in range(j + 1) for a in range(min(b, s) + 1))
+              for s in range(top + 1)] for j in range(top + 1)]
+    return c
+
+
+def monomial_power_sums(ws, n, top):
+    """PowerSums p_0..p_top of the weights m.w of the degree-n monomials
+    m in r = len(ws) >= 2 variables, in a number of operations that does
+    not depend on n.  With u_i = w_i - w_r, m.w = n*w_r + sum_{i<r} m_i u_i.
+    Write m_i^b = sum_a a! S(b, a) C(m_i, a); as sum_{|m|=n} prod_i
+    C(m_i, a_i) = C(n+r-1, |a|+r-1), the second term has the power sums
+    sum_s c[j][s] C(n+r-1, s+r-1), c[j][s] the sum of j!/b! prod_i
+    u_i^b_i a_i! S(b_i, a_i) over |b| = j, |a| = s; shifted by n*w_r
+    they are p_j.
+
+    >>> monomial_power_sums((1, 2), 2, 2).p  # x^2, xy, y^2: 2, 3, 4
+    (3, 9, 29)
+    """
+    *rest, last = ws
+    r = len(ws)
+    return PowerSums(
+        sum(c * comb(n + r - 1, s + r - 1) for s, c in enumerate(row))
+        for row in _power_sum_table(tuple(w - last for w in rest), top)
+    ).shifted(n * last)
 
 
 class RationalPolynomial:

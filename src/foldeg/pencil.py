@@ -4,20 +4,22 @@ Foliations everywhere tangent to a varying pencil of planes form the
 second family (PENCIL, pencil_degree).  The fixed points of the torus on
 the Grassmannian G(2,4) are the coordinate pencils <x_i, x_j>, named by
 the same pairs as the fixed forms; no saturation is needed here -- the
-fiber of the relevant twisted quotient sheaf at a fixed pencil is
-written down directly from monomial weights, and foldeg.bott.localize
-sums e_4 over e_4 on the 4-dimensional Grassmannian.  Fibers are counts.
+fiber of the twisted quotient sheaf at a fixed pencil is written down
+directly as its power sums p_0..p_4 in closed form (pd_twisted_weights),
+and foldeg.bott.localize sums e_4 over e_4 on the 4-dimensional G(2,4).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .bott import Family, _monomial_weights, localize, split_monomial_weights
+from .bott import Family, localize
 from .exact import (
     DEFAULT_WEIGHTS,
     RationalPolynomial,
     WeightMultiset,
     as_weight_system,
+    monomial_power_sums,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 
@@ -38,28 +40,27 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
     )
 
 
-def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, monomial_weights=None):
-    """Fiber weight counts of the twisted quotient sheaf at a fixed pencil.
-
-    Take the weight counts of all degree-(d+1) monomials, remove the d+2
-    weights a*w_k + b*w_l of the monomials in the two complementary
-    variables alone, and shift every value by w_k + w_l (the line-bundle
-    twist).  Size: C(d+4,3) - (d+2).  monomial_weights, if given, is
-    that first multiset, computed once for all six pencils.
+def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, full=None):
+    """Power sums p_0..p_4 of the twisted quotient sheaf's fiber at a
+    fixed pencil: the C(d+4,3) degree-(d+1) monomial weights (full, if
+    given, computed once for all six pencils; ValueError unless it has
+    that size) less the d+2 of the monomials in the two complementary
+    variables alone, each shifted by w_k + w_l (the line-bundle twist).
     """
     pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
-    if monomial_weights is None:
-        monomial_weights = _monomial_weights(d, w)
-    rest, _ = split_monomial_weights(pair, d, w, monomial_weights)
-    twist = w.pair_sum(complementary_pair(pair))
-    return WeightMultiset.from_counts(
-        {v + twist: m for v, m in rest.counts.items()})
+    if full is None:
+        full = monomial_power_sums(w.values, d + 1, 4)
+    elif full.p[0] != comb(d + 4, 3):
+        raise ValueError("full count of %d weights at d=%d" % (full.p[0], d))
+    k, l = complementary_pair(pair)
+    part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, 4)
+    return (full - part).shifted(w.pair_sum((k, l)))
 
 
 def pencil_fibers(d, weights):
-    """(pair, twisted fiber weights) at the six pencils, one at a time."""
-    full = _monomial_weights(d, weights)
+    """(pair, twisted fiber power sums) at the six pencils, one at a time."""
+    full = monomial_power_sums(weights.values, d + 1, 4)
     for pair in P5_PAIRS:
         yield pair, pd_twisted_weights(pair, d, weights, full)
 

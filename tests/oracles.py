@@ -3,9 +3,11 @@
 Each is the plain algorithm the package used before: e_k by the O(n*k)
 product recurrence over every value, the monomial weight count, its
 split at a pair and the pencil fiber by enumerating every monomial
-weight, the interpolant as a sum of Lagrange basis polynomials, the
-image limit as a saturation over Z[t] localized at t, which knows
-nothing of torus levels, the image limit's rows as an echelon of M(1)
+weight, the pencil fiber as weight counts taken from the shared count
+of foldeg.bott, as foldeg.pencil built it before its power sums, the
+interpolant as a sum of Lagrange basis polynomials, the image limit
+as a saturation over Z[t] localized at t, which knows nothing of torus
+levels, the image limit's rows as an echelon of M(1)
 cut down to the pivots' levels, the Legendrian image fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
 points by a coordinate permutation, the kernel limit's weights as
@@ -14,7 +16,8 @@ field term by term, the basis Phi_d as the divergence kernel of each
 weight space in echelon form, the blocks of the global contraction by
 union-find, and the kernel limit as one integer echelon of
 [M(1)^T | I] per block.  They share no code with what they check beyond
-RationalPolynomial, the monomial list and weights, MonomialField, the
+RationalPolynomial, the counted closed form of foldeg.bott (for the
+counted pencil fiber), the monomial list and weights, MonomialField, the
 complement of a pair, the Fraction rref and kernel basis, the integer
 echelon, and (for the image fiber) the chains of foldeg.limits.
 weight_ordered_basis puts the package's basis, which depends on d
@@ -27,8 +30,10 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import itemgetter
 
+from foldeg.bott import _monomial_weights, split_monomial_weights
 from foldeg.exact import (
     RationalPolynomial,
+    WeightMultiset,
     WeightSystem,
     character_weights,
     monomials_of_degree,
@@ -80,6 +85,20 @@ def enumerated_pencil_fiber(pair, d, weights):
     for a in range(d + 2):
         full.remove(a * wk + (d + 1 - a) * wl)
     return [v + wk + wl for v in full]
+
+
+def counted_pencil_fiber(pair, d, weights, counted=None):
+    """Twisted pencil fiber at pair as weight counts: the count of every
+    degree-(d+1) monomial weight by progressions (or counted, that count
+    taken once for all six pencils), less the d+2 weights split off at
+    pair, every value shifted by w_k + w_l."""
+    w = WeightSystem(weights)
+    if counted is None:
+        counted = _monomial_weights(d, w)
+    rest, _ = split_monomial_weights(pair, d, w, counted)
+    twist = w.pair_sum(complementary_pair(pair))
+    return WeightMultiset.from_counts(
+        {v + twist: m for v, m in rest.counts.items()})
 
 
 def lagrange_sum(points):

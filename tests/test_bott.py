@@ -22,9 +22,11 @@ from foldeg.bott import (
 )
 from foldeg.exact import (
     InadmissibleWeights,
+    PowerSums,
     WeightMultiset,
     WeightSystem,
     character_weights,
+    monomial_power_sums,
 )
 from foldeg.fields import P5_PAIRS
 from foldeg.limits import (
@@ -34,6 +36,7 @@ from foldeg.limits import (
     MethodDisagreement,
     limit_fiber_weights,
 )
+from foldeg.pencil import PENCIL, pencil_degree
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -174,14 +177,20 @@ def test_transport_matches_direct_fibers(weights):
 
 
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
-    """The image route counts the monomial weights once per degree and
-    weight system, and builds neither chains, nor a field basis, nor a
-    contraction matrix; the kernel route counts none."""
-    builds, calls = [], []
+    """The image route takes one closed-form sum over the four variables
+    per degree and weight system, counts no monomial weights, and builds
+    neither chains, nor a field basis, nor a contraction matrix; the
+    kernel route takes neither."""
+    counts, sums, calls = [], [], []
 
     def counting_weights(d, w):
-        builds.append(d)
+        counts.append(d)
         return _monomial_weights(d, w)
+
+    def counting_sums(ws, n, top):
+        if len(ws) == 4:
+            sums.append((n, top))
+        return monomial_power_sums(ws, n, top)
 
     def counting(pair, d, weights, method):
         calls.append((pair, method))
@@ -191,6 +200,7 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
         raise AssertionError("the image route built a global structure")
 
     monkeypatch.setattr(bott, "_monomial_weights", counting_weights)
+    monkeypatch.setattr(bott, "monomial_power_sums", counting_sums)
     monkeypatch.setattr(bott, "limit_fiber_weights", counting)
     with monkeypatch.context() as m:
         for module in (fields, limits):
@@ -200,35 +210,44 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
         limits._pair_chains.cache_clear()
         image = legendrian_degree(5, method=METHOD_IMAGE)
         legendrian_degree(5, ALT_WEIGHTS_A, method=METHOD_IMAGE)
-    assert builds == [5, 5] and calls == []
+    assert sums == [(6, 5), (6, 5)] and counts == [] and calls == []
     kernel = legendrian_degree(5, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
     assert len(calls) == 6
-    # the kernel route reads no closed form, so it counts no weights
-    assert builds == [5, 5]
+    # the kernel route reads no closed form
+    assert sums == [(6, 5), (6, 5)] and counts == []
 
 
 def test_both_checks_closed_form_fibers(monkeypatch):
-    """method="both" compares each direct fiber with the closed form at
-    its own pair, and raises on a mismatch."""
+    """method="both" compares each direct fiber with the counted closed
+    form at its own pair, and raises on a mismatch; a wrong power-sum
+    fiber on the image route fails Newton's step or the integrality of
+    the sum."""
     assert legendrian_degree(3, method=METHOD_BOTH).degree == (
         LEGENDRIAN_D3_DEGREE
     )
-    original = bott.image_fiber_weights
+    counted, summed = bott.image_fiber_weights, bott.image_power_sums
 
     def off_at_34(pair, d, w, full):
-        fiber = original(pair, d, w, full)
+        fiber = counted(pair, d, w, full)
         if pair != (3, 4):
             return fiber
         return WeightMultiset(v + 1 if i == 0 else v
                               for i, v in enumerate(fiber))
 
+    def sums_off_at_34(pair, d, w, full):
+        fiber = summed(pair, d, w, full)
+        if pair != (3, 4):
+            return fiber
+        return fiber + PowerSums((0, 1, 1, 1, 1, 1))  # a weight 0 moved to 1
+
     monkeypatch.setattr(bott, "image_fiber_weights", off_at_34)
     with pytest.raises(MethodDisagreement):
         legendrian_degree(3, method=METHOD_BOTH)
-    # the image route has no direct fiber to compare with; the
-    # integrality of the sum is what catches a wrong one there
-    with pytest.raises(NonIntegralDegree):
+    # the image route has no direct fiber to compare with; Newton's step
+    # and the integrality of the sum are what catch a wrong one there
+    monkeypatch.setattr(bott, "image_power_sums", sums_off_at_34)
+    with pytest.raises(ArithmeticError):
         legendrian_degree(3, method=METHOD_IMAGE)
 
 
@@ -260,6 +279,14 @@ def test_published_polynomial_pointwise_at_high_degree(weights):
     for d in (40, 60, 100):
         report = legendrian_degree(d, weights)
         assert report.degree == LEGENDRIAN.closed_form(d), d
+
+
+@pytest.mark.parametrize("d", (1000, 10**6))
+def test_both_families_at_degrees_beyond_any_count(d):
+    """Localized on closed-form power sums, whose cost does not grow with
+    d, both degrees are the published ones at d = 1000 and 10^6."""
+    assert legendrian_degree(d).degree == LEGENDRIAN.closed_form(d)
+    assert pencil_degree(d).degree == PENCIL.closed_form(d)
 
 
 def test_monomial_weight_progressions_at_degree_60():

@@ -10,12 +10,14 @@ import pytest
 from foldeg.exact import (
     DEFAULT_WEIGHTS,
     InadmissibleWeights,
+    PowerSums,
     RationalPolynomial,
     WeightMultiset,
     WeightSystem,
     as_weight_system,
     elementary_symmetric,
     lagrange_interpolate,
+    monomial_power_sums,
     monomial_string,
     monomials_of_degree,
     scalar_to_string,
@@ -168,6 +170,47 @@ def test_elementary_symmetric_against_brute_force():
         elementary_symmetric(3, [1, 2])
     with pytest.raises(ValueError):
         elementary_symmetric(-1, [1, 2])
+
+
+def test_power_sums_guard_newtons_step():
+    """e_k from stored power sums: a division by j that is not exact
+    raises instead of flooring (no two integers have p_1 = 1 and
+    p_2 = 0), and so does asking above the highest power stored."""
+    with pytest.raises(ArithmeticError):
+        elementary_symmetric(2, PowerSums((2, 1, 0)))
+    ps = PowerSums.of(WeightMultiset([1, 2, 3]), 2)
+    assert ps.elementary_symmetric(2) == 11 and len(ps) == 3
+    with pytest.raises(ValueError, match="p_0..p_2"):
+        elementary_symmetric(3, ps)
+    with pytest.raises(ValueError):
+        elementary_symmetric(4, PowerSums.of(WeightMultiset([1, 2, 3]), 4))
+
+
+def test_power_sums_add_remove_and_shift():
+    """+, - and shifted(c) give the power sums of the union, of the
+    difference and of every value moved by c."""
+    a, b = WeightMultiset([-3, 1, 1, 4]), WeightMultiset([1, 4])
+
+    def sums(values):
+        return PowerSums.of(WeightMultiset(values), 5).p
+
+    assert (PowerSums.of(a, 5) + PowerSums.of(b, 5)).p == sums(list(a) + list(b))
+    assert (PowerSums.of(a, 5) - PowerSums.of(b, 5)).p == sums([-3, 1])
+    assert PowerSums.of(a, 5).shifted(-7).p == sums(v - 7 for v in a)
+
+
+def test_monomial_power_sums_equal_the_enumeration():
+    """Closed-form power sums of the degree-n monomial weights in 2, 3
+    and 4 variables equal those of the enumerated monomials."""
+    rng = random.Random(18)
+    for r in (2, 3, 4):
+        for n in range(8):
+            ws = [rng.randint(-20, 20) for _ in range(r)]
+            values = [sum(e * w for e, w in zip(m, ws))
+                      for m in monomials_of_degree(n) if not any(m[r:])]
+            assert len(values) == comb(n + r - 1, r - 1)
+            assert monomial_power_sums(ws, n, 5).p == tuple(
+                sum(v ** j for v in values) for j in range(6)), (ws, n)
 
 
 def _prod(values):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from foldeg.exact import InadmissibleWeights, WeightMultiset
+from foldeg.exact import InadmissibleWeights, PowerSums, monomial_power_sums
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
@@ -65,11 +65,17 @@ def test_twisted_fiber_size():
 
 
 def test_twisted_fiber_needs_every_removed_weight():
-    """The d+2 removed weights are subtracted from the shared counts; a
-    multiset that lacks one of them is refused, not clipped at zero."""
-    short = WeightMultiset([0, 10, 20, 30])  # d=2 at (1,2) removes 21..30 by 3
-    with pytest.raises(ValueError):
-        pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, short)
+    """The d+2 removed weights are subtracted from the shared full count,
+    so that count must hold all C(d+4,3) monomial weights; one that
+    lacks a weight, or counts another degree, is refused rather than
+    read as a smaller fiber."""
+    full = monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 4)  # d = 2
+    fiber = pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, full)
+    assert fiber.p == pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS).p
+    short = full - PowerSums((1, 30, 900, 27000, 810000))  # x_4^3 dropped
+    for bad in (short, monomial_power_sums(DEFAULT_WEIGHTS.values, 2, 4)):
+        with pytest.raises(ValueError):
+            pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, bad)
 
 
 def test_degrees_match_frozen_and_closed_form():

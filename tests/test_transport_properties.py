@@ -3,6 +3,7 @@ matrix and the two limit routes, of the pencil fibers and of localize
 under random admissible weights (need hypothesis)."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -13,10 +14,11 @@ from foldeg.bott import (
     _monomial_weights,
     fiber_characters,
     image_fiber_weights,
+    image_power_sums,
     localize,
     split_monomial_weights,
 )
-from foldeg.exact import WeightMultiset, WeightSystem
+from foldeg.exact import WeightMultiset, WeightSystem, monomial_power_sums
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
     METHOD_BOTH,
@@ -32,6 +34,7 @@ from oracles import (
     SOURCE_PAIR,
     chain_kernel_counts,
     character_weight,
+    counted_pencil_fiber,
     enumerated_complement_weights,
     enumerated_monomial_weights,
     enumerated_pencil_fiber,
@@ -226,13 +229,40 @@ def test_monomial_weight_progressions_equal_the_enumeration(values):
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(0, 10))
 def test_pencil_fiber_counts_equal_the_enumerated_fiber(values, d):
-    """The twisted fiber built from one Counter of monomial weights is
-    the enumerated, sorted and differenced fiber at all six pencils."""
+    """The twisted fiber counted from one Counter of monomial weights is
+    the enumerated, sorted and differenced fiber at all six pencils, and
+    the closed-form power sums are p_0..p_4 of that fiber."""
     for pair in P5_PAIRS:
-        fiber = pd_twisted_weights(pair, d, values)
         expected = enumerated_pencil_fiber(pair, d, values)
-        assert list(fiber) == expected
+        assert list(counted_pencil_fiber(pair, d, values)) == expected
+        fiber = pd_twisted_weights(pair, d, values)
+        assert fiber.p == tuple(sum(v ** j for v in expected)
+                                for j in range(5))
         assert len(fiber) == len(expected)
+
+
+@hypothesis.settings(max_examples=4)  # each example counts 60 degrees
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+@hypothesis.example(values=[9, -4, 2, 0])
+def test_power_sum_numerators_equal_the_counted_routes(values):
+    """At every pair, d = 1..60, e_5 of the Legendrian image fiber and
+    e_4 of the pencil fiber taken from closed-form power sums equal
+    those of the counted fibers, and the power sums count C(d+4,3) and
+    C(d+4,3) - (d+2) weights."""
+    w = WeightSystem(values)
+    for d in range(1, 61):
+        counted = _monomial_weights(d, w)
+        legendrian = monomial_power_sums(values, d + 1, 5)
+        pencil = monomial_power_sums(values, d + 1, 4)
+        for pair in P5_PAIRS:
+            fiber = image_power_sums(pair, d, w, legendrian)
+            assert len(fiber) == comb(d + 4, 3)
+            assert fiber.elementary_symmetric(5) == image_fiber_weights(
+                pair, d, w, counted).elementary_symmetric(5), (pair, d)
+            fiber = pd_twisted_weights(pair, d, w, pencil)
+            assert len(fiber) == comb(d + 4, 3) - (d + 2)
+            assert fiber.elementary_symmetric(4) == counted_pencil_fiber(
+                pair, d, w, counted).elementary_symmetric(4), (pair, d)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(2, 12))
