@@ -49,6 +49,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import prod
 
 from .exact import (
     DEFAULT_WEIGHTS,
@@ -171,10 +172,10 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     """Degree of a Family in degree d by Bott's formula.
 
     Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
-    dimension of the parameter space (the number of tangent weights);
-    options go to family.fibers.  Fibers are taken one at a time, so
-    only one is alive at once.  Raises NonIntegralDegree unless the sum
-    is an integer.
+    dimension of the parameter space (the number of tangent weights), so
+    e_n(tangent) is their product; options go to family.fibers.  Fibers
+    are taken one at a time, so only one is alive at once.  Raises
+    NonIntegralDegree unless the sum is an integer.
     """
     if d < family.min_degree:
         raise ValueError(
@@ -185,9 +186,8 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     contributions = []
     for pair, fiber in family.fibers(d, w, **options):
         tangent = family.tangent_weights(pair, w)
-        n = len(tangent)
-        num = fiber.elementary_symmetric(n)
-        den = tangent.elementary_symmetric(n)
+        num = fiber.elementary_symmetric(len(tangent))
+        den = prod(tangent.counts.elements())
         if den < 0:
             num, den = -num, -den
         contributions.append(

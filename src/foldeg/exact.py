@@ -57,9 +57,10 @@ class WeightSystem:
     Admissible means the four weights are pairwise distinct and the six
     pair sums w_i + w_j (i < j) are pairwise distinct; both conditions
     together keep the fixed loci of all the induced actions finite.
+    The answer is kept in a slot the first time it is asked for.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_admissible")
 
     def __init__(self, values):
         try:
@@ -71,6 +72,7 @@ class WeightSystem:
         if len(vals) != 4:
             raise InadmissibleWeights("need exactly 4 weights, got %r" % (values,))
         self.values = vals
+        self._admissible = None
 
     def weight(self, i):
         """Weight of the coordinate x_i (1-based index)."""
@@ -82,11 +84,11 @@ class WeightSystem:
         return self.values[i - 1] + self.values[j - 1]
 
     def is_admissible(self):
-        if len(set(self.values)) != 4:
-            return False
-        v = self.values
-        sums = [v[i] + v[j] for i in range(4) for j in range(i + 1, 4)]
-        return len(set(sums)) == 6
+        if self._admissible is None:
+            v = self.values
+            sums = {v[i] + v[j] for i in range(4) for j in range(i + 1, 4)}
+            self._admissible = len(set(v)) == 4 and len(sums) == 6
+        return self._admissible
 
     def require_admissible(self):
         if not self.is_admissible():
@@ -224,7 +226,8 @@ class PowerSums:
     """The power sums p_0..p_K of a multiset of integers, p_j = sum v^j,
     which is all e_1..e_K need; len is p_0, the number of values.  + and
     - add and remove multisets term by term, and shifted(c) gives the
-    power sums of every v + c by the binomial theorem."""
+    power sums of every v + c by the binomial theorem, with no binomial
+    or power computed (Pascal's rule, below)."""
 
     __slots__ = ("p",)
 
@@ -250,10 +253,14 @@ class PowerSums:
         return PowerSums(map(operator.sub, self.p, other.p))
 
     def shifted(self, c):
-        return PowerSums(
-            sum(comb(j, i) * c ** (j - i) * self.p[i] for i in range(j + 1))
-            for j in range(len(self.p))
-        )
+        """q_m = sum_i C(m, i) c^(m-i) p_i by Pascal's rule weighted by
+        c: row 0 is p, entry i of row m + 1 is c times entry i of row m
+        plus entry i + 1, and q_m heads row m."""
+        row, q = self.p, []
+        while row:
+            q.append(row[0])
+            row = [c * a + b for a, b in zip(row, row[1:])]
+        return PowerSums(q)
 
     def elementary_symmetric(self, k):
         return elementary_symmetric(k, self)
@@ -265,14 +272,13 @@ def newton_step(k, p):
     given; ArithmeticError unless each division by j is exact."""
     if k < 0 or k > p[0] or k >= len(p):
         raise ValueError("no e_%r of %d values, p_0..p_%d" % (k, p[0], len(p) - 1))
-    e = [1]
+    f = [1]  # f_j = (-1)^j e_j carries the sign: j*f_j = -sum f_(j-i) p_i
     for j in range(1, k + 1):
-        q, r = divmod(sum((-1) ** (i - 1) * e[j - i] * p[i]
-                          for i in range(1, j + 1)), j)
+        q, r = divmod(-sum(map(operator.mul, reversed(f), p[1:j + 1])), j)
         if r:
             raise ArithmeticError("e_%d of these power sums is not integral" % j)
-        e.append(q)
-    return e[k]
+        f.append(q)
+    return -f[k] if k % 2 else f[k]
 
 
 def elementary_symmetric(k, values):
@@ -322,8 +328,9 @@ def monomial_power_sums(ws, n, top):
     """
     *rest, last = ws
     r = len(ws)
+    binomials = [comb(n + r - 1, s + r - 1) for s in range(top + 1)]
     return PowerSums(
-        sum(c * comb(n + r - 1, s + r - 1) for s, c in enumerate(row))
+        sum(map(operator.mul, row, binomials))
         for row in _power_sum_table(tuple(w - last for w in rest), top)
     ).shifted(n * last)
 

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 import foldeg.bott as bott
+import foldeg.exact as exact
 import foldeg.fields as fields
 import foldeg.limits as limits
 from foldeg.bott import (
@@ -33,10 +34,16 @@ from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHOD_KERNEL,
+    METHODS,
     MethodDisagreement,
     limit_fiber_weights,
 )
-from foldeg.pencil import PENCIL, pencil_degree
+from foldeg.pencil import (
+    PENCIL,
+    pd_twisted_weights,
+    pencil_degree,
+    tangent_weights_g24,
+)
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -281,10 +288,12 @@ def test_published_polynomial_pointwise_at_high_degree(weights):
         assert report.degree == LEGENDRIAN.closed_form(d), d
 
 
-@pytest.mark.parametrize("d", (1000, 10**6))
+@pytest.mark.parametrize("d", (1000, 10**6, 10**7))
 def test_both_families_at_degrees_beyond_any_count(d):
     """Localized on closed-form power sums, whose cost does not grow with
-    d, both degrees are the published ones at d = 1000 and 10^6."""
+    d, both degrees are the published ones at d = 1000, 10^6 and 10^7.
+    At 10^7 every fiber has more than 2^63 weights, so len() of its
+    PowerSums overflows: localize must not take it."""
     assert legendrian_degree(d).degree == LEGENDRIAN.closed_form(d)
     assert pencil_degree(d).degree == PENCIL.closed_form(d)
 
@@ -299,3 +308,41 @@ def test_monomial_weight_progressions_at_degree_60():
     for pair in P5_PAIRS:
         _, removed = split_monomial_weights(pair, d, w, full)
         assert removed == enumerated_complement_weights(pair, d, w), pair
+
+
+def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):
+    """e_n of the tangent weights is their product, so localize calls
+    exact.elementary_symmetric once per fiber and never on a tangent."""
+    real, calls = exact.elementary_symmetric, []
+
+    def counted(k, values):
+        calls.append((k, type(values).__name__))
+        return real(k, values)
+
+    monkeypatch.setattr(exact, "elementary_symmetric", counted)
+    pencil_degree(3)
+    legendrian_degree(6)
+    assert calls == [(4, "PowerSums")] * 6 + [(5, "PowerSums")] * 6
+
+
+@pytest.mark.parametrize("bad", ((0, 1, 2, 3), (0, 0, 1, 5)))
+def test_inadmissible_weights_raise_at_every_entry_point(bad):
+    """A WeightSystem decides admissibility once and keeps the answer,
+    so no answer passes from one system to another: an inadmissible
+    system raises at every public entry point, again on a second call,
+    and right after an admissible system went through the same one."""
+    entry_points = [
+        lambda w: pencil_degree(2, w),
+        *(lambda w, m=m: legendrian_degree(2, w, method=m) for m in METHODS),
+        lambda w: pd_twisted_weights((1, 2), 2, w),
+        lambda w: tangent_weights_p5((1, 2), w),
+        lambda w: tangent_weights_g24((1, 2), w),
+        lambda w: limit_fiber_weights((1, 2), 2, w),
+    ]
+    kept = WeightSystem(bad)
+    for call in entry_points:
+        call(WeightSystem(DEFAULT_WEIGHTS.values))
+        for weights in (kept, kept, bad, WeightSystem(bad)):
+            with pytest.raises(InadmissibleWeights):
+                call(weights)
+    assert DEFAULT_WEIGHTS.is_admissible() and not kept.is_admissible()

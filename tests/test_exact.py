@@ -20,8 +20,10 @@ from foldeg.exact import (
     monomial_power_sums,
     monomial_string,
     monomials_of_degree,
+    newton_step,
     scalar_to_string,
 )
+from oracles import elementary_symmetric_recurrence
 
 
 def test_scalar_string_round_trip():
@@ -200,8 +202,9 @@ def test_power_sums_add_remove_and_shift():
 
 
 def test_monomial_power_sums_equal_the_enumeration():
-    """Closed-form power sums of the degree-n monomial weights in 2, 3
-    and 4 variables equal those of the enumerated monomials."""
+    """Closed-form power sums p_0..p_top of the degree-n monomial weights
+    in 2, 3 and 4 variables equal those of the enumerated monomials, up
+    to p_8, beyond the p_5 the families use."""
     rng = random.Random(18)
     for r in (2, 3, 4):
         for n in range(8):
@@ -209,8 +212,26 @@ def test_monomial_power_sums_equal_the_enumeration():
             values = [sum(e * w for e, w in zip(m, ws))
                       for m in monomials_of_degree(n) if not any(m[r:])]
             assert len(values) == comb(n + r - 1, r - 1)
-            assert monomial_power_sums(ws, n, 5).p == tuple(
-                sum(v ** j for v in values) for j in range(6)), (ws, n)
+            for top in range(9):
+                assert monomial_power_sums(ws, n, top).p == tuple(
+                    sum(v ** j for v in values) for j in range(top + 1)
+                ), (ws, n, top)
+
+
+@pytest.mark.parametrize("K", range(13))
+def test_shift_and_newton_step_at_any_length(K):
+    """shifted(c) and Newton's step at lengths the families never reach
+    (they stop at p_5): the shifted sums are those of the moved values,
+    and e_K is the product recurrence's, multiplicities included."""
+    rng = random.Random(1900 + K)
+    for _ in range(8):
+        values = [rng.randint(-40, 40) for _ in range(rng.randint(K, K + 6))]
+        c = rng.randint(-30, 30)
+        ps = PowerSums.of(WeightMultiset(values), K)
+        assert ps.shifted(c).p == PowerSums.of(
+            WeightMultiset(v + c for v in values), K).p, (values, c)
+        assert newton_step(K, ps.p) == elementary_symmetric_recurrence(
+            K, values), values
 
 
 def _prod(values):

@@ -3,7 +3,7 @@ matrix and the two limit routes, of the pencil fibers and of localize
 under random admissible weights (need hypothesis)."""
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -270,3 +270,21 @@ def test_pencil_degree_is_the_closed_form_under_any_weights(values, d):
     """Weight independence against the published formula itself, not
     against a frozen table."""
     assert pencil_degree(d, values).degree == family_closed_form("pencil", d)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+def test_tangent_euler_class_is_the_product_of_the_weights(values):
+    """At the six fixed points of both families the product of the
+    tangent weights, which localize takes for e_n(tangent), is nonzero
+    and equals e_n by Newton's step, and it is each contribution's
+    denominator up to sign."""
+    w = WeightSystem(values)
+    for name, d in (("legendrian", 5), ("pencil", 2)):
+        family = FAMILIES[name]
+        report = localize(family, d, w)
+        for pair, c in zip(P5_PAIRS, report.contributions):
+            tangent = family.tangent_weights(pair, w)
+            euler = prod(tangent)
+            assert euler != 0
+            assert euler == tangent.elementary_symmetric(len(tangent))
+            assert c.denominator == abs(euler)
