@@ -168,6 +168,13 @@ class Family(namedtuple(
         return int(value)
 
 
+@lru_cache(maxsize=12)
+def _tangent_euler(tangent_weights, pair, values):
+    """n and e_n (the product) of the tangent weights at pair, for any d."""
+    tangent = tangent_weights(pair, values)
+    return len(tangent), prod(tangent.counts.elements())
+
+
 def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     """Degree of a Family in degree d by Bott's formula.
 
@@ -185,9 +192,8 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     w = as_weight_system(weights).require_admissible()
     contributions = []
     for pair, fiber in family.fibers(d, w, **options):
-        tangent = family.tangent_weights(pair, w)
-        num = fiber.elementary_symmetric(len(tangent))
-        den = prod(tangent.counts.elements())
+        n, den = _tangent_euler(family.tangent_weights, pair, w.values)
+        num = fiber.elementary_symmetric(n)
         if den < 0:
             num, den = -num, -den
         contributions.append(

@@ -199,11 +199,11 @@ class WeightMultiset:
             other = WeightMultiset(other)
         rest = self.counts.copy()
         for v, m in other.counts.items():
-            if rest[v] < m:
+            left = rest.pop(v, 0) - m
+            if left < 0:
                 raise ValueError("weight %r not available in %r" % (v, self))
-            rest[v] -= m
-            if not rest[v]:
-                del rest[v]
+            if left:
+                rest[v] = left
         return WeightMultiset.from_counts(rest)
 
     def elementary_symmetric(self, k):

@@ -201,12 +201,13 @@ class SectionBasis:
     """Basis of Phi_d in generation order, with the multiplicity of each
     Z^4 character counted once, when the basis is built."""
 
-    __slots__ = ("d", "fields", "characters")
+    __slots__ = ("d", "fields", "characters", "_last")
 
     def __init__(self, d, fields):
         self.d = d
         self.fields = tuple(fields)
         self.characters = Counter(f.character for f in self.fields)
+        self._last = None, None
 
     def __len__(self):
         return len(self.fields)
@@ -219,13 +220,17 @@ class SectionBasis:
 
     def weight_multiset(self, weights):
         """The weights of the fields at a weight system: each distinct
-        character evaluated once, its multiplicity added."""
-        w1, w2, w3, w4 = as_weight_system(weights).values
-        counts = {}
-        for (a, b, c, e), m in self.characters.items():
-            v = a * w1 + b * w2 + c * w3 + e * w4
-            counts[v] = counts.get(v, 0) + m
-        return WeightMultiset.from_counts(counts)
+        character evaluated once, its multiplicity added.  The last
+        result is kept, keyed by the weight values, and handed out again."""
+        values = as_weight_system(weights).values
+        if self._last[0] != values:
+            w1, w2, w3, w4 = values
+            counts = {}
+            for (a, b, c, e), m in self.characters.items():
+                v = a * w1 + b * w2 + c * w3 + e * w4
+                counts[v] = counts.get(v, 0) + m
+            self._last = values, WeightMultiset.from_counts(counts)
+        return self._last[1]
 
     def __repr__(self):
         return "SectionBasis(d=%d, %d fields)" % (self.d, len(self.fields))
@@ -262,8 +267,11 @@ def build_phi_basis(d):
 def _phi_basis_cached(d):
     one = Fraction(1)
     monos = monomials_of_degree(d)
-    # partners are degree-d monomials too: reuse those tuples
+    # partners are degree-d monomials too: reuse those tuples, and build
+    # each coefficient -mu_j/(mu_4+1) once (mu_j + mu_4 <= d)
     shared = dict(zip(monos, monos))
+    coefficient = {(e, s): Fraction(-e, s)
+                   for e in range(1, d + 1) for s in range(1, d + 2 - e)}
     fields = []
     for mu in monos:
         for j in (1, 2, 3, 4):
@@ -273,7 +281,8 @@ def _phi_basis_cached(d):
             terms = (MonomialField(one, mu, j),)
             if e:
                 partner = shared[_bump(_lower(mu, j), 4)]
-                terms += (MonomialField(Fraction(-e, mu[3] + 1), partner, 4),)
+                c = coefficient[e, mu[3] + 1]
+                terms += (MonomialField(c, partner, 4),)
             fields.append(BasisField(terms))
     if len(fields) != phi_dimension(d):
         raise ArithmeticError(

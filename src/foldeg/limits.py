@@ -38,6 +38,7 @@ matrix is assembled.  Two independent routes compute the limit on them:
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 
@@ -167,28 +168,21 @@ def _image_characters(chains):
     whose level falls by one step per character, as limit_rows needs."""
     fiber = []
     for chain in chains:
-        ncols = sum(len(fields) for _, fields in chain)
-        rows = [[()] * ncols for _ in range(len(chain) + 1)]
-        owner = []
-        for K, (chi, fields) in enumerate(chain):
-            above, below = rows[K], rows[K + 1]
+        owner = [chi for chi, fields in chain for _ in fields]
+        ncols = len(owner)
+        rows = [[()] * ncols]
+        c = 0
+        for _, fields in chain:
+            above, below = rows[-1], [()] * ncols
+            rows.append(below)
             for low, high in fields:
                 if high:
-                    above[len(owner)] = (high,)
+                    above[c] = (high,)
                 if low:
-                    below[len(owner)] = (low,)
-                owner.append(chi)
-        fiber += [owner[p] for p in limit_rows(rows, ncols)]
+                    below[c] = (low,)
+                c += 1
+        fiber += map(owner.__getitem__, limit_rows(rows, ncols))
     return fiber
-
-
-def _rank2(fields):
-    """Rank of the 2 x f matrix whose columns are the (low, high) pairs."""
-    nonzero = [e for e in fields if e != (0, 0)]
-    if not nonzero:
-        return 0
-    a, b = nonzero[0]
-    return 1 + any(a * y != b * x for x, y in nonzero[1:])
 
 
 def _kernel_counts(chain):
@@ -197,12 +191,16 @@ def _kernel_counts(chain):
     A_K = Q; it starts false."""
     counts, absorbs = [], False
     for _, fields in chain:
-        low = int(any(x for x, _ in fields))  # rank of the low row
-        if absorbs:
-            counts.append(len(fields) - low)
-            absorbs = bool(low)
-        else:
-            both = _rank2(fields)
+        if len(fields) == 1:  # one field (x, y): the ranks are truth tests
+            ((x, y),) = fields
+            counts.append(0 if x or (y and not absorbs) else 1)
+            absorbs = bool(x) and (absorbs or not y)
+        elif absorbs:  # the count is f less rank low
+            absorbs = any(x for x, _ in fields)
+            counts.append(len(fields) - absorbs)
+        else:  # f less rank [low; high] = [a minor != 0] + [an entry != 0]
+            both = any(x * b != y * a for (x, y), (a, b)
+                       in combinations(fields, 2)) + any(map(any, fields))
             counts.append(len(fields) - both)
             absorbs = both > any(y for _, y in fields)
     return counts

@@ -22,7 +22,11 @@ def echelon(rows, ncols):
     small), ties going to the lowest row index.  After each elimination
     the row is divided by the gcd of its entries.
     """
-    mat = [list(r) for r in rows]
+    return _echelon([list(r) for r in rows], ncols)
+
+
+def _echelon(mat, ncols):
+    """echelon in place, on int lists the caller gives up."""
     nrows = len(mat)
     pivots = []
     rank_ = 0
@@ -37,11 +41,11 @@ def echelon(rows, ncols):
                     best, best_key = r, key
         if best < 0:
             continue
-        mat[rank_], mat[best] = mat[best], mat[rank_]
-        prow = mat[rank_]
+        prow = mat[best]
+        mat[best], mat[rank_] = mat[rank_], prow
         p = prow[col]
-        for r in range(rank_ + 1, nrows):
-            row = mat[r]
+        rank_ += 1
+        for row in mat[rank_:]:
             e = row[col]
             if not e:
                 continue
@@ -56,7 +60,6 @@ def echelon(rows, ncols):
                 for c in range(col + 1, ncols):
                     row[c] //= g
         pivots.append(col)
-        rank_ += 1
     return mat[:rank_], pivots
 
 
@@ -87,7 +90,8 @@ def limit_rows(rows, ncols):
     >>> [2 - p for p in limit_rows([row[::-1] for row in rows], 3)]
     [2, 1]
     """
-    return echelon([[sum(e) for e in row] for row in rows], ncols)[1]
+    ints = [[sum(e) if e else 0 for e in row] for row in rows]
+    return _echelon(ints, ncols)[1]
 
 
 def rref(rows):

@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+from foldeg import fields
 from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightMultiset, WeightSystem, monomials_of_degree
 from foldeg.fields import (
@@ -304,6 +305,18 @@ def test_phi_basis_fields_carry_their_character():
             sum(c * w for c, w in zip(f.character, WEIGHTS)) for f in basis)
 
 
+def test_weight_multiset_is_kept_per_weight_system():
+    """weight_multiset keeps its last result, keyed by the weight values:
+    one basis asked for systems A, B, A in turn (as a tuple, a
+    WeightSystem and a list) gives the fresh evaluation each time."""
+    basis = build_phi_basis(3)
+    a, b = WEIGHTS, (1, 3, 9, 20)
+    for weights, values in ((a, a), (WeightSystem(b), b), (list(a), a)):
+        assert basis.weight_multiset(weights) == WeightMultiset(
+            character_weight(f.character, values) for f in basis)
+    assert basis.weight_multiset(a) != basis.weight_multiset(b)
+
+
 def test_phi_basis_is_linearly_independent():
     d = 2
     basis = build_phi_basis(d)
@@ -338,6 +351,14 @@ def test_phi_basis_cache_keeps_one_entry():
     info = _phi_basis_cached.cache_info()
     assert info.misses == 2
     assert info.currsize == 1
+
+
+def test_phi_basis_size_guard_raises(monkeypatch):
+    """A basis whose size is not dim Phi_d is refused when it is built."""
+    monkeypatch.setattr(fields, "phi_dimension", lambda d: 0)
+    _phi_basis_cached.cache_clear()
+    with pytest.raises(ArithmeticError, match="basis size"):
+        build_phi_basis(2)
 
 
 def test_tangent_kernel_dimension_contact_law():

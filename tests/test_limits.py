@@ -5,7 +5,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from foldeg import limits
+from foldeg import fields, limits
 from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightMultiset, monomials_of_degree
 from foldeg.fields import (
@@ -516,6 +516,25 @@ def test_shared_blocks_are_never_stale(monkeypatch):
             limits._pair_chains.cache_clear()
             fresh.append(_fiber(*call, m))
     assert in_a_row == fresh
+
+
+def test_both_in_alternation_equals_a_fresh_order():
+    """The basis keeps its last weight multiset, keyed by the weights.
+    Under "both", two systems in alternation at each pair give what each
+    system gives on its own from cold caches, as in a fresh process."""
+    d, systems = 3, (ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+    fresh = []
+    for w in systems:
+        fields._phi_basis_cached.cache_clear()
+        limits._pair_chains.cache_clear()
+        fresh.append([limit_fiber_weights(pair, d, w, METHOD_BOTH)
+                      for pair in P5_PAIRS])
+    alternating = ([], [])
+    for pair in P5_PAIRS:
+        for got, w in zip(alternating, systems):
+            got.append(limit_fiber_weights(pair, d, w, METHOD_BOTH))
+    assert list(alternating) == fresh
+    assert fresh[0] != fresh[1]
 
 
 def test_kernel_route_guards_raise(monkeypatch):

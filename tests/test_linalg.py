@@ -7,12 +7,14 @@ rows are rescaled by powers of t or mixed by invertible row operations,
 and for t-free input the limit is the ordinary row space.
 """
 
+import copy
 import random
 from fractions import Fraction
 
 from foldeg.linalg import (
     echelon,
     kernel_basis,
+    limit_rows,
     rank,
     rref,
 )
@@ -60,6 +62,24 @@ def test_echelon_preserves_row_space():
         r = len(red)
         for row in mat:
             assert rank(red + [list(row)], m) == r
+
+
+def test_echelon_and_limit_rows_leave_their_rows_unchanged():
+    """limit_rows eliminates a fresh copy of its rows in place, and
+    echelon eliminates a copy of its own."""
+    rng = random.Random(44)
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        mat = _random_int_matrix(rng, n, m)
+        kept = copy.deepcopy(mat)
+        echelon(mat, m)
+        assert mat == kept
+        # entries as the coefficients c0 + c1*t sum to at t = 1
+        rows = [[(e,) if e % 2 else (e - 1, 1) if e else () for e in row]
+                for row in mat]
+        kept = copy.deepcopy(rows)
+        assert limit_rows(rows, m) == echelon(mat, m)[1]
+        assert rows == kept
 
 
 def test_kernel_basis_annihilates_and_counts():

@@ -106,12 +106,24 @@ ENTRY = st.integers(-2, 2)
     min_size=1, max_size=6,
 ))
 @hypothesis.example(fields=[[(1, 1)], [(0, 1)]])
+# A one-field character (0,0), (x,0), (0,y) or (x,y), decided by two
+# truth tests, after an absorbing predecessor ((1, 0): A = Q below it)
+# and after a non-absorbing one ((0, 1): A = 0 below it).  The last
+# character, (0, 1), counts 1 exactly when the middle one absorbs.
+@hypothesis.example(fields=[[(1, 0)], [(0, 0)], [(0, 1)]])
+@hypothesis.example(fields=[[(1, 0)], [(2, 0)], [(0, 1)]])
+@hypothesis.example(fields=[[(1, 0)], [(0, -1)], [(0, 1)]])
+@hypothesis.example(fields=[[(1, 0)], [(2, -1)], [(0, 1)]])
+@hypothesis.example(fields=[[(0, 1)], [(0, 0)], [(0, 1)]])
+@hypothesis.example(fields=[[(0, 1)], [(2, 0)], [(0, 1)]])
+@hypothesis.example(fields=[[(0, 1)], [(0, -1)], [(0, 1)]])
+@hypothesis.example(fields=[[(0, 1)], [(2, -1)], [(0, 1)]])
 def test_kernel_rule_holds_on_any_chain(fields):
     """The rank rule is the echelon oracle on any chain with two rows per
     character, not only on the contraction's.  There A_K is 0 only above
     the top character and below the bottom one, so the test
     "rank [low; high] > rank high" changes no count; here, as in the
-    example, it does."""
+    first example, it does."""
     chain = [((K,), tuple(f)) for K, f in enumerate(fields)]
     assert limits._kernel_counts(chain) == chain_kernel_counts(chain)
 
