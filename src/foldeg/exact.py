@@ -9,7 +9,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 
 def scalar_to_string(x):
@@ -355,10 +355,17 @@ class RationalPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        acc = Fraction(0)
+        """p(x) as a Fraction, by Horner's rule in integers: with L the
+        lcm of the coefficient denominators and x = num/den, acc ends as
+        L * den^n * p(x), and power as den^(n+1)."""
+        x = Fraction(x)
+        num, den = x.numerator, x.denominator
+        common = lcm(*(c.denominator for c in self.coefficients))
+        acc, power = 0, 1
         for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+            acc = acc * num + c.numerator * (common // c.denominator) * power
+            power *= den
+        return Fraction(acc * den, common * power)
 
     def __add__(self, other):
         a, b = self.coefficients, other.coefficients
@@ -411,8 +418,13 @@ class RationalPolynomial:
 
 
 def lagrange_interpolate(points):
-    """Exact polynomial through (x, y) pairs with pairwise-distinct x, by
-    divided differences c_i = y[x_0..x_i]: c_0 + (x - x_0)(c_1 + ...).
+    """Exact polynomial through (x, y) pairs with pairwise-distinct x.
+
+    At consecutive integers x_0, x_0 + 1, ... with integer y, in integers
+    by forward differences: m! p(x) = sum_k D^k y_0 (m!/k!) prod_{i<k}
+    (x - x_0 - i), up to the last nonzero D^m y_0, and one division by
+    m!.  Otherwise by divided differences c_i = y[x_0..x_i]:
+    c_0 + (x - x_0)(c_1 + ...).
 
     >>> lagrange_interpolate([(0, 1), (1, 3), (2, 7)]).coefficients
     (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
@@ -423,6 +435,20 @@ def lagrange_interpolate(points):
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be distinct")
+    ints = sorted((x.numerator, y.numerator) for x, y in pts
+                  if x.denominator == y.denominator == 1)
+    if len(ints) == len(pts) and ints[-1][0] - ints[0][0] == len(pts) - 1:
+        ys, deltas = [y for _, y in ints], []
+        while any(ys):
+            deltas.append(ys[0])
+            ys = [b - a for a, b in zip(ys, ys[1:])]
+        coeffs, scale = [], 1
+        for k in range(len(deltas) - 1, -1, -1):
+            a = ints[0][0] + k
+            coeffs = [lo - a * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+            coeffs[0] += deltas[k] * scale
+            scale *= max(k, 1)
+        return RationalPolynomial([Fraction(c, scale) for c in coeffs])
     c = [y for _, y in pts]
     for j in range(1, len(c)):
         for i in range(len(c) - 1, j - 1, -1):

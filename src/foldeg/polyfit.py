@@ -85,7 +85,10 @@ def interpolate_family(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
     integers past d_max -- a counting polynomial must -- and handed back
     as a RationalPolynomial.  Pass points to reuse values computed
     elsewhere instead of recomputing; their abscissae must be exactly
-    d_min..d_max.
+    d_min..d_max.  Integer degrees at consecutive d always give an
+    integer-valued interpolant, p(x) = sum_k D^k y_0 C(x - d_min, k)
+    with integer forward differences D^k y_0, so the spot check guards
+    against given points that are not integers.
     """
     bound = get_family(family).degree_bound
     if d_max - d_min < bound:

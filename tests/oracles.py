@@ -5,7 +5,8 @@ product recurrence over every value, the monomial weight count, its
 split at a pair and the pencil fiber by enumerating every monomial
 weight, the pencil fiber as weight counts taken from the shared count
 of foldeg.bott, as foldeg.pencil built it before its power sums, the
-interpolant as a sum of Lagrange basis polynomials, the image limit
+interpolant as a sum of Lagrange basis polynomials, a polynomial's
+value by Horner's rule in Fractions, the image limit
 as a saturation over Z[t] localized at t, which knows nothing of torus
 levels, the image limit's rows as an echelon of M(1)
 cut down to the pivots' levels, the Legendrian image fiber as
@@ -114,6 +115,15 @@ def lagrange_sum(points):
                 den *= xi - xj
         total = total + num * (yi / den)
     return total
+
+
+def fraction_horner(coefficients, x):
+    """sum_i coefficients[i] * x**i by Horner's rule, every step a
+    Fraction."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
 
 # Polynomials in the deformation parameter t: tuples of int coefficients

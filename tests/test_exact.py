@@ -23,7 +23,7 @@ from foldeg.exact import (
     newton_step,
     scalar_to_string,
 )
-from oracles import elementary_symmetric_recurrence
+from oracles import elementary_symmetric_recurrence, fraction_horner
 
 
 def test_scalar_string_round_trip():
@@ -271,6 +271,20 @@ def test_rational_polynomial_normal_form():
     zero = RationalPolynomial([1, 1]) - RationalPolynomial([1, 1])
     assert zero == RationalPolynomial()
     assert zero(Fraction(7)) == 0
+
+
+def test_rational_polynomial_evaluation():
+    """p(x) is a Fraction equal to Horner's rule in Fractions, at int
+    and Fraction x: the zero polynomial gives Fraction(0), a constant
+    itself, and coefficients over several denominators their sum."""
+    zero, five = RationalPolynomial(), RationalPolynomial([5])
+    p = RationalPolynomial([Fraction(-1, 6), 0, Fraction(3, 4), Fraction(2, 9)])
+    for x in (0, 1, -3, 10**20, Fraction(1, 3), Fraction(-7, 4)):
+        assert zero(x) == 0 and type(zero(x)) is Fraction
+        assert five(x) == 5 and type(five(x)) is Fraction
+        assert p(x) == fraction_horner(p.coefficients, x)
+        assert type(p(x)) is Fraction
+    assert p(Fraction(3, 2)) == Fraction(109, 48)
 
 
 def test_rational_polynomial_render():

@@ -1,15 +1,23 @@
 """Property tests of the exact layer against the direct oracles in
-tests/oracles.py: e_k from power sums, and the Newton-form interpolant
-(need hypothesis)."""
+tests/oracles.py: e_k from power sums, the interpolant on either of its
+paths, and polynomial evaluation (need hypothesis)."""
+
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 from foldeg.exact import (
+    RationalPolynomial,
     WeightMultiset,
     elementary_symmetric,
     lagrange_interpolate,
 )
-from oracles import elementary_symmetric_recurrence, lagrange_sum
+from oracles import (
+    elementary_symmetric_recurrence,
+    fraction_horner,
+    lagrange_sum,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -45,3 +53,59 @@ def test_newton_interpolant_equals_the_lagrange_sum(xs, data):
     ))
     points = list(zip(xs, ys))
     assert lagrange_interpolate(points) == lagrange_sum(points)
+
+
+@hypothesis.given(
+    start=st.integers(-60, 60),
+    n=st.integers(1, 20),
+    deltas=st.lists(st.integers(-10**6, 10**6), max_size=20),
+    data=st.data(),
+)
+def test_consecutive_integer_interpolant_equals_the_lagrange_sum(
+        start, n, deltas, data):
+    """On consecutive integer abscissae with int ordinates, in shuffled
+    order, the forward-difference path gives the Lagrange sum.  The
+    ordinates are sum_k deltas[k] C(i, k), so fewer deltas than points
+    leave zero high-order differences.  Every coefficient is still a
+    Fraction, so to_strings() reads as before."""
+    ys = [sum(a * comb(i, k) for k, a in enumerate(deltas)) for i in range(n)]
+    points = data.draw(st.permutations(list(enumerate(ys, start))))
+    assert all(type(y) is int for _, y in points)
+    poly = lagrange_interpolate(points)
+    assert poly == lagrange_sum(points)
+    assert poly.degree <= min(len(deltas), n) - 1
+    assert all(type(c) is Fraction for c in poly.coefficients)
+    assert poly.to_strings() == lagrange_sum(points).to_strings()
+
+
+@hypothesis.given(
+    start=st.integers(-60, 60),
+    ys=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_consecutive_points_with_a_fractional_ordinate(start, ys, data):
+    """Consecutive abscissae with one ordinate that is not an integer
+    take the divided differences, and still give the Lagrange sum."""
+    i = data.draw(st.integers(0, len(ys) - 1))
+    ys = [Fraction(y) for y in ys]
+    ys[i] += Fraction(1, data.draw(st.integers(2, 60)))
+    points = data.draw(st.permutations(list(enumerate(ys, start))))
+    assert lagrange_interpolate(points) == lagrange_sum(points)
+
+
+@hypothesis.given(
+    coefficients=st.lists(
+        st.fractions(-10**4, 10**4, max_denominator=60), max_size=10
+    ),
+    x=st.one_of(
+        st.integers(-10**3, 10**3),
+        st.fractions(-100, 100, max_denominator=30),
+    ),
+)
+def test_evaluation_equals_fraction_horner(coefficients, x):
+    """Horner's rule in integers over the common denominator equals
+    Horner's rule in Fractions, at int and Fraction x; the value is
+    always a Fraction."""
+    value = RationalPolynomial(coefficients)(x)
+    assert type(value) is Fraction
+    assert value == fraction_horner(coefficients, x)

@@ -1,0 +1,88 @@
+"""A standing table of mutants, each one that named tests must catch
+(slow: run with -m slow).
+
+A row is (file under src/foldeg, old text, new text, test ids).  The
+old text must occur exactly once; it is replaced in a copy of src/
+under tmp_path, and only the named tests run, in a subprocess that
+imports the copy.  Every named test must fail.  A row whose old text is
+gone fails as a rotted mutant, so the table moves with the code: when a
+change rewrites a guarded line, it rewrites the row too.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+INTERPOLATION_TESTS = [
+    "tests/test_exact_properties.py::"
+    "test_consecutive_integer_interpolant_equals_the_lagrange_sum",
+    "tests/test_polyfit.py::"
+    "test_interpolation_of_frozen_points_recovers_polynomials",
+    "tests/test_doctests.py::test_module_doctests[foldeg.exact]",
+]
+
+MUTANTS = {
+    "forward differences without the m!/k! scaling": (
+        "exact.py",
+        "            coeffs[0] += deltas[k] * scale\n",
+        "            coeffs[0] += deltas[k]\n",
+        INTERPOLATION_TESTS,
+    ),
+    "forward-difference product shifted by x_0 + i + 1": (
+        "exact.py",
+        "            a = ints[0][0] + k\n",
+        "            a = ints[0][0] + k + 1\n",
+        INTERPOLATION_TESTS,
+    ),
+    "Newton's step without its exactness check": (
+        "exact.py",
+        "        if r:\n"
+        "            raise ArithmeticError("
+        "\"e_%d of these power sums is not integral\" % j)\n",
+        "",
+        ["tests/test_exact.py::test_power_sums_guard_newtons_step"],
+    ),
+    "limit_rows with the levels ascending": (
+        "linalg.py",
+        "    ints = [[sum(e) if e else 0 for e in row] for row in rows]\n"
+        "    return _echelon(ints, ncols)[1]\n",
+        "    ints = [[sum(e) if e else 0 for e in row[::-1]] for row in rows]\n"
+        "    return sorted(ncols - 1 - p for p in _echelon(ints, ncols)[1])\n",
+        [
+            "tests/test_doctests.py::test_module_doctests[foldeg.linalg]",
+            "tests/test_limits.py::test_methods_agree",
+            "tests/test_limits.py::"
+            "test_torus_image_limit_equals_the_saturation_oracle[weights0]",
+        ],
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_is_caught(name, tmp_path):
+    path, old, new, test_ids = MUTANTS[name]
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / "foldeg" / path
+    text = target.read_text()
+    assert text.count(old) == 1, "mutant rotted: %r is not once in %s" % (
+        old, path)
+    target.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         *test_ids],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    failed = {line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    survivors = [t for t in test_ids if t not in failed]
+    assert not survivors, "mutant survived %s:\n%s" % (survivors, run.stdout)

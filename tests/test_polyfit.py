@@ -16,6 +16,7 @@ from foldeg.polyfit import (
     interpolate_family,
 )
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
+from oracles import fraction_horner
 
 FROZEN = {"legendrian": LEGENDRIAN_DEGREES, "pencil": PENCIL_DEGREES}
 
@@ -38,6 +39,19 @@ def test_closed_form_polynomials_interpolate_frozen_tables():
         assert poly.degree == bound
         assert lagrange_interpolate(sorted(table.items())) == poly
         assert family_closed_form(name, 30) == poly(30)
+
+
+def test_closed_form_values_equal_fraction_horner():
+    """Family.closed_form, which evaluates in integers, gives what
+    Horner's rule in Fractions gives on the same polynomial, inside and
+    far outside the frozen tables."""
+    for name in FAMILIES:
+        coefficients = family_closed_form_polynomial(name).coefficients
+        for d in (2, 17, 40, 100):
+            value = family_closed_form(name, d)
+            assert type(value) is int
+            assert value == fraction_horner(coefficients, d)
+    assert family_closed_form("legendrian", 17) == LEGENDRIAN_DEGREES[17]
 
 
 def test_family_dispatch():
@@ -128,6 +142,27 @@ def test_integrality_guard():
     pts = [(d, Fraction(d**12, 2)) for d in range(2, 15)]
     with pytest.raises(IntegralityError):
         interpolate_family("pencil", 2, 14, points=pts)
+
+
+def test_integrality_guard_sees_one_half_at_the_last_point():
+    """The true pencil degrees at d = 2..14 with 1/2 added to the last
+    one only: the Lagrange basis polynomial of d = 14 takes the value 13
+    at d = 15, so the interpolant is off by 13/2 there and the guard
+    raises.  On the same points a short range, no points or a repeated
+    abscissa raise InsufficientPoints first."""
+    pts = sorted(PENCIL_DEGREES.items())
+    pts[-1] = (14, pts[-1][1] + Fraction(1, 2))
+    with pytest.raises(IntegralityError):
+        interpolate_family("pencil", 2, 14, points=pts)
+    assert lagrange_interpolate(pts)(15) - family_closed_form("pencil", 15) == (
+        Fraction(13, 2)
+    )
+    with pytest.raises(InsufficientPoints):
+        interpolate_family("pencil", 2, 13, points=pts[:-1])
+    with pytest.raises(InsufficientPoints):
+        interpolate_family("pencil", 2, 14, points=[])
+    with pytest.raises(InsufficientPoints):
+        interpolate_family("pencil", 2, 14, points=pts[:-1] + pts[-2:-1])
 
 
 def test_lagrange_agrees_with_closed_form_sampling():
