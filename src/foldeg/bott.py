@@ -42,13 +42,13 @@ The image route therefore takes each fiber's power sums p_0..p_5, all
 that e_5 needs, in closed form in a number of operations that does not
 depend on d (image_power_sums), with no chains, echelon or field basis.  The kernel
 route and "both" compute all six fibers directly (foldeg.limits), and
-"both" checks each against the counted closed form (image_fiber_weights).
+"both" checks each, as Z^4 characters, against the closed form
+(fiber_characters).
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import prod
 
 from .exact import (
@@ -64,7 +64,6 @@ from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
-    METHOD_KERNEL,
     METHODS,
     MethodDisagreement,
     limit_fiber_weights,
@@ -208,52 +207,11 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     return DegreeReport(family.name, d, w, tuple(contributions), int(total))
 
 
-def _monomial_weights(d, w):
-    """Weight counts of the degree-(d+1) monomials, shared by the six
-    fixed points of either family, counted by progressions: with x_3^c
-    x_4^e fixed and r = d + 1 - c - e, the weights of x_1^a x_2^(r-a)
-    are c*w_3 + e*w_4 + r*w_2 + a*(w_1 - w_2) for a = 0..r.  No monomial
-    is built; the step is nonzero for admissible weights."""
-    w1, w2, w3, w4 = w.values
-    n, step = d + 1, w1 - w2
-    progressions = []
-    for c in range(n + 1):
-        for e in range(n + 1 - c):
-            r = n - c - e
-            base = c * w3 + e * w4 + r * w2
-            progressions.append(range(base, base + (r + 1) * step, step))
-    counts = Counter(chain.from_iterable(progressions))
-    return WeightMultiset.from_counts(counts)
-
-
-def split_monomial_weights(pair, d, w, monomial_weights):
-    """The degree-(d+1) monomial weight counts split at pair (p,q) with
-    complement (k,l): those of the monomials that involve x_p or x_q, and
-    the d+2 weights a*w_k + (d+1-a)*w_l of those in x_k, x_l alone."""
-    k, l = complementary_pair(pair)
-    wk, wl = w.weight(k), w.weight(l)
-    start, step = (d + 1) * wl, wk - wl
-    removed = WeightMultiset.from_counts(
-        Counter(range(start, start + (d + 2) * step, step)))
-    return monomial_weights.difference(removed), removed
-
-
-def image_fiber_weights(pair, d, w, monomial_weights):
-    """The image fiber at [kappa_pair] in closed form (module docstring):
-    the monomials that involve x_p or x_q shifted by -(w_p + w_q), the
-    rest by -(w_k + w_l)."""
-    rest, removed = split_monomial_weights(pair, d, w, monomial_weights)
-    low, high = w.pair_sum(pair), w.pair_sum(complementary_pair(pair))
-    counts = Counter({v - low: m for v, m in rest.counts.items()})
-    for v, m in removed.counts.items():
-        counts[v - high] += m
-    return WeightMultiset.from_counts(counts)
-
-
 def image_power_sums(pair, d, w, full):
-    """image_fiber_weights as power sums p_0..p_5: full, those of all
-    degree-(d+1) monomial weights, less the part of the monomials in x_k,
-    x_l alone, by -(w_p + w_q), plus that part by -(w_k + w_l)."""
+    """The image fiber at [kappa_pair] in closed form (module docstring)
+    as power sums p_0..p_5: full, those of all degree-(d+1) monomial
+    weights, less the part of the monomials in x_k, x_l alone, shifted
+    by -(w_p + w_q), plus that part shifted by -(w_k + w_l)."""
     k, l = complementary_pair(pair)
     part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, 5)
     return ((full - part).shifted(-w.pair_sum(pair))
@@ -266,12 +224,14 @@ def fiber_characters(d, pair):
     involves x_p or x_q, m - e_k - e_l for the others."""
     if d < 1:
         raise ValueError("field degree must be >= 1, got %r" % (d,))
-    pair = as_fixed_point(pair)
-    (p, q), complement = pair, complementary_pair(pair)
+    p, q = pair = as_fixed_point(pair)
+    low = tuple(int(j in pair) for j in (1, 2, 3, 4))
+    high = tuple(1 - e for e in low)
     fiber = []
     for m in monomials_of_degree(d + 1):
-        shift = pair if m[p - 1] or m[q - 1] else complement
-        fiber.append(tuple(e - (j in shift) for j, e in enumerate(m, 1)))
+        a, b, c, e = m
+        s1, s2, s3, s4 = low if m[p - 1] or m[q - 1] else high
+        fiber.append((a - s1, b - s2, c - s3, e - s4))
     return tuple(sorted(fiber))
 
 
@@ -281,9 +241,9 @@ def legendrian_fibers(d, weights, method=None):
     method is one of the foldeg.limits METHODS (None picks
     default_method(d)).  The image route takes all six fibers as power
     sums in closed form (image_power_sums); the kernel route and "both"
-    compute each fixed point directly as weights, and "both" raises
-    MethodDisagreement unless every direct fiber equals the counted
-    closed form (image_fiber_weights) at its own pair.
+    compute each fixed point directly, and "both" raises
+    MethodDisagreement unless the Z^4 characters of every direct fiber
+    are the closed form (fiber_characters) at its own pair.
     """
     if method is None:
         method = default_method(d)
@@ -295,17 +255,15 @@ def legendrian_fibers(d, weights, method=None):
         for pair in P5_PAIRS:
             yield pair, image_power_sums(pair, d, w, full)
         return
-    # the counted closed form, which the kernel route alone never reads
-    full = None if method == METHOD_KERNEL else _monomial_weights(d, w)
     for pair in P5_PAIRS:
-        fiber = limit_fiber_weights(pair, d, w, method).quotient_weights
+        fiber = limit_fiber_weights(pair, d, w, method)
         if method == METHOD_BOTH and (
-                fiber != image_fiber_weights(pair, d, w, full)):
+                fiber.quotient_characters != fiber_characters(d, pair)):
             raise MethodDisagreement(
                 "closed-form and direct fibers disagree at %r, d=%d"
                 % (pair, d)
             )
-        yield pair, fiber
+        yield pair, fiber.quotient_weights
 
 
 @lru_cache(maxsize=None)

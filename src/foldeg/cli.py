@@ -120,8 +120,8 @@ def _degree_text(report, method=None):
 
 def cmd_legendrian(args):
     method = METHOD_FLAGS[args.method] if args.method else default_method(args.degree)
-    # --jobs is parsed and checked but has nothing to fan out: the six
-    # fixed points share one limit computation
+    # --jobs is parsed and checked but fans nothing out: the image route
+    # computes no limit, and kernel and both compute the six in turn
     report = legendrian_degree(args.degree, args.weights, method=method)
     return _emit(args, report.to_json_dict(), _degree_text(report, method))
 

@@ -20,8 +20,9 @@ matrix is assembled.  Two independent routes compute the limit on them:
   columns _chains already writes by descending level
   (linalg.limit_rows); each pivot is one copy of its column's character
   in the fiber, whatever the weights.  The fiber this gives has a closed
-  form, which foldeg.bott's image route evaluates instead (the argument
-  is in the foldeg.bott docstring); this route checks it under "both".
+  form, which foldeg.bott's image route evaluates instead, and which
+  its "both" compares with these characters (the argument is in the
+  foldeg.bott docstring).
 * kernel-limit: the nullspace, at the lowest levels, by a rank rule per
   character and no elimination (_kernel_counts).  Number a chain's
   characters c_0, c_1, ... from the top, so that c_K has its high row
@@ -31,9 +32,11 @@ matrix is assembled.  Two independent routes compute the limit on them:
   can absorb on row r_K.  So c_K counts dim {x : low . x = 0,
   high . x in A_K}.  A_0 = 0 and A_(K+1) = {low . x : high . x in A_K},
   so every A_K is 0 or Q: it is Q after c_K if A_K = Q and low != 0, or
-  if A_K = 0 and rank [low; high] > rank high.
+  if A_K = 0 and rank [low; high] > rank high.  A character with f
+  fields of which the kernel takes c is f - c copies in the image fiber.
 
-"both" runs the two routes on one set of chains (_pair_chains).
+Both routes give the image fiber as Z^4 characters; "both" runs them on
+one set of chains (_pair_chains) and compares the characters.
 """
 
 from collections import namedtuple
@@ -68,7 +71,7 @@ class SaturationRankError(ArithmeticError):
 
 
 class MethodDisagreement(ArithmeticError):
-    """The two limit routes produced different weight multisets."""
+    """Two computations of one limit fiber gave different characters."""
 
 
 # The global contraction is the tests' oracle for the chains.  It stays
@@ -214,10 +217,9 @@ class LimitFiberResult(namedtuple(
     the image sheaf (what the Euler class is made of), kernel_weights its
     complement inside the weights of the full field basis.
 
-    quotient_characters is the image fiber as sorted Z^4 characters
-    (image route and "both"; None from the kernel route alone).  The
-    limit is fixed by the whole torus, so they do not depend on the
-    weight system."""
+    quotient_characters is the image fiber as sorted Z^4 characters,
+    from every route.  The limit is fixed by the whole torus, so they do
+    not depend on the weight system."""
 
     __slots__ = ()
 
@@ -234,7 +236,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
 
     method "image-fiber" takes the initial subspace of the row span at
     t = 1, "kernel-limit" that of the kernel, "both" runs the two and
-    insists they agree.
+    insists their characters agree.
     Either way the image rank must come out as C(d+4, 3) and the kernel
     as (d+4)(d+2)d/3, or SaturationRankError is raised.
 
@@ -252,10 +254,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
     if method == METHOD_BOTH:
         img = limit_fiber_weights(fp, d, w, METHOD_IMAGE)
         ker = limit_fiber_weights(fp, d, w, METHOD_KERNEL)
-        if (
-            img.quotient_weights != ker.quotient_weights
-            or img.kernel_weights != ker.kernel_weights
-        ):
+        if img.quotient_characters != ker.quotient_characters:
             raise MethodDisagreement(
                 "image-fiber and kernel-limit disagree at %r, d=%d"
                 % (fp, d)
@@ -267,28 +266,20 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
 
     if method == METHOD_IMAGE:
         characters = _image_characters(chains)
-        expected = comb(d + 4, 3)
-        if len(characters) != expected:
-            raise SaturationRankError(
-                "limit image rank %d != %d at %r, d=%d"
-                % (len(characters), expected, fp, d)
-            )
-        characters = tuple(sorted(characters))
-        qw = character_weights(characters, w)
-        kw = all_weights.difference(qw)
+        limit, rank, expected = "image", len(characters), comb(d + 4, 3)
     else:
-        kernel = []
+        characters, rank = [], 0
         for chain in chains:
-            for (chi, _), count in zip(chain, _kernel_counts(chain)):
-                kernel += [chi] * count
-        expected = contact_kernel_dimension(d)
-        if len(kernel) != expected:
-            raise SaturationRankError(
-                "limit kernel rank %d != %d at %r, d=%d"
-                % (len(kernel), expected, fp, d)
-            )
-        kw = character_weights(kernel, w)
-        qw = all_weights.difference(kw)
-        characters = None
-
-    return LimitFiberResult(fp, d, qw, kw, method, characters)
+            for (chi, fields), count in zip(chain, _kernel_counts(chain)):
+                characters += [chi] * (len(fields) - count)
+                rank += count
+        limit, expected = "kernel", contact_kernel_dimension(d)
+    if rank != expected:
+        raise SaturationRankError(
+            "limit %s rank %d != %d at %r, d=%d"
+            % (limit, rank, expected, fp, d)
+        )
+    characters = tuple(sorted(characters))
+    qw = character_weights(characters, w)
+    return LimitFiberResult(
+        fp, d, qw, all_weights.difference(qw), method, characters)

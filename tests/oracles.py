@@ -3,11 +3,12 @@
 Each is the plain algorithm the package used before: e_k by the O(n*k)
 product recurrence over every value, the monomial weight count, its
 split at a pair and the pencil fiber by enumerating every monomial
-weight, the pencil fiber as weight counts taken from the shared count
-of foldeg.bott, as foldeg.pencil built it before its power sums, the
-interpolant as a sum of Lagrange basis polynomials, a polynomial's
-value by Horner's rule in Fractions, the image limit
-as a saturation over Z[t] localized at t, which knows nothing of torus
+weight, the same count by arithmetic progressions and its split, the
+pencil fiber and the Legendrian image fiber as weight counts taken from
+that count, as foldeg.pencil and foldeg.bott built them before their
+power sums, the interpolant as a sum of Lagrange basis polynomials, a
+polynomial's value by Horner's rule in Fractions, the image limit as a
+saturation over Z[t] localized at t, which knows nothing of torus
 levels, the image limit's rows as an echelon of M(1)
 cut down to the pivots' levels, the Legendrian image fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
@@ -17,8 +18,7 @@ field term by term, the basis Phi_d as the divergence kernel of each
 weight space in echelon form, the blocks of the global contraction by
 union-find, and the kernel limit as one integer echelon of
 [M(1)^T | I] per block.  They share no code with what they check beyond
-RationalPolynomial, the counted closed form of foldeg.bott (for the
-counted pencil fiber), the monomial list and weights, MonomialField, the
+RationalPolynomial, the monomial list and weights, MonomialField, the
 complement of a pair, the Fraction rref and kernel basis, the integer
 echelon, and (for the image fiber) the chains of foldeg.limits.
 weight_ordered_basis puts the package's basis, which depends on d
@@ -31,7 +31,6 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import itemgetter
 
-from foldeg.bott import _monomial_weights, split_monomial_weights
 from foldeg.exact import (
     RationalPolynomial,
     WeightMultiset,
@@ -88,6 +87,47 @@ def enumerated_pencil_fiber(pair, d, weights):
     return [v + wk + wl for v in full]
 
 
+def counted_monomial_weights(d, w):
+    """Weight counts of the degree-(d+1) monomials, counted by
+    progressions: with x_3^c x_4^e fixed and r = d + 1 - c - e, the
+    weights of x_1^a x_2^(r-a) are c*w_3 + e*w_4 + r*w_2 + a*(w_1 - w_2)
+    for a = 0..r.  No monomial is built; the step is nonzero for
+    admissible weights."""
+    w1, w2, w3, w4 = w.values
+    n, step = d + 1, w1 - w2
+    counts = Counter()
+    for c in range(n + 1):
+        for e in range(n + 1 - c):
+            r = n - c - e
+            base = c * w3 + e * w4 + r * w2
+            counts.update(range(base, base + (r + 1) * step, step))
+    return WeightMultiset.from_counts(counts)
+
+
+def split_monomial_weights(pair, d, w, monomial_weights):
+    """The degree-(d+1) monomial weight counts split at pair (p,q) with
+    complement (k,l): those of the monomials that involve x_p or x_q, and
+    the d+2 weights a*w_k + (d+1-a)*w_l of those in x_k, x_l alone."""
+    k, l = complementary_pair(pair)
+    wk, wl = w.weight(k), w.weight(l)
+    start, step = (d + 1) * wl, wk - wl
+    removed = WeightMultiset.from_counts(
+        Counter(range(start, start + (d + 2) * step, step)))
+    return monomial_weights.difference(removed), removed
+
+
+def counted_image_fiber(pair, d, w, monomial_weights):
+    """The Legendrian image fiber at pair as weight counts: the monomials
+    that involve x_p or x_q shifted by -(w_p + w_q), the rest by
+    -(w_k + w_l)."""
+    rest, removed = split_monomial_weights(pair, d, w, monomial_weights)
+    low, high = w.pair_sum(pair), w.pair_sum(complementary_pair(pair))
+    counts = Counter({v - low: m for v, m in rest.counts.items()})
+    for v, m in removed.counts.items():
+        counts[v - high] += m
+    return WeightMultiset.from_counts(counts)
+
+
 def counted_pencil_fiber(pair, d, weights, counted=None):
     """Twisted pencil fiber at pair as weight counts: the count of every
     degree-(d+1) monomial weight by progressions (or counted, that count
@@ -95,7 +135,7 @@ def counted_pencil_fiber(pair, d, weights, counted=None):
     pair, every value shifted by w_k + w_l."""
     w = WeightSystem(weights)
     if counted is None:
-        counted = _monomial_weights(d, w)
+        counted = counted_monomial_weights(d, w)
     rest, _ = split_monomial_weights(pair, d, w, counted)
     twist = w.pair_sum(complementary_pair(pair))
     return WeightMultiset.from_counts(

@@ -13,18 +13,14 @@ import foldeg.limits as limits
 from foldeg.bott import (
     LEGENDRIAN,
     NonIntegralDegree,
-    _monomial_weights,
     default_method,
     fiber_characters,
-    image_fiber_weights,
     legendrian_degree,
-    split_monomial_weights,
     tangent_weights_p5,
 )
 from foldeg.exact import (
     InadmissibleWeights,
     PowerSums,
-    WeightMultiset,
     WeightSystem,
     character_weights,
     monomial_power_sums,
@@ -56,8 +52,6 @@ from foldeg.reference import (
 from oracles import (
     SOURCE_PAIR,
     _chain_fiber,
-    enumerated_complement_weights,
-    enumerated_monomial_weights,
     transport_characters,
 )
 
@@ -178,21 +172,16 @@ def test_transport_matches_direct_fibers(weights):
             pair = tuple(sorted(sigma[:2]))
             moved = transport_characters(characters, sigma)
             assert character_weights(moved, weights) == direct[pair], (d, sigma)
-        full = _monomial_weights(d, weights)
         for pair in P5_PAIRS:
-            assert image_fiber_weights(pair, d, weights, full) == direct[pair]
+            closed = fiber_characters(d, pair)
+            assert character_weights(closed, weights) == direct[pair]
 
 
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
     """The image route takes one closed-form sum over the four variables
-    per degree and weight system, counts no monomial weights, and builds
-    neither chains, nor a field basis, nor a contraction matrix; the
-    kernel route takes neither."""
-    counts, sums, calls = [], [], []
-
-    def counting_weights(d, w):
-        counts.append(d)
-        return _monomial_weights(d, w)
+    per degree and weight system, and builds neither chains, nor a field
+    basis, nor a contraction matrix; the kernel route takes no sum."""
+    sums, calls = [], []
 
     def counting_sums(ws, n, top):
         if len(ws) == 4:
@@ -206,7 +195,6 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
     def refused(*args):
         raise AssertionError("the image route built a global structure")
 
-    monkeypatch.setattr(bott, "_monomial_weights", counting_weights)
     monkeypatch.setattr(bott, "monomial_power_sums", counting_sums)
     monkeypatch.setattr(bott, "limit_fiber_weights", counting)
     with monkeypatch.context() as m:
@@ -217,30 +205,36 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
         limits._pair_chains.cache_clear()
         image = legendrian_degree(5, method=METHOD_IMAGE)
         legendrian_degree(5, ALT_WEIGHTS_A, method=METHOD_IMAGE)
-    assert sums == [(6, 5), (6, 5)] and counts == [] and calls == []
+    assert sums == [(6, 5), (6, 5)] and calls == []
     kernel = legendrian_degree(5, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
     assert len(calls) == 6
     # the kernel route reads no closed form
-    assert sums == [(6, 5), (6, 5)] and counts == []
+    assert sums == [(6, 5), (6, 5)]
+
+
+def _characters_moved_at_34(monkeypatch, move):
+    """Make bott.fiber_characters move its first character at (3,4) by
+    the vector move."""
+    def moved(d, pair):
+        fiber = fiber_characters(d, pair)
+        if pair != (3, 4):
+            return fiber
+        first = tuple(a + b for a, b in zip(fiber[0], move))
+        return tuple(sorted((first,) + fiber[1:]))
+
+    monkeypatch.setattr(bott, "fiber_characters", moved)
 
 
 def test_both_checks_closed_form_fibers(monkeypatch):
-    """method="both" compares each direct fiber with the counted closed
-    form at its own pair, and raises on a mismatch; a wrong power-sum
-    fiber on the image route fails Newton's step or the integrality of
-    the sum."""
+    """method="both" compares each direct fiber with the closed-form
+    characters at its own pair, and raises on a mismatch; a wrong
+    power-sum fiber on the image route fails Newton's step or the
+    integrality of the sum."""
     assert legendrian_degree(3, method=METHOD_BOTH).degree == (
         LEGENDRIAN_D3_DEGREE
     )
-    counted, summed = bott.image_fiber_weights, bott.image_power_sums
-
-    def off_at_34(pair, d, w, full):
-        fiber = counted(pair, d, w, full)
-        if pair != (3, 4):
-            return fiber
-        return WeightMultiset(v + 1 if i == 0 else v
-                              for i, v in enumerate(fiber))
+    summed = bott.image_power_sums
 
     def sums_off_at_34(pair, d, w, full):
         fiber = summed(pair, d, w, full)
@@ -248,7 +242,7 @@ def test_both_checks_closed_form_fibers(monkeypatch):
             return fiber
         return fiber + PowerSums((0, 1, 1, 1, 1, 1))  # a weight 0 moved to 1
 
-    monkeypatch.setattr(bott, "image_fiber_weights", off_at_34)
+    _characters_moved_at_34(monkeypatch, (1, 0, 0, 0))
     with pytest.raises(MethodDisagreement):
         legendrian_degree(3, method=METHOD_BOTH)
     # the image route has no direct fiber to compare with; Newton's step
@@ -256,6 +250,23 @@ def test_both_checks_closed_form_fibers(monkeypatch):
     monkeypatch.setattr(bott, "image_power_sums", sums_off_at_34)
     with pytest.raises(ArithmeticError):
         legendrian_degree(3, method=METHOD_IMAGE)
+
+
+def test_both_sees_a_character_moved_at_constant_weight(monkeypatch):
+    """(0, 5, 0, -1) weighs 0 under the default weights 0,2,7,10, so
+    moving one closed-form character at (3,4) by it keeps every weight
+    of the fiber; "both" compares characters and still raises."""
+    move = (0, 5, 0, -1)
+    assert sum(a * b for a, b in zip(move, DEFAULT_WEIGHTS.values)) == 0
+    _characters_moved_at_34(monkeypatch, move)
+    closed = fiber_characters(3, (3, 4))
+    moved = bott.fiber_characters(3, (3, 4))
+    assert moved != closed
+    assert character_weights(moved, DEFAULT_WEIGHTS) == character_weights(
+        closed, DEFAULT_WEIGHTS)
+    with pytest.raises(MethodDisagreement,
+                       match=r"closed-form .* at \(3, 4\), d=3"):
+        legendrian_degree(3, method=METHOD_BOTH)
 
 
 def test_fiber_characters_reproduce_the_frozen_table():
@@ -296,18 +307,6 @@ def test_both_families_at_degrees_beyond_any_count(d):
     PowerSums overflows: localize must not take it."""
     assert legendrian_degree(d).degree == LEGENDRIAN.closed_form(d)
     assert pencil_degree(d).degree == PENCIL.closed_form(d)
-
-
-def test_monomial_weight_progressions_at_degree_60():
-    """At d = 60, under unsorted weights with a negative entry, the count
-    by progressions is the enumerated count, and at each pair the removed
-    weights are those of the monomials in x_k, x_l alone."""
-    w, d = WeightSystem((9, -4, 2, 0)), 60
-    full = _monomial_weights(d, w)
-    assert full == enumerated_monomial_weights(d, w)
-    for pair in P5_PAIRS:
-        _, removed = split_monomial_weights(pair, d, w, full)
-        assert removed == enumerated_complement_weights(pair, d, w), pair
 
 
 def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):

@@ -410,18 +410,22 @@ def test_method_disagreement_is_raised(monkeypatch):
 
 def test_quotient_characters():
     """The image route reports the fiber as sorted Z^4 characters that
-    evaluate to its weights; the kernel route alone reports none, and
-    "both" passes the image route's on."""
+    evaluate to its weights; the kernel route reports the same
+    characters at all six pairs, d = 1..6, and "both" passes them on."""
     img = limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_IMAGE)
     chars = img.quotient_characters
     assert list(chars) == sorted(chars)
     assert WeightMultiset(
         sum(c * w for c, w in zip(chi, ALT_WEIGHTS_A.values)) for chi in chars
     ) == img.quotient_weights
-    ker = limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_KERNEL)
-    assert ker.quotient_characters is None
     both = limit_fiber_weights((2, 4), 3, ALT_WEIGHTS_A, METHOD_BOTH)
     assert both.quotient_characters == chars
+    for d in range(1, 7):
+        for pair in P5_PAIRS:
+            img, ker = (limit_fiber_weights(pair, d, ALT_WEIGHTS_A, method)
+                        for method in (METHOD_IMAGE, METHOD_KERNEL))
+            assert ker.quotient_characters == img.quotient_characters, (
+                pair, d)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,75 @@ MUTANTS = {
             "test_torus_image_limit_equals_the_saturation_oracle[weights0]",
         ],
     ),
+    "both without the closed-form comparison": (
+        "bott.py",
+        "                fiber.quotient_characters != "
+        "fiber_characters(d, pair)):\n",
+        "                False):\n",
+        [
+            "tests/test_bott.py::test_both_checks_closed_form_fibers",
+            "tests/test_bott.py::"
+            "test_both_sees_a_character_moved_at_constant_weight",
+        ],
+    ),
+    "fiber_characters with its two shifts swapped": (
+        "bott.py",
+        "low if m[p - 1] or m[q - 1] else high\n",
+        "high if m[p - 1] or m[q - 1] else low\n",
+        [
+            "tests/test_bott.py::test_d3_degree",
+            "tests/test_bott.py::"
+            "test_fiber_characters_reproduce_the_frozen_table",
+            "tests/test_bott.py::"
+            "test_closed_form_equals_the_chain_fiber_oracle",
+        ],
+    ),
+    "both without the comparison of the two routes": (
+        "limits.py",
+        "        if img.quotient_characters != ker.quotient_characters:\n",
+        "        if False:\n",
+        ["tests/test_limits.py::test_method_disagreement_is_raised"],
+    ),
+    "the one-field rank rule without A_K": (
+        "limits.py",
+        "counts.append(0 if x or (y and not absorbs) else 1)",
+        "counts.append(0 if x or y else 1)",
+        [
+            "tests/test_limits.py::test_methods_agree",
+            "tests/test_transport_properties.py::"
+            "test_kernel_rule_holds_on_any_chain",
+        ],
+    ),
+    "a weight memo that ignores the weights": (
+        "fields.py",
+        "        if self._last[0] != values:\n",
+        "        if self._last[0] is None:\n",
+        [
+            "tests/test_fields.py::"
+            "test_weight_multiset_is_kept_per_weight_system",
+            "tests/test_limits.py::test_shared_blocks_are_never_stale",
+        ],
+    ),
+    "the pencil twist by w_p + w_q": (
+        "pencil.py",
+        "    return (full - part).shifted(w.pair_sum((k, l)))\n",
+        "    return (full - part).shifted(w.pair_sum(pair))\n",
+        [
+            "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
+            "tests/test_transport_properties.py::"
+            "test_pencil_fiber_counts_equal_the_enumerated_fiber",
+        ],
+    ),
+    "one admissibility answer shared by all systems": (
+        "exact.py",
+        "        return self._admissible\n",
+        "        return WeightSystem.is_admissible.__dict__.setdefault(\n"
+        "            \"answer\", self._admissible)\n",
+        [
+            "tests/test_bott.py::"
+            "test_inadmissible_weights_raise_at_every_entry_point[bad0]",
+        ],
+    ),
 }
 
 

@@ -10,15 +10,13 @@ import pytest
 from collections import Counter
 
 from foldeg import limits
-from foldeg.bott import (
-    _monomial_weights,
-    fiber_characters,
-    image_fiber_weights,
-    image_power_sums,
-    localize,
-    split_monomial_weights,
+from foldeg.bott import fiber_characters, image_power_sums, localize
+from foldeg.exact import (
+    WeightMultiset,
+    WeightSystem,
+    character_weights,
+    monomial_power_sums,
 )
-from foldeg.exact import WeightMultiset, WeightSystem, monomial_power_sums
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
     METHOD_BOTH,
@@ -34,12 +32,15 @@ from oracles import (
     SOURCE_PAIR,
     chain_kernel_counts,
     character_weight,
+    counted_image_fiber,
+    counted_monomial_weights,
     counted_pencil_fiber,
     enumerated_complement_weights,
     enumerated_monomial_weights,
     enumerated_pencil_fiber,
     kernel_counts_by_block,
     rref_phi_basis,
+    split_monomial_weights,
     weight_ordered_basis,
 )
 
@@ -66,19 +67,18 @@ def test_source_characters_do_not_depend_on_weights(values, d):
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
 def test_closed_form_equals_the_weighted_routes(values):
-    """The closed form equals the image route's characters and both
-    routes' quotient weights under any admissible weights, at all six
-    pairs, d = 1..10."""
+    """The closed form equals both routes' characters, and its weights
+    both routes' quotient weights, under any admissible weights, at all
+    six pairs, d = 1..10."""
     w = WeightSystem(values)
     for d in range(1, 11):
-        full = _monomial_weights(d, w)
         for pair in P5_PAIRS:
-            img = limit_fiber_weights(pair, d, w, METHOD_IMAGE)
-            ker = limit_fiber_weights(pair, d, w, METHOD_KERNEL)
-            assert img.quotient_characters == fiber_characters(d, pair)
-            closed = image_fiber_weights(pair, d, w, full)
-            assert img.quotient_weights == closed, (pair, d)
-            assert ker.quotient_weights == closed, (pair, d)
+            closed = fiber_characters(d, pair)
+            weights = character_weights(closed, w)
+            for method in (METHOD_IMAGE, METHOD_KERNEL):
+                res = limit_fiber_weights(pair, d, w, method)
+                assert res.quotient_characters == closed, (pair, d, method)
+                assert res.quotient_weights == weights, (pair, d, method)
 
 
 @hypothesis.given(
@@ -226,12 +226,13 @@ def test_contributions_are_s4_equivariant(values, sigma, case):
 @hypothesis.example(values=[9, -4, 2, 0])
 @hypothesis.example(values=[24, 3, -12, 5])
 def test_monomial_weight_progressions_equal_the_enumeration(values):
-    """The count by progressions is the enumerated count of the
-    degree-(d+1) monomial weights, and at all six pairs the removed
-    weights are those of the monomials in x_k, x_l alone, d = 0..30."""
+    """The count by progressions, which the counted oracles share, is
+    the enumerated count of the degree-(d+1) monomial weights, and at
+    all six pairs the removed weights are those of the monomials in
+    x_k, x_l alone, d = 0..30."""
     w = WeightSystem(values)
     for d in range(31):
-        full = _monomial_weights(d, w)
+        full = counted_monomial_weights(d, w)
         assert full == enumerated_monomial_weights(d, w), d
         for pair in P5_PAIRS:
             _, removed = split_monomial_weights(pair, d, w, full)
@@ -263,13 +264,13 @@ def test_power_sum_numerators_equal_the_counted_routes(values):
     C(d+4,3) - (d+2) weights."""
     w = WeightSystem(values)
     for d in range(1, 61):
-        counted = _monomial_weights(d, w)
+        counted = counted_monomial_weights(d, w)
         legendrian = monomial_power_sums(values, d + 1, 5)
         pencil = monomial_power_sums(values, d + 1, 4)
         for pair in P5_PAIRS:
             fiber = image_power_sums(pair, d, w, legendrian)
             assert len(fiber) == comb(d + 4, 3)
-            assert fiber.elementary_symmetric(5) == image_fiber_weights(
+            assert fiber.elementary_symmetric(5) == counted_image_fiber(
                 pair, d, w, counted).elementary_symmetric(5), (pair, d)
             fiber = pd_twisted_weights(pair, d, w, pencil)
             assert len(fiber) == comb(d + 4, 3) - (d + 2)
