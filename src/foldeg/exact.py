@@ -417,43 +417,23 @@ class RationalPolynomial:
         ) or "0"
 
 
-def lagrange_interpolate(points):
-    """Exact polynomial through (x, y) pairs with pairwise-distinct x.
-
-    At consecutive integers x_0, x_0 + 1, ... with integer y, in integers
+def lagrange_interpolate(x0, ys):
+    """The polynomial p with p(x0 + i) = ys[i], for int or Fraction ys,
     by forward differences: m! p(x) = sum_k D^k y_0 (m!/k!) prod_{i<k}
-    (x - x_0 - i), up to the last nonzero D^m y_0, and one division by
-    m!.  Otherwise by divided differences c_i = y[x_0..x_i]:
-    c_0 + (x - x_0)(c_1 + ...).
+    (x - x0 - i), up to the last nonzero D^m y_0, and one division by
+    m!.  On int values every step before the division is in integers.
 
-    >>> lagrange_interpolate([(0, 1), (1, 3), (2, 7)]).coefficients
+    >>> lagrange_interpolate(0, [1, 3, 7]).coefficients
     (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
     """
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    if not pts:
-        raise ValueError("need at least one interpolation point")
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation abscissae must be distinct")
-    ints = sorted((x.numerator, y.numerator) for x, y in pts
-                  if x.denominator == y.denominator == 1)
-    if len(ints) == len(pts) and ints[-1][0] - ints[0][0] == len(pts) - 1:
-        ys, deltas = [y for _, y in ints], []
-        while any(ys):
-            deltas.append(ys[0])
-            ys = [b - a for a, b in zip(ys, ys[1:])]
-        coeffs, scale = [], 1
-        for k in range(len(deltas) - 1, -1, -1):
-            a = ints[0][0] + k
-            coeffs = [lo - a * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
-            coeffs[0] += deltas[k] * scale
-            scale *= max(k, 1)
-        return RationalPolynomial([Fraction(c, scale) for c in coeffs])
-    c = [y for _, y in pts]
-    for j in range(1, len(c)):
-        for i in range(len(c) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    poly = RationalPolynomial()
-    for x0, ci in zip(reversed(xs), reversed(c)):
-        poly = poly * RationalPolynomial([-x0, 1]) + RationalPolynomial([ci])
-    return poly
+    deltas = []
+    while any(ys):
+        deltas.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    coeffs, scale = [], 1
+    for k in range(len(deltas) - 1, -1, -1):
+        a = x0 + k
+        coeffs = [lo - a * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += deltas[k] * scale
+        scale *= max(k, 1)
+    return RationalPolynomial([Fraction(c, scale) for c in coeffs])

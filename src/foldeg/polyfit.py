@@ -8,6 +8,8 @@ closed forms exactly and interpolates freshly computed degree sequences
 to compare -- polynomial identity, not just pointwise agreement.
 """
 
+from fractions import Fraction
+
 from .bott import LEGENDRIAN, localize
 from .exact import (
     DEFAULT_WEIGHTS,
@@ -83,12 +85,12 @@ def interpolate_family(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
     Needs at least bound+1 points (16 for legendrian, 13 for pencil);
     the result is spot-checked to take integer values at the three
     integers past d_max -- a counting polynomial must -- and handed back
-    as a RationalPolynomial.  Pass points to reuse values computed
-    elsewhere instead of recomputing; their abscissae must be exactly
-    d_min..d_max.  Integer degrees at consecutive d always give an
+    as a RationalPolynomial.  Pass points to reuse degrees computed
+    elsewhere: at exactly d = d_min..d_max, ints or Fractions (else
+    TypeError).  Integer degrees at consecutive d always give an
     integer-valued interpolant, p(x) = sum_k D^k y_0 C(x - d_min, k)
     with integer forward differences D^k y_0, so the spot check guards
-    against given points that are not integers.
+    against given degrees that are not integers.
     """
     bound = get_family(family).degree_bound
     if d_max - d_min < bound:
@@ -102,7 +104,11 @@ def interpolate_family(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
         raise InsufficientPoints(
             "points must be given at exactly d=%d..%d" % (d_min, d_max)
         )
-    poly = lagrange_interpolate(points)
+    ys = [y for _, y in sorted(points)]
+    for y in ys:
+        if not isinstance(y, (int, Fraction)):
+            raise TypeError("degree %r is not an int or a Fraction" % (y,))
+    poly = lagrange_interpolate(d_min, ys)
     for x in range(d_max + 1, d_max + 4):
         if poly(x).denominator != 1:
             raise IntegralityError(

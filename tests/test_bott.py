@@ -311,7 +311,10 @@ def test_both_families_at_degrees_beyond_any_count(d):
 
 def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):
     """e_n of the tangent weights is their product, so localize calls
-    exact.elementary_symmetric once per fiber and never on a tangent."""
+    exact.elementary_symmetric once per fiber and never on a tangent.
+    The tangent cache is emptied first, so tangents kept by earlier tests
+    cannot hide a call."""
+    bott._tangent_euler.cache_clear()
     real, calls = exact.elementary_symmetric, []
 
     def counted(k, values):

@@ -23,7 +23,11 @@ from foldeg.exact import (
     newton_step,
     scalar_to_string,
 )
-from oracles import elementary_symmetric_recurrence, fraction_horner
+from oracles import (
+    elementary_symmetric_recurrence,
+    fraction_horner,
+    lagrange_sum,
+)
 
 
 def test_scalar_string_round_trip():
@@ -296,20 +300,15 @@ def test_rational_polynomial_render():
 
 
 def test_lagrange_interpolation_round_trip():
+    """Values of a random polynomial with Fraction coefficients at
+    consecutive integers from a random start give it back, and so does
+    the Lagrange sum on the same points."""
     rng = random.Random(505)
     for _ in range(50):
         poly = _random_poly(rng)
-        npts = len(poly.coefficients) + rng.randint(1, 3)
-        xs = rng.sample(range(-20, 21), npts)
-        pts = [(x, poly(x)) for x in xs]
-        back = lagrange_interpolate(pts)
-        assert back == poly
-        for x, y in pts:
-            assert back(x) == y
-
-
-def test_lagrange_interpolation_validation():
-    with pytest.raises(ValueError):
-        lagrange_interpolate([])
-    with pytest.raises(ValueError):
-        lagrange_interpolate([(1, 1), (1, 2)])
+        x0 = rng.randint(-20, 20)
+        ys = [poly(x0 + i) for i in range(poly.degree + rng.randint(2, 4))]
+        back = lagrange_interpolate(x0, ys)
+        assert back == poly == lagrange_sum(enumerate(ys, x0))
+        for i, y in enumerate(ys):
+            assert back(x0 + i) == y

@@ -30,14 +30,14 @@ INTERPOLATION_TESTS = [
 MUTANTS = {
     "forward differences without the m!/k! scaling": (
         "exact.py",
-        "            coeffs[0] += deltas[k] * scale\n",
-        "            coeffs[0] += deltas[k]\n",
+        "        coeffs[0] += deltas[k] * scale\n",
+        "        coeffs[0] += deltas[k]\n",
         INTERPOLATION_TESTS,
     ),
     "forward-difference product shifted by x_0 + i + 1": (
         "exact.py",
-        "            a = ints[0][0] + k\n",
-        "            a = ints[0][0] + k + 1\n",
+        "        a = x0 + k\n",
+        "        a = x0 + k + 1\n",
         INTERPOLATION_TESTS,
     ),
     "Newton's step without its exactness check": (
@@ -109,6 +109,23 @@ MUTANTS = {
             "test_weight_multiset_is_kept_per_weight_system",
             "tests/test_limits.py::test_shared_blocks_are_never_stale",
         ],
+    ),
+    "the Legendrian rest shifted by -(w_k + w_l)": (
+        "bott.py",
+        "    return ((full - part).shifted(-w.pair_sum(pair))\n",
+        "    return ((full - part).shifted(-w.pair_sum((k, l)))\n",
+        [
+            "tests/test_bott.py::test_methods_give_same_degree",
+            "tests/test_transport_properties.py::"
+            "test_power_sum_numerators_equal_the_counted_routes",
+        ],
+    ),
+    "tangents sent back through elementary_symmetric": (
+        "bott.py",
+        "    return len(tangent), prod(tangent.counts.elements())\n",
+        "    return len(tangent), "
+        "tangent.elementary_symmetric(len(tangent))\n",
+        ["tests/test_bott.py::test_localize_asks_e_n_of_the_fibers_alone"],
     ),
     "the pencil twist by w_p + w_q": (
         "pencil.py",

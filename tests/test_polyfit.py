@@ -1,5 +1,6 @@
 """Tests for closed degree formulas and interpolation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from foldeg.polyfit import (
     interpolate_family,
 )
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
-from oracles import fraction_horner
+from oracles import fraction_horner, lagrange_sum
 
 FROZEN = {"legendrian": LEGENDRIAN_DEGREES, "pencil": PENCIL_DEGREES}
 
@@ -37,7 +38,10 @@ def test_closed_form_polynomials_interpolate_frozen_tables():
         assert len(table) == bound + 1
         poly = family_closed_form_polynomial(name)
         assert poly.degree == bound
-        assert lagrange_interpolate(sorted(table.items())) == poly
+        d_min = min(table)
+        ys = [table[d] for d in range(d_min, d_min + bound + 1)]
+        assert lagrange_interpolate(d_min, ys) == poly
+        assert poly == lagrange_sum(table.items())
         assert family_closed_form(name, 30) == poly(30)
 
 
@@ -154,9 +158,9 @@ def test_integrality_guard_sees_one_half_at_the_last_point():
     pts[-1] = (14, pts[-1][1] + Fraction(1, 2))
     with pytest.raises(IntegralityError):
         interpolate_family("pencil", 2, 14, points=pts)
-    assert lagrange_interpolate(pts)(15) - family_closed_form("pencil", 15) == (
-        Fraction(13, 2)
-    )
+    poly = lagrange_interpolate(2, [y for _, y in pts])
+    assert poly == lagrange_sum(pts)
+    assert poly(15) - family_closed_form("pencil", 15) == Fraction(13, 2)
     with pytest.raises(InsufficientPoints):
         interpolate_family("pencil", 2, 13, points=pts[:-1])
     with pytest.raises(InsufficientPoints):
@@ -171,4 +175,19 @@ def test_lagrange_agrees_with_closed_form_sampling():
     bound+1 distinct points)."""
     poly = family_closed_form_polynomial("pencil")
     pts = [(d, poly(d)) for d in range(40, 40 + FAMILIES["pencil"].degree_bound + 1)]
-    assert lagrange_interpolate(pts) == poly
+    assert lagrange_interpolate(40, [y for _, y in pts]) == poly
+    assert lagrange_sum(pts) == poly
+
+
+def test_degrees_must_be_ints_or_fractions():
+    """Given degrees are taken exactly: Fractions give what ints give,
+    and a float, even one of integer value, raises TypeError naming it
+    instead of being converted."""
+    pts = sorted(PENCIL_DEGREES.items())
+    as_fractions = [(Fraction(d), Fraction(y)) for d, y in pts]
+    assert interpolate_family("pencil", 2, 14, points=as_fractions) == (
+        family_closed_form_polynomial("pencil")
+    )
+    pts[3] = (5, float(pts[3][1]))
+    with pytest.raises(TypeError, match=re.escape(repr(pts[3][1]))):
+        interpolate_family("pencil", 2, 14, points=pts)
