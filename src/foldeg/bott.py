@@ -43,7 +43,8 @@ that e_5 needs, in closed form in a number of operations that does not
 depend on d (image_power_sums), with no chains, echelon or field basis.  The kernel
 route and "both" compute all six fibers directly (foldeg.limits), and
 "both" checks each, as Z^4 characters, against the closed form
-(fiber_characters).
+(fiber_characters), once per (d, pair) in a process: the characters
+do not depend on the weights.
 """
 
 from collections import namedtuple
@@ -56,6 +57,7 @@ from .exact import (
     RationalPolynomial,
     WeightMultiset,
     as_weight_system,
+    character_weights,
     monomial_power_sums,
     monomials_of_degree,
     scalar_to_string,
@@ -235,6 +237,11 @@ def fiber_characters(d, pair):
     return tuple(sorted(fiber))
 
 
+# 6 * d + i for each (d, P5_PAIRS[i]) whose direct fiber has passed both
+# checks of "both"; ints, so that the garbage collector tracks no key.
+_both_checked = set()
+
+
 def legendrian_fibers(d, weights, method=None):
     """(pair, image fiber) at the six fixed forms.
 
@@ -243,7 +250,8 @@ def legendrian_fibers(d, weights, method=None):
     sums in closed form (image_power_sums); the kernel route and "both"
     compute each fixed point directly, and "both" raises
     MethodDisagreement unless the Z^4 characters of every direct fiber
-    are the closed form (fiber_characters) at its own pair.
+    are the closed form (fiber_characters) at its own pair; a (d, pair)
+    that has passed takes its fiber from fiber_characters from then on.
     """
     if method is None:
         method = default_method(d)
@@ -255,14 +263,19 @@ def legendrian_fibers(d, weights, method=None):
         for pair in P5_PAIRS:
             yield pair, image_power_sums(pair, d, w, full)
         return
-    for pair in P5_PAIRS:
+    for i, pair in enumerate(P5_PAIRS):
+        key = 6 * d + i
+        if method == METHOD_BOTH and key in _both_checked:
+            yield pair, character_weights(fiber_characters(d, pair), w)
+            continue
         fiber = limit_fiber_weights(pair, d, w, method)
-        if method == METHOD_BOTH and (
-                fiber.quotient_characters != fiber_characters(d, pair)):
-            raise MethodDisagreement(
-                "closed-form and direct fibers disagree at %r, d=%d"
-                % (pair, d)
-            )
+        if method == METHOD_BOTH:
+            if fiber.quotient_characters != fiber_characters(d, pair):
+                raise MethodDisagreement(
+                    "closed-form and direct fibers disagree at %r, d=%d"
+                    % (pair, d)
+                )
+            _both_checked.add(key)
         yield pair, fiber.quotient_weights
 
 

@@ -345,7 +345,8 @@ class RationalPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c)
+                  for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients = tuple(coeffs)

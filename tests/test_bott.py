@@ -243,6 +243,7 @@ def test_both_checks_closed_form_fibers(monkeypatch):
         return fiber + PowerSums((0, 1, 1, 1, 1, 1))  # a weight 0 moved to 1
 
     _characters_moved_at_34(monkeypatch, (1, 0, 0, 0))
+    bott._both_checked.clear()  # d = 3 passed above; check it afresh
     with pytest.raises(MethodDisagreement):
         legendrian_degree(3, method=METHOD_BOTH)
     # the image route has no direct fiber to compare with; Newton's step
@@ -267,6 +268,48 @@ def test_both_sees_a_character_moved_at_constant_weight(monkeypatch):
     with pytest.raises(MethodDisagreement,
                        match=r"closed-form .* at \(3, 4\), d=3"):
         legendrian_degree(3, method=METHOD_BOTH)
+
+
+def test_both_checks_each_degree_and_pair_once(monkeypatch):
+    """Once "both" has checked a (d, pair), it takes the fiber from the
+    closed form under any weights, with no direct computation; the
+    reports equal those computed afresh under every system."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return limit_fiber_weights(*args)
+
+    monkeypatch.setattr(bott, "limit_fiber_weights", counted)
+    systems = (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+    for d in range(2, 6):
+        fresh = []
+        for ws in systems:
+            bott._both_checked.clear()
+            del calls[:]
+            fresh.append(legendrian_degree(d, ws, method=METHOD_BOTH))
+            assert sorted(calls) == [(pair, d) for pair in P5_PAIRS]
+        del calls[:]
+        warm = [legendrian_degree(d, ws, method=METHOD_BOTH)
+                for ws in systems]
+        assert calls == []
+        assert warm == fresh
+
+
+def test_a_failed_both_check_is_not_remembered(monkeypatch):
+    """A (d, pair) whose direct fiber disagrees with the closed form
+    raises on every call until the two agree; a pair checked at another
+    degree does not count."""
+    legendrian_degree(2, method=METHOD_BOTH)
+    _characters_moved_at_34(monkeypatch, (1, 0, 0, 0))
+    for ws in (DEFAULT_WEIGHTS, DEFAULT_WEIGHTS, ALT_WEIGHTS_A):
+        with pytest.raises(MethodDisagreement,
+                           match=r"closed-form .* at \(3, 4\), d=3"):
+            legendrian_degree(3, ws, method=METHOD_BOTH)
+    monkeypatch.undo()
+    assert legendrian_degree(3, method=METHOD_BOTH).degree == (
+        LEGENDRIAN_D3_DEGREE
+    )
 
 
 def test_fiber_characters_reproduce_the_frozen_table():

@@ -63,14 +63,34 @@ MUTANTS = {
     ),
     "both without the closed-form comparison": (
         "bott.py",
-        "                fiber.quotient_characters != "
-        "fiber_characters(d, pair)):\n",
-        "                False):\n",
+        "            if fiber.quotient_characters != "
+        "fiber_characters(d, pair):\n",
+        "            if False:\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
             "tests/test_bott.py::"
             "test_both_sees_a_character_moved_at_constant_weight",
+            "tests/test_bott.py::test_a_failed_both_check_is_not_remembered",
         ],
+    ),
+    "a both key remembered before the comparison": (
+        "bott.py",
+        "        fiber = limit_fiber_weights(pair, d, w, method)\n",
+        "        _both_checked.add(key)\n"
+        "        fiber = limit_fiber_weights(pair, d, w, method)\n",
+        ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
+    ),
+    "a checked both fiber evaluated at the default weights": (
+        "bott.py",
+        "fiber_characters(d, pair), w)\n",
+        "fiber_characters(d, pair), DEFAULT_WEIGHTS)\n",
+        ["tests/test_bott.py::test_both_checks_each_degree_and_pair_once"],
+    ),
+    "a both key without d": (
+        "bott.py",
+        "        key = 6 * d + i\n",
+        "        key = i\n",
+        ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
     ),
     "fiber_characters with its two shifts swapped": (
         "bott.py",
