@@ -51,6 +51,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import index
 
 from .exact import (
     DEFAULT_WEIGHTS,
@@ -156,8 +157,9 @@ class Family(namedtuple(
     __slots__ = ()
 
     def closed_form(self, d):
-        """The published degree at d: the closed-form polynomial
-        evaluated exactly, which must be an integer."""
+        """The published degree at an int d (TypeError otherwise): the
+        closed-form polynomial evaluated exactly, which must be integral."""
+        d = index(d)
         if d < self.min_degree:
             raise ValueError(
                 "the %s closed form starts at d = %d, got %r"
@@ -182,9 +184,11 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
     dimension of the parameter space (the number of tangent weights), so
     e_n(tangent) is their product; options go to family.fibers.  Fibers
-    are taken one at a time, so only one is alive at once.  Raises
-    NonIntegralDegree unless the sum is an integer.
+    are taken one at a time, so only one is alive at once.  d must be an
+    int (TypeError otherwise).  Raises NonIntegralDegree unless the sum
+    is an integer.
     """
+    d = index(d)
     if d < family.min_degree:
         raise ValueError(
             "%s family needs d >= %d, got %r"

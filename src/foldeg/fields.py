@@ -13,9 +13,8 @@ w_1..w_4 give chi the weight sum chi_i * w_i (SectionBasis.weight_multiset).
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
 field multiplies components and sums, landing in degree d+1: over Q for
-one field (contract), or over Z[t] for a whole basis from the integer
-linear forms of the path kappa_ij + t*kappa_kl (integer_contraction,
-path_linear_forms).
+one field (contract), or over Z for a whole basis and a form with
+integer coefficients (integer_contraction).
 """
 
 from collections import Counter, namedtuple
@@ -160,8 +159,8 @@ def contract(form, field):
     """Contraction of a form with a degree-d field: a degree-(d+1) poly.
 
     Returns {monomial: coefficient} over Q.  A field is tangent to the
-    plane field cut out by the form exactly when this vanishes.  The
-    limits use integer_contraction; this is its Fraction oracle.
+    plane field cut out by the form exactly when this vanishes.  It is
+    the Fraction oracle of integer_contraction.
     """
     terms = field.terms if isinstance(field, BasisField) else tuple(field)
     if len({sum(t.monomial) for t in terms}) > 1:
@@ -302,31 +301,19 @@ def scaled_terms(field):
             for c, mono, j in terms]
 
 
-def path_linear_forms(pair):
-    """The linear forms of omega_t = kappa_ij + t*kappa_kl, {k,l} the
-    complementary pair: per direction, (variable, (c0, c1)) lists for
-    c0 + c1*t, namely a_i = x_j, a_j = -x_i, a_k = t*x_l, a_l = -t*x_k.
+def integer_contraction(form, basis):
+    """Sparse integer matrix of phi -> contract(form, phi) on a basis.
 
-    The path leaves the degenerate fixed form kappa_ij for the contact
-    locus; equivariance gives t the weight s_ij - s_kl, nonzero for
-    admissible weights."""
-    (i, j), (k, l) = pair, complementary_pair(pair)
-    a = [None] * 4
-    a[i - 1], a[j - 1] = [(j, (1, 0))], [(i, (-1, 0))]
-    a[k - 1], a[l - 1] = [(l, (0, 1))], [(k, (0, -1))]
-    return a
-
-
-def integer_contraction(linear_forms, basis):
-    """Sparse integer matrix of phi -> sum_i a_i * phi_i on a basis.
-
-    linear_forms gives, per direction i, the (variable, (c0, c1)) pairs
-    of a_i with int entries c0 + c1*t (path_linear_forms, or a plain
-    form's with c1 = 0).  Rows are the degree-(d+1) monomials in
-    graded-lex order, columns the basis fields, each field scaled by
-    scaled_terms.  Returns {(row, column): (c0, c1)} for the nonzero
-    entries.
+    The form's coefficients must be integers (ValueError otherwise).
+    Rows are the degree-(d+1) monomials in graded-lex order, columns the
+    basis fields, each field scaled by scaled_terms.  Returns
+    {(row, column): int} for the nonzero entries.
     """
+    if any(c.denominator != 1 for c in form.alpha):
+        raise ValueError("contraction needs integer coefficients: %r"
+                         % (form,))
+    a = [[(var, int(c)) for var, c in lf.items()]
+         for lf in form.linear_forms()]
     mindex = {m: i for i, m in enumerate(monomials_of_degree(basis.d + 1))}
     # row of x^mu * x_var, looked up as raised[mu][var - 1]
     raised = {
@@ -337,11 +324,10 @@ def integer_contraction(linear_forms, basis):
     for col, field in enumerate(basis):
         for coeff, mono, j in scaled_terms(field):
             up = raised[mono]
-            for var, (c0, c1) in linear_forms[j - 1]:
+            for var, c in a[j - 1]:
                 key = (up[var - 1], col)
-                o0, o1 = entries.get(key, (0, 0))
-                entries[key] = (o0 + coeff * c0, o1 + coeff * c1)
-    return {k: v for k, v in entries.items() if v[0] or v[1]}
+                entries[key] = entries.get(key, 0) + coeff * c
+    return {k: v for k, v in entries.items() if v}
 
 
 def tangent_kernel_dimension(form, d):
@@ -352,9 +338,8 @@ def tangent_kernel_dimension(form, d):
     """
     basis = build_phi_basis(d)
     den = lcm(*(c.denominator for c in form.alpha))
-    a = [[(var, (int(c * den), 0)) for var, c in lf.items()]
-         for lf in form.linear_forms()]
+    scaled = AntisymmetricForm([c * den for c in form.alpha])
     mat = [[0] * len(basis) for _ in monomials_of_degree(d + 1)]
-    for (r, c), (v, _) in integer_contraction(a, basis).items():
+    for (r, c), v in integer_contraction(scaled, basis).items():
         mat[r][c] = v
     return len(basis) - rank(mat, len(basis))

@@ -12,8 +12,9 @@ t^(lev(r) - lev(c)).  So M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal
 T(t) = diag(t^lev): the path is a torus orbit, and what survives at
 t = 0 is an initial subspace of the t = 1 data.  _chains writes the
 chains of a pair in closed form, from the basis formula of
-fields.build_phi_basis and the path of fields.path_linear_forms; no
-matrix is assembled.  Two independent routes compute the limit on them:
+fields.build_phi_basis and the path's t^0 and t^1 coefficients by
+direction, e_p - e_q and e_k - e_l; no matrix is assembled.  Two
+independent routes compute the limit on them:
 
 * image-fiber: the row span, at the highest levels.  The route reads
   only the pivots of an integer echelon of a chain's M(1), whose
@@ -47,13 +48,13 @@ from operator import itemgetter
 
 from .exact import DEFAULT_WEIGHTS, as_weight_system, character_weights
 from .fields import (
+    AntisymmetricForm,
     as_fixed_point,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
     integer_contraction,
     monomials_of_degree,
-    path_linear_forms,
 )
 from .linalg import limit_rows
 # Not called here.  The names stay because perfbench/tracing.py hooks
@@ -82,8 +83,9 @@ class ContractionMatrix(namedtuple(
 )):
     """Contraction of omega_t against a field basis, rows indexed by the
     degree-(d+1) monomials, columns by the basis fields; entries are int
-    pairs (c0, c1) for c0 + c1*t, each column scaled by its field's
-    denominator (see fields.integer_contraction)."""
+    pairs (c0, c1) for c0 + c1*t, c0 from kappa_pq and c1 from kappa_kl,
+    each column scaled by its field's denominator (see
+    fields.integer_contraction)."""
 
     __slots__ = ()
 
@@ -98,14 +100,18 @@ class ContractionMatrix(namedtuple(
 
 
 def build_contraction_matrix(fp, d, basis):
-    """Assemble the sparse matrix of phi -> contract(omega_t, phi) from
-    the integer linear forms of the path at fp."""
+    """Assemble the sparse matrix of phi -> contract(omega_t, phi),
+    omega_t = kappa_pq + t*kappa_kl at fp = (p, q), from the integer
+    contractions of its two Koszul forms."""
     fp = as_fixed_point(fp)
     if basis.d != d:
         raise ValueError(
             "basis is for degree %d, not %d" % (basis.d, d)
         )
-    entries = integer_contraction(path_linear_forms(fp), basis)
+    low, high = (integer_contraction(AntisymmetricForm.koszul(pair), basis)
+                 for pair in (fp, complementary_pair(fp)))
+    entries = {rc: (low.get(rc, 0), high.get(rc, 0))
+               for rc in {**low, **high}}
     return ContractionMatrix(
         fp, d, basis, monomials_of_degree(d + 1), entries
     )
@@ -121,14 +127,14 @@ def _chains(d, pair):
     has three, x^(chi + e_j) d/dx_j - (chi_j + 1)/s * x^(chi + e_4) d/dx_4
     for j = 1, 2, 3, scaled here by s = chi_4 + 1.  Direction j goes into
     low with the t^0 coefficient of the path's a_j and into high with
-    its t^1 one."""
+    its t^1 one: a_p = x_q, a_q = -x_p, a_k = t*x_l, a_l = -t*x_k."""
     if d < 1:
         raise ValueError("field degree must be >= 1, got %r" % (d,))
     (p, q), (k, l) = pair, complementary_pair(pair)
-    low, high = zip(*(form[0][1] for form in path_linear_forms(pair)))
-    (l1, l2, l3, l4), (h1, h2, h3, h4) = low, high
     # chi from (chi_p, chi_q, chi_k, chi_l)
     place = itemgetter(*((p, q, k, l).index(j) for j in (1, 2, 3, 4)))
+    low, high = place((1, -1, 0, 0)), place((0, 0, 1, -1))
+    (l1, l2, l3, l4), (h1, h2, h3, h4) = low, high
     n, chains = d - 1, []
     # A chain keeps a = chi_p - chi_q and b = chi_k - chi_l, with
     # a + b = n mod 2.  Its level runs down in steps of 2, from where

@@ -143,6 +143,12 @@ def test_input_validation():
         legendrian_degree(2, (0, 1, 2, 3))
     with pytest.raises(ValueError):
         legendrian_degree(2, method="nonsense")
+    # degrees are taken exactly: a float is refused, even of integer value
+    for call, d in ((legendrian_degree, 2.5), (legendrian_degree, 3.0),
+                    (pencil_degree, 3.0), (LEGENDRIAN.closed_form, 2.5),
+                    (PENCIL.closed_form, 5.0)):
+        with pytest.raises(TypeError):
+            call(d)
     assert issubclass(NonIntegralDegree, ArithmeticError)
 
 

@@ -19,7 +19,6 @@ from foldeg.fields import (
     contact_kernel_dimension,
     contract,
     integer_contraction,
-    path_linear_forms,
     phi_dimension,
     scaled_terms,
     tangent_kernel_dimension,
@@ -227,21 +226,22 @@ def test_contraction_is_bilinear_in_the_form():
 def test_path_contraction_matches_its_two_pieces():
     """The (c0, c1) entries of the path's contraction are the Fraction
     contractions against kappa_ij and kappa_kl, paired up and scaled by
-    each field's denominator."""
-    basis = build_phi_basis(2)
-    rows = monomials_of_degree(3)
-    for pair in P5_PAIRS:
-        base = AntisymmetricForm.koszul(pair)
-        pert = AntisymmetricForm.koszul(complementary_pair(pair))
-        want = {}
-        for c, f in enumerate(basis):
-            scale = lcm(*(t.coefficient.denominator for t in f.terms))
-            c0, c1 = contract(base, f), contract(pert, f)
-            for m in set(c0) | set(c1):
-                want[(rows.index(m), c)] = (
-                    c0.get(m, 0) * scale, c1.get(m, 0) * scale
-                )
-        assert integer_contraction(path_linear_forms(pair), basis) == want
+    each field's denominator, d = 1..4."""
+    for d in (1, 2, 3, 4):
+        basis = build_phi_basis(d)
+        rows = monomials_of_degree(d + 1)
+        for pair in P5_PAIRS:
+            base = AntisymmetricForm.koszul(pair)
+            pert = AntisymmetricForm.koszul(complementary_pair(pair))
+            want = {}
+            for c, f in enumerate(basis):
+                scale = lcm(*(t.coefficient.denominator for t in f.terms))
+                c0, c1 = contract(base, f), contract(pert, f)
+                for m in set(c0) | set(c1):
+                    want[(rows.index(m), c)] = (
+                        c0.get(m, 0) * scale, c1.get(m, 0) * scale
+                    )
+            assert build_contraction_matrix(pair, d, basis).entries == want
 
 
 def test_path_t_weight():
@@ -256,7 +256,7 @@ def test_path_t_weight():
     for pair in P5_PAIRS:
         comp = complementary_pair(pair)
         assert w.pair_sum(pair) != w.pair_sum(comp)
-        matrix = integer_contraction(path_linear_forms(pair), basis)
+        matrix = build_contraction_matrix(pair, 2, basis).entries
         for (r, c), (c0, c1) in matrix.items():
             assert not (c0 and c1)
             shift = (character_weight(rows[r], w)
@@ -380,6 +380,26 @@ def test_tangent_kernel_dimension_contact_law():
     assert tangent_kernel_dimension(halves, 2) == (
         contact_kernel_dimension(2)
     )
+
+
+def test_integer_contraction_refuses_non_integer_coefficients():
+    """integer_contraction takes a form with integer coefficients only;
+    the same form scaled by 6 is contracted, and each entry is the
+    Fraction contraction times 6 and the column's denominator."""
+    basis = build_phi_basis(2)
+    halves = AntisymmetricForm({(1, 2): Fraction(1, 3), (3, 4): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="integer coefficients"):
+        integer_contraction(halves, basis)
+    scaled = AntisymmetricForm([6 * c for c in halves.alpha])
+    rows = monomials_of_degree(3)
+    want = {}
+    for c, f in enumerate(basis):
+        scale = lcm(*(t.coefficient.denominator for t in f.terms))
+        for m, v in contract(halves, f).items():
+            want[(rows.index(m), c)] = v * 6 * scale
+    got = integer_contraction(scaled, basis)
+    assert got == want
+    assert all(type(v) is int for v in got.values())
 
 
 def test_basis_field_render():

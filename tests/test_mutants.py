@@ -120,6 +120,24 @@ MUTANTS = {
             "test_kernel_rule_holds_on_any_chain",
         ],
     ),
+    "chains with the sign of the path's high coefficients flipped": (
+        "limits.py",
+        "place((0, 0, 1, -1))",
+        "place((0, 0, -1, 1))",
+        ["tests/test_limits.py::test_chains_are_the_union_find_blocks"],
+    ),
+    "the contraction oracle with its two Koszul pieces swapped": (
+        "limits.py",
+        "                 for pair in (fp, complementary_pair(fp)))\n",
+        "                 for pair in (complementary_pair(fp), fp))\n",
+        [
+            "tests/test_fields.py::"
+            "test_path_contraction_matches_its_two_pieces",
+            "tests/test_fields.py::test_path_t_weight",
+            "tests/test_limits.py::"
+            "test_integer_contraction_keeps_the_fraction_pivots",
+        ],
+    ),
     "a weight memo that ignores the weights": (
         "fields.py",
         "        if self._last[0] != values:\n",

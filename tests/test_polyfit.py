@@ -27,6 +27,10 @@ def test_legendrian_closed_form_values():
         assert family_closed_form("legendrian", d) == expected
     with pytest.raises(ValueError):
         family_closed_form("legendrian", 1)
+    # not truncated to d = 2 nor taken as d = 5: a float is refused
+    for d in (2.5, 5.0):
+        with pytest.raises(TypeError):
+            family_closed_form("legendrian", d)
 
 
 def test_closed_form_polynomials_interpolate_frozen_tables():
