@@ -10,8 +10,9 @@ minimum degree, polynomial bound, fibers, tangent weights and published
 closed form; localize computes the sum for any of them.  This module
 holds the Legendrian family (LEGENDRIAN, legendrian_degree), whose
 parameter space is the P^5 of antisymmetric forms; foldeg.pencil holds
-the pencil family.  Both build their fibers from the power sums of the
-degree-(d+1) monomial weights, split at each pair the same way.
+the pencil family, on the quadric G(2,4) in that P^5.  Both fibers are
+one split of the degree-(d+1) monomial weights at a pair
+(split_power_sums), shifted in two ways.
 
 The Legendrian image fiber has a closed form.  At the pair (p,q) with
 complement (k,l) it is one character per degree-(d+1) monomial m:
@@ -50,7 +51,7 @@ do not depend on the weights.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from operator import index
 
 from .exact import (
@@ -87,9 +88,7 @@ def tangent_weights_p5(pair, weights=DEFAULT_WEIGHTS):
     pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
     s = w.pair_sum(pair)
-    return WeightMultiset(
-        w.pair_sum(q) - s for q in P5_PAIRS if q != pair
-    )
+    return WeightMultiset(w.pair_sum(q) - s for q in P5_PAIRS if q != pair)
 
 
 FixedPointContribution = namedtuple(
@@ -213,15 +212,26 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     return DegreeReport(family.name, d, w, tuple(contributions), int(total))
 
 
+def split_power_sums(pair, d, w, full):
+    """Split full, the power sums of all C(d+4,3) degree-(d+1) monomial
+    weights (else ValueError), at the pair (p,q) with complement (k,l):
+    (full - part, part), unshifted and to the top index of full, with
+    part those of the d + 2 monomials in x_k, x_l alone and full - part
+    those of the monomials that involve x_p or x_q."""
+    if full.p[0] != comb(d + 4, 3):
+        raise ValueError("full count of %d weights at d=%d" % (full.p[0], d))
+    k, l = complementary_pair(pair)
+    part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, len(full.p) - 1)
+    return full - part, part
+
+
 def image_power_sums(pair, d, w, full):
     """The image fiber at [kappa_pair] in closed form (module docstring)
-    as power sums p_0..p_5: full, those of all degree-(d+1) monomial
-    weights, less the part of the monomials in x_k, x_l alone, shifted
-    by -(w_p + w_q), plus that part shifted by -(w_k + w_l)."""
-    k, l = complementary_pair(pair)
-    part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, 5)
-    return ((full - part).shifted(-w.pair_sum(pair))
-            + part.shifted(-w.pair_sum((k, l))))
+    as power sums p_0..p_5: split_power_sums of full, the monomials that
+    involve x_p or x_q shifted by -(w_p + w_q), the rest by -(w_k + w_l)."""
+    reached, part = split_power_sums(pair, d, w, full)
+    low = w.pair_sum(pair)  # w_p + w_q, so w_k + w_l = sum(w.values) - low
+    return reached.shifted(-low) + part.shifted(low - sum(w.values))
 
 
 def fiber_characters(d, pair):

@@ -1,23 +1,22 @@
 """The pencil family, localized over the Grassmannian of planes.
 
 Foliations everywhere tangent to a varying pencil of planes form the
-second family (PENCIL, pencil_degree).  The fixed points of the torus on
-the Grassmannian G(2,4) are the coordinate pencils <x_i, x_j>, named by
-the same pairs as the fixed forms; no saturation is needed here -- the
-fiber of the twisted quotient sheaf at a fixed pencil is written down
-directly as its power sums p_0..p_4 in closed form (pd_twisted_weights),
-and foldeg.bott.localize sums e_4 over e_4 on the 4-dimensional G(2,4).
+second family (PENCIL, pencil_degree).  A pencil <x_i, x_j> is the
+decomposable form x_i ^ x_j up to scale, so G(2,4) is the Pfaff-Plucker
+quadric in the P^5 of forms, off which the contact forms lie, with the
+same six fixed points.  The fiber at <x_p, x_q> is the part of the
+Legendrian split (foldeg.bott.split_power_sums) that the contraction
+with kappa_pq reaches, twisted (pd_twisted_weights); the tangent is that
+of P^5 less the normal (tangent_weights_g24).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
-from .bott import Family, localize
+from .bott import Family, localize, split_power_sums, tangent_weights_p5
 from .exact import (
     DEFAULT_WEIGHTS,
     RationalPolynomial,
-    WeightMultiset,
     as_weight_system,
     monomial_power_sums,
 )
@@ -25,37 +24,27 @@ from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 
 
 def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
-    """Tangent weights of G(2,4) at <x_i, x_j>: the four differences
-    w_k - w_i with k outside the pair and i inside.
+    """Tangent weights of G(2,4) at <x_p, x_q>: those of P^5 at
+    [kappa_pq] less the normal weight (w_k + w_l) - (w_p + w_q), the
+    direction of kappa_kl, off the quadric.
 
     >>> list(tangent_weights_g24((1, 2), (0, 2, 7, 10)))
     [5, 7, 8, 10]
     """
-    pair = as_fixed_point(pair)
-    w = as_weight_system(weights).require_admissible()
-    return WeightMultiset(
-        w.weight(k) - w.weight(i)
-        for k in complementary_pair(pair)
-        for i in pair
-    )
+    pair, w = as_fixed_point(pair), as_weight_system(weights)
+    normal = w.pair_sum(complementary_pair(pair)) - w.pair_sum(pair)
+    return tangent_weights_p5(pair, w).difference([normal])
 
 
-def pd_twisted_weights(pair, d, weights=DEFAULT_WEIGHTS, full=None):
-    """Power sums p_0..p_4 of the twisted quotient sheaf's fiber at a
-    fixed pencil: the C(d+4,3) degree-(d+1) monomial weights (full, if
-    given, computed once for all six pencils; ValueError unless it has
-    that size) less the d+2 of the monomials in the two complementary
-    variables alone, each shifted by w_k + w_l (the line-bundle twist).
-    """
+def pd_twisted_weights(pair, d, weights, full):
+    """Power sums p_0..p_4 of the twisted quotient sheaf's fiber at the
+    pencil <x_p, x_q>: split_power_sums of full (those of all C(d+4,3)
+    degree-(d+1) monomial weights), the monomials that involve x_p or
+    x_q, shifted by w_k + w_l, the line-bundle twist."""
     pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
-    if full is None:
-        full = monomial_power_sums(w.values, d + 1, 4)
-    elif full.p[0] != comb(d + 4, 3):
-        raise ValueError("full count of %d weights at d=%d" % (full.p[0], d))
-    k, l = complementary_pair(pair)
-    part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, 4)
-    return (full - part).shifted(w.pair_sum((k, l)))
+    reached, _ = split_power_sums(pair, d, w, full)
+    return reached.shifted(sum(w.values) - w.pair_sum(pair))
 
 
 def pencil_fibers(d, weights):

@@ -6,8 +6,10 @@ split at a pair and the pencil fiber by enumerating every monomial
 weight, the same count by arithmetic progressions and its split, the
 pencil fiber and the Legendrian image fiber as weight counts taken from
 that count, as foldeg.pencil and foldeg.bott built them before their
-power sums, the interpolant as a sum of Lagrange basis polynomials, a
-polynomial's value by Horner's rule in Fractions, the image limit as a
+power sums, the tangent weights of G(2,4) as the differences
+foldeg.pencil wrote out before, the interpolant as a sum of Lagrange
+basis polynomials, a polynomial's value by Horner's rule in Fractions,
+the image limit as a
 saturation over Z[t] localized at t, which knows nothing of torus
 levels, the image limit's rows as an echelon of M(1)
 cut down to the pivots' levels, the Legendrian image fiber as
@@ -140,6 +142,14 @@ def counted_pencil_fiber(pair, d, weights, counted=None):
     twist = w.pair_sum(complementary_pair(pair))
     return WeightMultiset.from_counts(
         {v + twist: m for v, m in rest.counts.items()})
+
+
+def explicit_g24_tangent_weights(pair, weights):
+    """Tangent weights of G(2,4) at <x_i, x_j> written out: the four
+    differences w_k - w_i with k outside the pair and i inside."""
+    w = WeightSystem(weights)
+    return WeightMultiset(w.weight(k) - w.weight(i)
+                          for k in complementary_pair(pair) for i in pair)
 
 
 def lagrange_sum(points):

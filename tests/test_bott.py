@@ -15,7 +15,9 @@ from foldeg.bott import (
     NonIntegralDegree,
     default_method,
     fiber_characters,
+    image_power_sums,
     legendrian_degree,
+    localize,
     tangent_weights_p5,
 )
 from foldeg.exact import (
@@ -259,6 +261,35 @@ def test_both_checks_closed_form_fibers(monkeypatch):
         legendrian_degree(3, method=METHOD_IMAGE)
 
 
+def test_image_fiber_needs_every_monomial_weight():
+    """The d + 2 weights split off at a pair are subtracted from the
+    shared full count, so that count must hold all C(d+4,3) monomial
+    weights; one that lacks a weight, or counts another degree, is
+    refused rather than read as a smaller fiber."""
+    full = monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 5)  # d = 2
+    assert len(image_power_sums((1, 2), 2, DEFAULT_WEIGHTS, full)) == 20
+    short = full - PowerSums((1, 30, 900, 27000, 810000, 24300000))  # x_4^3
+    for bad in (short, monomial_power_sums(DEFAULT_WEIGHTS.values, 2, 5)):
+        with pytest.raises(ValueError):
+            image_power_sums((1, 2), 2, DEFAULT_WEIGHTS, bad)
+
+
+@pytest.mark.parametrize("weights", ((0, 2, 7, 10), (0, 1, 5, 13),
+                                     (9, -4, 2, 0)))
+def test_both_families_at_d1(weights):
+    """At d = 1, where the split keeps 3 monomials in x_k, x_l alone,
+    the Legendrian sum is 0 on every route (a Legendrian field of degree
+    1 is tangent to a pencil of forms, so the map has P^1 fibers) and
+    the pencil sum is 20; each is its published polynomial at 1."""
+    legendrian = LEGENDRIAN._replace(min_degree=1)
+    pencil = PENCIL._replace(min_degree=1)
+    for method in METHODS:
+        assert localize(legendrian, 1, weights, method=method).degree == 0
+    assert localize(pencil, 1, weights).degree == 20
+    assert legendrian.closed_form_polynomial()(1) == 0
+    assert pencil.closed_form_polynomial()(1) == 20
+
+
 def test_both_sees_a_character_moved_at_constant_weight(monkeypatch):
     """(0, 5, 0, -1) weighs 0 under the default weights 0,2,7,10, so
     moving one closed-form character at (3,4) by it keeps every weight
@@ -385,7 +416,8 @@ def test_inadmissible_weights_raise_at_every_entry_point(bad):
     entry_points = [
         lambda w: pencil_degree(2, w),
         *(lambda w, m=m: legendrian_degree(2, w, method=m) for m in METHODS),
-        lambda w: pd_twisted_weights((1, 2), 2, w),
+        lambda w: pd_twisted_weights(
+            (1, 2), 2, w, monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 4)),
         lambda w: tangent_weights_p5((1, 2), w),
         lambda w: tangent_weights_g24((1, 2), w),
         lambda w: limit_fiber_weights((1, 2), 2, w),

@@ -4,9 +4,13 @@
 A row is (file under src/foldeg, old text, new text, test ids).  The
 old text must occur exactly once; it is replaced in a copy of src/
 under tmp_path, and only the named tests run, in a subprocess that
-imports the copy.  Every named test must fail.  A row whose old text is
-gone fails as a rotted mutant, so the table moves with the code: when a
-change rewrites a guarded line, it rewrites the row too.
+imports the copy.  Every named test must fail.  The subprocess runs
+under the hypothesis profile "foldeg-mutants", which does not shrink a
+failure, and with plain asserts: it writes no bytecode, so pytest would
+otherwise rewrite every hypothesis module again in each row.  A row
+whose old text is gone fails as a rotted mutant, so the table moves
+with the code: when a change rewrites a guarded line, it rewrites the
+row too.
 """
 
 import os
@@ -150,8 +154,9 @@ MUTANTS = {
     ),
     "the Legendrian rest shifted by -(w_k + w_l)": (
         "bott.py",
-        "    return ((full - part).shifted(-w.pair_sum(pair))\n",
-        "    return ((full - part).shifted(-w.pair_sum((k, l)))\n",
+        "    return reached.shifted(-low) + part.shifted(low - sum(w.values))\n",
+        "    return (reached.shifted(low - sum(w.values))\n"
+        "            + part.shifted(low - sum(w.values)))\n",
         [
             "tests/test_bott.py::test_methods_give_same_degree",
             "tests/test_transport_properties.py::"
@@ -167,12 +172,49 @@ MUTANTS = {
     ),
     "the pencil twist by w_p + w_q": (
         "pencil.py",
-        "    return (full - part).shifted(w.pair_sum((k, l)))\n",
-        "    return (full - part).shifted(w.pair_sum(pair))\n",
+        "    return reached.shifted(sum(w.values) - w.pair_sum(pair))\n",
+        "    return reached.shifted(w.pair_sum(pair))\n",
         [
             "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
+            "tests/test_pencil.py::"
+            "test_pencil_fiber_is_the_twisted_contraction_image",
             "tests/test_transport_properties.py::"
             "test_pencil_fiber_counts_equal_the_enumerated_fiber",
+        ],
+    ),
+    "the split's part taken at the pair instead of its complement": (
+        "bott.py",
+        "    k, l = complementary_pair(pair)\n",
+        "    k, l = pair\n",
+        [
+            "tests/test_pencil.py::"
+            "test_pencil_fiber_is_the_twisted_contraction_image",
+            "tests/test_bott.py::test_both_families_at_d1[weights0]",
+            "tests/test_bott.py::test_methods_give_same_degree",
+        ],
+    ),
+    "the split without its full-count guard": (
+        "bott.py",
+        "    if full.p[0] != comb(d + 4, 3):\n"
+        "        raise ValueError(\"full count of %d weights at d=%d\" "
+        "% (full.p[0], d))\n",
+        "",
+        [
+            "tests/test_bott.py::test_image_fiber_needs_every_monomial_weight",
+            "tests/test_pencil.py::"
+            "test_twisted_fiber_needs_every_removed_weight",
+        ],
+    ),
+    "the G(2,4) tangent less a tangent weight, not the normal": (
+        "pencil.py",
+        "    normal = w.pair_sum(complementary_pair(pair)) - w.pair_sum(pair)\n",
+        "    normal = w.pair_sum((pair[0], complementary_pair(pair)[0]))"
+        " - w.pair_sum(pair)\n",
+        [
+            "tests/test_pencil.py::test_tangent_weights",
+            "tests/test_doctests.py::test_module_doctests[foldeg.pencil]",
+            "tests/test_transport_properties.py::"
+            "test_g24_tangent_is_the_p5_tangent_less_the_normal",
         ],
     ),
     "one admissibility answer shared by all systems": (
@@ -203,7 +245,7 @@ def test_mutant_is_caught(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         *test_ids],
+         "--assert=plain", "--hypothesis-profile=foldeg-mutants", *test_ids],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     failed = {line.split()[1] for line in run.stdout.splitlines()

@@ -2,16 +2,28 @@
 
 import json
 from math import comb
+from operator import add
 
 import pytest
 
-from foldeg.exact import InadmissibleWeights, PowerSums, monomial_power_sums
+from foldeg.exact import (
+    InadmissibleWeights,
+    PowerSums,
+    WeightMultiset,
+    character_weights,
+    monomial_power_sums,
+    monomials_of_degree,
+)
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
+    build_phi_basis,
+    complementary_pair,
+    integer_contraction,
     phi_dimension,
     tangent_kernel_dimension,
 )
+from foldeg.linalg import rank
 from foldeg.pencil import (
     PENCIL,
     pd_twisted_weights,
@@ -28,6 +40,7 @@ from foldeg.reference import (
     PENCIL_D3_DEGREE,
     PENCIL_DEGREES,
 )
+from oracles import enumerated_pencil_fiber
 
 
 def test_fixed_pencils():
@@ -36,11 +49,12 @@ def test_fixed_pencils():
     pairs = [pair for pair, _ in pencil_fibers(2, DEFAULT_WEIGHTS)]
     assert pairs == list(P5_PAIRS)
     assert pencil_degree(2).contributions[0].pair == (1, 2)
+    full = monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 4)  # d = 2
     for bad in ((3, 3), (2, 1)):
         with pytest.raises(ValueError):
             tangent_weights_g24(bad)
         with pytest.raises(ValueError):
-            pd_twisted_weights(bad, 2)
+            pd_twisted_weights(bad, 2, DEFAULT_WEIGHTS, full)
 
 
 def test_tangent_weights():
@@ -59,8 +73,9 @@ def test_tangent_weights():
 
 def test_twisted_fiber_size():
     for d in (2, 3, 4):
+        full = monomial_power_sums(DEFAULT_WEIGHTS.values, d + 1, 4)
         for pair in P5_PAIRS:
-            fibre = pd_twisted_weights(pair, d, DEFAULT_WEIGHTS)
+            fibre = pd_twisted_weights(pair, d, DEFAULT_WEIGHTS, full)
             assert len(fibre) == comb(d + 4, 3) - (d + 2)
 
 
@@ -71,11 +86,42 @@ def test_twisted_fiber_needs_every_removed_weight():
     read as a smaller fiber."""
     full = monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 4)  # d = 2
     fiber = pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, full)
-    assert fiber.p == pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS).p
+    expected = enumerated_pencil_fiber((1, 2), 2, DEFAULT_WEIGHTS.values)
+    assert fiber.p == PowerSums.of(WeightMultiset(expected), 4).p
     short = full - PowerSums((1, 30, 900, 27000, 810000))  # x_4^3 dropped
     for bad in (short, monomial_power_sums(DEFAULT_WEIGHTS.values, 2, 4)):
         with pytest.raises(ValueError):
             pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, bad)
+
+
+def test_pencil_fiber_is_the_twisted_contraction_image():
+    """The pencil fiber from the contraction itself, d = 1..6: at each
+    kappa_pq the integer contraction reaches exactly the degree-(d+1)
+    monomials that involve x_p or x_q, and its rank is their number,
+    C(d+4,3) - (d+2), so its image is their span.  Those monomials
+    twisted by e_k + e_l, as Z^4 characters, have the power sums of
+    pd_twisted_weights under three weight systems."""
+    for d in range(1, 7):
+        basis, monomials = build_phi_basis(d), monomials_of_degree(d + 1)
+        for pair in P5_PAIRS:
+            p, q = pair
+            entries = integer_contraction(AntisymmetricForm.koszul(pair), basis)
+            reached = sorted({row for row, _ in entries})
+            assert reached == [i for i, m in enumerate(monomials)
+                               if m[p - 1] or m[q - 1]], (d, pair)
+            rows = {row: [0] * len(basis) for row in reached}
+            for (row, col), v in entries.items():
+                rows[row][col] = v
+            assert rank(list(rows.values()), len(basis)) == len(reached)
+            assert len(reached) == comb(d + 4, 3) - (d + 2)
+            twist = tuple(int(i in complementary_pair(pair)) for i in (1, 2, 3, 4))
+            characters = [tuple(map(add, monomials[row], twist))
+                          for row in reached]
+            for values in ((0, 2, 7, 10), (9, -4, 2, 0), (1, 3, 9, 20)):
+                full = monomial_power_sums(values, d + 1, 4)
+                fiber = pd_twisted_weights(pair, d, values, full)
+                weights = character_weights(characters, values)
+                assert PowerSums.of(weights, 4).p == fiber.p, (d, pair, values)
 
 
 def test_degrees_match_frozen_and_closed_form():

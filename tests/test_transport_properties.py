@@ -25,7 +25,7 @@ from foldeg.limits import (
     build_contraction_matrix,
     limit_fiber_weights,
 )
-from foldeg.pencil import pd_twisted_weights, pencil_degree
+from foldeg.pencil import pd_twisted_weights, pencil_degree, tangent_weights_g24
 from foldeg.polyfit import FAMILIES, family_closed_form
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import (
@@ -38,6 +38,7 @@ from oracles import (
     enumerated_complement_weights,
     enumerated_monomial_weights,
     enumerated_pencil_fiber,
+    explicit_g24_tangent_weights,
     kernel_counts_by_block,
     rref_phi_basis,
     split_monomial_weights,
@@ -245,10 +246,11 @@ def test_pencil_fiber_counts_equal_the_enumerated_fiber(values, d):
     """The twisted fiber counted from one Counter of monomial weights is
     the enumerated, sorted and differenced fiber at all six pencils, and
     the closed-form power sums are p_0..p_4 of that fiber."""
+    full = monomial_power_sums(values, d + 1, 4)
     for pair in P5_PAIRS:
         expected = enumerated_pencil_fiber(pair, d, values)
         assert list(counted_pencil_fiber(pair, d, values)) == expected
-        fiber = pd_twisted_weights(pair, d, values)
+        fiber = pd_twisted_weights(pair, d, values, full)
         assert fiber.p == tuple(sum(v ** j for v in expected)
                                 for j in range(5))
         assert len(fiber) == len(expected)
@@ -276,6 +278,15 @@ def test_power_sum_numerators_equal_the_counted_routes(values):
             assert len(fiber) == comb(d + 4, 3) - (d + 2)
             assert fiber.elementary_symmetric(4) == counted_pencil_fiber(
                 pair, d, w, counted).elementary_symmetric(4), (pair, d)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+def test_g24_tangent_is_the_p5_tangent_less_the_normal(values):
+    """At all six pencils the tangent of G(2,4), those of P^5 less the
+    kappa_kl normal, is the four differences w_k - w_i written out."""
+    for pair in P5_PAIRS:
+        assert tangent_weights_g24(pair, values) == (
+            explicit_g24_tangent_weights(pair, values)), pair
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(2, 12))
