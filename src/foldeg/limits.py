@@ -16,14 +16,14 @@ fields.build_phi_basis and the path's t^0 and t^1 coefficients by
 direction, e_p - e_q and e_k - e_l; no matrix is assembled.  Two
 independent routes compute the limit on them:
 
-* image-fiber: the row span, at the highest levels.  The route reads
-  only the pivots of an integer echelon of a chain's M(1), whose
-  columns _chains already writes by descending level
-  (linalg.limit_rows); each pivot is one copy of its column's character
-  in the fiber, whatever the weights.  The fiber this gives has a closed
-  form, which foldeg.bott's image route evaluates instead, and which
-  its "both" compares with these characters (the argument is in the
-  foldeg.bott docstring).
+* image-fiber: the row span, at the highest levels.  The route hands
+  each chain's fields to linalg.limit_rows as _chains writes them, by
+  descending level, and reads only the pivots of the integer echelon
+  of M(1) it fills from them; each pivot is one copy of its column's
+  character in the fiber, whatever the weights.  The fiber this gives
+  has a closed form, which foldeg.bott's image route evaluates
+  instead, and which its "both" compares with these characters (the
+  argument is in the foldeg.bott docstring).
 * kernel-limit: the nullspace, at the lowest levels, by a rank rule per
   character and no elimination (_kernel_counts).  Number a chain's
   characters c_0, c_1, ... from the top, so that c_K has its high row
@@ -171,26 +171,13 @@ def _pair_chains(d, pair):
 
 def _image_characters(chains):
     """The image fiber on chains, one character per pivot that
-    limit_rows picks.  Row K of a chain's M(1) is the high row of its
-    K-th character and the low row of the one before, each entry
-    written as (x,) or () for limit_rows; the columns follow the chain,
-    whose level falls by one step per character, as limit_rows needs."""
+    limit_rows picks on a chain's fields, which _chains writes by
+    descending level, as limit_rows needs."""
     fiber = []
     for chain in chains:
         owner = [chi for chi, fields in chain for _ in fields]
-        ncols = len(owner)
-        rows = [[()] * ncols]
-        c = 0
-        for _, fields in chain:
-            above, below = rows[-1], [()] * ncols
-            rows.append(below)
-            for low, high in fields:
-                if high:
-                    above[c] = (high,)
-                if low:
-                    below[c] = (low,)
-                c += 1
-        fiber += map(owner.__getitem__, limit_rows(rows, ncols))
+        fiber += map(owner.__getitem__, limit_rows(
+            [fields for _, fields in chain], len(owner)))
     return fiber
 
 

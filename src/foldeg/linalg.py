@@ -1,8 +1,9 @@
 """Exact linear algebra over Q.
 
 Everything is fraction-free where it counts: one elimination kernel,
-the integer echelon, also reads the limit at t = 0 of a torus block's
-row span off its pivots (limit_rows).  The small Fraction routines
+the integer echelon, also reads the limit at t = 0 of a torus chain's
+row span off its pivots (limit_rows), filling the chain's M(1) straight
+from its fields' (low, high) entries.  The small Fraction routines
 (rref, kernel bases) are kept as the tests' oracle for the closed-form
 field basis.  All results are exact; nothing here ever sees a float.
 """
@@ -68,30 +69,39 @@ def rank(rows, ncols):
     return len(echelon(rows, ncols)[1])
 
 
-def limit_rows(rows, ncols):
-    """Pivot columns of the limit at t = 0 of one torus block's row span.
+def limit_rows(columns, ncols):
+    """Pivot columns of the limit at t = 0 of one torus chain's row span.
 
-    rows: the block's M(t), each entry a tuple of coefficients that sum
-    to its value at t = 1 ((x,), or () for 0); entry (r, c) is a
-    multiple of t^(lev(r) - lev(c)), and the columns must come by
-    descending level.  Then M(t) = T_r(t) M(1) T_c(t)^-1 with diagonal
-    T(t) = diag(t^lev): the path is a torus orbit, and the limit is the
-    initial subspace of the row span of M(1) for the highest levels.  An
-    integer echelon of M(1) with the columns in that order pivots in
-    each level as often as the limit has dimensions there.  Returns the
-    pivot columns, ascending.
+    columns: the chain's characters by descending level, each the tuple
+    of its fields' (low, high) entries, ncols fields in all; character K
+    puts its high entries on row K of M(1) and its low ones on row
+    K + 1.  (columns is read, not changed.)  Entry (r, c) of M(t) is a
+    multiple of t^(lev(r) - lev(c)), so M(t) = T_r(t) M(1) T_c(t)^-1
+    with diagonal T(t) = diag(t^lev): the path is a torus orbit, and the
+    limit is the initial subspace of the row span of M(1) for the
+    highest levels.  An integer echelon of M(1) with the columns in
+    chain order pivots in each level as often as the limit has
+    dimensions there.  Returns the pivot columns, ascending.
 
-    The order is the caller's contract: the same block with its columns
-    reversed pivots elsewhere.
+    The order is the caller's contract: one row that meets two levels
+    keeps the higher.
 
-    >>> rows = [[(1,), (1,), ()], [(), (1,), (1,)]]
-    >>> limit_rows(rows, 3)
-    [0, 1]
-    >>> [2 - p for p in limit_rows([row[::-1] for row in rows], 3)]
-    [2, 1]
+    >>> limit_rows([((1, 0),), ((0, 1),)], 2)
+    [0]
+    >>> limit_rows([((1, 1), (1, 1), (0, 1))], 3)
+    [0, 2]
     """
-    ints = [[sum(e) if e else 0 for e in row] for row in rows]
-    return _echelon(ints, ncols)[1]
+    above = [0] * ncols
+    rows = [above]
+    c = 0
+    for fields in columns:
+        below = [0] * ncols
+        for low, high in fields:
+            below[c], above[c] = low, high
+            c += 1
+        rows.append(below)
+        above = below
+    return _echelon(rows, ncols)[1]
 
 
 def rref(rows):

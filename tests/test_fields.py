@@ -24,6 +24,7 @@ from foldeg.fields import (
     tangent_kernel_dimension,
 )
 from foldeg.limits import build_contraction_matrix
+from foldeg.linalg import kernel_basis, rank
 from oracles import (
     character_weight,
     divergence,
@@ -331,8 +332,6 @@ def test_phi_basis_is_linearly_independent():
         for coeff, m, j in scaled_terms(f):
             row[index[(m, j)]] = coeff
         rows.append(row)
-    from foldeg.linalg import rank
-
     assert rank(rows, len(index)) == len(basis)
 
 
@@ -380,6 +379,46 @@ def test_tangent_kernel_dimension_contact_law():
     assert tangent_kernel_dimension(halves, 2) == (
         contact_kernel_dimension(2)
     )
+
+
+def _tangent_field(rng, form, basis):
+    """A random integer field tangent to an integer form, as terms: an
+    integer combination of a kernel_basis of the form's scaled integer
+    contraction, with the scaled_terms factors of its columns."""
+    n = len(basis)
+    mat = [[0] * n for _ in monomials_of_degree(basis.d + 1)]
+    for (r, c), v in integer_contraction(form, basis).items():
+        mat[r][c] = v
+    kernel = kernel_basis(mat, n)
+    assert len(kernel) == contact_kernel_dimension(basis.d)
+    a = [rng.randint(-3, 3) for _ in kernel]
+    x = [sum(b * v[c] for b, v in zip(a, kernel)) for c in range(n)]
+    den = lcm(*(e.denominator for e in x))
+    return [MonomialField(int(e * den) * coeff, mono, j)
+            for e, f in zip(x, basis) if e
+            for coeff, mono, j in scaled_terms(f)]
+
+
+@pytest.mark.parametrize("d, forms", ((1, 2), (2, 1)))
+def test_forms_that_annihilate_a_tangent_field(d, forms):
+    """The Legendrian fiber of forms: the forms that annihilate a field
+    tangent to a contact form.  At d = 1 the six contractions
+    kappa_ij(phi) have rank 4, so they make a 2-dimensional space, a
+    pencil (the Bott sum at d = 1 is 0); at d = 2 rank 5, one form up to
+    scale, as generic injectivity needs."""
+    rng = random.Random(5)
+    basis = build_phi_basis(d)
+    for _ in range(3):
+        form = _random_form(rng)
+        phi = _tangent_field(rng, form, basis)
+        assert phi and not contract(form, phi)
+        values = [contract(AntisymmetricForm.koszul(pair), phi)
+                  for pair in P5_PAIRS]
+        monos = sorted(set().union(*values))
+        rows = [[int(v.get(m, 0)) for m in monos] for v in values]
+        assert 6 - rank(rows, len(monos)) == forms
+        assert all(sum(a * row[k] for a, row in zip(form.alpha, rows)) == 0
+                   for k in range(len(monos)))
 
 
 def test_integer_contraction_refuses_non_integer_coefficients():

@@ -27,7 +27,7 @@ from foldeg.limits import (
     build_contraction_matrix,
     limit_fiber_weights,
 )
-from foldeg.linalg import limit_rows, rank, rref
+from foldeg.linalg import echelon, limit_rows, rank, rref
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -180,10 +180,23 @@ def _saturated_pivots(blocks):
 
 
 def _limit_pivots(rows, levels):
-    """limit_rows on a block whose columns are first sorted by descending
-    level, as it requires; the pivots mapped back to the block's order."""
+    """limit_rows on a union-find block, handed over as a chain: the
+    columns sorted by descending level, one character per level, each
+    column as its (low, high) pair, the t^0 and t^1 coefficients that
+    sit on two consecutive rows.  The M(1) that gives must be the
+    block's up to the order of its rows.  The pivots are mapped back to
+    the block's order."""
     order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
-    pivots = limit_rows([[row[q] for q in order] for row in rows], len(order))
+    by_level = {}
+    for q in order:
+        low = sum(row[q][0] for row in rows if row[q])
+        high = sum(row[q][1] for row in rows if len(row[q]) > 1)
+        by_level.setdefault(levels[q], []).append((low, high))
+    columns = list(by_level.values())
+    _, dense = oracles._chain_matrix(list(by_level.items()))
+    assert sorted(filter(any, dense)) == sorted(
+        filter(any, ([sum(row[q]) for q in order] for row in rows)))
+    pivots = limit_rows(columns, len(order))
     return [order[p] for p in pivots]
 
 
@@ -348,6 +361,21 @@ def test_chains_are_the_union_find_blocks():
                     for c, chi in enumerate(owner))
             assert chains == blocks, (pair, d)
             assert len(chains) == (d + 2) ** 2
+
+
+def test_limit_rows_on_each_chain_is_the_dense_echelon():
+    """At every fixed point, d = 1..6, limit_rows on a chain's fields
+    picks the pivots that echelon picks on its dense M(1), and leaves
+    the fields as they were."""
+    for d in range(1, 7):
+        for pair in P5_PAIRS:
+            for chain in limits._chains(d, pair):
+                owner, rows = oracles._chain_matrix(chain)
+                columns = [fields for _, fields in chain]
+                kept = list(columns)
+                assert limit_rows(columns, len(owner)) == echelon(
+                    rows, len(owner))[1], (pair, d)
+                assert columns == kept
 
 
 def test_chain_columns_are_the_basis_characters():

@@ -18,7 +18,13 @@ from foldeg.linalg import (
     rank,
     rref,
 )
-from oracles import saturated_limit_rows, tp_add, tp_mul, tp_trim
+from oracles import (
+    _chain_matrix,
+    saturated_limit_rows,
+    tp_add,
+    tp_mul,
+    tp_trim,
+)
 
 
 def _random_int_matrix(rng, nrows, ncols, bound=9, density=0.7):
@@ -65,8 +71,9 @@ def test_echelon_preserves_row_space():
 
 
 def test_echelon_and_limit_rows_leave_their_rows_unchanged():
-    """limit_rows eliminates a fresh copy of its rows in place, and
-    echelon eliminates a copy of its own."""
+    """limit_rows picks the pivots that echelon picks on the chain's
+    dense M(1), and reads its fields without changing them; echelon
+    eliminates a copy of its own rows."""
     rng = random.Random(44)
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -74,12 +81,14 @@ def test_echelon_and_limit_rows_leave_their_rows_unchanged():
         kept = copy.deepcopy(mat)
         echelon(mat, m)
         assert mat == kept
-        # entries as the coefficients c0 + c1*t sum to at t = 1
-        rows = [[(e,) if e % 2 else (e - 1, 1) if e else () for e in row]
-                for row in mat]
-        kept = copy.deepcopy(rows)
-        assert limit_rows(rows, m) == echelon(mat, m)[1]
-        assert rows == kept
+        columns = [[tuple(_random_int_matrix(rng, 1, 2)[0])
+                    for _ in range(rng.choice((1, 3)))]
+                   for _ in range(rng.randint(1, 5))]
+        ncols = sum(map(len, columns))
+        kept = copy.deepcopy(columns)
+        _, dense = _chain_matrix(list(enumerate(columns)))
+        assert limit_rows(columns, ncols) == echelon(dense, ncols)[1]
+        assert columns == kept
 
 
 def test_kernel_basis_annihilates_and_counts():

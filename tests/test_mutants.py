@@ -54,10 +54,9 @@ MUTANTS = {
     ),
     "limit_rows with the levels ascending": (
         "linalg.py",
-        "    ints = [[sum(e) if e else 0 for e in row] for row in rows]\n"
-        "    return _echelon(ints, ncols)[1]\n",
-        "    ints = [[sum(e) if e else 0 for e in row[::-1]] for row in rows]\n"
-        "    return sorted(ncols - 1 - p for p in _echelon(ints, ncols)[1])\n",
+        "    return _echelon(rows, ncols)[1]\n",
+        "    pivots = _echelon([row[::-1] for row in rows], ncols)[1]\n"
+        "    return sorted(ncols - 1 - p for p in pivots)\n",
         [
             "tests/test_doctests.py::test_module_doctests[foldeg.linalg]",
             "tests/test_limits.py::test_methods_agree",

@@ -40,7 +40,7 @@ from foldeg.reference import (
     PENCIL_D3_DEGREE,
     PENCIL_DEGREES,
 )
-from oracles import enumerated_pencil_fiber
+from oracles import elementary_symmetric_recurrence, enumerated_pencil_fiber
 
 
 def test_fixed_pencils():
@@ -94,6 +94,21 @@ def test_twisted_fiber_needs_every_removed_weight():
             pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, bad)
 
 
+SYSTEMS = ((0, 2, 7, 10), (9, -4, 2, 0), (1, 3, 9, 20))
+
+
+def _contraction_image(pair, basis):
+    """The integer contraction of kappa_pq on a basis, the rows it
+    reaches, and their degree-(d+1) monomials twisted by e_k + e_l as
+    Z^4 characters."""
+    monomials = monomials_of_degree(basis.d + 1)
+    entries = integer_contraction(AntisymmetricForm.koszul(pair), basis)
+    reached = sorted({row for row, _ in entries})
+    twist = tuple(int(i in complementary_pair(pair)) for i in (1, 2, 3, 4))
+    return entries, reached, [tuple(map(add, monomials[row], twist))
+                              for row in reached]
+
+
 def test_pencil_fiber_is_the_twisted_contraction_image():
     """The pencil fiber from the contraction itself, d = 1..6: at each
     kappa_pq the integer contraction reaches exactly the degree-(d+1)
@@ -105,8 +120,7 @@ def test_pencil_fiber_is_the_twisted_contraction_image():
         basis, monomials = build_phi_basis(d), monomials_of_degree(d + 1)
         for pair in P5_PAIRS:
             p, q = pair
-            entries = integer_contraction(AntisymmetricForm.koszul(pair), basis)
-            reached = sorted({row for row, _ in entries})
+            entries, reached, characters = _contraction_image(pair, basis)
             assert reached == [i for i, m in enumerate(monomials)
                                if m[p - 1] or m[q - 1]], (d, pair)
             rows = {row: [0] * len(basis) for row in reached}
@@ -114,14 +128,29 @@ def test_pencil_fiber_is_the_twisted_contraction_image():
                 rows[row][col] = v
             assert rank(list(rows.values()), len(basis)) == len(reached)
             assert len(reached) == comb(d + 4, 3) - (d + 2)
-            twist = tuple(int(i in complementary_pair(pair)) for i in (1, 2, 3, 4))
-            characters = [tuple(map(add, monomials[row], twist))
-                          for row in reached]
-            for values in ((0, 2, 7, 10), (9, -4, 2, 0), (1, 3, 9, 20)):
+            for values in SYSTEMS:
                 full = monomial_power_sums(values, d + 1, 4)
                 fiber = pd_twisted_weights(pair, d, values, full)
                 weights = character_weights(characters, values)
                 assert PowerSums.of(weights, 4).p == fiber.p, (d, pair, values)
+
+
+@pytest.mark.parametrize("d", (10, 20))
+def test_pencil_e4_is_that_of_the_twisted_contraction_image(d):
+    """At larger d the contraction route is compared as e_4, by the
+    recurrence oracle: the rows that kappa_pq reaches, twisted by
+    e_k + e_l, have the e_4 of pd_twisted_weights at every pair under
+    three weight systems.  Their rank is checked at d = 1..6 above."""
+    basis = build_phi_basis(d)
+    for pair in P5_PAIRS:
+        _, reached, characters = _contraction_image(pair, basis)
+        assert len(reached) == comb(d + 4, 3) - (d + 2)
+        for values in SYSTEMS:
+            full = monomial_power_sums(values, d + 1, 4)
+            fiber = pd_twisted_weights(pair, d, values, full)
+            weights = character_weights(characters, values)
+            assert elementary_symmetric_recurrence(4, weights) == (
+                fiber.elementary_symmetric(4)), (pair, values)
 
 
 def test_degrees_match_frozen_and_closed_form():
