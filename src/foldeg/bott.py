@@ -54,10 +54,10 @@ from functools import lru_cache
 from math import comb, prod
 from operator import index
 
+from . import exact
 from .exact import (
     DEFAULT_WEIGHTS,
     RationalPolynomial,
-    WeightMultiset,
     as_weight_system,
     character_weights,
     monomial_power_sums,
@@ -80,15 +80,15 @@ class NonIntegralDegree(ArithmeticError):
 
 def tangent_weights_p5(pair, weights=DEFAULT_WEIGHTS):
     """Tangent weights of the form space at [kappa_ij]: the five values
-    (w_k + w_l) - (w_i + w_j) over the other pairs.
+    (w_k + w_l) - (w_i + w_j) over the other pairs, as a sorted tuple.
 
-    >>> list(tangent_weights_p5((1, 2), (0, 2, 7, 10)))
-    [5, 7, 8, 10, 15]
+    >>> tangent_weights_p5((1, 2), (0, 2, 7, 10))
+    (5, 7, 8, 10, 15)
     """
     pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
     s = w.pair_sum(pair)
-    return WeightMultiset(w.pair_sum(q) - s for q in P5_PAIRS if q != pair)
+    return tuple(sorted(w.pair_sum(q) - s for q in P5_PAIRS if q != pair))
 
 
 FixedPointContribution = namedtuple(
@@ -174,7 +174,7 @@ class Family(namedtuple(
 def _tangent_euler(tangent_weights, pair, values):
     """n and e_n (the product) of the tangent weights at pair, for any d."""
     tangent = tangent_weights(pair, values)
-    return len(tangent), prod(tangent.counts.elements())
+    return len(tangent), prod(tangent)
 
 
 def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
@@ -197,7 +197,7 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     contributions = []
     for pair, fiber in family.fibers(d, w, **options):
         n, den = _tangent_euler(family.tangent_weights, pair, w.values)
-        num = fiber.elementary_symmetric(n)
+        num = exact.elementary_symmetric(n, fiber)
         if den < 0:
             num, den = -num, -den
         contributions.append(

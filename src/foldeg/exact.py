@@ -155,71 +155,31 @@ def monomial_string(monomial):
     return "*".join(parts) if parts else "1"
 
 
-class WeightMultiset:
-    """A multiset of integer torus weights (the weights of a T-module) as
-    a Counter, value -> multiplicity; iteration and .values give them
-    ascending.  A weight that is not an integer raises TypeError."""
+def multiset_difference(values, removed):
+    """The integers values less removed, counted with multiplicity, as a
+    sorted tuple; ValueError unless removed is contained in values.
+    values may also be a Counter of them, which is copied, not changed.
 
-    __slots__ = ("counts",)
-
-    def __init__(self, values=()):
-        self.counts = Counter(map(operator.index, values))
-
-    @classmethod
-    def from_counts(cls, counts):
-        """The multiset with these positive multiplicities, unchecked."""
-        out = cls.__new__(cls)
-        out.counts = Counter(counts)
-        return out
-
-    @property
-    def values(self):
-        return tuple(sorted(self.counts.elements()))
-
-    def __len__(self):
-        return sum(self.counts.values())
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, WeightMultiset):  # no zero counts are kept
-            return dict.__eq__(self.counts, other.counts)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.counts.items()))
-
-    def __repr__(self):
-        return "WeightMultiset(%r)" % (list(self.values),)
-
-    def difference(self, other):
-        """Multiset difference; raises if other is not contained in self."""
-        if not isinstance(other, WeightMultiset):
-            other = WeightMultiset(other)
-        rest = self.counts.copy()
-        for v, m in other.counts.items():
-            left = rest.pop(v, 0) - m
-            if left < 0:
-                raise ValueError("weight %r not available in %r" % (v, self))
-            if left:
-                rest[v] = left
-        return WeightMultiset.from_counts(rest)
-
-    def elementary_symmetric(self, k):
-        return elementary_symmetric(k, self)
+    >>> multiset_difference([3, 1, 1, -2], [1])
+    (-2, 1, 3)
+    """
+    rest = Counter(values)
+    rest.subtract(Counter(removed))
+    if min(rest.values(), default=0) < 0:
+        raise ValueError("%r is not contained in %r" % (removed, values))
+    return tuple(sorted(rest.elements()))
 
 
 def character_weights(characters, weights):
-    """Evaluate Z^4 characters at a weight system: chi -> sum chi_i * w_i.
+    """Evaluate Z^4 characters at a weight system, chi -> sum chi_i * w_i,
+    as a sorted tuple.
 
-    >>> list(character_weights([(2, -1, 0, 0), (0, 0, 1, 0)], (0, 2, 7, 10)))
-    [-2, 7]
+    >>> character_weights([(0, 0, 1, 0), (2, -1, 0, 0)], (0, 2, 7, 10))
+    (-2, 7)
     """
     w1, w2, w3, w4 = as_weight_system(weights).values
-    return WeightMultiset(
-        a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters
-    )
+    return tuple(sorted(
+        a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters))
 
 
 class PowerSums:
@@ -236,10 +196,13 @@ class PowerSums:
 
     @classmethod
     def of(cls, values, top):
-        """p_0..p_top of a WeightMultiset, over its distinct values."""
-        terms, p = list(values.counts.values()), [len(values)]
+        """p_0..p_top of integers, counted once and summed over their
+        distinct values; TypeError for a value that is not an integer."""
+        counts = Counter(values)
+        distinct = list(map(operator.index, counts))
+        terms, p = list(counts.values()), [sum(counts.values())]
         for _ in range(top):
-            terms = list(map(operator.mul, terms, values.counts))
+            terms = list(map(operator.mul, terms, distinct))
             p.append(sum(terms))
         return cls(p)
 
@@ -262,9 +225,6 @@ class PowerSums:
             row = [c * a + b for a, b in zip(row, row[1:])]
         return PowerSums(q)
 
-    def elementary_symmetric(self, k):
-        return elementary_symmetric(k, self)
-
 
 def newton_step(k, p):
     """e_k from p_0..p_k by Newton's identities, j*e_j = sum_{i=1..j}
@@ -282,19 +242,18 @@ def newton_step(k, p):
 
 
 def elementary_symmetric(k, values):
-    """e_k of PowerSums, of a WeightMultiset or of integers (else
-    ValueError: Newton's step divides exactly only on integers).
+    """e_k of PowerSums or of integers (else ValueError: Newton's step
+    divides exactly only on integers).
 
     >>> elementary_symmetric(2, [1, 2, 3])
     11
     """
     if not isinstance(values, PowerSums):
-        if not isinstance(values, WeightMultiset):
-            try:
-                values = WeightMultiset(values)
-            except TypeError:
-                raise ValueError("e_k needs integers, got %r" % (values,)) from None
-        values = PowerSums.of(values, max(0, min(k, len(values))))
+        values = tuple(values)
+        try:  # no power above the count: Newton's step refuses such a k
+            values = PowerSums.of(values, min(k, len(values)))
+        except TypeError:
+            raise ValueError("e_k needs integers, got %r" % (values,)) from None
     return newton_step(k, values.p)
 
 

@@ -8,7 +8,7 @@ the Z^4 character mu - e_j, and divergence preserves characters: for
 each character chi the divergence is a single row x^chi with
 coefficients mu_j.  Its kernel has a closed form, so the basis is written
 down directly, for d alone, graded by the characters; torus weights
-w_1..w_4 give chi the weight sum chi_i * w_i (SectionBasis.weight_multiset).
+w_1..w_4 give chi the weight sum chi_i * w_i (SectionBasis.weight_counts).
 
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
@@ -23,7 +23,6 @@ from functools import lru_cache
 from math import lcm
 
 from .exact import (
-    WeightMultiset,
     as_weight_system,
     monomial_string,
     monomials_of_degree,
@@ -217,19 +216,23 @@ class SectionBasis:
     def __getitem__(self, i):
         return self.fields[i]
 
-    def weight_multiset(self, weights):
-        """The weights of the fields at a weight system: each distinct
+    def weight_counts(self, weights):
+        """The weights of the fields at a weight system as a Counter,
+        value -> multiplicity, ascending by value: each distinct
         character evaluated once, its multiplicity added.  The last
         result is kept, keyed by the weight values, and handed out again."""
         values = as_weight_system(weights).values
         if self._last[0] != values:
             w1, w2, w3, w4 = values
-            counts = {}
+            counts = Counter()
             for (a, b, c, e), m in self.characters.items():
-                v = a * w1 + b * w2 + c * w3 + e * w4
-                counts[v] = counts.get(v, 0) + m
-            self._last = values, WeightMultiset.from_counts(counts)
+                counts[a * w1 + b * w2 + c * w3 + e * w4] += m
+            self._last = values, Counter(dict(sorted(counts.items())))
         return self._last[1]
+
+    def weight_multiset(self, weights):
+        """The weights of the fields at a weight system, as a sorted tuple."""
+        return tuple(self.weight_counts(weights).elements())
 
     def __repr__(self):
         return "SectionBasis(d=%d, %d fields)" % (self.d, len(self.fields))

@@ -47,6 +47,7 @@ from math import comb
 from operator import itemgetter
 
 from .exact import DEFAULT_WEIGHTS, as_weight_system, character_weights
+from .exact import multiset_difference
 from .fields import (
     AntisymmetricForm,
     as_fixed_point,
@@ -206,9 +207,10 @@ class LimitFiberResult(namedtuple(
     "LimitFiberResult",
     "pair d quotient_weights kernel_weights method quotient_characters",
 )):
-    """Fiber weights at one fixed point: quotient_weights is the fiber of
-    the image sheaf (what the Euler class is made of), kernel_weights its
-    complement inside the weights of the full field basis.
+    """Fiber weights at one fixed point, each a sorted tuple of ints:
+    quotient_weights is the fiber of the image sheaf (what the Euler
+    class is made of), kernel_weights its complement inside the weights
+    of the full field basis.
 
     quotient_characters is the image fiber as sorted Z^4 characters,
     from every route.  The limit is fixed by the whole torus, so they do
@@ -224,8 +226,8 @@ class LimitFiberResult(namedtuple(
 
 
 def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
-    """Quotient and kernel weight multisets of the contraction limit at a
-    fixed point.
+    """Quotient and kernel weights of the contraction limit at a fixed
+    point.
 
     method "image-fiber" takes the initial subspace of the row span at
     t = 1, "kernel-limit" that of the kernel, "both" runs the two and
@@ -254,7 +256,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
             )
         return img._replace(method=METHOD_BOTH)
 
-    all_weights = build_phi_basis(d).weight_multiset(w)
+    all_weights = build_phi_basis(d).weight_counts(w)
     chains = _pair_chains(d, fp)
 
     if method == METHOD_IMAGE:
@@ -275,4 +277,4 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
     characters = tuple(sorted(characters))
     qw = character_weights(characters, w)
     return LimitFiberResult(
-        fp, d, qw, all_weights.difference(qw), method, characters)
+        fp, d, qw, multiset_difference(all_weights, qw), method, characters)

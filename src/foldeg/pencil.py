@@ -19,6 +19,7 @@ from .exact import (
     RationalPolynomial,
     as_weight_system,
     monomial_power_sums,
+    multiset_difference,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 
@@ -26,14 +27,14 @@ from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
     """Tangent weights of G(2,4) at <x_p, x_q>: those of P^5 at
     [kappa_pq] less the normal weight (w_k + w_l) - (w_p + w_q), the
-    direction of kappa_kl, off the quadric.
+    direction of kappa_kl, off the quadric, as a sorted tuple.
 
-    >>> list(tangent_weights_g24((1, 2), (0, 2, 7, 10)))
-    [5, 7, 8, 10]
+    >>> tangent_weights_g24((1, 2), (0, 2, 7, 10))
+    (5, 7, 8, 10)
     """
     pair, w = as_fixed_point(pair), as_weight_system(weights)
     normal = w.pair_sum(complementary_pair(pair)) - w.pair_sum(pair)
-    return tangent_weights_p5(pair, w).difference([normal])
+    return multiset_difference(tangent_weights_p5(pair, w), [normal])
 
 
 def pd_twisted_weights(pair, d, weights, full):

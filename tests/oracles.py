@@ -3,10 +3,10 @@
 Each is the plain algorithm the package used before: e_k by the O(n*k)
 product recurrence over every value, the monomial weight count, its
 split at a pair and the pencil fiber by enumerating every monomial
-weight, the same count by arithmetic progressions and its split, the
-pencil fiber and the Legendrian image fiber as weight counts taken from
-that count, as foldeg.pencil and foldeg.bott built them before their
-power sums, the tangent weights of G(2,4) as the differences
+weight, the same weights counted by arithmetic progressions and split
+by Counter subtraction, the pencil fiber and the Legendrian image fiber
+taken from those weights, as foldeg.pencil and foldeg.bott built them
+before their power sums, the tangent weights of G(2,4) as the differences
 foldeg.pencil wrote out before, the interpolant as a sum of Lagrange
 basis polynomials, a polynomial's value by Horner's rule in Fractions,
 the image limit as a
@@ -35,7 +35,6 @@ from operator import itemgetter
 
 from foldeg.exact import (
     RationalPolynomial,
-    WeightMultiset,
     WeightSystem,
     character_weights,
     monomials_of_degree,
@@ -60,14 +59,14 @@ def elementary_symmetric_recurrence(k, values):
 
 
 def enumerated_monomial_weights(d, weights):
-    """Weight counts of the degree-(d+1) monomials, one dot product per
-    enumerated exponent vector."""
+    """Weights of the degree-(d+1) monomials as a sorted tuple, one dot
+    product per enumerated exponent vector."""
     return character_weights(monomials_of_degree(d + 1), weights)
 
 
 def enumerated_complement_weights(pair, d, weights):
-    """Weight counts of the degree-(d+1) monomials in the two variables
-    outside pair alone, picked from the enumerated monomials."""
+    """Weights of the degree-(d+1) monomials in the two variables outside
+    pair alone as a sorted tuple, picked from the enumerated monomials."""
     p, q = pair
     alone = [m for m in monomials_of_degree(d + 1)
              if not m[p - 1] and not m[q - 1]]
@@ -90,7 +89,7 @@ def enumerated_pencil_fiber(pair, d, weights):
 
 
 def counted_monomial_weights(d, w):
-    """Weight counts of the degree-(d+1) monomials, counted by
+    """Weights of the degree-(d+1) monomials as a sorted tuple, counted by
     progressions: with x_3^c x_4^e fixed and r = d + 1 - c - e, the
     weights of x_1^a x_2^(r-a) are c*w_3 + e*w_4 + r*w_2 + a*(w_1 - w_2)
     for a = 0..r.  No monomial is built; the step is nonzero for
@@ -103,36 +102,36 @@ def counted_monomial_weights(d, w):
             r = n - c - e
             base = c * w3 + e * w4 + r * w2
             counts.update(range(base, base + (r + 1) * step, step))
-    return WeightMultiset.from_counts(counts)
+    return tuple(sorted(counts.elements()))
 
 
 def split_monomial_weights(pair, d, w, monomial_weights):
-    """The degree-(d+1) monomial weight counts split at pair (p,q) with
-    complement (k,l): those of the monomials that involve x_p or x_q, and
-    the d+2 weights a*w_k + (d+1-a)*w_l of those in x_k, x_l alone."""
+    """The degree-(d+1) monomial weights split at pair (p,q) with
+    complement (k,l), as sorted tuples: those of the monomials that
+    involve x_p or x_q, and the d+2 weights a*w_k + (d+1-a)*w_l of those
+    in x_k, x_l alone, by Counter subtraction, which must remove them all."""
     k, l = complementary_pair(pair)
     wk, wl = w.weight(k), w.weight(l)
     start, step = (d + 1) * wl, wk - wl
-    removed = WeightMultiset.from_counts(
-        Counter(range(start, start + (d + 2) * step, step)))
-    return monomial_weights.difference(removed), removed
+    removed = Counter(range(start, start + (d + 2) * step, step))
+    counts = Counter(monomial_weights)
+    rest = counts - removed
+    assert rest + removed == counts, "the split removes a weight not there"
+    return tuple(sorted(rest.elements())), tuple(sorted(removed.elements()))
 
 
 def counted_image_fiber(pair, d, w, monomial_weights):
-    """The Legendrian image fiber at pair as weight counts: the monomials
+    """The Legendrian image fiber at pair as a sorted tuple: the monomials
     that involve x_p or x_q shifted by -(w_p + w_q), the rest by
     -(w_k + w_l)."""
     rest, removed = split_monomial_weights(pair, d, w, monomial_weights)
     low, high = w.pair_sum(pair), w.pair_sum(complementary_pair(pair))
-    counts = Counter({v - low: m for v, m in rest.counts.items()})
-    for v, m in removed.counts.items():
-        counts[v - high] += m
-    return WeightMultiset.from_counts(counts)
+    return tuple(sorted([v - low for v in rest] + [v - high for v in removed]))
 
 
 def counted_pencil_fiber(pair, d, weights, counted=None):
-    """Twisted pencil fiber at pair as weight counts: the count of every
-    degree-(d+1) monomial weight by progressions (or counted, that count
+    """Twisted pencil fiber at pair as a sorted tuple: every degree-(d+1)
+    monomial weight counted by progressions (or counted, those weights
     taken once for all six pencils), less the d+2 weights split off at
     pair, every value shifted by w_k + w_l."""
     w = WeightSystem(weights)
@@ -140,16 +139,15 @@ def counted_pencil_fiber(pair, d, weights, counted=None):
         counted = counted_monomial_weights(d, w)
     rest, _ = split_monomial_weights(pair, d, w, counted)
     twist = w.pair_sum(complementary_pair(pair))
-    return WeightMultiset.from_counts(
-        {v + twist: m for v, m in rest.counts.items()})
+    return tuple(v + twist for v in rest)
 
 
 def explicit_g24_tangent_weights(pair, weights):
     """Tangent weights of G(2,4) at <x_i, x_j> written out: the four
-    differences w_k - w_i with k outside the pair and i inside."""
+    differences w_k - w_i with k outside the pair and i inside, sorted."""
     w = WeightSystem(weights)
-    return WeightMultiset(w.weight(k) - w.weight(i)
-                          for k in complementary_pair(pair) for i in pair)
+    return tuple(sorted(w.weight(k) - w.weight(i)
+                        for k in complementary_pair(pair) for i in pair))
 
 
 def lagrange_sum(points):

@@ -1,6 +1,7 @@
 """Tests for the exact scalar / weight / polynomial layer."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -12,7 +13,6 @@ from foldeg.exact import (
     InadmissibleWeights,
     PowerSums,
     RationalPolynomial,
-    WeightMultiset,
     WeightSystem,
     as_weight_system,
     elementary_symmetric,
@@ -20,6 +20,7 @@ from foldeg.exact import (
     monomial_power_sums,
     monomial_string,
     monomials_of_degree,
+    multiset_difference,
     newton_step,
     scalar_to_string,
 )
@@ -115,42 +116,41 @@ def test_monomial_string():
     assert monomial_string((0, 1, 0, 1)) == "x2*x4"
 
 
-def test_weight_multiset_operations():
-    a = WeightMultiset([3, 1, 1, -2])
-    assert a.values == (-2, 1, 1, 3)
-    assert len(a) == 4
-    assert a == WeightMultiset([1, -2, 3, 1])
-    b = WeightMultiset(a.values + (1, 5))
-    assert b.values == (-2, 1, 1, 1, 3, 5)
-    assert b.difference([1, 1]).values == (-2, 1, 3, 5)
+def test_multiset_difference_keeps_multiplicities():
+    """Multiplicities in, a sorted tuple out: a value held three times
+    and removed twice is left once.  A Counter of the values may stand
+    for them, and is copied, not changed."""
+    values = [3, 1, 1, -2, 1, 5]
+    assert multiset_difference(values, [1, 1]) == (-2, 1, 3, 5)
+    assert multiset_difference(values, []) == (-2, 1, 1, 1, 3, 5)
+    assert multiset_difference(values, reversed(values)) == ()
+    counts = Counter(values)
+    assert multiset_difference(counts, [5, 1]) == (-2, 1, 1, 3)
+    assert counts == Counter(values)
+
+
+def test_multiset_difference_refuses_a_value_not_contained():
+    for values in ([3, 1, 1, -2], Counter([3, 1, 1, -2]), []):
+        with pytest.raises(ValueError):
+            multiset_difference(values, [7])
+
+
+def test_multiset_difference_refuses_a_value_taken_too_often():
+    """Removing one copy more than the values hold raises, also when the
+    other removed values are all there."""
     with pytest.raises(ValueError):
-        a.difference([7])
+        multiset_difference([3, 1, 1, -2], [1, 1, 1])
     with pytest.raises(ValueError):
-        a.difference([1, 1, 1])
+        multiset_difference(Counter({5: 2, 0: 1}), [0, 5, 5, 5])
 
 
-def test_weight_multiset_is_counts():
-    """Counts in, sorted weights out; equality and hashing ignore how
-    the multiset was built."""
-    a = WeightMultiset([5, -1, 5, 0, 5])
-    assert a.counts == {5: 3, -1: 1, 0: 1}
-    assert a.values == tuple(a) == (-1, 0, 5, 5, 5)
-    assert len(a) == 5
-    b = WeightMultiset.from_counts({0: 1, 5: 3, -1: 1})
-    assert a == b and hash(a) == hash(b)
-    assert a != WeightMultiset([5, -1, 0, 5])
-    assert a.difference(b) == WeightMultiset()
-    assert len(a.difference(WeightMultiset([5, 5]))) == 3
-    assert repr(WeightMultiset([2, 1])) == "WeightMultiset([1, 2])"
-
-
-def test_weight_multiset_requires_integers():
-    """A non-integer weight raises instead of being truncated: [1.5, 2]
+def test_power_sums_of_requires_integers():
+    """A non-integer value raises instead of being truncated: [1.5, 2]
     used to equal [1, 2], and 7/2 used to become 3."""
     for bad in ([1.5, 2], [Fraction(7, 2)], [2.0], ["3"]):
         with pytest.raises(TypeError):
-            WeightMultiset(bad)
-    assert WeightMultiset([True, 2]).values == (1, 2)
+            PowerSums.of(bad, 2)
+    assert PowerSums.of([True, 2], 2).p == (2, 3, 5)
 
 
 def test_elementary_symmetric_requires_integers():
@@ -178,29 +178,45 @@ def test_elementary_symmetric_against_brute_force():
         elementary_symmetric(-1, [1, 2])
 
 
+def test_elementary_symmetric_takes_no_power_above_the_count(monkeypatch):
+    """e_k of n integers asks PowerSums.of for p_0..p_min(k, n) only, so a
+    k far above the count is refused at once rather than after k big
+    power sums."""
+    of = PowerSums.of.__func__
+
+    def spied(cls, values, top):
+        assert top <= len(values), top
+        return of(cls, values, top)
+
+    monkeypatch.setattr(PowerSums, "of", classmethod(spied))
+    assert elementary_symmetric(2, [1, 2, 3]) == 11
+    with pytest.raises(ValueError, match="no e_1000000000 of 2 values"):
+        elementary_symmetric(10**9, [1, 2])
+
+
 def test_power_sums_guard_newtons_step():
     """e_k from stored power sums: a division by j that is not exact
     raises instead of flooring (no two integers have p_1 = 1 and
     p_2 = 0), and so does asking above the highest power stored."""
     with pytest.raises(ArithmeticError):
         elementary_symmetric(2, PowerSums((2, 1, 0)))
-    ps = PowerSums.of(WeightMultiset([1, 2, 3]), 2)
-    assert ps.elementary_symmetric(2) == 11 and len(ps) == 3
+    ps = PowerSums.of([1, 2, 3], 2)
+    assert elementary_symmetric(2, ps) == 11 and len(ps) == 3
     with pytest.raises(ValueError, match="p_0..p_2"):
         elementary_symmetric(3, ps)
     with pytest.raises(ValueError):
-        elementary_symmetric(4, PowerSums.of(WeightMultiset([1, 2, 3]), 4))
+        elementary_symmetric(4, PowerSums.of([1, 2, 3], 4))
 
 
 def test_power_sums_add_remove_and_shift():
     """+, - and shifted(c) give the power sums of the union, of the
     difference and of every value moved by c."""
-    a, b = WeightMultiset([-3, 1, 1, 4]), WeightMultiset([1, 4])
+    a, b = [-3, 1, 1, 4], [1, 4]
 
     def sums(values):
-        return PowerSums.of(WeightMultiset(values), 5).p
+        return PowerSums.of(values, 5).p
 
-    assert (PowerSums.of(a, 5) + PowerSums.of(b, 5)).p == sums(list(a) + list(b))
+    assert (PowerSums.of(a, 5) + PowerSums.of(b, 5)).p == sums(a + b)
     assert (PowerSums.of(a, 5) - PowerSums.of(b, 5)).p == sums([-3, 1])
     assert PowerSums.of(a, 5).shifted(-7).p == sums(v - 7 for v in a)
 
@@ -231,9 +247,9 @@ def test_shift_and_newton_step_at_any_length(K):
     for _ in range(8):
         values = [rng.randint(-40, 40) for _ in range(rng.randint(K, K + 6))]
         c = rng.randint(-30, 30)
-        ps = PowerSums.of(WeightMultiset(values), K)
+        ps = PowerSums.of(values, K)
         assert ps.shifted(c).p == PowerSums.of(
-            WeightMultiset(v + c for v in values), K).p, (values, c)
+            (v + c for v in values), K).p, (values, c)
         assert newton_step(K, ps.p) == elementary_symmetric_recurrence(
             K, values), values
 

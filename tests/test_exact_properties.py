@@ -2,16 +2,18 @@
 tests/oracles.py: e_k from power sums, the interpolant at consecutive
 integers, and polynomial evaluation (need hypothesis)."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from foldeg.exact import (
+    PowerSums,
     RationalPolynomial,
-    WeightMultiset,
     elementary_symmetric,
     lagrange_interpolate,
+    multiset_difference,
 )
 from oracles import (
     elementary_symmetric_recurrence,
@@ -31,12 +33,28 @@ st = hypothesis.strategies
 )
 def test_power_sum_e_k_equals_the_recurrence(counts, k):
     """e_k by Newton's identities on the counts equals the product
-    recurrence over every value, for a WeightMultiset and for a list."""
+    recurrence over every value, from PowerSums.of and from a list."""
     values = [v for v, m in counts.items() for _ in range(m)]
     k = min(k, len(values))
     expected = elementary_symmetric_recurrence(k, values)
-    assert WeightMultiset(values).elementary_symmetric(k) == expected
+    assert elementary_symmetric(k, PowerSums.of(values, k)) == expected
     assert elementary_symmetric(k, values) == expected
+
+
+@hypothesis.given(
+    values=st.lists(st.integers(-4, 4), max_size=12),
+    removed=st.lists(st.integers(-4, 4), max_size=8),
+)
+def test_multiset_difference_is_counter_subtraction(values, removed):
+    """On random int lists the difference is Counter subtraction, sorted,
+    and it raises exactly when removed is not contained in values."""
+    have, lost = Counter(values), Counter(removed)
+    if all(lost[v] <= have[v] for v in lost):
+        want = tuple(sorted((have - lost).elements()))
+        assert multiset_difference(values, removed) == want
+    else:
+        with pytest.raises(ValueError):
+            multiset_difference(values, removed)
 
 
 @hypothesis.given(

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
 from foldeg import fields
 from foldeg.bott import legendrian_degree
-from foldeg.exact import WeightMultiset, WeightSystem, monomials_of_degree
+from foldeg.exact import WeightSystem, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
@@ -302,8 +302,8 @@ def test_phi_basis_fields_carry_their_character():
                 chi = list(mono)
                 chi[j - 1] -= 1
                 assert tuple(chi) == f.character
-        assert basis.weight_multiset(WEIGHTS) == WeightMultiset(
-            sum(c * w for c, w in zip(f.character, WEIGHTS)) for f in basis)
+        assert basis.weight_multiset(WEIGHTS) == tuple(sorted(
+            sum(c * w for c, w in zip(f.character, WEIGHTS)) for f in basis))
 
 
 def test_weight_multiset_is_kept_per_weight_system():
@@ -313,8 +313,8 @@ def test_weight_multiset_is_kept_per_weight_system():
     basis = build_phi_basis(3)
     a, b = WEIGHTS, (1, 3, 9, 20)
     for weights, values in ((a, a), (WeightSystem(b), b), (list(a), a)):
-        assert basis.weight_multiset(weights) == WeightMultiset(
-            character_weight(f.character, values) for f in basis)
+        assert basis.weight_multiset(weights) == tuple(sorted(
+            character_weight(f.character, values) for f in basis))
     assert basis.weight_multiset(a) != basis.weight_multiset(b)
 
 
@@ -381,16 +381,36 @@ def test_tangent_kernel_dimension_contact_law():
     )
 
 
-def _tangent_field(rng, form, basis):
+def _decomposable_form(rng):
+    """A random nonzero decomposable form l_1 ^ l_2, alpha_ij =
+    a_i b_j - a_j b_i for seeded integer linear forms a and b."""
+    while True:
+        a = [rng.randint(-3, 3) for _ in range(4)]
+        b = [rng.randint(-3, 3) for _ in range(4)]
+        alpha = [a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1] for i, j in P5_PAIRS]
+        if any(alpha):
+            return AntisymmetricForm(alpha)
+
+
+def _pencil_kernel_dimension(d):
+    """The tangency-kernel rank at a decomposable form: the contraction
+    reaches the C(d+4,3) - (d+2) degree-(d+1) monomials outside the two
+    variables it leaves alone, so phi_dimension(d) - C(d+4,3) + d + 2,
+    which is contact_kernel_dimension(d) + d + 2."""
+    return phi_dimension(d) - comb(d + 4, 3) + d + 2
+
+
+def _tangent_field(rng, form, basis, kernel_dimension):
     """A random integer field tangent to an integer form, as terms: an
     integer combination of a kernel_basis of the form's scaled integer
-    contraction, with the scaled_terms factors of its columns."""
+    contraction, whose rank must be kernel_dimension, with the
+    scaled_terms factors of its columns."""
     n = len(basis)
     mat = [[0] * n for _ in monomials_of_degree(basis.d + 1)]
     for (r, c), v in integer_contraction(form, basis).items():
         mat[r][c] = v
     kernel = kernel_basis(mat, n)
-    assert len(kernel) == contact_kernel_dimension(basis.d)
+    assert len(kernel) == kernel_dimension
     a = [rng.randint(-3, 3) for _ in kernel]
     x = [sum(b * v[c] for b, v in zip(a, kernel)) for c in range(n)]
     den = lcm(*(e.denominator for e in x))
@@ -399,26 +419,74 @@ def _tangent_field(rng, form, basis):
             for coeff, mono, j in scaled_terms(f)]
 
 
-@pytest.mark.parametrize("d, forms", ((1, 2), (2, 1)))
+def _annihilating_forms(form, phi):
+    """6 less the rank of the six contractions kappa_ij(phi): the
+    dimension of the forms that annihilate phi, form among them."""
+    values = [contract(AntisymmetricForm.koszul(pair), phi)
+              for pair in P5_PAIRS]
+    monos = sorted(set().union(*values))
+    rows = [[int(v.get(m, 0)) for m in monos] for v in values]
+    assert all(sum(a * row[k] for a, row in zip(form.alpha, rows)) == 0
+               for k in range(len(monos)))
+    return 6 - rank(rows, len(monos))
+
+
+@pytest.mark.parametrize("d, forms", (
+    (1, 2), (2, 1), (3, 1),
+    pytest.param(4, 1, marks=pytest.mark.slow),
+    pytest.param(5, 1, marks=pytest.mark.slow),
+))
 def test_forms_that_annihilate_a_tangent_field(d, forms):
     """The Legendrian fiber of forms: the forms that annihilate a field
     tangent to a contact form.  At d = 1 the six contractions
     kappa_ij(phi) have rank 4, so they make a 2-dimensional space, a
-    pencil (the Bott sum at d = 1 is 0); at d = 2 rank 5, one form up to
-    scale, as generic injectivity needs."""
+    pencil (the Bott sum at d = 1 is 0); from d = 2 on rank 5, one form
+    up to scale, as generic injectivity needs."""
     rng = random.Random(5)
     basis = build_phi_basis(d)
     for _ in range(3):
         form = _random_form(rng)
-        phi = _tangent_field(rng, form, basis)
+        phi = _tangent_field(rng, form, basis, contact_kernel_dimension(d))
         assert phi and not contract(form, phi)
-        values = [contract(AntisymmetricForm.koszul(pair), phi)
-                  for pair in P5_PAIRS]
-        monos = sorted(set().union(*values))
-        rows = [[int(v.get(m, 0)) for m in monos] for v in values]
-        assert 6 - rank(rows, len(monos)) == forms
-        assert all(sum(a * row[k] for a, row in zip(form.alpha, rows)) == 0
-                   for k in range(len(monos)))
+        assert _annihilating_forms(form, phi) == forms
+
+
+@pytest.mark.parametrize("d, kernel", (
+    (2, 20), (3, 40),
+    pytest.param(4, 70, marks=pytest.mark.slow),
+    pytest.param(5, 112, marks=pytest.mark.slow),
+))
+def test_forms_that_annihilate_a_field_tangent_to_a_pencil(d, kernel):
+    """The pencil fiber of forms: at a decomposable form l_1 ^ l_2, a
+    point of G(2,4), the scaled integer contraction has kernel rank
+    phi_dimension(d) - C(d+4,3) + d + 2, and a random integer field in
+    that kernel is annihilated by one form up to scale (the six
+    kappa_ij(phi) have rank 5), so the pencil map is generically
+    injective."""
+    assert _pencil_kernel_dimension(d) == kernel
+    rng = random.Random(11)
+    basis = build_phi_basis(d)
+    for _ in range(3):
+        form = _decomposable_form(rng)
+        assert form.pfaffian() == 0
+        phi = _tangent_field(rng, form, basis, kernel)
+        assert phi and not contract(form, phi)
+        assert _annihilating_forms(form, phi) == 1
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_family_dimensions(d):
+    """The dimensions in the README: 5 + K_d - 1 = 4 + (d+4)(d+2)d/3 for
+    the Legendrian family over the P^5 of forms, 4 + K'_d - 1 = 3 + K'_d
+    for the pencil family over G(2,4), with K_d and K'_d the
+    tangent_kernel_dimension of seeded contact and decomposable forms."""
+    rng = random.Random(17 + d)
+    legendrian = {5 + tangent_kernel_dimension(_random_form(rng), d) - 1
+                  for _ in range(3)}
+    pencil = {4 + tangent_kernel_dimension(_decomposable_form(rng), d) - 1
+              for _ in range(3)}
+    assert legendrian == {4 + (d + 4) * (d + 2) * d // 3}
+    assert pencil == {3 + _pencil_kernel_dimension(d)}
 
 
 def test_integer_contraction_refuses_non_integer_coefficients():

@@ -164,9 +164,9 @@ MUTANTS = {
     ),
     "tangents sent back through elementary_symmetric": (
         "bott.py",
-        "    return len(tangent), prod(tangent.counts.elements())\n",
+        "    return len(tangent), prod(tangent)\n",
         "    return len(tangent), "
-        "tangent.elementary_symmetric(len(tangent))\n",
+        "exact.elementary_symmetric(len(tangent), tangent)\n",
         ["tests/test_bott.py::test_localize_asks_e_n_of_the_fibers_alone"],
     ),
     "the pencil twist by w_p + w_q": (
@@ -215,6 +215,28 @@ MUTANTS = {
             "tests/test_transport_properties.py::"
             "test_g24_tangent_is_the_p5_tangent_less_the_normal",
         ],
+    ),
+    "a multiset difference without its containment check": (
+        "exact.py",
+        "    if min(rest.values(), default=0) < 0:\n"
+        "        raise ValueError(\"%r is not contained in %r\" "
+        "% (removed, values))\n",
+        "",
+        [
+            "tests/test_exact.py::"
+            "test_multiset_difference_refuses_a_value_not_contained",
+            "tests/test_exact.py::"
+            "test_multiset_difference_refuses_a_value_taken_too_often",
+            "tests/test_exact_properties.py::"
+            "test_multiset_difference_is_counter_subtraction",
+        ],
+    ),
+    "e_k of integers with powers up to k, not up to the count": (
+        "exact.py",
+        "            values = PowerSums.of(values, min(k, len(values)))\n",
+        "            values = PowerSums.of(values, k)\n",
+        ["tests/test_exact.py::"
+         "test_elementary_symmetric_takes_no_power_above_the_count"],
     ),
     "one admissibility answer shared by all systems": (
         "exact.py",

@@ -12,9 +12,9 @@ from collections import Counter
 from foldeg import limits
 from foldeg.bott import fiber_characters, image_power_sums, localize
 from foldeg.exact import (
-    WeightMultiset,
     WeightSystem,
     character_weights,
+    elementary_symmetric,
     monomial_power_sums,
 )
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
@@ -162,7 +162,7 @@ def test_basis_weight_multiset_equals_the_echelon_weights(values):
     multiplicity added, are the weights of the echelon basis under any
     admissible weights, at every d = 1..8."""
     for d in range(1, 9):
-        want = WeightMultiset(wt for _, wt in rref_phi_basis(d, values))
+        want = tuple(sorted(wt for _, wt in rref_phi_basis(d, values)))
         assert build_phi_basis(d).weight_multiset(values) == want
 
 
@@ -272,12 +272,12 @@ def test_power_sum_numerators_equal_the_counted_routes(values):
         for pair in P5_PAIRS:
             fiber = image_power_sums(pair, d, w, legendrian)
             assert len(fiber) == comb(d + 4, 3)
-            assert fiber.elementary_symmetric(5) == counted_image_fiber(
-                pair, d, w, counted).elementary_symmetric(5), (pair, d)
+            assert elementary_symmetric(5, fiber) == elementary_symmetric(
+                5, counted_image_fiber(pair, d, w, counted)), (pair, d)
             fiber = pd_twisted_weights(pair, d, w, pencil)
             assert len(fiber) == comb(d + 4, 3) - (d + 2)
-            assert fiber.elementary_symmetric(4) == counted_pencil_fiber(
-                pair, d, w, counted).elementary_symmetric(4), (pair, d)
+            assert elementary_symmetric(4, fiber) == elementary_symmetric(
+                4, counted_pencil_fiber(pair, d, w, counted)), (pair, d)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
@@ -310,5 +310,5 @@ def test_tangent_euler_class_is_the_product_of_the_weights(values):
             tangent = family.tangent_weights(pair, w)
             euler = prod(tangent)
             assert euler != 0
-            assert euler == tangent.elementary_symmetric(len(tangent))
+            assert euler == elementary_symmetric(len(tangent), tangent)
             assert c.denominator == abs(euler)
