@@ -9,6 +9,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, lcm
 
 
@@ -257,41 +258,43 @@ def elementary_symmetric(k, values):
     return newton_step(k, values.p)
 
 
+def forward_differences(ys):
+    """D^0 y_0, D^1 y_0, ... of values ys at consecutive points, up to the
+    last nonzero one, so that y_i = sum_k D^k y_0 C(i, k) (Newton).
+
+    >>> forward_differences([1, 3, 7, 13])
+    [1, 2, 2]
+    """
+    deltas = []
+    while any(ys):
+        deltas.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    return deltas
+
+
 @lru_cache(maxsize=256)
-def _power_sum_table(steps, top):
-    """c[j][s], j, s = 0..top, of monomial_power_sums, one variable at a
-    time; onto[b][a] = a! S(b, a) counts the maps of b things onto a."""
-    onto = [[sum((-1) ** (a - i) * comb(a, i) * i ** b for i in range(a + 1))
-             for a in range(top + 1)] for b in range(top + 1)]
-    first, *rest = steps
-    c = [[first ** j * x for x in row] for j, row in enumerate(onto)]
-    for u in rest:
-        c = [[sum(comb(j, b) * u ** b * onto[b][a] * c[j - b][s - a]
-                  for b in range(j + 1) for a in range(min(b, s) + 1))
-              for s in range(top + 1)] for j in range(top + 1)]
-    return c
+def _power_sum_differences(ws, top):
+    """forward_differences of p_0..p_top of monomial_power_sums at ws, counted
+    at n = 0..top + len(ws) - 1: p_top has degree top + len(ws) - 1."""
+    samples = [PowerSums.of(map(sum, combinations_with_replacement(ws, n)), top).p
+               for n in range(top + len(ws))]
+    return tuple(map(forward_differences, zip(*samples)))
 
 
 def monomial_power_sums(ws, n, top):
     """PowerSums p_0..p_top of the weights m.w of the degree-n monomials
-    m in r = len(ws) >= 2 variables, in a number of operations that does
-    not depend on n.  With u_i = w_i - w_r, m.w = n*w_r + sum_{i<r} m_i u_i.
-    Write m_i^b = sum_a a! S(b, a) C(m_i, a); as sum_{|m|=n} prod_i
-    C(m_i, a_i) = C(n+r-1, |a|+r-1), the second term has the power sums
-    sum_s c[j][s] C(n+r-1, s+r-1), c[j][s] the sum of j!/b! prod_i
-    u_i^b_i a_i! S(b_i, a_i) over |b| = j, |a| = s; shifted by n*w_r
-    they are p_j.
+    m in r = len(ws) variables, in a number of operations that does not
+    depend on n: p_j(n) = sum_k D^k p_j(0) C(n, k), ValueError if n < 0.
+    p_j has degree j + r - 1 in n: (m.w)^j is a sum of products
+    prod_i C(m_i, a_i) with |a| <= j, and each sums over |m| = n to
+    C(n+r-1, |a|+r-1).
 
     >>> monomial_power_sums((1, 2), 2, 2).p  # x^2, xy, y^2: 2, 3, 4
     (3, 9, 29)
     """
-    *rest, last = ws
-    r = len(ws)
-    binomials = [comb(n + r - 1, s + r - 1) for s in range(top + 1)]
-    return PowerSums(
-        sum(map(operator.mul, row, binomials))
-        for row in _power_sum_table(tuple(w - last for w in rest), top)
-    ).shifted(n * last)
+    binomials = [comb(n, k) for k in range(top + len(ws))]
+    return PowerSums(sum(map(operator.mul, deltas, binomials))
+                     for deltas in _power_sum_differences(tuple(ws), top))
 
 
 class RationalPolynomial:
@@ -378,18 +381,14 @@ class RationalPolynomial:
 
 
 def lagrange_interpolate(x0, ys):
-    """The polynomial p with p(x0 + i) = ys[i], for int or Fraction ys,
-    by forward differences: m! p(x) = sum_k D^k y_0 (m!/k!) prod_{i<k}
-    (x - x0 - i), up to the last nonzero D^m y_0, and one division by
-    m!.  On int values every step before the division is in integers.
+    """The polynomial p with p(x0 + i) = ys[i], int or Fraction ys, from
+    their forward_differences D^0..D^m: m! p(x) = sum_k D^k y_0 (m!/k!)
+    prod_{i<k} (x - x0 - i) in integers on int ys, then one division by m!.
 
     >>> lagrange_interpolate(0, [1, 3, 7]).coefficients
     (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
     """
-    deltas = []
-    while any(ys):
-        deltas.append(ys[0])
-        ys = [b - a for a, b in zip(ys, ys[1:])]
+    deltas = forward_differences(ys)
     coeffs, scale = [], 1
     for k in range(len(deltas) - 1, -1, -1):
         a = x0 + k

@@ -7,7 +7,8 @@ weight, the same weights counted by arithmetic progressions and split
 by Counter subtraction, the pencil fiber and the Legendrian image fiber
 taken from those weights, as foldeg.pencil and foldeg.bott built them
 before their power sums, the tangent weights of G(2,4) as the differences
-foldeg.pencil wrote out before, the interpolant as a sum of Lagrange
+foldeg.pencil wrote out before, the power sums of the monomial weights
+in closed form by Stirling numbers, the interpolant as a sum of Lagrange
 basis polynomials, a polynomial's value by Horner's rule in Fractions,
 the image limit as a
 saturation over Z[t] localized at t, which knows nothing of torus
@@ -20,9 +21,10 @@ field term by term, the basis Phi_d as the divergence kernel of each
 weight space in echelon form, the blocks of the global contraction by
 union-find, and the kernel limit as one integer echelon of
 [M(1)^T | I] per block.  They share no code with what they check beyond
-RationalPolynomial, the monomial list and weights, MonomialField, the
-complement of a pair, the Fraction rref and kernel basis, the integer
-echelon, and (for the image fiber) the chains of foldeg.limits.
+RationalPolynomial, the monomial list and weights, MonomialField,
+PowerSums.shifted (for the Stirling closed form), the complement of a
+pair, the Fraction rref and kernel basis, the integer echelon, and (for
+the image fiber) the chains of foldeg.limits.
 weight_ordered_basis puts the package's basis, which depends on d
 alone, in the order the echelon basis has under a weight system, so
 that the oracles built on it see the columns that order gives.
@@ -31,9 +33,10 @@ that the oracles built on it see the columns that order gives.
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from foldeg.exact import (
+    PowerSums,
     RationalPolynomial,
     WeightSystem,
     character_weights,
@@ -148,6 +151,39 @@ def explicit_g24_tangent_weights(pair, weights):
     w = WeightSystem(weights)
     return tuple(sorted(w.weight(k) - w.weight(i)
                         for k in complementary_pair(pair) for i in pair))
+
+
+def _power_sum_table(steps, top):
+    """c[j][s], j, s = 0..top, of stirling_monomial_power_sums, one
+    variable at a time; onto[b][a] = a! S(b, a) counts the maps of b
+    things onto a."""
+    onto = [[sum((-1) ** (a - i) * comb(a, i) * i ** b for i in range(a + 1))
+             for a in range(top + 1)] for b in range(top + 1)]
+    first, *rest = steps
+    c = [[first ** j * x for x in row] for j, row in enumerate(onto)]
+    for u in rest:
+        c = [[sum(comb(j, b) * u ** b * onto[b][a] * c[j - b][s - a]
+                  for b in range(j + 1) for a in range(min(b, s) + 1))
+              for s in range(top + 1)] for j in range(top + 1)]
+    return c
+
+
+def stirling_monomial_power_sums(ws, n, top):
+    """p_0..p_top of the weights m.w of the degree-n monomials m in
+    r = len(ws) >= 2 variables, as a tuple, in closed form by Stirling
+    numbers.  With u_i = w_i - w_r, m.w = n*w_r + sum_{i<r} m_i u_i.
+    Write m_i^b = sum_a a! S(b, a) C(m_i, a); as sum_{|m|=n} prod_i
+    C(m_i, a_i) = C(n+r-1, |a|+r-1), the second term has the power sums
+    sum_s c[j][s] C(n+r-1, s+r-1), c[j][s] the sum of j!/b! prod_i
+    u_i^b_i a_i! S(b_i, a_i) over |b| = j, |a| = s; shifted by n*w_r
+    they are p_j."""
+    *rest, last = ws
+    r = len(ws)
+    binomials = [comb(n + r - 1, s + r - 1) for s in range(top + 1)]
+    return PowerSums(
+        sum(map(mul, row, binomials))
+        for row in _power_sum_table(tuple(w - last for w in rest), top)
+    ).shifted(n * last).p
 
 
 def lagrange_sum(points):

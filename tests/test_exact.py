@@ -16,6 +16,7 @@ from foldeg.exact import (
     WeightSystem,
     as_weight_system,
     elementary_symmetric,
+    forward_differences,
     lagrange_interpolate,
     monomial_power_sums,
     monomial_string,
@@ -28,6 +29,7 @@ from oracles import (
     elementary_symmetric_recurrence,
     fraction_horner,
     lagrange_sum,
+    stirling_monomial_power_sums,
 )
 
 
@@ -221,21 +223,64 @@ def test_power_sums_add_remove_and_shift():
     assert PowerSums.of(a, 5).shifted(-7).p == sums(v - 7 for v in a)
 
 
+def _exponents(n, r):
+    """Every exponent vector of a degree-n monomial in r variables."""
+    if r == 1:
+        yield (n,)
+        return
+    for a in range(n + 1):
+        for rest in _exponents(n - a, r - 1):
+            yield (a,) + rest
+
+
 def test_monomial_power_sums_equal_the_enumeration():
-    """Closed-form power sums p_0..p_top of the degree-n monomial weights
-    in 2, 3 and 4 variables equal those of the enumerated monomials, up
-    to p_8, beyond the p_5 the families use."""
+    """The power sums p_0..p_top, top <= 8, of the degree-n monomial
+    weights in r variables equal those of the enumerated monomials,
+    beyond the n = 0..top + r - 1 at which they are sampled: n = 0..30
+    for r = 2 and 3, n = 12..25 for r = 4."""
     rng = random.Random(18)
-    for r in (2, 3, 4):
-        for n in range(8):
+    for r, degrees in ((2, range(31)), (3, range(31)), (4, range(12, 26))):
+        for n in degrees:
             ws = [rng.randint(-20, 20) for _ in range(r)]
             values = [sum(e * w for e, w in zip(m, ws))
-                      for m in monomials_of_degree(n) if not any(m[r:])]
+                      for m in _exponents(n, r)]
             assert len(values) == comb(n + r - 1, r - 1)
+            want = [sum(v ** j for v in values) for j in range(9)]
             for top in range(9):
                 assert monomial_power_sums(ws, n, top).p == tuple(
-                    sum(v ** j for v in values) for j in range(top + 1)
-                ), (ws, n, top)
+                    want[:top + 1]), (ws, n, top)
+
+
+@pytest.mark.parametrize("n", (10**3, 10**6, 10**12))
+def test_monomial_power_sums_equal_the_stirling_closed_form(n):
+    """At degrees far beyond any enumeration, the power sums equal the
+    closed form by Stirling numbers and C(n+r-1, s+r-1) in
+    tests/oracles.py, in 2, 3 and 4 variables up to p_8."""
+    rng = random.Random(n % 1009)
+    for r in (2, 3, 4):
+        for top in range(9):
+            ws = [rng.randint(-30, 30) for _ in range(r)]
+            assert monomial_power_sums(ws, n, top).p == (
+                stirling_monomial_power_sums(ws, n, top)), (ws, n, top)
+
+
+def test_monomial_power_sums_refuse_a_negative_degree():
+    """There are no monomials of negative degree: C(n, k) refuses n < 0,
+    also just below 0, where C(n + r - 1, .) would still be defined."""
+    for n in (-1, -2, -5):
+        with pytest.raises(ValueError):
+            monomial_power_sums((3, 1, 4), n, 3)
+
+
+def test_forward_differences_stop_at_the_last_nonzero_one():
+    """D^k y_0 up to the last nonzero one: none for zeros, the value of a
+    constant, and a cubic's four, however many values follow."""
+    assert forward_differences([0, 0, 0]) == []
+    assert forward_differences([5]) == [5]
+    assert forward_differences([5, 5, 5, 5]) == [5]
+    cubic = [i ** 3 for i in range(9)]
+    assert forward_differences(cubic) == [0, 1, 6, 6]
+    assert forward_differences(cubic[:4]) == [0, 1, 6, 6]
 
 
 @pytest.mark.parametrize("K", range(13))

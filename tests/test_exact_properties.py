@@ -1,6 +1,7 @@
 """Property tests of the exact layer against the direct oracles in
-tests/oracles.py: e_k from power sums, the interpolant at consecutive
-integers, and polynomial evaluation (need hypothesis)."""
+tests/oracles.py: e_k from power sums, Newton's forward differences and
+the interpolant at consecutive integers, and polynomial evaluation
+(need hypothesis)."""
 
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from foldeg.exact import (
     PowerSums,
     RationalPolynomial,
     elementary_symmetric,
+    forward_differences,
     lagrange_interpolate,
     multiset_difference,
 )
@@ -76,6 +78,26 @@ def test_consecutive_integer_interpolant_equals_the_lagrange_sum(
     assert poly.degree <= min(len(deltas), n) - 1
     assert all(type(c) is Fraction for c in poly.coefficients)
     assert poly.to_strings() == lagrange_sum(points).to_strings()
+
+
+@hypothesis.given(
+    coefficients=st.lists(st.integers(-10**6, 10**6), max_size=10),
+    start=st.integers(-60, 60),
+)
+def test_newton_sum_of_forward_differences_gives_the_values_back(
+        coefficients, start):
+    """The forward_differences of a random integer polynomial f of degree
+    below m = len(coefficients), at the m points start..start + m - 1,
+    give f(start + i) = sum_k D^k C(i, k) back, at those points and at
+    the next ones, as monomial_power_sums needs of its samples."""
+    def f(x):
+        return sum(c * x ** i for i, c in enumerate(coefficients))
+
+    m = len(coefficients)
+    deltas = forward_differences([f(start + i) for i in range(m)])
+    assert len(deltas) <= m
+    for i in range(m + 6):
+        assert sum(a * comb(i, k) for k, a in enumerate(deltas)) == f(start + i)
 
 
 @hypothesis.given(

@@ -1,8 +1,9 @@
 """Tests for fields, antisymmetric forms, contraction, and the basis."""
 
+import operator
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -24,7 +25,7 @@ from foldeg.fields import (
     tangent_kernel_dimension,
 )
 from foldeg.limits import build_contraction_matrix
-from foldeg.linalg import kernel_basis, rank
+from foldeg.linalg import echelon, rank
 from oracles import (
     character_weight,
     divergence,
@@ -400,21 +401,40 @@ def _pencil_kernel_dimension(d):
     return phi_dimension(d) - comb(d + 4, 3) + d + 2
 
 
+def _integer_kernel(rows, ncols):
+    """An integer basis of the right kernel of an integer matrix, from one
+    linalg.echelon: per free column, that column set to 1 and the pivot
+    columns solved bottom-up, x scaled so that each pivot divides."""
+    ech, pivots = echelon(rows, ncols)
+    kernel = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
+        x[free] = 1
+        for row, c in zip(reversed(ech), reversed(pivots)):
+            s = sum(row[j] * x[j] for j in range(c + 1, ncols))
+            g = gcd(row[c], s)
+            x = [v * (row[c] // g) for v in x]
+            x[c] = -s // g
+        g = gcd(*x)
+        kernel.append([v // g for v in x])
+    return kernel
+
+
 def _tangent_field(rng, form, basis, kernel_dimension):
     """A random integer field tangent to an integer form, as terms: an
-    integer combination of a kernel_basis of the form's scaled integer
-    contraction, whose rank must be kernel_dimension, with the
+    integer combination of an integer kernel basis of the form's scaled
+    integer contraction, whose rank must be kernel_dimension, with the
     scaled_terms factors of its columns."""
     n = len(basis)
     mat = [[0] * n for _ in monomials_of_degree(basis.d + 1)]
     for (r, c), v in integer_contraction(form, basis).items():
         mat[r][c] = v
-    kernel = kernel_basis(mat, n)
+    kernel = _integer_kernel(mat, n)
     assert len(kernel) == kernel_dimension
+    assert not any(sum(map(operator.mul, row, v)) for row in mat for v in kernel)
     a = [rng.randint(-3, 3) for _ in kernel]
     x = [sum(b * v[c] for b, v in zip(a, kernel)) for c in range(n)]
-    den = lcm(*(e.denominator for e in x))
-    return [MonomialField(int(e * den) * coeff, mono, j)
+    return [MonomialField(e * coeff, mono, j)
             for e, f in zip(x, basis) if e
             for coeff, mono, j in scaled_terms(f)]
 

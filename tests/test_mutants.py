@@ -44,6 +44,29 @@ MUTANTS = {
         "        a = x0 + k + 1\n",
         INTERPOLATION_TESTS,
     ),
+    "a forward-difference helper that stops one row early": (
+        "exact.py",
+        "    while any(ys):\n",
+        "    while any(ys[1:]):\n",
+        [
+            "tests/test_exact.py::"
+            "test_forward_differences_stop_at_the_last_nonzero_one",
+            "tests/test_exact.py::"
+            "test_monomial_power_sums_equal_the_enumeration",
+            "tests/test_doctests.py::test_module_doctests[foldeg.exact]",
+        ],
+    ),
+    "a power-sum table one sample short": (
+        "exact.py",
+        "               for n in range(top + len(ws))]\n",
+        "               for n in range(top + len(ws) - 1)]\n",
+        [
+            "tests/test_exact.py::"
+            "test_monomial_power_sums_equal_the_enumeration",
+            "tests/test_exact.py::"
+            "test_monomial_power_sums_equal_the_stirling_closed_form[1000]",
+        ],
+    ),
     "Newton's step without its exactness check": (
         "exact.py",
         "        if r:\n"
@@ -160,6 +183,8 @@ MUTANTS = {
             "tests/test_bott.py::test_methods_give_same_degree",
             "tests/test_transport_properties.py::"
             "test_power_sum_numerators_equal_the_counted_routes",
+            "tests/test_bott.py::test_bott_sum_is_the_published_polynomial_in_d"
+            "[legendrian-9,-4,2,0]",
         ],
     ),
     "tangents sent back through elementary_symmetric": (
@@ -177,8 +202,8 @@ MUTANTS = {
             "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
             "tests/test_pencil.py::"
             "test_pencil_fiber_is_the_twisted_contraction_image",
-            "tests/test_transport_properties.py::"
-            "test_pencil_fiber_counts_equal_the_enumerated_fiber",
+            "tests/test_bott.py::"
+            "test_bott_sum_is_the_published_polynomial_in_d[pencil-0,2,7,10]",
         ],
     ),
     "the split's part taken at the pair instead of its complement": (
