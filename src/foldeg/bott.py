@@ -51,7 +51,7 @@ do not depend on the weights.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 from operator import index
 
 from . import exact
@@ -217,9 +217,10 @@ def split_power_sums(pair, d, w, full):
     weights (else ValueError), at the pair (p,q) with complement (k,l):
     (full - part, part), unshifted and to the top index of full, with
     part those of the d + 2 monomials in x_k, x_l alone and full - part
-    those of the monomials that involve x_p or x_q."""
-    if full.p[0] != comb(d + 4, 3):
-        raise ValueError("full count of %d weights at d=%d" % (full.p[0], d))
+    those of the monomials that involve x_p or x_q (d an int, or a
+    RationalPolynomial for power sums as polynomials in d)."""
+    if full.p[0] != (d + 4) * (d + 3) * (d + 2) // 6:
+        raise ValueError("full count of %s weights at d=%s" % (full.p[0], d))
     k, l = complementary_pair(pair)
     part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, len(full.p) - 1)
     return full - part, part

@@ -1,16 +1,17 @@
 """Exact scalars, monomials, torus weights, and Lagrange interpolation.
 
-Everything in this package happens over Q.  Scalars are
-``fractions.Fraction``; no floating point is used anywhere, so every
-equality test downstream is exact.
+Everything in this package happens over Q.  Scalars are ints and
+``fractions.Fraction``s, and a degree may be a RationalPolynomial in d,
+for power sums and e_k as polynomials in d; no floating point is used
+anywhere, so every equality test downstream is exact.
 """
 
 import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, lcm
+from itertools import combinations_with_replacement, zip_longest
+from math import lcm
 
 
 def scalar_to_string(x):
@@ -228,15 +229,17 @@ class PowerSums:
 
 
 def newton_step(k, p):
-    """e_k from p_0..p_k by Newton's identities, j*e_j = sum_{i=1..j}
-    (-1)^(i-1) e_(j-i) p_i.  ValueError unless 0 <= k <= p_0 and p_k is
-    given; ArithmeticError unless each division by j is exact."""
-    if k < 0 or k > p[0] or k >= len(p):
-        raise ValueError("no e_%r of %d values, p_0..p_%d" % (k, p[0], len(p) - 1))
+    """e_k from p_0..p_k, ints or polynomials in d, by Newton's identities,
+    j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  ValueError unless 0 <= k
+    and p_k is given (elementary_symmetric checks k <= p_0); ArithmeticError
+    unless each division by j is exact."""
+    if k < 0 or k >= len(p):
+        raise ValueError("no e_%r of %s values, p_0..p_%d" % (k, p[0], len(p) - 1))
     f = [1]  # f_j = (-1)^j e_j carries the sign: j*f_j = -sum f_(j-i) p_i
     for j in range(1, k + 1):
-        q, r = divmod(-sum(map(operator.mul, reversed(f), p[1:j + 1])), j)
-        if r:
+        total = -sum(map(operator.mul, reversed(f), p[1:j + 1]))
+        q = total // j
+        if q * j != total:
             raise ArithmeticError("e_%d of these power sums is not integral" % j)
         f.append(q)
     return -f[k] if k % 2 else f[k]
@@ -244,18 +247,21 @@ def newton_step(k, p):
 
 def elementary_symmetric(k, values):
     """e_k of PowerSums or of integers (else ValueError: Newton's step
-    divides exactly only on integers).
+    divides exactly only on integers); ValueError unless k <= p_0.
 
     >>> elementary_symmetric(2, [1, 2, 3])
     11
     """
     if not isinstance(values, PowerSums):
         values = tuple(values)
-        try:  # no power above the count: Newton's step refuses such a k
+        try:  # no power above the count: such a k is refused below
             values = PowerSums.of(values, min(k, len(values)))
         except TypeError:
             raise ValueError("e_k needs integers, got %r" % (values,)) from None
-    return newton_step(k, values.p)
+    p = values.p
+    if k > p[0]:
+        raise ValueError("no e_%r of %d values, p_0..p_%d" % (k, p[0], len(p) - 1))
+    return newton_step(k, p)
 
 
 def forward_differences(ys):
@@ -284,15 +290,20 @@ def _power_sum_differences(ws, top):
 def monomial_power_sums(ws, n, top):
     """PowerSums p_0..p_top of the weights m.w of the degree-n monomials
     m in r = len(ws) variables, in a number of operations that does not
-    depend on n: p_j(n) = sum_k D^k p_j(0) C(n, k), ValueError if n < 0.
-    p_j has degree j + r - 1 in n: (m.w)^j is a sum of products
-    prod_i C(m_i, a_i) with |a| <= j, and each sums over |m| = n to
-    C(n+r-1, |a|+r-1).
+    depend on n: p_j(n) = sum_k D^k p_j(0) C(n, k), ValueError if n < 0,
+    polynomials if n is a RationalPolynomial in d.  p_j has degree
+    j + r - 1 in n: (m.w)^j is a sum of products prod_i C(m_i, a_i) with
+    |a| <= j, and each sums over |m| = n to C(n+r-1, |a|+r-1).
 
     >>> monomial_power_sums((1, 2), 2, 2).p  # x^2, xy, y^2: 2, 3, 4
     (3, 9, 29)
     """
-    binomials = [comb(n, k) for k in range(top + len(ws))]
+    if not isinstance(n, RationalPolynomial) and operator.index(n) < 0:
+        raise ValueError("no monomials of degree %r" % (n,))
+    binomials, c = [], 1
+    for k in range(top + len(ws)):  # C(n, k + 1) = C(n, k) (n - k) / (k + 1)
+        binomials.append(c)
+        c = c * (n - k) // (k + 1)
     return PowerSums(sum(map(operator.mul, deltas, binomials))
                      for deltas in _power_sum_differences(tuple(ws), top))
 
@@ -302,6 +313,8 @@ class RationalPolynomial:
 
     Trailing zeros are trimmed, so the leading coefficient is nonzero
     unless the polynomial is zero (empty coefficient tuple, degree -1).
+    An int or Fraction on either side of + and - is a constant, and // by
+    a nonzero int divides exactly, so int code runs unchanged on d.
     """
 
     __slots__ = ("coefficients",)
@@ -331,16 +344,22 @@ class RationalPolynomial:
         return Fraction(acc * den, common * power)
 
     def __add__(self, other):
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
+        if not isinstance(other, RationalPolynomial):
+            other = RationalPolynomial([other])
+        return RationalPolynomial(map(sum, zip_longest(
+            self.coefficients, other.coefficients, fillvalue=0)))
+
+    def __neg__(self):
+        return RationalPolynomial([-c for c in self.coefficients])
 
     def __sub__(self, other):
-        return self + (other * Fraction(-1))
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __floordiv__(self, j):
+        return self * Fraction(1, j)
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
@@ -354,7 +373,7 @@ class RationalPolynomial:
         c = Fraction(other)
         return RationalPolynomial([a * c for a in self.coefficients])
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
 
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):

@@ -1,7 +1,6 @@
 """Tests for the Legendrian localization sum."""
 
 import json
-import operator
 from fractions import Fraction
 from itertools import permutations
 from math import prod
@@ -12,7 +11,6 @@ import foldeg.bott as bott
 import foldeg.exact as exact
 import foldeg.fields as fields
 import foldeg.limits as limits
-import foldeg.pencil as pencil_module
 from foldeg.bott import (
     LEGENDRIAN,
     NonIntegralDegree,
@@ -393,62 +391,41 @@ def test_both_families_at_degrees_beyond_any_count(d):
     assert pencil_degree(d).degree == PENCIL.closed_form(d)
 
 
-def _power_sums_in_d(ws, top):
-    """monomial_power_sums(ws, d + 1, top) as PowerSums of polynomials in
-    d: the package's forward differences D^k p_j(0) times C(d + 1, k)."""
-    binomials, b = [], RationalPolynomial([1])
-    for k in range(top + len(ws)):
-        binomials.append(b)
-        b = b * RationalPolynomial([1 - k, 1]) * Fraction(1, k + 1)
-    return PowerSums(
-        sum(map(operator.mul, binomials, deltas), RationalPolynomial())
-        for deltas in exact._power_sum_differences(tuple(ws), top))
-
-
-def _split_in_d(pair, d, w, full):
-    """split_power_sums on polynomial entries, without its full-count
-    guard, which needs an int d."""
-    k, l = fields.complementary_pair(pair)
-    part = _power_sums_in_d((w.weight(k), w.weight(l)), len(full.p) - 1)
-    return full - part, part
-
-
-def _e_n_in_d(n, power_sums):
-    """e_n of PowerSums of polynomials by Newton's identities, with
-    f_j = (-1)^j e_j: j*f_j = -sum_{i=1..j} f_(j-i) p_i."""
-    p, f = power_sums.p, [RationalPolynomial([1])]
-    for j in range(1, n + 1):
-        total = sum(map(operator.mul, reversed(f), p[1:j + 1]),
-                    RationalPolynomial())
-        f.append(total * Fraction(-1, j))
-    return f[n] * (-1) ** n
-
-
 @pytest.mark.parametrize("weights", (
     (0, 2, 7, 10), (0, 1, 5, 13), (1, 3, 9, 20), (9, -4, 2, 0),
 ), ids=lambda w: ",".join(map(str, w)))
 @pytest.mark.parametrize("family", ("legendrian", "pencil"))
-def test_bott_sum_is_the_published_polynomial_in_d(family, weights,
-                                                   monkeypatch):
+def test_bott_sum_is_the_published_polynomial_in_d(family, weights):
     """The whole Bott sum of each family as a polynomial in d equals the
     published one coefficient by coefficient, so for every d at once:
-    the power sums of the monomial weights are polynomials in d (their
-    forward differences times C(d + 1, k)), which the package's fibers
-    split and shift unchanged, with the split's int guard bypassed."""
+    with d = RationalPolynomial([0, 1]) the package's own power sums,
+    split (its full-count guard included), shifts and Newton step give
+    each fiber's e_n as a polynomial in d."""
     family, fiber = {
         "legendrian": (LEGENDRIAN, image_power_sums),
         "pencil": (PENCIL, pd_twisted_weights),
     }[family]
-    monkeypatch.setattr(bott, "split_power_sums", _split_in_d)
-    monkeypatch.setattr(pencil_module, "split_power_sums", _split_in_d)
     w, d = WeightSystem(weights), RationalPolynomial([0, 1])
     n = len(family.tangent_weights(P5_PAIRS[0], w))
-    full = _power_sums_in_d(w.values, n)
+    full = monomial_power_sums(w.values, d + 1, n)
     total = RationalPolynomial()
     for pair in P5_PAIRS:
-        e_n = _e_n_in_d(n, fiber(pair, d, w, full))
+        e_n = exact.newton_step(n, fiber(pair, d, w, full).p)
         total = total + e_n * Fraction(1, prod(family.tangent_weights(pair, w)))
     assert total == family.closed_form_polynomial()
+
+
+@pytest.mark.parametrize("fiber, top", ((image_power_sums, 5),
+                                        (pd_twisted_weights, 4)))
+def test_split_refuses_a_wrong_count_in_d(fiber, top):
+    """The split's full-count guard runs on a polynomial d too: power
+    sums of the degree-d monomials, not those of degree d + 1, are
+    refused at every pair."""
+    d = RationalPolynomial([0, 1])
+    bad = monomial_power_sums(DEFAULT_WEIGHTS.values, d, top)
+    for pair in P5_PAIRS:
+        with pytest.raises(ValueError, match="full count"):
+            fiber(pair, d, DEFAULT_WEIGHTS, bad)
 
 
 def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):

@@ -452,9 +452,7 @@ def _annihilating_forms(form, phi):
 
 
 @pytest.mark.parametrize("d, forms", (
-    (1, 2), (2, 1), (3, 1),
-    pytest.param(4, 1, marks=pytest.mark.slow),
-    pytest.param(5, 1, marks=pytest.mark.slow),
+    (1, 2), (2, 1), (3, 1), (4, 1), (5, 1),
 ))
 def test_forms_that_annihilate_a_tangent_field(d, forms):
     """The Legendrian fiber of forms: the forms that annihilate a field
@@ -472,9 +470,7 @@ def test_forms_that_annihilate_a_tangent_field(d, forms):
 
 
 @pytest.mark.parametrize("d, kernel", (
-    (2, 20), (3, 40),
-    pytest.param(4, 70, marks=pytest.mark.slow),
-    pytest.param(5, 112, marks=pytest.mark.slow),
+    (2, 20), (3, 40), (4, 70), (5, 112),
 ))
 def test_forms_that_annihilate_a_field_tangent_to_a_pencil(d, kernel):
     """The pencil fiber of forms: at a decomposable form l_1 ^ l_2, a

@@ -69,11 +69,30 @@ MUTANTS = {
     ),
     "Newton's step without its exactness check": (
         "exact.py",
-        "        if r:\n"
+        "        if q * j != total:\n"
         "            raise ArithmeticError("
         "\"e_%d of these power sums is not integral\" % j)\n",
         "",
         ["tests/test_exact.py::test_power_sums_guard_newtons_step"],
+    ),
+    "e_k without its k <= p_0 check": (
+        "exact.py",
+        "    if k > p[0]:\n",
+        "    if False:\n",
+        ["tests/test_exact.py::test_power_sums_guard_newtons_step"],
+    ),
+    "a binomial step that divides by k + 2": (
+        "exact.py",
+        "        c = c * (n - k) // (k + 1)\n",
+        "        c = c * (n - k) // (k + 2)\n",
+        [
+            "tests/test_exact.py::"
+            "test_monomial_power_sums_equal_the_enumeration",
+            "tests/test_exact.py::"
+            "test_monomial_power_sums_equal_the_stirling_closed_form[1000]",
+            "tests/test_bott.py::test_bott_sum_is_the_published_polynomial_in_d"
+            "[legendrian-0,2,7,10]",
+        ],
     ),
     "limit_rows with the levels ascending": (
         "linalg.py",
@@ -215,18 +234,26 @@ MUTANTS = {
             "test_pencil_fiber_is_the_twisted_contraction_image",
             "tests/test_bott.py::test_both_families_at_d1[weights0]",
             "tests/test_bott.py::test_methods_give_same_degree",
+            "tests/test_bott.py::test_bott_sum_is_the_published_polynomial_in_d"
+            "[legendrian-0,1,5,13]",
+            "tests/test_bott.py::test_bott_sum_is_the_published_polynomial_in_d"
+            "[pencil-1,3,9,20]",
         ],
     ),
     "the split without its full-count guard": (
         "bott.py",
-        "    if full.p[0] != comb(d + 4, 3):\n"
-        "        raise ValueError(\"full count of %d weights at d=%d\" "
+        "    if full.p[0] != (d + 4) * (d + 3) * (d + 2) // 6:\n"
+        "        raise ValueError(\"full count of %s weights at d=%s\" "
         "% (full.p[0], d))\n",
         "",
         [
             "tests/test_bott.py::test_image_fiber_needs_every_monomial_weight",
             "tests/test_pencil.py::"
             "test_twisted_fiber_needs_every_removed_weight",
+            "tests/test_bott.py::test_split_refuses_a_wrong_count_in_d"
+            "[image_power_sums-5]",
+            "tests/test_bott.py::test_split_refuses_a_wrong_count_in_d"
+            "[pd_twisted_weights-4]",
         ],
     ),
     "the G(2,4) tangent less a tangent weight, not the normal": (
