@@ -40,8 +40,12 @@ m_1 = m_2 = 0: that character has no field, so the character below
 claims m through its high row, m - e_3 - e_4.
 
 The image route therefore takes each fiber's power sums p_0..p_5, all
-that e_5 needs, in closed form in a number of operations that does not
-depend on d (image_power_sums), with no chains, echelon or field basis.  The kernel
+that e_5 needs, in closed form (image_power_sums), with no chains,
+echelon or field basis.  The split and the shifts are linear with
+constant coefficients, so they commute with forward differences: they
+act once per weight system and pair on the monomial power sums as
+polynomials in d (exact.Differences), and a degree costs one binomial
+row and one dot product per p_j at each pair.  The kernel
 route and "both" compute all six fibers directly (foldeg.limits), and
 "both" checks each, as Z^4 characters, against the closed form
 (fiber_characters), once per (d, pair) in a process: the characters
@@ -57,11 +61,13 @@ from operator import index
 from . import exact
 from .exact import (
     DEFAULT_WEIGHTS,
+    TOP,
     RationalPolynomial,
     as_weight_system,
     character_weights,
-    monomial_power_sums,
     monomials_of_degree,
+    power_sum_differences,
+    power_sums_at,
     scalar_to_string,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
@@ -212,27 +218,40 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     return DegreeReport(family.name, d, w, tuple(contributions), int(total))
 
 
-def split_power_sums(pair, d, w, full):
-    """Split full, the power sums of all C(d+4,3) degree-(d+1) monomial
-    weights (else ValueError), at the pair (p,q) with complement (k,l):
-    (full - part, part), unshifted and to the top index of full, with
-    part those of the d + 2 monomials in x_k, x_l alone and full - part
-    those of the monomials that involve x_p or x_q (d an int, or a
-    RationalPolynomial for power sums as polynomials in d)."""
-    if full.p[0] != (d + 4) * (d + 3) * (d + 2) // 6:
-        raise ValueError("full count of %s weights at d=%s" % (full.p[0], d))
+def split_power_sums(pair, w):
+    """The power sums p_0..p_5 of the degree-(d+1) monomial weights at w, as
+    Differences in d + 1, split at the pair (p,q) with complement (k,l):
+    (full - part, part), part those of the d + 2 monomials in x_k, x_l
+    alone, full - part those of the monomials that involve x_p or x_q."""
     k, l = complementary_pair(pair)
-    part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, len(full.p) - 1)
+    full = power_sum_differences(w.values, TOP)
+    part = power_sum_differences((w.weight(k), w.weight(l)), TOP)
     return full - part, part
 
 
-def image_power_sums(pair, d, w, full):
-    """The image fiber at [kappa_pair] in closed form (module docstring)
-    as power sums p_0..p_5: split_power_sums of full, the monomials that
-    involve x_p or x_q shifted by -(w_p + w_q), the rest by -(w_k + w_l)."""
-    reached, part = split_power_sums(pair, d, w, full)
+def counted_fiber(fiber, d, removed):
+    """fiber, if it counts the C(d+4,3) monomial weights of degree d + 1
+    less removed of them (ValueError otherwise), ints or polynomials in d."""
+    count = (d + 4) * (d + 3) * (d + 2) // 6 - removed
+    if fiber.p[0] != count:
+        raise ValueError("fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))
+    return fiber
+
+
+@lru_cache(maxsize=12)
+def _image_table(pair, w):
+    """The image fiber at pair as Differences in d + 1 (split_power_sums):
+    the monomials that involve x_p or x_q shifted by -(w_p + w_q), the
+    rest by -(w_k + w_l)."""
+    reached, part = split_power_sums(pair, w)
     low = w.pair_sum(pair)  # w_p + w_q, so w_k + w_l = sum(w.values) - low
     return reached.shifted(-low) + part.shifted(low - sum(w.values))
+
+
+def image_power_sums(pair, d, w):
+    """The image fiber at [kappa_pair] in closed form (module docstring) as
+    power sums p_0..p_5: its table at d + 1, one weight per monomial."""
+    return counted_fiber(power_sums_at(_image_table(pair, w), d + 1), d, 0)
 
 
 def fiber_characters(d, pair):
@@ -274,9 +293,8 @@ def legendrian_fibers(d, weights, method=None):
         raise ValueError("unknown method %r" % (method,))
     w = as_weight_system(weights)
     if method == METHOD_IMAGE:
-        full = monomial_power_sums(w.values, d + 1, 5)
         for pair in P5_PAIRS:
-            yield pair, image_power_sums(pair, d, w, full)
+            yield pair, image_power_sums(pair, d, w)
         return
     for i, pair in enumerate(P5_PAIRS):
         key = 6 * d + i

@@ -189,7 +189,8 @@ class PowerSums:
     which is all e_1..e_K need; len is p_0, the number of values.  + and
     - add and remove multisets term by term, and shifted(c) gives the
     power sums of every v + c by the binomial theorem, with no binomial
-    or power computed (Pascal's rule, below)."""
+    or power computed (Pascal's rule, below).  The same holds for power
+    sums that are Differences in n, all degrees n at once."""
 
     __slots__ = ("p",)
 
@@ -278,34 +279,69 @@ def forward_differences(ys):
     return deltas
 
 
+class Differences(tuple):
+    """A polynomial f in n as its forward differences D^k f(0), k = 0, 1, ...,
+    so that f(n) = sum_k D^k f(0) C(n, k).  They are linear in f: +, - and
+    an int factor act entry by entry, so PowerSums of them split, subtract
+    and shift as PowerSums of ints do, at every n at once."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Differences([a + b for a, b in zip_longest(self, other, fillvalue=0)])
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __rmul__(self, c):
+        return Differences([c * a for a in self])
+
+
+TOP = 5  # p_0..p_5: e_5 of a Legendrian fiber; the pencil's e_4 reads p_0..p_4
+
+
 @lru_cache(maxsize=256)
-def _power_sum_differences(ws, top):
-    """forward_differences of p_0..p_top of monomial_power_sums at ws, counted
-    at n = 0..top + len(ws) - 1: p_top has degree top + len(ws) - 1."""
+def power_sum_differences(ws, top):
+    """p_0..p_top of the weights m.w of the degree-n monomials m in r =
+    len(ws) variables as Differences in n, from the counts at n = 0..top +
+    r - 1: p_j has degree j + r - 1, as (m.w)^j is a sum of products
+    prod_i C(m_i, a_i), |a| <= j, each summing over |m| = n to
+    C(n+r-1, |a|+r-1).  Callers ask for top >= TOP: one table per ws."""
     samples = [PowerSums.of(map(sum, combinations_with_replacement(ws, n)), top).p
                for n in range(top + len(ws))]
-    return tuple(map(forward_differences, zip(*samples)))
+    return PowerSums(Differences(forward_differences(p)) for p in zip(*samples))
+
+
+@lru_cache(maxsize=2)
+def binomial_row(n, length):
+    """C(n, k), k < length, each C(n, k - 1) (n - k + 1) // k, an exact
+    division, so polynomials at a RationalPolynomial n; two rows are kept,
+    so that the six fixed points of a degree share one."""
+    row = [1]
+    for k in range(1, length):
+        row.append(row[-1] * (n - k + 1) // k)
+    return tuple(row)
+
+
+def power_sums_at(table, n):
+    """The PowerSums of a table of Differences at n, an int >= 0 (else
+    ValueError: every table counts degree-n monomials) or a
+    RationalPolynomial: one binomial_row and one dot product per p_j."""
+    if not isinstance(n, RationalPolynomial) and operator.index(n) < 0:
+        raise ValueError("no monomials of degree %r" % (n,))
+    binomials = binomial_row(n, max(map(len, table.p)))
+    return PowerSums([sum(map(operator.mul, f, binomials)) for f in table.p])
 
 
 def monomial_power_sums(ws, n, top):
-    """PowerSums p_0..p_top of the weights m.w of the degree-n monomials
-    m in r = len(ws) variables, in a number of operations that does not
-    depend on n: p_j(n) = sum_k D^k p_j(0) C(n, k), ValueError if n < 0,
-    polynomials if n is a RationalPolynomial in d.  p_j has degree
-    j + r - 1 in n: (m.w)^j is a sum of products prod_i C(m_i, a_i) with
-    |a| <= j, and each sums over |m| = n to C(n+r-1, |a|+r-1).
+    """PowerSums p_0..p_top of the weights m.w of the degree-n monomials m
+    in len(ws) variables: their power_sum_differences at n (power_sums_at).
 
     >>> monomial_power_sums((1, 2), 2, 2).p  # x^2, xy, y^2: 2, 3, 4
     (3, 9, 29)
     """
-    if not isinstance(n, RationalPolynomial) and operator.index(n) < 0:
-        raise ValueError("no monomials of degree %r" % (n,))
-    binomials, c = [], 1
-    for k in range(top + len(ws)):  # C(n, k + 1) = C(n, k) (n - k) / (k + 1)
-        binomials.append(c)
-        c = c * (n - k) // (k + 1)
-    return PowerSums(sum(map(operator.mul, deltas, binomials))
-                     for deltas in _power_sum_differences(tuple(ws), top))
+    table = power_sum_differences(tuple(ws), max(top, TOP))
+    return power_sums_at(PowerSums(table.p[:top + 1]), n)
 
 
 class RationalPolynomial:

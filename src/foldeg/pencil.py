@@ -6,20 +6,22 @@ decomposable form x_i ^ x_j up to scale, so G(2,4) is the Pfaff-Plucker
 quadric in the P^5 of forms, off which the contact forms lie, with the
 same six fixed points.  The fiber at <x_p, x_q> is the part of the
 Legendrian split (foldeg.bott.split_power_sums) that the contraction
-with kappa_pq reaches, twisted (pd_twisted_weights); the tangent is that
-of P^5 less the normal (tangent_weights_g24).
+with kappa_pq reaches, twisted once per weight system and pair as a
+table in d (_twisted_table) and evaluated at each d (pd_twisted_weights);
+the tangent is that of P^5 less the normal (tangent_weights_g24).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .bott import Family, localize, split_power_sums, tangent_weights_p5
+from .bott import Family, counted_fiber, localize, split_power_sums, tangent_weights_p5
 from .exact import (
     DEFAULT_WEIGHTS,
+    PowerSums,
     RationalPolynomial,
     as_weight_system,
-    monomial_power_sums,
     multiset_difference,
+    power_sums_at,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 
@@ -37,22 +39,29 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
     return multiset_difference(tangent_weights_p5(pair, w), [normal])
 
 
-def pd_twisted_weights(pair, d, weights, full):
+@lru_cache(maxsize=12)
+def _twisted_table(pair, w):
+    """The twisted fiber at <x_p, x_q> as Differences in d + 1, p_0..p_4:
+    the split's monomials that involve x_p or x_q, shifted by w_k + w_l,
+    the line-bundle twist."""
+    reached, _ = split_power_sums(pair, w)
+    twist = sum(w.values) - w.pair_sum(pair)
+    return PowerSums(reached.p[:5]).shifted(twist)
+
+
+def pd_twisted_weights(pair, d, weights):
     """Power sums p_0..p_4 of the twisted quotient sheaf's fiber at the
-    pencil <x_p, x_q>: split_power_sums of full (those of all C(d+4,3)
-    degree-(d+1) monomial weights), the monomials that involve x_p or
-    x_q, shifted by w_k + w_l, the line-bundle twist."""
+    pencil <x_p, x_q>: its table at d + 1, with the C(d+4,3) - (d+2)
+    weights of the monomials that involve x_p or x_q."""
     pair = as_fixed_point(pair)
     w = as_weight_system(weights).require_admissible()
-    reached, _ = split_power_sums(pair, d, w, full)
-    return reached.shifted(sum(w.values) - w.pair_sum(pair))
+    return counted_fiber(power_sums_at(_twisted_table(pair, w), d + 1), d, d + 2)
 
 
 def pencil_fibers(d, weights):
     """(pair, twisted fiber power sums) at the six pencils, one at a time."""
-    full = monomial_power_sums(weights.values, d + 1, 4)
     for pair in P5_PAIRS:
-        yield pair, pd_twisted_weights(pair, d, weights, full)
+        yield pair, pd_twisted_weights(pair, d, weights)
 
 
 @lru_cache(maxsize=None)

@@ -92,11 +92,11 @@ def enumerated_pencil_fiber(pair, d, weights):
 
 
 def counted_monomial_weights(d, w):
-    """Weights of the degree-(d+1) monomials as a sorted tuple, counted by
-    progressions: with x_3^c x_4^e fixed and r = d + 1 - c - e, the
-    weights of x_1^a x_2^(r-a) are c*w_3 + e*w_4 + r*w_2 + a*(w_1 - w_2)
-    for a = 0..r.  No monomial is built; the step is nonzero for
-    admissible weights."""
+    """Weights of the degree-(d+1) monomials as a Counter, value ->
+    multiplicity, counted by progressions: with x_3^c x_4^e fixed and
+    r = d + 1 - c - e, the weights of x_1^a x_2^(r-a) are
+    c*w_3 + e*w_4 + r*w_2 + a*(w_1 - w_2) for a = 0..r.  No monomial is
+    built; the step is nonzero for admissible weights."""
     w1, w2, w3, w4 = w.values
     n, step = d + 1, w1 - w2
     counts = Counter()
@@ -105,44 +105,49 @@ def counted_monomial_weights(d, w):
             r = n - c - e
             base = c * w3 + e * w4 + r * w2
             counts.update(range(base, base + (r + 1) * step, step))
-    return tuple(sorted(counts.elements()))
+    return counts
 
 
 def split_monomial_weights(pair, d, w, monomial_weights):
-    """The degree-(d+1) monomial weights split at pair (p,q) with
-    complement (k,l), as sorted tuples: those of the monomials that
+    """The Counter of degree-(d+1) monomial weights split at pair (p,q)
+    with complement (k,l), as Counters: those of the monomials that
     involve x_p or x_q, and the d+2 weights a*w_k + (d+1-a)*w_l of those
     in x_k, x_l alone, by Counter subtraction, which must remove them all."""
     k, l = complementary_pair(pair)
     wk, wl = w.weight(k), w.weight(l)
     start, step = (d + 1) * wl, wk - wl
     removed = Counter(range(start, start + (d + 2) * step, step))
-    counts = Counter(monomial_weights)
-    rest = counts - removed
-    assert rest + removed == counts, "the split removes a weight not there"
-    return tuple(sorted(rest.elements())), tuple(sorted(removed.elements()))
+    rest = monomial_weights.copy()
+    rest.subtract(removed)
+    assert min(rest.values()) >= 0, "the split removes a weight not there"
+    return rest, removed
+
+
+def _shifted(counts, c):
+    """A Counter of values with every value moved by c, zero counts left out."""
+    return Counter({v + c: m for v, m in counts.items() if m})
 
 
 def counted_image_fiber(pair, d, w, monomial_weights):
-    """The Legendrian image fiber at pair as a sorted tuple: the monomials
-    that involve x_p or x_q shifted by -(w_p + w_q), the rest by
-    -(w_k + w_l)."""
+    """The Legendrian image fiber at pair as a Counter: the monomials that
+    involve x_p or x_q shifted by -(w_p + w_q), the rest by -(w_k + w_l)."""
     rest, removed = split_monomial_weights(pair, d, w, monomial_weights)
     low, high = w.pair_sum(pair), w.pair_sum(complementary_pair(pair))
-    return tuple(sorted([v - low for v in rest] + [v - high for v in removed]))
+    fiber = _shifted(rest, -low)
+    fiber.update(_shifted(removed, -high))
+    return fiber
 
 
 def counted_pencil_fiber(pair, d, weights, counted=None):
-    """Twisted pencil fiber at pair as a sorted tuple: every degree-(d+1)
-    monomial weight counted by progressions (or counted, those weights
-    taken once for all six pencils), less the d+2 weights split off at
-    pair, every value shifted by w_k + w_l."""
+    """Twisted pencil fiber at pair as a Counter: every degree-(d+1)
+    monomial weight counted by progressions (or counted, the Counter of
+    those weights taken once for all six pencils), less the d+2 weights
+    split off at pair, every value shifted by w_k + w_l."""
     w = WeightSystem(weights)
     if counted is None:
         counted = counted_monomial_weights(d, w)
     rest, _ = split_monomial_weights(pair, d, w, counted)
-    twist = w.pair_sum(complementary_pair(pair))
-    return tuple(v + twist for v in rest)
+    return _shifted(rest, w.pair_sum(complementary_pair(pair)))
 
 
 def explicit_g24_tangent_weights(pair, weights):

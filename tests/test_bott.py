@@ -11,6 +11,7 @@ import foldeg.bott as bott
 import foldeg.exact as exact
 import foldeg.fields as fields
 import foldeg.limits as limits
+import foldeg.pencil as pencil
 from foldeg.bott import (
     LEGENDRIAN,
     NonIntegralDegree,
@@ -22,6 +23,7 @@ from foldeg.bott import (
     tangent_weights_p5,
 )
 from foldeg.exact import (
+    Differences,
     InadmissibleWeights,
     PowerSums,
     RationalPolynomial,
@@ -29,7 +31,7 @@ from foldeg.exact import (
     character_weights,
     monomial_power_sums,
 )
-from foldeg.fields import P5_PAIRS
+from foldeg.fields import P5_PAIRS, complementary_pair
 from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
@@ -188,15 +190,11 @@ def test_transport_matches_direct_fibers(weights):
 
 
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
-    """The image route takes one closed-form sum over the four variables
-    per degree and weight system, and builds neither chains, nor a field
-    basis, nor a contraction matrix; the kernel route takes no sum."""
-    sums, calls = [], []
-
-    def counting_sums(ws, n, top):
-        if len(ws) == 4:
-            sums.append((n, top))
-        return monomial_power_sums(ws, n, top)
+    """The image route builds each fiber's table once per weight system
+    and pair and evaluates it at every degree; it builds neither chains,
+    nor a field basis, nor a contraction matrix, and the kernel route
+    takes no table."""
+    calls = []
 
     def counting(pair, d, weights, method):
         calls.append((pair, method))
@@ -205,22 +203,41 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
     def refused(*args):
         raise AssertionError("the image route built a global structure")
 
-    monkeypatch.setattr(bott, "monomial_power_sums", counting_sums)
     monkeypatch.setattr(bott, "limit_fiber_weights", counting)
+    bott._image_table.cache_clear()
     with monkeypatch.context() as m:
         for module in (fields, limits):
             m.setattr(module, "build_phi_basis", refused)
         m.setattr(limits, "build_contraction_matrix", refused)
         m.setattr(limits, "_chains", refused)
         limits._pair_chains.cache_clear()
-        image = legendrian_degree(5, method=METHOD_IMAGE)
-        legendrian_degree(5, ALT_WEIGHTS_A, method=METHOD_IMAGE)
-    assert sums == [(6, 5), (6, 5)] and calls == []
-    kernel = legendrian_degree(5, method=METHOD_KERNEL)
+        for d in (5, 6):
+            image = legendrian_degree(d, method=METHOD_IMAGE)
+            legendrian_degree(d, ALT_WEIGHTS_A, method=METHOD_IMAGE)
+    tables = bott._image_table.cache_info()
+    assert (tables.misses, tables.hits) == (12, 12) and calls == []
+    kernel = legendrian_degree(6, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
     assert len(calls) == 6
-    # the kernel route reads no closed form
-    assert sums == [(6, 5), (6, 5)]
+    assert bott._image_table.cache_info() == tables
+
+
+def test_both_families_share_one_monomial_table():
+    """The power sums of the degree-(d+1) monomial weights, as polynomials
+    in d, are one table per weight system for both families: after a
+    Legendrian and a pencil degree the four-variable table has been built
+    once, beside one two-variable table per pair, and the next degree of
+    each builds no table at all."""
+    caches = (exact.power_sum_differences, bott._image_table,
+              pencil._twisted_table)
+    for cache in caches:
+        cache.cache_clear()
+    legendrian_degree(20)
+    pencil_degree(20)
+    assert [cache.cache_info().misses for cache in caches] == [1 + 6, 6, 6]
+    legendrian_degree(21)
+    pencil_degree(21)
+    assert [cache.cache_info().misses for cache in caches] == [1 + 6, 6, 6]
 
 
 def _characters_moved_at_34(monkeypatch, move):
@@ -244,13 +261,11 @@ def test_both_checks_closed_form_fibers(monkeypatch):
     assert legendrian_degree(3, method=METHOD_BOTH).degree == (
         LEGENDRIAN_D3_DEGREE
     )
-    summed = bott.image_power_sums
+    table = bott._image_table
+    moved = PowerSums([Differences()] + [Differences([1])] * 5)
 
-    def sums_off_at_34(pair, d, w, full):
-        fiber = summed(pair, d, w, full)
-        if pair != (3, 4):
-            return fiber
-        return fiber + PowerSums((0, 1, 1, 1, 1, 1))  # a weight 0 moved to 1
+    def table_off_at_34(pair, w):  # a weight 0 moved to 1 at every d
+        return table(pair, w) + moved if pair == (3, 4) else table(pair, w)
 
     _characters_moved_at_34(monkeypatch, (1, 0, 0, 0))
     bott._both_checked.clear()  # d = 3 passed above; check it afresh
@@ -258,22 +273,48 @@ def test_both_checks_closed_form_fibers(monkeypatch):
         legendrian_degree(3, method=METHOD_BOTH)
     # the image route has no direct fiber to compare with; Newton's step
     # and the integrality of the sum are what catch a wrong one there
-    monkeypatch.setattr(bott, "image_power_sums", sums_off_at_34)
+    monkeypatch.setattr(bott, "_image_table", table_off_at_34)
     with pytest.raises(ArithmeticError):
         legendrian_degree(3, method=METHOD_IMAGE)
 
 
-def test_image_fiber_needs_every_monomial_weight():
-    """The d + 2 weights split off at a pair are subtracted from the
-    shared full count, so that count must hold all C(d+4,3) monomial
-    weights; one that lacks a weight, or counts another degree, is
-    refused rather than read as a smaller fiber."""
-    full = monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 5)  # d = 2
-    assert len(image_power_sums((1, 2), 2, DEFAULT_WEIGHTS, full)) == 20
-    short = full - PowerSums((1, 30, 900, 27000, 810000, 24300000))  # x_4^3
-    for bad in (short, monomial_power_sums(DEFAULT_WEIGHTS.values, 2, 5)):
-        with pytest.raises(ValueError):
-            image_power_sums((1, 2), 2, DEFAULT_WEIGHTS, bad)
+@pytest.mark.parametrize("weights", ((0, 2, 7, 10), (0, 1, 5, 13),
+                                     (1, 3, 9, 20), (9, -4, 2, 0)))
+def test_fiber_tables_commute_with_the_split_and_shifts(weights):
+    """The split, the subtraction and the shifts commute with the forward
+    differences: at every pair of both families and d = 1..59, the fiber
+    tables at d + 1 give the power sums that splitting and shifting the
+    monomial power sums at that d gives."""
+    w = WeightSystem(weights)
+    for d in range(1, 60):
+        full = monomial_power_sums(w.values, d + 1, 5)
+        for pair in P5_PAIRS:
+            k, l = complementary_pair(pair)
+            part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, 5)
+            low, high = w.pair_sum(pair), w.pair_sum((k, l))
+            image = (full - part).shifted(-low) + part.shifted(-high)
+            assert image_power_sums(pair, d, w).p == image.p, (pair, d)
+            twisted = PowerSums((full - part).p[:5]).shifted(high)
+            assert pd_twisted_weights(pair, d, w).p == twisted.p, (pair, d)
+
+
+def _without_a_zero(table, top=5):
+    """A fiber table of p_0..p_top that lacks one weight 0 at every d."""
+    return table - PowerSums([Differences([1])] + [Differences()] * top)
+
+
+def test_image_fiber_needs_every_monomial_weight(monkeypatch):
+    """Each fiber is its table at d + 1, and its count must be all
+    C(d+4,3) monomial weights; a table that lacks a weight, or counts the
+    pencil fiber's C(d+4,3) - (d+2), is refused rather than read as a
+    smaller fiber."""
+    assert len(image_power_sums((1, 2), 2, DEFAULT_WEIGHTS)) == 20
+    table = bott._image_table((1, 2), DEFAULT_WEIGHTS)
+    for bad, count in ((_without_a_zero(table), 19),
+                       (pencil._twisted_table((1, 2), DEFAULT_WEIGHTS), 16)):
+        monkeypatch.setattr(bott, "_image_table", lambda pair, w: bad)
+        with pytest.raises(ValueError, match="fiber count %d, not 20" % count):
+            image_power_sums((1, 2), 2, DEFAULT_WEIGHTS)
 
 
 @pytest.mark.parametrize("weights", ((0, 2, 7, 10), (0, 1, 5, 13),
@@ -398,34 +439,36 @@ def test_both_families_at_degrees_beyond_any_count(d):
 def test_bott_sum_is_the_published_polynomial_in_d(family, weights):
     """The whole Bott sum of each family as a polynomial in d equals the
     published one coefficient by coefficient, so for every d at once:
-    with d = RationalPolynomial([0, 1]) the package's own power sums,
-    split (its full-count guard included), shifts and Newton step give
-    each fiber's e_n as a polynomial in d."""
+    with d = RationalPolynomial([0, 1]) the package's own fiber tables,
+    evaluator, count guard and Newton step give each fiber's e_n as a
+    polynomial in d."""
     family, fiber = {
         "legendrian": (LEGENDRIAN, image_power_sums),
         "pencil": (PENCIL, pd_twisted_weights),
     }[family]
     w, d = WeightSystem(weights), RationalPolynomial([0, 1])
     n = len(family.tangent_weights(P5_PAIRS[0], w))
-    full = monomial_power_sums(w.values, d + 1, n)
     total = RationalPolynomial()
     for pair in P5_PAIRS:
-        e_n = exact.newton_step(n, fiber(pair, d, w, full).p)
+        e_n = exact.newton_step(n, fiber(pair, d, w).p)
         total = total + e_n * Fraction(1, prod(family.tangent_weights(pair, w)))
     assert total == family.closed_form_polynomial()
 
 
 @pytest.mark.parametrize("fiber, top", ((image_power_sums, 5),
                                         (pd_twisted_weights, 4)))
-def test_split_refuses_a_wrong_count_in_d(fiber, top):
-    """The split's full-count guard runs on a polynomial d too: power
-    sums of the degree-d monomials, not those of degree d + 1, are
-    refused at every pair."""
+def test_split_refuses_a_wrong_count_in_d(fiber, top, monkeypatch):
+    """The fiber count guard runs on a polynomial d too: a table of
+    p_0..p_top that lacks a weight 0 is refused at every pair."""
+    module, name = {image_power_sums: (bott, "_image_table"),
+                    pd_twisted_weights: (pencil, "_twisted_table")}[fiber]
+    built = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda pair, w: _without_a_zero(built(pair, w), top))
     d = RationalPolynomial([0, 1])
-    bad = monomial_power_sums(DEFAULT_WEIGHTS.values, d, top)
     for pair in P5_PAIRS:
-        with pytest.raises(ValueError, match="full count"):
-            fiber(pair, d, DEFAULT_WEIGHTS, bad)
+        with pytest.raises(ValueError, match="fiber count"):
+            fiber(pair, d, DEFAULT_WEIGHTS)
 
 
 def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):
@@ -455,8 +498,7 @@ def test_inadmissible_weights_raise_at_every_entry_point(bad):
     entry_points = [
         lambda w: pencil_degree(2, w),
         *(lambda w, m=m: legendrian_degree(2, w, method=m) for m in METHODS),
-        lambda w: pd_twisted_weights(
-            (1, 2), 2, w, monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 4)),
+        lambda w: pd_twisted_weights((1, 2), 2, w),
         lambda w: tangent_weights_p5((1, 2), w),
         lambda w: tangent_weights_g24((1, 2), w),
         lambda w: limit_fiber_weights((1, 2), 2, w),

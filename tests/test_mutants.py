@@ -81,10 +81,10 @@ MUTANTS = {
         "    if False:\n",
         ["tests/test_exact.py::test_power_sums_guard_newtons_step"],
     ),
-    "a binomial step that divides by k + 2": (
+    "a binomial step that divides by k + 1, not k": (
         "exact.py",
-        "        c = c * (n - k) // (k + 1)\n",
-        "        c = c * (n - k) // (k + 2)\n",
+        "        row.append(row[-1] * (n - k + 1) // k)\n",
+        "        row.append(row[-1] * (n - k + 1) // (k + 1))\n",
         [
             "tests/test_exact.py::"
             "test_monomial_power_sums_equal_the_enumeration",
@@ -215,8 +215,8 @@ MUTANTS = {
     ),
     "the pencil twist by w_p + w_q": (
         "pencil.py",
-        "    return reached.shifted(sum(w.values) - w.pair_sum(pair))\n",
-        "    return reached.shifted(w.pair_sum(pair))\n",
+        "    twist = sum(w.values) - w.pair_sum(pair)\n",
+        "    twist = w.pair_sum(pair)\n",
         [
             "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
             "tests/test_pencil.py::"
@@ -240,11 +240,11 @@ MUTANTS = {
             "[pencil-1,3,9,20]",
         ],
     ),
-    "the split without its full-count guard": (
+    "the fiber count guard removed": (
         "bott.py",
-        "    if full.p[0] != (d + 4) * (d + 3) * (d + 2) // 6:\n"
-        "        raise ValueError(\"full count of %s weights at d=%s\" "
-        "% (full.p[0], d))\n",
+        "    if fiber.p[0] != count:\n"
+        "        raise ValueError(\"fiber count %s, not %s, at d=%s\" "
+        "% (fiber.p[0], count, d))\n",
         "",
         [
             "tests/test_bott.py::test_image_fiber_needs_every_monomial_weight",
@@ -254,6 +254,55 @@ MUTANTS = {
             "[image_power_sums-5]",
             "tests/test_bott.py::test_split_refuses_a_wrong_count_in_d"
             "[pd_twisted_weights-4]",
+        ],
+    ),
+    "a fiber count guard that keeps the removed weights": (
+        "bott.py",
+        "    count = (d + 4) * (d + 3) * (d + 2) // 6 - removed\n",
+        "    count = (d + 4) * (d + 3) * (d + 2) // 6\n",
+        [
+            "tests/test_pencil.py::test_twisted_fiber_size",
+            "tests/test_pencil.py::"
+            "test_twisted_fiber_needs_every_removed_weight",
+        ],
+    ),
+    "the image fiber table evaluated at n = d": (
+        "bott.py",
+        "power_sums_at(_image_table(pair, w), d + 1)",
+        "power_sums_at(_image_table(pair, w), d)",
+        [
+            "tests/test_bott.py::"
+            "test_fiber_tables_commute_with_the_split_and_shifts[weights0]",
+            "tests/test_bott.py::"
+            "test_published_polynomial_pointwise_at_high_degree[weights0]",
+            "tests/test_bott.py::test_image_fiber_needs_every_monomial_weight",
+            "tests/test_transport_properties.py::"
+            "test_power_sum_numerators_equal_the_counted_routes",
+        ],
+    ),
+    "the pencil fiber table built with its shift sign flipped": (
+        "pencil.py",
+        "    return PowerSums(reached.p[:5]).shifted(twist)\n",
+        "    return PowerSums(reached.p[:5]).shifted(-twist)\n",
+        [
+            "tests/test_bott.py::"
+            "test_fiber_tables_commute_with_the_split_and_shifts[weights3]",
+            "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
+            "tests/test_pencil.py::"
+            "test_pencil_fiber_is_the_twisted_contraction_image",
+            "tests/test_bott.py::"
+            "test_bott_sum_is_the_published_polynomial_in_d[pencil-9,-4,2,0]",
+        ],
+    ),
+    "the split's full table at the default weights": (
+        "bott.py",
+        "    full = power_sum_differences(w.values, TOP)\n",
+        "    full = power_sum_differences((0, 2, 7, 10), TOP)\n",
+        [
+            "tests/test_transport_properties.py::"
+            "test_power_sum_numerators_equal_the_counted_routes",
+            "tests/test_pencil.py::"
+            "test_pencil_fiber_is_the_twisted_contraction_image",
         ],
     ),
     "the G(2,4) tangent less a tangent weight, not the normal": (

@@ -6,13 +6,15 @@ from operator import add
 
 import pytest
 
+import foldeg.pencil as pencil
 from foldeg.exact import (
+    Differences,
     InadmissibleWeights,
     PowerSums,
     character_weights,
     elementary_symmetric,
-    monomial_power_sums,
     monomials_of_degree,
+    power_sum_differences,
 )
 from foldeg.fields import (
     P5_PAIRS,
@@ -49,12 +51,11 @@ def test_fixed_pencils():
     pairs = [pair for pair, _ in pencil_fibers(2, DEFAULT_WEIGHTS)]
     assert pairs == list(P5_PAIRS)
     assert pencil_degree(2).contributions[0].pair == (1, 2)
-    full = monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 4)  # d = 2
     for bad in ((3, 3), (2, 1)):
         with pytest.raises(ValueError):
             tangent_weights_g24(bad)
         with pytest.raises(ValueError):
-            pd_twisted_weights(bad, 2, DEFAULT_WEIGHTS, full)
+            pd_twisted_weights(bad, 2, DEFAULT_WEIGHTS)
 
 
 def test_tangent_weights():
@@ -73,25 +74,26 @@ def test_tangent_weights():
 
 def test_twisted_fiber_size():
     for d in (2, 3, 4):
-        full = monomial_power_sums(DEFAULT_WEIGHTS.values, d + 1, 4)
         for pair in P5_PAIRS:
-            fibre = pd_twisted_weights(pair, d, DEFAULT_WEIGHTS, full)
+            fibre = pd_twisted_weights(pair, d, DEFAULT_WEIGHTS)
             assert len(fibre) == comb(d + 4, 3) - (d + 2)
 
 
-def test_twisted_fiber_needs_every_removed_weight():
-    """The d+2 removed weights are subtracted from the shared full count,
-    so that count must hold all C(d+4,3) monomial weights; one that
-    lacks a weight, or counts another degree, is refused rather than
-    read as a smaller fiber."""
-    full = monomial_power_sums(DEFAULT_WEIGHTS.values, 3, 4)  # d = 2
-    fiber = pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, full)
+def test_twisted_fiber_needs_every_removed_weight(monkeypatch):
+    """Each fiber is its table at d + 1, and its count must be the
+    C(d+4,3) monomial weights less the d + 2 removed; a table that lacks a
+    weight, or keeps the removed ones, is refused rather than read as
+    another fiber."""
+    fiber = pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS)
     expected = enumerated_pencil_fiber((1, 2), 2, DEFAULT_WEIGHTS.values)
     assert fiber.p == PowerSums.of(expected, 4).p
-    short = full - PowerSums((1, 30, 900, 27000, 810000))  # x_4^3 dropped
-    for bad in (short, monomial_power_sums(DEFAULT_WEIGHTS.values, 2, 4)):
-        with pytest.raises(ValueError):
-            pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS, bad)
+    table = pencil._twisted_table((1, 2), DEFAULT_WEIGHTS)
+    short = table - PowerSums([Differences([1])] + [Differences()] * 4)
+    for bad, count in ((short, 15),
+                       (power_sum_differences(DEFAULT_WEIGHTS.values, 5), 20)):
+        monkeypatch.setattr(pencil, "_twisted_table", lambda pair, w: bad)
+        with pytest.raises(ValueError, match="fiber count %d, not 16" % count):
+            pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS)
 
 
 SYSTEMS = ((0, 2, 7, 10), (9, -4, 2, 0), (1, 3, 9, 20))
@@ -129,8 +131,7 @@ def test_pencil_fiber_is_the_twisted_contraction_image():
             assert rank(list(rows.values()), len(basis)) == len(reached)
             assert len(reached) == comb(d + 4, 3) - (d + 2)
             for values in SYSTEMS:
-                full = monomial_power_sums(values, d + 1, 4)
-                fiber = pd_twisted_weights(pair, d, values, full)
+                fiber = pd_twisted_weights(pair, d, values)
                 weights = character_weights(characters, values)
                 assert PowerSums.of(weights, 4).p == fiber.p, (d, pair, values)
 
@@ -146,8 +147,7 @@ def test_pencil_e4_is_that_of_the_twisted_contraction_image(d):
         _, reached, characters = _contraction_image(pair, basis)
         assert len(reached) == comb(d + 4, 3) - (d + 2)
         for values in SYSTEMS:
-            full = monomial_power_sums(values, d + 1, 4)
-            fiber = pd_twisted_weights(pair, d, values, full)
+            fiber = pd_twisted_weights(pair, d, values)
             weights = character_weights(characters, values)
             assert elementary_symmetric_recurrence(4, weights) == (
                 elementary_symmetric(4, fiber)), (pair, values)

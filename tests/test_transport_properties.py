@@ -12,10 +12,10 @@ from collections import Counter
 from foldeg import limits
 from foldeg.bott import fiber_characters, image_power_sums, localize
 from foldeg.exact import (
+    PowerSums,
     WeightSystem,
     character_weights,
     elementary_symmetric,
-    monomial_power_sums,
 )
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
@@ -234,11 +234,11 @@ def test_monomial_weight_progressions_equal_the_enumeration(values):
     w = WeightSystem(values)
     for d in range(31):
         full = counted_monomial_weights(d, w)
-        assert full == enumerated_monomial_weights(d, w), d
+        assert full == Counter(enumerated_monomial_weights(d, w)), d
         for pair in P5_PAIRS:
             _, removed = split_monomial_weights(pair, d, w, full)
-            assert removed == enumerated_complement_weights(pair, d, w), (
-                pair, d)
+            assert removed == Counter(
+                enumerated_complement_weights(pair, d, w)), (pair, d)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(0, 10))
@@ -246,11 +246,10 @@ def test_pencil_fiber_counts_equal_the_enumerated_fiber(values, d):
     """The twisted fiber counted from one Counter of monomial weights is
     the enumerated, sorted and differenced fiber at all six pencils, and
     the closed-form power sums are p_0..p_4 of that fiber."""
-    full = monomial_power_sums(values, d + 1, 4)
     for pair in P5_PAIRS:
         expected = enumerated_pencil_fiber(pair, d, values)
-        assert list(counted_pencil_fiber(pair, d, values)) == expected
-        fiber = pd_twisted_weights(pair, d, values, full)
+        assert counted_pencil_fiber(pair, d, values) == Counter(expected)
+        fiber = pd_twisted_weights(pair, d, values)
         assert fiber.p == tuple(sum(v ** j for v in expected)
                                 for j in range(5))
         assert len(fiber) == len(expected)
@@ -267,17 +266,17 @@ def test_power_sum_numerators_equal_the_counted_routes(values):
     w = WeightSystem(values)
     for d in range(1, 61):
         counted = counted_monomial_weights(d, w)
-        legendrian = monomial_power_sums(values, d + 1, 5)
-        pencil = monomial_power_sums(values, d + 1, 4)
         for pair in P5_PAIRS:
-            fiber = image_power_sums(pair, d, w, legendrian)
+            fiber = image_power_sums(pair, d, w)
             assert len(fiber) == comb(d + 4, 3)
+            image = counted_image_fiber(pair, d, w, counted)
             assert elementary_symmetric(5, fiber) == elementary_symmetric(
-                5, counted_image_fiber(pair, d, w, counted)), (pair, d)
-            fiber = pd_twisted_weights(pair, d, w, pencil)
+                5, PowerSums.of(image, 5)), (pair, d)
+            fiber = pd_twisted_weights(pair, d, w)
             assert len(fiber) == comb(d + 4, 3) - (d + 2)
+            twisted = counted_pencil_fiber(pair, d, w, counted)
             assert elementary_symmetric(4, fiber) == elementary_symmetric(
-                4, counted_pencil_fiber(pair, d, w, counted)), (pair, d)
+                4, PowerSums.of(twisted, 4)), (pair, d)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
