@@ -45,11 +45,13 @@ echelon or field basis.  The split and the shifts are linear with
 constant coefficients, so they commute with forward differences: they
 act once per weight system and pair on the monomial power sums as
 polynomials in d (exact.Differences), and a degree costs one binomial
-row and one dot product per p_j at each pair.  The kernel
-route and "both" compute all six fibers directly (foldeg.limits), and
-"both" checks each, as Z^4 characters, against the closed form
-(fiber_characters), once per (d, pair) in a process: the characters
-do not depend on the weights.
+row and one dot product per p_j at each pair.  Every method sums these
+closed-form fibers.  The kernel route and "both" also compute the
+fibers directly (foldeg.limits), as checks that do not feed the sum:
+each direct fiber must have the closed-form Z^4 characters
+(fiber_characters) and the power sums that are summed.  "both" checks
+each (d, pair) once in a process, since the characters do not depend
+on the weights; the kernel route checks on every call.
 """
 
 from collections import namedtuple
@@ -62,9 +64,9 @@ from . import exact
 from .exact import (
     DEFAULT_WEIGHTS,
     TOP,
+    PowerSums,
     RationalPolynomial,
     as_weight_system,
-    character_weights,
     monomials_of_degree,
     power_sum_differences,
     power_sums_at,
@@ -74,6 +76,7 @@ from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
+    METHOD_KERNEL,
     METHODS,
     MethodDisagreement,
     limit_fiber_weights,
@@ -277,39 +280,31 @@ _both_checked = set()
 
 
 def legendrian_fibers(d, weights, method=None):
-    """(pair, image fiber) at the six fixed forms.
-
-    method is one of the foldeg.limits METHODS (None picks
-    default_method(d)).  The image route takes all six fibers as power
-    sums in closed form (image_power_sums); the kernel route and "both"
-    compute each fixed point directly, and "both" raises
-    MethodDisagreement unless the Z^4 characters of every direct fiber
-    are the closed form (fiber_characters) at its own pair; a (d, pair)
-    that has passed takes its fiber from fiber_characters from then on.
-    """
+    """(pair, image fiber) at the six fixed forms, as power sums in closed
+    form (image_power_sums) under every method of foldeg.limits (None
+    picks default_method(d)).  The kernel route and "both" also compute
+    each fiber directly, as a check that does not feed the sum: it raises
+    MethodDisagreement unless the direct fiber has the closed-form Z^4
+    characters (fiber_characters) and the power sums yielded.  "both"
+    checks a (d, pair) once in a process, the kernel route every time."""
     if method is None:
         method = default_method(d)
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     w = as_weight_system(weights)
-    if method == METHOD_IMAGE:
-        for pair in P5_PAIRS:
-            yield pair, image_power_sums(pair, d, w)
-        return
     for i, pair in enumerate(P5_PAIRS):
         key = 6 * d + i
-        if method == METHOD_BOTH and key in _both_checked:
-            yield pair, character_weights(fiber_characters(d, pair), w)
-            continue
-        fiber = limit_fiber_weights(pair, d, w, method)
-        if method == METHOD_BOTH:
-            if fiber.quotient_characters != fiber_characters(d, pair):
-                raise MethodDisagreement(
-                    "closed-form and direct fibers disagree at %r, d=%d"
-                    % (pair, d)
-                )
-            _both_checked.add(key)
-        yield pair, fiber.quotient_weights
+        fiber = image_power_sums(pair, d, w)
+        if method == METHOD_KERNEL or (
+                method == METHOD_BOTH and key not in _both_checked):
+            direct = limit_fiber_weights(pair, d, w, method)
+            if (direct.quotient_characters != fiber_characters(d, pair)
+                    or PowerSums.of(direct.quotient_weights, TOP).p != fiber.p):
+                raise MethodDisagreement("closed-form and direct fibers "
+                                         "disagree at %r, d=%d" % (pair, d))
+            if method == METHOD_BOTH:
+                _both_checked.add(key)
+        yield pair, fiber
 
 
 @lru_cache(maxsize=None)

@@ -11,11 +11,12 @@ Four subcommands:
   interpolates the exact counting polynomial, and compares it with the
   closed form (``--partial`` compares pointwise instead).
 
-Exit codes: 0 success; 1 for a non-integral localization sum or any
-verify/interpolate mismatch; 2 for invalid weights or bad usage (a
-degree below the family's minimum, --jobs below 1, an --out file that
-cannot be written), reported on one ``error:`` line.  All output is
-deterministic for fixed flags.
+Exit codes: 0 success; 1 for a failed computation check (a non-integral
+localization sum, MethodDisagreement, SaturationRankError), reported on
+one ``error:`` line, or any verify/interpolate mismatch; 2 for invalid
+weights or bad usage (a degree below the family's minimum, --jobs below
+1, an --out file that cannot be written), reported on one ``error:``
+line.  All output is deterministic for fixed flags.
 """
 
 import argparse
@@ -31,6 +32,8 @@ from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHOD_KERNEL,
+    MethodDisagreement,
+    SaturationRankError,
     limit_fiber_weights,
 )
 from .pencil import pencil_degree
@@ -368,7 +371,7 @@ def main(argv=None):
     except (InadmissibleWeights, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except NonIntegralDegree as exc:
+    except (NonIntegralDegree, MethodDisagreement, SaturationRankError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
     except InsufficientPoints as exc:

@@ -192,8 +192,8 @@ def test_transport_matches_direct_fibers(weights):
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
     """The image route builds each fiber's table once per weight system
     and pair and evaluates it at every degree; it builds neither chains,
-    nor a field basis, nor a contraction matrix, and the kernel route
-    takes no table."""
+    nor a field basis, nor a contraction matrix.  The kernel route
+    computes the six fibers directly, but sums the same tables."""
     calls = []
 
     def counting(pair, d, weights, method):
@@ -218,8 +218,9 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
     assert (tables.misses, tables.hits) == (12, 12) and calls == []
     kernel = legendrian_degree(6, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
-    assert len(calls) == 6
-    assert bott._image_table.cache_info() == tables
+    assert calls == [(pair, METHOD_KERNEL) for pair in P5_PAIRS]
+    after = bott._image_table.cache_info()
+    assert (after.misses, after.hits) == (tables.misses, tables.hits + 6)
 
 
 def test_both_families_share_one_monomial_table():
@@ -254,10 +255,11 @@ def _characters_moved_at_34(monkeypatch, move):
 
 
 def test_both_checks_closed_form_fibers(monkeypatch):
-    """method="both" compares each direct fiber with the closed-form
-    characters at its own pair, and raises on a mismatch; a wrong
-    power-sum fiber on the image route fails Newton's step or the
-    integrality of the sum."""
+    """method="both" and the kernel route compare each direct fiber with
+    the closed form at its own pair, as characters and as the power sums
+    that are summed, and raise on a mismatch; the kernel route is not
+    memoised, so it raises again on a retry.  A wrong power-sum fiber on
+    the image route fails Newton's step or the integrality of the sum."""
     assert legendrian_degree(3, method=METHOD_BOTH).degree == (
         LEGENDRIAN_D3_DEGREE
     )
@@ -267,13 +269,25 @@ def test_both_checks_closed_form_fibers(monkeypatch):
     def table_off_at_34(pair, w):  # a weight 0 moved to 1 at every d
         return table(pair, w) + moved if pair == (3, 4) else table(pair, w)
 
-    _characters_moved_at_34(monkeypatch, (1, 0, 0, 0))
-    bott._both_checked.clear()  # d = 3 passed above; check it afresh
-    with pytest.raises(MethodDisagreement):
-        legendrian_degree(3, method=METHOD_BOTH)
+    with monkeypatch.context() as m:
+        _characters_moved_at_34(m, (1, 0, 0, 0))
+        for _ in range(2):  # d = 3 passed "both" above; kernel checks anyway
+            with pytest.raises(MethodDisagreement,
+                               match=r"closed-form .* at \(3, 4\), d=3"):
+                legendrian_degree(3, method=METHOD_KERNEL)
+        bott._both_checked.clear()  # check d = 3 afresh
+        with pytest.raises(MethodDisagreement):
+            legendrian_degree(3, method=METHOD_BOTH)
+    # the characters agree with the closed form, the summed power sums
+    # do not, and only the power-sum comparison sees it
+    monkeypatch.setattr(bott, "_image_table", table_off_at_34)
+    for method in (METHOD_KERNEL, METHOD_BOTH):
+        bott._both_checked.clear()
+        with pytest.raises(MethodDisagreement,
+                           match=r"closed-form .* at \(3, 4\), d=3"):
+            legendrian_degree(3, method=method)
     # the image route has no direct fiber to compare with; Newton's step
     # and the integrality of the sum are what catch a wrong one there
-    monkeypatch.setattr(bott, "_image_table", table_off_at_34)
     with pytest.raises(ArithmeticError):
         legendrian_degree(3, method=METHOD_IMAGE)
 

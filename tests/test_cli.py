@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from foldeg import cli, reference
+from foldeg import bott, cli, limits, reference
 
 
 def run(capsys, argv):
@@ -357,6 +357,30 @@ def test_bad_flag_values_exit_2(capsys, argv):
     assert code == 2
     assert not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "module, name, wrong, error",
+    [
+        (bott, "fiber_characters", lambda real: lambda d, pair: real(d, pair)[1:],
+         "closed-form and direct fibers disagree at (1, 2), d=3"),
+        (limits, "_kernel_counts",
+         lambda real: lambda chain: [c + 1 for c in real(chain)],
+         "limit kernel rank"),
+    ],
+    ids=["method-disagreement", "saturation-rank"],
+)
+def test_failed_computation_checks_exit_1(capsys, monkeypatch, module, name,
+                                         wrong, error):
+    """A direct fiber unlike the closed form, or a kernel limit of the
+    wrong rank, is a computation bug: one error: line and exit 1, with no
+    report and no traceback."""
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    code, out, err = run(capsys, ["legendrian", "--degree", "3", "--method", "kernel"])
+    assert code == 1
+    assert not out
+    assert err.startswith("error: " + error) and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_unwritable_out_file_exits_2(tmp_path, capsys):

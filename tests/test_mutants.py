@@ -108,9 +108,9 @@ MUTANTS = {
     ),
     "both without the closed-form comparison": (
         "bott.py",
-        "            if fiber.quotient_characters != "
-        "fiber_characters(d, pair):\n",
-        "            if False:\n",
+        "            if (direct.quotient_characters != "
+        "fiber_characters(d, pair)\n",
+        "            if (False\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
             "tests/test_bott.py::"
@@ -118,17 +118,36 @@ MUTANTS = {
             "tests/test_bott.py::test_a_failed_both_check_is_not_remembered",
         ],
     ),
+    "kernel without the closed-form comparison": (
+        "bott.py",
+        "(direct.quotient_characters != fiber_characters(d, pair)\n",
+        "(method == METHOD_BOTH\n"
+        "                    and direct.quotient_characters "
+        "!= fiber_characters(d, pair)\n",
+        [
+            "tests/test_bott.py::test_both_checks_closed_form_fibers",
+            "tests/test_cli.py::"
+            "test_failed_computation_checks_exit_1[method-disagreement]",
+        ],
+    ),
+    "both without the power-sum comparison": (
+        "bott.py",
+        "\n                    or PowerSums.of(direct.quotient_weights, TOP)"
+        ".p != fiber.p):\n",
+        "):\n",
+        ["tests/test_bott.py::test_both_checks_closed_form_fibers"],
+    ),
     "a both key remembered before the comparison": (
         "bott.py",
-        "        fiber = limit_fiber_weights(pair, d, w, method)\n",
-        "        _both_checked.add(key)\n"
-        "        fiber = limit_fiber_weights(pair, d, w, method)\n",
+        "            direct = limit_fiber_weights(pair, d, w, method)\n",
+        "            _both_checked.add(key)\n"
+        "            direct = limit_fiber_weights(pair, d, w, method)\n",
         ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
     ),
     "a checked both fiber evaluated at the default weights": (
         "bott.py",
-        "fiber_characters(d, pair), w)\n",
-        "fiber_characters(d, pair), DEFAULT_WEIGHTS)\n",
+        "        fiber = image_power_sums(pair, d, w)\n",
+        "        fiber = image_power_sums(pair, d, DEFAULT_WEIGHTS)\n",
         ["tests/test_bott.py::test_both_checks_each_degree_and_pair_once"],
     ),
     "a both key without d": (
