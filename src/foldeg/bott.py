@@ -57,13 +57,14 @@ on the weights; the kernel route checks on every call.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from operator import index
 
 from . import exact
 from .exact import (
     DEFAULT_WEIGHTS,
     TOP,
+    NonIntegralDegree,
     PowerSums,
     RationalPolynomial,
     as_weight_system,
@@ -83,8 +84,9 @@ from .limits import (
 )
 
 
-class NonIntegralDegree(ArithmeticError):
-    """A localization sum came out non-integral (always a bug, never data)."""
+class FiberCountError(ValueError):
+    """An evaluated fiber table has the wrong number of weights (always a
+    bug, never data)."""
 
 
 def tangent_weights_p5(pair, weights=DEFAULT_WEIGHTS):
@@ -179,7 +181,12 @@ class Family(namedtuple(
         return int(value)
 
 
-@lru_cache(maxsize=12)
+# Tables for six pairs of four weight systems: a sweep over three systems
+# that returns to the first rebuilds none.
+CACHED_PAIRS = 6 * 4
+
+
+@lru_cache(maxsize=2 * CACHED_PAIRS)  # both families
 def _tangent_euler(tangent_weights, pair, values):
     """n and e_n (the product) of the tangent weights at pair, for any d."""
     tangent = tangent_weights(pair, values)
@@ -192,9 +199,10 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
     dimension of the parameter space (the number of tangent weights), so
     e_n(tangent) is their product; options go to family.fibers.  Fibers
-    are taken one at a time, so only one is alive at once.  d must be an
-    int (TypeError otherwise).  Raises NonIntegralDegree unless the sum
-    is an integer.
+    are taken one at a time, so only one is alive at once.  Each value is
+    a Fraction, but the sum is taken in ints over the running lcm of the
+    tangent products, with no gcd per term.  d must be an int (TypeError
+    otherwise).  Raises NonIntegralDegree unless the sum is an integer.
     """
     d = index(d)
     if d < family.min_degree:
@@ -203,7 +211,7 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             % (family.name, family.min_degree, d)
         )
     w = as_weight_system(weights).require_admissible()
-    contributions = []
+    contributions, total, common = [], 0, 1  # the sum is total / common
     for pair, fiber in family.fibers(d, w, **options):
         n, den = _tangent_euler(family.tangent_weights, pair, w.values)
         num = exact.elementary_symmetric(n, fiber)
@@ -212,13 +220,15 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
         contributions.append(
             FixedPointContribution(pair, num, den, Fraction(num, den))
         )
-    total = sum((c.value for c in contributions), Fraction(0))
-    if total.denominator != 1:
+        scale = lcm(common, den)
+        total = total * (scale // common) + num * (scale // den)
+        common = scale
+    if total % common:
         raise NonIntegralDegree(
             "%s localization sum %s is not an integer (d=%d, weights %r)"
-            % (family.name, scalar_to_string(total), d, w.values)
+            % (family.name, scalar_to_string(Fraction(total, common)), d, w.values)
         )
-    return DegreeReport(family.name, d, w, tuple(contributions), int(total))
+    return DegreeReport(family.name, d, w, tuple(contributions), total // common)
 
 
 def split_power_sums(pair, w):
@@ -234,14 +244,16 @@ def split_power_sums(pair, w):
 
 def counted_fiber(fiber, d, removed):
     """fiber, if it counts the C(d+4,3) monomial weights of degree d + 1
-    less removed of them (ValueError otherwise), ints or polynomials in d."""
+    less removed of them (FiberCountError otherwise), ints or polynomials
+    in d."""
     count = (d + 4) * (d + 3) * (d + 2) // 6 - removed
     if fiber.p[0] != count:
-        raise ValueError("fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))
+        raise FiberCountError(
+            "fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))
     return fiber
 
 
-@lru_cache(maxsize=12)
+@lru_cache(maxsize=CACHED_PAIRS)
 def _image_table(pair, w):
     """The image fiber at pair as Differences in d + 1 (split_power_sums):
     the monomials that involve x_p or x_q shifted by -(w_p + w_q), the

@@ -12,11 +12,12 @@ Four subcommands:
   closed form (``--partial`` compares pointwise instead).
 
 Exit codes: 0 success; 1 for a failed computation check (a non-integral
-localization sum, MethodDisagreement, SaturationRankError), reported on
-one ``error:`` line, or any verify/interpolate mismatch; 2 for invalid
-weights or bad usage (a degree below the family's minimum, --jobs below
-1, an --out file that cannot be written), reported on one ``error:``
-line.  All output is deterministic for fixed flags.
+localization sum or e_k, a fiber of the wrong count, MethodDisagreement,
+SaturationRankError), reported on one ``error:`` line, or any
+verify/interpolate mismatch; 2 for invalid weights or bad usage (a degree
+below the family's minimum, --jobs below 1, an --out file that cannot be
+written), reported on one ``error:`` line.  All output is deterministic
+for fixed flags.
 """
 
 import argparse
@@ -25,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .bott import NonIntegralDegree, default_method, legendrian_degree
+from .bott import FiberCountError, NonIntegralDegree, default_method, legendrian_degree
 from .exact import DEFAULT_WEIGHTS, InadmissibleWeights, WeightSystem, elementary_symmetric
 from .fields import AntisymmetricForm, MonomialField, contract
 from .limits import (
@@ -371,7 +372,8 @@ def main(argv=None):
     except (InadmissibleWeights, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (NonIntegralDegree, MethodDisagreement, SaturationRankError) as exc:
+    except (NonIntegralDegree, FiberCountError, MethodDisagreement,
+            SaturationRankError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
     except InsufficientPoints as exc:

@@ -46,6 +46,12 @@ def signed_sum(terms):
     return out
 
 
+class NonIntegralDegree(ArithmeticError):
+    """A sum that must be an integer came out non-integral: a localization
+    sum, or an e_j that Newton's step divides by j (always a bug, never
+    data)."""
+
+
 class InadmissibleWeights(ValueError):
     """Raised when a weight system leaves a non-finite fixed locus."""
 
@@ -232,7 +238,7 @@ class PowerSums:
 def newton_step(k, p):
     """e_k from p_0..p_k, ints or polynomials in d, by Newton's identities,
     j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  ValueError unless 0 <= k
-    and p_k is given (elementary_symmetric checks k <= p_0); ArithmeticError
+    and p_k is given (elementary_symmetric checks k <= p_0); NonIntegralDegree
     unless each division by j is exact."""
     if k < 0 or k >= len(p):
         raise ValueError("no e_%r of %s values, p_0..p_%d" % (k, p[0], len(p) - 1))
@@ -241,7 +247,7 @@ def newton_step(k, p):
         total = -sum(map(operator.mul, reversed(f), p[1:j + 1]))
         q = total // j
         if q * j != total:
-            raise ArithmeticError("e_%d of these power sums is not integral" % j)
+            raise NonIntegralDegree("e_%d of these power sums is not integral" % j)
         f.append(q)
     return -f[k] if k % 2 else f[k]
 
@@ -288,10 +294,14 @@ class Differences(tuple):
     __slots__ = ()
 
     def __add__(self, other):
-        return Differences([a + b for a, b in zip_longest(self, other, fillvalue=0)])
+        if len(self) < len(other):
+            self, other = other, self
+        return Differences((*map(operator.add, self, other), *self[len(other):]))
 
     def __sub__(self, other):
-        return self + -1 * other
+        if len(self) < len(other):
+            return -1 * (other - self)
+        return Differences((*map(operator.sub, self, other), *self[len(other):]))
 
     def __rmul__(self, c):
         return Differences([c * a for a in self])
@@ -303,12 +313,20 @@ TOP = 5  # p_0..p_5: e_5 of a Legendrian fiber; the pencil's e_4 reads p_0..p_4
 @lru_cache(maxsize=256)
 def power_sum_differences(ws, top):
     """p_0..p_top of the weights m.w of the degree-n monomials m in r =
-    len(ws) variables as Differences in n, from the counts at n = 0..top +
-    r - 1: p_j has degree j + r - 1, as (m.w)^j is a sum of products
-    prod_i C(m_i, a_i), |a| <= j, each summing over |m| = n to
-    C(n+r-1, |a|+r-1).  Callers ask for top >= TOP: one table per ws."""
-    samples = [PowerSums.of(map(sum, combinations_with_replacement(ws, n)), top).p
-               for n in range(top + len(ws))]
+    len(ws) variables as Differences in n, from their values at
+    n = 0..top + r - 1: p_j has degree j + r - 1, as (m.w)^j is a sum of
+    products prod_i C(m_i, a_i), |a| <= j, each summing over |m| = n to
+    C(n+r-1, |a|+r-1).  Each value is summed over a plain list of the
+    degree-n monomial weights, one product per weight and power, with
+    nothing counted.  Callers ask for top >= TOP: one table per ws."""
+    samples = []
+    for n in range(top + len(ws)):
+        weights = list(map(sum, combinations_with_replacement(ws, n)))
+        terms, p = weights, [len(weights), sum(weights)]
+        for _ in range(top - 1):
+            terms = list(map(operator.mul, terms, weights))
+            p.append(sum(terms))
+        samples.append(p[:top + 1])
     return PowerSums(Differences(forward_differences(p)) for p in zip(*samples))
 
 

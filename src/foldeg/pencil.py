@@ -14,7 +14,8 @@ the tangent is that of P^5 less the normal (tangent_weights_g24).
 from fractions import Fraction
 from functools import lru_cache
 
-from .bott import Family, counted_fiber, localize, split_power_sums, tangent_weights_p5
+from .bott import (CACHED_PAIRS, Family, counted_fiber, localize, split_power_sums,
+                   tangent_weights_p5)
 from .exact import (
     DEFAULT_WEIGHTS,
     PowerSums,
@@ -39,7 +40,7 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
     return multiset_difference(tangent_weights_p5(pair, w), [normal])
 
 
-@lru_cache(maxsize=12)
+@lru_cache(maxsize=CACHED_PAIRS)
 def _twisted_table(pair, w):
     """The twisted fiber at <x_p, x_q> as Differences in d + 1, p_0..p_4:
     the split's monomials that involve x_p or x_q, shifted by w_k + w_l,

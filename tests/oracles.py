@@ -8,7 +8,8 @@ by Counter subtraction, the pencil fiber and the Legendrian image fiber
 taken from those weights, as foldeg.pencil and foldeg.bott built them
 before their power sums, the tangent weights of G(2,4) as the differences
 foldeg.pencil wrote out before, the power sums of the monomial weights
-in closed form by Stirling numbers, the interpolant as a sum of Lagrange
+in closed form by Stirling numbers and as forward differences of
+counted samples, the interpolant as a sum of Lagrange
 basis polynomials, a polynomial's value by Horner's rule in Fractions,
 the image limit as a
 saturation over Z[t] localized at t, which knows nothing of torus
@@ -32,6 +33,7 @@ that the oracles built on it see the columns that order gives.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd
 from operator import itemgetter, mul
 
@@ -189,6 +191,29 @@ def stirling_monomial_power_sums(ws, n, top):
         sum(map(mul, row, binomials))
         for row in _power_sum_table(tuple(w - last for w in rest), top)
     ).shifted(n * last).p
+
+
+def counted_power_sum_differences(ws, top):
+    """p_0..p_top of the weights m.w of the degree-n monomials m in
+    len(ws) variables, each as its forward differences in n up to the
+    last nonzero one: every monomial weight at n = 0..top + len(ws) - 1
+    counted in a Counter, p_j = sum m_v v^j over the distinct values,
+    and the differences taken to the end and trimmed."""
+    samples = []
+    for n in range(top + len(ws)):
+        counts = Counter(map(sum, combinations_with_replacement(ws, n)))
+        samples.append([sum(m * v ** j for v, m in counts.items())
+                        for j in range(top + 1)])
+    table = []
+    for ys in zip(*samples):
+        deltas = []
+        while ys:
+            deltas.append(ys[0])
+            ys = [b - a for a, b in zip(ys, ys[1:])]
+        while deltas and not deltas[-1]:
+            deltas.pop()
+        table.append(tuple(deltas))
+    return table
 
 
 def lagrange_sum(points):

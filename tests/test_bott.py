@@ -485,6 +485,48 @@ def test_split_refuses_a_wrong_count_in_d(fiber, top, monkeypatch):
             fiber(pair, d, DEFAULT_WEIGHTS)
 
 
+def _plus_one_in(table, js):
+    """A table whose p_j, j in js, are each 1 larger at every d."""
+    return PowerSums(f + Differences([1]) if j in js else f
+                     for j, f in enumerate(table.p))
+
+
+@pytest.mark.parametrize("module, name, js, call, message", (
+    (pencil, "_twisted_table", (1, 2, 3, 4), lambda: pencil_degree(5),
+     "pencil localization sum 17147157/10 is not an integer "
+     "(d=5, weights (0, 2, 7, 10))"),
+    (bott, "_image_table", (1, 2, 3, 4, 5), lambda: legendrian_degree(5),
+     "legendrian localization sum 89246964017/7000 is not an integer "
+     "(d=5, weights (0, 2, 7, 10))"),
+), ids=("pencil", "legendrian"))
+def test_a_wrong_fiber_table_gives_a_non_integral_sum(
+        monkeypatch, module, name, js, call, message):
+    """A fiber table at (3,4) whose p_1..p_top are each one too large
+    passes the count and Newton's step, but the Bott sum it gives is not
+    an integer: localize raises NonIntegralDegree with the sum in lowest
+    terms, which it takes in ints over the common tangent denominator."""
+    built = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda pair, w: _plus_one_in(
+        built(pair, w), js if pair == (3, 4) else ()))
+    with pytest.raises(NonIntegralDegree) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_table_caches_keep_four_weight_systems():
+    """A sweep over three weight systems that returns to the first builds
+    no fiber table and no tangent product again, in either family."""
+    caches = (bott._image_table, pencil._twisted_table, bott._tangent_euler)
+    systems = (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
+    for w in systems:
+        legendrian_degree(5, w)
+        pencil_degree(5, w)
+    misses = [cache.cache_info().misses for cache in caches]
+    legendrian_degree(6, systems[0])
+    pencil_degree(6, systems[0])
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
 def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):
     """e_n of the tangent weights is their product, so localize calls
     exact.elementary_symmetric once per fiber and never on a tangent.

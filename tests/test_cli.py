@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from foldeg import bott, cli, limits, reference
+from foldeg import bott, cli, limits, pencil, reference
+from foldeg.exact import Differences, PowerSums
 
 
 def run(capsys, argv):
@@ -359,24 +360,53 @@ def test_bad_flag_values_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _plus_one_at_34(js):
+    """A fiber table builder whose p_j, j in js, are one too large at
+    (3,4), at every d."""
+    def wrong(real):
+        def table(pair, w):
+            p = real(pair, w).p
+            if pair == (3, 4):
+                p = [f + Differences([1]) if j in js else f
+                     for j, f in enumerate(p)]
+            return PowerSums(p)
+        return table
+    return wrong
+
+
+KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
+
+
 @pytest.mark.parametrize(
-    "module, name, wrong, error",
+    "module, name, wrong, argv, error",
     [
         (bott, "fiber_characters", lambda real: lambda d, pair: real(d, pair)[1:],
-         "closed-form and direct fibers disagree at (1, 2), d=3"),
+         KERNEL_3, "closed-form and direct fibers disagree at (1, 2), d=3"),
         (limits, "_kernel_counts",
          lambda real: lambda chain: [c + 1 for c in real(chain)],
-         "limit kernel rank"),
+         KERNEL_3, "limit kernel rank"),
+        (bott, "_image_table", lambda real: lambda pair, w: real(pair, w)
+         - PowerSums([Differences([1])] + [Differences()] * 5),
+         ["legendrian", "--degree", "6"], "fiber count 119, not 120, at d=6"),
+        (pencil, "_twisted_table", _plus_one_at_34((1, 2, 3, 4)),
+         ["pencil", "--degree", "5"],
+         "pencil localization sum 17147157/10 is not an integer "
+         "(d=5, weights (0, 2, 7, 10))"),
+        (pencil, "_twisted_table", _plus_one_at_34((1,)),
+         ["pencil", "--degree", "5"], "e_2 of these power sums is not integral"),
     ],
-    ids=["method-disagreement", "saturation-rank"],
+    ids=["method-disagreement", "saturation-rank", "fiber-count",
+         "non-integral-sum", "newton"],
 )
 def test_failed_computation_checks_exit_1(capsys, monkeypatch, module, name,
-                                         wrong, error):
-    """A direct fiber unlike the closed form, or a kernel limit of the
-    wrong rank, is a computation bug: one error: line and exit 1, with no
-    report and no traceback."""
+                                         wrong, argv, error):
+    """A direct fiber unlike the closed form, a kernel limit of the wrong
+    rank, a fiber table of the wrong count, a Bott sum that is not an
+    integer or an e_k that Newton's step cannot divide exactly is a
+    computation bug: one error: line and exit 1, with no report and no
+    traceback."""
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
-    code, out, err = run(capsys, ["legendrian", "--degree", "3", "--method", "kernel"])
+    code, out, err = run(capsys, argv)
     assert code == 1
     assert not out
     assert err.startswith("error: " + error) and err.count("\n") == 1

@@ -10,6 +10,7 @@ import pytest
 
 from foldeg.exact import (
     DEFAULT_WEIGHTS,
+    Differences,
     InadmissibleWeights,
     PowerSums,
     RationalPolynomial,
@@ -23,6 +24,7 @@ from foldeg.exact import (
     monomials_of_degree,
     multiset_difference,
     newton_step,
+    power_sum_differences,
     scalar_to_string,
 )
 from oracles import (
@@ -266,6 +268,16 @@ def test_monomial_power_sums_equal_the_stirling_closed_form(n):
             ws = [rng.randint(-30, 30) for _ in range(r)]
             assert monomial_power_sums(ws, n, top).p == (
                 stirling_monomial_power_sums(ws, n, top)), (ws, n, top)
+
+
+def test_a_zero_sum_system_has_an_empty_first_power_sum():
+    """Weights of sum zero give monomial weights of sum zero at every n,
+    by symmetry, so p_1 is the empty Differences; p_0 = C(n+3, 3) and
+    p_j, j >= 2, have degree j + 3, so as many differences plus one."""
+    table = power_sum_differences((-5, -1, 2, 4), 5).p
+    assert table[1] == Differences()
+    assert [len(f) for f in table] == [4, 0, 6, 7, 8, 9]
+    assert table[0] == (1, 3, 3, 1)  # C(n+3, 3) = sum_k C(3, k) C(n, k)
 
 
 def test_monomial_power_sums_refuse_a_negative_degree():

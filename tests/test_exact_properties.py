@@ -1,23 +1,28 @@
 """Property tests of the exact layer against the direct oracles in
-tests/oracles.py: e_k from power sums, Newton's forward differences and
-the interpolant at consecutive integers, and polynomial evaluation
-(need hypothesis)."""
+tests/oracles.py: e_k from power sums, the arithmetic of Differences and
+the monomial power-sum tables, Newton's forward differences and the
+interpolant at consecutive integers, and polynomial evaluation (need
+hypothesis)."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
 
 from foldeg.exact import (
+    Differences,
     PowerSums,
     RationalPolynomial,
     elementary_symmetric,
     forward_differences,
     lagrange_interpolate,
     multiset_difference,
+    power_sum_differences,
 )
 from oracles import (
+    counted_power_sum_differences,
     elementary_symmetric_recurrence,
     fraction_horner,
     lagrange_sum,
@@ -41,6 +46,42 @@ def test_power_sum_e_k_equals_the_recurrence(counts, k):
     expected = elementary_symmetric_recurrence(k, values)
     assert elementary_symmetric(k, PowerSums.of(values, k)) == expected
     assert elementary_symmetric(k, values) == expected
+
+
+DIFFERENCES = st.lists(st.integers(-10**12, 10**12), max_size=8).map(Differences)
+
+
+@hypothesis.given(a=DIFFERENCES, b=DIFFERENCES, c=st.integers(-10**6, 10**6))
+@hypothesis.example(a=Differences([1, 2, 3]), b=Differences([5]), c=-1)
+@hypothesis.example(a=Differences([5]), b=Differences([1, 2, 3]), c=0)
+def test_differences_act_entry_by_entry(a, b, c):
+    """+ and - of Differences of any two lengths, and an int factor, are
+    the entrywise sums, differences and products, the shorter operand
+    padded with zeros, and they are Differences again."""
+    pairs = list(zip_longest(a, b, fillvalue=0))
+    for got, want in ((a + b, [x + y for x, y in pairs]),
+                      (a - b, [x - y for x, y in pairs]),
+                      (c * a, [c * x for x in a])):
+        assert type(got) is Differences and got == tuple(want)
+
+
+WEIGHT_LISTS = st.lists(st.integers(-20, 20), min_size=1, max_size=4)
+
+
+@hypothesis.given(
+    ws=st.one_of(WEIGHT_LISTS, WEIGHT_LISTS.filter(lambda ws: len(ws) < 4)
+                 .map(lambda ws: ws + [-sum(ws)])),
+    top=st.integers(0, 6),
+)
+@hypothesis.example(ws=[-5, -1, 2, 4], top=5)
+def test_power_sum_table_equals_the_counted_oracle(ws, top):
+    """The table of p_0..p_top of the degree-n monomial weights, summed
+    over a plain list of them, equals forward differences of the counted
+    samples, for weights of either sign and of sum zero, where p_1 is
+    the empty Differences."""
+    table = power_sum_differences(tuple(ws), top).p
+    assert all(type(f) is Differences for f in table)
+    assert [tuple(f) for f in table] == counted_power_sum_differences(ws, top)
 
 
 @hypothesis.given(

@@ -58,22 +58,36 @@ MUTANTS = {
     ),
     "a power-sum table one sample short": (
         "exact.py",
-        "               for n in range(top + len(ws))]\n",
-        "               for n in range(top + len(ws) - 1)]\n",
+        "    for n in range(top + len(ws)):\n",
+        "    for n in range(top + len(ws) - 1):\n",
         [
             "tests/test_exact.py::"
             "test_monomial_power_sums_equal_the_enumeration",
             "tests/test_exact.py::"
             "test_monomial_power_sums_equal_the_stirling_closed_form[1000]",
+            "tests/test_exact.py::"
+            "test_a_zero_sum_system_has_an_empty_first_power_sum",
+            "tests/test_exact_properties.py::"
+            "test_power_sum_table_equals_the_counted_oracle",
         ],
+    ),
+    "a difference whose longer subtrahend keeps its sign": (
+        "exact.py",
+        "            return -1 * (other - self)\n",
+        "            return other - self\n",
+        ["tests/test_exact_properties.py::"
+         "test_differences_act_entry_by_entry"],
     ),
     "Newton's step without its exactness check": (
         "exact.py",
         "        if q * j != total:\n"
-        "            raise ArithmeticError("
+        "            raise NonIntegralDegree("
         "\"e_%d of these power sums is not integral\" % j)\n",
         "",
-        ["tests/test_exact.py::test_power_sums_guard_newtons_step"],
+        [
+            "tests/test_exact.py::test_power_sums_guard_newtons_step",
+            "tests/test_cli.py::test_failed_computation_checks_exit_1[newton]",
+        ],
     ),
     "e_k without its k <= p_0 check": (
         "exact.py",
@@ -225,6 +239,30 @@ MUTANTS = {
             "[legendrian-9,-4,2,0]",
         ],
     ),
+    "localize without its integrality raise": (
+        "bott.py",
+        "    if total % common:\n",
+        "    if False:\n",
+        [
+            "tests/test_bott.py::"
+            "test_a_wrong_fiber_table_gives_a_non_integral_sum[pencil]",
+            "tests/test_bott.py::"
+            "test_a_wrong_fiber_table_gives_a_non_integral_sum[legendrian]",
+            "tests/test_cli.py::"
+            "test_failed_computation_checks_exit_1[non-integral-sum]",
+        ],
+    ),
+    "a Bott sum that does not rescale its running total": (
+        "bott.py",
+        "        total = total * (scale // common) + num * (scale // den)\n",
+        "        total = total + num * (scale // den)\n",
+        [
+            "tests/test_transport_properties.py::"
+            "test_localize_gives_the_frozen_degree",
+            "tests/test_transport_properties.py::"
+            "test_degree_is_the_sum_of_the_fraction_contributions",
+        ],
+    ),
     "tangents sent back through elementary_symmetric": (
         "bott.py",
         "    return len(tangent), prod(tangent)\n",
@@ -262,7 +300,8 @@ MUTANTS = {
     "the fiber count guard removed": (
         "bott.py",
         "    if fiber.p[0] != count:\n"
-        "        raise ValueError(\"fiber count %s, not %s, at d=%s\" "
+        "        raise FiberCountError(\n"
+        "            \"fiber count %s, not %s, at d=%s\" "
         "% (fiber.p[0], count, d))\n",
         "",
         [

@@ -2,6 +2,7 @@
 matrix and the two limit routes, of the pencil fibers and of localize
 under random admissible weights (need hypothesis)."""
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
@@ -293,6 +294,19 @@ def test_pencil_degree_is_the_closed_form_under_any_weights(values, d):
     """Weight independence against the published formula itself, not
     against a frozen table."""
     assert pencil_degree(d, values).degree == family_closed_form("pencil", d)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(2, 40))
+def test_degree_is_the_sum_of_the_fraction_contributions(values, d):
+    """localize adds the six contributions in ints over a common
+    denominator; the degree it reports is their sum as Fractions, and
+    each value is the Fraction num/den of its own numbers."""
+    for name in ("legendrian", "pencil"):
+        report = localize(FAMILIES[name], d, values)
+        assert report.degree == sum(c.value for c in report.contributions)
+        for c in report.contributions:
+            assert type(c.value) is Fraction and c.denominator > 0
+            assert c.value == Fraction(c.numerator, c.denominator)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
