@@ -126,21 +126,13 @@ class DegreeReport(namedtuple(
     __slots__ = ()
 
     def to_json_dict(self):
-        out = {}
-        if self.family != "legendrian":
-            out["family"] = self.family
-        out["d"] = self.d
-        out["weights"] = list(self.weights.values)
-        out["contributions"] = [
-            {
-                "pair": list(c.pair),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-                "value": scalar_to_string(c.value),
-            }
-            for c in self.contributions
-        ]
-        out["degree"] = str(self.degree)
+        contributions = [
+            {"pair": list(c.pair), "num": str(c.numerator),
+             "den": str(c.denominator), "value": scalar_to_string(c.value)}
+            for c in self.contributions]
+        out = {} if self.family == "legendrian" else {"family": self.family}
+        out.update(d=self.d, weights=list(self.weights.values),
+                   contributions=contributions, degree=str(self.degree))
         return out
 
     def __repr__(self):

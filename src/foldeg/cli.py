@@ -51,11 +51,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-METHOD_FLAGS = {
-    "image": METHOD_IMAGE,
-    "kernel": METHOD_KERNEL,
-    "both": METHOD_BOTH,
-}
+METHOD_FLAGS = {"image": METHOD_IMAGE, "kernel": METHOD_KERNEL, "both": METHOD_BOTH}
 
 
 class UsageError(ValueError):
@@ -263,28 +259,14 @@ def cmd_interpolate(args):
 def _add_common_flags(
     sub, jobs_help="worker processes for independent tasks (default 1)"
 ):
-    sub.add_argument(
-        "--weights",
-        type=_parse_weights,
-        default=DEFAULT_WEIGHTS,
-        metavar="a,b,c,d",
-        help="torus weights (default 0,2,7,10)",
-    )
-    sub.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    sub.add_argument(
-        "--out",
-        metavar="FILE",
-        help="also write the JSON report to FILE",
-    )
+    sub.add_argument("--weights", type=_parse_weights, default=DEFAULT_WEIGHTS,
+                     metavar="a,b,c,d", help="torus weights (default 0,2,7,10)")
+    sub.add_argument("--format", choices=("text", "json"), default="text",
+                     help="output format (default text)")
+    sub.add_argument("--out", metavar="FILE",
+                     help="also write the JSON report to FILE")
     if jobs_help:
-        sub.add_argument(
-            "--jobs", type=int, default=1, metavar="K", help=jobs_help
-        )
+        sub.add_argument("--jobs", type=int, default=1, metavar="K", help=jobs_help)
 
 
 def build_parser():
@@ -320,14 +302,9 @@ def build_parser():
     ver = subparsers.add_parser(
         "verify", help="regression-check the d=2 computation against frozen constants"
     )
-    ver.add_argument(
-        "--example",
-        action="store_true",
-        help="also check the worked tangency example",
-    )
-    ver.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
+    ver.add_argument("--example", action="store_true",
+                     help="also check the worked tangency example")
+    ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.add_argument("--out", metavar="FILE")
     ver.set_defaults(func=cmd_verify)
 

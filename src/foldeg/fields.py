@@ -6,9 +6,12 @@ models the global vector fields of the plane-field geometry twisted so
 that coefficients are degree-d forms.  The monomial field mu*d/dx_j has
 the Z^4 character mu - e_j, and divergence preserves characters: for
 each character chi the divergence is a single row x^chi with
-coefficients mu_j.  Its kernel has a closed form, so the basis is written
-down directly, for d alone, graded by the characters; torus weights
-w_1..w_4 give chi the weight sum chi_i * w_i (SectionBasis.weight_counts).
+coefficients mu_j.  Its kernel has a closed form, graded by the
+characters: three fields for each chi of degree d - 1 with every entry
+>= 0, and one for each chi = mu - e_j with mu_j = 0.  So the basis is
+counted, for d alone, without writing a field; its Fraction fields are
+written only when a caller reads them.  Torus weights w_1..w_4 give chi
+the weight sum chi_i * w_i (SectionBasis.weight_counts).
 
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
@@ -197,18 +200,24 @@ class BasisField(namedtuple("BasisField", "terms")):
 
 class SectionBasis:
     """Basis of Phi_d in generation order, with the multiplicity of each
-    Z^4 character counted once, when the basis is built."""
+    Z^4 character.  Given only those counts (build_phi_basis), it writes
+    its fields when they are first read; len and the weights need none."""
 
-    __slots__ = ("d", "fields", "characters", "_last")
+    __slots__ = ("d", "characters", "_fields", "_last")
 
-    def __init__(self, d, fields):
-        self.d = d
-        self.fields = tuple(fields)
-        self.characters = Counter(f.character for f in self.fields)
-        self._last = None, None
+    def __init__(self, d, fields=None, characters=None):
+        self.d, self._last = d, (None, None)
+        self._fields = None if fields is None else tuple(fields)
+        self.characters = characters or Counter(f.character for f in fields)
+
+    @property
+    def fields(self):
+        if self._fields is None:
+            self._fields = _sized(tuple(_write_fields(self.d)), self.d)
+        return self._fields
 
     def __len__(self):
-        return len(self.fields)
+        return sum(self.characters.values())
 
     def __iter__(self):
         return iter(self.fields)
@@ -235,14 +244,15 @@ class SectionBasis:
         return tuple(self.weight_counts(weights).elements())
 
     def __repr__(self):
-        return "SectionBasis(d=%d, %d fields)" % (self.d, len(self.fields))
+        return "SectionBasis(d=%d, %d fields)" % (self.d, len(self))
 
 
 def build_phi_basis(d):
     """Basis of the divergence-free degree-d fields, each of one Z^4
     character.
 
-    Written down in closed form.  For each degree-d monomial mu and
+    Counted in closed form, as the module docstring states; the fields
+    are written on first read.  For each degree-d monomial mu and
     direction j: x^mu d/dx_j itself when mu_j = 0 (its divergence
     vanishes); when mu_j > 0 and j < 4,
     x^mu d/dx_j - mu_j/(mu_4+1) * x^(mu-e_j+e_4) d/dx_4, which cancels
@@ -263,10 +273,28 @@ def build_phi_basis(d):
     return _phi_basis_cached(d)
 
 
+def _sized(counted, d):
+    """counted, unless its size is not dim Phi_d (ArithmeticError)."""
+    if len(counted) != phi_dimension(d):
+        raise ArithmeticError("basis size %d != %d for d=%d"
+                              % (len(counted), phi_dimension(d), d))
+    return counted
+
+
 # One entry: every caller asks for one degree at a time, so nothing is
 # kept across degrees.
 @lru_cache(maxsize=1)
 def _phi_basis_cached(d):
+    characters = Counter(dict.fromkeys(monomials_of_degree(d - 1), 3))
+    # chi = mu - e_j with mu_j = 0: mu's other three exponents, -1 put in
+    rest = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    for j in range(4):
+        characters.update(t[:j] + (-1,) + t[j:] for t in rest)
+    return _sized(SectionBasis(d, characters=characters), d)
+
+
+def _write_fields(d):
+    """The fields of build_phi_basis(d), as it documents them."""
     one = Fraction(1)
     monos = monomials_of_degree(d)
     # partners are degree-d monomials too: reuse those tuples, and build
@@ -286,11 +314,7 @@ def _phi_basis_cached(d):
                 c = coefficient[e, mu[3] + 1]
                 terms += (MonomialField(c, partner, 4),)
             fields.append(BasisField(terms))
-    if len(fields) != phi_dimension(d):
-        raise ArithmeticError(
-            "basis size %d != %d for d=%d" % (len(fields), phi_dimension(d), d)
-        )
-    return SectionBasis(d, fields)
+    return fields
 
 
 def scaled_terms(field):

@@ -37,7 +37,9 @@ independent routes compute the limit on them:
   fields of which the kernel takes c is f - c copies in the image fiber.
 
 Both routes give the image fiber as Z^4 characters; "both" runs them on
-one set of chains (_pair_chains) and compares the characters.
+one set of chains (_pair_chains) and compares the characters.  The kernel
+weights are the rest of the basis weights, which fields.build_phi_basis
+counts in closed form: no route writes a field.
 """
 
 from collections import namedtuple
@@ -136,30 +138,35 @@ def _chains(d, pair):
     place = itemgetter(*((p, q, k, l).index(j) for j in (1, 2, 3, 4)))
     low, high = place((1, -1, 0, 0)), place((0, 0, 1, -1))
     (l1, l2, l3, l4), (h1, h2, h3, h4) = low, high
+    # the one field of a character whose entry at j is -1
+    ones = {j: ((low[j - 1], high[j - 1]),) for j in (p, q, k, l)}
     n, chains = d - 1, []
     # A chain keeps a = chi_p - chi_q and b = chi_k - chi_l, with
     # a + b = n mod 2.  Its level runs down in steps of 2, from where
-    # chi_p, chi_q >= -1 allow to where chi_k, chi_l >= -1 do.
+    # chi_p, chi_q >= -1 allow to where chi_k, chi_l >= -1 do.  Only its
+    # top has chi_p or chi_q = -1, both (so no field) if a = 0; only its
+    # bottom has chi_k or chi_l = -1, both if b = 0.
     for a in range(-n - 2, n + 3):
+        top, head = n + 2 - abs(a), a and ones[q if a > 0 else p]
         for b in range(abs(a) - n - 4, n + 5 - abs(a), 2):
+            bottom, tail = abs(b) - 2, b and ones[l if b > 0 else k]
+            if top == bottom:
+                continue  # its one character has two entries -1
             chain = []
-            for lev in range(n + 2 - abs(a), abs(b) - 3, -2):
+            if head:
+                cp, ck = (n - top + a) // 2, (top + b) // 2
+                chain.append((place((cp, cp - a, ck, ck - b)), head))
+            for lev in range(top - 2, bottom, -2):
                 cp, ck = (n - lev + a) // 2, (lev + b) // 2
-                chi = place((cp, cp - a, ck, ck - b))
-                if -1 not in chi:
-                    m1, m2, m3, s = chi
-                    m1, m2, m3, s = m1 + 1, m2 + 1, m3 + 1, s + 1
-                    fields = ((s * l1 - m1 * l4, s * h1 - m1 * h4),
-                              (s * l2 - m2 * l4, s * h2 - m2 * h4),
-                              (s * l3 - m3 * l4, s * h3 - m3 * h4))
-                elif chi.count(-1) == 1:
-                    j = chi.index(-1)
-                    fields = ((low[j], high[j]),)
-                else:
-                    continue
-                chain.append((chi, fields))
-            if chain:
-                chains.append(chain)
+                m1, m2, m3, s = chi = place((cp, cp - a, ck, ck - b))
+                m1, m2, m3, s = m1 + 1, m2 + 1, m3 + 1, s + 1
+                chain.append((chi, ((s * l1 - m1 * l4, s * h1 - m1 * h4),
+                                    (s * l2 - m2 * l4, s * h2 - m2 * h4),
+                                    (s * l3 - m3 * l4, s * h3 - m3 * h4))))
+            if tail:
+                cp, ck = (n - bottom + a) // 2, (bottom + b) // 2
+                chain.append((place((cp, cp - a, ck, ck - b)), tail))
+            chains.append(chain)  # not empty: a = b = 0 spans n + 4 levels
     return chains
 
 

@@ -2,12 +2,13 @@
 
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
 
-from foldeg import fields
+from foldeg import bott, fields, limits
 from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightSystem, monomials_of_degree
 from foldeg.fields import (
@@ -24,7 +25,8 @@ from foldeg.fields import (
     scaled_terms,
     tangent_kernel_dimension,
 )
-from foldeg.limits import build_contraction_matrix
+from foldeg.limits import METHOD_BOTH, METHOD_KERNEL, build_contraction_matrix
+from foldeg.polyfit import family_closed_form
 from foldeg.linalg import echelon, rank
 from oracles import (
     character_weight,
@@ -359,6 +361,66 @@ def test_phi_basis_size_guard_raises(monkeypatch):
     _phi_basis_cached.cache_clear()
     with pytest.raises(ArithmeticError, match="basis size"):
         build_phi_basis(2)
+
+
+def test_written_fields_of_the_wrong_size_raise(monkeypatch):
+    """The counts pass the size guard, but a written field list one short
+    is refused when the fields are first read."""
+    real = fields._write_fields
+    monkeypatch.setattr(fields, "_write_fields", lambda d: real(d)[:-1])
+    _phi_basis_cached.cache_clear()
+    basis = build_phi_basis(2)
+    assert len(basis) == phi_dimension(2)
+    with pytest.raises(ArithmeticError, match="basis size 35 != 36 for d=2"):
+        list(basis)
+    _phi_basis_cached.cache_clear()
+
+
+class _Written(Exception):
+    """Raised by a field writer that must not be called."""
+
+
+def _refuse(d):
+    raise _Written(d)
+
+
+def test_closed_form_counts_equal_the_written_fields(monkeypatch):
+    """len, the characters and the weights come from the closed-form
+    counts before any field is written, and the characters are those of
+    the fields once they are written, d = 1..15."""
+    for d in range(1, 16):
+        _phi_basis_cached.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_write_fields", _refuse)
+            basis = build_phi_basis(d)
+            assert len(basis) == phi_dimension(d)
+            counts = Counter(basis.characters)
+            weights = basis.weight_multiset(WEIGHTS)
+        assert counts == Counter(f.character for f in basis.fields)
+        assert weights == tuple(sorted(
+            character_weight(f.character, WEIGHTS) for f in basis))
+        assert len(basis.fields) == len(basis)
+    _phi_basis_cached.cache_clear()
+
+
+@pytest.mark.parametrize("method", [METHOD_BOTH, METHOD_KERNEL])
+def test_limit_routes_write_no_field(monkeypatch, method):
+    """From cold caches, the direct limit routes take the basis weights
+    from its counts and never write a field, d = 2..6; the tangency
+    kernel and iterating the basis still write them."""
+    monkeypatch.setattr(fields, "_write_fields", _refuse)
+    for d in range(2, 7):
+        _phi_basis_cached.cache_clear()
+        limits._pair_chains.cache_clear()
+        bott._image_table.cache_clear()
+        bott._both_checked.clear()
+        report = legendrian_degree(d, method=method)
+        assert report.degree == family_closed_form("legendrian", d)
+    with pytest.raises(_Written):
+        tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), 3)
+    with pytest.raises(_Written):
+        list(build_phi_basis(4))
+    _phi_basis_cached.cache_clear()
 
 
 def test_tangent_kernel_dimension_contact_law():

@@ -226,6 +226,26 @@ MUTANTS = {
             "tests/test_limits.py::test_shared_blocks_are_never_stale",
         ],
     ),
+    "the chi_1 = -1 characters counted at chi_4 = -1": (
+        "fields.py",
+        "    for j in range(4):\n",
+        "    for j in (3, 1, 2, 3):\n",
+        [
+            "tests/test_fields.py::"
+            "test_closed_form_counts_equal_the_written_fields",
+            "tests/test_fields.py::"
+            "test_phi_basis_fields_carry_their_character",
+            "tests/test_transport_properties.py::"
+            "test_basis_weight_multiset_equals_the_echelon_weights",
+        ],
+    ),
+    "written fields without their size guard": (
+        "fields.py",
+        "_sized(tuple(_write_fields(self.d)), self.d)",
+        "tuple(_write_fields(self.d))",
+        ["tests/test_fields.py::"
+         "test_written_fields_of_the_wrong_size_raise"],
+    ),
     "the Legendrian rest shifted by -(w_k + w_l)": (
         "bott.py",
         "    return reached.shifted(-low) + part.shifted(low - sum(w.values))\n",
