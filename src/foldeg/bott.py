@@ -236,8 +236,7 @@ def split_power_sums(pair, w):
 
 def counted_fiber(fiber, d, removed):
     """fiber, if it counts the C(d+4,3) monomial weights of degree d + 1
-    less removed of them (FiberCountError otherwise), ints or polynomials
-    in d."""
+    less removed of them (FiberCountError otherwise)."""
     count = (d + 4) * (d + 3) * (d + 2) // 6 - removed
     if fiber.p[0] != count:
         raise FiberCountError(

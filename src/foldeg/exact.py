@@ -1,9 +1,8 @@
 """Exact scalars, monomials, torus weights, and Lagrange interpolation.
 
 Everything in this package happens over Q.  Scalars are ints and
-``fractions.Fraction``s, and a degree may be a RationalPolynomial in d,
-for power sums and e_k as polynomials in d; no floating point is used
-anywhere, so every equality test downstream is exact.
+``fractions.Fraction``s; no floating point is used anywhere, so every
+equality test downstream is exact.
 """
 
 import operator
@@ -236,7 +235,7 @@ class PowerSums:
 
 
 def newton_step(k, p):
-    """e_k from p_0..p_k, ints or polynomials in d, by Newton's identities,
+    """e_k from integer p_0..p_k by Newton's identities,
     j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  ValueError unless 0 <= k
     and p_k is given (elementary_symmetric checks k <= p_0); NonIntegralDegree
     unless each division by j is exact."""
@@ -333,8 +332,8 @@ def power_sum_differences(ws, top):
 @lru_cache(maxsize=2)
 def binomial_row(n, length):
     """C(n, k), k < length, each C(n, k - 1) (n - k + 1) // k, an exact
-    division, so polynomials at a RationalPolynomial n; two rows are kept,
-    so that the six fixed points of a degree share one."""
+    division; two rows are kept, so that the six fixed points of a degree
+    share one."""
     row = [1]
     for k in range(1, length):
         row.append(row[-1] * (n - k + 1) // k)
@@ -342,10 +341,10 @@ def binomial_row(n, length):
 
 
 def power_sums_at(table, n):
-    """The PowerSums of a table of Differences at n, an int >= 0 (else
-    ValueError: every table counts degree-n monomials) or a
-    RationalPolynomial: one binomial_row and one dot product per p_j."""
-    if not isinstance(n, RationalPolynomial) and operator.index(n) < 0:
+    """The PowerSums of a table of Differences at an int n >= 0 (else
+    ValueError: every table counts degree-n monomials): one binomial_row
+    and one dot product per p_j."""
+    if operator.index(n) < 0:
         raise ValueError("no monomials of degree %r" % (n,))
     binomials = binomial_row(n, max(map(len, table.p)))
     return PowerSums([sum(map(operator.mul, f, binomials)) for f in table.p])
@@ -367,8 +366,6 @@ class RationalPolynomial:
 
     Trailing zeros are trimmed, so the leading coefficient is nonzero
     unless the polynomial is zero (empty coefficient tuple, degree -1).
-    An int or Fraction on either side of + and - is a constant, and // by
-    a nonzero int divides exactly, so int code runs unchanged on d.
     """
 
     __slots__ = ("coefficients",)
@@ -398,22 +395,11 @@ class RationalPolynomial:
         return Fraction(acc * den, common * power)
 
     def __add__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial([other])
         return RationalPolynomial(map(sum, zip_longest(
             self.coefficients, other.coefficients, fillvalue=0)))
 
-    def __neg__(self):
-        return RationalPolynomial([-c for c in self.coefficients])
-
     def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __floordiv__(self, j):
-        return self * Fraction(1, j)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
@@ -427,7 +413,7 @@ class RationalPolynomial:
         c = Fraction(other)
         return RationalPolynomial([a * c for a in self.coefficients])
 
-    __radd__, __rmul__ = __add__, __mul__
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):

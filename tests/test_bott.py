@@ -3,7 +3,6 @@
 import json
 from fractions import Fraction
 from itertools import permutations
-from math import prod
 
 import pytest
 
@@ -26,7 +25,6 @@ from foldeg.exact import (
     Differences,
     InadmissibleWeights,
     PowerSums,
-    RationalPolynomial,
     WeightSystem,
     character_weights,
     monomial_power_sums,
@@ -446,43 +444,35 @@ def test_both_families_at_degrees_beyond_any_count(d):
     assert pencil_degree(d).degree == PENCIL.closed_form(d)
 
 
+def assert_published_for_every_d(name, w):
+    """The Bott sum of a family at w is its published polynomial at every
+    d, by a finite check.  Each p_j of the fiber tables has at most j + 4
+    differences, so degree at most j + 3 in d.  Newton's identities write
+    e_n as a sum of products p_i1 ... p_im with i1 + ... + im = n, each of
+    degree at most n + 3m <= 4n, so the sum over the six pairs is a
+    polynomial of degree at most 4n, as is the published one (15 or 12).
+    Two such polynomials that agree at the 4n + 1 degrees d = 2..2+4n are
+    equal, and localize evaluates the same tables at every d."""
+    family, table = {"legendrian": (LEGENDRIAN, bott._image_table),
+                     "pencil": (PENCIL, pencil._twisted_table)}[name]
+    n = len(family.tangent_weights(P5_PAIRS[0], w))
+    for pair in P5_PAIRS:
+        lengths = [len(f) for f in table(pair, w).p]
+        assert all(k <= j + 4 for j, k in enumerate(lengths)), (pair, lengths)
+    for d in range(2, 3 + 4 * n):
+        assert localize(family, d, w).degree == family.closed_form(d), d
+
+
 @pytest.mark.parametrize("weights", (
     (0, 2, 7, 10), (0, 1, 5, 13), (1, 3, 9, 20), (9, -4, 2, 0),
 ), ids=lambda w: ",".join(map(str, w)))
 @pytest.mark.parametrize("family", ("legendrian", "pencil"))
 def test_bott_sum_is_the_published_polynomial_in_d(family, weights):
-    """The whole Bott sum of each family as a polynomial in d equals the
-    published one coefficient by coefficient, so for every d at once:
-    with d = RationalPolynomial([0, 1]) the package's own fiber tables,
-    evaluator, count guard and Newton step give each fiber's e_n as a
-    polynomial in d."""
-    family, fiber = {
-        "legendrian": (LEGENDRIAN, image_power_sums),
-        "pencil": (PENCIL, pd_twisted_weights),
-    }[family]
-    w, d = WeightSystem(weights), RationalPolynomial([0, 1])
-    n = len(family.tangent_weights(P5_PAIRS[0], w))
-    total = RationalPolynomial()
-    for pair in P5_PAIRS:
-        e_n = exact.newton_step(n, fiber(pair, d, w).p)
-        total = total + e_n * Fraction(1, prod(family.tangent_weights(pair, w)))
-    assert total == family.closed_form_polynomial()
-
-
-@pytest.mark.parametrize("fiber, top", ((image_power_sums, 5),
-                                        (pd_twisted_weights, 4)))
-def test_split_refuses_a_wrong_count_in_d(fiber, top, monkeypatch):
-    """The fiber count guard runs on a polynomial d too: a table of
-    p_0..p_top that lacks a weight 0 is refused at every pair."""
-    module, name = {image_power_sums: (bott, "_image_table"),
-                    pd_twisted_weights: (pencil, "_twisted_table")}[fiber]
-    built = getattr(module, name)
-    monkeypatch.setattr(module, name,
-                        lambda pair, w: _without_a_zero(built(pair, w), top))
-    d = RationalPolynomial([0, 1])
-    for pair in P5_PAIRS:
-        with pytest.raises(ValueError, match="fiber count"):
-            fiber(pair, d, DEFAULT_WEIGHTS)
+    """The whole Bott sum of each family equals the published polynomial
+    for every d at each of four weight systems: 21 Legendrian and 17
+    pencil degrees, with the degree bound of the fiber tables, decide it
+    (assert_published_for_every_d)."""
+    assert_published_for_every_d(family, WeightSystem(weights))
 
 
 def _plus_one_in(table, js):

@@ -159,27 +159,6 @@ def test_consecutive_points_with_a_fractional_ordinate(start, ys, data):
 
 @hypothesis.given(
     coefficients=st.lists(
-        st.fractions(-10**4, 10**4, max_denominator=60), max_size=8
-    ),
-    c=st.one_of(
-        st.integers(-10**6, 10**6),
-        st.fractions(-100, 100, max_denominator=30),
-    ),
-    j=st.integers(-50, 50).filter(bool),
-)
-def test_polynomial_operators_take_scalars(coefficients, c, j):
-    """An int or Fraction c on either side of + and - is the constant
-    polynomial c, unary - negates every coefficient, and // by a nonzero
-    int j is exact division over Q, so (p // j) * j is p again."""
-    p = RationalPolynomial(coefficients)
-    assert p + c == c + p == p + RationalPolynomial([c])
-    assert p - c == p + RationalPolynomial([-c]) == -(c - p)
-    assert -(-p) == p and (-p + p) == RationalPolynomial()
-    assert (p // j) * j == p
-
-
-@hypothesis.given(
-    coefficients=st.lists(
         st.fractions(-10**4, 10**4, max_denominator=60), max_size=10
     ),
     x=st.one_of(

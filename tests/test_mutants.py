@@ -259,6 +259,19 @@ MUTANTS = {
             "[legendrian-9,-4,2,0]",
         ],
     ),
+    "an image table term of degree 25, zero at every sampled d": (
+        "bott.py",
+        "    return reached.shifted(-low) + part.shifted(low - sum(w.values))\n",
+        "    table = reached.shifted(-low) + part.shifted(low - sum(w.values))\n"
+        "    return PowerSums((table.p[0], table.p[1] + exact.Differences("
+        "[0] * 25 + [1]), *table.p[2:]))\n",
+        [
+            "tests/test_bott.py::test_bott_sum_is_the_published_polynomial_in_d"
+            "[legendrian-0,2,7,10]",
+            "tests/test_bott.py::test_bott_sum_is_the_published_polynomial_in_d"
+            "[legendrian-9,-4,2,0]",
+        ],
+    ),
     "localize without its integrality raise": (
         "bott.py",
         "    if total % common:\n",
@@ -328,10 +341,6 @@ MUTANTS = {
             "tests/test_bott.py::test_image_fiber_needs_every_monomial_weight",
             "tests/test_pencil.py::"
             "test_twisted_fiber_needs_every_removed_weight",
-            "tests/test_bott.py::test_split_refuses_a_wrong_count_in_d"
-            "[image_power_sums-5]",
-            "tests/test_bott.py::test_split_refuses_a_wrong_count_in_d"
-            "[pd_twisted_weights-4]",
         ],
     ),
     "a fiber count guard that keeps the removed weights": (

@@ -45,6 +45,7 @@ from oracles import (
     split_monomial_weights,
     weight_ordered_basis,
 )
+from test_bott import assert_published_for_every_d
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -294,6 +295,16 @@ def test_pencil_degree_is_the_closed_form_under_any_weights(values, d):
     """Weight independence against the published formula itself, not
     against a frozen table."""
     assert pencil_degree(d, values).degree == family_closed_form("pencil", d)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS)
+def test_both_families_are_published_for_every_d_under_any_weights(values):
+    """Weight independence for every d at once: at any admissible
+    weights, the degree bound of the fiber tables and 21 Legendrian and
+    17 pencil degrees prove each Bott sum the published polynomial
+    (assert_published_for_every_d)."""
+    for name in ("legendrian", "pencil"):
+        assert_published_for_every_d(name, WeightSystem(values))
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(2, 40))
