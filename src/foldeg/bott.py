@@ -57,7 +57,7 @@ on the weights; the kernel route checks on every call.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import index
 
 from . import exact
@@ -237,7 +237,7 @@ def split_power_sums(pair, w):
 def counted_fiber(fiber, d, removed):
     """fiber, if it counts the C(d+4,3) monomial weights of degree d + 1
     less removed of them (FiberCountError otherwise)."""
-    count = (d + 4) * (d + 3) * (d + 2) // 6 - removed
+    count = comb(d + 4, 3) - removed
     if fiber.p[0] != count:
         raise FiberCountError(
             "fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))

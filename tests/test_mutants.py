@@ -345,8 +345,8 @@ MUTANTS = {
     ),
     "a fiber count guard that keeps the removed weights": (
         "bott.py",
-        "    count = (d + 4) * (d + 3) * (d + 2) // 6 - removed\n",
-        "    count = (d + 4) * (d + 3) * (d + 2) // 6\n",
+        "    count = comb(d + 4, 3) - removed\n",
+        "    count = comb(d + 4, 3)\n",
         [
             "tests/test_pencil.py::test_twisted_fiber_size",
             "tests/test_pencil.py::"
