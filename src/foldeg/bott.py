@@ -7,12 +7,12 @@ function of the fiber weights divided by the one of the tangent weights
 The sum must be an integer -- a hard error otherwise, since a
 non-integer can only mean a wrong fiber.  A family is data (Family): its
 minimum degree, polynomial bound, fibers, tangent weights and published
-closed form; localize computes the sum for any of them.  This module
-holds the Legendrian family (LEGENDRIAN, legendrian_degree), whose
-parameter space is the P^5 of antisymmetric forms; foldeg.pencil holds
-the pencil family, on the quadric G(2,4) in that P^5.  Both fibers are
-one split of the degree-(d+1) monomial weights at a pair
-(split_power_sums), shifted in two ways.
+degree, one exact integer formula in d; localize computes the sum for
+any of them.  This module holds the Legendrian family (LEGENDRIAN,
+legendrian_degree), whose parameter space is the P^5 of antisymmetric
+forms; foldeg.pencil holds the pencil family, on the quadric G(2,4) in
+that P^5.  Both fibers are one split of the degree-(d+1) monomial
+weights at a pair (split_power_sums), shifted in two ways.
 
 The Legendrian image fiber has a closed form.  At the pair (p,q) with
 complement (k,l) it is one character per degree-(d+1) monomial m:
@@ -66,8 +66,8 @@ from .exact import (
     TOP,
     NonIntegralDegree,
     PowerSums,
-    RationalPolynomial,
     as_weight_system,
+    lagrange_interpolate,
     monomials_of_degree,
     power_sum_differences,
     power_sums_at,
@@ -142,9 +142,7 @@ class DegreeReport(namedtuple(
 
 
 class Family(namedtuple(
-    "Family",
-    "name min_degree degree_bound fibers tangent_weights "
-    "closed_form_polynomial",
+    "Family", "name min_degree degree_bound fibers tangent_weights formula"
 )):
     """One family of foliations, as the data its localization needs.
 
@@ -152,25 +150,33 @@ class Family(namedtuple(
     fixed points in P5_PAIRS order; tangent_weights(pair, weights) gives
     the tangent weights of the parameter space there.  degree_bound is
     the degree of the counting polynomial in d (thrice the dimension of
-    the parameter space) and closed_form_polynomial() returns the
-    published one.
+    the parameter space), and formula(d) is the published one at an int
+    d, as an exact Fraction.
     """
 
     __slots__ = ()
 
     def closed_form(self, d):
         """The published degree at an int d (TypeError otherwise): the
-        closed-form polynomial evaluated exactly, which must be integral."""
+        formula evaluated exactly, which must be integral."""
         d = index(d)
         if d < self.min_degree:
             raise ValueError(
                 "the %s closed form starts at d = %d, got %r"
                 % (self.name, self.min_degree, d)
             )
-        value = self.closed_form_polynomial()(d)
+        value = self.formula(d)
         if value.denominator != 1:
             raise ArithmeticError("closed form not integral at d=%d" % d)
         return int(value)
+
+    def closed_form_polynomial(self):
+        """The published degree as a RationalPolynomial in d, interpolated
+        from the closed form at degree_bound + 1 consecutive d: exact, as
+        the formula is a polynomial of that degree."""
+        lo = self.min_degree
+        return lagrange_interpolate(lo, [
+            self.closed_form(d) for d in range(lo, lo + self.degree_bound + 1)])
 
 
 # Tables for six pairs of four weight systems: a sweep over three systems
@@ -310,29 +316,25 @@ def legendrian_fibers(d, weights, method=None):
         yield pair, fiber
 
 
-@lru_cache(maxsize=None)
-def legendrian_closed_form_polynomial():
-    """The published Legendrian degree, a polynomial of degree 15:
-    C(d+2,4) * (d^3+9d^2+14d+24) * (d^8+34d^7+...+29808) / 38880.
+def legendrian_formula(d):
+    """The published Legendrian degree at an int d, a polynomial of
+    degree 15: C(d+2,4) * (d^3+9d^2+14d+24) * (d^8+34d^7+...+29808) / 38880,
+    the octic by Horner's rule on its integer coefficients.
 
-    >>> legendrian_closed_form_polynomial()(2)
+    >>> legendrian_formula(2)
     Fraction(2224, 1)
     """
-    # C(d+2,4) = (d^4 + 2d^3 - d^2 - 2d) / 24
-    return (
-        RationalPolynomial([0, -2, -1, 2, 1])
-        * RationalPolynomial([24, 14, 9, 1])
-        * RationalPolynomial(
-            [29808, 44856, 45444, 29872, 13480, 3430, 475, 34, 1]
-        )
-        * Fraction(1, 24 * 38880)
-    )
+    octic = 0
+    for c in (1, 34, 475, 3430, 13480, 29872, 45444, 44856, 29808):
+        octic = octic * d + c
+    return Fraction(comb(d + 2, 4) * (d**3 + 9 * d**2 + 14 * d + 24) * octic,
+                    38880)
 
 
 # The P^5 of antisymmetric forms: five tangent weights, so e_5 / e_5.
 LEGENDRIAN = Family(
     "legendrian", 2, 15, legendrian_fibers, tangent_weights_p5,
-    legendrian_closed_form_polynomial,
+    legendrian_formula,
 )
 
 

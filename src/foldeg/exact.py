@@ -9,7 +9,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, zip_longest
+from itertools import combinations_with_replacement
 from math import lcm
 
 
@@ -363,6 +363,8 @@ def monomial_power_sums(ws, n, top):
 
 class RationalPolynomial:
     """Univariate polynomial over Q; coefficients[i] multiplies d**i.
+    A value, not a ring: lagrange_interpolate builds it, and it
+    evaluates, compares and renders.
 
     Trailing zeros are trimmed, so the leading coefficient is nonzero
     unless the polynomial is zero (empty coefficient tuple, degree -1).
@@ -393,27 +395,6 @@ class RationalPolynomial:
             acc = acc * num + c.numerator * (common // c.denominator) * power
             power *= den
         return Fraction(acc * den, common * power)
-
-    def __add__(self, other):
-        return RationalPolynomial(map(sum, zip_longest(
-            self.coefficients, other.coefficients, fillvalue=0)))
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPolynomial):
-            if not self.coefficients or not other.coefficients:
-                return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
-        c = Fraction(other)
-        return RationalPolynomial([a * c for a in self.coefficients])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):

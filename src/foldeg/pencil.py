@@ -13,13 +13,13 @@ the tangent is that of P^5 less the normal (tangent_weights_g24).
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .bott import (CACHED_PAIRS, Family, counted_fiber, localize, split_power_sums,
                    tangent_weights_p5)
 from .exact import (
     DEFAULT_WEIGHTS,
     PowerSums,
-    RationalPolynomial,
     as_weight_system,
     multiset_difference,
     power_sums_at,
@@ -65,29 +65,20 @@ def pencil_fibers(d, weights):
         yield pair, pd_twisted_weights(pair, d, weights)
 
 
-@lru_cache(maxsize=None)
-def pencil_closed_form_polynomial():
-    """The published pencil degree, a polynomial of degree 12:
+def pencil_formula(d):
+    """The published pencil degree at an int d, a polynomial of degree 12:
     5 * C(d+4,5) * C(d+3,3) * (d^2+2d+3) * (d^2+6d+11) / 108.
 
-    >>> pencil_closed_form_polynomial()(2)
+    >>> pencil_formula(2)
     Fraction(825, 1)
     """
-    # C(d+4,5) = (d+4)(d+3)(d+2)(d+1)d / 120, C(d+3,3) = (d+3)(d+2)(d+1) / 6
-    poly = (
-        RationalPolynomial([3, 2, 1])
-        * RationalPolynomial([11, 6, 1])
-        * Fraction(5, 120 * 6 * 108)
-    )
-    for a in (4, 3, 2, 1, 0, 3, 2, 1):
-        poly = poly * RationalPolynomial([a, 1])
-    return poly
+    return Fraction(5 * comb(d + 4, 5) * comb(d + 3, 3)
+                    * (d * d + 2 * d + 3) * (d * d + 6 * d + 11), 108)
 
 
 # G(2,4): four tangent weights, so e_4 / e_4.
 PENCIL = Family(
-    "pencil", 2, 12, pencil_fibers, tangent_weights_g24,
-    pencil_closed_form_polynomial,
+    "pencil", 2, 12, pencil_fibers, tangent_weights_g24, pencil_formula,
 )
 
 

@@ -217,18 +217,18 @@ def counted_power_sum_differences(ws, top):
 
 
 def lagrange_sum(points):
-    """The interpolant as sum_i y_i * prod_{j != i} (x - x_j)/(x_i - x_j)."""
+    """The interpolant as sum_i y_i * prod_{j != i} (x - x_j)/(x_i - x_j),
+    over coefficient tuples (tp_add, tp_mul)."""
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    total = RationalPolynomial()
+    total = TP_ZERO
     for i, (xi, yi) in enumerate(pts):
-        num = RationalPolynomial([1])
-        den = Fraction(1)
+        num, den = (1,), Fraction(1)
         for j, (xj, _) in enumerate(pts):
             if j != i:
-                num = num * RationalPolynomial([-xj, 1])
+                num = tp_mul(num, (-xj, 1))
                 den *= xi - xj
-        total = total + num * (yi / den)
-    return total
+        total = tp_add(total, tp_mul(num, (yi / den,)))
+    return RationalPolynomial(total)
 
 
 def fraction_horner(coefficients, x):

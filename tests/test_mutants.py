@@ -419,6 +419,25 @@ MUTANTS = {
             "test_multiset_difference_is_counter_subtraction",
         ],
     ),
+    "a closed form without its integrality guard": (
+        "bott.py",
+        "        if value.denominator != 1:\n"
+        "            raise ArithmeticError(\"closed form not integral at d=%d\" % d)\n",
+        "",
+        ["tests/test_polyfit.py::"
+         "test_closed_form_refuses_a_non_integral_formula"],
+    ),
+    "one coefficient of the Legendrian octic changed": (
+        "bott.py",
+        "45444, 44856, 29808):",
+        "45444, 44856, 29809):",
+        [
+            "tests/test_polyfit.py::test_legendrian_closed_form_values",
+            "tests/test_polyfit.py::"
+            "test_closed_form_polynomials_interpolate_frozen_tables",
+            "tests/test_doctests.py::test_module_doctests[foldeg.bott]",
+        ],
+    ),
     "e_k of integers with powers up to k, not up to the count": (
         "exact.py",
         "            values = PowerSums.of(values, min(k, len(values)))\n",

@@ -33,6 +33,17 @@ def test_legendrian_closed_form_values():
             family_closed_form("legendrian", d)
 
 
+def test_closed_form_refuses_a_non_integral_formula():
+    """A formula value that is not an integer raises ArithmeticError at
+    closed_form, and so at the polynomial interpolated from it, rather
+    than being truncated."""
+    half = FAMILIES["legendrian"]._replace(formula=lambda d: Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match="not integral at d=2"):
+        half.closed_form(2)
+    with pytest.raises(ArithmeticError):
+        half.closed_form_polynomial()
+
+
 def test_closed_form_polynomials_interpolate_frozen_tables():
     """Each family's frozen table (16 Legendrian points, 13 pencil
     points) pins a polynomial of the family's degree bound; the closed
@@ -80,7 +91,9 @@ def test_family_dispatch():
 
 def test_interpolation_of_frozen_points_recovers_polynomials():
     """Sixteen frozen Legendrian degrees pin the degree-15 polynomial;
-    thirteen pencil degrees pin the degree-12 one."""
+    thirteen pencil degrees pin the degree-12 one.  The published
+    polynomials are interpolated too, so each interpolant must also take
+    the formula's values, which closed_form evaluates directly."""
     leg = interpolate_family(
         "legendrian", 2, 17, points=sorted(LEGENDRIAN_DEGREES.items())
     )
@@ -89,6 +102,9 @@ def test_interpolation_of_frozen_points_recovers_polynomials():
         "pencil", 2, 14, points=sorted(PENCIL_DEGREES.items())
     )
     assert pen == family_closed_form_polynomial("pencil")
+    for d in range(2, 40):
+        assert leg(d) == family_closed_form("legendrian", d), d
+        assert pen(d) == family_closed_form("pencil", d), d
 
 
 def test_interpolation_overdetermined_is_consistent():

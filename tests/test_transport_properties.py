@@ -26,8 +26,8 @@ from foldeg.limits import (
     build_contraction_matrix,
     limit_fiber_weights,
 )
-from foldeg.pencil import pd_twisted_weights, pencil_degree, tangent_weights_g24
-from foldeg.polyfit import FAMILIES, family_closed_form
+from foldeg.pencil import pd_twisted_weights, tangent_weights_g24
+from foldeg.polyfit import FAMILIES
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import (
     SOURCE_PAIR,
@@ -288,13 +288,6 @@ def test_g24_tangent_is_the_p5_tangent_less_the_normal(values):
     for pair in P5_PAIRS:
         assert tangent_weights_g24(pair, values) == (
             explicit_g24_tangent_weights(pair, values)), pair
-
-
-@hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(2, 12))
-def test_pencil_degree_is_the_closed_form_under_any_weights(values, d):
-    """Weight independence against the published formula itself, not
-    against a frozen table."""
-    assert pencil_degree(d, values).degree == family_closed_form("pencil", d)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
