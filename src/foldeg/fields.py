@@ -11,7 +11,7 @@ characters: three fields for each chi of degree d - 1 with every entry
 >= 0, and one for each chi = mu - e_j with mu_j = 0.  So the basis is
 counted, for d alone, without writing a field; its Fraction fields are
 written only when a caller reads them.  Torus weights w_1..w_4 give chi
-the weight sum chi_i * w_i (SectionBasis.weight_counts).
+the weight sum chi_i * w_i (exact.character_weights).
 
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
@@ -26,7 +26,6 @@ from functools import lru_cache
 from math import lcm
 
 from .exact import (
-    as_weight_system,
     monomial_string,
     monomials_of_degree,
     scalar_to_string,
@@ -201,12 +200,12 @@ class BasisField(namedtuple("BasisField", "terms")):
 class SectionBasis:
     """Basis of Phi_d in generation order, with the multiplicity of each
     Z^4 character.  Given only those counts (build_phi_basis), it writes
-    its fields when they are first read; len and the weights need none."""
+    its fields when they are first read; len needs none."""
 
-    __slots__ = ("d", "characters", "_fields", "_last")
+    __slots__ = ("d", "characters", "_fields")
 
     def __init__(self, d, fields=None, characters=None):
-        self.d, self._last = d, (None, None)
+        self.d = d
         self._fields = None if fields is None else tuple(fields)
         self.characters = characters or Counter(f.character for f in fields)
 
@@ -224,24 +223,6 @@ class SectionBasis:
 
     def __getitem__(self, i):
         return self.fields[i]
-
-    def weight_counts(self, weights):
-        """The weights of the fields at a weight system as a Counter,
-        value -> multiplicity, ascending by value: each distinct
-        character evaluated once, its multiplicity added.  The last
-        result is kept, keyed by the weight values, and handed out again."""
-        values = as_weight_system(weights).values
-        if self._last[0] != values:
-            w1, w2, w3, w4 = values
-            counts = Counter()
-            for (a, b, c, e), m in self.characters.items():
-                counts[a * w1 + b * w2 + c * w3 + e * w4] += m
-            self._last = values, Counter(dict(sorted(counts.items())))
-        return self._last[1]
-
-    def weight_multiset(self, weights):
-        """The weights of the fields at a weight system, as a sorted tuple."""
-        return tuple(self.weight_counts(weights).elements())
 
     def __repr__(self):
         return "SectionBasis(d=%d, %d fields)" % (self.d, len(self))

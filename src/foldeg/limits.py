@@ -36,10 +36,12 @@ independent routes compute the limit on them:
   if A_K = 0 and rank [low; high] > rank high.  A character with f
   fields of which the kernel takes c is f - c copies in the image fiber.
 
-Both routes give the image fiber as Z^4 characters; "both" runs them on
-one set of chains (_pair_chains) and compares the characters.  The kernel
-weights are the rest of the basis weights, which fields.build_phi_basis
-counts in closed form: no route writes a field.
+Each route splits every field of the chains into the image fiber or the
+tangent kernel, as Z^4 characters, and the two parts must hold
+C(d+4, 3) + (d+4)(d+2)d/3 = dim Phi_d fields, the size that
+fields.build_phi_basis counts in closed form: no route writes a field.
+"both" runs the routes on one set of chains (_pair_chains) and compares
+their image characters.
 """
 
 from collections import namedtuple
@@ -49,7 +51,6 @@ from math import comb
 from operator import itemgetter
 
 from .exact import DEFAULT_WEIGHTS, as_weight_system, character_weights
-from .exact import multiset_difference
 from .fields import (
     AntisymmetricForm,
     as_fixed_point,
@@ -178,15 +179,18 @@ def _pair_chains(d, pair):
 
 
 def _image_characters(chains):
-    """The image fiber on chains, one character per pivot that
-    limit_rows picks on a chain's fields, which _chains writes by
-    descending level, as limit_rows needs."""
-    fiber = []
+    """The image fiber and the kernel on chains, as two lists of
+    characters: one per pivot that limit_rows picks on a chain's fields,
+    which _chains writes by descending level, as limit_rows needs, and
+    one per field that is not a pivot."""
+    image, kernel = [], []
     for chain in chains:
         owner = [chi for chi, fields in chain for _ in fields]
-        fiber += map(owner.__getitem__, limit_rows(
-            [fields for _, fields in chain], len(owner)))
-    return fiber
+        for p in limit_rows([fields for _, fields in chain], len(owner)):
+            image.append(owner[p])
+            owner[p] = None
+        kernel += filter(None, owner)
+    return image, kernel
 
 
 def _kernel_counts(chain):
@@ -216,8 +220,8 @@ class LimitFiberResult(namedtuple(
 )):
     """Fiber weights at one fixed point, each a sorted tuple of ints:
     quotient_weights is the fiber of the image sheaf (what the Euler
-    class is made of), kernel_weights its complement inside the weights
-    of the full field basis.
+    class is made of), kernel_weights the fiber of the tangent kernel,
+    the fields the route did not put in the image.
 
     quotient_characters is the image fiber as sorted Z^4 characters,
     from every route.  The limit is fixed by the whole torus, so they do
@@ -240,7 +244,8 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
     t = 1, "kernel-limit" that of the kernel, "both" runs the two and
     insists their characters agree.
     Either way the image rank must come out as C(d+4, 3) and the kernel
-    as (d+4)(d+2)d/3, or SaturationRankError is raised.
+    as (d+4)(d+2)d/3, the route's rank and its other part together as
+    dim Phi_d, or SaturationRankError is raised.
 
     >>> res = limit_fiber_weights((3, 4), 2)
     >>> res.method, len(res.quotient_weights)
@@ -263,25 +268,30 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
             )
         return img._replace(method=METHOD_BOTH)
 
-    all_weights = build_phi_basis(d).weight_counts(w)
+    size = len(build_phi_basis(d))
     chains = _pair_chains(d, fp)
 
     if method == METHOD_IMAGE:
-        characters = _image_characters(chains)
+        characters, kernel = _image_characters(chains)
         limit, rank, expected = "image", len(characters), comb(d + 4, 3)
     else:
-        characters, rank = [], 0
+        characters, kernel = [], []
         for chain in chains:
             for (chi, fields), count in zip(chain, _kernel_counts(chain)):
                 characters += [chi] * (len(fields) - count)
-                rank += count
-        limit, expected = "kernel", contact_kernel_dimension(d)
+                kernel += [chi] * count
+        limit, rank, expected = "kernel", len(kernel), contact_kernel_dimension(d)
     if rank != expected:
         raise SaturationRankError(
             "limit %s rank %d != %d at %r, d=%d"
             % (limit, rank, expected, fp, d)
         )
+    if len(characters) + len(kernel) != size:
+        raise SaturationRankError(
+            "chains hold %d fields, not dim Phi_d = %d at %r, d=%d"
+            % (len(characters) + len(kernel), size, fp, d)
+        )
     characters = tuple(sorted(characters))
-    qw = character_weights(characters, w)
     return LimitFiberResult(
-        fp, d, qw, multiset_difference(all_weights, qw), method, characters)
+        fp, d, character_weights(characters, w), character_weights(kernel, w),
+        method, characters)

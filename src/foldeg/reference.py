@@ -15,9 +15,6 @@ from .exact import DEFAULT_WEIGHTS, WeightSystem  # noqa: F401
 ALT_WEIGHTS_A = WeightSystem((0, 1, 5, 13))
 ALT_WEIGHTS_B = WeightSystem((1, 3, 9, 20))
 
-# An inadmissible system: 0+3 == 1+2, so two pair sums collide.
-BAD_WEIGHTS_VALUES = (0, 1, 2, 3)
-
 # ---------------------------------------------------------------------------
 # Degree-2 Legendrian localization at weights (0, 2, 7, 10).
 #

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from foldeg import bott, cli, limits, pencil, reference
+from foldeg import bott, cli, limits, pencil, polyfit, reference
 from foldeg.exact import Differences, PowerSums
+from foldeg.fields import SectionBasis
 
 
 def run(capsys, argv):
@@ -303,6 +305,25 @@ def test_interpolate_pencil_full(capsys):
     assert "polynomial degree: 12 (bound 12)" in lines
 
 
+def test_interpolate_match_does_not_trust_the_interpolator(capsys,
+                                                           monkeypatch):
+    """An interpolator that shifts every interpolant alike gives a wrong
+    polynomial on both sides of a polynomial ==; the verdict compares
+    values with the closed form, so it says NO and exits 1."""
+    for module in (bott, polyfit):
+        real = module.lagrange_interpolate
+        monkeypatch.setattr(module, "lagrange_interpolate",
+                            lambda x0, ys, real=real: real(x0 + 1, ys))
+    code, out, _ = run(
+        capsys,
+        ["interpolate", "--family", "pencil", "--min", "2", "--max", "14"],
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert "closed form match: NO" in lines
+    assert "polynomial degree: 12 (bound 12)" in lines
+
+
 def test_interpolate_pencil_json(capsys):
     code, out, _ = run(
         capsys,
@@ -385,6 +406,9 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
         (limits, "_kernel_counts",
          lambda real: lambda chain: [c + 1 for c in real(chain)],
          KERNEL_3, "limit kernel rank"),
+        (limits, "build_phi_basis", lambda real: lambda d: SectionBasis(
+            d, characters=real(d).characters + Counter([(d - 1, 0, 0, 0)])),
+         KERNEL_3, "chains hold 70 fields, not dim Phi_d = 71 at (1, 2), d=3"),
         (bott, "_image_table", lambda real: lambda pair, w: real(pair, w)
          - PowerSums([Differences([1])] + [Differences()] * 5),
          ["legendrian", "--degree", "6"], "fiber count 119, not 120, at d=6"),
@@ -395,16 +419,16 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
         (pencil, "_twisted_table", _plus_one_at_34((1,)),
          ["pencil", "--degree", "5"], "e_2 of these power sums is not integral"),
     ],
-    ids=["method-disagreement", "saturation-rank", "fiber-count",
-         "non-integral-sum", "newton"],
+    ids=["method-disagreement", "saturation-rank", "basis-size",
+         "fiber-count", "non-integral-sum", "newton"],
 )
 def test_failed_computation_checks_exit_1(capsys, monkeypatch, module, name,
                                          wrong, argv, error):
     """A direct fiber unlike the closed form, a kernel limit of the wrong
-    rank, a fiber table of the wrong count, a Bott sum that is not an
-    integer or an e_k that Newton's step cannot divide exactly is a
-    computation bug: one error: line and exit 1, with no report and no
-    traceback."""
+    rank, chains short of the basis, a fiber table of the wrong count, a
+    Bott sum that is not an integer or an e_k that Newton's step cannot
+    divide exactly is a computation bug: one error: line and exit 1,
+    with no report and no traceback."""
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     code, out, err = run(capsys, argv)
     assert code == 1

@@ -10,7 +10,7 @@ import pytest
 
 from foldeg import bott, fields, limits
 from foldeg.bott import legendrian_degree
-from foldeg.exact import WeightSystem, monomials_of_degree
+from foldeg.exact import WeightSystem, character_weights, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
@@ -305,20 +305,10 @@ def test_phi_basis_fields_carry_their_character():
                 chi = list(mono)
                 chi[j - 1] -= 1
                 assert tuple(chi) == f.character
-        assert basis.weight_multiset(WEIGHTS) == tuple(sorted(
-            sum(c * w for c, w in zip(f.character, WEIGHTS)) for f in basis))
-
-
-def test_weight_multiset_is_kept_per_weight_system():
-    """weight_multiset keeps its last result, keyed by the weight values:
-    one basis asked for systems A, B, A in turn (as a tuple, a
-    WeightSystem and a list) gives the fresh evaluation each time."""
-    basis = build_phi_basis(3)
-    a, b = WEIGHTS, (1, 3, 9, 20)
-    for weights, values in ((a, a), (WeightSystem(b), b), (list(a), a)):
-        assert basis.weight_multiset(weights) == tuple(sorted(
-            character_weight(f.character, values) for f in basis))
-    assert basis.weight_multiset(a) != basis.weight_multiset(b)
+        assert character_weights(
+            basis.characters.elements(), WEIGHTS) == tuple(sorted(
+                sum(c * w for c, w in zip(f.character, WEIGHTS))
+                for f in basis))
 
 
 def test_phi_basis_is_linearly_independent():
@@ -395,7 +385,7 @@ def test_closed_form_counts_equal_the_written_fields(monkeypatch):
             basis = build_phi_basis(d)
             assert len(basis) == phi_dimension(d)
             counts = Counter(basis.characters)
-            weights = basis.weight_multiset(WEIGHTS)
+            weights = character_weights(basis.characters.elements(), WEIGHTS)
         assert counts == Counter(f.character for f in basis.fields)
         assert weights == tuple(sorted(
             character_weight(f.character, WEIGHTS) for f in basis))
@@ -405,7 +395,7 @@ def test_closed_form_counts_equal_the_written_fields(monkeypatch):
 
 @pytest.mark.parametrize("method", [METHOD_BOTH, METHOD_KERNEL])
 def test_limit_routes_write_no_field(monkeypatch, method):
-    """From cold caches, the direct limit routes take the basis weights
+    """From cold caches, the direct limit routes take the basis size
     from its counts and never write a field, d = 2..6; the tangency
     kernel and iterating the basis still write them."""
     monkeypatch.setattr(fields, "_write_fields", _refuse)

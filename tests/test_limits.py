@@ -7,10 +7,16 @@ import pytest
 
 from foldeg import fields, limits
 from foldeg.bott import legendrian_degree
-from foldeg.exact import elementary_symmetric, monomials_of_degree, multiset_difference
+from foldeg.exact import (
+    character_weights,
+    elementary_symmetric,
+    monomials_of_degree,
+    multiset_difference,
+)
 from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
+    SectionBasis,
     as_fixed_point,
     build_phi_basis,
     complementary_pair,
@@ -78,7 +84,8 @@ def test_fiber_sizes_and_partition():
             res = limit_fiber_weights(pair, d)
             assert len(res.quotient_weights) == comb(d + 4, 3)
             assert len(res.kernel_weights) == contact_kernel_dimension(d)
-            full = build_phi_basis(d).weight_multiset(DEFAULT_WEIGHTS)
+            full = character_weights(
+                build_phi_basis(d).characters.elements(), DEFAULT_WEIGHTS)
             recombined = res.quotient_weights + res.kernel_weights
             assert tuple(sorted(recombined)) == full
 
@@ -145,8 +152,9 @@ def test_result_fields():
     assert res.method == METHOD_IMAGE
     assert list(res.quotient_weights) == list(D2_P34_QUOTIENT_WEIGHTS)
     assert len(res.kernel_weights) == contact_kernel_dimension(2)
-    assert res.kernel_weights == multiset_difference(
-        build_phi_basis(2).weight_multiset(DEFAULT_WEIGHTS), res.quotient_weights)
+    assert res.kernel_weights == multiset_difference(character_weights(
+        build_phi_basis(2).characters.elements(), DEFAULT_WEIGHTS),
+        res.quotient_weights)
 
 
 def test_both_is_the_image_result_with_its_method_replaced():
@@ -420,8 +428,9 @@ def test_chain_rank_guard_raises(monkeypatch):
 def test_method_disagreement_is_raised(monkeypatch):
     """--method both compares the two routes and raises on a mismatch."""
     def first_columns(chains):
-        return [chi for chain in chains
-                for chi in oracles._chain_matrix(chain)[0]][:comb(2 + 4, 3)]
+        owner = [chi for chain in chains
+                 for chi in oracles._chain_matrix(chain)[0]]
+        return owner[:comb(2 + 4, 3)], owner[comb(2 + 4, 3):]
 
     monkeypatch.setattr(limits, "_image_characters", first_columns)
     with pytest.raises(MethodDisagreement):
@@ -543,8 +552,7 @@ def test_shared_blocks_are_never_stale(monkeypatch):
 
 
 def test_both_in_alternation_equals_a_fresh_order():
-    """The basis keeps its last weight multiset, keyed by the weights.
-    Under "both", two systems in alternation at each pair give what each
+    """Under "both", two systems in alternation at each pair give what each
     system gives on its own from cold caches, as in a fresh process."""
     d, systems = 3, (ALT_WEIGHTS_A, ALT_WEIGHTS_B)
     fresh = []
@@ -583,6 +591,19 @@ def test_kernel_route_guards_raise(monkeypatch):
     limits._pair_chains.cache_clear()
     with pytest.raises(SaturationRankError, match="kernel rank"):
         limit_fiber_weights((1, 2), 3, method=METHOD_KERNEL)
+
+
+@pytest.mark.parametrize("method", [METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH])
+def test_chains_short_of_the_basis_raise(monkeypatch, method):
+    """Each route refuses chains whose image and kernel do not add up to
+    dim Phi_d, though its own rank is right: here the basis has one
+    field more, of character (d - 1, 0, 0, 0), than the chains."""
+    real = limits.build_phi_basis
+    monkeypatch.setattr(limits, "build_phi_basis", lambda d: SectionBasis(
+        d, characters=real(d).characters + Counter([(d - 1, 0, 0, 0)])))
+    with pytest.raises(SaturationRankError, match=(
+            r"chains hold 70 fields, not dim Phi_d = 71 at \(1, 2\), d=3")):
+        limit_fiber_weights((1, 2), 3, method=method)
 
 
 def test_image_route_rank_guard_raises(monkeypatch):

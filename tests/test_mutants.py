@@ -29,6 +29,7 @@ INTERPOLATION_TESTS = [
     "tests/test_polyfit.py::"
     "test_interpolation_of_frozen_points_recovers_polynomials",
     "tests/test_doctests.py::test_module_doctests[foldeg.exact]",
+    "tests/test_cli.py::test_interpolate_pencil_full",
 ]
 
 MUTANTS = {
@@ -188,6 +189,21 @@ MUTANTS = {
         "        if False:\n",
         ["tests/test_limits.py::test_method_disagreement_is_raised"],
     ),
+    "size guard removed": (
+        "limits.py",
+        "    if len(characters) + len(kernel) != size:\n",
+        "    if False:\n",
+        [
+            "tests/test_limits.py::"
+            "test_chains_short_of_the_basis_raise[image-fiber]",
+            "tests/test_limits.py::"
+            "test_chains_short_of_the_basis_raise[kernel-limit]",
+            "tests/test_limits.py::"
+            "test_chains_short_of_the_basis_raise[both]",
+            "tests/test_cli.py::"
+            "test_failed_computation_checks_exit_1[basis-size]",
+        ],
+    ),
     "the one-field rank rule without A_K": (
         "limits.py",
         "counts.append(0 if x or (y and not absorbs) else 1)",
@@ -214,16 +230,6 @@ MUTANTS = {
             "tests/test_fields.py::test_path_t_weight",
             "tests/test_limits.py::"
             "test_integer_contraction_keeps_the_fraction_pivots",
-        ],
-    ),
-    "a weight memo that ignores the weights": (
-        "fields.py",
-        "        if self._last[0] != values:\n",
-        "        if self._last[0] is None:\n",
-        [
-            "tests/test_fields.py::"
-            "test_weight_multiset_is_kept_per_weight_system",
-            "tests/test_limits.py::test_shared_blocks_are_never_stale",
         ],
     ),
     "the chi_1 = -1 characters counted at chi_4 = -1": (

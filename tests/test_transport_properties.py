@@ -165,7 +165,8 @@ def test_basis_weight_multiset_equals_the_echelon_weights(values):
     admissible weights, at every d = 1..8."""
     for d in range(1, 9):
         want = tuple(sorted(wt for _, wt in rref_phi_basis(d, values)))
-        assert build_phi_basis(d).weight_multiset(values) == want
+        assert character_weights(
+            build_phi_basis(d).characters.elements(), values) == want
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, pair=st.sampled_from(P5_PAIRS))
