@@ -162,21 +162,6 @@ def monomial_string(monomial):
     return "*".join(parts) if parts else "1"
 
 
-def multiset_difference(values, removed):
-    """The integers values less removed, counted with multiplicity, as a
-    sorted tuple; ValueError unless removed is contained in values.
-    values may also be a Counter of them, which is copied, not changed.
-
-    >>> multiset_difference([3, 1, 1, -2], [1])
-    (-2, 1, 3)
-    """
-    rest = Counter(values)
-    rest.subtract(Counter(removed))
-    if min(rest.values(), default=0) < 0:
-        raise ValueError("%r is not contained in %r" % (removed, values))
-    return tuple(sorted(rest.elements()))
-
-
 def character_weights(characters, weights):
     """Evaluate Z^4 characters at a weight system, chi -> sum chi_i * w_i,
     as a sorted tuple.

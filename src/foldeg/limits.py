@@ -41,7 +41,9 @@ tangent kernel, as Z^4 characters, and the two parts must hold
 C(d+4, 3) + (d+4)(d+2)d/3 = dim Phi_d fields, the size that
 fields.build_phi_basis counts in closed form: no route writes a field.
 "both" runs the routes on one set of chains (_pair_chains) and compares
-their image characters.
+their image characters.  A route returns the two parts as characters;
+their weights are evaluated from the characters only when read
+(LimitFiberResult), so a comparison of characters evaluates none.
 """
 
 from collections import namedtuple
@@ -216,29 +218,40 @@ def _kernel_counts(chain):
 
 class LimitFiberResult(namedtuple(
     "LimitFiberResult",
-    "pair d quotient_weights kernel_weights method quotient_characters",
+    "pair d weights method quotient_characters kernel_characters",
 )):
-    """Fiber weights at one fixed point, each a sorted tuple of ints:
-    quotient_weights is the fiber of the image sheaf (what the Euler
-    class is made of), kernel_weights the fiber of the tangent kernel,
-    the fields the route did not put in the image.
+    """The fiber at one fixed point as the route split it, in Z^4
+    characters: quotient_characters is the fiber of the image sheaf
+    (what the Euler class is made of), sorted, and kernel_characters the
+    fiber of the tangent kernel, the fields the route did not put in the
+    image, in route order.  The limit is fixed by the whole torus, so
+    the characters do not depend on the weight system.
 
-    quotient_characters is the image fiber as sorted Z^4 characters,
-    from every route.  The limit is fixed by the whole torus, so they do
-    not depend on the weight system."""
+    quotient_weights and kernel_weights are the same fibers at weights,
+    each a sorted tuple of ints, evaluated from the characters when read
+    (character_weights), not stored."""
 
     __slots__ = ()
 
+    @property
+    def quotient_weights(self):
+        return character_weights(self.quotient_characters, self.weights)
+
+    @property
+    def kernel_weights(self):
+        return character_weights(self.kernel_characters, self.weights)
+
     def __repr__(self):
         return "LimitFiberResult(pair=%r, d=%d, %d quotient / %d kernel)" % (
-            self.pair, self.d, len(self.quotient_weights),
-            len(self.kernel_weights),
+            self.pair, self.d, len(self.quotient_characters),
+            len(self.kernel_characters),
         )
 
 
 def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
-    """Quotient and kernel weights of the contraction limit at a fixed
-    point.
+    """The contraction limit at a fixed point, split into the image fiber
+    and the tangent kernel (a LimitFiberResult, whose weights are those
+    of its characters at weights).
 
     method "image-fiber" takes the initial subspace of the row span at
     t = 1, "kernel-limit" that of the kernel, "both" runs the two and
@@ -291,7 +304,5 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
             "chains hold %d fields, not dim Phi_d = %d at %r, d=%d"
             % (len(characters) + len(kernel), size, fp, d)
         )
-    characters = tuple(sorted(characters))
     return LimitFiberResult(
-        fp, d, character_weights(characters, w), character_weights(kernel, w),
-        method, characters)
+        fp, d, w, method, tuple(sorted(characters)), tuple(kernel))

@@ -1,11 +1,11 @@
 """Exact linear algebra over Q.
 
-Everything is fraction-free where it counts: one elimination kernel,
-the integer echelon, also reads the limit at t = 0 of a torus chain's
-row span off its pivots (limit_rows), filling the chain's M(1) straight
-from its fields' (low, high) entries.  The small Fraction routines
-(rref, kernel bases) are kept as the tests' oracle for the closed-form
-field basis.  All results are exact; nothing here ever sees a float.
+Everything is fraction-free where it counts: the integer echelon, and
+limit_rows, which reads the limit at t = 0 of a torus chain's row span
+off the pivots of a sparse elimination that admits the chain's rows as
+its sweep reaches them.  The small Fraction routines (rref, kernel
+bases) are kept as the tests' oracle for the closed-form field basis.
+All results are exact; nothing here ever sees a float.
 """
 
 from fractions import Fraction
@@ -23,11 +23,7 @@ def echelon(rows, ncols):
     small), ties going to the lowest row index.  After each elimination
     the row is divided by the gcd of its entries.
     """
-    return _echelon([list(r) for r in rows], ncols)
-
-
-def _echelon(mat, ncols):
-    """echelon in place, on int lists the caller gives up."""
+    mat = [list(r) for r in rows]
     nrows = len(mat)
     pivots = []
     rank_ = 0
@@ -79,9 +75,18 @@ def limit_rows(columns, ncols):
     multiple of t^(lev(r) - lev(c)), so M(t) = T_r(t) M(1) T_c(t)^-1
     with diagonal T(t) = diag(t^lev): the path is a torus orbit, and the
     limit is the initial subspace of the row span of M(1) for the
-    highest levels.  An integer echelon of M(1) with the columns in
-    chain order pivots in each level as often as the limit has
-    dimensions there.  Returns the pivot columns, ascending.
+    highest levels.  An echelon of M(1) with the columns in chain order
+    pivots in each level as often as the limit has dimensions there.
+    Returns the pivot columns, ascending.
+
+    The pivots of a leftmost-column echelon are the greedy column basis,
+    whichever rows pivot, so the rows are eliminated sparsely, as
+    {column: nonzero int}, in one sweep along the chain.  Row K + 1
+    joins as the sweep reaches character K, the first it touches, and is
+    reduced by the live row that leads at its leading column, over the
+    union of the two rows' columns, until it leads at a new column or is
+    empty.  Once row K + 1 is in, character K is done: only a row that
+    leads in character K + 1 stays live.
 
     The order is the caller's contract: one row that meets two levels
     keeps the higher.
@@ -91,17 +96,32 @@ def limit_rows(columns, ncols):
     >>> limit_rows([((1, 1), (1, 1), (0, 1))], 3)
     [0, 2]
     """
-    above = [0] * ncols
-    rows = [above]
-    c = 0
-    for fields in columns:
-        below = [0] * ncols
+    # Reading character K completes row K (low entries of K - 1, high
+    # ones of K), which is reduced before character K - 1 is done; the
+    # empty character after the last completes the last row.
+    pivots, live, row, c = [], {}, {}, 0
+    for fields in (*columns, ()):
+        below, first = {}, c
         for low, high in fields:
-            below[c], above[c] = low, high
+            if high:
+                row[c] = high
+            if low:
+                below[c] = low
             c += 1
-        rows.append(below)
-        above = below
-    return _echelon(rows, ncols)[1]
+        while row:
+            lead = min(row)
+            prow = live.get(lead)
+            if prow is None:
+                live[lead] = row
+                pivots.append(lead)
+                break
+            p, e = prow[lead], row[lead]
+            row = {j: v for j in row.keys() | prow.keys()
+                   if (v := p * row.get(j, 0) - e * prow.get(j, 0))}
+        live = {lead: row} if row and lead >= first else {}
+        row = below
+    pivots.sort()
+    return pivots
 
 
 def rref(rows):

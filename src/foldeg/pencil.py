@@ -21,7 +21,6 @@ from .exact import (
     DEFAULT_WEIGHTS,
     PowerSums,
     as_weight_system,
-    multiset_difference,
     power_sums_at,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
@@ -37,7 +36,9 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
     """
     pair, w = as_fixed_point(pair), as_weight_system(weights)
     normal = w.pair_sum(complementary_pair(pair)) - w.pair_sum(pair)
-    return multiset_difference(tangent_weights_p5(pair, w), [normal])
+    tangent = list(tangent_weights_p5(pair, w))
+    tangent.remove(normal)
+    return tuple(tangent)
 
 
 @lru_cache(maxsize=CACHED_PAIRS)

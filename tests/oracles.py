@@ -7,7 +7,9 @@ weight, the same weights counted by arithmetic progressions and split
 by Counter subtraction, the pencil fiber and the Legendrian image fiber
 taken from those weights, as foldeg.pencil and foldeg.bott built them
 before their power sums, the tangent weights of G(2,4) as the differences
-foldeg.pencil wrote out before, the power sums of the monomial weights
+foldeg.pencil wrote out before, the difference of two multisets of
+integers with its containment check, which foldeg.exact kept before,
+the power sums of the monomial weights
 in closed form by Stirling numbers and as forward differences of
 counted samples, the interpolant as a sum of Lagrange
 basis polynomials, a polynomial's value by Horner's rule in Fractions,
@@ -76,6 +78,17 @@ def enumerated_complement_weights(pair, d, weights):
     alone = [m for m in monomials_of_degree(d + 1)
              if not m[p - 1] and not m[q - 1]]
     return character_weights(alone, weights)
+
+
+def multiset_difference(values, removed):
+    """The integers values less removed, counted with multiplicity, as a
+    sorted tuple; ValueError unless removed is contained in values.
+    values may also be a Counter of them, which is copied, not changed."""
+    rest = Counter(values)
+    rest.subtract(Counter(removed))
+    if min(rest.values(), default=0) < 0:
+        raise ValueError("%r is not contained in %r" % (removed, values))
+    return tuple(sorted(rest.elements()))
 
 
 def enumerated_pencil_fiber(pair, d, weights):

@@ -388,6 +388,24 @@ def test_both_checks_each_degree_and_pair_once(monkeypatch):
         assert warm == fresh
 
 
+@pytest.mark.parametrize("method", (METHOD_BOTH, METHOD_KERNEL))
+def test_direct_routes_evaluate_weights_only_when_read(monkeypatch, method):
+    """A route's weights are evaluated from its characters when read, so
+    the direct check evaluates one image fiber per pair, for its
+    power-sum comparison: 6 evaluations at a degree under either
+    method, none for the kernels or for the comparison of the routes."""
+    calls = []
+
+    def counted(characters, weights):
+        calls.append(len(characters))
+        return character_weights(characters, weights)
+
+    monkeypatch.setattr(limits, "character_weights", counted)
+    bott._both_checked.clear()
+    assert legendrian_degree(3, method=method).degree == LEGENDRIAN_D3_DEGREE
+    assert calls == [35] * 6  # C(3 + 4, 3) image characters each
+
+
 def test_a_failed_both_check_is_not_remembered(monkeypatch):
     """A (d, pair) whose direct fiber disagrees with the closed form
     raises on every call until the two agree; a pair checked at another

@@ -22,7 +22,6 @@ from foldeg.exact import (
     monomial_power_sums,
     monomial_string,
     monomials_of_degree,
-    multiset_difference,
     newton_step,
     power_sum_differences,
     scalar_to_string,
@@ -31,6 +30,7 @@ from oracles import (
     elementary_symmetric_recurrence,
     fraction_horner,
     lagrange_sum,
+    multiset_difference,
     stirling_monomial_power_sums,
 )
 

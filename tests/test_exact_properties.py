@@ -18,7 +18,6 @@ from foldeg.exact import (
     elementary_symmetric,
     forward_differences,
     lagrange_interpolate,
-    multiset_difference,
     power_sum_differences,
 )
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     elementary_symmetric_recurrence,
     fraction_horner,
     lagrange_sum,
+    multiset_difference,
 )
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -11,7 +11,6 @@ from foldeg.exact import (
     character_weights,
     elementary_symmetric,
     monomials_of_degree,
-    multiset_difference,
 )
 from foldeg.fields import (
     P5_PAIRS,
@@ -50,6 +49,7 @@ from oracles import (
     _kernel_weights_for_block,
     character_weight,
     kernel_counts_by_block,
+    multiset_difference,
     projected_kernel_weights,
     saturated_limit_rows,
 )
