@@ -13,17 +13,20 @@ T(t) = diag(t^lev): the path is a torus orbit, and what survives at
 t = 0 is an initial subspace of the t = 1 data.  _chains writes the
 chains of a pair in closed form, from the basis formula of
 fields.build_phi_basis and the path's t^0 and t^1 coefficients by
-direction, e_p - e_q and e_k - e_l; no matrix is assembled.  Two
-independent routes compute the limit on them:
+direction, e_p - e_q and e_k - e_l; no matrix is assembled.  It lays
+them end to end in one list, with an empty character, END, after each
+chain, and each route reads that list in one pass.  Two independent
+routes compute the limit on it:
 
 * image-fiber: the row span, at the highest levels.  The route hands
-  each chain's fields to linalg.limit_rows as _chains writes them, by
-  descending level, and reads only the pivots of the integer echelon
-  of M(1) it fills from them; each pivot is one copy of its column's
-  character in the fiber, whatever the weights.  The fiber this gives
-  has a closed form, which foldeg.bott's image route evaluates
-  instead, and which its "both" compares with these characters (the
-  argument is in the foldeg.bott docstring).
+  the chains' fields to one linalg.limit_rows sweep as _chains writes
+  them, by descending level within each chain, and reads only the
+  pivots of the integer echelon of M(1) it fills from them; END leaves
+  no row live, so each chain pivots on its own.  Each pivot is one copy
+  of its column's character in the fiber, whatever the weights.  The
+  fiber this gives has a closed form, which foldeg.bott's image route
+  evaluates instead, and which its "both" compares with these
+  characters (the argument is in the foldeg.bott docstring).
 * kernel-limit: the nullspace, at the lowest levels, by a rank rule per
   character and no elimination (_kernel_counts).  Number a chain's
   characters c_0, c_1, ... from the top, so that c_K has its high row
@@ -35,6 +38,7 @@ independent routes compute the limit on them:
   so every A_K is 0 or Q: it is Q after c_K if A_K = Q and low != 0, or
   if A_K = 0 and rank [low; high] > rank high.  A character with f
   fields of which the kernel takes c is f - c copies in the image fiber.
+  END has no field: it counts 0 and leaves A = 0 for the next chain.
 
 Each route splits every field of the chains into the image fiber or the
 tangent kernel, as Z^4 characters, and the two parts must hold
@@ -123,10 +127,15 @@ def build_contraction_matrix(fp, d, basis):
     )
 
 
+# The empty character that ends each chain in the list _chains writes.
+END = (None, ())
+
+
 def _chains(d, pair):
-    """The chains of the contraction at pair: each a list of
-    (character, ((low, high), ...)) with one entry pair per basis field
-    of the character, the characters by descending level chi_k + chi_l.
+    """The chains of the contraction at pair, laid end to end in one
+    list: each chain as its (character, ((low, high), ...)), with one
+    entry pair per basis field of the character, the characters by
+    descending level chi_k + chi_l, and END after it.
 
     A character chi of degree d - 1 has entries >= -1, at most one -1.
     With chi_j = -1 its one field is x^(chi + e_j) d/dx_j.  Otherwise it
@@ -155,56 +164,60 @@ def _chains(d, pair):
             bottom, tail = abs(b) - 2, b and ones[l if b > 0 else k]
             if top == bottom:
                 continue  # its one character has two entries -1
-            chain = []
             if head:
                 cp, ck = (n - top + a) // 2, (top + b) // 2
-                chain.append((place((cp, cp - a, ck, ck - b)), head))
+                chains.append((place((cp, cp - a, ck, ck - b)), head))
             for lev in range(top - 2, bottom, -2):
                 cp, ck = (n - lev + a) // 2, (lev + b) // 2
                 m1, m2, m3, s = chi = place((cp, cp - a, ck, ck - b))
                 m1, m2, m3, s = m1 + 1, m2 + 1, m3 + 1, s + 1
-                chain.append((chi, ((s * l1 - m1 * l4, s * h1 - m1 * h4),
-                                    (s * l2 - m2 * l4, s * h2 - m2 * h4),
-                                    (s * l3 - m3 * l4, s * h3 - m3 * h4))))
+                chains.append((chi, ((s * l1 - m1 * l4, s * h1 - m1 * h4),
+                                     (s * l2 - m2 * l4, s * h2 - m2 * h4),
+                                     (s * l3 - m3 * l4, s * h3 - m3 * h4))))
             if tail:
                 cp, ck = (n - bottom + a) // 2, (bottom + b) // 2
-                chain.append((place((cp, cp - a, ck, ck - b)), tail))
-            chains.append(chain)  # not empty: a = b = 0 spans n + 4 levels
+                chains.append((place((cp, cp - a, ck, ck - b)), tail))
+            # END after the chain, never empty: a = b = 0 spans n + 4 levels
+            chains.append(END)
     return chains
 
 
 @lru_cache(maxsize=1)
 def _pair_chains(d, pair):
-    """The chains at pair, kept for the second route under "both"; one
-    entry, so nothing is kept across degrees."""
-    return tuple(map(tuple, _chains(d, pair)))
+    """The chains at pair as _chains writes them, kept for the second
+    route under "both"; one entry, so nothing is kept across degrees."""
+    return tuple(_chains(d, pair))
 
 
 def _image_characters(chains):
-    """The image fiber and the kernel on chains, as two lists of
-    characters: one per pivot that limit_rows picks on a chain's fields,
-    which _chains writes by descending level, as limit_rows needs, and
-    one per field that is not a pivot."""
-    image, kernel = [], []
-    for chain in chains:
-        owner = [chi for chi, fields in chain for _ in fields]
-        for p in limit_rows([fields for _, fields in chain], len(owner)):
-            image.append(owner[p])
-            owner[p] = None
-        kernel += filter(None, owner)
-    return image, kernel
+    """The image fiber and the kernel on chains laid end to end, as two
+    lists of characters: one per pivot of the one limit_rows sweep over
+    all their fields, which _chains writes by descending level within
+    each chain, as limit_rows needs, and one per field that is not a
+    pivot, in order.  The empty character after each chain ends it
+    there, so the sweep pivots as one limit_rows call per chain would."""
+    owner = [chi for chi, fields in chains for _ in fields]
+    image = []
+    for p in limit_rows([fields for _, fields in chains], len(owner)):
+        image.append(owner[p])
+        owner[p] = None
+    return image, list(filter(None, owner))
 
 
-def _kernel_counts(chain):
-    """The multiplicity of each character of a chain in the kernel
-    limit, by the rank rule of the module docstring.  absorbs is
-    A_K = Q; it starts false."""
+def _kernel_counts(chains):
+    """The multiplicity of each character of chains laid end to end in
+    the kernel limit, by the rank rule of the module docstring.  absorbs
+    is A_K = Q; it starts false.  The empty character after a chain
+    counts 0 and sets it false, as A_0 = 0 at the top of the next."""
     counts, absorbs = [], False
-    for _, fields in chain:
+    for _, fields in chains:
         if len(fields) == 1:  # one field (x, y): the ranks are truth tests
             ((x, y),) = fields
             counts.append(0 if x or (y and not absorbs) else 1)
             absorbs = bool(x) and (absorbs or not y)
+        elif not fields:  # END
+            counts.append(0)
+            absorbs = False
         elif absorbs:  # the count is f less rank low
             absorbs = any(x for x, _ in fields)
             counts.append(len(fields) - absorbs)
@@ -289,8 +302,8 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
         limit, rank, expected = "image", len(characters), comb(d + 4, 3)
     else:
         characters, kernel = [], []
-        for chain in chains:
-            for (chi, fields), count in zip(chain, _kernel_counts(chain)):
+        for (chi, fields), count in zip(chains, _kernel_counts(chains)):
+            if fields:  # not END
                 characters += [chi] * (len(fields) - count)
                 kernel += [chi] * count
         limit, rank, expected = "kernel", len(kernel), contact_kernel_dimension(d)

@@ -91,10 +91,18 @@ def limit_rows(columns, ncols):
     The order is the caller's contract: one row that meets two levels
     keeps the higher.
 
+    An empty character () ends a chain, so columns may hold several
+    chains end to end, each followed by ().  At () first = c and every
+    live row leads below it: the chain's last row is reduced, no row
+    stays live, and the next chain starts from an empty row.  The
+    pivots are then each chain's own, offset by its first column.
+
     >>> limit_rows([((1, 0),), ((0, 1),)], 2)
     [0]
     >>> limit_rows([((1, 1), (1, 1), (0, 1))], 3)
     [0, 2]
+    >>> limit_rows([((1, 0),), (), ((0, 1),), ()], 2)
+    [0, 1]
     """
     # Reading character K completes row K (low entries of K - 1, high
     # ones of K), which is reduced before character K - 1 is done; the

@@ -27,7 +27,8 @@ union-find, and the kernel limit as one integer echelon of
 RationalPolynomial, the monomial list and weights, MonomialField,
 PowerSums.shifted (for the Stirling closed form), the complement of a
 pair, the Fraction rref and kernel basis, the integer echelon, and (for
-the image fiber) the chains of foldeg.limits.
+the image fiber) the chains of foldeg.limits, which split_chains takes
+apart at the END after each.
 weight_ordered_basis puts the package's basis, which depends on d
 alone, in the order the echelon basis has under a weight system, so
 that the oracles built on it see the columns that order gives.
@@ -52,7 +53,7 @@ from foldeg.fields import (
     build_phi_basis,
     complementary_pair,
 )
-from foldeg.limits import SaturationRankError, _chains
+from foldeg.limits import END, SaturationRankError, _chains
 from foldeg.linalg import echelon, kernel_basis, rref
 
 
@@ -591,6 +592,22 @@ def chain_kernel_counts(chain):
     return counts
 
 
+def split_chains(sequence):
+    """The chains that foldeg.limits._chains lays end to end, as a list
+    of lists: the sequence split at each END.  Each chain must hold a
+    character and the sequence must end with END."""
+    chains, chain = [], []
+    for entry in sequence:
+        if entry != END:
+            chain.append(entry)
+            continue
+        assert chain, "two ENDs in a row"
+        chains.append(chain)
+        chain = []
+    assert not chain, "the last chain has no END"
+    return chains
+
+
 def _chain_matrix(chain):
     """The column characters and the dense integer rows of M(1) on a
     chain, one column per field: row K is the high row of the K-th
@@ -619,7 +636,7 @@ def _chain_fiber(d):
     and no weights.  Raises SaturationRankError unless there are
     C(d+4, 3)."""
     fiber = []
-    for chain in _chains(d, SOURCE_PAIR):
+    for chain in split_chains(_chains(d, SOURCE_PAIR)):
         owner, rows = _chain_matrix(chain)
         fiber += [owner[p] for p in echelon(rows, len(owner))[1]]
     if len(fiber) != comb(d + 4, 3):

@@ -11,6 +11,7 @@ import copy
 import random
 from fractions import Fraction
 
+from foldeg.limits import END, _kernel_counts
 from foldeg.linalg import (
     echelon,
     kernel_basis,
@@ -99,6 +100,26 @@ def test_echelon_and_limit_rows_leave_their_rows_unchanged():
         _, dense = _chain_matrix(list(enumerate(columns)))
         assert limit_rows(columns, ncols) == echelon(dense, ncols)[1], columns
         assert columns == kept
+
+
+def test_chains_laid_end_to_end_sweep_as_each_alone():
+    """Over 1..5 zero-heavy chains, each followed by an empty character,
+    limit_rows picks each chain's own pivots, offset by the chain's
+    first column, and the kernel rule gives each chain's own counts
+    with a 0 at each END: no row and no A_K crosses a chain end."""
+    rng = random.Random(66)
+    for _ in range(300):
+        chains = [_random_chain(rng) for _ in range(rng.randint(1, 5))]
+        pivots, counts, joined, offset = [], [], [], 0
+        for columns in chains:
+            ncols = sum(map(len, columns))
+            pivots += [offset + p for p in limit_rows(columns, ncols)]
+            offset += ncols
+            chain = [((K,), fields) for K, fields in enumerate(columns)]
+            counts += _kernel_counts(chain) + [0]
+            joined += chain + [END]
+        assert limit_rows([f for _, f in joined], offset) == pivots, chains
+        assert _kernel_counts(joined) == counts, chains
 
 
 def test_kernel_basis_annihilates_and_counts():

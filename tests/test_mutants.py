@@ -235,6 +235,32 @@ MUTANTS = {
             "test_kernel_rule_holds_on_any_chain",
         ],
     ),
+    "chains run together": (
+        "limits.py",
+        "            chains.append(END)\n",
+        "",
+        [
+            "tests/test_limits.py::test_chains_are_the_union_find_blocks",
+            "tests/test_limits.py::test_methods_agree",
+            "tests/test_limits.py::test_quotient_characters",
+            "tests/test_bott.py::"
+            "test_closed_form_equals_the_chain_fiber_oracle",
+            "tests/test_bott.py::test_both_checks_closed_form_fibers",
+        ],
+    ),
+    # A_K = Q at the bottom of a chain carried over to the top of the next
+    "a chain end that keeps A_K": (
+        "limits.py",
+        "            counts.append(0)\n            absorbs = False\n",
+        "            counts.append(0)\n",
+        [
+            "tests/test_linalg.py::"
+            "test_chains_laid_end_to_end_sweep_as_each_alone",
+            "tests/test_limits.py::test_methods_agree",
+            "tests/test_limits.py::test_quotient_characters",
+            "tests/test_bott.py::test_both_checks_closed_form_fibers",
+        ],
+    ),
     "chains with the sign of the path's high coefficients flipped": (
         "limits.py",
         "place((0, 0, 1, -1))",
