@@ -44,8 +44,10 @@ that e_5 needs, in closed form (image_power_sums), with no chains,
 echelon or field basis.  The split and the shifts are linear with
 constant coefficients, so they commute with forward differences: they
 act once per weight system and pair on the monomial power sums as
-polynomials in d (exact.Differences), and a degree costs one binomial
-row and one dot product per p_j at each pair.  Every method sums these
+polynomials in d (exact.Differences).  The tangent numbers of the six
+pairs are also taken once per weight system, so a degree costs one
+binomial row, and at each pair one dot product per p_j and one Newton's
+step for e_n of the fiber.  Every method sums these
 closed-form fibers.  The kernel route and "both" also compute the
 fibers directly (foldeg.limits), as checks that do not feed the sum:
 each direct fiber must have the closed-form Z^4 characters
@@ -62,6 +64,7 @@ from operator import index
 
 from . import exact
 from .exact import (
+    CACHED_SYSTEMS,
     DEFAULT_WEIGHTS,
     TOP,
     NonIntegralDegree,
@@ -179,16 +182,20 @@ class Family(namedtuple(
             self.closed_form(d) for d in range(lo, lo + self.degree_bound + 1)])
 
 
-# Tables for six pairs of four weight systems: a sweep over three systems
-# that returns to the first rebuilds none.
-CACHED_PAIRS = 6 * 4
+# Tables for the six pairs of each cached weight system.
+CACHED_PAIRS = 6 * CACHED_SYSTEMS
 
 
-@lru_cache(maxsize=2 * CACHED_PAIRS)  # both families
-def _tangent_euler(tangent_weights, pair, values):
-    """n and e_n (the product) of the tangent weights at pair, for any d."""
-    tangent = tangent_weights(pair, values)
-    return len(tangent), prod(tangent)
+@lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families
+def _tangent_euler(tangent_weights, values):
+    """{pair: (n, e_n)} at the six pairs, e_n the product of the n
+    tangent weights there, for any d.  Every call with these arguments
+    shares the dict: read it, never change it."""
+    numbers = {}
+    for pair in P5_PAIRS:
+        tangent = tangent_weights(pair, values)
+        numbers[pair] = len(tangent), prod(tangent)
+    return numbers
 
 
 def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
@@ -196,7 +203,8 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
 
     Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
     dimension of the parameter space (the number of tangent weights), so
-    e_n(tangent) is their product; options go to family.fibers.  Fibers
+    e_n(tangent) is their product, taken at the six pairs once per family
+    and weight system; options go to family.fibers.  Fibers
     are taken one at a time, so only one is alive at once.  Each value is
     a Fraction, but the sum is taken in ints over the running lcm of the
     tangent products, with no gcd per term.  d must be an int (TypeError
@@ -209,9 +217,10 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             % (family.name, family.min_degree, d)
         )
     w = as_weight_system(weights).require_admissible()
+    euler = _tangent_euler(family.tangent_weights, w.values)
     contributions, total, common = [], 0, 1  # the sum is total / common
     for pair, fiber in family.fibers(d, w, **options):
-        n, den = _tangent_euler(family.tangent_weights, pair, w.values)
+        n, den = euler[pair]
         num = exact.elementary_symmetric(n, fiber)
         if den < 0:
             num, den = -num, -den

@@ -9,7 +9,6 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import lcm
 
 
@@ -123,10 +122,22 @@ class WeightSystem:
 DEFAULT_WEIGHTS = WeightSystem((0, 2, 7, 10))
 
 
+# Weight systems kept at once by every per-system cache: a sweep over
+# three systems that returns to the first rebuilds nothing.
+CACHED_SYSTEMS = 4
+_int_weight_system = lru_cache(maxsize=CACHED_SYSTEMS)(WeightSystem)
+
+
 def as_weight_system(w):
-    """Coerce a WeightSystem or any 4-sequence of integers."""
+    """Coerce a WeightSystem or any 4-sequence of integers.  A tuple of
+    ints gives the same WeightSystem every time, so the caches keyed by
+    it find it by identity and its admissibility is decided once; any
+    other input, such as (0, 2.0, 7, 10), which equals (0, 2, 7, 10),
+    gets a system of its own."""
     if isinstance(w, WeightSystem):
         return w
+    if type(w) is tuple and {*map(type, w)} == {int}:
+        return _int_weight_system(w)
     return WeightSystem(w)
 
 
@@ -226,14 +237,16 @@ def newton_step(k, p):
     unless each division by j is exact."""
     if k < 0 or k >= len(p):
         raise ValueError("no e_%r of %s values, p_0..p_%d" % (k, p[0], len(p) - 1))
-    f = [1]  # f_j = (-1)^j e_j carries the sign: j*f_j = -sum f_(j-i) p_i
+    # f_j = (-1)^j e_j carries the sign: j*f_j = -sum f_(j-i) p_i, with f
+    # newest first, so that f_(j-1), ..., f_0 meet p_1, ..., p_j in order
+    f, rest = [1], p[1:]
     for j in range(1, k + 1):
-        total = -sum(map(operator.mul, reversed(f), p[1:j + 1]))
+        total = -sum(map(operator.mul, f, rest))
         q = total // j
         if q * j != total:
             raise NonIntegralDegree("e_%d of these power sums is not integral" % j)
-        f.append(q)
-    return -f[k] if k % 2 else f[k]
+        f.insert(0, q)
+    return -f[0] if k % 2 else f[0]
 
 
 def elementary_symmetric(k, values):
@@ -265,7 +278,7 @@ def forward_differences(ys):
     deltas = []
     while any(ys):
         deltas.append(ys[0])
-        ys = [b - a for a, b in zip(ys, ys[1:])]
+        ys = [*map(operator.sub, ys[1:], ys)]
     return deltas
 
 
@@ -302,10 +315,18 @@ def power_sum_differences(ws, top):
     products prod_i C(m_i, a_i), |a| <= j, each summing over |m| = n to
     C(n+r-1, |a|+r-1).  Each value is summed over a plain list of the
     degree-n monomial weights, one product per weight and power, with
-    nothing counted.  Callers ask for top >= TOP: one table per ws."""
-    samples = []
+    nothing counted.  The lists grow from degree n - 1: lists[i] holds
+    the weights of the degree-n monomials in the variables i, i + 1, ...
+    of ws, which either hold variable i, ws[i] plus a weight of degree
+    n - 1 in lists[i], or lie in lists[i + 1].  Callers ask for
+    top >= TOP: one table per ws."""
+    samples, lists = [], [[0]] * len(ws)
     for n in range(top + len(ws)):
-        weights = list(map(sum, combinations_with_replacement(ws, n)))
+        if n:
+            weights = []
+            for i in range(len(ws) - 1, -1, -1):
+                weights = lists[i] = [ws[i] + v for v in lists[i]] + weights
+        weights = lists[0]
         terms, p = weights, [len(weights), sum(weights)]
         for _ in range(top - 1):
             terms = list(map(operator.mul, terms, weights))

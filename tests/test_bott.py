@@ -535,6 +535,23 @@ def test_table_caches_keep_four_weight_systems():
     assert [cache.cache_info().misses for cache in caches] == misses
 
 
+def test_a_tuple_sweep_that_returns_to_the_first_system_builds_nothing():
+    """The benchmark's sweep passes weights as plain tuples: three systems
+    and then the first again, as a new tuple.  On the return the cached
+    WeightSystem, its fiber tables and its tangent products are found,
+    in either family."""
+    caches = (bott._image_table, pencil._twisted_table, bott._tangent_euler,
+              exact._int_weight_system)
+    for values in ((0, 2, 7, 10), (10, 16, 0, 3), (6, 0, 16, 13)):
+        legendrian_degree(5, values)
+        pencil_degree(5, values)
+    misses = [cache.cache_info().misses for cache in caches]
+    first = tuple([0, 2, 7, 10])
+    legendrian_degree(6, first)
+    pencil_degree(6, first)
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
 def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):
     """e_n of the tangent weights is their product, so localize calls
     exact.elementary_symmetric once per fiber and never on a tangent.

@@ -83,6 +83,29 @@ def test_weight_system_requires_integers():
         pencil_degree(2, (0, Fraction(1, 2), 7, 10))
 
 
+def test_the_weight_cache_hands_a_checked_system_to_ints_alone():
+    """A tuple of ints maps to one cached WeightSystem.  (0, 2.0, 7, 10)
+    and (0, Fraction(2), 7, 10) equal (0, 2, 7, 10) and hash alike, yet
+    after it has been used they still raise at every entry point, and an
+    inadmissible tuple raises again on a second call."""
+    from foldeg import legendrian_degree, pencil_degree
+
+    good = (0, 2, 7, 10)
+    assert as_weight_system(good) is as_weight_system(tuple([0, 2, 7, 10]))
+    entry_points = (as_weight_system, lambda w: pencil_degree(2, w),
+                    lambda w: legendrian_degree(2, w))
+    for call in entry_points:
+        call(good)
+        for bad in ((0, 2.0, 7, 10), (0, Fraction(2), 7, 10)):
+            assert bad == good and hash(bad) == hash(good)
+            with pytest.raises(InadmissibleWeights):
+                call(bad)
+    for call in entry_points[1:]:
+        for _ in range(2):
+            with pytest.raises(InadmissibleWeights):
+                call((0, 1, 2, 3))
+
+
 def test_weight_admissibility_matches_definition():
     """Cross-check is_admissible against the raw definition on random
     small systems (which include plenty of inadmissible ones)."""

@@ -351,10 +351,21 @@ MUTANTS = {
     ),
     "tangents sent back through elementary_symmetric": (
         "bott.py",
-        "    return len(tangent), prod(tangent)\n",
-        "    return len(tangent), "
+        "        numbers[pair] = len(tangent), prod(tangent)\n",
+        "        numbers[pair] = len(tangent), "
         "exact.elementary_symmetric(len(tangent), tangent)\n",
         ["tests/test_bott.py::test_localize_asks_e_n_of_the_fibers_alone"],
+    ),
+    "the six tangent numbers handed to the wrong pairs": (
+        "bott.py",
+        "        n, den = euler[pair]\n",
+        "        n, den = euler[P5_PAIRS[P5_PAIRS.index(pair) - 1]]\n",
+        [
+            "tests/test_bott.py::test_d2_contribution_table",
+            "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
+            "tests/test_transport_properties.py::"
+            "test_tangent_euler_class_is_the_product_of_the_weights",
+        ],
     ),
     "the pencil twist by w_p + w_q": (
         "pencil.py",
@@ -488,6 +499,13 @@ MUTANTS = {
         "            values = PowerSums.of(values, k)\n",
         ["tests/test_exact.py::"
          "test_elementary_symmetric_takes_no_power_above_the_count"],
+    ),
+    "the weight cache without its int-type guard": (
+        "exact.py",
+        "    if type(w) is tuple and {*map(type, w)} == {int}:\n",
+        "    if type(w) is tuple:\n",
+        ["tests/test_exact.py::"
+         "test_the_weight_cache_hands_a_checked_system_to_ints_alone"],
     ),
     "one admissibility answer shared by all systems": (
         "exact.py",
