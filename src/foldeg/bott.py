@@ -45,9 +45,10 @@ echelon or field basis.  The split and the shifts are linear with
 constant coefficients, so they commute with forward differences: they
 act once per weight system and pair on the monomial power sums as
 polynomials in d (exact.Differences).  The tangent numbers of the six
-pairs are also taken once per weight system, so a degree costs one
-binomial row, and at each pair one dot product per p_j and one Newton's
-step for e_n of the fiber.  Every method sums these
+pairs, their common denominator and each pair's factor to it are also
+taken once per weight system, so a degree costs one binomial row, and at
+each pair one dot product per p_j, one Newton's step for e_n of the
+fiber and one product by the factor.  Every method sums these
 closed-form fibers.  The kernel route and "both" also compute the
 fibers directly (foldeg.limits), as checks that do not feed the sum:
 each direct fiber must have the closed-form Z^4 characters
@@ -66,7 +67,6 @@ from . import exact
 from .exact import (
     CACHED_SYSTEMS,
     DEFAULT_WEIGHTS,
-    TOP,
     NonIntegralDegree,
     PowerSums,
     as_weight_system,
@@ -105,13 +105,18 @@ def tangent_weights_p5(pair, weights=DEFAULT_WEIGHTS):
     return tuple(sorted(w.pair_sum(q) - s for q in P5_PAIRS if q != pair))
 
 
-FixedPointContribution = namedtuple(
-    "FixedPointContribution", "pair numerator denominator value"
-)
-FixedPointContribution.__doc__ = (
-    "One localization summand: value = numerator/denominator with the "
-    "raw Euler numbers kept unreduced (denominator normalized positive)."
-)
+class FixedPointContribution(namedtuple(
+    "FixedPointContribution", "pair numerator denominator"
+)):
+    """One localization summand, numerator/denominator with the raw Euler
+    numbers kept unreduced (denominator normalized positive); value is
+    that Fraction, made when read."""
+
+    __slots__ = ()
+
+    @property
+    def value(self):
+        return Fraction(self.numerator, self.denominator)
 
 
 def default_method(d):
@@ -184,18 +189,23 @@ class Family(namedtuple(
 
 # Tables for the six pairs of each cached weight system.
 CACHED_PAIRS = 6 * CACHED_SYSTEMS
+TOP = 5  # p_0..p_5, all that e_5 of a Legendrian fiber reads
 
 
 @lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families
 def _tangent_euler(tangent_weights, values):
-    """{pair: (n, e_n)} at the six pairs, e_n the product of the n
-    tangent weights there, for any d.  Every call with these arguments
-    shares the dict: read it, never change it."""
+    """(common, {pair: (n, sign, den, factor)}) for any d: at each of the
+    six pairs the n tangent weights, whose product e_n is sign * den with
+    den > 0, and common the lcm of the six den, each factor = common //
+    den.  Every call with these arguments shares the result: read it,
+    never change it."""
+    tangents = [tangent_weights(pair, values) for pair in P5_PAIRS]
+    common = lcm(*map(prod, tangents))  # lcm is positive
     numbers = {}
-    for pair in P5_PAIRS:
-        tangent = tangent_weights(pair, values)
-        numbers[pair] = len(tangent), prod(tangent)
-    return numbers
+    for pair, tangent in zip(P5_PAIRS, tangents):
+        den = prod(tangent)
+        numbers[pair] = len(tangent), -1 if den < 0 else 1, abs(den), common // abs(den)
+    return common, numbers
 
 
 def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
@@ -203,11 +213,12 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
 
     Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
     dimension of the parameter space (the number of tangent weights), so
-    e_n(tangent) is their product, taken at the six pairs once per family
-    and weight system; options go to family.fibers.  Fibers
-    are taken one at a time, so only one is alive at once.  Each value is
-    a Fraction, but the sum is taken in ints over the running lcm of the
-    tangent products, with no gcd per term.  d must be an int (TypeError
+    e_n(tangent) is their product; it, its sign, the common denominator
+    of the six and each pair's factor to it are taken once per family and
+    weight system (_tangent_euler); options go to family.fibers.  Fibers
+    are taken one at a time, so only one is alive at once.  The sum is
+    num * factor over the six pairs, in ints over the common denominator,
+    with no lcm or Fraction per term.  d must be an int (TypeError
     otherwise).  Raises NonIntegralDegree unless the sum is an integer.
     """
     d = index(d)
@@ -217,19 +228,13 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             % (family.name, family.min_degree, d)
         )
     w = as_weight_system(weights).require_admissible()
-    euler = _tangent_euler(family.tangent_weights, w.values)
-    contributions, total, common = [], 0, 1  # the sum is total / common
+    common, euler = _tangent_euler(family.tangent_weights, w.values)
+    contributions, total = [], 0  # the sum is total / common
     for pair, fiber in family.fibers(d, w, **options):
-        n, den = euler[pair]
-        num = exact.elementary_symmetric(n, fiber)
-        if den < 0:
-            num, den = -num, -den
-        contributions.append(
-            FixedPointContribution(pair, num, den, Fraction(num, den))
-        )
-        scale = lcm(common, den)
-        total = total * (scale // common) + num * (scale // den)
-        common = scale
+        n, sign, den, factor = euler[pair]
+        num = sign * exact.elementary_symmetric(n, fiber)
+        contributions.append(FixedPointContribution(pair, num, den))
+        total += num * factor
     if total % common:
         raise NonIntegralDegree(
             "%s localization sum %s is not an integer (d=%d, weights %r)"
@@ -238,14 +243,15 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     return DegreeReport(family.name, d, w, tuple(contributions), total // common)
 
 
-def split_power_sums(pair, w):
-    """The power sums p_0..p_5 of the degree-(d+1) monomial weights at w, as
-    Differences in d + 1, split at the pair (p,q) with complement (k,l):
-    (full - part, part), part those of the d + 2 monomials in x_k, x_l
-    alone, full - part those of the monomials that involve x_p or x_q."""
+def split_power_sums(pair, w, top):
+    """The power sums p_0..p_top of the degree-(d+1) monomial weights at w,
+    as Differences in d + 1, split at the pair (p,q) with complement
+    (k,l): (full - part, part), part those of the d + 2 monomials in
+    x_k, x_l alone, full - part those of the monomials that involve x_p
+    or x_q.  top is the n of the family's e_n: 5 here, 4 for the pencil."""
     k, l = complementary_pair(pair)
-    full = power_sum_differences(w.values, TOP)
-    part = power_sum_differences((w.weight(k), w.weight(l)), TOP)
+    full = power_sum_differences(w.values, top)
+    part = power_sum_differences((w.weight(k), w.weight(l)), top)
     return full - part, part
 
 
@@ -264,7 +270,7 @@ def _image_table(pair, w):
     """The image fiber at pair as Differences in d + 1 (split_power_sums):
     the monomials that involve x_p or x_q shifted by -(w_p + w_q), the
     rest by -(w_k + w_l)."""
-    reached, part = split_power_sums(pair, w)
+    reached, part = split_power_sums(pair, w, TOP)
     low = w.pair_sum(pair)  # w_p + w_q, so w_k + w_l = sum(w.values) - low
     return reached.shifted(-low) + part.shifted(low - sum(w.values))
 

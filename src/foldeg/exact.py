@@ -304,9 +304,6 @@ class Differences(tuple):
         return Differences([c * a for a in self])
 
 
-TOP = 5  # p_0..p_5: e_5 of a Legendrian fiber; the pencil's e_4 reads p_0..p_4
-
-
 @lru_cache(maxsize=256)
 def power_sum_differences(ws, top):
     """p_0..p_top of the weights m.w of the degree-n monomials m in r =
@@ -318,8 +315,9 @@ def power_sum_differences(ws, top):
     nothing counted.  The lists grow from degree n - 1: lists[i] holds
     the weights of the degree-n monomials in the variables i, i + 1, ...
     of ws, which either hold variable i, ws[i] plus a weight of degree
-    n - 1 in lists[i], or lie in lists[i + 1].  Callers ask for
-    top >= TOP: one table per ws."""
+    n - 1 in lists[i], or lie in lists[i + 1].  A table is kept per
+    (ws, top): each family asks for the top of its e_n, so the pencil's
+    tables stop at p_4 and only the Legendrian ones reach p_5."""
     samples, lists = [], [[0]] * len(ws)
     for n in range(top + len(ws)):
         if n:
@@ -363,8 +361,7 @@ def monomial_power_sums(ws, n, top):
     >>> monomial_power_sums((1, 2), 2, 2).p  # x^2, xy, y^2: 2, 3, 4
     (3, 9, 29)
     """
-    table = power_sum_differences(tuple(ws), max(top, TOP))
-    return power_sums_at(PowerSums(table.p[:top + 1]), n)
+    return power_sums_at(power_sum_differences(tuple(ws), top), n)
 
 
 class RationalPolynomial:

@@ -19,7 +19,6 @@ from .bott import (CACHED_PAIRS, Family, counted_fiber, localize, split_power_su
                    tangent_weights_p5)
 from .exact import (
     DEFAULT_WEIGHTS,
-    PowerSums,
     as_weight_system,
     power_sums_at,
 )
@@ -43,12 +42,12 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
 
 @lru_cache(maxsize=CACHED_PAIRS)
 def _twisted_table(pair, w):
-    """The twisted fiber at <x_p, x_q> as Differences in d + 1, p_0..p_4:
-    the split's monomials that involve x_p or x_q, shifted by w_k + w_l,
-    the line-bundle twist."""
-    reached, _ = split_power_sums(pair, w)
+    """The twisted fiber at <x_p, x_q> as Differences in d + 1, p_0..p_4,
+    all that e_4 reads: the split's monomials that involve x_p or x_q,
+    shifted by w_k + w_l, the line-bundle twist."""
+    reached, _ = split_power_sums(pair, w, 4)
     twist = sum(w.values) - w.pair_sum(pair)
-    return PowerSums(reached.p[:5]).shifted(twist)
+    return reached.shifted(twist)
 
 
 def pd_twisted_weights(pair, d, weights):

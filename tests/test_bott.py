@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import permutations
+from math import lcm, prod
 
 import pytest
 
@@ -221,22 +222,73 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
     assert (after.misses, after.hits) == (tables.misses, tables.hits + 6)
 
 
-def test_both_families_share_one_monomial_table():
+def test_each_family_builds_its_monomial_tables_once_per_system():
     """The power sums of the degree-(d+1) monomial weights, as polynomials
-    in d, are one table per weight system for both families: after a
-    Legendrian and a pencil degree the four-variable table has been built
-    once, beside one two-variable table per pair, and the next degree of
-    each builds no table at all."""
+    in d, are one table per weight system and top, and each family asks
+    for the top of its e_n: p_0..p_5 for the Legendrian e_5, p_0..p_4 for
+    the pencil e_4.  So a degree of each family builds its own tables
+    once, one in four variables and one in two per pair, and the next
+    degree of each builds no table at all."""
     caches = (exact.power_sum_differences, bott._image_table,
               pencil._twisted_table)
     for cache in caches:
         cache.cache_clear()
     legendrian_degree(20)
+    assert [cache.cache_info().misses for cache in caches] == [1 + 6, 6, 0]
     pencil_degree(20)
-    assert [cache.cache_info().misses for cache in caches] == [1 + 6, 6, 6]
+    assert [cache.cache_info().misses for cache in caches] == [
+        2 * (1 + 6), 6, 6]
     legendrian_degree(21)
     pencil_degree(21)
-    assert [cache.cache_info().misses for cache in caches] == [1 + 6, 6, 6]
+    assert [cache.cache_info().misses for cache in caches] == [
+        2 * (1 + 6), 6, 6]
+
+
+def test_a_pencil_sweep_builds_no_table_past_p_4(monkeypatch):
+    """e_4 reads p_0..p_4 of a fiber, so a sweep of pencil degrees over
+    three weight systems asks for each monomial table, the full one and
+    the part of each split, at top 4 and never at top 5."""
+    real, tops = bott.power_sum_differences, []
+
+    def recorded(ws, top):
+        tops.append(top)
+        return real(ws, top)
+
+    monkeypatch.setattr(bott, "power_sum_differences", recorded)
+    pencil._twisted_table.cache_clear()
+    for values in ((0, 2, 7, 10), (10, 16, 0, 3), (9, -4, 2, 0)):
+        for d in range(2, 8):
+            pencil_degree(d, values)
+    assert tops == [4] * (3 * 6 * 2)
+
+
+@pytest.mark.parametrize("values", (
+    (0, 2, 7, 10), (9, -4, 2, 0), (1, 3, 9, 20), (0, 1, 5, 13),
+), ids=lambda w: ",".join(map(str, w)))
+def test_the_tangent_numbers_share_one_common_denominator(values):
+    """Per family and weight system, _tangent_euler gives the lcm common
+    of the six |e_n(tangent)| and at each pair n, the sign and |e_n| of
+    the tangent product and the factor common / |e_n|, so that localize
+    sums numerator * factor over common: at every d that is the sum of
+    the contributions' Fractions, and the degree."""
+    w = WeightSystem(values)
+    signs = set()
+    for family in (LEGENDRIAN, PENCIL):
+        common, euler = bott._tangent_euler(family.tangent_weights, w.values)
+        tangents = [family.tangent_weights(pair, w) for pair in P5_PAIRS]
+        assert common == lcm(*(abs(prod(t)) for t in tangents))
+        for pair, tangent in zip(P5_PAIRS, tangents):
+            n, sign, den, factor = euler[pair]
+            assert n == len(tangent) and sign * den == prod(tangent)
+            assert sign in (1, -1) and den > 0 and factor * den == common
+            signs.add(sign)
+        for d in range(2, 9):
+            report = localize(family, d, w)
+            total = sum(c.numerator * euler[c.pair][3]
+                        for c in report.contributions)
+            values_sum = sum(c.value for c in report.contributions)
+            assert Fraction(total, common) == values_sum == report.degree
+    assert signs == {1, -1}
 
 
 def _characters_moved_at_34(monkeypatch, move):

@@ -338,10 +338,10 @@ MUTANTS = {
             "test_failed_computation_checks_exit_1[non-integral-sum]",
         ],
     ),
-    "a Bott sum that does not rescale its running total": (
+    "a Bott sum that does not rescale its terms to the common denominator": (
         "bott.py",
-        "        total = total * (scale // common) + num * (scale // den)\n",
-        "        total = total + num * (scale // den)\n",
+        "        total += num * factor\n",
+        "        total += num\n",
         [
             "tests/test_transport_properties.py::"
             "test_localize_gives_the_frozen_degree",
@@ -351,20 +351,53 @@ MUTANTS = {
     ),
     "tangents sent back through elementary_symmetric": (
         "bott.py",
-        "        numbers[pair] = len(tangent), prod(tangent)\n",
-        "        numbers[pair] = len(tangent), "
-        "exact.elementary_symmetric(len(tangent), tangent)\n",
+        "        den = prod(tangent)\n",
+        "        den = exact.elementary_symmetric(len(tangent), tangent)\n",
         ["tests/test_bott.py::test_localize_asks_e_n_of_the_fibers_alone"],
     ),
     "the six tangent numbers handed to the wrong pairs": (
         "bott.py",
-        "        n, den = euler[pair]\n",
-        "        n, den = euler[P5_PAIRS[P5_PAIRS.index(pair) - 1]]\n",
+        "        n, sign, den, factor = euler[pair]\n",
+        "        n, sign, den, factor = euler[P5_PAIRS[P5_PAIRS.index(pair) - 1]]\n",
         [
             "tests/test_bott.py::test_d2_contribution_table",
             "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
             "tests/test_transport_properties.py::"
             "test_tangent_euler_class_is_the_product_of_the_weights",
+        ],
+    ),
+    "one pair's factor taken as common": (
+        "bott.py",
+        " common // abs(den)\n",
+        " (common // abs(den) if pair != (3, 4) else common)\n",
+        [
+            "tests/test_bott.py::"
+            "test_the_tangent_numbers_share_one_common_denominator[9,-4,2,0]",
+            "tests/test_transport_properties.py::"
+            "test_localize_gives_the_frozen_degree",
+            "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
+        ],
+    ),
+    "a contribution value that drops its denominator": (
+        "bott.py",
+        "        return Fraction(self.numerator, self.denominator)\n",
+        "        return Fraction(self.numerator)\n",
+        [
+            "tests/test_bott.py::test_d2_contribution_table",
+            "tests/test_transport_properties.py::"
+            "test_degree_is_the_sum_of_the_fraction_contributions",
+            "tests/test_cli.py::test_legendrian_json_output",
+            "tests/test_acceptance.py::"
+            "test_criterion_01_legendrian_d2_total_and_contributions",
+        ],
+    ),
+    "the pencil asking for top = 3": (
+        "pencil.py",
+        "split_power_sums(pair, w, 4)",
+        "split_power_sums(pair, w, 3)",
+        [
+            "tests/test_bott.py::test_a_pencil_sweep_builds_no_table_past_p_4",
+            "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
         ],
     ),
     "the pencil twist by w_p + w_q": (
@@ -433,8 +466,8 @@ MUTANTS = {
     ),
     "the pencil fiber table built with its shift sign flipped": (
         "pencil.py",
-        "    return PowerSums(reached.p[:5]).shifted(twist)\n",
-        "    return PowerSums(reached.p[:5]).shifted(-twist)\n",
+        "    return reached.shifted(twist)\n",
+        "    return reached.shifted(-twist)\n",
         [
             "tests/test_bott.py::"
             "test_fiber_tables_commute_with_the_split_and_shifts[weights3]",
@@ -447,8 +480,8 @@ MUTANTS = {
     ),
     "the split's full table at the default weights": (
         "bott.py",
-        "    full = power_sum_differences(w.values, TOP)\n",
-        "    full = power_sum_differences((0, 2, 7, 10), TOP)\n",
+        "    full = power_sum_differences(w.values, top)\n",
+        "    full = power_sum_differences((0, 2, 7, 10), top)\n",
         [
             "tests/test_transport_properties.py::"
             "test_power_sum_numerators_equal_the_counted_routes",
