@@ -16,14 +16,17 @@ the weight sum chi_i * w_i (exact.character_weights).
 An antisymmetric form is written in the Koszul coordinates kappa_ij
 (kappa_12 has components (x_2, -x_1, 0, 0), etc.); contraction with a
 field multiplies components and sums, landing in degree d+1: over Q for
-one field (contract), or over Z for a whole basis and a form with
-integer coefficients (integer_contraction).
+one field (contract).  Over Z, for a whole basis and a form with
+integer coefficients, it is matrices.integer_contraction.  The module
+foldeg.matrices also writes the fields and ranks the contraction for
+tangent_kernel_dimension; it is loaded the first time either is asked
+for.  kernel_basis is imported here only because perfbench/tracing.py
+hooks the name.
 """
 
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .exact import (
     monomial_string,
@@ -31,9 +34,9 @@ from .exact import (
     scalar_to_string,
     signed_sum,
 )
-from .linalg import rank
 # Not called here: the basis has a closed form.  The name stays because
-# perfbench/tracing.py hooks foldeg.fields.kernel_basis.
+# perfbench/tracing.py hooks foldeg.fields.kernel_basis; ROADMAP item 1
+# deletes it.
 from .linalg import kernel_basis  # noqa: F401
 
 P5_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -161,7 +164,7 @@ def contract(form, field):
 
     Returns {monomial: coefficient} over Q.  A field is tangent to the
     plane field cut out by the form exactly when this vanishes.  It is
-    the Fraction oracle of integer_contraction.
+    the Fraction oracle of matrices.integer_contraction.
     """
     terms = field.terms if isinstance(field, BasisField) else tuple(field)
     if len({sum(t.monomial) for t in terms}) > 1:
@@ -212,7 +215,8 @@ class SectionBasis:
     @property
     def fields(self):
         if self._fields is None:
-            self._fields = _sized(tuple(_write_fields(self.d)), self.d)
+            from . import matrices
+            self._fields = _sized(tuple(matrices._write_fields(self.d)), self.d)
         return self._fields
 
     def __len__(self):
@@ -274,80 +278,9 @@ def _phi_basis_cached(d):
     return _sized(SectionBasis(d, characters=characters), d)
 
 
-def _write_fields(d):
-    """The fields of build_phi_basis(d), as it documents them."""
-    one = Fraction(1)
-    monos = monomials_of_degree(d)
-    # partners are degree-d monomials too: reuse those tuples, and build
-    # each coefficient -mu_j/(mu_4+1) once (mu_j + mu_4 <= d)
-    shared = dict(zip(monos, monos))
-    coefficient = {(e, s): Fraction(-e, s)
-                   for e in range(1, d + 1) for s in range(1, d + 2 - e)}
-    fields = []
-    for mu in monos:
-        for j in (1, 2, 3, 4):
-            e = mu[j - 1]
-            if j == 4 and e:
-                continue
-            terms = (MonomialField(one, mu, j),)
-            if e:
-                partner = shared[_bump(_lower(mu, j), 4)]
-                c = coefficient[e, mu[3] + 1]
-                terms += (MonomialField(c, partner, 4),)
-            fields.append(BasisField(terms))
-    return fields
-
-
-def scaled_terms(field):
-    """The terms of a basis field times the common denominator of its
-    coefficients (mu_4+1 or a divisor of it), as (int coefficient,
-    monomial, direction).  Scaling a column by a positive constant
-    changes neither a rank nor which entries vanish."""
-    terms = field.terms
-    den = lcm(*[c.denominator for c, _, _ in terms])
-    return [(c.numerator * (den // c.denominator), mono, j)
-            for c, mono, j in terms]
-
-
-def integer_contraction(form, basis):
-    """Sparse integer matrix of phi -> contract(form, phi) on a basis.
-
-    The form's coefficients must be integers (ValueError otherwise).
-    Rows are the degree-(d+1) monomials in graded-lex order, columns the
-    basis fields, each field scaled by scaled_terms.  Returns
-    {(row, column): int} for the nonzero entries.
-    """
-    if any(c.denominator != 1 for c in form.alpha):
-        raise ValueError("contraction needs integer coefficients: %r"
-                         % (form,))
-    a = [[(var, int(c)) for var, c in lf.items()]
-         for lf in form.linear_forms()]
-    mindex = {m: i for i, m in enumerate(monomials_of_degree(basis.d + 1))}
-    # row of x^mu * x_var, looked up as raised[mu][var - 1]
-    raised = {
-        m: [mindex[_bump(m, var)] for var in (1, 2, 3, 4)]
-        for m in monomials_of_degree(basis.d)
-    }
-    entries = {}
-    for col, field in enumerate(basis):
-        for coeff, mono, j in scaled_terms(field):
-            up = raised[mono]
-            for var, c in a[j - 1]:
-                key = (up[var - 1], col)
-                entries[key] = entries.get(key, 0) + coeff * c
-    return {k: v for k, v in entries.items() if v}
-
-
 def tangent_kernel_dimension(form, d):
-    """Dimension of the fields in Phi_d tangent to the given form.
-
-    Computed as dim Phi_d minus the exact rank of the contraction matrix,
-    the form's coefficients scaled by their common denominator.
-    """
-    basis = build_phi_basis(d)
-    den = lcm(*(c.denominator for c in form.alpha))
-    scaled = AntisymmetricForm([c * den for c in form.alpha])
-    mat = [[0] * len(basis) for _ in monomials_of_degree(d + 1)]
-    for (r, c), v in integer_contraction(scaled, basis).items():
-        mat[r][c] = v
-    return len(basis) - rank(mat, len(basis))
+    """Dimension of the fields in Phi_d tangent to the given form: dim
+    Phi_d less the exact rank of the contraction matrix
+    (foldeg.matrices.tangent_kernel_dimension)."""
+    from . import matrices
+    return matrices.tangent_kernel_dimension(form, d)

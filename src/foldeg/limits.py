@@ -58,17 +58,15 @@ from operator import itemgetter
 
 from .exact import DEFAULT_WEIGHTS, as_weight_system, character_weights
 from .fields import (
-    AntisymmetricForm,
     as_fixed_point,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
-    integer_contraction,
-    monomials_of_degree,
 )
 from .linalg import limit_rows
 # Not called here.  The names stay because perfbench/tracing.py hooks
-# foldeg.limits.kernel_basis and foldeg.limits.rank.
+# foldeg.limits.kernel_basis and foldeg.limits.rank; ROADMAP item 1
+# deletes them.
 from .linalg import kernel_basis, rank  # noqa: F401
 
 METHOD_IMAGE = "image-fiber"
@@ -85,46 +83,15 @@ class MethodDisagreement(ArithmeticError):
     """Two computations of one limit fiber gave different characters."""
 
 
-# The global contraction is the tests' oracle for the chains.  It stays
-# here because perfbench/tracing.py hooks
-# foldeg.limits.build_contraction_matrix.
-class ContractionMatrix(namedtuple(
-    "ContractionMatrix", "fp d basis row_monomials entries"
-)):
-    """Contraction of omega_t against a field basis, rows indexed by the
-    degree-(d+1) monomials, columns by the basis fields; entries are int
-    pairs (c0, c1) for c0 + c1*t, c0 from kappa_pq and c1 from kappa_kl,
-    each column scaled by its field's denominator (see
-    fields.integer_contraction)."""
-
-    __slots__ = ()
-
-    @property
-    def shape(self):
-        return (len(self.row_monomials), len(self.basis))
-
-    def __repr__(self):
-        return "ContractionMatrix(fp=%r, d=%d, shape=%r, %d entries)" % (
-            self.fp, self.d, self.shape, len(self.entries)
-        )
-
-
+# The global contraction, whose union-find blocks are the chains, lives
+# in foldeg.matrices as the tests' oracle.  Nothing here calls this stub:
+# it stays because perfbench/tracing.py hooks the name, and ROADMAP
+# item 1 deletes it.
 def build_contraction_matrix(fp, d, basis):
-    """Assemble the sparse matrix of phi -> contract(omega_t, phi),
-    omega_t = kappa_pq + t*kappa_kl at fp = (p, q), from the integer
-    contractions of its two Koszul forms."""
-    fp = as_fixed_point(fp)
-    if basis.d != d:
-        raise ValueError(
-            "basis is for degree %d, not %d" % (basis.d, d)
-        )
-    low, high = (integer_contraction(AntisymmetricForm.koszul(pair), basis)
-                 for pair in (fp, complementary_pair(fp)))
-    entries = {rc: (low.get(rc, 0), high.get(rc, 0))
-               for rc in {**low, **high}}
-    return ContractionMatrix(
-        fp, d, basis, monomials_of_degree(d + 1), entries
-    )
+    """The sparse matrix of phi -> contract(omega_t, phi) at fp
+    (foldeg.matrices.build_contraction_matrix)."""
+    from . import matrices
+    return matrices.build_contraction_matrix(fp, d, basis)
 
 
 # The empty character that ends each chain in the list _chains writes.

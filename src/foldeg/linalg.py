@@ -1,68 +1,14 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Z.
 
-Everything is fraction-free where it counts: the integer echelon, and
-limit_rows, which reads the limit at t = 0 of a torus chain's row span
-off the pivots of a sparse elimination that admits the chain's rows as
-its sweep reaches them.  The small Fraction routines (rref, kernel
-bases) are kept as the tests' oracle for the closed-form field basis.
+limit_rows reads the limit at t = 0 of a torus chain's row span off the
+pivots of a fraction-free sparse elimination that admits the chain's
+rows as its sweep reaches them.  The dense routines, the integer
+echelon and the Fraction rref and kernel bases that the tests use as
+the oracle of the closed forms, live in foldeg.matrices, which a cold
+start does not load.  rank and kernel_basis remain here only as stubs
+that perfbench/tracing.py hooks; they load foldeg.matrices when called.
 All results are exact; nothing here ever sees a float.
 """
-
-from fractions import Fraction
-from math import gcd
-
-
-def echelon(rows, ncols):
-    """Fraction-free integer row echelon form.
-
-    rows: sequence of integer rows (not modified).  Returns
-    (echelon_rows, pivot_columns); the rank is len(pivot_columns).
-
-    Pivot choice is deterministic: leftmost column first; among candidate
-    rows, the entry with the smallest bit length wins (keeps the integers
-    small), ties going to the lowest row index.  After each elimination
-    the row is divided by the gcd of its entries.
-    """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    pivots = []
-    rank_ = 0
-    for col in range(ncols):
-        best = -1
-        best_key = 0
-        for r in range(rank_, nrows):
-            e = mat[r][col]
-            if e:
-                key = abs(e).bit_length()
-                if best < 0 or key < best_key:
-                    best, best_key = r, key
-        if best < 0:
-            continue
-        prow = mat[best]
-        mat[best], mat[rank_] = mat[rank_], prow
-        p = prow[col]
-        rank_ += 1
-        for row in mat[rank_:]:
-            e = row[col]
-            if not e:
-                continue
-            row[col] = 0
-            g = 0
-            for c in range(col + 1, ncols):
-                v = p * row[c] - e * prow[c]
-                row[c] = v
-                if g != 1:
-                    g = gcd(g, v)
-            if g > 1:
-                for c in range(col + 1, ncols):
-                    row[c] //= g
-        pivots.append(col)
-    return mat[:rank_], pivots
-
-
-def rank(rows, ncols):
-    """Rank of an integer matrix."""
-    return len(echelon(rows, ncols)[1])
 
 
 def limit_rows(columns, ncols):
@@ -132,60 +78,15 @@ def limit_rows(columns, ncols):
     return pivots
 
 
-def rref(rows):
-    """Reduced row echelon form over Q.
-
-    Returns (reduced_rows, pivot_columns) where reduced_rows contains the
-    nonzero rows only, each with pivot entry 1 and zeros above and below
-    its pivot.
-    """
-    mat = [[Fraction(e) for e in row] for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    rk = 0
-    for col in range(ncols):
-        piv = -1
-        for r in range(rk, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        prow = mat[rk]
-        inv = Fraction(1) / prow[col]
-        for c in range(col, ncols):
-            prow[c] *= inv
-        for r in range(len(mat)):
-            if r != rk and mat[r][col]:
-                f = mat[r][col]
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] -= f * prow[c]
-        pivots.append(col)
-        rk += 1
-        if rk == len(mat):
-            break
-    return mat[:rk], pivots
+# Nothing in foldeg calls these two stubs.  They stay because
+# perfbench/tracing.py hooks the names; ROADMAP item 1 deletes them.
+def rank(rows, ncols):
+    """Rank of an integer matrix (foldeg.matrices.rank)."""
+    from . import matrices
+    return matrices.rank(rows, ncols)
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel of a matrix over Q.
-
-    The result is canonical: the kernel vectors themselves are put in
-    reduced row echelon form, so every vector has a +1 pivot entry.
-    """
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        vecs.append(v)
-    if not vecs:
-        return []
-    canon, _ = rref(vecs)
-    return canon
+    """Basis of the right kernel over Q (foldeg.matrices.kernel_basis)."""
+    from . import matrices
+    return matrices.kernel_basis(rows, ncols)

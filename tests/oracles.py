@@ -54,7 +54,7 @@ from foldeg.fields import (
     complementary_pair,
 )
 from foldeg.limits import END, SaturationRankError, _chains
-from foldeg.linalg import echelon, kernel_basis, rref
+from foldeg.matrices import echelon, kernel_basis, rref
 
 
 def elementary_symmetric_recurrence(k, values):

@@ -10,6 +10,7 @@ import foldeg.exact
 import foldeg.fields
 import foldeg.limits
 import foldeg.linalg
+import foldeg.matrices
 import foldeg.pencil
 import foldeg.polyfit
 
@@ -18,6 +19,7 @@ MODULES = (
     foldeg.fields,
     foldeg.linalg,
     foldeg.limits,
+    foldeg.matrices,
     foldeg.bott,
     foldeg.pencil,
     foldeg.polyfit,

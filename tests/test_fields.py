@@ -8,7 +8,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from foldeg import bott, fields, limits
+from foldeg import bott, fields, limits, matrices
 from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightSystem, character_weights, monomials_of_degree
 from foldeg.fields import (
@@ -20,14 +20,18 @@ from foldeg.fields import (
     complementary_pair,
     contact_kernel_dimension,
     contract,
-    integer_contraction,
     phi_dimension,
-    scaled_terms,
     tangent_kernel_dimension,
 )
-from foldeg.limits import METHOD_BOTH, METHOD_KERNEL, build_contraction_matrix
+from foldeg.limits import METHOD_BOTH, METHOD_KERNEL
+from foldeg.matrices import (
+    build_contraction_matrix,
+    echelon,
+    integer_contraction,
+    rank,
+    scaled_terms,
+)
 from foldeg.polyfit import family_closed_form
-from foldeg.linalg import echelon, rank
 from oracles import (
     character_weight,
     divergence,
@@ -356,8 +360,8 @@ def test_phi_basis_size_guard_raises(monkeypatch):
 def test_written_fields_of_the_wrong_size_raise(monkeypatch):
     """The counts pass the size guard, but a written field list one short
     is refused when the fields are first read."""
-    real = fields._write_fields
-    monkeypatch.setattr(fields, "_write_fields", lambda d: real(d)[:-1])
+    real = matrices._write_fields
+    monkeypatch.setattr(matrices, "_write_fields", lambda d: real(d)[:-1])
     _phi_basis_cached.cache_clear()
     basis = build_phi_basis(2)
     assert len(basis) == phi_dimension(2)
@@ -381,7 +385,7 @@ def test_closed_form_counts_equal_the_written_fields(monkeypatch):
     for d in range(1, 16):
         _phi_basis_cached.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(fields, "_write_fields", _refuse)
+            m.setattr(matrices, "_write_fields", _refuse)
             basis = build_phi_basis(d)
             assert len(basis) == phi_dimension(d)
             counts = Counter(basis.characters)
@@ -398,7 +402,7 @@ def test_limit_routes_write_no_field(monkeypatch, method):
     """From cold caches, the direct limit routes take the basis size
     from its counts and never write a field, d = 2..6; the tangency
     kernel and iterating the basis still write them."""
-    monkeypatch.setattr(fields, "_write_fields", _refuse)
+    monkeypatch.setattr(matrices, "_write_fields", _refuse)
     for d in range(2, 7):
         _phi_basis_cached.cache_clear()
         limits._pair_chains.cache_clear()

@@ -26,13 +26,18 @@ from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHOD_KERNEL,
-    ContractionMatrix,
     MethodDisagreement,
     SaturationRankError,
-    build_contraction_matrix,
     limit_fiber_weights,
 )
-from foldeg.linalg import echelon, limit_rows, rank, rref
+from foldeg.linalg import limit_rows
+from foldeg.matrices import (
+    ContractionMatrix,
+    build_contraction_matrix,
+    echelon,
+    rank,
+    rref,
+)
 from foldeg.reference import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,

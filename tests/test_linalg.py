@@ -12,13 +12,8 @@ import random
 from fractions import Fraction
 
 from foldeg.limits import END, _kernel_counts
-from foldeg.linalg import (
-    echelon,
-    kernel_basis,
-    limit_rows,
-    rank,
-    rref,
-)
+from foldeg.linalg import limit_rows
+from foldeg.matrices import echelon, kernel_basis, rank, rref
 from oracles import (
     _chain_matrix,
     saturated_limit_rows,

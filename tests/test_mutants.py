@@ -268,7 +268,7 @@ MUTANTS = {
         ["tests/test_limits.py::test_chains_are_the_union_find_blocks"],
     ),
     "the contraction oracle with its two Koszul pieces swapped": (
-        "limits.py",
+        "matrices.py",
         "                 for pair in (fp, complementary_pair(fp)))\n",
         "                 for pair in (complementary_pair(fp), fp))\n",
         [
@@ -294,10 +294,28 @@ MUTANTS = {
     ),
     "written fields without their size guard": (
         "fields.py",
-        "_sized(tuple(_write_fields(self.d)), self.d)",
-        "tuple(_write_fields(self.d))",
+        "_sized(tuple(matrices._write_fields(self.d)), self.d)",
+        "tuple(matrices._write_fields(self.d))",
         ["tests/test_fields.py::"
          "test_written_fields_of_the_wrong_size_raise"],
+    ),
+    # The first row cannot even import (matrices imports from a fields
+    # that is not yet written); the second imports and loads matrices.
+    "the explicit matrices imported eagerly at the top of fields": (
+        "fields.py",
+        "from .linalg import kernel_basis  # noqa: F401\n",
+        "from .linalg import kernel_basis  # noqa: F401\n"
+        "from . import matrices  # noqa: F401\n",
+        ["tests/test_cold_start.py::"
+         "test_the_workload_paths_load_only_the_import_set"],
+    ),
+    "the explicit matrices imported eagerly at the end of fields": (
+        "fields.py",
+        "    return matrices.tangent_kernel_dimension(form, d)\n",
+        "    return matrices.tangent_kernel_dimension(form, d)\n\n\n"
+        "from . import matrices  # noqa: E402, F401\n",
+        ["tests/test_cold_start.py::"
+         "test_the_workload_paths_load_only_the_import_set"],
     ),
     "the Legendrian rest shifted by -(w_k + w_l)": (
         "bott.py",

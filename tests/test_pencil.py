@@ -21,11 +21,10 @@ from foldeg.fields import (
     AntisymmetricForm,
     build_phi_basis,
     complementary_pair,
-    integer_contraction,
     phi_dimension,
     tangent_kernel_dimension,
 )
-from foldeg.linalg import rank
+from foldeg.matrices import integer_contraction, rank
 from foldeg.pencil import (
     PENCIL,
     pd_twisted_weights,

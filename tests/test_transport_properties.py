@@ -23,9 +23,9 @@ from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
     METHOD_KERNEL,
-    build_contraction_matrix,
     limit_fiber_weights,
 )
+from foldeg.matrices import build_contraction_matrix
 from foldeg.pencil import pd_twisted_weights, tangent_weights_g24
 from foldeg.polyfit import FAMILIES
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
