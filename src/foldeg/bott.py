@@ -51,17 +51,18 @@ each pair one dot product per p_j, one Newton's step for e_n of the
 fiber and one product by the factor.  Every method sums these
 closed-form fibers.  The kernel route and "both" also compute the
 fibers directly (foldeg.limits), as checks that do not feed the sum:
-each direct fiber must have the closed-form Z^4 characters
-(fiber_characters) and the power sums that are summed.  "both" checks
-each (d, pair) once in a process, since the characters do not depend
-on the weights; the kernel route checks on every call.
+each direct fiber must have the closed-form Z^4 characters, compared
+as the closed-form count of each of its characters
+(closed_form_counts), and the power sums that are summed.  "both"
+checks each (d, pair) once in a process, since the characters do not
+depend on the weights; the kernel route checks on every call.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from operator import index
+from operator import index, itemgetter
 
 from . import exact
 from .exact import (
@@ -70,8 +71,8 @@ from .exact import (
     NonIntegralDegree,
     PowerSums,
     as_weight_system,
+    character_values,
     lagrange_interpolate,
-    monomials_of_degree,
     power_sum_differences,
     power_sums_at,
     scalar_to_string,
@@ -281,21 +282,30 @@ def image_power_sums(pair, d, w):
     return counted_fiber(power_sums_at(_image_table(pair, w), d + 1), d, 0)
 
 
-def fiber_characters(d, pair):
-    """The image fiber at [kappa_pair] as sorted Z^4 characters, in
-    closed form: m - e_p - e_q for each degree-(d+1) monomial m that
-    involves x_p or x_q, m - e_k - e_l for the others."""
-    if d < 1:
-        raise ValueError("field degree must be >= 1, got %r" % (d,))
-    p, q = pair = as_fixed_point(pair)
-    low = tuple(int(j in pair) for j in (1, 2, 3, 4))
-    high = tuple(1 - e for e in low)
-    fiber = []
-    for m in monomials_of_degree(d + 1):
-        a, b, c, e = m
-        s1, s2, s3, s4 = low if m[p - 1] or m[q - 1] else high
-        fiber.append((a - s1, b - s2, c - s3, e - s4))
-    return tuple(sorted(fiber))
+def closed_form_counts(characters, pair):
+    """The copies of each character chi of the chains at pair
+    (foldeg.limits._chains) in the closed-form image fiber there, as a
+    list: [chi_k, chi_l >= 0] + [chi_p = chi_q = 0].
+
+    Every character of the closed form and of the chains has degree
+    d - 1 and entries >= -1, at most one of them -1.  For such a chi,
+    chi + e_p + e_q is a monomial m that involves x_p or x_q exactly
+    when chi_k, chi_l >= 0, and the closed form sends m to chi; and
+    chi + e_k + e_l is a monomial m in x_k, x_l alone, which it sends
+    to chi, exactly when chi_p = chi_q = 0 (the module docstring).
+
+    A direct fiber (foldeg.limits) whose characters have these counts is
+    the closed form as a multiset.  The rank guards of its route give it
+    C(d+4, 3) copies, the number of monomials m and so the size of the
+    closed form; the counts agree at each of its characters, so they add
+    up to C(d+4, 3) in the closed form too, which leaves the closed form
+    no copy of any other character.  This needs each character once in
+    the direct fiber, as its route gives it: _chains writes each
+    character at most once, as (chi_p - chi_q, chi_k - chi_l,
+    chi_k + chi_l) names its chain and level."""
+    (p, q), (k, l) = pair, complementary_pair(pair)
+    return [(ck >= 0 <= cl) + (cp == 0 == cq) for cp, cq, ck, cl in map(
+        itemgetter(p - 1, q - 1, k - 1, l - 1), characters)]
 
 
 # 6 * d + i for each (d, P5_PAIRS[i]) whose direct fiber has passed both
@@ -308,9 +318,10 @@ def legendrian_fibers(d, weights, method=None):
     form (image_power_sums) under every method of foldeg.limits (None
     picks default_method(d)).  The kernel route and "both" also compute
     each fiber directly, as a check that does not feed the sum: it raises
-    MethodDisagreement unless the direct fiber has the closed-form Z^4
-    characters (fiber_characters) and the power sums yielded.  "both"
-    checks a (d, pair) once in a process, the kernel route every time."""
+    MethodDisagreement unless the direct fiber has the closed-form
+    count of every character (closed_form_counts) and the power sums
+    yielded.  "both" checks a (d, pair) once in a process, the kernel
+    route every time."""
     if method is None:
         method = default_method(d)
     if method not in METHODS:
@@ -322,8 +333,10 @@ def legendrian_fibers(d, weights, method=None):
         if method == METHOD_KERNEL or (
                 method == METHOD_BOTH and key not in _both_checked):
             direct = limit_fiber_weights(pair, d, w, method)
-            if (direct.quotient_characters != fiber_characters(d, pair)
-                    or PowerSums.of(direct.quotient_weights, TOP).p != fiber.p):
+            characters, copies = direct.quotient_counts
+            if (copies != closed_form_counts(characters, pair)
+                    or PowerSums.of(character_values(characters, w), TOP,
+                                    copies).p != fiber.p):
                 raise MethodDisagreement("closed-form and direct fibers "
                                          "disagree at %r, d=%d" % (pair, d))
             if method == METHOD_BOTH:

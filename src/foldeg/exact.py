@@ -173,16 +173,24 @@ def monomial_string(monomial):
     return "*".join(parts) if parts else "1"
 
 
-def character_weights(characters, weights):
+def character_values(characters, weights):
     """Evaluate Z^4 characters at a weight system, chi -> sum chi_i * w_i,
-    as a sorted tuple.
+    as a list in their order.
+
+    >>> character_values([(0, 0, 1, 0), (2, -1, 0, 0)], (0, 2, 7, 10))
+    [7, -2]
+    """
+    w1, w2, w3, w4 = as_weight_system(weights).values
+    return [a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters]
+
+
+def character_weights(characters, weights):
+    """The weights of Z^4 characters (character_values) as a sorted tuple.
 
     >>> character_weights([(0, 0, 1, 0), (2, -1, 0, 0)], (0, 2, 7, 10))
     (-2, 7)
     """
-    w1, w2, w3, w4 = as_weight_system(weights).values
-    return tuple(sorted(
-        a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters))
+    return tuple(sorted(character_values(characters, weights)))
 
 
 class PowerSums:
@@ -199,12 +207,19 @@ class PowerSums:
         self.p = tuple(p)
 
     @classmethod
-    def of(cls, values, top):
-        """p_0..p_top of integers, counted once and summed over their
-        distinct values; TypeError for a value that is not an integer."""
-        counts = Counter(values)
-        distinct = list(map(operator.index, counts))
-        terms, p = list(counts.values()), [sum(counts.values())]
+    def of(cls, values, top, copies=None):
+        """p_0..p_top of integers, each value taken copies[i] times if
+        copies is given, else counted once and summed over the distinct
+        values; TypeError for a value that is not an integer.
+
+        >>> PowerSums.of([2, 2, 3], 2).p == PowerSums.of([2, 3], 2, [2, 1]).p
+        True
+        """
+        if copies is None:
+            counts = Counter(values)
+            values, copies = counts, counts.values()
+        distinct = list(map(operator.index, values))
+        terms, p = list(copies), [sum(copies)]
         for _ in range(top):
             terms = list(map(operator.mul, terms, distinct))
             p.append(sum(terms))

@@ -210,7 +210,8 @@ class SectionBasis:
     def __init__(self, d, fields=None, characters=None):
         self.d = d
         self._fields = None if fields is None else tuple(fields)
-        self.characters = characters or Counter(f.character for f in fields)
+        self.characters = characters or Counter(
+            f.character for f in self._fields)
 
     @property
     def fields(self):

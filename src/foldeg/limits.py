@@ -21,14 +21,15 @@ routes compute the limit on it:
 * image-fiber: the row span, at the highest levels.  The route hands
   the chains' fields to one linalg.limit_rows sweep as _chains writes
   them, by descending level within each chain, and reads only the
-  pivots of the integer echelon of M(1) it fills from them; END leaves
-  no row live, so each chain pivots on its own.  Each pivot is one copy
-  of its column's character in the fiber, whatever the weights.  The
-  fiber this gives has a closed form, which foldeg.bott's image route
-  evaluates instead, and which its "both" compares with these
-  characters (the argument is in the foldeg.bott docstring).
+  pivots of the integer echelon of M(1) it fills from them, counted
+  per character; END leaves no row live, so each chain pivots on its
+  own.  Each pivot is one copy of its column's character in the fiber,
+  whatever the weights.  The fiber this gives has a closed form, which
+  foldeg.bott's image route evaluates instead, and which its "both"
+  compares with these counts (the argument is in the foldeg.bott
+  docstring).
 * kernel-limit: the nullspace, at the lowest levels, by a rank rule per
-  character and no elimination (_kernel_counts).  Number a chain's
+  character and no elimination (_kernel_rule).  Number a chain's
   characters c_0, c_1, ... from the top, so that c_K has its high row
   on r_K and its low row on r_(K+1).  A kernel vector x of M(1) whose
   lowest level is c_K has the limit x_K, with low . x_K = 0 (row
@@ -41,18 +42,21 @@ routes compute the limit on it:
   END has no field: it counts 0 and leaves A = 0 for the next chain.
 
 Each route splits every field of the chains into the image fiber or the
-tangent kernel, as Z^4 characters, and the two parts must hold
+tangent kernel: it counts the image copies of each entry of the list,
+and the entry's other fields are kernel.  The two parts must hold
 C(d+4, 3) + (d+4)(d+2)d/3 = dim Phi_d fields, the size that
 fields.build_phi_basis counts in closed form: no route writes a field.
 "both" runs the routes on one set of chains (_pair_chains) and compares
-their image characters.  A route returns the two parts as characters;
-their weights are evaluated from the characters only when read
-(LimitFiberResult), so a comparison of characters evaluates none.
+their counts entry by entry, which is stronger than equal multisets of
+image characters.  A route returns the list and its counts; the
+characters and their weights are built from the counts only when read
+(LimitFiberResult), so a route builds no list of characters and
+evaluates no weight.
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb
 from operator import itemgetter
 
@@ -151,81 +155,92 @@ def _chains(d, pair):
 
 @lru_cache(maxsize=1)
 def _pair_chains(d, pair):
-    """The chains at pair as _chains writes them, kept for the second
-    route under "both"; one entry, so nothing is kept across degrees."""
-    return tuple(_chains(d, pair))
+    """The chains at pair as _chains writes them, the tuple of their
+    entries' fields (the columns limit_rows reads) and the number of
+    fields, kept for the second route under "both"; one entry, so
+    nothing is kept across degrees."""
+    chains = tuple(_chains(d, pair))
+    columns = tuple(map(itemgetter(1), chains))
+    return chains, columns, sum(map(len, columns))
 
 
-def _image_characters(chains):
-    """The image fiber and the kernel on chains laid end to end, as two
-    lists of characters: one per pivot of the one limit_rows sweep over
-    all their fields, which _chains writes by descending level within
-    each chain, as limit_rows needs, and one per field that is not a
-    pivot, in order.  The empty character after each chain ends it
-    there, so the sweep pivots as one limit_rows call per chain would."""
-    owner = [chi for chi, fields in chains for _ in fields]
-    image = []
-    for p in limit_rows([fields for _, fields in chains], len(owner)):
-        image.append(owner[p])
-        owner[p] = None
-    return image, list(filter(None, owner))
-
-
-def _kernel_counts(chains):
-    """The multiplicity of each character of chains laid end to end in
-    the kernel limit, by the rank rule of the module docstring.  absorbs
-    is A_K = Q; it starts false.  The empty character after a chain
-    counts 0 and sets it false, as A_0 = 0 at the top of the next."""
+def _kernel_rule(chains):
+    """The image multiplicity of each character of chains laid end to
+    end by the rank rule of the module docstring: its f fields less its
+    copies in the kernel limit, which is the rank it adds.  absorbs is
+    A_K = Q; it starts false.  The empty character after a chain counts
+    0 and sets it false, as A_0 = 0 at the top of the next."""
     counts, absorbs = [], False
     for _, fields in chains:
         if len(fields) == 1:  # one field (x, y): the ranks are truth tests
             ((x, y),) = fields
-            counts.append(0 if x or (y and not absorbs) else 1)
+            counts.append(1 if x or (y and not absorbs) else 0)
             absorbs = bool(x) and (absorbs or not y)
         elif not fields:  # END
             counts.append(0)
             absorbs = False
-        elif absorbs:  # the count is f less rank low
+        elif absorbs:  # the rank of low
             absorbs = any(x for x, _ in fields)
-            counts.append(len(fields) - absorbs)
-        else:  # f less rank [low; high] = [a minor != 0] + [an entry != 0]
+            counts.append(int(absorbs))
+        else:  # rank [low; high] = [a minor != 0] + [an entry != 0]
             both = any(x * b != y * a for (x, y), (a, b)
                        in combinations(fields, 2)) + any(map(any, fields))
-            counts.append(len(fields) - both)
+            counts.append(both)
             absorbs = both > any(y for _, y in fields)
     return counts
 
 
 class LimitFiberResult(namedtuple(
-    "LimitFiberResult",
-    "pair d weights method quotient_characters kernel_characters",
+    "LimitFiberResult", "pair d weights method chains counts",
 )):
-    """The fiber at one fixed point as the route split it, in Z^4
-    characters: quotient_characters is the fiber of the image sheaf
-    (what the Euler class is made of), sorted, and kernel_characters the
-    fiber of the tangent kernel, the fields the route did not put in the
-    image, in route order.  The limit is fixed by the whole torus, so
-    the characters do not depend on the weight system.
+    """The fiber at one fixed point as the route split it: chains is the
+    list of chains the route read (_chains), and counts holds, for each
+    entry of it, the copies of its character in the fiber of the image
+    sheaf (what the Euler class is made of); the entry's other fields
+    are the fiber of the tangent kernel.  The limit is fixed by the
+    whole torus, so the counts do not depend on the weight system.
 
-    quotient_weights and kernel_weights are the same fibers at weights,
-    each a sorted tuple of ints, evaluated from the characters when read
-    (character_weights), not stored."""
+    quotient_characters is the image fiber as sorted Z^4 characters and
+    kernel_characters the kernel, in route order; quotient_weights and
+    kernel_weights are the same fibers at weights, each a sorted tuple
+    of ints (character_weights).  All four are built from the counts
+    when read, not stored."""
 
     __slots__ = ()
 
+    def _characters(self, image):
+        """The image (image true) or kernel characters, in route order."""
+        for (chi, fields), n in zip(self.chains, self.counts):
+            yield from repeat(chi, n if image else len(fields) - n)
+
+    @property
+    def quotient_counts(self):
+        """The image fiber as (characters, copies), two lists: each of
+        its characters once, in route order, and its number of copies."""
+        return (list(compress(map(itemgetter(0), self.chains), self.counts)),
+                list(filter(None, self.counts)))
+
+    @property
+    def quotient_characters(self):
+        return tuple(sorted(self._characters(True)))
+
+    @property
+    def kernel_characters(self):
+        return tuple(self._characters(False))
+
     @property
     def quotient_weights(self):
-        return character_weights(self.quotient_characters, self.weights)
+        return character_weights(self._characters(True), self.weights)
 
     @property
     def kernel_weights(self):
-        return character_weights(self.kernel_characters, self.weights)
+        return character_weights(self._characters(False), self.weights)
 
     def __repr__(self):
+        image = sum(self.counts)
+        kernel = sum(len(fields) for _, fields in self.chains) - image
         return "LimitFiberResult(pair=%r, d=%d, %d quotient / %d kernel)" % (
-            self.pair, self.d, len(self.quotient_characters),
-            len(self.kernel_characters),
-        )
+            self.pair, self.d, image, kernel)
 
 
 def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
@@ -235,7 +250,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
 
     method "image-fiber" takes the initial subspace of the row span at
     t = 1, "kernel-limit" that of the kernel, "both" runs the two and
-    insists their characters agree.
+    insists their counts agree at every character.
     Either way the image rank must come out as C(d+4, 3) and the kernel
     as (d+4)(d+2)d/3, the route's rank and its other part together as
     dim Phi_d, or SaturationRankError is raised.
@@ -254,7 +269,7 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
     if method == METHOD_BOTH:
         img = limit_fiber_weights(fp, d, w, METHOD_IMAGE)
         ker = limit_fiber_weights(fp, d, w, METHOD_KERNEL)
-        if img.quotient_characters != ker.quotient_characters:
+        if img.counts != ker.counts:
             raise MethodDisagreement(
                 "image-fiber and kernel-limit disagree at %r, d=%d"
                 % (fp, d)
@@ -262,27 +277,23 @@ def limit_fiber_weights(fp, d, weights=DEFAULT_WEIGHTS, method=METHOD_IMAGE):
         return img._replace(method=METHOD_BOTH)
 
     size = len(build_phi_basis(d))
-    chains = _pair_chains(d, fp)
+    chains, columns, nfields = _pair_chains(d, fp)
 
     if method == METHOD_IMAGE:
-        characters, kernel = _image_characters(chains)
-        limit, rank, expected = "image", len(characters), comb(d + 4, 3)
+        counts = limit_rows(columns, nfields)
+        limit, rank, expected = "image", sum(counts), comb(d + 4, 3)
     else:
-        characters, kernel = [], []
-        for (chi, fields), count in zip(chains, _kernel_counts(chains)):
-            if fields:  # not END
-                characters += [chi] * (len(fields) - count)
-                kernel += [chi] * count
-        limit, rank, expected = "kernel", len(kernel), contact_kernel_dimension(d)
+        counts = _kernel_rule(chains)
+        limit, rank = "kernel", nfields - sum(counts)
+        expected = contact_kernel_dimension(d)
     if rank != expected:
         raise SaturationRankError(
             "limit %s rank %d != %d at %r, d=%d"
             % (limit, rank, expected, fp, d)
         )
-    if len(characters) + len(kernel) != size:
+    if nfields != size:
         raise SaturationRankError(
             "chains hold %d fields, not dim Phi_d = %d at %r, d=%d"
-            % (len(characters) + len(kernel), size, fp, d)
+            % (nfields, size, fp, d)
         )
-    return LimitFiberResult(
-        fp, d, w, method, tuple(sorted(characters)), tuple(kernel))
+    return LimitFiberResult(fp, d, w, method, chains, counts)

@@ -592,6 +592,12 @@ def chain_kernel_counts(chain):
     return counts
 
 
+def kernel_copies(chain, counts):
+    """The kernel count of each character of chain from its image count
+    in counts: its fields less its image copies."""
+    return [len(fields) - n for (_, fields), n in zip(chain, counts)]
+
+
 def split_chains(sequence):
     """The chains that foldeg.limits._chains lays end to end, as a list
     of lists: the sequence split at each END.  Each chain must hold a
@@ -623,6 +629,16 @@ def _chain_matrix(chain):
             above[c], below[c] = high, low
             c += 1
     return owner, rows
+
+
+def pivots_by_character(columns, pivots):
+    """How many of the pivot columns fall in each character of columns,
+    given as the tuples of its fields (an empty one for END)."""
+    owner = [K for K, fields in enumerate(columns) for _ in fields]
+    counts = [0] * len(columns)
+    for p in pivots:
+        counts[owner[p]] += 1
+    return counts
 
 
 # The fixed point whose image fiber _chain_fiber computes; the other five

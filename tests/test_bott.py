@@ -1,6 +1,7 @@
 """Tests for the Legendrian localization sum."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import lcm, prod
@@ -11,12 +12,13 @@ import foldeg.bott as bott
 import foldeg.exact as exact
 import foldeg.fields as fields
 import foldeg.limits as limits
+import foldeg.matrices as matrices
 import foldeg.pencil as pencil
 from foldeg.bott import (
     LEGENDRIAN,
     NonIntegralDegree,
+    closed_form_counts,
     default_method,
-    fiber_characters,
     image_power_sums,
     legendrian_degree,
     localize,
@@ -27,6 +29,7 @@ from foldeg.exact import (
     InadmissibleWeights,
     PowerSums,
     WeightSystem,
+    character_values,
     character_weights,
     monomial_power_sums,
 )
@@ -39,6 +42,7 @@ from foldeg.limits import (
     MethodDisagreement,
     limit_fiber_weights,
 )
+from foldeg.matrices import fiber_characters
 from foldeg.pencil import (
     PENCIL,
     pd_twisted_weights,
@@ -292,16 +296,22 @@ def test_the_tangent_numbers_share_one_common_denominator(values):
 
 
 def _characters_moved_at_34(monkeypatch, move):
-    """Make bott.fiber_characters move its first character at (3,4) by
-    the vector move."""
-    def moved(d, pair):
+    """Make bott.closed_form_counts count, at (3,4), the closed form with
+    its first character moved by the vector move, and return that moved
+    fiber as a function of (d, pair)."""
+    def moved_fiber(d, pair):
         fiber = fiber_characters(d, pair)
         if pair != (3, 4):
             return fiber
         first = tuple(a + b for a, b in zip(fiber[0], move))
         return tuple(sorted((first,) + fiber[1:]))
 
-    monkeypatch.setattr(bott, "fiber_characters", moved)
+    def moved(characters, pair):
+        copies = Counter(moved_fiber(sum(characters[0]) + 1, pair))
+        return [copies[chi] for chi in characters]
+
+    monkeypatch.setattr(bott, "closed_form_counts", moved)
+    return moved_fiber
 
 
 def test_both_checks_closed_form_fibers(monkeypatch):
@@ -403,9 +413,9 @@ def test_both_sees_a_character_moved_at_constant_weight(monkeypatch):
     of the fiber; "both" compares characters and still raises."""
     move = (0, 5, 0, -1)
     assert sum(a * b for a, b in zip(move, DEFAULT_WEIGHTS.values)) == 0
-    _characters_moved_at_34(monkeypatch, move)
+    moved_fiber = _characters_moved_at_34(monkeypatch, move)
     closed = fiber_characters(3, (3, 4))
-    moved = bott.fiber_characters(3, (3, 4))
+    moved = moved_fiber(3, (3, 4))
     assert moved != closed
     assert character_weights(moved, DEFAULT_WEIGHTS) == character_weights(
         closed, DEFAULT_WEIGHTS)
@@ -442,20 +452,74 @@ def test_both_checks_each_degree_and_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("method", (METHOD_BOTH, METHOD_KERNEL))
 def test_direct_routes_evaluate_weights_only_when_read(monkeypatch, method):
-    """A route's weights are evaluated from its characters when read, so
-    the direct check evaluates one image fiber per pair, for its
-    power-sum comparison: 6 evaluations at a degree under either
-    method, none for the kernels or for the comparison of the routes."""
+    """A route evaluates no weight, and the direct check evaluates one
+    per character of the image fiber at each pair, for its power-sum
+    comparison: 6 evaluations at a degree under either method, each of
+    the fiber's distinct characters, and none for copies, for the
+    kernels or for the comparison of the routes."""
     calls = []
 
     def counted(characters, weights):
+        characters = list(characters)
         calls.append(len(characters))
-        return character_weights(characters, weights)
+        return character_values(characters, weights)
 
-    monkeypatch.setattr(limits, "character_weights", counted)
+    def refused(characters, weights):
+        raise AssertionError("a route evaluated weights")
+
+    monkeypatch.setattr(bott, "character_values", counted)
+    monkeypatch.setattr(limits, "character_weights", refused)
     bott._both_checked.clear()
     assert legendrian_degree(3, method=method).degree == LEGENDRIAN_D3_DEGREE
-    assert calls == [35] * 6  # C(3 + 4, 3) image characters each
+    assert calls == [len(set(fiber_characters(3, pair)))
+                     for pair in P5_PAIRS]
+    assert all(n < 35 for n in calls)  # fewer than C(3 + 4, 3) copies
+
+
+def test_both_builds_each_sorted_image_at_most_once(monkeypatch):
+    """Under "both", each (d, pair) builds its sorted image characters at
+    most once, counting the closed form's fiber_characters (here never),
+    and no route builds a list of characters one per copy: the direct
+    check compares counts, and reads the image of the one result it
+    keeps as its distinct characters, once."""
+    built = Counter()
+
+    def counting(name, real):
+        def read(self, *args):
+            built[name, self.d, self.pair] += 1
+            return real(self, *args)
+        return read
+
+    result = limits.LimitFiberResult
+    for name in ("quotient_characters", "quotient_counts"):
+        monkeypatch.setattr(result, name, property(
+            counting(name, getattr(result, name).fget)))
+    monkeypatch.setattr(result, "_characters",
+                        counting("_characters", result._characters))
+    monkeypatch.setattr(matrices, "fiber_characters", lambda d, pair: (
+        built.update([("fiber_characters", d, pair)])
+        or fiber_characters(d, pair)))
+    for ws in (DEFAULT_WEIGHTS, ALT_WEIGHTS_A):
+        for d in range(2, 7):
+            legendrian_degree(d, ws, method=METHOD_BOTH)
+    assert {name for name, _, _ in built} == {"quotient_counts"}
+    assert sorted(built.values()) == [1] * 6 * 5
+
+
+def test_closed_form_counts_are_the_closed_form_fiber():
+    """Over the characters of the chains at every pair, d = 1..12,
+    closed_form_counts gives the closed-form fiber (fiber_characters) as
+    a multiset.  The chains write each character once, of degree d - 1,
+    as the argument in its docstring needs."""
+    for d in range(1, 13):
+        for pair in P5_PAIRS:
+            characters = [chi for chi, fields_ in limits._chains(d, pair)
+                          if fields_]
+            assert len(set(characters)) == len(characters), (pair, d)
+            assert {sum(chi) for chi in characters} == {d - 1}
+            counts = closed_form_counts(characters, pair)
+            assert Counter(dict(zip(characters, counts))) == Counter(
+                fiber_characters(d, pair)), (pair, d)
 
 
 def test_a_failed_both_check_is_not_remembered(monkeypatch):

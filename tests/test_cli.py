@@ -401,10 +401,11 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
 @pytest.mark.parametrize(
     "module, name, wrong, argv, error",
     [
-        (bott, "fiber_characters", lambda real: lambda d, pair: real(d, pair)[1:],
+        (bott, "closed_form_counts", lambda real: lambda characters, pair: [
+            c + 1 for c in real(characters, pair)],
          KERNEL_3, "closed-form and direct fibers disagree at (1, 2), d=3"),
-        (limits, "_kernel_counts",
-         lambda real: lambda chain: [c + 1 for c in real(chain)],
+        (limits, "_kernel_rule",
+         lambda real: lambda chains: [c - 1 for c in real(chains)],
          KERNEL_3, "limit kernel rank"),
         (limits, "build_phi_basis", lambda real: lambda d: SectionBasis(
             d, characters=real(d).characters + Counter([(d - 1, 0, 0, 0)])),

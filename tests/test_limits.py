@@ -184,13 +184,13 @@ def _saturated_pivots(blocks):
     return cols
 
 
-def _limit_pivots(rows, levels):
+def _limit_counts(rows, levels):
     """limit_rows on a union-find block, handed over as a chain: the
     columns sorted by descending level, one character per level, each
     column as its (low, high) pair, the t^0 and t^1 coefficients that
     sit on two consecutive rows.  The M(1) that gives must be the
-    block's up to the order of its rows.  The pivots are mapped back to
-    the block's order."""
+    block's up to the order of its rows.  The counts are returned as a
+    Counter of levels."""
     order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
     by_level = {}
     for q in order:
@@ -201,8 +201,7 @@ def _limit_pivots(rows, levels):
     _, dense = oracles._chain_matrix(list(by_level.items()))
     assert sorted(filter(any, dense)) == sorted(
         filter(any, ([sum(row[q]) for q in order] for row in rows)))
-    pivots = limit_rows(columns, len(order))
-    return [order[p] for p in pivots]
+    return Counter(dict(zip(by_level, limit_rows(columns, len(order)))))
 
 
 def _fraction_quotient_columns(d, pair, basis):
@@ -267,20 +266,20 @@ def test_torus_image_limit_equals_the_saturation_oracle(weights):
     """Block by block, the echelon of M(1) with the columns by descending
     level and the Z[t] saturation oracle pick pivot columns of the same
     characters, and their limit rows span the same space.  The rows are
-    the cut rows of oracles.cut_limit_rows, whose pivots must be those
-    of limit_rows."""
+    the cut rows of oracles.cut_limit_rows, whose pivots must fall on
+    each level as often as limit_rows counts there."""
     for d in range(1, 9):
         basis = oracles.weight_ordered_basis(d, weights)
         for pair in P5_PAIRS:
             matrix = build_contraction_matrix(pair, d, basis)
             for cols, levels, rows in _blocks(matrix):
-                got_pivots = _limit_pivots(rows, levels)
                 got, cut_pivots = oracles.cut_limit_rows(rows, len(cols),
                                                          levels)
-                assert cut_pivots == got_pivots
+                assert Counter(levels[k] for k in cut_pivots) == (
+                    _limit_counts(rows, levels))
                 want, want_pivots = saturated_limit_rows(rows, len(cols))
                 assert sorted(
-                    basis[cols[k]].character for k in got_pivots
+                    basis[cols[k]].character for k in cut_pivots
                 ) == sorted(basis[cols[k]].character for k in want_pivots)
                 assert rref(got) == rref(want)
 
@@ -370,16 +369,17 @@ def test_chains_are_the_union_find_blocks():
 
 def test_limit_rows_on_each_chain_is_the_dense_echelon():
     """At every fixed point, d = 1..6, limit_rows on a chain's fields
-    picks the pivots that echelon picks on its dense M(1), and leaves
-    the fields as they were."""
+    counts in each character the pivots that echelon picks in its
+    columns of the dense M(1), and leaves the fields as they were."""
     for d in range(1, 7):
         for pair in P5_PAIRS:
             for chain in oracles.split_chains(limits._chains(d, pair)):
                 owner, rows = oracles._chain_matrix(chain)
                 columns = [fields for _, fields in chain]
                 kept = list(columns)
-                assert limit_rows(columns, len(owner)) == echelon(
-                    rows, len(owner))[1], (pair, d)
+                assert limit_rows(columns, len(owner)) == (
+                    oracles.pivots_by_character(
+                        columns, echelon(rows, len(owner))[1])), (pair, d)
                 assert columns == kept
 
 
@@ -409,7 +409,8 @@ def test_kernel_rule_equals_the_echelon_oracle(weights):
                 build_contraction_matrix(pair, d, basis))
             for chain in oracles.split_chains(limits._chains(d, pair)):
                 chars = [chi for chi, _ in chain]
-                got = dict(zip(chars, limits._kernel_counts(chain)))
+                got = dict(zip(chars, oracles.kernel_copies(
+                    chain, limits._kernel_rule(chain))))
                 assert Counter(got) == want[frozenset(chars)], (pair, d)
 
 
@@ -432,13 +433,22 @@ def test_chain_rank_guard_raises(monkeypatch):
 
 
 def test_method_disagreement_is_raised(monkeypatch):
-    """--method both compares the two routes and raises on a mismatch."""
-    def first_columns(chains):
-        owner = [chi for chain in oracles.split_chains(chains)
-                 for chi in oracles._chain_matrix(chain)[0]]
-        return owner[:comb(2 + 4, 3)], owner[comb(2 + 4, 3):]
+    """--method both compares the two routes' counts entry by entry and
+    raises on a mismatch: here the image route moves one copy from the
+    first character that has one to the next that has a field to spare,
+    which keeps its rank and the image and kernel characters' totals."""
+    real = limits.limit_rows
 
-    monkeypatch.setattr(limits, "_image_characters", first_columns)
+    def moved(columns, ncols):
+        counts = real(columns, ncols)
+        first = next(i for i, n in enumerate(counts) if n)
+        spare = next(i for i in range(first + 1, len(counts))
+                     if counts[i] < len(columns[i]))
+        counts[first] -= 1
+        counts[spare] += 1
+        return counts
+
+    monkeypatch.setattr(limits, "limit_rows", moved)
     with pytest.raises(MethodDisagreement):
         limit_fiber_weights((1, 2), 2, method=METHOD_BOTH)
 
@@ -482,7 +492,8 @@ def test_kernel_limit_annihilates_the_image_limit(weights):
                 assert kcols == cols
                 image, pivots = oracles.cut_limit_rows(rows, len(cols),
                                                        levels)
-                assert pivots == _limit_pivots(rows, levels)
+                assert Counter(levels[k] for k in pivots) == (
+                    _limit_counts(rows, levels))
                 assert len(image) + len(vectors) == len(cols)
                 assert rank(vectors, len(cols)) == len(vectors)
                 assert all(
@@ -588,15 +599,16 @@ def test_kernel_route_guards_raise(monkeypatch):
         _kernel_weights_for_block([[1] * len(cols)], cols, basis,
                                   DEFAULT_WEIGHTS)
 
-    real = limits._kernel_counts
+    real = limits._kernel_rule
 
     def one_short(chains):
         counts = real(chains)
-        first = next(i for i, count in enumerate(counts) if count)
-        counts[first] -= 1
+        first = next(i for i, (count, (_, fields)) in enumerate(
+            zip(counts, chains)) if count < len(fields))
+        counts[first] += 1
         return counts
 
-    monkeypatch.setattr(limits, "_kernel_counts", one_short)
+    monkeypatch.setattr(limits, "_kernel_rule", one_short)
     limits._pair_chains.cache_clear()
     with pytest.raises(SaturationRankError, match="kernel rank"):
         limit_fiber_weights((1, 2), 3, method=METHOD_KERNEL)
@@ -616,11 +628,14 @@ def test_chains_short_of_the_basis_raise(monkeypatch, method):
 
 
 def test_image_route_rank_guard_raises(monkeypatch):
-    """The image route refuses a limit of the wrong rank."""
+    """The image route refuses a limit of the wrong rank: here one short
+    at the first character that it counts in the image at all."""
     real = limits.limit_rows
 
     def one_short(rows, ncols):
-        return real(rows, ncols)[1:]
+        counts = real(rows, ncols)
+        counts[next(i for i, n in enumerate(counts) if n)] -= 1
+        return counts
 
     monkeypatch.setattr(limits, "limit_rows", one_short)
     with pytest.raises(SaturationRankError, match="image rank"):

@@ -11,11 +11,12 @@ import copy
 import random
 from fractions import Fraction
 
-from foldeg.limits import END, _kernel_counts
+from foldeg.limits import END, _kernel_rule
 from foldeg.linalg import limit_rows
 from foldeg.matrices import echelon, kernel_basis, rank, rref
 from oracles import (
     _chain_matrix,
+    pivots_by_character,
     saturated_limit_rows,
     tp_add,
     tp_mul,
@@ -78,9 +79,9 @@ def _random_chain(rng):
 
 
 def test_echelon_and_limit_rows_leave_their_rows_unchanged():
-    """limit_rows picks the pivots that echelon picks on the chain's
-    dense M(1), and reads its fields without changing them; echelon
-    eliminates a copy of its own rows."""
+    """limit_rows gives each character as many pivots as echelon picks
+    in its columns of the chain's dense M(1), and reads its fields
+    without changing them; echelon eliminates a copy of its own rows."""
     rng = random.Random(44)
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -93,28 +94,28 @@ def test_echelon_and_limit_rows_leave_their_rows_unchanged():
         ncols = sum(map(len, columns))
         kept = copy.deepcopy(columns)
         _, dense = _chain_matrix(list(enumerate(columns)))
-        assert limit_rows(columns, ncols) == echelon(dense, ncols)[1], columns
+        assert limit_rows(columns, ncols) == pivots_by_character(
+            columns, echelon(dense, ncols)[1]), columns
         assert columns == kept
 
 
 def test_chains_laid_end_to_end_sweep_as_each_alone():
     """Over 1..5 zero-heavy chains, each followed by an empty character,
-    limit_rows picks each chain's own pivots, offset by the chain's
-    first column, and the kernel rule gives each chain's own counts
-    with a 0 at each END: no row and no A_K crosses a chain end."""
+    limit_rows and the kernel rule give each chain's own counts, with a
+    0 at each END: no row and no A_K crosses a chain end."""
     rng = random.Random(66)
     for _ in range(300):
         chains = [_random_chain(rng) for _ in range(rng.randint(1, 5))]
         pivots, counts, joined, offset = [], [], [], 0
         for columns in chains:
             ncols = sum(map(len, columns))
-            pivots += [offset + p for p in limit_rows(columns, ncols)]
+            pivots += limit_rows(columns, ncols) + [0]
             offset += ncols
             chain = [((K,), fields) for K, fields in enumerate(columns)]
-            counts += _kernel_counts(chain) + [0]
+            counts += _kernel_rule(chain) + [0]
             joined += chain + [END]
         assert limit_rows([f for _, f in joined], offset) == pivots, chains
-        assert _kernel_counts(joined) == counts, chains
+        assert _kernel_rule(joined) == counts, chains
 
 
 def test_kernel_basis_annihilates_and_counts():

@@ -114,12 +114,12 @@ MUTANTS = {
     # play its low ones.
     "limit_rows with the levels ascending": (
         "linalg.py",
-        "    pivots.sort()\n    return pivots\n",
-        "    pivots.sort()\n    return pivots\n\n\n"
+        "        row = below\n    return counts\n",
+        "        row = below\n    return counts\n\n\n"
         "_limit_rows = limit_rows\n\n\n"
         "def limit_rows(columns, ncols):\n"
         "    flipped = [[(h, l) for l, h in f[::-1]] for f in columns[::-1]]\n"
-        "    return sorted(ncols - 1 - p for p in _limit_rows(flipped, ncols))\n",
+        "    return _limit_rows(flipped, ncols)[::-1]\n",
         [
             "tests/test_linalg.py::"
             "test_echelon_and_limit_rows_leave_their_rows_unchanged",
@@ -133,19 +133,17 @@ MUTANTS = {
     # so that row K + 1 meets character K after its sweep
     "a row admitted one character late": (
         "linalg.py",
-        "        live = {lead: row} if row and lead >= first else {}\n",
-        "        live = {lead: row} if row and lead >= c else {}\n",
+        "        live = (lead, row) if row and lead >= first else None\n",
+        "        live = (lead, row) if row and lead >= c else None\n",
         [
             "tests/test_linalg.py::"
             "test_echelon_and_limit_rows_leave_their_rows_unchanged",
             "tests/test_doctests.py::test_module_doctests[foldeg.linalg]",
-            "tests/test_limits.py::test_methods_agree",
         ],
     ),
     "both without the closed-form comparison": (
         "bott.py",
-        "            if (direct.quotient_characters != "
-        "fiber_characters(d, pair)\n",
+        "            if (copies != closed_form_counts(characters, pair)\n",
         "            if (False\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
@@ -156,10 +154,10 @@ MUTANTS = {
     ),
     "kernel without the closed-form comparison": (
         "bott.py",
-        "(direct.quotient_characters != fiber_characters(d, pair)\n",
+        "(copies != closed_form_counts(characters, pair)\n",
         "(method == METHOD_BOTH\n"
-        "                    and direct.quotient_characters "
-        "!= fiber_characters(d, pair)\n",
+        "                    and copies != "
+        "closed_form_counts(characters, pair)\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
             "tests/test_cli.py::"
@@ -168,8 +166,9 @@ MUTANTS = {
     ),
     "both without the power-sum comparison": (
         "bott.py",
-        "\n                    or PowerSums.of(direct.quotient_weights, TOP)"
-        ".p != fiber.p):\n",
+        "\n                    or PowerSums.of("
+        "character_values(characters, w), TOP,"
+        "\n                                    copies).p != fiber.p):\n",
         "):\n",
         ["tests/test_bott.py::test_both_checks_closed_form_fibers"],
     ),
@@ -193,26 +192,57 @@ MUTANTS = {
         ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
     ),
     "fiber_characters with its two shifts swapped": (
-        "bott.py",
+        "matrices.py",
         "low if m[p - 1] or m[q - 1] else high\n",
         "high if m[p - 1] or m[q - 1] else low\n",
         [
-            "tests/test_bott.py::test_d3_degree",
+            "tests/test_bott.py::"
+            "test_closed_form_counts_are_the_closed_form_fiber",
             "tests/test_bott.py::"
             "test_fiber_characters_reproduce_the_frozen_table",
             "tests/test_bott.py::"
             "test_closed_form_equals_the_chain_fiber_oracle",
         ],
     ),
+    "closed-form counts with their two terms swapped": (
+        "bott.py",
+        "[(ck >= 0 <= cl) + (cp == 0 == cq)",
+        "[(cp >= 0 <= cq) + (ck == 0 == cl)",
+        [
+            "tests/test_bott.py::test_d3_degree",
+            "tests/test_bott.py::"
+            "test_closed_form_counts_are_the_closed_form_fiber",
+        ],
+    ),
     "both without the comparison of the two routes": (
         "limits.py",
-        "        if img.quotient_characters != ker.quotient_characters:\n",
+        "        if img.counts != ker.counts:\n",
         "        if False:\n",
         ["tests/test_limits.py::test_method_disagreement_is_raised"],
     ),
+    "both comparing only the totals of the two count lists": (
+        "limits.py",
+        "        if img.counts != ker.counts:\n",
+        "        if sum(img.counts) != sum(ker.counts):\n",
+        ["tests/test_limits.py::test_method_disagreement_is_raised"],
+    ),
+    # the lowest inner level of a chain written as the one above it, when
+    # there is one: that character twice, with its three fields, and the
+    # lowest one not at all
+    "chains that write one character twice and drop another": (
+        "limits.py",
+        "            for lev in range(top - 2, bottom, -2):\n",
+        "            for lev in range(top - 2, bottom, -2):\n"
+        "                lev = max(lev, min(bottom + 4, top - 2))\n",
+        [
+            "tests/test_bott.py::"
+            "test_closed_form_counts_are_the_closed_form_fiber",
+            "tests/test_limits.py::test_chains_are_the_union_find_blocks",
+        ],
+    ),
     "size guard removed": (
         "limits.py",
-        "    if len(characters) + len(kernel) != size:\n",
+        "    if nfields != size:\n",
         "    if False:\n",
         [
             "tests/test_limits.py::"
@@ -227,8 +257,8 @@ MUTANTS = {
     ),
     "the one-field rank rule without A_K": (
         "limits.py",
-        "counts.append(0 if x or (y and not absorbs) else 1)",
-        "counts.append(0 if x or y else 1)",
+        "counts.append(1 if x or (y and not absorbs) else 0)",
+        "counts.append(1 if x or y else 0)",
         [
             "tests/test_limits.py::test_methods_agree",
             "tests/test_transport_properties.py::"

@@ -11,7 +11,7 @@ import pytest
 from collections import Counter
 
 from foldeg import limits
-from foldeg.bott import fiber_characters, image_power_sums, localize
+from foldeg.bott import image_power_sums, localize
 from foldeg.exact import (
     PowerSums,
     WeightSystem,
@@ -25,7 +25,7 @@ from foldeg.limits import (
     METHOD_KERNEL,
     limit_fiber_weights,
 )
-from foldeg.matrices import build_contraction_matrix
+from foldeg.matrices import build_contraction_matrix, fiber_characters
 from foldeg.pencil import pd_twisted_weights, tangent_weights_g24
 from foldeg.polyfit import FAMILIES
 from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
@@ -40,6 +40,7 @@ from oracles import (
     enumerated_monomial_weights,
     enumerated_pencil_fiber,
     explicit_g24_tangent_weights,
+    kernel_copies,
     kernel_counts_by_block,
     rref_phi_basis,
     split_chains,
@@ -98,7 +99,8 @@ def test_kernel_rule_equals_the_echelon_oracle_under_any_weights(
         build_contraction_matrix(pair, d, weight_ordered_basis(d, values)))
     for chain in split_chains(limits._chains(d, pair)):
         chars = [chi for chi, _ in chain]
-        got = dict(zip(chars, limits._kernel_counts(chain)))
+        got = dict(zip(chars, kernel_copies(
+            chain, limits._kernel_rule(chain))))
         assert Counter(got) == want[frozenset(chars)]
 
 
@@ -129,7 +131,8 @@ def test_kernel_rule_holds_on_any_chain(fields):
     "rank [low; high] > rank high" changes no count; here, as in the
     first example, it does."""
     chain = [((K,), tuple(f)) for K, f in enumerate(fields)]
-    assert limits._kernel_counts(chain) == chain_kernel_counts(chain)
+    assert kernel_copies(chain, limits._kernel_rule(chain)) == (
+        chain_kernel_counts(chain))
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(1, 8))
