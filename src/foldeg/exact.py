@@ -6,7 +6,7 @@ equality test downstream is exact.
 """
 
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -219,7 +219,8 @@ class PowerSums:
             counts = Counter(values)
             values, copies = counts, counts.values()
         distinct = list(map(operator.index, values))
-        terms, p = list(copies), [sum(copies)]
+        terms = list(copies)
+        p = [sum(terms)]
         for _ in range(top):
             terms = list(map(operator.mul, terms, distinct))
             p.append(sum(terms))
@@ -245,28 +246,12 @@ class PowerSums:
         return PowerSums(q)
 
 
-def newton_step(k, p):
-    """e_k from integer p_0..p_k by Newton's identities,
-    j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  ValueError unless 0 <= k
-    and p_k is given (elementary_symmetric checks k <= p_0); NonIntegralDegree
-    unless each division by j is exact."""
-    if k < 0 or k >= len(p):
-        raise ValueError("no e_%r of %s values, p_0..p_%d" % (k, p[0], len(p) - 1))
-    # f_j = (-1)^j e_j carries the sign: j*f_j = -sum f_(j-i) p_i, with f
-    # newest first, so that f_(j-1), ..., f_0 meet p_1, ..., p_j in order
-    f, rest = [1], p[1:]
-    for j in range(1, k + 1):
-        total = -sum(map(operator.mul, f, rest))
-        q = total // j
-        if q * j != total:
-            raise NonIntegralDegree("e_%d of these power sums is not integral" % j)
-        f.insert(0, q)
-    return -f[0] if k % 2 else f[0]
-
-
 def elementary_symmetric(k, values):
     """e_k of PowerSums or of integers (else ValueError: Newton's step
-    divides exactly only on integers); ValueError unless k <= p_0.
+    divides exactly only on integers) by Newton's identities,
+    j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  ValueError unless
+    0 <= k, p_k is given and k <= p_0; NonIntegralDegree unless each
+    division by j is exact.
 
     >>> elementary_symmetric(2, [1, 2, 3])
     11
@@ -278,9 +263,18 @@ def elementary_symmetric(k, values):
         except TypeError:
             raise ValueError("e_k needs integers, got %r" % (values,)) from None
     p = values.p
-    if k > p[0]:
-        raise ValueError("no e_%r of %d values, p_0..p_%d" % (k, p[0], len(p) - 1))
-    return newton_step(k, p)
+    if not 0 <= k < len(p) or k > p[0]:
+        raise ValueError("no e_%r of %s values, p_0..p_%d" % (k, p[0], len(p) - 1))
+    # f_j = (-1)^j e_j carries the sign: j*f_j = -sum f_(j-i) p_i, with f
+    # newest first, so that f_(j-1), ..., f_0 meet p_1, ..., p_j in order
+    f, rest = [1], p[1:]
+    for j in range(1, k + 1):
+        total = -sum(map(operator.mul, f, rest))
+        q = total // j
+        if q * j != total:
+            raise NonIntegralDegree("e_%d of these power sums is not integral" % j)
+        f.insert(0, q)
+    return -f[0] if k % 2 else f[0]
 
 
 def forward_differences(ys):
@@ -379,7 +373,7 @@ def monomial_power_sums(ws, n, top):
     return power_sums_at(power_sum_differences(tuple(ws), top), n)
 
 
-class RationalPolynomial:
+class RationalPolynomial(namedtuple("RationalPolynomial", "coefficients")):
     """Univariate polynomial over Q; coefficients[i] multiplies d**i.
     A value, not a ring: lagrange_interpolate builds it, and it
     evaluates, compares and renders.
@@ -388,14 +382,14 @@ class RationalPolynomial:
     unless the polynomial is zero (empty coefficient tuple, degree -1).
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ()
 
-    def __init__(self, coefficients=()):
+    def __new__(cls, coefficients=()):
         coeffs = [c if isinstance(c, Fraction) else Fraction(c)
                   for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coefficients = tuple(coeffs)
+        return super().__new__(cls, tuple(coeffs))
 
     @property
     def degree(self):
@@ -413,14 +407,6 @@ class RationalPolynomial:
             acc = acc * num + c.numerator * (common // c.denominator) * power
             power *= den
         return Fraction(acc * den, common * power)
-
-    def __eq__(self, other):
-        if isinstance(other, RationalPolynomial):
-            return self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coefficients)
 
     def __repr__(self):
         return "RationalPolynomial(%r)" % (list(self.coefficients),)

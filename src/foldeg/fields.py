@@ -91,16 +91,16 @@ def _bump(mono, var):
     return tuple(out)
 
 
-class AntisymmetricForm:
+class AntisymmetricForm(namedtuple("AntisymmetricForm", "alpha")):
     """A nonzero form sum alpha_ij * kappa_ij in the Koszul coordinates.
 
     Contact forms are the ones with nonzero Pfaffian
     alpha_12*alpha_34 - alpha_13*alpha_24 + alpha_14*alpha_23.
     """
 
-    __slots__ = ("alpha",)
+    __slots__ = ()
 
-    def __init__(self, alpha):
+    def __new__(cls, alpha):
         """alpha: mapping {pair: coefficient} or a 6-sequence in the
         canonical pair order (1,2),(1,3),(1,4),(2,3),(2,4),(3,4)."""
         if isinstance(alpha, dict):
@@ -114,7 +114,7 @@ class AntisymmetricForm:
                 raise ValueError("need 6 coefficients")
         if not any(coeffs):
             raise ValueError("the zero form is not allowed")
-        self.alpha = coeffs
+        return super().__new__(cls, coeffs)
 
     @classmethod
     def koszul(cls, pair):
@@ -141,14 +141,6 @@ class AntisymmetricForm:
                 a[i - 1][j] = a[i - 1].get(j, 0) + c
                 a[j - 1][i] = a[j - 1].get(i, 0) - c
         return a
-
-    def __eq__(self, other):
-        if isinstance(other, AntisymmetricForm):
-            return self.alpha == other.alpha
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.alpha)
 
     def __repr__(self):
         inside = ", ".join(

@@ -27,7 +27,8 @@ class InsufficientPoints(ValueError):
 
 
 class IntegralityError(ArithmeticError):
-    """An interpolated counting polynomial took a non-integer value."""
+    """A degree given for interpolation is not an integer, so that its
+    interpolant, a counting polynomial, would not be integer-valued."""
 
 
 def get_family(name):
@@ -82,15 +83,16 @@ def interpolate_family(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
                        jobs=1, points=None):
     """Interpolate computed degrees into an exact polynomial in d.
 
-    Needs at least bound+1 points (16 for legendrian, 13 for pencil);
-    the result is spot-checked to take integer values at the three
-    integers past d_max -- a counting polynomial must -- and handed back
-    as a RationalPolynomial.  Pass points to reuse degrees computed
-    elsewhere: at exactly d = d_min..d_max, ints or Fractions (else
-    TypeError).  Integer degrees at consecutive d always give an
-    integer-valued interpolant, p(x) = sum_k D^k y_0 C(x - d_min, k)
-    with integer forward differences D^k y_0, so the spot check guards
-    against given degrees that are not integers.
+    Needs at least bound+1 points (16 for legendrian, 13 for pencil) and
+    hands the interpolant back as a RationalPolynomial.  Pass points, any
+    iterable of (d, degree), to reuse degrees computed elsewhere: at
+    exactly d = d_min..d_max, ints or Fractions (else TypeError).  A
+    counting polynomial must be integer-valued, and the interpolant of
+    degrees at consecutive d is so exactly when every degree is an
+    integer: then p(x) = sum_k D^k y_0 C(x - d_min, k) with integer
+    forward differences D^k y_0, and otherwise p(d) is that degree.  So a
+    non-integral Fraction degree raises IntegralityError, naming its d,
+    before anything is interpolated.
     """
     bound = get_family(family).degree_bound
     if d_max - d_min < bound:
@@ -100,18 +102,15 @@ def interpolate_family(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
         )
     if points is None:
         points = compute_degree_points(family, d_min, d_max, weights, jobs)
-    elif sorted(d for d, _ in points) != list(range(d_min, d_max + 1)):
-        raise InsufficientPoints(
-            "points must be given at exactly d=%d..%d" % (d_min, d_max)
-        )
-    ys = [y for _, y in sorted(points)]
-    for y in ys:
+    else:
+        points = sorted(points)
+        if [d for d, _ in points] != list(range(d_min, d_max + 1)):
+            raise InsufficientPoints(
+                "points must be given at exactly d=%d..%d" % (d_min, d_max)
+            )
+    for d, y in points:
         if not isinstance(y, (int, Fraction)):
             raise TypeError("degree %r is not an int or a Fraction" % (y,))
-    poly = lagrange_interpolate(d_min, ys)
-    for x in range(d_max + 1, d_max + 4):
-        if poly(x).denominator != 1:
-            raise IntegralityError(
-                "interpolant is not integer-valued at d=%d" % x
-            )
-    return poly
+        if y.denominator != 1:
+            raise IntegralityError("degree %s at d=%s is not an integer" % (y, d))
+    return lagrange_interpolate(d_min, [y for _, y in points])

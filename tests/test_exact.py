@@ -1,5 +1,6 @@
 """Tests for the exact scalar / weight / polynomial layer."""
 
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,6 @@ from foldeg.exact import (
     monomial_power_sums,
     monomial_string,
     monomials_of_degree,
-    newton_step,
     power_sum_differences,
     scalar_to_string,
 )
@@ -180,6 +180,15 @@ def test_power_sums_of_requires_integers():
     assert PowerSums.of([True, 2], 2).p == (2, 3, 5)
 
 
+def test_power_sums_of_reads_its_copies_once():
+    """copies may be any iterable: an iterator gives what a list gives,
+    p_0 included (it used to read 0, the count taken after the copies
+    were used up)."""
+    assert PowerSums.of([2, 3], 2, iter([2, 1])).p == (3, 7, 17)
+    assert PowerSums.of([2, 3], 2, (c for c in [2, 1])).p == (
+        PowerSums.of([2, 2, 3], 2).p)
+
+
 def test_elementary_symmetric_requires_integers():
     """Newton's identities divide exactly only on integers, so anything
     else is refused rather than answered wrongly."""
@@ -224,18 +233,16 @@ def test_elementary_symmetric_takes_no_power_above_the_count(monkeypatch):
 def test_power_sums_guard_newtons_step():
     """e_k from stored power sums: a division by j that is not exact
     raises instead of flooring (no two integers have p_1 = 1 and
-    p_2 = 0), and so does asking above the highest power stored, of
-    elementary_symmetric and of newton_step itself."""
+    p_2 = 0), and so does asking above the highest power stored or above
+    the count, each with the count and the powers at hand."""
     with pytest.raises(ArithmeticError):
         elementary_symmetric(2, PowerSums((2, 1, 0)))
     ps = PowerSums.of([1, 2, 3], 2)
     assert elementary_symmetric(2, ps) == 11 and len(ps) == 3
-    with pytest.raises(ValueError, match="p_0..p_2"):
+    with pytest.raises(ValueError, match="no e_3 of 3 values, p_0..p_2"):
         elementary_symmetric(3, ps)
     with pytest.raises(ValueError, match="no e_4 of 3 values, p_0..p_4"):
         elementary_symmetric(4, PowerSums.of([1, 2, 3], 4))
-    with pytest.raises(ValueError, match="no e_3 of 3 values, p_0..p_2"):
-        newton_step(3, ps.p)
 
 
 def test_power_sums_add_remove_and_shift():
@@ -337,7 +344,7 @@ def test_shift_and_newton_step_at_any_length(K):
         ps = PowerSums.of(values, K)
         assert ps.shifted(c).p == PowerSums.of(
             (v + c for v in values), K).p, (values, c)
-        assert newton_step(K, ps.p) == elementary_symmetric_recurrence(
+        assert elementary_symmetric(K, ps) == elementary_symmetric_recurrence(
             K, values), values
 
 
@@ -364,6 +371,24 @@ def test_rational_polynomial_normal_form():
     zero = RationalPolynomial([0, 0])
     assert zero == RationalPolynomial()
     assert zero(Fraction(7)) == 0
+
+
+def test_a_polynomial_is_a_record():
+    """RationalPolynomial is a namedtuple record: its coefficients cannot
+    be reassigned, so a polynomial kept in a set is found there, and it
+    keeps its repr and survives pickling.  Like every record it equals
+    the bare tuple of its one field."""
+    p = RationalPolynomial([1, Fraction(1, 2), 0])
+    held = {p}
+    with pytest.raises(AttributeError):
+        p.coefficients = (Fraction(2),)
+    assert p in held and p == RationalPolynomial([1, Fraction(1, 2)])
+    assert p.coefficients == (1, Fraction(1, 2))
+    assert repr(p) == "RationalPolynomial([Fraction(1, 1), Fraction(1, 2)])"
+    assert repr(RationalPolynomial()) == "RationalPolynomial([])"
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert p == (p.coefficients,)
+    assert not {"__init__", "__eq__", "__hash__"} & set(vars(RationalPolynomial))
 
 
 def test_rational_polynomial_evaluation():

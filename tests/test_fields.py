@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -128,6 +129,26 @@ def test_antisymmetric_form_construction():
     koszul = AntisymmetricForm.koszul((1, 3))
     assert koszul.coefficient((1, 3)) == 1
     assert not koszul.is_contact()
+
+
+def test_a_form_is_a_record():
+    """AntisymmetricForm is a namedtuple record that validates in
+    __new__: its alpha cannot be reassigned, so a form kept in a set is
+    found there, and its repr and error messages are as before."""
+    form = AntisymmetricForm({(1, 2): 1, (3, 4): Fraction(-1, 2)})
+    held = {form}
+    with pytest.raises(AttributeError):
+        form.alpha = (1, 0, 0, 0, 0, 0)
+    assert form in held and form.alpha == (1, 0, 0, 0, 0, Fraction(-1, 2))
+    assert repr(form) == "AntisymmetricForm({(1,2): 1, (3,4): -1/2})"
+    assert form == (form.alpha,)
+    with pytest.raises(ValueError, match="^the zero form is not allowed$"):
+        AntisymmetricForm((0,) * 6)
+    with pytest.raises(ValueError, match=re.escape("unknown pairs [(2, 1)]")):
+        AntisymmetricForm({(2, 1): 1})
+    with pytest.raises(ValueError, match="^need 6 coefficients$"):
+        AntisymmetricForm((1, 2, 3))
+    assert not {"__init__", "__eq__", "__hash__"} & set(vars(AntisymmetricForm))
 
 
 def _as_matrix(form):

@@ -7,7 +7,9 @@ under tmp_path, and only the named tests run, in a subprocess that
 imports the copy.  Every named test must fail.  The subprocess runs
 under the hypothesis profile "foldeg-mutants", which does not shrink a
 failure, and with plain asserts: it writes no bytecode, so pytest would
-otherwise rewrite every hypothesis module again in each row.  A row
+otherwise rewrite every hypothesis module again in each row.  It also
+leaves out the pytest-benchmark plugin, which no test uses and which
+costs each row's start-up time where it is installed.  A row
 whose old text is gone fails as a rotted mutant, so the table moves
 with the code: when a change rewrites a guarded line, it rewrites the
 row too.
@@ -92,8 +94,8 @@ MUTANTS = {
     ),
     "e_k without its k <= p_0 check": (
         "exact.py",
-        "    if k > p[0]:\n",
-        "    if False:\n",
+        "    if not 0 <= k < len(p) or k > p[0]:\n",
+        "    if not 0 <= k < len(p):\n",
         ["tests/test_exact.py::test_power_sums_guard_newtons_step"],
     ),
     "a binomial step that divides by k + 1, not k": (
@@ -555,6 +557,18 @@ MUTANTS = {
         "    tangent.remove(max(tangent))\n",
         ["tests/test_pencil.py::test_tangent_weights"],
     ),
+    "interpolation without its integrality guard": (
+        "polyfit.py",
+        "        if y.denominator != 1:\n",
+        "        if False:\n",
+        [
+            "tests/test_polyfit.py::test_integrality_guard",
+            "tests/test_polyfit.py::"
+            "test_integrality_guard_sees_every_given_degree",
+            "tests/test_polyfit.py::"
+            "test_integrality_guard_sees_one_half_at_the_last_point",
+        ],
+    ),
     "a closed form without its integrality guard": (
         "bott.py",
         "        if value.denominator != 1:\n"
@@ -616,7 +630,8 @@ def test_mutant_is_caught(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         "--assert=plain", "--hypothesis-profile=foldeg-mutants", *test_ids],
+         "-p", "no:benchmark", "--assert=plain",
+         "--hypothesis-profile=foldeg-mutants", *test_ids],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     failed = {line.split()[1] for line in run.stdout.splitlines()

@@ -160,11 +160,35 @@ def test_given_points_must_cover_the_range():
     )
 
 
+def test_given_points_are_read_once():
+    """points may be any iterable: an iterator or a generator of the
+    true pencil degrees gives the published polynomial (the range check
+    used to use it up, leaving the zero polynomial or degree -1)."""
+    table = sorted(PENCIL_DEGREES.items())
+    expected = family_closed_form_polynomial("pencil")
+    assert interpolate_family("pencil", 2, 14, points=iter(table)) == expected
+    assert interpolate_family(
+        "pencil", 2, 14, points=((d, y) for d, y in table[::-1])) == expected
+
+
 def test_integrality_guard():
-    """A counting polynomial must take integer values past the sample
-    window; d^12/2 does not and must be rejected."""
+    """A counting polynomial must take integer values; d^12/2 does not
+    and must be rejected, at the first d where it is no integer."""
     pts = [(d, Fraction(d**12, 2)) for d in range(2, 15)]
-    with pytest.raises(IntegralityError):
+    with pytest.raises(IntegralityError, match="at d=3 "):
+        interpolate_family("pencil", 2, 14, points=pts)
+
+
+def test_integrality_guard_sees_every_given_degree():
+    """(d-15)(d-16)(d-17)/4 is an integer at d = 15, 16 and 17, just past
+    the window, yet -1365/2 at d = 2: the interpolant of its values at
+    d = 2..14 is not integer-valued, and the guard names d = 2."""
+    pts = [(d, Fraction((d - 15) * (d - 16) * (d - 17), 4))
+           for d in range(2, 15)]
+    poly = lagrange_interpolate(2, [y for _, y in pts])
+    assert [poly(d) for d in (15, 16, 17)] == [0, 0, 0]
+    assert poly(2) == Fraction(-1365, 2)
+    with pytest.raises(IntegralityError, match="^degree -1365/2 at d=2 "):
         interpolate_family("pencil", 2, 14, points=pts)
 
 
