@@ -391,6 +391,11 @@ class RationalPolynomial(namedtuple("RationalPolynomial", "coefficients")):
             coeffs.pop()
         return super().__new__(cls, tuple(coeffs))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the trim
+        return cls(*iterable)
+
     @property
     def degree(self):
         return len(self.coefficients) - 1

@@ -117,6 +117,11 @@ class AntisymmetricForm(namedtuple("AntisymmetricForm", "alpha")):
         return super().__new__(cls, coeffs)
 
     @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the checks
+        return cls(*iterable)
+
+    @classmethod
     def koszul(cls, pair):
         """The basis form kappa_ij itself."""
         return cls({tuple(pair): 1})

@@ -200,11 +200,10 @@ class LimitFiberResult(namedtuple(
     are the fiber of the tangent kernel.  The limit is fixed by the
     whole torus, so the counts do not depend on the weight system.
 
-    quotient_characters is the image fiber as sorted Z^4 characters and
-    kernel_characters the kernel, in route order; quotient_weights and
-    kernel_weights are the same fibers at weights, each a sorted tuple
-    of ints (character_weights).  All four are built from the counts
-    when read, not stored."""
+    quotient_characters is the image fiber as sorted Z^4 characters;
+    quotient_weights and kernel_weights are the image fiber and the
+    kernel at weights, each a sorted tuple of ints (character_weights).
+    All three are built from the counts when read, not stored."""
 
     __slots__ = ()
 
@@ -223,10 +222,6 @@ class LimitFiberResult(namedtuple(
     @property
     def quotient_characters(self):
         return tuple(sorted(self._characters(True)))
-
-    @property
-    def kernel_characters(self):
-        return tuple(self._characters(False))
 
     @property
     def quotient_weights(self):

@@ -25,6 +25,7 @@ from foldeg.bott import (
     tangent_weights_p5,
 )
 from foldeg.exact import (
+    DEFAULT_WEIGHTS,
     Differences,
     InadmissibleWeights,
     PowerSums,
@@ -49,13 +50,11 @@ from foldeg.pencil import (
     pencil_degree,
     tangent_weights_g24,
 )
-from foldeg.reference import (
+from foldeg.reference import LEGENDRIAN_D2_CONTRIBUTIONS, LEGENDRIAN_D2_DEGREE
+from frozen import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
     D2_P34_SYMBOLIC_WEIGHTS,
-    DEFAULT_WEIGHTS,
-    LEGENDRIAN_D2_CONTRIBUTIONS,
-    LEGENDRIAN_D2_DEGREE,
     LEGENDRIAN_D3_DEGREE,
 )
 from oracles import (

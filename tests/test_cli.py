@@ -173,6 +173,15 @@ def test_verify_json(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_reference_holds_only_what_verify_reads():
+    """foldeg.reference defines the four constants that verify compares
+    against and nothing else, imported names included; the frozen values
+    that only the tests read are in tests/frozen.py."""
+    assert {name for name in vars(reference) if not name.startswith("_")} == {
+        "D2_P34_E5", "D2_P34_QUOTIENT_WEIGHTS",
+        "LEGENDRIAN_D2_CONTRIBUTIONS", "LEGENDRIAN_D2_DEGREE"}
+
+
 def test_verify_detects_tampered_constant(capsys, monkeypatch):
     """Corrupting one frozen constant must fail exactly the named check."""
     monkeypatch.setattr(reference, "LEGENDRIAN_D2_DEGREE", 9999)

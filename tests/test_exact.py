@@ -391,6 +391,19 @@ def test_a_polynomial_is_a_record():
     assert not {"__init__", "__eq__", "__hash__"} & set(vars(RationalPolynomial))
 
 
+def test_make_and_replace_trim_a_polynomial():
+    """namedtuple's _make, and _replace through it, go through __new__,
+    so they trim and convert as the constructor does; pickling still
+    gives the same polynomial."""
+    assert RationalPolynomial._make([(1, 0)]) == RationalPolynomial([1])
+    p = RationalPolynomial([1, 2])._replace(
+        coefficients=(3, Fraction(1, 2), 0))
+    assert type(p) is RationalPolynomial
+    assert p.coefficients == (3, Fraction(1, 2)) and p.degree == 1
+    assert all(type(c) is Fraction for c in p.coefficients)
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
 def test_rational_polynomial_evaluation():
     """p(x) is a Fraction equal to Horner's rule in Fractions, at int
     and Fraction x: the zero polynomial gives Fraction(0), a constant

@@ -1,6 +1,7 @@
 """Tests for fields, antisymmetric forms, contraction, and the basis."""
 
 import operator
+import pickle
 import random
 import re
 from collections import Counter
@@ -149,6 +150,25 @@ def test_a_form_is_a_record():
     with pytest.raises(ValueError, match="^need 6 coefficients$"):
         AntisymmetricForm((1, 2, 3))
     assert not {"__init__", "__eq__", "__hash__"} & set(vars(AntisymmetricForm))
+
+
+def test_make_and_replace_check_a_form():
+    """namedtuple's _make, and _replace through it, go through __new__:
+    they refuse what the constructor refuses and convert what it
+    converts, and a valid _replace and pickling still give forms."""
+    form = AntisymmetricForm.koszul((1, 2))
+    with pytest.raises(ValueError, match="^the zero form is not allowed$"):
+        AntisymmetricForm._make([(0,) * 6])
+    with pytest.raises(ValueError, match="^the zero form is not allowed$"):
+        form._replace(alpha=(0,) * 6)
+    with pytest.raises(ValueError, match="^need 6 coefficients$"):
+        form._replace(alpha=(1, 2))
+    assert AntisymmetricForm._make([{(1, 2): 1}]) == form
+    moved = form._replace(alpha=(0, 0, 0, 0, 0, 1))
+    assert type(moved) is AntisymmetricForm
+    assert moved == AntisymmetricForm.koszul((3, 4))
+    assert all(type(c) is Fraction for c in moved.alpha)
+    assert pickle.loads(pickle.dumps(moved)) == moved
 
 
 def _as_matrix(form):

@@ -8,6 +8,7 @@ import pytest
 from foldeg import fields, limits
 from foldeg.bott import legendrian_degree
 from foldeg.exact import (
+    DEFAULT_WEIGHTS,
     character_weights,
     elementary_symmetric,
     monomials_of_degree,
@@ -38,14 +39,8 @@ from foldeg.matrices import (
     rank,
     rref,
 )
-from foldeg.reference import (
-    ALT_WEIGHTS_A,
-    ALT_WEIGHTS_B,
-    D2_P34_E5,
-    D2_P34_QUOTIENT_WEIGHTS,
-    D2_P34_SYMBOLIC_WEIGHTS,
-    DEFAULT_WEIGHTS,
-)
+from foldeg.reference import D2_P34_E5, D2_P34_QUOTIENT_WEIGHTS
+from frozen import ALT_WEIGHTS_A, ALT_WEIGHTS_B, D2_P34_SYMBOLIC_WEIGHTS
 import oracles
 from oracles import (
     _blocks,

@@ -349,6 +349,15 @@ MUTANTS = {
         ["tests/test_cold_start.py::"
          "test_the_workload_paths_load_only_the_import_set"],
     ),
+    "a form whose _make skips __new__": (
+        "fields.py",
+        "    @classmethod\n"
+        "    def _make(cls, iterable):\n"
+        "        # namedtuple's _make, and so _replace, would skip the checks\n"
+        "        return cls(*iterable)\n",
+        "",
+        ["tests/test_fields.py::test_make_and_replace_check_a_form"],
+    ),
     "the Legendrian rest shifted by -(w_k + w_l)": (
         "bott.py",
         "    return reached.shifted(-low) + part.shifted(low - sum(w.values))\n",
@@ -594,6 +603,15 @@ MUTANTS = {
         "            values = PowerSums.of(values, k)\n",
         ["tests/test_exact.py::"
          "test_elementary_symmetric_takes_no_power_above_the_count"],
+    ),
+    "a polynomial whose _make skips __new__": (
+        "exact.py",
+        "    @classmethod\n"
+        "    def _make(cls, iterable):\n"
+        "        # namedtuple's _make, and so _replace, would skip the trim\n"
+        "        return cls(*iterable)\n",
+        "",
+        ["tests/test_exact.py::test_make_and_replace_trim_a_polynomial"],
     ),
     "the weight cache without its int-type guard": (
         "exact.py",

@@ -8,6 +8,7 @@ import pytest
 
 import foldeg.pencil as pencil
 from foldeg.exact import (
+    DEFAULT_WEIGHTS,
     Differences,
     InadmissibleWeights,
     PowerSums,
@@ -33,10 +34,9 @@ from foldeg.pencil import (
     tangent_weights_g24,
 )
 from foldeg.polyfit import family_closed_form
-from foldeg.reference import (
+from frozen import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
-    DEFAULT_WEIGHTS,
     PENCIL_D2_DEGREE,
     PENCIL_D3_DEGREE,
     PENCIL_DEGREES,

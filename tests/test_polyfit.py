@@ -16,7 +16,7 @@ from foldeg.polyfit import (
     get_family,
     interpolate_family,
 )
-from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
+from frozen import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import fraction_horner, lagrange_sum
 
 FROZEN = {"legendrian": LEGENDRIAN_DEGREES, "pencil": PENCIL_DEGREES}

@@ -28,7 +28,7 @@ from foldeg.limits import (
 from foldeg.matrices import build_contraction_matrix, fiber_characters
 from foldeg.pencil import pd_twisted_weights, tangent_weights_g24
 from foldeg.polyfit import FAMILIES
-from foldeg.reference import LEGENDRIAN_DEGREES, PENCIL_DEGREES
+from frozen import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import (
     SOURCE_PAIR,
     chain_kernel_counts,
