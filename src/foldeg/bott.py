@@ -1,14 +1,15 @@
 """Torus localization: one routine for both families.
 
-Both degrees are Bott sums over the six torus-fixed points, named by the
-index pairs (i,j) of P5_PAIRS: at each one, the top elementary symmetric
-function of the fiber weights divided by the one of the tangent weights
-(Ellingsrud-Stromme, Bott's formula and enumerative geometry, JAMS 1996).
-The sum must be an integer -- a hard error otherwise, since a
-non-integer can only mean a wrong fiber.  A family is data (Family): its
-minimum degree, polynomial bound, fibers, tangent weights and published
-degree, one exact integer formula in d; localize computes the sum for
-any of them.  This module holds the Legendrian family (LEGENDRIAN,
+Both degrees are Bott sums over the six torus-fixed points of a family's
+parameter space, named by index pairs (i,j): at each one, the top
+elementary symmetric function of the fiber weights divided by the one of
+the tangent weights (Ellingsrud-Stromme, Bott's formula and enumerative
+geometry, JAMS 1996).  The sum must be an integer -- a hard error
+otherwise, since a non-integer can only mean a wrong fiber.  A family is
+data (Family): its minimum degree, polynomial bound, fixed points, fiber
+and tangent weights at each, and published degree, one exact integer
+formula in d; localize, the one loop over the fixed points, computes the
+sum for any of them.  This module holds the Legendrian family (LEGENDRIAN,
 legendrian_degree), whose parameter space is the P^5 of antisymmetric
 forms; foldeg.pencil holds the pencil family, on the quadric G(2,4) in
 that P^5.  Both fibers are one split of the degree-(d+1) monomial
@@ -150,17 +151,17 @@ class DegreeReport(namedtuple(
         )
 
 
-class Family(namedtuple(
-    "Family", "name min_degree degree_bound fibers tangent_weights formula"
-)):
+class Family(namedtuple("Family", "name min_degree degree_bound fixed_points"
+                        " fiber tangent_weights formula")):
     """One family of foliations, as the data its localization needs.
 
-    fibers(d, weights, **options) yields (pair, fiber weights) at the six
-    fixed points in P5_PAIRS order; tangent_weights(pair, weights) gives
-    the tangent weights of the parameter space there.  degree_bound is
-    the degree of the counting polynomial in d (thrice the dimension of
-    the parameter space), and formula(d) is the published one at an int
-    d, as an exact Fraction.
+    fixed_points is the tuple of torus-fixed points of the parameter
+    space, in the order localize sums them; at each one, fiber(pair, d,
+    weights, **options) gives the fiber's power sums, and
+    tangent_weights(pair, weights) the tangent weights of the parameter
+    space.  degree_bound is the degree of the counting polynomial in d
+    (thrice the dimension of the parameter space), and formula(d) is the
+    published one at an int d, as an exact Fraction.
     """
 
     __slots__ = ()
@@ -194,16 +195,16 @@ TOP = 5  # p_0..p_5, all that e_5 of a Legendrian fiber reads
 
 
 @lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families
-def _tangent_euler(tangent_weights, values):
-    """(common, {pair: (n, sign, den, factor)}) for any d: at each of the
-    six pairs the n tangent weights, whose product e_n is sign * den with
-    den > 0, and common the lcm of the six den, each factor = common //
-    den.  Every call with these arguments shares the result: read it,
-    never change it."""
-    tangents = [tangent_weights(pair, values) for pair in P5_PAIRS]
+def _tangent_euler(family, values):
+    """(common, {pair: (n, sign, den, factor)}) for any d: at each fixed
+    point of the family the n tangent weights, whose product e_n is
+    sign * den with den > 0, and common the lcm of the den, each factor =
+    common // den.  Every call with these arguments shares the result:
+    read it, never change it."""
+    tangents = [family.tangent_weights(p, values) for p in family.fixed_points]
     common = lcm(*map(prod, tangents))  # lcm is positive
     numbers = {}
-    for pair, tangent in zip(P5_PAIRS, tangents):
+    for pair, tangent in zip(family.fixed_points, tangents):
         den = prod(tangent)
         numbers[pair] = len(tangent), -1 if den < 0 else 1, abs(den), common // abs(den)
     return common, numbers
@@ -215,10 +216,11 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
     dimension of the parameter space (the number of tangent weights), so
     e_n(tangent) is their product; it, its sign, the common denominator
-    of the six and each pair's factor to it are taken once per family and
-    weight system (_tangent_euler); options go to family.fibers.  Fibers
-    are taken one at a time, so only one is alive at once.  The sum is
-    num * factor over the six pairs, in ints over the common denominator,
+    of all the points and each point's factor to it are taken once per
+    family and weight system (_tangent_euler); options go to
+    family.fiber.  Fibers are taken one at a time, in the order of
+    family.fixed_points, so only one is alive at once.  The sum is
+    num * factor over the points, in ints over the common denominator,
     with no lcm or Fraction per term.  d must be an int (TypeError
     otherwise).  Raises NonIntegralDegree unless the sum is an integer.
     """
@@ -229,11 +231,12 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             % (family.name, family.min_degree, d)
         )
     w = as_weight_system(weights).require_admissible()
-    common, euler = _tangent_euler(family.tangent_weights, w.values)
+    common, euler = _tangent_euler(family, w.values)
     contributions, total = [], 0  # the sum is total / common
-    for pair, fiber in family.fibers(d, w, **options):
+    for pair in family.fixed_points:
         n, sign, den, factor = euler[pair]
-        num = sign * exact.elementary_symmetric(n, fiber)
+        num = sign * exact.elementary_symmetric(
+            n, family.fiber(pair, d, w, **options))
         contributions.append(FixedPointContribution(pair, num, den))
         total += num * factor
     if total % common:
@@ -313,35 +316,34 @@ def closed_form_counts(characters, pair):
 _both_checked = set()
 
 
-def legendrian_fibers(d, weights, method=None):
-    """(pair, image fiber) at the six fixed forms, as power sums in closed
-    form (image_power_sums) under every method of foldeg.limits (None
-    picks default_method(d)).  The kernel route and "both" also compute
-    each fiber directly, as a check that does not feed the sum: it raises
-    MethodDisagreement unless the direct fiber has the closed-form
-    count of every character (closed_form_counts) and the power sums
-    yielded.  "both" checks a (d, pair) once in a process, the kernel
-    route every time."""
+def legendrian_fiber(pair, d, weights, method=None):
+    """The image fiber at the fixed form [kappa_pair], as power sums in
+    closed form (image_power_sums) under every method of foldeg.limits
+    (None picks default_method(d)).  The kernel route and "both" also
+    compute the fiber directly, as a check that does not feed the sum:
+    it raises MethodDisagreement unless the direct fiber has the
+    closed-form count of every character (closed_form_counts) and the
+    power sums returned.  "both" checks a (d, pair) once in a process,
+    the kernel route every time."""
     if method is None:
         method = default_method(d)
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     w = as_weight_system(weights)
-    for i, pair in enumerate(P5_PAIRS):
-        key = 6 * d + i
-        fiber = image_power_sums(pair, d, w)
-        if method == METHOD_KERNEL or (
-                method == METHOD_BOTH and key not in _both_checked):
-            direct = limit_fiber_weights(pair, d, w, method)
-            characters, copies = direct.quotient_counts
-            if (copies != closed_form_counts(characters, pair)
-                    or PowerSums.of(character_values(characters, w), TOP,
-                                    copies).p != fiber.p):
-                raise MethodDisagreement("closed-form and direct fibers "
-                                         "disagree at %r, d=%d" % (pair, d))
-            if method == METHOD_BOTH:
-                _both_checked.add(key)
-        yield pair, fiber
+    key = 6 * d + P5_PAIRS.index(pair)
+    fiber = image_power_sums(pair, d, w)
+    if method == METHOD_KERNEL or (
+            method == METHOD_BOTH and key not in _both_checked):
+        direct = limit_fiber_weights(pair, d, w, method)
+        characters, copies = direct.quotient_counts
+        if (copies != closed_form_counts(characters, pair)
+                or PowerSums.of(character_values(characters, w), TOP,
+                                copies).p != fiber.p):
+            raise MethodDisagreement("closed-form and direct fibers "
+                                     "disagree at %r, d=%d" % (pair, d))
+        if method == METHOD_BOTH:
+            _both_checked.add(key)
+    return fiber
 
 
 def legendrian_formula(d):
@@ -361,12 +363,12 @@ def legendrian_formula(d):
 
 # The P^5 of antisymmetric forms: five tangent weights, so e_5 / e_5.
 LEGENDRIAN = Family(
-    "legendrian", 2, 15, legendrian_fibers, tangent_weights_p5,
+    "legendrian", 2, 15, P5_PAIRS, legendrian_fiber, tangent_weights_p5,
     legendrian_formula,
 )
 
 
 def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None):
     """Degree of the degree-d Legendrian family by localization; method
-    picks the limit route (see legendrian_fibers)."""
+    picks the limit route (see legendrian_fiber)."""
     return localize(LEGENDRIAN, d, weights, method=method)

@@ -63,10 +63,12 @@ class WeightSystem:
     Admissible means the four weights are pairwise distinct and the six
     pair sums w_i + w_j (i < j) are pairwise distinct; both conditions
     together keep the fixed loci of all the induced actions finite.
-    The answer is kept in a slot the first time it is asked for.
+    The answer is kept in a slot the first time it is asked for, so
+    values is read-only: as_weight_system shares one system among callers.
     """
 
-    __slots__ = ("values", "_admissible")
+    __slots__ = ("_values", "_admissible")
+    values = property(operator.attrgetter("_values"))
 
     def __init__(self, values):
         try:
@@ -77,7 +79,7 @@ class WeightSystem:
             ) from None
         if len(vals) != 4:
             raise InadmissibleWeights("need exactly 4 weights, got %r" % (values,))
-        self.values = vals
+        self._values = vals
         self._admissible = None
 
     def weight(self, i):

@@ -198,17 +198,14 @@ class BasisField(namedtuple("BasisField", "terms")):
 
 
 class SectionBasis:
-    """Basis of Phi_d in generation order, with the multiplicity of each
-    Z^4 character.  Given only those counts (build_phi_basis), it writes
-    its fields when they are first read; len needs none."""
+    """Basis of Phi_d in generation order, given the multiplicity of each
+    Z^4 character (build_phi_basis): it writes its fields when they are
+    first read; len needs none."""
 
     __slots__ = ("d", "characters", "_fields")
 
-    def __init__(self, d, fields=None, characters=None):
-        self.d = d
-        self._fields = None if fields is None else tuple(fields)
-        self.characters = characters or Counter(
-            f.character for f in self._fields)
+    def __init__(self, d, characters):
+        self.d, self.characters, self._fields = d, characters, None
 
     @property
     def fields(self):

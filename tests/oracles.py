@@ -30,8 +30,9 @@ pair, the Fraction rref and kernel basis, the integer echelon, and (for
 the image fiber) the chains of foldeg.limits, which split_chains takes
 apart at the END after each.
 weight_ordered_basis puts the package's basis, which depends on d
-alone, in the order the echelon basis has under a weight system, so
-that the oracles built on it see the columns that order gives.
+alone, in the order the echelon basis has under a weight system
+(OrderedBasis), so that the oracles built on it see the columns that
+order gives.
 """
 
 from collections import Counter
@@ -48,8 +49,8 @@ from foldeg.exact import (
     monomials_of_degree,
 )
 from foldeg.fields import (
+    P5_PAIRS,
     MonomialField,
-    SectionBasis,
     build_phi_basis,
     complementary_pair,
 )
@@ -166,12 +167,16 @@ def counted_pencil_fiber(pair, d, weights, counted=None):
     return _shifted(rest, w.pair_sum(complementary_pair(pair)))
 
 
-def explicit_g24_tangent_weights(pair, weights):
-    """Tangent weights of G(2,4) at <x_i, x_j> written out: the four
-    differences w_k - w_i with k outside the pair and i inside, sorted."""
+def g24_tangent_from_p5(pair, weights):
+    """Tangent weights of G(2,4) at <x_i, x_j> as those of P^5 at
+    [kappa_ij], the other five pair sums less w_i + w_j, without the
+    normal weight (w_k + w_l) - (w_i + w_j), the direction of kappa_kl,
+    sorted."""
     w = WeightSystem(weights)
-    return tuple(sorted(w.weight(k) - w.weight(i)
-                        for k in complementary_pair(pair) for i in pair))
+    s = w.pair_sum(pair)
+    tangent = sorted(w.pair_sum(q) - s for q in P5_PAIRS if q != pair)
+    tangent.remove(w.pair_sum(complementary_pair(pair)) - s)
+    return tuple(tangent)
 
 
 def _power_sum_table(steps, top):
@@ -460,7 +465,17 @@ def weight_ordered_basis(d, weights):
         return (character_weight(field.character, weights), lead.direction,
                 position[lead.monomial])
 
-    return SectionBasis(d, sorted(build_phi_basis(d), key=key))
+    return OrderedBasis(d, sorted(build_phi_basis(d), key=key))
+
+
+class OrderedBasis(tuple):
+    """The fields of a basis of Phi_d in an order of a test's choosing,
+    with the degree d that build_contraction_matrix reads."""
+
+    def __new__(cls, d, fields):
+        basis = super().__new__(cls, fields)
+        basis.d = d
+        return basis
 
 
 def _connected_blocks(matrix):

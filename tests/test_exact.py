@@ -106,6 +106,23 @@ def test_the_weight_cache_hands_a_checked_system_to_ints_alone():
                 call((0, 1, 2, 3))
 
 
+def test_a_shared_weight_system_cannot_be_reassigned():
+    """as_weight_system hands one cached system to every caller of the
+    same int tuple, and DEFAULT_WEIGHTS is shared too, so neither can
+    take new values: an assignment would reach every other caller while
+    the admissibility kept for the old values still answered.  Pickling
+    gives the same system."""
+    w = as_weight_system((0, 3, 10, 16))
+    assert w.is_admissible()
+    for shared in (w, DEFAULT_WEIGHTS):
+        values = shared.values
+        with pytest.raises(AttributeError):
+            shared.values = (0, 1, 2, 3)
+        assert shared.values == values and shared.is_admissible()
+    assert as_weight_system((0, 3, 10, 16)) is w
+    assert pickle.loads(pickle.dumps(w)) == w
+
+
 def test_weight_admissibility_matches_definition():
     """Cross-check is_admissible against the raw definition on random
     small systems (which include plenty of inadmissible ones)."""

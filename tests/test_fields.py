@@ -17,7 +17,6 @@ from foldeg.fields import (
     P5_PAIRS,
     AntisymmetricForm,
     MonomialField,
-    SectionBasis,
     _phi_basis_cached,
     build_phi_basis,
     complementary_pair,
@@ -410,15 +409,6 @@ def test_written_fields_of_the_wrong_size_raise(monkeypatch):
     with pytest.raises(ArithmeticError, match="basis size 35 != 36 for d=2"):
         list(basis)
     _phi_basis_cached.cache_clear()
-
-
-def test_a_basis_counts_the_fields_it_is_given_once_read():
-    """A SectionBasis given its fields as a generator counts their
-    characters from the tuple it keeps, not from the spent generator."""
-    fields_ = build_phi_basis(2).fields
-    basis = SectionBasis(2, fields=(f for f in fields_))
-    assert len(basis) == len(basis.fields) == phi_dimension(2) == 36
-    assert basis.characters == Counter(f.character for f in fields_)
 
 
 class _Written(Exception):

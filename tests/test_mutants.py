@@ -145,8 +145,8 @@ MUTANTS = {
     ),
     "both without the closed-form comparison": (
         "bott.py",
-        "            if (copies != closed_form_counts(characters, pair)\n",
-        "            if (False\n",
+        "        if (copies != closed_form_counts(characters, pair)\n",
+        "        if (False\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
             "tests/test_bott.py::"
@@ -158,7 +158,7 @@ MUTANTS = {
         "bott.py",
         "(copies != closed_form_counts(characters, pair)\n",
         "(method == METHOD_BOTH\n"
-        "                    and copies != "
+        "                and copies != "
         "closed_form_counts(characters, pair)\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
@@ -168,29 +168,29 @@ MUTANTS = {
     ),
     "both without the power-sum comparison": (
         "bott.py",
-        "\n                    or PowerSums.of("
+        "\n                or PowerSums.of("
         "character_values(characters, w), TOP,"
-        "\n                                    copies).p != fiber.p):\n",
+        "\n                                copies).p != fiber.p):\n",
         "):\n",
         ["tests/test_bott.py::test_both_checks_closed_form_fibers"],
     ),
     "a both key remembered before the comparison": (
         "bott.py",
-        "            direct = limit_fiber_weights(pair, d, w, method)\n",
-        "            _both_checked.add(key)\n"
-        "            direct = limit_fiber_weights(pair, d, w, method)\n",
+        "        direct = limit_fiber_weights(pair, d, w, method)\n",
+        "        _both_checked.add(key)\n"
+        "        direct = limit_fiber_weights(pair, d, w, method)\n",
         ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
     ),
     "a checked both fiber evaluated at the default weights": (
         "bott.py",
-        "        fiber = image_power_sums(pair, d, w)\n",
-        "        fiber = image_power_sums(pair, d, DEFAULT_WEIGHTS)\n",
+        "    fiber = image_power_sums(pair, d, w)\n",
+        "    fiber = image_power_sums(pair, d, DEFAULT_WEIGHTS)\n",
         ["tests/test_bott.py::test_both_checks_each_degree_and_pair_once"],
     ),
     "a both key without d": (
         "bott.py",
-        "        key = 6 * d + i\n",
-        "        key = i\n",
+        "    key = 6 * d + P5_PAIRS.index(pair)\n",
+        "    key = P5_PAIRS.index(pair)\n",
         ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
     ),
     "fiber_characters with its two shifts swapped": (
@@ -425,6 +425,19 @@ MUTANTS = {
             "test_tangent_euler_class_is_the_product_of_the_weights",
         ],
     ),
+    "localize summing P5_PAIRS, not the family's fixed points": (
+        "bott.py",
+        "    for pair in family.fixed_points:\n",
+        "    for pair in P5_PAIRS:\n",
+        [
+            "tests/test_bott.py::"
+            "test_localize_sums_the_family_fixed_points_in_their_order"
+            "[legendrian]",
+            "tests/test_bott.py::"
+            "test_localize_sums_the_family_fixed_points_in_their_order"
+            "[pencil]",
+        ],
+    ),
     "one pair's factor taken as common": (
         "bott.py",
         " common // abs(den)\n",
@@ -548,11 +561,10 @@ MUTANTS = {
             "test_pencil_fiber_is_the_twisted_contraction_image",
         ],
     ),
-    "the G(2,4) tangent less a tangent weight, not the normal": (
+    "the G(2,4) tangent as w_i - w_j, not w_j - w_i": (
         "pencil.py",
-        "    normal = w.pair_sum(complementary_pair(pair)) - w.pair_sum(pair)\n",
-        "    normal = w.pair_sum((pair[0], complementary_pair(pair)[0]))"
-        " - w.pair_sum(pair)\n",
+        "    return tuple(sorted(w.weight(j) - w.weight(i)\n",
+        "    return tuple(sorted(w.weight(i) - w.weight(j)\n",
         [
             "tests/test_pencil.py::test_tangent_weights",
             "tests/test_doctests.py::test_module_doctests[foldeg.pencil]",
@@ -560,10 +572,10 @@ MUTANTS = {
             "test_g24_tangent_is_the_p5_tangent_less_the_normal",
         ],
     ),
-    "the G(2,4) tangent less its largest weight, not the normal": (
+    "the G(2,4) tangent to the pair itself, not its complement": (
         "pencil.py",
-        "    tangent.remove(normal)\n",
-        "    tangent.remove(max(tangent))\n",
+        "for i in pair for j in complementary_pair(pair)))\n",
+        "for i in pair for j in pair))\n",
         ["tests/test_pencil.py::test_tangent_weights"],
     ),
     "interpolation without its integrality guard": (

@@ -30,7 +30,6 @@ from foldeg.pencil import (
     PENCIL,
     pd_twisted_weights,
     pencil_degree,
-    pencil_fibers,
     tangent_weights_g24,
 )
 from foldeg.polyfit import family_closed_form
@@ -47,9 +46,9 @@ from oracles import elementary_symmetric_recurrence, enumerated_pencil_fiber
 def test_fixed_pencils():
     """The fixed pencils are the six pairs, in canonical order; anything
     else is rejected."""
-    pairs = [pair for pair, _ in pencil_fibers(2, DEFAULT_WEIGHTS)]
+    assert PENCIL.fixed_points == P5_PAIRS
+    pairs = [c.pair for c in pencil_degree(2).contributions]
     assert pairs == list(P5_PAIRS)
-    assert pencil_degree(2).contributions[0].pair == (1, 2)
     for bad in ((3, 3), (2, 1)):
         with pytest.raises(ValueError):
             tangent_weights_g24(bad)

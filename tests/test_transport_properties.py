@@ -39,7 +39,7 @@ from oracles import (
     enumerated_complement_weights,
     enumerated_monomial_weights,
     enumerated_pencil_fiber,
-    explicit_g24_tangent_weights,
+    g24_tangent_from_p5,
     kernel_copies,
     kernel_counts_by_block,
     rref_phi_basis,
@@ -288,11 +288,11 @@ def test_power_sum_numerators_equal_the_counted_routes(values):
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
 def test_g24_tangent_is_the_p5_tangent_less_the_normal(values):
-    """At all six pencils the tangent of G(2,4), those of P^5 less the
-    kappa_kl normal, is the four differences w_k - w_i written out."""
+    """At all six pencils the tangent of G(2,4), the four differences
+    w_k - w_i, is that of P^5 less the kappa_kl normal."""
     for pair in P5_PAIRS:
         assert tangent_weights_g24(pair, values) == (
-            explicit_g24_tangent_weights(pair, values)), pair
+            g24_tangent_from_p5(pair, values)), pair
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
