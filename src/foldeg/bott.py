@@ -6,8 +6,8 @@ elementary symmetric function of the fiber weights divided by the one of
 the tangent weights (Ellingsrud-Stromme, Bott's formula and enumerative
 geometry, JAMS 1996).  The sum must be an integer -- a hard error
 otherwise, since a non-integer can only mean a wrong fiber.  A family is
-data (Family): its minimum degree, polynomial bound, fixed points, fiber
-and tangent weights at each, and published degree, one exact integer
+data (Family): its minimum degree, polynomial bound, fiber and tangent
+weights at a fixed point, and published degree, one exact integer
 formula in d; localize, the one loop over the fixed points, computes the
 sum for any of them.  This module holds the Legendrian family (LEGENDRIAN,
 legendrian_degree), whose parameter space is the P^5 of antisymmetric
@@ -151,15 +151,14 @@ class DegreeReport(namedtuple(
         )
 
 
-class Family(namedtuple("Family", "name min_degree degree_bound fixed_points"
-                        " fiber tangent_weights formula")):
+class Family(namedtuple("Family", "name min_degree degree_bound fiber"
+                        " tangent_weights formula")):
     """One family of foliations, as the data its localization needs.
 
-    fixed_points is the tuple of torus-fixed points of the parameter
-    space, in the order localize sums them; at each one, fiber(pair, d,
-    weights, **options) gives the fiber's power sums, and
-    tangent_weights(pair, weights) the tangent weights of the parameter
-    space.  degree_bound is the degree of the counting polynomial in d
+    At each torus-fixed point of the parameter space, a pair of
+    P5_PAIRS, fiber(pair, d, weights, **options) gives the fiber's power
+    sums, and tangent_weights(pair, weights) the tangent weights of the
+    parameter space.  degree_bound is the degree of the counting polynomial in d
     (thrice the dimension of the parameter space), and formula(d) is the
     published one at an int d, as an exact Fraction.
     """
@@ -201,10 +200,10 @@ def _tangent_euler(family, values):
     sign * den with den > 0, and common the lcm of the den, each factor =
     common // den.  Every call with these arguments shares the result:
     read it, never change it."""
-    tangents = [family.tangent_weights(p, values) for p in family.fixed_points]
+    tangents = [family.tangent_weights(p, values) for p in P5_PAIRS]
     common = lcm(*map(prod, tangents))  # lcm is positive
     numbers = {}
-    for pair, tangent in zip(family.fixed_points, tangents):
+    for pair, tangent in zip(P5_PAIRS, tangents):
         den = prod(tangent)
         numbers[pair] = len(tangent), -1 if den < 0 else 1, abs(den), common // abs(den)
     return common, numbers
@@ -218,8 +217,8 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     e_n(tangent) is their product; it, its sign, the common denominator
     of all the points and each point's factor to it are taken once per
     family and weight system (_tangent_euler); options go to
-    family.fiber.  Fibers are taken one at a time, in the order of
-    family.fixed_points, so only one is alive at once.  The sum is
+    family.fiber.  Fibers are taken one at a time, so only one is alive
+    at once.  The sum is
     num * factor over the points, in ints over the common denominator,
     with no lcm or Fraction per term.  d must be an int (TypeError
     otherwise).  Raises NonIntegralDegree unless the sum is an integer.
@@ -233,7 +232,7 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     w = as_weight_system(weights).require_admissible()
     common, euler = _tangent_euler(family, w.values)
     contributions, total = [], 0  # the sum is total / common
-    for pair in family.fixed_points:
+    for pair in P5_PAIRS:
         n, sign, den, factor = euler[pair]
         num = sign * exact.elementary_symmetric(
             n, family.fiber(pair, d, w, **options))
@@ -327,13 +326,14 @@ def legendrian_fiber(pair, d, weights, method=None):
     the kernel route every time."""
     if method is None:
         method = default_method(d)
+    w = as_weight_system(weights)
+    fiber = image_power_sums(pair, d, w)
+    if method == METHOD_IMAGE:
+        return fiber
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
-    w = as_weight_system(weights)
     key = 6 * d + P5_PAIRS.index(pair)
-    fiber = image_power_sums(pair, d, w)
-    if method == METHOD_KERNEL or (
-            method == METHOD_BOTH and key not in _both_checked):
+    if method == METHOD_KERNEL or key not in _both_checked:
         direct = limit_fiber_weights(pair, d, w, method)
         characters, copies = direct.quotient_counts
         if (copies != closed_form_counts(characters, pair)
@@ -363,8 +363,7 @@ def legendrian_formula(d):
 
 # The P^5 of antisymmetric forms: five tangent weights, so e_5 / e_5.
 LEGENDRIAN = Family(
-    "legendrian", 2, 15, P5_PAIRS, legendrian_fiber, tangent_weights_p5,
-    legendrian_formula,
+    "legendrian", 2, 15, legendrian_fiber, tangent_weights_p5, legendrian_formula,
 )
 
 

@@ -22,7 +22,7 @@ from .exact import (
     as_weight_system,
     power_sums_at,
 )
-from .fields import P5_PAIRS, as_fixed_point, complementary_pair
+from .fields import as_fixed_point, complementary_pair
 
 
 def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
@@ -76,8 +76,7 @@ def pencil_formula(d):
 
 # G(2,4): four tangent weights, so e_4 / e_4.
 PENCIL = Family(
-    "pencil", 2, 12, P5_PAIRS, pencil_fiber, tangent_weights_g24,
-    pencil_formula,
+    "pencil", 2, 12, pencil_fiber, tangent_weights_g24, pencil_formula,
 )
 
 

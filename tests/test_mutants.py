@@ -425,19 +425,6 @@ MUTANTS = {
             "test_tangent_euler_class_is_the_product_of_the_weights",
         ],
     ),
-    "localize summing P5_PAIRS, not the family's fixed points": (
-        "bott.py",
-        "    for pair in family.fixed_points:\n",
-        "    for pair in P5_PAIRS:\n",
-        [
-            "tests/test_bott.py::"
-            "test_localize_sums_the_family_fixed_points_in_their_order"
-            "[legendrian]",
-            "tests/test_bott.py::"
-            "test_localize_sums_the_family_fixed_points_in_their_order"
-            "[pencil]",
-        ],
-    ),
     "one pair's factor taken as common": (
         "bott.py",
         " common // abs(den)\n",

@@ -46,7 +46,6 @@ from oracles import elementary_symmetric_recurrence, enumerated_pencil_fiber
 def test_fixed_pencils():
     """The fixed pencils are the six pairs, in canonical order; anything
     else is rejected."""
-    assert PENCIL.fixed_points == P5_PAIRS
     pairs = [c.pair for c in pencil_degree(2).contributions]
     assert pairs == list(P5_PAIRS)
     for bad in ((3, 3), (2, 1)):
