@@ -4,9 +4,10 @@ Two families of degree-d one-dimensional foliations of P^3 are counted
 here, both by torus (Bott) localization with all arithmetic over Q:
 
 * the Legendrian family (foliations tangent to a contact distribution),
-  whose degree sits inside the P^5 of antisymmetric forms; the fiber
-  data at each fixed point is a genuine limit, an initial subspace of
-  integer data computed by exact elimination (see foldeg.limits);
+  whose degree sits inside the P^5 of antisymmetric forms; the fiber at
+  each fixed point is a limit, summed in closed form under every method
+  (foldeg.bott), while the kernel route and "both" also compute it by
+  exact elimination as a check (foldeg.limits);
 * the pencil family (foliations tangent to a varying pencil of planes),
   localized on the Grassmannian of pencils, where the fiber weights can
   be written down directly (foldeg.pencil).

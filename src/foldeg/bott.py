@@ -89,9 +89,9 @@ from .limits import (
 )
 
 
-class FiberCountError(ValueError):
-    """An evaluated fiber table has the wrong number of weights (always a
-    bug, never data)."""
+class FiberCountError(ArithmeticError):
+    """An evaluated fiber table has the wrong number of weights, or too
+    few power sums for e_n (always a bug, never data)."""
 
 
 def tangent_weights_p5(pair, weights=DEFAULT_WEIGHTS):
@@ -221,7 +221,8 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     at once.  The sum is
     num * factor over the points, in ints over the common denominator,
     with no lcm or Fraction per term.  d must be an int (TypeError
-    otherwise).  Raises NonIntegralDegree unless the sum is an integer.
+    otherwise).  Raises FiberCountError for a fiber table that stops
+    before p_n, and NonIntegralDegree unless the sum is an integer.
     """
     d = index(d)
     if d < family.min_degree:
@@ -234,8 +235,11 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     contributions, total = [], 0  # the sum is total / common
     for pair in P5_PAIRS:
         n, sign, den, factor = euler[pair]
-        num = sign * exact.elementary_symmetric(
-            n, family.fiber(pair, d, w, **options))
+        fiber = family.fiber(pair, d, w, **options)
+        if len(fiber.p) <= n:
+            raise FiberCountError("fiber table p_0..p_%d has no e_%d at %r, d=%d"
+                                  % (len(fiber.p) - 1, n, pair, d))
+        num = sign * exact.elementary_symmetric(n, fiber)
         contributions.append(FixedPointContribution(pair, num, den))
         total += num * factor
     if total % common:

@@ -11,9 +11,15 @@ Four subcommands:
   interpolates the exact counting polynomial, and compares it with the
   closed form (``--partial`` compares pointwise instead).
 
-Exit codes: 0 success; 1 for a failed computation check (a non-integral
-localization sum or e_k, a fiber of the wrong count, MethodDisagreement,
-SaturationRankError), reported on one ``error:`` line, or any
+Each subcommand returns its report as (JSON dict, text lines, ok) and
+prints nothing; main checks the flags, writes --out, prints the chosen
+format and maps errors to exit codes.
+
+Exit codes: 0 success; 1 for a failed computation check, any
+ArithmeticError (a non-integral localization sum, e_k, interpolant or
+closed form, a fiber of the wrong count or too short a table,
+MethodDisagreement, SaturationRankError; a ZeroDivisionError or
+OverflowError too), reported on one ``error:`` line, or any
 verify/interpolate mismatch; 2 for invalid weights or bad usage (a degree
 below the family's minimum, --jobs below 1, an --out file that cannot be
 written), reported on one ``error:`` line.  All output is deterministic
@@ -26,17 +32,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .bott import FiberCountError, NonIntegralDegree, default_method, legendrian_degree
+from .bott import default_method, legendrian_degree
 from .exact import DEFAULT_WEIGHTS, InadmissibleWeights, WeightSystem, elementary_symmetric
 from .fields import AntisymmetricForm, MonomialField, contract
-from .limits import (
-    METHOD_BOTH,
-    METHOD_IMAGE,
-    METHOD_KERNEL,
-    MethodDisagreement,
-    SaturationRankError,
-    limit_fiber_weights,
-)
+from .limits import METHOD_BOTH, METHOD_IMAGE, METHOD_KERNEL, limit_fiber_weights
 from .pencil import pencil_degree
 from .polyfit import (
     FAMILIES,
@@ -57,17 +56,6 @@ class UsageError(ValueError):
     """A flag value the command cannot run with (exit code 2)."""
 
 
-def _check_usage(args):
-    family = FAMILIES.get(args.command)
-    if family and args.degree < family.min_degree:
-        raise UsageError(
-            "%s family needs --degree >= %d, got %d"
-            % (family.name, family.min_degree, args.degree)
-        )
-    if getattr(args, "jobs", 1) < 1:
-        raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
-
-
 def _parse_weights(text):
     parts = text.split(",")
     if len(parts) != 4:
@@ -82,69 +70,26 @@ def _parse_weights(text):
         ) from None
 
 
-def _emit(args, json_dict, text_lines, ok=True):
-    # the file first, so a report that cannot be saved is not printed
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(json_dict, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise UsageError(
-                "cannot write %s: %s" % (args.out, exc.strerror or exc)
-            ) from None
-    if args.format == "json":
-        print(json.dumps(json_dict, indent=2))
+def cmd_degree(args):
+    method = None
+    if args.command == "pencil":
+        report = pencil_degree(args.degree, args.weights)
     else:
-        for line in text_lines:
-            print(line)
-    return EXIT_OK if ok else EXIT_MISMATCH
-
-
-def _degree_text(report, method=None):
+        method = METHOD_FLAGS[args.method] if args.method else default_method(args.degree)
+        # --jobs is parsed and checked but fans nothing out: the image route
+        # computes no limit, and kernel and both compute the six in turn
+        report = legendrian_degree(args.degree, args.weights, method=method)
     lines = [
         "family: %s" % report.family,
         "d: %d" % report.d,
-        "weights: %s" % ",".join(str(v) for v in report.weights.values),
+        "weights: %s" % ",".join(map(str, report.weights.values)),
     ]
-    if method is not None:
+    if method:
         lines.append("method: %s" % method)
-    for c in report.contributions:
-        lines.append(
-            "contribution (%d,%d): %d/%d" % (c.pair + (c.numerator, c.denominator))
-        )
-    lines.append("degree: %d" % report.degree)
-    return lines
-
-
-def cmd_legendrian(args):
-    method = METHOD_FLAGS[args.method] if args.method else default_method(args.degree)
-    # --jobs is parsed and checked but fans nothing out: the image route
-    # computes no limit, and kernel and both compute the six in turn
-    report = legendrian_degree(args.degree, args.weights, method=method)
-    return _emit(args, report.to_json_dict(), _degree_text(report, method))
-
-
-def cmd_pencil(args):
-    report = pencil_degree(args.degree, args.weights)
-    return _emit(args, report.to_json_dict(), _degree_text(report))
-
-
-def _example_tangency_check():
-    """Contract x2*dx1 - x1*dx2 + x4*dx3 - x3*dx4 against the quadratic
-    field x1^2*d/dx1 + x1*x2*d/dx2 + x3*x4*d/dx3 + x4^2*d/dx4; tangency
-    means the contraction is identically zero."""
-    form = AntisymmetricForm({(1, 2): 1, (3, 4): 1})
-    field = (
-        MonomialField(1, (2, 0, 0, 0), 1),
-        MonomialField(1, (1, 1, 0, 0), 2),
-        MonomialField(1, (0, 0, 1, 1), 3),
-        MonomialField(1, (0, 0, 0, 2), 4),
-    )
-    leftover = contract(form, field)
-    if leftover:
-        return False, "contraction is nonzero: %r" % (leftover,)
-    return True, "contraction vanishes identically"
+    return report.to_json_dict(), lines + [
+        "contribution (%d,%d): %d/%d" % (*c.pair, c.numerator, c.denominator)
+        for c in report.contributions
+    ] + ["degree: %d" % report.degree], True
 
 
 def run_verify_checks(example=False):
@@ -152,7 +97,10 @@ def run_verify_checks(example=False):
 
     Recomputes the d=2 Legendrian localization at the default weights and
     compares each piece against the frozen constants; returns a list of
-    (name, passed, detail) triples.
+    (name, passed, detail) triples.  With example, it also contracts
+    x2*dx1 - x1*dx2 + x4*dx3 - x3*dx4 against the quadratic field
+    x1^2*d/dx1 + x1*x2*d/dx2 + x3*x4*d/dx3 + x4^2*d/dx4; tangency means
+    the contraction is identically zero.
     """
     # imported here: only verify reads the frozen constants, so the
     # other commands do not load them
@@ -182,7 +130,15 @@ def run_verify_checks(example=False):
     check("total-degree-d2", report.degree == degree, report.degree, degree)
 
     if example:
-        checks.append(("example-tangency", *_example_tangency_check()))
+        leftover = contract(AntisymmetricForm({(1, 2): 1, (3, 4): 1}), (
+            MonomialField(1, (2, 0, 0, 0), 1),
+            MonomialField(1, (1, 1, 0, 0), 2),
+            MonomialField(1, (0, 0, 1, 1), 3),
+            MonomialField(1, (0, 0, 0, 2), 4),
+        ))
+        checks.append(("example-tangency", not leftover, (
+            "contraction is nonzero: %r" % (leftover,) if leftover
+            else "contraction vanishes identically")))
 
     return checks
 
@@ -194,20 +150,20 @@ def cmd_verify(args):
             {"name": name, "passed": ok, "detail": detail}
             for name, ok, detail in checks
         ],
-        "passed": sum(1 for _, ok, _ in checks if ok),
+        "passed": sum(ok for _, ok, _ in checks),
         "total": len(checks),
     }
     lines = [
         "PASS %s" % name if ok else "FAIL %s: %s" % (name, detail)
         for name, ok, detail in checks
     ] + ["%(passed)d/%(total)d checks passed" % json_dict]
-    return _emit(args, json_dict, lines, json_dict["passed"] == len(checks))
+    return json_dict, lines, json_dict["passed"] == len(checks)
 
 
 def cmd_interpolate(args):
     family = args.family
     lowest = FAMILIES[family].min_degree
-    if args.min < lowest or args.max < args.min:
+    if not lowest <= args.min <= args.max:
         raise InsufficientPoints(
             "need %d <= min <= max, got %d..%d" % (lowest, args.min, args.max)
         )
@@ -223,13 +179,12 @@ def cmd_interpolate(args):
                 "d=%d: computed %d, closed form %d, %s"
                 % (d, degree, expected, "match" if ok else "MISMATCH")
             )
-            points.append(
-                dict(d=d, degree=str(degree), closed_form=str(expected), match=ok)
-            )
+            points.append({"d": d, "degree": str(degree),
+                           "closed_form": str(expected), "match": ok})
         json_dict = {"family": family, "mode": "pointwise", "points": points}
         json_dict.update(matches=sum(p["match"] for p in points), total=len(points))
         lines.append("%(matches)d/%(total)d points match" % json_dict)
-        return _emit(args, json_dict, lines, json_dict["matches"] == len(points))
+        return json_dict, lines, json_dict["matches"] == len(points)
 
     poly = interpolate_family(
         family, args.min, args.max, args.weights, jobs=args.jobs
@@ -256,7 +211,7 @@ def cmd_interpolate(args):
         "polynomial: %s" % json_dict["polynomial"],
         "closed form match: %s" % ("yes" if ok else "NO"),
     ]
-    return _emit(args, json_dict, lines, ok)
+    return json_dict, lines, ok
 
 
 def _add_common_flags(
@@ -293,14 +248,14 @@ def build_parser():
         leg, jobs_help="accepted and checked (K >= 1), but has no effect: "
         "one limit computation serves all six fixed points"
     )
-    leg.set_defaults(func=cmd_legendrian)
+    leg.set_defaults(func=cmd_degree)
 
     pen = subparsers.add_parser(
         "pencil", help="degree of the pencil-of-planes family"
     )
     pen.add_argument("--degree", type=int, required=True, metavar="N")
     _add_common_flags(pen, jobs_help=None)
-    pen.set_defaults(func=cmd_pencil)
+    pen.set_defaults(func=cmd_degree)
 
     ver = subparsers.add_parser(
         "verify", help="regression-check the d=2 computation against frozen constants"
@@ -344,20 +299,37 @@ def _join_weights(argv):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_join_weights(sys.argv[1:] if argv is None else argv))
+    family = FAMILIES.get(args.command)
     try:
-        _check_usage(args)
+        if family and args.degree < family.min_degree:
+            raise UsageError(
+                "%s family needs --degree >= %d, got %d"
+                % (family.name, family.min_degree, args.degree)
+            )
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
         if hasattr(args, "weights"):
             args.weights.require_admissible()
-        return args.func(args)
+        json_dict, lines, ok = args.func(args)
+        report = json.dumps(json_dict, indent=2)
+        # the file first, so a report that cannot be saved is not printed
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(report + "\n")
+            except OSError as exc:
+                raise UsageError(
+                    "cannot write %s: %s" % (args.out, exc.strerror or exc))
     except (InadmissibleWeights, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (NonIntegralDegree, FiberCountError, MethodDisagreement,
-            SaturationRankError) as exc:
+    except ArithmeticError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
     except InsufficientPoints as exc:
         parser.error(str(exc))
+    print(report if args.format == "json" else "\n".join(lines))
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

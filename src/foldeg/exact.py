@@ -365,16 +365,6 @@ def power_sums_at(table, n):
     return PowerSums([sum(map(operator.mul, f, binomials)) for f in table.p])
 
 
-def monomial_power_sums(ws, n, top):
-    """PowerSums p_0..p_top of the weights m.w of the degree-n monomials m
-    in len(ws) variables: their power_sum_differences at n (power_sums_at).
-
-    >>> monomial_power_sums((1, 2), 2, 2).p  # x^2, xy, y^2: 2, 3, 4
-    (3, 9, 29)
-    """
-    return power_sums_at(power_sum_differences(tuple(ws), top), n)
-
-
 class RationalPolynomial(namedtuple("RationalPolynomial", "coefficients")):
     """Univariate polynomial over Q; coefficients[i] multiplies d**i.
     A value, not a ring: lagrange_interpolate builds it, and it

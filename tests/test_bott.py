@@ -16,6 +16,7 @@ import foldeg.matrices as matrices
 import foldeg.pencil as pencil
 from foldeg.bott import (
     LEGENDRIAN,
+    FiberCountError,
     NonIntegralDegree,
     closed_form_counts,
     default_method,
@@ -32,7 +33,8 @@ from foldeg.exact import (
     WeightSystem,
     character_values,
     character_weights,
-    monomial_power_sums,
+    power_sum_differences,
+    power_sums_at,
 )
 from foldeg.fields import P5_PAIRS, complementary_pair
 from foldeg.limits import (
@@ -360,10 +362,11 @@ def test_fiber_tables_commute_with_the_split_and_shifts(weights):
     monomial power sums at that d gives."""
     w = WeightSystem(weights)
     for d in range(1, 60):
-        full = monomial_power_sums(w.values, d + 1, 5)
+        full = power_sums_at(power_sum_differences(w.values, 5), d + 1)
         for pair in P5_PAIRS:
             k, l = complementary_pair(pair)
-            part = monomial_power_sums((w.weight(k), w.weight(l)), d + 1, 5)
+            part = power_sums_at(
+                power_sum_differences((w.weight(k), w.weight(l)), 5), d + 1)
             low, high = w.pair_sum(pair), w.pair_sum((k, l))
             image = (full - part).shifted(-low) + part.shifted(-high)
             assert image_power_sums(pair, d, w).p == image.p, (pair, d)
@@ -386,7 +389,8 @@ def test_image_fiber_needs_every_monomial_weight(monkeypatch):
     for bad, count in ((_without_a_zero(table), 19),
                        (pencil._twisted_table((1, 2), DEFAULT_WEIGHTS), 16)):
         monkeypatch.setattr(bott, "_image_table", lambda pair, w: bad)
-        with pytest.raises(ValueError, match="fiber count %d, not 20" % count):
+        with pytest.raises(FiberCountError,
+                           match="fiber count %d, not 20" % count):
             image_power_sums((1, 2), 2, DEFAULT_WEIGHTS)
 
 
@@ -634,6 +638,20 @@ def test_a_wrong_fiber_table_gives_a_non_integral_sum(
     with pytest.raises(NonIntegralDegree) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("family, n", ((LEGENDRIAN, 5), (PENCIL, 4)),
+                         ids=("legendrian", "pencil"))
+def test_localize_refuses_a_fiber_table_short_of_p_n(family, n):
+    """A fiber whose table stops at p_(n-1), n the number of tangent
+    weights, has no e_n: localize raises FiberCountError at the first
+    fixed point, before elementary_symmetric reads it."""
+    short = family._replace(fiber=lambda pair, d, w, **options: PowerSums(
+        family.fiber(pair, d, w, **options).p[:n]))
+    with pytest.raises(FiberCountError) as info:
+        localize(short, 3)
+    assert str(info.value) == (
+        "fiber table p_0..p_%d has no e_%d at (1, 2), d=3" % (n - 1, n))
 
 
 def test_table_caches_keep_four_weight_systems():

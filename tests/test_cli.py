@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -428,16 +429,26 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
          "(d=5, weights (0, 2, 7, 10))"),
         (pencil, "_twisted_table", _plus_one_at_34((1,)),
          ["pencil", "--degree", "5"], "e_2 of these power sums is not integral"),
+        (pencil, "_twisted_table", lambda real: lambda pair, w: PowerSums(
+            real(pair, w).p[:4]),
+         ["pencil", "--degree", "5"],
+         "fiber table p_0..p_3 has no e_4 at (1, 2), d=5"),
+        (polyfit, "FAMILIES", lambda real: {**real, "pencil": real[
+            "pencil"]._replace(formula=lambda d: Fraction(1, 2))},
+         ["interpolate", "--family", "pencil", "--min", "2", "--max", "14",
+          "--partial"], "closed form not integral at d=2"),
     ],
     ids=["method-disagreement", "saturation-rank", "basis-size",
-         "fiber-count", "non-integral-sum", "newton"],
+         "fiber-count", "non-integral-sum", "newton", "short-table",
+         "closed-form"],
 )
 def test_failed_computation_checks_exit_1(capsys, monkeypatch, module, name,
                                          wrong, argv, error):
     """A direct fiber unlike the closed form, a kernel limit of the wrong
-    rank, chains short of the basis, a fiber table of the wrong count, a
-    Bott sum that is not an integer or an e_k that Newton's step cannot
-    divide exactly is a computation bug: one error: line and exit 1,
+    rank, chains short of the basis, a fiber table of the wrong count or
+    one that stops before p_n, a Bott sum that is not an integer, an e_k
+    that Newton's step cannot divide exactly or a closed form that is
+    not an integer is a computation bug: one error: line and exit 1,
     with no report and no traceback."""
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     code, out, err = run(capsys, argv)

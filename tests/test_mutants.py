@@ -577,6 +577,32 @@ MUTANTS = {
             "test_integrality_guard_sees_one_half_at_the_last_point",
         ],
     ),
+    "localize without its short-table check": (
+        "bott.py",
+        "        if len(fiber.p) <= n:\n"
+        "            raise FiberCountError(\"fiber table p_0..p_%d has no e_%d "
+        "at %r, d=%d\"\n"
+        "                                  % (len(fiber.p) - 1, n, pair, d))\n",
+        "",
+        [
+            "tests/test_bott.py::"
+            "test_localize_refuses_a_fiber_table_short_of_p_n[legendrian]",
+            "tests/test_bott.py::"
+            "test_localize_refuses_a_fiber_table_short_of_p_n[pencil]",
+            "tests/test_cli.py::test_failed_computation_checks_exit_1[short-table]",
+        ],
+    ),
+    # the exit-1 clause as it once was, naming four check classes, which
+    # cli no longer imports
+    "main's exit-1 clause narrowed to four check classes": (
+        "cli.py",
+        "    except ArithmeticError as exc:\n",
+        "    except (sys.modules[\"foldeg.bott\"].NonIntegralDegree,\n"
+        "            sys.modules[\"foldeg.bott\"].FiberCountError,\n"
+        "            sys.modules[\"foldeg.limits\"].MethodDisagreement,\n"
+        "            sys.modules[\"foldeg.limits\"].SaturationRankError) as exc:\n",
+        ["tests/test_cli.py::test_failed_computation_checks_exit_1[closed-form]"],
+    ),
     "a closed form without its integrality guard": (
         "bott.py",
         "        if value.denominator != 1:\n"

@@ -7,6 +7,7 @@ from operator import add
 import pytest
 
 import foldeg.pencil as pencil
+from foldeg.bott import FiberCountError
 from foldeg.exact import (
     DEFAULT_WEIGHTS,
     Differences,
@@ -89,7 +90,8 @@ def test_twisted_fiber_needs_every_removed_weight(monkeypatch):
     for bad, count in ((short, 15),
                        (power_sum_differences(DEFAULT_WEIGHTS.values, 5), 20)):
         monkeypatch.setattr(pencil, "_twisted_table", lambda pair, w: bad)
-        with pytest.raises(ValueError, match="fiber count %d, not 16" % count):
+        with pytest.raises(FiberCountError,
+                           match="fiber count %d, not 16" % count):
             pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS)
 
 
