@@ -640,20 +640,6 @@ def test_a_wrong_fiber_table_gives_a_non_integral_sum(
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("family, n", ((LEGENDRIAN, 5), (PENCIL, 4)),
-                         ids=("legendrian", "pencil"))
-def test_localize_refuses_a_fiber_table_short_of_p_n(family, n):
-    """A fiber whose table stops at p_(n-1), n the number of tangent
-    weights, has no e_n: localize raises FiberCountError at the first
-    fixed point, before elementary_symmetric reads it."""
-    short = family._replace(fiber=lambda pair, d, w, **options: PowerSums(
-        family.fiber(pair, d, w, **options).p[:n]))
-    with pytest.raises(FiberCountError) as info:
-        localize(short, 3)
-    assert str(info.value) == (
-        "fiber table p_0..p_%d has no e_%d at (1, 2), d=3" % (n - 1, n))
-
-
 def test_table_caches_keep_four_weight_systems():
     """A sweep over three weight systems that returns to the first builds
     no fiber table and no tangent product again, in either family."""

@@ -584,13 +584,7 @@ MUTANTS = {
         "at %r, d=%d\"\n"
         "                                  % (len(fiber.p) - 1, n, pair, d))\n",
         "",
-        [
-            "tests/test_bott.py::"
-            "test_localize_refuses_a_fiber_table_short_of_p_n[legendrian]",
-            "tests/test_bott.py::"
-            "test_localize_refuses_a_fiber_table_short_of_p_n[pencil]",
-            "tests/test_cli.py::test_failed_computation_checks_exit_1[short-table]",
-        ],
+        ["tests/test_cli.py::test_failed_computation_checks_exit_1[short-table]"],
     ),
     # the exit-1 clause as it once was, naming four check classes, which
     # cli no longer imports
