@@ -141,7 +141,7 @@ class DegreeReport(namedtuple(
              "den": str(c.denominator), "value": scalar_to_string(c.value)}
             for c in self.contributions]
         out = {} if self.family == "legendrian" else {"family": self.family}
-        out.update(d=self.d, weights=list(self.weights.values),
+        out.update(d=self.d, weights=list(self.weights),
                    contributions=contributions, degree=str(self.degree))
         return out
 
@@ -194,13 +194,13 @@ TOP = 5  # p_0..p_5, all that e_5 of a Legendrian fiber reads
 
 
 @lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families
-def _tangent_euler(family, values):
+def _tangent_euler(family, w):
     """(common, {pair: (n, sign, den, factor)}) for any d: at each fixed
     point of the family the n tangent weights, whose product e_n is
     sign * den with den > 0, and common the lcm of the den, each factor =
     common // den.  Every call with these arguments shares the result:
     read it, never change it."""
-    tangents = [family.tangent_weights(p, values) for p in P5_PAIRS]
+    tangents = [family.tangent_weights(p, w) for p in P5_PAIRS]
     common = lcm(*map(prod, tangents))  # lcm is positive
     numbers = {}
     for pair, tangent in zip(P5_PAIRS, tangents):
@@ -231,7 +231,7 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             % (family.name, family.min_degree, d)
         )
     w = as_weight_system(weights).require_admissible()
-    common, euler = _tangent_euler(family, w.values)
+    common, euler = _tangent_euler(family, w)
     contributions, total = [], 0  # the sum is total / common
     for pair in P5_PAIRS:
         n, sign, den, factor = euler[pair]
@@ -257,7 +257,7 @@ def split_power_sums(pair, w, top):
     x_k, x_l alone, full - part those of the monomials that involve x_p
     or x_q.  top is the n of the family's e_n: 5 here, 4 for the pencil."""
     k, l = complementary_pair(pair)
-    full = power_sum_differences(w.values, top)
+    full = power_sum_differences(w, top)
     part = power_sum_differences((w.weight(k), w.weight(l)), top)
     return full - part, part
 
@@ -278,8 +278,8 @@ def _image_table(pair, w):
     the monomials that involve x_p or x_q shifted by -(w_p + w_q), the
     rest by -(w_k + w_l)."""
     reached, part = split_power_sums(pair, w, TOP)
-    low = w.pair_sum(pair)  # w_p + w_q, so w_k + w_l = sum(w.values) - low
-    return reached.shifted(-low) + part.shifted(low - sum(w.values))
+    low = w.pair_sum(pair)  # w_p + w_q, so w_k + w_l = sum(w) - low
+    return reached.shifted(-low) + part.shifted(low - sum(w))
 
 
 def image_power_sums(pair, d, w):

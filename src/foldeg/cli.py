@@ -82,7 +82,7 @@ def cmd_degree(args):
     lines = [
         "family: %s" % report.family,
         "d: %d" % report.d,
-        "weights: %s" % ",".join(map(str, report.weights.values)),
+        "weights: %s" % ",".join(map(str, report.weights)),
     ]
     if method:
         lines.append("method: %s" % method)

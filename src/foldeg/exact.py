@@ -54,49 +54,50 @@ class InadmissibleWeights(ValueError):
     """Raised when a weight system leaves a non-finite fixed locus."""
 
 
-class WeightSystem:
+# Weight systems kept at once by every per-system cache: a sweep over
+# three systems that returns to the first rebuilds nothing.
+CACHED_SYSTEMS = 4
+
+
+class WeightSystem(tuple):
     """Weights (w1, w2, w3, w4) of a one-parameter torus acting by
-    x_i -> t^{w_i} x_i on the coordinates of projective 3-space.  Each
-    must be an integer (a float or a Fraction raises InadmissibleWeights
-    rather than being truncated).
+    x_i -> t^{w_i} x_i on the coordinates of projective 3-space, as a
+    tuple of 4 ints: it equals and hashes like that tuple.  Each must be
+    an integer (a float or a Fraction raises InadmissibleWeights rather
+    than being truncated).
 
     Admissible means the four weights are pairwise distinct and the six
     pair sums w_i + w_j (i < j) are pairwise distinct; both conditions
     together keep the fixed loci of all the induced actions finite.
-    The answer is kept in a slot the first time it is asked for, so
-    values is read-only: as_weight_system shares one system among callers.
+    The answer is cached by value, as are the fiber tables, so values,
+    the plain tuple, is read-only.
     """
 
-    __slots__ = ("_values", "_admissible")
-    values = property(operator.attrgetter("_values"))
+    __slots__ = ()
+    values = property(tuple)
 
-    def __init__(self, values):
+    def __new__(cls, values):
         try:
-            vals = tuple(operator.index(v) for v in values)
+            vals = tuple(map(operator.index, values))
         except TypeError:
             raise InadmissibleWeights(
                 "weights must be integers, got %r" % (values,)
             ) from None
         if len(vals) != 4:
             raise InadmissibleWeights("need exactly 4 weights, got %r" % (values,))
-        self._values = vals
-        self._admissible = None
+        return super().__new__(cls, vals)
 
     def weight(self, i):
         """Weight of the coordinate x_i (1-based index)."""
-        return self.values[i - 1]
+        return self[i - 1]
 
     def pair_sum(self, pair):
         """w_i + w_j for a 1-based pair (i, j)."""
         i, j = pair
-        return self.values[i - 1] + self.values[j - 1]
+        return self[i - 1] + self[j - 1]
 
     def is_admissible(self):
-        if self._admissible is None:
-            v = self.values
-            sums = {v[i] + v[j] for i in range(4) for j in range(i + 1, 4)}
-            self._admissible = len(set(v)) == 4 and len(sums) == 6
-        return self._admissible
+        return _admissible(self)
 
     def require_admissible(self):
         if not self.is_admissible():
@@ -106,41 +107,23 @@ class WeightSystem:
             )
         return self
 
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, WeightSystem):
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.values)
-
     def __repr__(self):
         return "WeightSystem(%r)" % (self.values,)
+
+
+@lru_cache(maxsize=CACHED_SYSTEMS)
+def _admissible(v):
+    """WeightSystem.is_admissible, decided once per system kept."""
+    sums = {v[i] + v[j] for i in range(4) for j in range(i + 1, 4)}
+    return len(set(v)) == 4 and len(sums) == 6
 
 
 DEFAULT_WEIGHTS = WeightSystem((0, 2, 7, 10))
 
 
-# Weight systems kept at once by every per-system cache: a sweep over
-# three systems that returns to the first rebuilds nothing.
-CACHED_SYSTEMS = 4
-_int_weight_system = lru_cache(maxsize=CACHED_SYSTEMS)(WeightSystem)
-
-
 def as_weight_system(w):
-    """Coerce a WeightSystem or any 4-sequence of integers.  A tuple of
-    ints gives the same WeightSystem every time, so the caches keyed by
-    it find it by identity and its admissibility is decided once; any
-    other input, such as (0, 2.0, 7, 10), which equals (0, 2, 7, 10),
-    gets a system of its own."""
-    if isinstance(w, WeightSystem):
-        return w
-    if type(w) is tuple and {*map(type, w)} == {int}:
-        return _int_weight_system(w)
-    return WeightSystem(w)
+    """Coerce a WeightSystem or any 4-sequence of integers."""
+    return w if isinstance(w, WeightSystem) else WeightSystem(w)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +165,7 @@ def character_values(characters, weights):
     >>> character_values([(0, 0, 1, 0), (2, -1, 0, 0)], (0, 2, 7, 10))
     [7, -2]
     """
-    w1, w2, w3, w4 = as_weight_system(weights).values
+    w1, w2, w3, w4 = as_weight_system(weights)
     return [a * w1 + b * w2 + c * w3 + e * w4 for a, b, c, e in characters]
 
 

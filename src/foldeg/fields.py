@@ -200,12 +200,13 @@ class BasisField(namedtuple("BasisField", "terms")):
 class SectionBasis:
     """Basis of Phi_d in generation order, given the multiplicity of each
     Z^4 character (build_phi_basis): it writes its fields when they are
-    first read; len needs none."""
+    first read; len needs none, and is summed once."""
 
-    __slots__ = ("d", "characters", "_fields")
+    __slots__ = ("d", "characters", "_fields", "_size")
 
     def __init__(self, d, characters):
         self.d, self.characters, self._fields = d, characters, None
+        self._size = sum(characters.values())
 
     @property
     def fields(self):
@@ -215,7 +216,7 @@ class SectionBasis:
         return self._fields
 
     def __len__(self):
-        return sum(self.characters.values())
+        return self._size
 
     def __iter__(self):
         return iter(self.fields)

@@ -44,7 +44,7 @@ def _twisted_table(pair, w):
     all that e_4 reads: the split's monomials that involve x_p or x_q,
     shifted by w_k + w_l, the line-bundle twist."""
     reached, _ = split_power_sums(pair, w, 4)
-    twist = sum(w.values) - w.pair_sum(pair)
+    twist = sum(w) - w.pair_sum(pair)
     return reached.shifted(twist)
 
 

@@ -54,8 +54,8 @@ def family_closed_form_polynomial(name):
 
 
 def _degree_task(args):
-    name, d, wvalues = args
-    return d, localize(FAMILIES[name], d, wvalues).degree
+    name, d, w = args
+    return d, localize(FAMILIES[name], d, w).degree
 
 
 def compute_degree_points(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
@@ -66,7 +66,7 @@ def compute_degree_points(family, d_min, d_max, weights=DEFAULT_WEIGHTS,
         raise ValueError("need %d <= d_min <= d_max" % lowest)
     w = as_weight_system(weights)
     w.require_admissible()
-    tasks = [(family, d, w.values) for d in range(d_min, d_max + 1)]
+    tasks = [(family, d, w) for d in range(d_min, d_max + 1)]
     if jobs > 1 and len(tasks) > 1:
         # imported here: it pulls in multiprocessing, which serial runs
         # never need

@@ -279,7 +279,7 @@ def test_the_tangent_numbers_share_one_common_denominator(values):
     w = WeightSystem(values)
     signs = set()
     for family in (LEGENDRIAN, PENCIL):
-        common, euler = bott._tangent_euler(family, w.values)
+        common, euler = bott._tangent_euler(family, w)
         tangents = [family.tangent_weights(pair, w) for pair in P5_PAIRS]
         assert common == lcm(*(abs(prod(t)) for t in tangents))
         for pair, tangent in zip(P5_PAIRS, tangents):
@@ -656,11 +656,11 @@ def test_table_caches_keep_four_weight_systems():
 
 def test_a_tuple_sweep_that_returns_to_the_first_system_builds_nothing():
     """The benchmark's sweep passes weights as plain tuples: three systems
-    and then the first again, as a new tuple.  On the return the cached
-    WeightSystem, its fiber tables and its tangent products are found,
-    in either family."""
+    and then the first again, as a new tuple.  On the return its
+    WeightSystem, equal to the first, finds the first's admissibility,
+    fiber tables and tangent products, in either family."""
     caches = (bott._image_table, pencil._twisted_table, bott._tangent_euler,
-              exact._int_weight_system)
+              exact._admissible)
     for values in ((0, 2, 7, 10), (10, 16, 0, 3), (6, 0, 16, 13)):
         legendrian_degree(5, values)
         pencil_degree(5, values)

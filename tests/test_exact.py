@@ -84,14 +84,14 @@ def test_weight_system_requires_integers():
 
 
 def test_the_weight_cache_hands_a_checked_system_to_ints_alone():
-    """A tuple of ints maps to one cached WeightSystem.  (0, 2.0, 7, 10)
-    and (0, Fraction(2), 7, 10) equal (0, 2, 7, 10) and hash alike, yet
-    after it has been used they still raise at every entry point, and an
-    inadmissible tuple raises again on a second call."""
+    """(0, 2.0, 7, 10) and (0, Fraction(2), 7, 10) equal (0, 2, 7, 10)
+    and hash alike, so they would find its cached tables and its cached
+    admissibility; yet after it has been used they still raise at every
+    entry point, and an inadmissible tuple raises again on a second
+    call."""
     from foldeg import legendrian_degree, pencil_degree
 
     good = (0, 2, 7, 10)
-    assert as_weight_system(good) is as_weight_system(tuple([0, 2, 7, 10]))
     entry_points = (as_weight_system, lambda w: pencil_degree(2, w),
                     lambda w: legendrian_degree(2, w))
     for call in entry_points:
@@ -107,11 +107,10 @@ def test_the_weight_cache_hands_a_checked_system_to_ints_alone():
 
 
 def test_a_shared_weight_system_cannot_be_reassigned():
-    """as_weight_system hands one cached system to every caller of the
-    same int tuple, and DEFAULT_WEIGHTS is shared too, so neither can
-    take new values: an assignment would reach every other caller while
-    the admissibility kept for the old values still answered.  Pickling
-    gives the same system."""
+    """DEFAULT_WEIGHTS is shared by every caller, and the caches key on
+    a system's values, so no system can take new values: an assignment
+    would reach every other caller while the admissibility kept for the
+    old values still answered.  Pickling gives the same system."""
     w = as_weight_system((0, 3, 10, 16))
     assert w.is_admissible()
     for shared in (w, DEFAULT_WEIGHTS):
@@ -119,8 +118,20 @@ def test_a_shared_weight_system_cannot_be_reassigned():
         with pytest.raises(AttributeError):
             shared.values = (0, 1, 2, 3)
         assert shared.values == values and shared.is_admissible()
-    assert as_weight_system((0, 3, 10, 16)) is w
     assert pickle.loads(pickle.dumps(w)) == w
+
+
+def test_a_weight_system_is_its_int_tuple():
+    """A WeightSystem equals and hashes like the tuple of its ints, has
+    len 4 and indexing, keeps its repr, and pickles under every protocol
+    to an equal WeightSystem."""
+    w = WeightSystem([0, 3, 10, 16])
+    assert w == (0, 3, 10, 16) and hash(w) == hash((0, 3, 10, 16))
+    assert len(w) == 4 and w[2] == 10 and type(w.values) is tuple
+    assert repr(w) == "WeightSystem((0, 3, 10, 16))"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(w, protocol))
+        assert type(back) is WeightSystem and back == w
 
 
 def test_weight_admissibility_matches_definition():

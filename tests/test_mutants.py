@@ -12,7 +12,8 @@ leaves out the pytest-benchmark plugin, which no test uses and which
 costs each row's start-up time where it is installed.  A row
 whose old text is gone fails as a rotted mutant, so the table moves
 with the code: when a change rewrites a guarded line, it rewrites the
-row too.
+row too.  A mutant that changes nothing a test sees must be reported as
+survived, which shows that the harness can fail.
 """
 
 import os
@@ -360,9 +361,9 @@ MUTANTS = {
     ),
     "the Legendrian rest shifted by -(w_k + w_l)": (
         "bott.py",
-        "    return reached.shifted(-low) + part.shifted(low - sum(w.values))\n",
-        "    return (reached.shifted(low - sum(w.values))\n"
-        "            + part.shifted(low - sum(w.values)))\n",
+        "    return reached.shifted(-low) + part.shifted(low - sum(w))\n",
+        "    return (reached.shifted(low - sum(w))\n"
+        "            + part.shifted(low - sum(w)))\n",
         [
             "tests/test_bott.py::test_methods_give_same_degree",
             "tests/test_transport_properties.py::"
@@ -373,8 +374,8 @@ MUTANTS = {
     ),
     "an image table term of degree 25, zero at every sampled d": (
         "bott.py",
-        "    return reached.shifted(-low) + part.shifted(low - sum(w.values))\n",
-        "    table = reached.shifted(-low) + part.shifted(low - sum(w.values))\n"
+        "    return reached.shifted(-low) + part.shifted(low - sum(w))\n",
+        "    table = reached.shifted(-low) + part.shifted(low - sum(w))\n"
         "    return PowerSums((table.p[0], table.p[1] + exact.Differences("
         "[0] * 25 + [1]), *table.p[2:]))\n",
         [
@@ -461,7 +462,7 @@ MUTANTS = {
     ),
     "the pencil twist by w_p + w_q": (
         "pencil.py",
-        "    twist = sum(w.values) - w.pair_sum(pair)\n",
+        "    twist = sum(w) - w.pair_sum(pair)\n",
         "    twist = w.pair_sum(pair)\n",
         [
             "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
@@ -539,7 +540,7 @@ MUTANTS = {
     ),
     "the split's full table at the default weights": (
         "bott.py",
-        "    full = power_sum_differences(w.values, top)\n",
+        "    full = power_sum_differences(w, top)\n",
         "    full = power_sum_differences((0, 2, 7, 10), top)\n",
         [
             "tests/test_transport_properties.py::"
@@ -632,30 +633,43 @@ MUTANTS = {
         "",
         ["tests/test_exact.py::test_make_and_replace_trim_a_polynomial"],
     ),
-    "the weight cache without its int-type guard": (
+    "weights truncated to ints": (
         "exact.py",
-        "    if type(w) is tuple and {*map(type, w)} == {int}:\n",
-        "    if type(w) is tuple:\n",
-        ["tests/test_exact.py::"
+        "            vals = tuple(map(operator.index, values))\n",
+        "            vals = tuple(map(int, values))\n",
+        ["tests/test_exact.py::test_weight_system_requires_integers",
+         "tests/test_exact.py::"
          "test_the_weight_cache_hands_a_checked_system_to_ints_alone"],
     ),
     "one admissibility answer shared by all systems": (
         "exact.py",
-        "        return self._admissible\n",
-        "        return WeightSystem.is_admissible.__dict__.setdefault(\n"
-        "            \"answer\", self._admissible)\n",
+        "        return _admissible(self)\n",
+        "        return _admissible(DEFAULT_WEIGHTS)\n",
         [
             "tests/test_bott.py::"
             "test_inadmissible_weights_raise_at_every_entry_point[bad0]",
         ],
     ),
+    "A_K updated from the high entries of the first two fields only": (
+        "limits.py",
+        "            absorbs = both > any(y for _, y in fields)\n",
+        "            absorbs = both > any(y for _, y in fields[:2])\n",
+        ["tests/test_transport_properties.py::"
+         "test_kernel_rule_holds_on_any_chain"],
+    ),
+    "the rank rule without the minor of the second and third fields": (
+        "limits.py",
+        "                       in combinations(fields, 2)) + any(map(any, fields))\n",
+        "                       in [*combinations(fields, 2)][:2])"
+        " + any(map(any, fields))\n",
+        ["tests/test_transport_properties.py::"
+         "test_kernel_rule_holds_on_any_chain"],
+    ),
 }
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", list(MUTANTS))
-def test_mutant_is_caught(name, tmp_path):
-    path, old, new, test_ids = MUTANTS[name]
+def survivors(path, old, new, test_ids, tmp_path):
+    """The named tests that pass on src/ with path's old text made new."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -673,5 +687,22 @@ def test_mutant_is_caught(name, tmp_path):
     )
     failed = {line.split()[1] for line in run.stdout.splitlines()
               if line.startswith("FAILED ")}
-    survivors = [t for t in test_ids if t not in failed]
-    assert not survivors, "mutant survived %s:\n%s" % (survivors, run.stdout)
+    return [t for t in test_ids if t not in failed], run.stdout
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_is_caught(name, tmp_path):
+    survived, out = survivors(*MUTANTS[name], tmp_path)
+    assert not survived, "mutant survived %s:\n%s" % (survived, out)
+
+
+@pytest.mark.slow
+def test_a_mutant_that_changes_nothing_survives(tmp_path):
+    """The harness can fail: a mutant that only adds a comment changes
+    nothing that a test sees, so every test it names passes."""
+    test_ids = ["tests/test_exact.py::test_weight_system_basics"]
+    survived, out = survivors(
+        "exact.py", "CACHED_SYSTEMS = 4\n", "CACHED_SYSTEMS = 4  # kept\n",
+        test_ids, tmp_path)
+    assert survived == test_ids, out

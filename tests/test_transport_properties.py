@@ -124,6 +124,11 @@ ENTRY = st.integers(-2, 2)
 @hypothesis.example(fields=[[(0, 1)], [(2, 0)], [(0, 1)]])
 @hypothesis.example(fields=[[(0, 1)], [(0, -1)], [(0, 1)]])
 @hypothesis.example(fields=[[(0, 1)], [(2, -1)], [(0, 1)]])
+# Three fields to one character: A_K is read off every high entry, here
+# the third field's alone, and the minor of the second and third fields
+# is the only one that does not vanish.
+@hypothesis.example(fields=[[(0, 0), (0, 0), (0, 1)], [(0, 1)]])
+@hypothesis.example(fields=[[(0, 0), (1, 0), (0, 1)]])
 def test_kernel_rule_holds_on_any_chain(fields):
     """The rank rule is the echelon oracle on any chain with two rows per
     character, not only on the contraction's.  There A_K is 0 only above
