@@ -17,6 +17,10 @@ six-point localization sum for either.  Both counting functions are
 polynomials in d; foldeg.polyfit evaluates the closed forms and
 reproduces them by exact interpolation of freshly computed degrees.  The
 command-line entry point lives in foldeg.cli.
+
+The form algebra (AntisymmetricForm, contract) is in foldeg.forms, which
+no degree computation needs: it is imported the first time either name
+is read from the package.
 """
 
 from .bott import (
@@ -27,7 +31,7 @@ from .bott import (
     localize,
 )
 from .exact import InadmissibleWeights, WeightSystem
-from .fields import AntisymmetricForm, build_phi_basis, contract, tangent_kernel_dimension
+from .fields import build_phi_basis, tangent_kernel_dimension
 from .limits import MethodDisagreement, SaturationRankError, limit_fiber_weights
 from .pencil import pencil_degree
 from .polyfit import (
@@ -66,3 +70,10 @@ __all__ = [
     "pencil_degree",
     "tangent_kernel_dimension",
 ]
+
+
+def __getattr__(name):
+    if name in ("AntisymmetricForm", "contract"):
+        from . import forms
+        return getattr(forms, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -11,7 +11,7 @@ oracle of the closed forms:
 * _write_fields: the Fraction fields of build_phi_basis(d), written as
   fields.build_phi_basis documents them (SectionBasis.fields);
 * scaled_terms and integer_contraction: the contraction of a whole
-  basis with an integer form, over Z; fields.contract is its Fraction
+  basis with an integer form, over Z; forms.contract is its Fraction
   oracle, one field at a time;
 * ContractionMatrix and build_contraction_matrix: the global contraction
   along the path omega_t = kappa_pq + t * kappa_kl, whose union-find
@@ -23,7 +23,7 @@ oracle of the closed forms:
   one character at a time.
 
 No module that `import foldeg` loads imports this one, so a cold start
-does not compile it.  The names that stand for it elsewhere import it on
+compiles neither it nor foldeg.forms, whose fields and forms it writes.  The names that stand for it elsewhere import it on
 their first call: fields.tangent_kernel_dimension (public) and
 SectionBasis.fields, and, only because perfbench/tracing.py hooks them,
 linalg.rank, linalg.kernel_basis and limits.build_contraction_matrix.
@@ -39,16 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import monomials_of_degree
-from .fields import (
-    AntisymmetricForm,
-    BasisField,
-    MonomialField,
-    _bump,
-    _lower,
-    as_fixed_point,
-    build_phi_basis,
-    complementary_pair,
-)
+from .fields import as_fixed_point, build_phi_basis, complementary_pair
+from .forms import AntisymmetricForm, BasisField, MonomialField, _bump, _lower
 
 
 def echelon(rows, ncols):

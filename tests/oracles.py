@@ -50,10 +50,10 @@ from foldeg.exact import (
 )
 from foldeg.fields import (
     P5_PAIRS,
-    MonomialField,
     build_phi_basis,
     complementary_pair,
 )
+from foldeg.forms import MonomialField
 from foldeg.limits import END, SaturationRankError, _chains
 from foldeg.matrices import echelon, kernel_basis, rref
 

@@ -21,15 +21,13 @@ from foldeg.bott import legendrian_degree, tangent_weights_p5
 from foldeg.exact import WeightSystem, elementary_symmetric, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
-    AntisymmetricForm,
-    MonomialField,
     build_phi_basis,
     contact_kernel_dimension,
-    contract,
     phi_dimension,
     tangent_kernel_dimension,
 )
 from foldeg.fields import _phi_basis_cached
+from foldeg.forms import AntisymmetricForm, MonomialField, contract
 from foldeg.limits import METHOD_BOTH, METHOD_IMAGE, METHOD_KERNEL, limit_fiber_weights
 from foldeg.pencil import pencil_degree
 from foldeg.polyfit import (

@@ -1,5 +1,6 @@
 """Tests for the command-line driver."""
 
+import errno
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from foldeg import bott, cli, limits, pencil, polyfit, reference
+from foldeg import bott, cli, limits, pencil, polyfit, reference, verify
 from foldeg.exact import Differences, PowerSums
 from foldeg.fields import SectionBasis
 
@@ -467,6 +468,58 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys):
     assert not out
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert not target.exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("an --out path that cannot be written reached a computation")
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("missing-dir", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("unwritable-dir", "Permission denied"),
+], ids=["missing-dir", "directory", "unwritable-dir"])
+@pytest.mark.parametrize("argv", [
+    ["interpolate", "--family", "legendrian", "--min", "2", "--max", "400",
+     "--partial"],
+    ["legendrian", "--degree", "80", "--method", "both"],
+    ["verify", "--example"],
+], ids=["interpolate", "legendrian", "verify"])
+def test_an_unwritable_out_path_is_refused_before_computing(
+        capsys, monkeypatch, tmp_path, argv, where, reason):
+    """An --out path whose directory is missing or not writable, or that
+    names a directory, exits 2 with one error: line before any
+    computation runs (each is replaced by a function that fails the
+    test), and creates no file."""
+    for module, name in ((bott, "legendrian_degree"), (pencil, "pencil_degree"),
+                         (polyfit, "interpolate_family"),
+                         (polyfit, "compute_degree_points"),
+                         (verify, "run_verify_checks")):
+        monkeypatch.setattr(module, name, _never_called)
+    target = {"missing-dir": "/nonexistent/dir/x.json",
+              "directory": str(tmp_path),
+              "unwritable-dir": str(tmp_path / "x.json")}[where]
+    if where == "unwritable-dir":
+        # the tests may run as root, for whom every directory is writable
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    code, out, err = run(capsys, argv + ["--out", target])
+    assert code == 2
+    assert not out
+    assert err == "error: cannot write %s: %s\n" % (target, reason)
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_write_that_fails_after_the_check_exits_2(capsys, monkeypatch, tmp_path):
+    """The write itself still maps an OSError to exit 2, and no report
+    is printed: here the disk fills after the path was found writable."""
+    def full(path, mode):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    target = str(tmp_path / "x.json")
+    code, out, err = run(capsys, ["pencil", "--degree", "2", "--out", target])
+    assert code == 2
+    assert not out
+    assert err == "error: cannot write %s: %s\n" % (target, os.strerror(errno.ENOSPC))
 
 
 def test_import_leaves_the_process_pool_out():

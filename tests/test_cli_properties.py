@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from foldeg import cli
+from foldeg import bott, cli, pencil, polyfit, verify
 from foldeg.polyfit import FAMILIES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -104,16 +104,17 @@ def _never_called(*args, **kwargs):
 @pytest.mark.parametrize("kind", sorted(MALFORMED_ARGV))
 @hypothesis.given(data=st.data())
 def test_malformed_argv_exits_2_without_a_traceback(kind, data):
-    """No computation runs: the ones the subcommands call are replaced by
-    a function that fails the test."""
+    """No computation runs: the ones the subcommands call, which they
+    look up on their modules when they run, are replaced by a function
+    that fails the test."""
     argv = data.draw(MALFORMED_ARGV[kind])
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.multiple(
-        cli, legendrian_degree=_never_called, pencil_degree=_never_called,
-        interpolate_family=_never_called,
-        compute_degree_points=_never_called,
-        run_verify_checks=_never_called,
-    ), redirect_stdout(out), redirect_stderr(err):
+    with mock.patch.object(bott, "legendrian_degree", _never_called), \
+            mock.patch.object(pencil, "pencil_degree", _never_called), \
+            mock.patch.multiple(polyfit, interpolate_family=_never_called,
+                                compute_degree_points=_never_called), \
+            mock.patch.object(verify, "run_verify_checks", _never_called), \
+            redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:

@@ -1,9 +1,11 @@
 """What a cold start loads, and the entry points that load the rest.
 
 foldeg.matrices (the written basis, the global contraction and the dense
-elimination) is compiled only when one of its names is first called.
-Each test runs in a fresh interpreter, so no module that another test
-imported can hide a missing or circular import.
+elimination) and foldeg.forms (the form algebra) are compiled only when
+one of their names is first called, and the bodies of the subcommands
+(foldeg.commands, foldeg.verify) only when cli.main runs one.  Each test
+runs in a fresh interpreter, so no module that another test imported
+can hide a missing or circular import.
 """
 
 import json
@@ -49,24 +51,67 @@ for family, top in (("legendrian", 17), ("pencil", 30)):
               for d in range(2, top + 1)]
     foldeg.interpolate_family(family, 2, top, points=points)
 steps["degrees"] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = foldeg.cli.main(["verify", "--example", "--format", "json"])
-steps["verify"] = loaded()
-print(json.dumps({"code": code, "steps": steps}))
+codes = []
+for step, argv in (("verify", ["verify", "--example", "--format", "json"]),
+                   ("pencil", ["pencil", "--degree", "3"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(foldeg.cli.main(argv))
+    steps[step] = loaded()
+print(json.dumps({"codes": codes, "steps": steps}))
 """
+
+VERIFIED = sorted(IMPORTED + ["foldeg.forms", "foldeg.reference", "foldeg.verify"])
 
 
 def test_the_workload_paths_load_only_the_import_set():
     """import foldeg, foldeg.cli loads the package and eight modules, and
     the public paths of the benchmark workloads load nothing more, but
-    for the frozen constants that verify reads (foldeg.reference, which
-    cli loads on the first verify)."""
+    for what verify alone reads: its body (foldeg.verify), the frozen
+    constants (foldeg.reference) and the form algebra of its worked
+    example (foldeg.forms).  Neither verify nor the degrees load the
+    other subcommands' bodies (foldeg.commands); a pencil command loads
+    them and nothing else."""
     out = json.loads(run_fresh(WORKLOADS).splitlines()[-1])
-    assert out["code"] == 0
+    assert out["codes"] == [0, 0]
     steps = out["steps"]
     assert steps["import"] == IMPORTED
     assert steps["degrees"] == IMPORTED
-    assert steps["verify"] == sorted(IMPORTED + ["foldeg.reference"])
+    assert steps["verify"] == VERIFIED
+    assert steps["pencil"] == sorted(VERIFIED + ["foldeg.commands"])
+
+
+def test_the_package_reads_the_form_algebra_on_first_use():
+    """from foldeg import AntisymmetricForm loads foldeg.forms, and the
+    package hands back the names that foldeg.forms defines."""
+    out = run_fresh(
+        "import sys\n"
+        "import foldeg\n"
+        "print('foldeg.forms' in sys.modules)\n"
+        "from foldeg import AntisymmetricForm, contract\n"
+        "from foldeg import forms\n"
+        "print('foldeg.forms' in sys.modules,\n"
+        "      AntisymmetricForm is forms.AntisymmetricForm,\n"
+        "      contract is forms.contract)")
+    assert out.split() == ["False", "True", "True", "True"]
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    """A star import, the first import of the process, binds every name
+    of foldeg.__all__, each to the object that importing it alone
+    gives."""
+    out = run_fresh(
+        "import importlib, json\n"
+        "star = {}\n"
+        "exec('from foldeg import *', star)\n"
+        "names = importlib.import_module('foldeg').__all__\n"
+        "alone = {}\n"
+        "for name in names:\n"
+        "    space = {}\n"
+        "    exec('from foldeg import ' + name, space)\n"
+        "    alone[name] = space[name]\n"
+        "print(json.dumps([len(names),\n"
+        "                  [n for n in names if star.get(n) is not alone[n]]]))")
+    assert json.loads(out) == [23, []]
 
 
 @pytest.mark.parametrize("code, want", [
@@ -93,3 +138,52 @@ def test_the_workload_paths_load_only_the_import_set():
         "build_contraction_matrix", "matrices-first"])
 def test_each_moved_entry_point_works_as_the_first_call(code, want):
     assert run_fresh(code).strip() == want
+
+
+LATE_CALLS = """
+import contextlib, io, json
+import foldeg, foldeg.cli
+from foldeg import bott, exact, limits, pencil, polyfit
+
+calls = {}
+def wrapped(module, name):
+    real = getattr(module, name)
+    def call(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+    setattr(module, name, call)
+    return module, name, real
+
+def run_commands():
+    for argv in (["verify"], ["legendrian", "--degree", "2"],
+                 ["pencil", "--degree", "3"],
+                 ["interpolate", "--family", "pencil", "--min", "2", "--max", "14"],
+                 ["interpolate", "--family", "pencil", "--min", "2", "--max", "3",
+                  "--partial"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert foldeg.cli.main(argv) == 0
+    return dict(calls)
+
+# wrapped before foldeg.commands and foldeg.verify load
+hooks = [wrapped(bott, "legendrian_degree"), wrapped(pencil, "pencil_degree"),
+         wrapped(polyfit, "interpolate_family"),
+         wrapped(polyfit, "compute_degree_points"),
+         wrapped(limits, "limit_fiber_weights"),
+         wrapped(exact, "elementary_symmetric")]
+first = run_commands()
+for module, name, real in hooks:
+    setattr(module, name, real)
+print(json.dumps([first, run_commands()]))
+"""
+
+
+def test_the_subcommand_bodies_call_through_the_modules():
+    """A wrapper put on the package's functions before the subcommand
+    bodies load sees their calls, and once taken off sees none: the
+    bodies look each function up on its module when they call it, as a
+    tracer that wraps and restores module attributes needs."""
+    first, second = json.loads(run_fresh(LATE_CALLS).splitlines()[-1])
+    assert set(first) == {"legendrian_degree", "pencil_degree",
+                          "interpolate_family", "compute_degree_points",
+                          "limit_fiber_weights", "elementary_symmetric"}
+    assert second == first

@@ -6,23 +6,29 @@ import os
 import pytest
 
 import foldeg.bott
+import foldeg.commands
 import foldeg.exact
 import foldeg.fields
+import foldeg.forms
 import foldeg.limits
 import foldeg.linalg
 import foldeg.matrices
 import foldeg.pencil
 import foldeg.polyfit
+import foldeg.verify
 
 MODULES = (
     foldeg.exact,
     foldeg.fields,
+    foldeg.forms,
     foldeg.linalg,
     foldeg.limits,
     foldeg.matrices,
     foldeg.bott,
     foldeg.pencil,
     foldeg.polyfit,
+    foldeg.commands,
+    foldeg.verify,
 )
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

@@ -15,16 +15,14 @@ from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightSystem, character_weights, monomials_of_degree
 from foldeg.fields import (
     P5_PAIRS,
-    AntisymmetricForm,
-    MonomialField,
     _phi_basis_cached,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
-    contract,
     phi_dimension,
     tangent_kernel_dimension,
 )
+from foldeg.forms import AntisymmetricForm, MonomialField, contract
 from foldeg.limits import METHOD_BOTH, METHOD_KERNEL
 from foldeg.matrices import (
     build_contraction_matrix,

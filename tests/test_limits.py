@@ -15,14 +15,13 @@ from foldeg.exact import (
 )
 from foldeg.fields import (
     P5_PAIRS,
-    AntisymmetricForm,
     SectionBasis,
     as_fixed_point,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
-    contract,
 )
+from foldeg.forms import AntisymmetricForm, contract
 from foldeg.limits import (
     METHOD_BOTH,
     METHOD_IMAGE,

@@ -3,19 +3,27 @@
 
 A row is (file under src/foldeg, old text, new text, test ids).  The
 old text must occur exactly once; it is replaced in a copy of src/
-under tmp_path, and only the named tests run, in a subprocess that
-imports the copy.  Every named test must fail.  The subprocess runs
-under the hypothesis profile "foldeg-mutants", which does not shrink a
-failure, and with plain asserts: it writes no bytecode, so pytest would
-otherwise rewrite every hypothesis module again in each row.  It also
-leaves out the pytest-benchmark plugin, which no test uses and which
-costs each row's start-up time where it is installed.  A row
-whose old text is gone fails as a rotted mutant, so the table moves
-with the code: when a change rewrites a guarded line, it rewrites the
-row too.  A mutant that changes nothing a test sees must be reported as
-survived, which shows that the harness can fail.
+under tmp_path, and only the named tests run, in a process that imports
+the copy.  Every named test must fail, within 300 s.  The rows run in
+one warm interpreter, tests/mutant_server.py, started once per session:
+it has imported pytest and hypothesis but never foldeg, and forks one
+child per row, which puts the copy first on sys.path and runs
+pytest.main.  So a row pays for importing foldeg and its tests, not for
+starting Python, pytest and hypothesis again.  Where os.fork is missing,
+each row runs in a fresh ``python -m pytest`` as before.  Either way
+the tests run under the hypothesis profile "foldeg-mutants", which does
+not shrink a failure or keep a database, and with plain asserts: no
+bytecode is written, so pytest would otherwise rewrite every hypothesis
+module again in each row.  They also leave out the pytest-benchmark
+plugin, which no test uses and which costs each row's start-up time
+where it is installed.  A row whose old text is gone fails as a rotted
+mutant, so the table moves with the code: when a change rewrites a
+guarded line, it rewrites the row too.  A mutant that changes nothing a
+test sees must be reported as survived, which shows that the harness
+can fail.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -25,6 +33,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SERVER = Path(__file__).resolve().parent / "mutant_server.py"
+PYTEST_ARGS = ["-q", "-rf", "-p", "no:cacheprovider", "-p", "no:benchmark",
+               "--assert=plain", "--hypothesis-profile=foldeg-mutants"]
+ROW_TIMEOUT_S = 300
 
 INTERPOLATION_TESTS = [
     "tests/test_exact_properties.py::"
@@ -351,13 +363,41 @@ MUTANTS = {
          "test_the_workload_paths_load_only_the_import_set"],
     ),
     "a form whose _make skips __new__": (
-        "fields.py",
+        "forms.py",
         "    @classmethod\n"
         "    def _make(cls, iterable):\n"
         "        # namedtuple's _make, and so _replace, would skip the checks\n"
         "        return cls(*iterable)\n",
         "",
         ["tests/test_fields.py::test_make_and_replace_check_a_form"],
+    ),
+    # Each of the next two loads at import what only some commands read:
+    # the form algebra, or the subcommands' bodies with all they import.
+    "the form algebra imported eagerly at the top of fields": (
+        "fields.py",
+        "P5_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))\n",
+        "P5_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))\n"
+        "from . import forms  # noqa: E402, F401\n",
+        ["tests/test_cold_start.py::"
+         "test_the_workload_paths_load_only_the_import_set"],
+    ),
+    "the subcommand bodies imported eagerly at the top of cli": (
+        "cli.py",
+        "from .polyfit import FAMILIES, InsufficientPoints\n",
+        "from .polyfit import FAMILIES, InsufficientPoints\n"
+        "from . import commands, verify  # noqa: F401\n",
+        ["tests/test_cold_start.py::"
+         "test_the_workload_paths_load_only_the_import_set"],
+    ),
+    # the function taken from bott when verify loads, not when it runs
+    "verify bound to legendrian_degree as it was when verify loaded": (
+        "verify.py",
+        "from . import bott, exact, limits, reference\n",
+        "from . import bott, exact, limits, reference\n"
+        "from types import SimpleNamespace\n"
+        "bott = SimpleNamespace(legendrian_degree=bott.legendrian_degree)\n",
+        ["tests/test_cold_start.py::"
+         "test_the_subcommand_bodies_call_through_the_modules"],
     ),
     "the Legendrian rest shifted by -(w_k + w_l)": (
         "bott.py",
@@ -668,7 +708,49 @@ MUTANTS = {
 }
 
 
-def survivors(path, old, new, test_ids, tmp_path):
+def run_in_subprocess(src, test_ids):
+    """The output of the named tests, run on src in a fresh pytest."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", *PYTEST_ARGS, *test_ids],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=ROW_TIMEOUT_S,
+    ).stdout
+
+
+@pytest.fixture(scope="session")
+def run_row():
+    """Runs the named tests on a copy of src/ and returns their output:
+    in a fork of the session's warm server, or in a fresh pytest where
+    os.fork is missing."""
+    if not hasattr(os, "fork"):
+        yield run_in_subprocess
+        return
+    # the server imports only what the rows' children put on the path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    server = subprocess.Popen([sys.executable, str(SERVER)], cwd=ROOT, env=env,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              text=True)
+
+    def ask(src, test_ids):
+        server.stdin.write(json.dumps({"src": str(src),
+                                       "args": PYTEST_ARGS + list(test_ids),
+                                       "timeout": ROW_TIMEOUT_S}) + "\n")
+        server.stdin.flush()
+        line = server.stdout.readline()
+        assert line, "the mutant server stopped (exit %s)" % server.poll()
+        answer = json.loads(line)
+        if answer["timed_out"]:
+            raise subprocess.TimeoutExpired(test_ids, ROW_TIMEOUT_S, answer["out"])
+        return answer["out"]
+
+    yield ask
+    server.stdin.close()
+    server.wait(timeout=60)
+
+
+def survivors(run_row, path, old, new, test_ids, tmp_path):
     """The named tests that pass on src/ with path's old text made new."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src,
@@ -678,31 +760,25 @@ def survivors(path, old, new, test_ids, tmp_path):
     assert text.count(old) == 1, "mutant rotted: %r is not once in %s" % (
         old, path)
     target.write_text(text.replace(old, new))
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         "-p", "no:benchmark", "--assert=plain",
-         "--hypothesis-profile=foldeg-mutants", *test_ids],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    failed = {line.split()[1] for line in run.stdout.splitlines()
+    out = run_row(src, test_ids)
+    failed = {line.split()[1] for line in out.splitlines()
               if line.startswith("FAILED ")}
-    return [t for t in test_ids if t not in failed], run.stdout
+    return [t for t in test_ids if t not in failed], out
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(MUTANTS))
-def test_mutant_is_caught(name, tmp_path):
-    survived, out = survivors(*MUTANTS[name], tmp_path)
+def test_mutant_is_caught(name, run_row, tmp_path):
+    survived, out = survivors(run_row, *MUTANTS[name], tmp_path)
     assert not survived, "mutant survived %s:\n%s" % (survived, out)
 
 
 @pytest.mark.slow
-def test_a_mutant_that_changes_nothing_survives(tmp_path):
+def test_a_mutant_that_changes_nothing_survives(run_row, tmp_path):
     """The harness can fail: a mutant that only adds a comment changes
     nothing that a test sees, so every test it names passes."""
     test_ids = ["tests/test_exact.py::test_weight_system_basics"]
     survived, out = survivors(
-        "exact.py", "CACHED_SYSTEMS = 4\n", "CACHED_SYSTEMS = 4  # kept\n",
+        run_row, "exact.py", "CACHED_SYSTEMS = 4\n", "CACHED_SYSTEMS = 4  # kept\n",
         test_ids, tmp_path)
     assert survived == test_ids, out

@@ -20,12 +20,12 @@ from foldeg.exact import (
 )
 from foldeg.fields import (
     P5_PAIRS,
-    AntisymmetricForm,
     build_phi_basis,
     complementary_pair,
     phi_dimension,
     tangent_kernel_dimension,
 )
+from foldeg.forms import AntisymmetricForm
 from foldeg.matrices import integer_contraction, rank
 from foldeg.pencil import (
     PENCIL,
