@@ -12,11 +12,11 @@ here, both by torus (Bott) localization with all arithmetic over Q:
   localized on the Grassmannian of pencils, where the fiber weights can
   be written down directly (foldeg.pencil).
 
-Each family is a Family record, and foldeg.bott.localize computes the
-six-point localization sum for either.  Both counting functions are
-polynomials in d; foldeg.polyfit evaluates the closed forms and
-reproduces them by exact interpolation of freshly computed degrees.  The
-command-line entry point lives in foldeg.cli.
+Each family is a Family record that owns its fiber table, and
+foldeg.bott.localize computes the six-point localization sum for either.
+Both counting functions are polynomials in d; foldeg.polyfit evaluates
+the closed forms and reproduces them by exact interpolation of freshly
+computed degrees.  The command-line entry point lives in foldeg.cli.
 
 The form algebra (AntisymmetricForm, contract) is in foldeg.forms, which
 no degree computation needs: it is imported the first time either name

@@ -6,13 +6,14 @@ elementary symmetric function of the fiber weights divided by the one of
 the tangent weights (Ellingsrud-Stromme, Bott's formula and enumerative
 geometry, JAMS 1996).  The sum must be an integer -- a hard error
 otherwise, since a non-integer can only mean a wrong fiber.  A family is
-data (Family): its minimum degree, polynomial bound, fiber and tangent
-weights at a fixed point, and published degree, one exact integer
-formula in d; localize, the one loop over the fixed points, computes the
-sum for any of them.  This module holds the Legendrian family (LEGENDRIAN,
+data (Family): its minimum degree, polynomial bound, fiber table, check
+and tangent weights at a fixed point, and published degree, one exact
+integer formula in d; localize, the one loop over the fixed points,
+evaluates and counts each fiber on one path (Family.fiber) for any of
+them.  This module holds the Legendrian family (LEGENDRIAN,
 legendrian_degree), whose parameter space is the P^5 of antisymmetric
 forms; foldeg.pencil holds the pencil family, on the quadric G(2,4) in
-that P^5.  Both fibers are one split of the degree-(d+1) monomial
+that P^5.  Both fiber tables are one split of the degree-(d+1) monomial
 weights at a pair (split_power_sums), shifted in two ways.
 
 The Legendrian image fiber has a closed form.  At the pair (p,q) with
@@ -41,20 +42,21 @@ m_1 = m_2 = 0: that character has no field, so the character below
 claims m through its high row, m - e_3 - e_4.
 
 The image route therefore takes each fiber's power sums p_0..p_5, all
-that e_5 needs, in closed form (image_power_sums), with no chains,
-echelon or field basis.  The split and the shifts are linear with
-constant coefficients, so they commute with forward differences: they
-act once per weight system and pair on the monomial power sums as
+that e_5 needs, in closed form (_image_table, LEGENDRIAN.table), with
+no chains, echelon or field basis.  The split and the shifts are linear
+with constant coefficients, so they commute with forward differences:
+they act once per weight system and pair on the monomial power sums as
 polynomials in d (exact.Differences).  The tangent numbers of the six
 pairs, their common denominator and each pair's factor to it are also
 taken once per weight system, so a degree costs one binomial row, and at
 each pair one dot product per p_j, one Newton's step for e_n of the
 fiber and one product by the factor.  Every method sums these
 closed-form fibers.  The kernel route and "both" also compute the
-fibers directly (foldeg.limits), as checks that do not feed the sum:
-each direct fiber must have the closed-form Z^4 characters, compared
-as the closed-form count of each of its characters
-(closed_form_counts), and the power sums that are summed.  "both"
+fibers directly (foldeg.limits), as checks that do not feed the sum
+(legendrian_check, the family's per-point check): each direct fiber
+must have the closed-form Z^4 characters, compared as the closed-form
+count of each of its characters (closed_form_counts), and the power
+sums that are summed.  "both"
 checks each (d, pair) once in a process, since the characters do not
 depend on the weights; the kernel route checks on every call.
 """
@@ -151,19 +153,33 @@ class DegreeReport(namedtuple(
         )
 
 
-class Family(namedtuple("Family", "name min_degree degree_bound fiber"
-                        " tangent_weights formula")):
+class Family(namedtuple("Family", "name min_degree degree_bound table removed"
+                        " check tangent_weights formula")):
     """One family of foliations, as the data its localization needs.
 
-    At each torus-fixed point of the parameter space, a pair of
-    P5_PAIRS, fiber(pair, d, weights, **options) gives the fiber's power
-    sums, and tangent_weights(pair, weights) the tangent weights of the
-    parameter space.  degree_bound is the degree of the counting polynomial in d
-    (thrice the dimension of the parameter space), and formula(d) is the
-    published one at an int d, as an exact Fraction.
+    At each torus-fixed point, a pair of P5_PAIRS, table(pair, w) gives
+    the fiber's power sums as Differences in d + 1 at a WeightSystem w
+    (cached: read it, never change it), removed(d) how many monomials of
+    degree d + 1 the fiber leaves out, check(pair, d, w, fiber, **options)
+    checks each fiber that localize sums, and tangent_weights(pair,
+    weights) gives the n tangent weights of the parameter space, of
+    dimension n.  degree_bound is the degree of the counting polynomial
+    in d (3n), and formula(d) is the published one at an int d.
     """
 
     __slots__ = ()
+
+    def fiber(self, pair, d, weights):
+        """The fiber at pair in degree d as PowerSums: the table at d + 1,
+        which must count the C(d+4,3) monomial weights of degree d + 1
+        less the removed(d) that it leaves out (FiberCountError
+        otherwise)."""
+        fiber = power_sums_at(self.table(pair, as_weight_system(weights)), d + 1)
+        count = comb(d + 4, 3) - self.removed(d)
+        if fiber.p[0] != count:
+            raise FiberCountError(
+                "fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))
+        return fiber
 
     def closed_form(self, d):
         """The published degree at an int d (TypeError otherwise): the
@@ -216,13 +232,14 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     dimension of the parameter space (the number of tangent weights), so
     e_n(tangent) is their product; it, its sign, the common denominator
     of all the points and each point's factor to it are taken once per
-    family and weight system (_tangent_euler); options go to
-    family.fiber.  Fibers are taken one at a time, so only one is alive
-    at once.  The sum is
-    num * factor over the points, in ints over the common denominator,
-    with no lcm or Fraction per term.  d must be an int (TypeError
-    otherwise).  Raises FiberCountError for a fiber table that stops
-    before p_n, and NonIntegralDegree unless the sum is an integer.
+    family and weight system (_tangent_euler).  Each fiber is
+    family.fiber(pair, d, w), checked by family.check, to which options
+    go; fibers are taken one at a time, so only one is alive at once.
+    The sum is num * factor over the points, in ints over the common
+    denominator, with no lcm or Fraction per term.  d must be an int (TypeError
+    otherwise).  Raises FiberCountError for a fiber of the wrong count or
+    a table that stops before p_n, and NonIntegralDegree unless the sum
+    is an integer.
     """
     d = index(d)
     if d < family.min_degree:
@@ -235,10 +252,11 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     contributions, total = [], 0  # the sum is total / common
     for pair in P5_PAIRS:
         n, sign, den, factor = euler[pair]
-        fiber = family.fiber(pair, d, w, **options)
+        fiber = family.fiber(pair, d, w)
         if len(fiber.p) <= n:
             raise FiberCountError("fiber table p_0..p_%d has no e_%d at %r, d=%d"
                                   % (len(fiber.p) - 1, n, pair, d))
+        family.check(pair, d, w, fiber, **options)
         num = sign * exact.elementary_symmetric(n, fiber)
         contributions.append(FixedPointContribution(pair, num, den))
         total += num * factor
@@ -255,21 +273,12 @@ def split_power_sums(pair, w, top):
     as Differences in d + 1, split at the pair (p,q) with complement
     (k,l): (full - part, part), part those of the d + 2 monomials in
     x_k, x_l alone, full - part those of the monomials that involve x_p
-    or x_q.  top is the n of the family's e_n: 5 here, 4 for the pencil."""
-    k, l = complementary_pair(pair)
-    full = power_sum_differences(w, top)
+    or x_q.  top is the n of the family's e_n: 5 here, 4 for the pencil.
+    It checks the pair and w for the tables' cached calls."""
+    k, l = complementary_pair(as_fixed_point(pair))
+    full = power_sum_differences(w.require_admissible(), top)
     part = power_sum_differences((w.weight(k), w.weight(l)), top)
     return full - part, part
-
-
-def counted_fiber(fiber, d, removed):
-    """fiber, if it counts the C(d+4,3) monomial weights of degree d + 1
-    less removed of them (FiberCountError otherwise)."""
-    count = comb(d + 4, 3) - removed
-    if fiber.p[0] != count:
-        raise FiberCountError(
-            "fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))
-    return fiber
 
 
 @lru_cache(maxsize=CACHED_PAIRS)
@@ -280,12 +289,6 @@ def _image_table(pair, w):
     reached, part = split_power_sums(pair, w, TOP)
     low = w.pair_sum(pair)  # w_p + w_q, so w_k + w_l = sum(w) - low
     return reached.shifted(-low) + part.shifted(low - sum(w))
-
-
-def image_power_sums(pair, d, w):
-    """The image fiber at [kappa_pair] in closed form (module docstring) as
-    power sums p_0..p_5: its table at d + 1, one weight per monomial."""
-    return counted_fiber(power_sums_at(_image_table(pair, w), d + 1), d, 0)
 
 
 def closed_form_counts(characters, pair):
@@ -319,21 +322,18 @@ def closed_form_counts(characters, pair):
 _both_checked = set()
 
 
-def legendrian_fiber(pair, d, weights, method=None):
-    """The image fiber at the fixed form [kappa_pair], as power sums in
-    closed form (image_power_sums) under every method of foldeg.limits
-    (None picks default_method(d)).  The kernel route and "both" also
-    compute the fiber directly, as a check that does not feed the sum:
-    it raises MethodDisagreement unless the direct fiber has the
-    closed-form count of every character (closed_form_counts) and the
-    power sums returned.  "both" checks a (d, pair) once in a process,
-    the kernel route every time."""
+def legendrian_check(pair, d, w, fiber, method=None):
+    """The Legendrian check of the closed-form fiber at [kappa_pair], as
+    power sums, under a method of foldeg.limits (None picks
+    default_method(d)): none under the image route.  The kernel route
+    and "both" compute the fiber directly, and raise MethodDisagreement
+    unless it has the closed-form count of every character
+    (closed_form_counts) and the power sums of fiber.  "both" checks a
+    (d, pair) once in a process, the kernel route every time."""
     if method is None:
         method = default_method(d)
-    w = as_weight_system(weights)
-    fiber = image_power_sums(pair, d, w)
     if method == METHOD_IMAGE:
-        return fiber
+        return
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     key = 6 * d + P5_PAIRS.index(pair)
@@ -347,7 +347,6 @@ def legendrian_fiber(pair, d, weights, method=None):
                                      "disagree at %r, d=%d" % (pair, d))
         if method == METHOD_BOTH:
             _both_checked.add(key)
-    return fiber
 
 
 def legendrian_formula(d):
@@ -367,11 +366,11 @@ def legendrian_formula(d):
 
 # The P^5 of antisymmetric forms: five tangent weights, so e_5 / e_5.
 LEGENDRIAN = Family(
-    "legendrian", 2, 15, legendrian_fiber, tangent_weights_p5, legendrian_formula,
-)
+    "legendrian", 2, 15, table=_image_table, removed=lambda d: 0, check=legendrian_check,
+    tangent_weights=tangent_weights_p5, formula=legendrian_formula)
 
 
 def legendrian_degree(d, weights=DEFAULT_WEIGHTS, method=None):
     """Degree of the degree-d Legendrian family by localization; method
-    picks the limit route (see legendrian_fiber)."""
+    picks the limit route of the check (see legendrian_check)."""
     return localize(LEGENDRIAN, d, weights, method=method)

@@ -38,14 +38,12 @@ import sys
 from importlib import import_module
 
 from .exact import DEFAULT_WEIGHTS, InadmissibleWeights, WeightSystem
-from .limits import METHOD_BOTH, METHOD_IMAGE, METHOD_KERNEL
+from .limits import METHOD_FLAGS
 from .polyfit import FAMILIES, InsufficientPoints
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-METHOD_FLAGS = {"image": METHOD_IMAGE, "kernel": METHOD_KERNEL, "both": METHOD_BOTH}
 
 
 class UsageError(ValueError):

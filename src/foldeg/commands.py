@@ -15,7 +15,8 @@ loads sees these calls, and one taken off again no longer does.
 ('degree: 13300', True)
 """
 
-from . import bott, cli, pencil, polyfit
+from . import bott, pencil, polyfit
+from .limits import METHOD_FLAGS
 from .polyfit import FAMILIES, InsufficientPoints, family_closed_form
 
 
@@ -24,7 +25,7 @@ def cmd_degree(args):
     if args.command == "pencil":
         report = pencil.pencil_degree(args.degree, args.weights)
     else:
-        method = cli.METHOD_FLAGS[args.method] if args.method else bott.default_method(args.degree)
+        method = METHOD_FLAGS[args.method] if args.method else bott.default_method(args.degree)
         # --jobs is parsed and checked but fans nothing out: the image route
         # computes no limit, and kernel and both compute the six in turn
         report = bott.legendrian_degree(args.degree, args.weights, method=method)

@@ -77,6 +77,8 @@ METHOD_IMAGE = "image-fiber"
 METHOD_KERNEL = "kernel-limit"
 METHOD_BOTH = "both"
 METHODS = (METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH)
+# the --method values of foldeg.cli, each naming its route
+METHOD_FLAGS = {"image": METHOD_IMAGE, "kernel": METHOD_KERNEL, "both": METHOD_BOTH}
 
 class SaturationRankError(ArithmeticError):
     """A limit has the wrong rank — a computation bug, never

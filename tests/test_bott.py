@@ -13,14 +13,12 @@ import foldeg.exact as exact
 import foldeg.fields as fields
 import foldeg.limits as limits
 import foldeg.matrices as matrices
-import foldeg.pencil as pencil
 from foldeg.bott import (
     LEGENDRIAN,
     FiberCountError,
     NonIntegralDegree,
     closed_form_counts,
     default_method,
-    image_power_sums,
     legendrian_degree,
     localize,
     tangent_weights_p5,
@@ -46,18 +44,14 @@ from foldeg.limits import (
     limit_fiber_weights,
 )
 from foldeg.matrices import fiber_characters
-from foldeg.pencil import (
-    PENCIL,
-    pd_twisted_weights,
-    pencil_degree,
-    tangent_weights_g24,
-)
+from foldeg.pencil import PENCIL, pencil_degree, tangent_weights_g24
 from foldeg.reference import LEGENDRIAN_D2_CONTRIBUTIONS, LEGENDRIAN_D2_DEGREE
 from frozen import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
     D2_P34_SYMBOLIC_WEIGHTS,
     LEGENDRIAN_D3_DEGREE,
+    PENCIL_D3_DEGREE,
 )
 from oracles import (
     SOURCE_PAIR,
@@ -208,7 +202,7 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
         raise AssertionError("the image route built a global structure")
 
     monkeypatch.setattr(bott, "limit_fiber_weights", counting)
-    bott._image_table.cache_clear()
+    LEGENDRIAN.table.cache_clear()
     with monkeypatch.context() as m:
         for module in (fields, limits):
             m.setattr(module, "build_phi_basis", refused)
@@ -218,12 +212,12 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
         for d in (5, 6):
             image = legendrian_degree(d, method=METHOD_IMAGE)
             legendrian_degree(d, ALT_WEIGHTS_A, method=METHOD_IMAGE)
-    tables = bott._image_table.cache_info()
+    tables = LEGENDRIAN.table.cache_info()
     assert (tables.misses, tables.hits) == (12, 12) and calls == []
     kernel = legendrian_degree(6, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
     assert calls == [(pair, METHOD_KERNEL) for pair in P5_PAIRS]
-    after = bott._image_table.cache_info()
+    after = LEGENDRIAN.table.cache_info()
     assert (after.misses, after.hits) == (tables.misses, tables.hits + 6)
 
 
@@ -234,8 +228,7 @@ def test_each_family_builds_its_monomial_tables_once_per_system():
     the pencil e_4.  So a degree of each family builds its own tables
     once, one in four variables and one in two per pair, and the next
     degree of each builds no table at all."""
-    caches = (exact.power_sum_differences, bott._image_table,
-              pencil._twisted_table)
+    caches = (exact.power_sum_differences, LEGENDRIAN.table, PENCIL.table)
     for cache in caches:
         cache.cache_clear()
     legendrian_degree(20)
@@ -260,7 +253,7 @@ def test_a_pencil_sweep_builds_no_table_past_p_4(monkeypatch):
         return real(ws, top)
 
     monkeypatch.setattr(bott, "power_sum_differences", recorded)
-    pencil._twisted_table.cache_clear()
+    PENCIL.table.cache_clear()
     for values in ((0, 2, 7, 10), (10, 16, 0, 3), (9, -4, 2, 0)):
         for d in range(2, 8):
             pencil_degree(d, values)
@@ -324,11 +317,13 @@ def test_both_checks_closed_form_fibers(monkeypatch):
     assert legendrian_degree(3, method=METHOD_BOTH).degree == (
         LEGENDRIAN_D3_DEGREE
     )
-    table = bott._image_table
+    table = LEGENDRIAN.table
     moved = PowerSums([Differences()] + [Differences([1])] * 5)
 
     def table_off_at_34(pair, w):  # a weight 0 moved to 1 at every d
         return table(pair, w) + moved if pair == (3, 4) else table(pair, w)
+
+    off = LEGENDRIAN._replace(table=table_off_at_34)
 
     with monkeypatch.context() as m:
         _characters_moved_at_34(m, (1, 0, 0, 0))
@@ -341,16 +336,15 @@ def test_both_checks_closed_form_fibers(monkeypatch):
             legendrian_degree(3, method=METHOD_BOTH)
     # the characters agree with the closed form, the summed power sums
     # do not, and only the power-sum comparison sees it
-    monkeypatch.setattr(bott, "_image_table", table_off_at_34)
     for method in (METHOD_KERNEL, METHOD_BOTH):
         bott._both_checked.clear()
         with pytest.raises(MethodDisagreement,
                            match=r"closed-form .* at \(3, 4\), d=3"):
-            legendrian_degree(3, method=method)
+            localize(off, 3, method=method)
     # the image route has no direct fiber to compare with; Newton's step
     # and the integrality of the sum are what catch a wrong one there
     with pytest.raises(ArithmeticError):
-        legendrian_degree(3, method=METHOD_IMAGE)
+        localize(off, 3, method=METHOD_IMAGE)
 
 
 @pytest.mark.parametrize("weights", ((0, 2, 7, 10), (0, 1, 5, 13),
@@ -369,9 +363,9 @@ def test_fiber_tables_commute_with_the_split_and_shifts(weights):
                 power_sum_differences((w.weight(k), w.weight(l)), 5), d + 1)
             low, high = w.pair_sum(pair), w.pair_sum((k, l))
             image = (full - part).shifted(-low) + part.shifted(-high)
-            assert image_power_sums(pair, d, w).p == image.p, (pair, d)
+            assert LEGENDRIAN.fiber(pair, d, w).p == image.p, (pair, d)
             twisted = PowerSums((full - part).p[:5]).shifted(high)
-            assert pd_twisted_weights(pair, d, w).p == twisted.p, (pair, d)
+            assert PENCIL.fiber(pair, d, w).p == twisted.p, (pair, d)
 
 
 def _without_a_zero(table, top=5):
@@ -379,19 +373,19 @@ def _without_a_zero(table, top=5):
     return table - PowerSums([Differences([1])] + [Differences()] * top)
 
 
-def test_image_fiber_needs_every_monomial_weight(monkeypatch):
+def test_image_fiber_needs_every_monomial_weight():
     """Each fiber is its table at d + 1, and its count must be all
     C(d+4,3) monomial weights; a table that lacks a weight, or counts the
     pencil fiber's C(d+4,3) - (d+2), is refused rather than read as a
     smaller fiber."""
-    assert len(image_power_sums((1, 2), 2, DEFAULT_WEIGHTS)) == 20
-    table = bott._image_table((1, 2), DEFAULT_WEIGHTS)
+    assert len(LEGENDRIAN.fiber((1, 2), 2, DEFAULT_WEIGHTS)) == 20
+    table = LEGENDRIAN.table((1, 2), DEFAULT_WEIGHTS)
     for bad, count in ((_without_a_zero(table), 19),
-                       (pencil._twisted_table((1, 2), DEFAULT_WEIGHTS), 16)):
-        monkeypatch.setattr(bott, "_image_table", lambda pair, w: bad)
+                       (PENCIL.table((1, 2), DEFAULT_WEIGHTS), 16)):
+        family = LEGENDRIAN._replace(table=lambda pair, w: bad)
         with pytest.raises(FiberCountError,
                            match="fiber count %d, not 20" % count):
-            image_power_sums((1, 2), 2, DEFAULT_WEIGHTS)
+            family.fiber((1, 2), 2, DEFAULT_WEIGHTS)
 
 
 @pytest.mark.parametrize("weights", ((0, 2, 7, 10), (0, 1, 5, 13),
@@ -590,11 +584,10 @@ def assert_published_for_every_d(name, w):
     polynomial of degree at most 4n, as is the published one (15 or 12).
     Two such polynomials that agree at the 4n + 1 degrees d = 2..2+4n are
     equal, and localize evaluates the same tables at every d."""
-    family, table = {"legendrian": (LEGENDRIAN, bott._image_table),
-                     "pencil": (PENCIL, pencil._twisted_table)}[name]
+    family = {"legendrian": LEGENDRIAN, "pencil": PENCIL}[name]
     n = len(family.tangent_weights(P5_PAIRS[0], w))
     for pair in P5_PAIRS:
-        lengths = [len(f) for f in table(pair, w).p]
+        lengths = [len(f) for f in family.table(pair, w).p]
         assert all(k <= j + 4 for j, k in enumerate(lengths)), (pair, lengths)
     for d in range(2, 3 + 4 * n):
         assert localize(family, d, w).degree == family.closed_form(d), d
@@ -618,32 +611,30 @@ def _plus_one_in(table, js):
                      for j, f in enumerate(table.p))
 
 
-@pytest.mark.parametrize("module, name, js, call, message", (
-    (pencil, "_twisted_table", (1, 2, 3, 4), lambda: pencil_degree(5),
+@pytest.mark.parametrize("family, js, message", (
+    (PENCIL, (1, 2, 3, 4),
      "pencil localization sum 17147157/10 is not an integer "
      "(d=5, weights (0, 2, 7, 10))"),
-    (bott, "_image_table", (1, 2, 3, 4, 5), lambda: legendrian_degree(5),
+    (LEGENDRIAN, (1, 2, 3, 4, 5),
      "legendrian localization sum 89246964017/7000 is not an integer "
      "(d=5, weights (0, 2, 7, 10))"),
 ), ids=("pencil", "legendrian"))
-def test_a_wrong_fiber_table_gives_a_non_integral_sum(
-        monkeypatch, module, name, js, call, message):
+def test_a_wrong_fiber_table_gives_a_non_integral_sum(family, js, message):
     """A fiber table at (3,4) whose p_1..p_top are each one too large
     passes the count and Newton's step, but the Bott sum it gives is not
     an integer: localize raises NonIntegralDegree with the sum in lowest
     terms, which it takes in ints over the common tangent denominator."""
-    built = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda pair, w: _plus_one_in(
-        built(pair, w), js if pair == (3, 4) else ()))
+    wrong = family._replace(table=lambda pair, w: _plus_one_in(
+        family.table(pair, w), js if pair == (3, 4) else ()))
     with pytest.raises(NonIntegralDegree) as info:
-        call()
+        localize(wrong, 5)
     assert str(info.value) == message
 
 
 def test_table_caches_keep_four_weight_systems():
     """A sweep over three weight systems that returns to the first builds
     no fiber table and no tangent product again, in either family."""
-    caches = (bott._image_table, pencil._twisted_table, bott._tangent_euler)
+    caches = (LEGENDRIAN.table, PENCIL.table, bott._tangent_euler)
     systems = (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
     for w in systems:
         legendrian_degree(5, w)
@@ -659,7 +650,7 @@ def test_a_tuple_sweep_that_returns_to_the_first_system_builds_nothing():
     and then the first again, as a new tuple.  On the return its
     WeightSystem, equal to the first, finds the first's admissibility,
     fiber tables and tangent products, in either family."""
-    caches = (bott._image_table, pencil._twisted_table, bott._tangent_euler,
+    caches = (LEGENDRIAN.table, PENCIL.table, bott._tangent_euler,
               exact._admissible)
     for values in ((0, 2, 7, 10), (10, 16, 0, 3), (6, 0, 16, 13)):
         legendrian_degree(5, values)
@@ -689,6 +680,52 @@ def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):
     assert calls == [(4, "PowerSums")] * 6 + [(5, "PowerSums")] * 6
 
 
+@pytest.mark.parametrize("family, options", (
+    (LEGENDRIAN, {"method": METHOD_KERNEL}), (PENCIL, {}),
+), ids=("legendrian", "pencil"))
+def test_the_check_sees_each_summed_fiber_once(monkeypatch, family, options):
+    """localize hands a family's check each of the six pairs once per
+    degree, in order, with the options and the very PowerSums whose e_n
+    it sums: the fiber is evaluated once, on one path."""
+    real, summed, seen = exact.elementary_symmetric, [], []
+
+    def counted(k, values):
+        summed.append(values)
+        return real(k, values)
+
+    def check(pair, d, w, fiber, **kwargs):
+        seen.append((pair, d, w, fiber, kwargs))
+
+    monkeypatch.setattr(exact, "elementary_symmetric", counted)
+    watched = family._replace(check=check)
+    for d in (2, 3):
+        localize(watched, d, ALT_WEIGHTS_A.values, **options)
+    assert [(pair, d, w, kwargs) for pair, d, w, _, kwargs in seen] == [
+        (pair, d, ALT_WEIGHTS_A, options) for d in (2, 3) for pair in P5_PAIRS]
+    assert len(summed) == 12
+    assert all(s[3] is fiber for s, fiber in zip(seen, summed))
+
+
+def test_localize_sums_the_table_of_the_family_it_is_given():
+    """A family built with _replace(table=...) is what localize sums, and
+    no module attribute changes: with every fiber weight one larger, a
+    twist by a constant character, each contribution is e_4 of the
+    shifted fiber over the tangent product, the sum is still the degree,
+    and pencil_degree still sums PENCIL's own table."""
+    d, plain = 3, pencil_degree(3)
+    shifted = PENCIL._replace(
+        table=lambda pair, w: PENCIL.table(pair, w).shifted(1))
+    report = localize(shifted, d)
+    assert report.degree == plain.degree == PENCIL_D3_DEGREE
+    for c, before in zip(report.contributions, plain.contributions):
+        fiber = power_sums_at(PENCIL.table(c.pair, DEFAULT_WEIGHTS), d + 1)
+        assert c.value == Fraction(
+            exact.elementary_symmetric(4, fiber.shifted(1)),
+            prod(tangent_weights_g24(c.pair)))
+        assert c.value != before.value
+    assert pencil_degree(3) == plain
+
+
 @pytest.mark.parametrize("bad", ((0, 1, 2, 3), (0, 0, 1, 5)))
 def test_inadmissible_weights_raise_at_every_entry_point(bad):
     """A WeightSystem decides admissibility once and keeps the answer,
@@ -698,7 +735,8 @@ def test_inadmissible_weights_raise_at_every_entry_point(bad):
     entry_points = [
         lambda w: pencil_degree(2, w),
         *(lambda w, m=m: legendrian_degree(2, w, method=m) for m in METHODS),
-        lambda w: pd_twisted_weights((1, 2), 2, w),
+        lambda w: LEGENDRIAN.fiber((1, 2), 2, w),
+        lambda w: PENCIL.fiber((1, 2), 2, w),
         lambda w: tangent_weights_p5((1, 2), w),
         lambda w: tangent_weights_g24((1, 2), w),
         lambda w: limit_fiber_weights((1, 2), 2, w),

@@ -393,16 +393,16 @@ def test_bad_flag_values_exit_2(capsys, argv):
 
 
 def _plus_one_at_34(js):
-    """A fiber table builder whose p_j, j in js, are one too large at
-    (3,4), at every d."""
-    def wrong(real):
+    """The family with a fiber table whose p_j, j in js, are one too
+    large at (3,4), at every d."""
+    def wrong(family):
         def table(pair, w):
-            p = real(pair, w).p
+            p = family.table(pair, w).p
             if pair == (3, 4):
                 p = [f + Differences([1]) if j in js else f
                      for j, f in enumerate(p)]
             return PowerSums(p)
-        return table
+        return family._replace(table=table)
     return wrong
 
 
@@ -421,17 +421,18 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
         (limits, "build_phi_basis", lambda real: lambda d: SectionBasis(
             d, characters=real(d).characters + Counter([(d - 1, 0, 0, 0)])),
          KERNEL_3, "chains hold 70 fields, not dim Phi_d = 71 at (1, 2), d=3"),
-        (bott, "_image_table", lambda real: lambda pair, w: real(pair, w)
-         - PowerSums([Differences([1])] + [Differences()] * 5),
+        (bott, "LEGENDRIAN", lambda real: real._replace(
+            table=lambda pair, w: real.table(pair, w)
+            - PowerSums([Differences([1])] + [Differences()] * 5)),
          ["legendrian", "--degree", "6"], "fiber count 119, not 120, at d=6"),
-        (pencil, "_twisted_table", _plus_one_at_34((1, 2, 3, 4)),
+        (pencil, "PENCIL", _plus_one_at_34((1, 2, 3, 4)),
          ["pencil", "--degree", "5"],
          "pencil localization sum 17147157/10 is not an integer "
          "(d=5, weights (0, 2, 7, 10))"),
-        (pencil, "_twisted_table", _plus_one_at_34((1,)),
+        (pencil, "PENCIL", _plus_one_at_34((1,)),
          ["pencil", "--degree", "5"], "e_2 of these power sums is not integral"),
-        (pencil, "_twisted_table", lambda real: lambda pair, w: PowerSums(
-            real(pair, w).p[:4]),
+        (pencil, "PENCIL", lambda real: real._replace(
+            table=lambda pair, w: PowerSums(real.table(pair, w).p[:4])),
          ["pencil", "--degree", "5"],
          "fiber table p_0..p_3 has no e_4 at (1, 2), d=5"),
         (polyfit, "FAMILIES", lambda real: {**real, "pencil": real[

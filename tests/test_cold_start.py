@@ -187,3 +187,33 @@ def test_the_subcommand_bodies_call_through_the_modules():
                           "interpolate_family", "compute_degree_points",
                           "limit_fiber_weights", "elementary_symmetric"}
     assert second == first
+
+
+def test_the_cli_run_as_a_script_loads_itself_once():
+    """python -m foldeg.cli runs the module as __main__, and no
+    subcommand body imports it again as foldeg.cli: python -v lists the
+    package, its eight modules and foldeg.commands as the only foldeg
+    modules the import system loads."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-v", "-m", "foldeg.cli", "legendrian", "--degree", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "degree: 2224"
+    loaded = [line.split("'")[1] for line in run.stderr.splitlines()
+              if line.startswith("import 'foldeg")]
+    assert sorted(loaded) == sorted(
+        [m for m in IMPORTED if m != "foldeg.cli"] + ["foldeg.commands"])
+
+
+def test_interpolate_without_jobs_imports_no_process_pool():
+    """interpolate runs its degrees serially unless --jobs asks for
+    more: without the flag, not even concurrent.futures is imported."""
+    out = run_fresh(
+        "import contextlib, io, sys\n"
+        "import foldeg.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = foldeg.cli.main(['interpolate', '--family', 'pencil',\n"
+        "                           '--min', '2', '--max', '14'])\n"
+        "print(code, 'concurrent.futures' in sys.modules)")
+    assert out.split() == ["0", "False"]

@@ -232,6 +232,17 @@ def test_contraction_of_tangent_example():
     assert contract(form, broken) != {}
 
 
+def test_contraction_refuses_a_field_of_mixed_degrees():
+    """A field is homogeneous: one whose monomials have two degrees is
+    refused, not contracted term by term."""
+    form = AntisymmetricForm({(1, 2): 1, (3, 4): 1})
+    field = [MonomialField(Fraction(1), (2, 0, 0, 0), 1),
+             MonomialField(Fraction(1), (0, 0, 1, 0), 3)]
+    with pytest.raises(ValueError, match="field mixes monomial degrees"):
+        contract(form, field)
+    assert contract(form, field[:1]) == {(2, 1, 0, 0): 1}
+
+
 def test_contraction_raises_degree_by_one():
     rng = random.Random(56)
     monos = monomials_of_degree(2)
@@ -445,7 +456,7 @@ def test_limit_routes_write_no_field(monkeypatch, method):
     for d in range(2, 7):
         _phi_basis_cached.cache_clear()
         limits._pair_chains.cache_clear()
-        bott._image_table.cache_clear()
+        bott.LEGENDRIAN.table.cache_clear()
         bott._both_checked.clear()
         report = legendrian_degree(d, method=method)
         assert report.degree == family_closed_form("legendrian", d)

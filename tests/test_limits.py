@@ -608,6 +608,17 @@ def test_kernel_route_guards_raise(monkeypatch):
         limit_fiber_weights((1, 2), 3, method=METHOD_KERNEL)
 
 
+def test_chains_need_a_positive_field_degree():
+    """Fields of degree 0 have no chains: _chains refuses d = 0 at every
+    pair, and so does every route, whose basis comes first."""
+    for pair in P5_PAIRS:
+        with pytest.raises(ValueError, match="field degree must be >= 1, got 0"):
+            limits._chains(0, pair)
+    for method in (METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH):
+        with pytest.raises(ValueError, match="field degree must be >= 1, got 0"):
+            limit_fiber_weights((1, 2), 0, method=method)
+
+
 @pytest.mark.parametrize("method", [METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH])
 def test_chains_short_of_the_basis_raise(monkeypatch, method):
     """Each route refuses chains whose image and kernel do not add up to

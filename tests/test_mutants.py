@@ -196,8 +196,8 @@ MUTANTS = {
     ),
     "a checked both fiber evaluated at the default weights": (
         "bott.py",
-        "    fiber = image_power_sums(pair, d, w)\n",
-        "    fiber = image_power_sums(pair, d, DEFAULT_WEIGHTS)\n",
+        "        fiber = family.fiber(pair, d, w)\n",
+        "        fiber = family.fiber(pair, d, DEFAULT_WEIGHTS)\n",
         ["tests/test_bott.py::test_both_checks_each_degree_and_pair_once"],
     ),
     "a both key without d": (
@@ -514,8 +514,8 @@ MUTANTS = {
     ),
     "the split's part taken at the pair instead of its complement": (
         "bott.py",
-        "    k, l = complementary_pair(pair)\n",
-        "    k, l = pair\n",
+        "    k, l = complementary_pair(as_fixed_point(pair))\n",
+        "    k, l = as_fixed_point(pair)\n",
         [
             "tests/test_pencil.py::"
             "test_pencil_fiber_is_the_twisted_contraction_image",
@@ -529,9 +529,9 @@ MUTANTS = {
     ),
     "the fiber count guard removed": (
         "bott.py",
-        "    if fiber.p[0] != count:\n"
-        "        raise FiberCountError(\n"
-        "            \"fiber count %s, not %s, at d=%s\" "
+        "        if fiber.p[0] != count:\n"
+        "            raise FiberCountError(\n"
+        "                \"fiber count %s, not %s, at d=%s\" "
         "% (fiber.p[0], count, d))\n",
         "",
         [
@@ -542,8 +542,8 @@ MUTANTS = {
     ),
     "a fiber count guard that keeps the removed weights": (
         "bott.py",
-        "    count = comb(d + 4, 3) - removed\n",
-        "    count = comb(d + 4, 3)\n",
+        "        count = comb(d + 4, 3) - self.removed(d)\n",
+        "        count = comb(d + 4, 3)\n",
         [
             "tests/test_pencil.py::test_twisted_fiber_size",
             "tests/test_pencil.py::"
@@ -552,8 +552,8 @@ MUTANTS = {
     ),
     "the image fiber table evaluated at n = d": (
         "bott.py",
-        "power_sums_at(_image_table(pair, w), d + 1)",
-        "power_sums_at(_image_table(pair, w), d)",
+        "self.table(pair, as_weight_system(weights)), d + 1)",
+        "self.table(pair, as_weight_system(weights)), d)",
         [
             "tests/test_bott.py::"
             "test_fiber_tables_commute_with_the_split_and_shifts[weights0]",
@@ -562,6 +562,31 @@ MUTANTS = {
             "tests/test_bott.py::test_image_fiber_needs_every_monomial_weight",
             "tests/test_transport_properties.py::"
             "test_power_sum_numerators_equal_the_counted_routes",
+        ],
+    ),
+    "the pencil's removed count d + 1": (
+        "pencil.py",
+        "removed=lambda d: d + 2,",
+        "removed=lambda d: d + 1,",
+        [
+            "tests/test_pencil.py::test_twisted_fiber_size",
+            "tests/test_pencil.py::"
+            "test_twisted_fiber_needs_every_removed_weight",
+            "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
+        ],
+    ),
+    "localize without the per-point check": (
+        "bott.py",
+        "        family.check(pair, d, w, fiber, **options)\n",
+        "",
+        [
+            "tests/test_bott.py::"
+            "test_the_check_sees_each_summed_fiber_once[legendrian]",
+            "tests/test_bott.py::"
+            "test_the_check_sees_each_summed_fiber_once[pencil]",
+            "tests/test_bott.py::test_both_checks_closed_form_fibers",
+            "tests/test_cli.py::"
+            "test_failed_computation_checks_exit_1[method-disagreement]",
         ],
     ),
     "the pencil fiber table built with its shift sign flipped": (
@@ -580,7 +605,8 @@ MUTANTS = {
     ),
     "the split's full table at the default weights": (
         "bott.py",
-        "    full = power_sum_differences(w, top)\n",
+        "    full = power_sum_differences(w.require_admissible(), top)\n",
+        "    w.require_admissible()\n"
         "    full = power_sum_differences((0, 2, 7, 10), top)\n",
         [
             "tests/test_transport_properties.py::"
@@ -605,6 +631,55 @@ MUTANTS = {
         "for i in pair for j in complementary_pair(pair)))\n",
         "for i in pair for j in pair))\n",
         ["tests/test_pencil.py::test_tangent_weights"],
+    ),
+    "contract without its homogeneity guard": (
+        "forms.py",
+        "    if len({sum(t.monomial) for t in terms}) > 1:\n",
+        "    if False:\n",
+        ["tests/test_fields.py::"
+         "test_contraction_refuses_a_field_of_mixed_degrees"],
+    ),
+    "chains without their positive degree guard": (
+        "limits.py",
+        "    if d < 1:\n",
+        "    if False:\n",
+        ["tests/test_limits.py::test_chains_need_a_positive_field_degree"],
+    ),
+    "interpolate with --jobs 2 by default": (
+        "cli.py",
+        "sub.add_argument(\"--jobs\", type=int, default=1,",
+        "sub.add_argument(\"--jobs\", type=int, default=2,",
+        ["tests/test_cold_start.py::"
+         "test_interpolate_without_jobs_imports_no_process_pool"],
+    ),
+    "compute_degree_points with jobs=2 by default": (
+        "polyfit.py",
+        "def compute_degree_points(family, d_min, d_max, weights=DEFAULT_WEIGHTS,\n"
+        "                          jobs=1):\n",
+        "def compute_degree_points(family, d_min, d_max, weights=DEFAULT_WEIGHTS,\n"
+        "                          jobs=2):\n",
+        ["tests/test_polyfit.py::test_default_jobs_start_no_pool"],
+    ),
+    "interpolate_family with jobs=2 by default": (
+        "polyfit.py",
+        "def interpolate_family(family, d_min, d_max, weights=DEFAULT_WEIGHTS,\n"
+        "                       jobs=1, points=None):\n",
+        "def interpolate_family(family, d_min, d_max, weights=DEFAULT_WEIGHTS,\n"
+        "                       jobs=2, points=None):\n",
+        ["tests/test_polyfit.py::test_default_jobs_start_no_pool"],
+    ),
+    "a point count short by one in the InsufficientPoints message": (
+        "polyfit.py",
+        "% (family, bound + 1, d_min, d_max, d_max - d_min + 1)",
+        "% (family, bound, d_min, d_max, d_max - d_min + 1)",
+        ["tests/test_polyfit.py::test_insufficient_points_rejected"],
+    ),
+    "the subcommand bodies reading METHOD_FLAGS through cli": (
+        "commands.py",
+        "from .limits import METHOD_FLAGS\n",
+        "from .cli import METHOD_FLAGS\n",
+        ["tests/test_cold_start.py::"
+         "test_the_cli_run_as_a_script_loads_itself_once"],
     ),
     "interpolation without its integrality guard": (
         "polyfit.py",

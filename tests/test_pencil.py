@@ -6,7 +6,6 @@ from operator import add
 
 import pytest
 
-import foldeg.pencil as pencil
 from foldeg.bott import FiberCountError
 from foldeg.exact import (
     DEFAULT_WEIGHTS,
@@ -27,12 +26,7 @@ from foldeg.fields import (
 )
 from foldeg.forms import AntisymmetricForm
 from foldeg.matrices import integer_contraction, rank
-from foldeg.pencil import (
-    PENCIL,
-    pd_twisted_weights,
-    pencil_degree,
-    tangent_weights_g24,
-)
+from foldeg.pencil import PENCIL, pencil_degree, tangent_weights_g24
 from foldeg.polyfit import family_closed_form
 from frozen import (
     ALT_WEIGHTS_A,
@@ -53,7 +47,7 @@ def test_fixed_pencils():
         with pytest.raises(ValueError):
             tangent_weights_g24(bad)
         with pytest.raises(ValueError):
-            pd_twisted_weights(bad, 2, DEFAULT_WEIGHTS)
+            PENCIL.fiber(bad, 2, DEFAULT_WEIGHTS)
 
 
 def test_tangent_weights():
@@ -73,26 +67,26 @@ def test_tangent_weights():
 def test_twisted_fiber_size():
     for d in (2, 3, 4):
         for pair in P5_PAIRS:
-            fibre = pd_twisted_weights(pair, d, DEFAULT_WEIGHTS)
+            fibre = PENCIL.fiber(pair, d, DEFAULT_WEIGHTS)
             assert len(fibre) == comb(d + 4, 3) - (d + 2)
 
 
-def test_twisted_fiber_needs_every_removed_weight(monkeypatch):
+def test_twisted_fiber_needs_every_removed_weight():
     """Each fiber is its table at d + 1, and its count must be the
     C(d+4,3) monomial weights less the d + 2 removed; a table that lacks a
     weight, or keeps the removed ones, is refused rather than read as
     another fiber."""
-    fiber = pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS)
+    fiber = PENCIL.fiber((1, 2), 2, DEFAULT_WEIGHTS)
     expected = enumerated_pencil_fiber((1, 2), 2, DEFAULT_WEIGHTS.values)
     assert fiber.p == PowerSums.of(expected, 4).p
-    table = pencil._twisted_table((1, 2), DEFAULT_WEIGHTS)
+    table = PENCIL.table((1, 2), DEFAULT_WEIGHTS)
     short = table - PowerSums([Differences([1])] + [Differences()] * 4)
     for bad, count in ((short, 15),
                        (power_sum_differences(DEFAULT_WEIGHTS.values, 5), 20)):
-        monkeypatch.setattr(pencil, "_twisted_table", lambda pair, w: bad)
+        family = PENCIL._replace(table=lambda pair, w: bad)
         with pytest.raises(FiberCountError,
                            match="fiber count %d, not 16" % count):
-            pd_twisted_weights((1, 2), 2, DEFAULT_WEIGHTS)
+            family.fiber((1, 2), 2, DEFAULT_WEIGHTS)
 
 
 SYSTEMS = ((0, 2, 7, 10), (9, -4, 2, 0), (1, 3, 9, 20))
@@ -116,7 +110,7 @@ def test_pencil_fiber_is_the_twisted_contraction_image():
     monomials that involve x_p or x_q, and its rank is their number,
     C(d+4,3) - (d+2), so its image is their span.  Those monomials
     twisted by e_k + e_l, as Z^4 characters, have the power sums of
-    pd_twisted_weights under three weight systems."""
+    PENCIL.fiber under three weight systems."""
     for d in range(1, 7):
         basis, monomials = build_phi_basis(d), monomials_of_degree(d + 1)
         for pair in P5_PAIRS:
@@ -130,7 +124,7 @@ def test_pencil_fiber_is_the_twisted_contraction_image():
             assert rank(list(rows.values()), len(basis)) == len(reached)
             assert len(reached) == comb(d + 4, 3) - (d + 2)
             for values in SYSTEMS:
-                fiber = pd_twisted_weights(pair, d, values)
+                fiber = PENCIL.fiber(pair, d, values)
                 weights = character_weights(characters, values)
                 assert PowerSums.of(weights, 4).p == fiber.p, (d, pair, values)
 
@@ -139,14 +133,14 @@ def test_pencil_fiber_is_the_twisted_contraction_image():
 def test_pencil_e4_is_that_of_the_twisted_contraction_image(d):
     """At larger d the contraction route is compared as e_4, by the
     recurrence oracle: the rows that kappa_pq reaches, twisted by
-    e_k + e_l, have the e_4 of pd_twisted_weights at every pair under
+    e_k + e_l, have the e_4 of PENCIL.fiber at every pair under
     three weight systems.  Their rank is checked at d = 1..6 above."""
     basis = build_phi_basis(d)
     for pair in P5_PAIRS:
         _, reached, characters = _contraction_image(pair, basis)
         assert len(reached) == comb(d + 4, 3) - (d + 2)
         for values in SYSTEMS:
-            fiber = pd_twisted_weights(pair, d, values)
+            fiber = PENCIL.fiber(pair, d, values)
             weights = character_weights(characters, values)
             assert elementary_symmetric_recurrence(4, weights) == (
                 elementary_symmetric(4, fiber)), (pair, values)

@@ -1,5 +1,6 @@
 """Tests for closed degree formulas and interpolation."""
 
+import concurrent.futures
 import re
 from fractions import Fraction
 
@@ -135,10 +136,36 @@ def test_compute_degree_points():
         compute_degree_points("pencil", 5, 4)
 
 
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    raise _PoolStarted()
+
+
+def test_default_jobs_start_no_pool(monkeypatch):
+    """compute_degree_points and interpolate_family run serially unless
+    given jobs > 1: with their default jobs neither starts a process
+    pool, which jobs=2 does."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    assert compute_degree_points("pencil", 2, 4) == [
+        (2, 825), (3, 13300), (4, 124950)]
+    assert interpolate_family("pencil", 2, 14) == (
+        family_closed_form_polynomial("pencil"))
+    with pytest.raises(_PoolStarted):
+        compute_degree_points("pencil", 2, 4, jobs=2)
+
+
 def test_insufficient_points_rejected():
-    with pytest.raises(InsufficientPoints):
+    """Too short a range is refused, and the message names the points
+    that the family's degree bound needs: 13 for the pencil family, 16
+    for the Legendrian one."""
+    with pytest.raises(InsufficientPoints, match=re.escape(
+            "pencil interpolation needs 13 points, range 2..13 has 12")):
         interpolate_family("pencil", 2, 13)
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(InsufficientPoints, match=re.escape(
+            "legendrian interpolation needs 16 points, range 2..16 has 15")):
         interpolate_family("legendrian", 2, 16)
 
 

@@ -11,7 +11,7 @@ import pytest
 from collections import Counter
 
 from foldeg import limits
-from foldeg.bott import image_power_sums, localize
+from foldeg.bott import LEGENDRIAN, localize
 from foldeg.exact import (
     PowerSums,
     WeightSystem,
@@ -26,7 +26,7 @@ from foldeg.limits import (
     limit_fiber_weights,
 )
 from foldeg.matrices import build_contraction_matrix, fiber_characters
-from foldeg.pencil import pd_twisted_weights, tangent_weights_g24
+from foldeg.pencil import PENCIL, tangent_weights_g24
 from foldeg.polyfit import FAMILIES
 from frozen import LEGENDRIAN_DEGREES, PENCIL_DEGREES
 from oracles import (
@@ -261,7 +261,7 @@ def test_pencil_fiber_counts_equal_the_enumerated_fiber(values, d):
     for pair in P5_PAIRS:
         expected = enumerated_pencil_fiber(pair, d, values)
         assert counted_pencil_fiber(pair, d, values) == Counter(expected)
-        fiber = pd_twisted_weights(pair, d, values)
+        fiber = PENCIL.fiber(pair, d, values)
         assert fiber.p == tuple(sum(v ** j for v in expected)
                                 for j in range(5))
         assert len(fiber) == len(expected)
@@ -279,12 +279,12 @@ def test_power_sum_numerators_equal_the_counted_routes(values):
     for d in range(1, 61):
         counted = counted_monomial_weights(d, w)
         for pair in P5_PAIRS:
-            fiber = image_power_sums(pair, d, w)
+            fiber = LEGENDRIAN.fiber(pair, d, w)
             assert len(fiber) == comb(d + 4, 3)
             image = counted_image_fiber(pair, d, w, counted)
             assert elementary_symmetric(5, fiber) == elementary_symmetric(
                 5, PowerSums.of(image, 5)), (pair, d)
-            fiber = pd_twisted_weights(pair, d, w)
+            fiber = PENCIL.fiber(pair, d, w)
             assert len(fiber) == comb(d + 4, 3) - (d + 2)
             twisted = counted_pencil_fiber(pair, d, w, counted)
             assert elementary_symmetric(4, fiber) == elementary_symmetric(
