@@ -9,12 +9,13 @@ otherwise, since a non-integer can only mean a wrong fiber.  A family is
 data (Family): its minimum degree, polynomial bound, fiber table, check
 and tangent weights at a fixed point, and published degree, one exact
 integer formula in d; localize, the one loop over the fixed points,
-evaluates and counts each fiber on one path (Family.fiber) for any of
-them.  This module holds the Legendrian family (LEGENDRIAN,
-legendrian_degree), whose parameter space is the P^5 of antisymmetric
-forms; foldeg.pencil holds the pencil family, on the quadric G(2,4) in
-that P^5.  Both fiber tables are one split of the degree-(d+1) monomial
-weights at a pair (split_power_sums), shifted in two ways.
+evaluates and counts each fiber on one path (_evaluated, which
+Family.fiber shares) for any of them.  This module holds the Legendrian
+family (LEGENDRIAN, legendrian_degree), whose parameter space is the
+P^5 of antisymmetric forms; foldeg.pencil holds the pencil family, on
+the quadric G(2,4) in that P^5.  Both fiber tables are one split of the
+degree-(d+1) monomial weights at a pair (split_power_sums), shifted in
+two ways.
 
 The Legendrian image fiber has a closed form.  At the pair (p,q) with
 complement (k,l) it is one character per degree-(d+1) monomial m:
@@ -46,12 +47,14 @@ that e_5 needs, in closed form (_image_table, LEGENDRIAN.table), with
 no chains, echelon or field basis.  The split and the shifts are linear
 with constant coefficients, so they commute with forward differences:
 they act once per weight system and pair on the monomial power sums as
-polynomials in d (exact.Differences).  The tangent numbers of the six
-pairs, their common denominator and each pair's factor to it are also
-taken once per weight system, so a degree costs one binomial row, and at
-each pair one dot product per p_j, one Newton's step for e_n of the
-fiber and one product by the factor.  Every method sums these
-closed-form fibers.  The kernel route and "both" also compute the
+polynomials in d (exact.Differences).  The six tables, the tangent
+numbers of the six pairs, their common denominator and each pair's
+factor to it make one record per family and weight system
+(_fixed_points), so a degree costs one binomial row and one fiber
+count, and at each pair one dot product per p_j, the count and length
+checks, the family's check, one Newton's step for e_n of the fiber and
+one product by the factor.  Every method sums these closed-form
+fibers.  The kernel route and "both" also compute the
 fibers directly (foldeg.limits), as checks that do not feed the sum
 (legendrian_check, the family's per-point check): each direct fiber
 must have the closed-form Z^4 characters, compared as the closed-form
@@ -77,7 +80,7 @@ from .exact import (
     character_values,
     lagrange_interpolate,
     power_sum_differences,
-    power_sums_at,
+    power_sums_on_row,
     scalar_to_string,
 )
 from .fields import P5_PAIRS, as_fixed_point, complementary_pair
@@ -157,14 +160,16 @@ class Family(namedtuple("Family", "name min_degree degree_bound table removed"
                         " check tangent_weights formula")):
     """One family of foliations, as the data its localization needs.
 
-    At each torus-fixed point, a pair of P5_PAIRS, table(pair, w) gives
-    the fiber's power sums as Differences in d + 1 at a WeightSystem w
-    (cached: read it, never change it), removed(d) how many monomials of
-    degree d + 1 the fiber leaves out, check(pair, d, w, fiber, **options)
-    checks each fiber that localize sums, and tangent_weights(pair,
-    weights) gives the n tangent weights of the parameter space, of
-    dimension n.  degree_bound is the degree of the counting polynomial
-    in d (3n), and formula(d) is the published one at an int d.
+    At each torus-fixed point, a pair of P5_PAIRS, table(pair, w) builds
+    the fiber's power sums as Differences in d + 1 at a WeightSystem w,
+    removed(d) is how many monomials of degree d + 1 the fiber leaves
+    out, check(pair, d, w, fiber, **options) checks each fiber that
+    localize sums, and tangent_weights(pair, weights) gives the n
+    tangent weights of the parameter space, of dimension n.  The six
+    tables and tangent numbers are built once per family and weight
+    system into one record (_fixed_points, cached: read it, never change
+    it).  degree_bound is the degree of the counting polynomial in d
+    (3n), and formula(d) is the published one at an int d.
     """
 
     __slots__ = ()
@@ -173,13 +178,12 @@ class Family(namedtuple("Family", "name min_degree degree_bound table removed"
         """The fiber at pair in degree d as PowerSums: the table at d + 1,
         which must count the C(d+4,3) monomial weights of degree d + 1
         less the removed(d) that it leaves out (FiberCountError
-        otherwise)."""
-        fiber = power_sums_at(self.table(pair, as_weight_system(weights)), d + 1)
-        count = comb(d + 4, 3) - self.removed(d)
-        if fiber.p[0] != count:
-            raise FiberCountError(
-                "fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))
-        return fiber
+        otherwise).  It reads the record that localize reads, and
+        evaluates and counts the table as localize does (_at_degree,
+        _evaluated)."""
+        i = P5_PAIRS.index(as_fixed_point(pair))
+        _, points, row, count = _at_degree(self, d, as_weight_system(weights))
+        return _evaluated(points[i][-1], row, count, d)
 
     def closed_form(self, d):
         """The published degree at an int d (TypeError otherwise): the
@@ -204,25 +208,52 @@ class Family(namedtuple("Family", "name min_degree degree_bound table removed"
             self.closed_form(d) for d in range(lo, lo + self.degree_bound + 1)])
 
 
-# Tables for the six pairs of each cached weight system.
-CACHED_PAIRS = 6 * CACHED_SYSTEMS
 TOP = 5  # p_0..p_5, all that e_5 of a Legendrian fiber reads
 
 
 @lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families
-def _tangent_euler(family, w):
-    """(common, {pair: (n, sign, den, factor)}) for any d: at each fixed
-    point of the family the n tangent weights, whose product e_n is
-    sign * den with den > 0, and common the lcm of the den, each factor =
-    common // den.  Every call with these arguments shares the result:
-    read it, never change it."""
+def _fixed_points(family, w):
+    """The record of a family at a WeightSystem w, for any d: (common,
+    width, points), points an entry (pair, n, sign, den, factor, table)
+    per pair of P5_PAIRS, in order.  There the n tangent weights have
+    the product e_n = sign * den, den > 0; common is the lcm of the six
+    den and factor = common // den; table is family.table(pair, w); and
+    width is the length of the longest p_j of the six tables, so one
+    binomial row serves every point of a degree.  Every call with these
+    arguments shares the record: read it, never change it."""
     tangents = [family.tangent_weights(p, w) for p in P5_PAIRS]
     common = lcm(*map(prod, tangents))  # lcm is positive
-    numbers = {}
+    points = []
     for pair, tangent in zip(P5_PAIRS, tangents):
         den = prod(tangent)
-        numbers[pair] = len(tangent), -1 if den < 0 else 1, abs(den), common // abs(den)
-    return common, numbers
+        points.append((pair, len(tangent), -1 if den < 0 else 1, abs(den),
+                       common // abs(den), family.table(pair, w)))
+    width = max(len(f) for *_, table in points for f in table.p)
+    return common, width, tuple(points)
+
+
+def _at_degree(family, d, w):
+    """What the six points of a family share in degree d at w: the
+    record's common and points (_fixed_points), the binomial row
+    C(d + 1, k) as wide as its widest table, and the count
+    C(d+4,3) - removed(d) that each fiber must have.  ValueError for
+    d < -1, as no monomial has a negative degree."""
+    common, width, points = _fixed_points(family, w)
+    if index(d) < -1:
+        raise ValueError("no monomials of degree %r" % (d + 1,))
+    count = comb(d + 4, 3) - family.removed(d)
+    return common, points, exact.binomial_row(d + 1, width), count
+
+
+def _evaluated(table, row, count, d):
+    """A fiber table at the n of the degree's binomial row, n = d + 1
+    (exact.power_sums_on_row), refused unless it counts count weights
+    (FiberCountError)."""
+    fiber = power_sums_on_row(table, row)
+    if fiber.p[0] != count:
+        raise FiberCountError(
+            "fiber count %s, not %s, at d=%s" % (fiber.p[0], count, d))
+    return fiber
 
 
 def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
@@ -230,16 +261,18 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
 
     Each fixed point contributes e_n(fiber) / e_n(tangent), with n the
     dimension of the parameter space (the number of tangent weights), so
-    e_n(tangent) is their product; it, its sign, the common denominator
-    of all the points and each point's factor to it are taken once per
-    family and weight system (_tangent_euler).  Each fiber is
-    family.fiber(pair, d, w), checked by family.check, to which options
-    go; fibers are taken one at a time, so only one is alive at once.
-    The sum is num * factor over the points, in ints over the common
-    denominator, with no lcm or Fraction per term.  d must be an int (TypeError
-    otherwise).  Raises FiberCountError for a fiber of the wrong count or
-    a table that stops before p_n, and NonIntegralDegree unless the sum
-    is an integer.
+    e_n(tangent) is their product.  It, its sign, the common denominator
+    of all the points, each point's factor to it and each point's fiber
+    table are read from one record per family and weight system
+    (_fixed_points).  A degree takes one binomial row and one fiber
+    count (_at_degree); at each point it evaluates and counts the table
+    (_evaluated, as Family.fiber does), checks it with family.check, to
+    which options go, and takes e_n of it.  Fibers are taken one at a
+    time, so only one is alive at once.  The sum is num * factor over
+    the points, in ints over the common denominator, with no lcm or
+    Fraction per term.  d must be an int (TypeError otherwise).  Raises
+    FiberCountError for a fiber of the wrong count or a table that stops
+    before p_n, and NonIntegralDegree unless the sum is an integer.
     """
     d = index(d)
     if d < family.min_degree:
@@ -248,11 +281,10 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             % (family.name, family.min_degree, d)
         )
     w = as_weight_system(weights).require_admissible()
-    common, euler = _tangent_euler(family, w)
+    common, points, row, count = _at_degree(family, d, w)
     contributions, total = [], 0  # the sum is total / common
-    for pair in P5_PAIRS:
-        n, sign, den, factor = euler[pair]
-        fiber = family.fiber(pair, d, w)
+    for pair, n, sign, den, factor, table in points:
+        fiber = _evaluated(table, row, count, d)
         if len(fiber.p) <= n:
             raise FiberCountError("fiber table p_0..p_%d has no e_%d at %r, d=%d"
                                   % (len(fiber.p) - 1, n, pair, d))
@@ -281,7 +313,6 @@ def split_power_sums(pair, w, top):
     return full - part, part
 
 
-@lru_cache(maxsize=CACHED_PAIRS)
 def _image_table(pair, w):
     """The image fiber at pair as Differences in d + 1 (split_power_sums):
     the monomials that involve x_p or x_q shifted by -(w_p + w_q), the

@@ -126,7 +126,7 @@ def as_weight_system(w):
     return w if isinstance(w, WeightSystem) else WeightSystem(w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=3)  # a degree d asks for d - 1, d and d + 1 at most
 def monomials_of_degree(k):
     """All degree-k monomials in x1..x4 as exponent 4-tuples.
 
@@ -327,11 +327,9 @@ def power_sum_differences(ws, top):
     return PowerSums(Differences(forward_differences(p)) for p in zip(*samples))
 
 
-@lru_cache(maxsize=2)
 def binomial_row(n, length):
     """C(n, k), k < length, each C(n, k - 1) (n - k + 1) // k, an exact
-    division; two rows are kept, so that the six fixed points of a degree
-    share one."""
+    division."""
     row = [1]
     for k in range(1, length):
         row.append(row[-1] * (n - k + 1) // k)
@@ -341,11 +339,17 @@ def binomial_row(n, length):
 def power_sums_at(table, n):
     """The PowerSums of a table of Differences at an int n >= 0 (else
     ValueError: every table counts degree-n monomials): one binomial_row
-    and one dot product per p_j."""
+    as long as its longest p_j, and power_sums_on_row."""
     if operator.index(n) < 0:
         raise ValueError("no monomials of degree %r" % (n,))
-    binomials = binomial_row(n, max(map(len, table.p)))
-    return PowerSums([sum(map(operator.mul, f, binomials)) for f in table.p])
+    return power_sums_on_row(table, binomial_row(n, max(map(len, table.p))))
+
+
+def power_sums_on_row(table, row):
+    """The PowerSums of a table of Differences at the n of a binomial row
+    C(n, k), k < len(row), which no p_j of the table may outrun: one
+    dot product per p_j.  Tables that share an n share the row."""
+    return PowerSums([sum(map(operator.mul, f, row)) for f in table.p])
 
 
 class RationalPolynomial(namedtuple("RationalPolynomial", "coefficients")):

@@ -7,17 +7,17 @@ quadric in the P^5 of forms, off which the contact forms lie, with the
 same six fixed points.  The fiber at <x_p, x_q> is the part of the
 Legendrian split (foldeg.bott.split_power_sums) that the contraction
 with kappa_pq reaches, the C(d+4,3) - (d+2) monomials that involve x_p
-or x_q, twisted once per weight system and pair as a table in d
-(_twisted_table, PENCIL.table) and evaluated and counted at each d by
-localize (Family.fiber); the tangent there has the weights w_j - w_i,
-i in the pair and j not (tangent_weights_g24).
+or x_q, twisted as a table in d (_twisted_table, PENCIL.table), built
+once per weight system into the family's record and evaluated and
+counted at each d by localize, as by Family.fiber; the tangent there
+has the weights w_j - w_i, i in the pair and j not
+(tangent_weights_g24).
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
-from .bott import CACHED_PAIRS, Family, localize, split_power_sums
+from .bott import Family, localize, split_power_sums
 from .exact import DEFAULT_WEIGHTS, as_weight_system
 from .fields import as_fixed_point, complementary_pair
 
@@ -35,7 +35,6 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
                         for i in pair for j in complementary_pair(pair)))
 
 
-@lru_cache(maxsize=CACHED_PAIRS)
 def _twisted_table(pair, w):
     """The twisted fiber at <x_p, x_q> as Differences in d + 1, p_0..p_4,
     all that e_4 reads: the split's monomials that involve x_p or x_q,

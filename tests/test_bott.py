@@ -13,6 +13,7 @@ import foldeg.exact as exact
 import foldeg.fields as fields
 import foldeg.limits as limits
 import foldeg.matrices as matrices
+import foldeg.pencil as pencil_module
 from foldeg.bott import (
     LEGENDRIAN,
     FiberCountError,
@@ -187,11 +188,31 @@ def test_transport_matches_direct_fibers(weights):
             assert character_weights(closed, weights) == direct[pair]
 
 
+def counted_builds(monkeypatch):
+    """Put in place of bott.LEGENDRIAN and pencil.PENCIL, the families
+    that legendrian_degree and pencil_degree read, copies whose table
+    builder counts its calls by (family name, weights), and empty the
+    record cache, so that every record is built afresh; returns the
+    Counter."""
+    builds = Counter()
+    for module, name in ((bott, "LEGENDRIAN"), (pencil_module, "PENCIL")):
+        family = getattr(module, name)
+
+        def table(pair, w, family=family):
+            builds[family.name, w] += 1
+            return family.table(pair, w)
+
+        monkeypatch.setattr(module, name, family._replace(table=table))
+    bott._fixed_points.cache_clear()
+    return builds
+
+
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
     """The image route builds each fiber's table once per weight system
-    and pair and evaluates it at every degree; it builds neither chains,
-    nor a field basis, nor a contraction matrix.  The kernel route
-    computes the six fibers directly, but sums the same tables."""
+    and pair, in the record of the system, and evaluates it at every
+    degree; it builds neither chains, nor a field basis, nor a
+    contraction matrix.  The kernel route computes the six fibers
+    directly, but sums the same tables."""
     calls = []
 
     def counting(pair, d, weights, method):
@@ -202,7 +223,7 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
         raise AssertionError("the image route built a global structure")
 
     monkeypatch.setattr(bott, "limit_fiber_weights", counting)
-    LEGENDRIAN.table.cache_clear()
+    builds = counted_builds(monkeypatch)
     with monkeypatch.context() as m:
         for module in (fields, limits):
             m.setattr(module, "build_phi_basis", refused)
@@ -212,34 +233,42 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
         for d in (5, 6):
             image = legendrian_degree(d, method=METHOD_IMAGE)
             legendrian_degree(d, ALT_WEIGHTS_A, method=METHOD_IMAGE)
-    tables = LEGENDRIAN.table.cache_info()
-    assert (tables.misses, tables.hits) == (12, 12) and calls == []
+    records = bott._fixed_points.cache_info()
+    assert builds == {("legendrian", DEFAULT_WEIGHTS): 6,
+                      ("legendrian", ALT_WEIGHTS_A): 6} and calls == []
+    assert (records.misses, records.hits) == (2, 2)
     kernel = legendrian_degree(6, method=METHOD_KERNEL)
     assert image.contributions == kernel.contributions
     assert calls == [(pair, METHOD_KERNEL) for pair in P5_PAIRS]
-    after = LEGENDRIAN.table.cache_info()
-    assert (after.misses, after.hits) == (tables.misses, tables.hits + 6)
+    after = bott._fixed_points.cache_info()
+    assert sum(builds.values()) == 12
+    assert (after.misses, after.hits) == (records.misses, records.hits + 1)
 
 
-def test_each_family_builds_its_monomial_tables_once_per_system():
+def test_each_family_builds_its_monomial_tables_once_per_system(
+        monkeypatch):
     """The power sums of the degree-(d+1) monomial weights, as polynomials
     in d, are one table per weight system and top, and each family asks
     for the top of its e_n: p_0..p_5 for the Legendrian e_5, p_0..p_4 for
     the pencil e_4.  So a degree of each family builds its own tables
-    once, one in four variables and one in two per pair, and the next
-    degree of each builds no table at all."""
-    caches = (exact.power_sum_differences, LEGENDRIAN.table, PENCIL.table)
-    for cache in caches:
-        cache.cache_clear()
+    once, one in four variables and one in two per pair, and its six
+    fiber tables, and the next degree of each builds no table at all."""
+    builds = counted_builds(monkeypatch)
+    monomial_tables = exact.power_sum_differences
+    monomial_tables.cache_clear()
+
+    def misses():
+        return [monomial_tables.cache_info().misses,
+                builds["legendrian", DEFAULT_WEIGHTS],
+                builds["pencil", DEFAULT_WEIGHTS]]
+
     legendrian_degree(20)
-    assert [cache.cache_info().misses for cache in caches] == [1 + 6, 6, 0]
+    assert misses() == [1 + 6, 6, 0]
     pencil_degree(20)
-    assert [cache.cache_info().misses for cache in caches] == [
-        2 * (1 + 6), 6, 6]
+    assert misses() == [2 * (1 + 6), 6, 6]
     legendrian_degree(21)
     pencil_degree(21)
-    assert [cache.cache_info().misses for cache in caches] == [
-        2 * (1 + 6), 6, 6]
+    assert misses() == [2 * (1 + 6), 6, 6]
 
 
 def test_a_pencil_sweep_builds_no_table_past_p_4(monkeypatch):
@@ -253,7 +282,7 @@ def test_a_pencil_sweep_builds_no_table_past_p_4(monkeypatch):
         return real(ws, top)
 
     monkeypatch.setattr(bott, "power_sum_differences", recorded)
-    PENCIL.table.cache_clear()
+    bott._fixed_points.cache_clear()
     for values in ((0, 2, 7, 10), (10, 16, 0, 3), (9, -4, 2, 0)):
         for d in range(2, 8):
             pencil_degree(d, values)
@@ -264,25 +293,31 @@ def test_a_pencil_sweep_builds_no_table_past_p_4(monkeypatch):
     (0, 2, 7, 10), (9, -4, 2, 0), (1, 3, 9, 20), (0, 1, 5, 13),
 ), ids=lambda w: ",".join(map(str, w)))
 def test_the_tangent_numbers_share_one_common_denominator(values):
-    """Per family and weight system, _tangent_euler gives the lcm common
-    of the six |e_n(tangent)| and at each pair n, the sign and |e_n| of
-    the tangent product and the factor common / |e_n|, so that localize
-    sums numerator * factor over common: at every d that is the sum of
-    the contributions' Fractions, and the degree."""
+    """Per family and weight system, the record gives the lcm common of
+    the six |e_n(tangent)| and at each pair, in order, n, the sign and
+    |e_n| of the tangent product, the factor common / |e_n| and the
+    family's table there, and the width of the widest table, so that
+    localize sums numerator * factor over common: at every d that is
+    the sum of the contributions' Fractions, and the degree."""
     w = WeightSystem(values)
     signs = set()
     for family in (LEGENDRIAN, PENCIL):
-        common, euler = bott._tangent_euler(family, w)
+        common, width, points = bott._fixed_points(family, w)
         tangents = [family.tangent_weights(pair, w) for pair in P5_PAIRS]
         assert common == lcm(*(abs(prod(t)) for t in tangents))
-        for pair, tangent in zip(P5_PAIRS, tangents):
-            n, sign, den, factor = euler[pair]
+        assert width == max(len(f) for pair in P5_PAIRS
+                            for f in family.table(pair, w).p)
+        factors = {}
+        for point, pair, tangent in zip(points, P5_PAIRS, tangents):
+            at, n, sign, den, factor, table = point
+            assert at == pair and table.p == family.table(pair, w).p
             assert n == len(tangent) and sign * den == prod(tangent)
             assert sign in (1, -1) and den > 0 and factor * den == common
             signs.add(sign)
+            factors[pair] = factor
         for d in range(2, 9):
             report = localize(family, d, w)
-            total = sum(c.numerator * euler[c.pair][3]
+            total = sum(c.numerator * factors[c.pair]
                         for c in report.contributions)
             values_sum = sum(c.value for c in report.contributions)
             assert Fraction(total, common) == values_sum == report.degree
@@ -419,6 +454,18 @@ def test_both_sees_a_character_moved_at_constant_weight(monkeypatch):
     with pytest.raises(MethodDisagreement,
                        match=r"closed-form .* at \(3, 4\), d=3"):
         legendrian_degree(3, method=METHOD_BOTH)
+
+
+def test_a_both_sweep_keeps_three_monomial_lists():
+    """A degree d reads the monomials of degrees d - 1, d and d + 1 at
+    most, so the monomial cache keeps three lists: a sweep of "both"
+    over d = 2..8, each degree checked directly, never holds more."""
+    exact.monomials_of_degree.cache_clear()
+    sizes = []
+    for d in range(2, 9):
+        legendrian_degree(d, method=METHOD_BOTH)
+        sizes.append(exact.monomials_of_degree.cache_info().currsize)
+    assert max(sizes) == 3, sizes
 
 
 def test_both_checks_each_degree_and_pair_once(monkeypatch):
@@ -631,43 +678,93 @@ def test_a_wrong_fiber_table_gives_a_non_integral_sum(family, js, message):
     assert str(info.value) == message
 
 
-def test_table_caches_keep_four_weight_systems():
+def test_table_caches_keep_four_weight_systems(monkeypatch):
     """A sweep over three weight systems that returns to the first builds
-    no fiber table and no tangent product again, in either family."""
-    caches = (LEGENDRIAN.table, PENCIL.table, bott._tangent_euler)
+    no record again, so no fiber table and no tangent product, in either
+    family."""
+    builds = counted_builds(monkeypatch)
     systems = (DEFAULT_WEIGHTS, ALT_WEIGHTS_A, ALT_WEIGHTS_B)
     for w in systems:
         legendrian_degree(5, w)
         pencil_degree(5, w)
-    misses = [cache.cache_info().misses for cache in caches]
+    misses = bott._fixed_points.cache_info().misses, sum(builds.values())
+    assert misses == (2 * 3, 2 * 3 * 6)
     legendrian_degree(6, systems[0])
     pencil_degree(6, systems[0])
-    assert [cache.cache_info().misses for cache in caches] == misses
+    assert (bott._fixed_points.cache_info().misses,
+            sum(builds.values())) == misses
 
 
-def test_a_tuple_sweep_that_returns_to_the_first_system_builds_nothing():
+def test_a_tuple_sweep_that_returns_to_the_first_system_builds_nothing(
+        monkeypatch):
     """The benchmark's sweep passes weights as plain tuples: three systems
     and then the first again, as a new tuple.  On the return its
-    WeightSystem, equal to the first, finds the first's admissibility,
-    fiber tables and tangent products, in either family."""
-    caches = (LEGENDRIAN.table, PENCIL.table, bott._tangent_euler,
-              exact._admissible)
+    WeightSystem, equal to the first, finds the first's admissibility
+    and record, so its fiber tables and tangent products, in either
+    family."""
+    builds = counted_builds(monkeypatch)
     for values in ((0, 2, 7, 10), (10, 16, 0, 3), (6, 0, 16, 13)):
         legendrian_degree(5, values)
         pencil_degree(5, values)
-    misses = [cache.cache_info().misses for cache in caches]
+
+    def misses():
+        return (bott._fixed_points.cache_info().misses,
+                exact._admissible.cache_info().misses, sum(builds.values()))
+
+    before = misses()
     first = tuple([0, 2, 7, 10])
     legendrian_degree(6, first)
     pencil_degree(6, first)
-    assert [cache.cache_info().misses for cache in caches] == misses
+    assert misses() == before
+
+
+def test_the_record_is_built_once_per_family_and_system(monkeypatch):
+    """A sweep of both families over three systems given as tuples, and
+    the first again as a new tuple, builds one record per (family,
+    system), each of six fiber tables, and reads it at every other
+    degree of the sweep."""
+    builds = counted_builds(monkeypatch)
+    systems = ((0, 2, 7, 10), (10, 16, 0, 3), (6, 0, 16, 13))
+    for values in systems + (tuple([0, 2, 7, 10]),):
+        for d in range(2, 7):
+            legendrian_degree(d, values)
+            pencil_degree(d, values)
+    assert builds == {(name, WeightSystem(values)): 6
+                      for name in ("legendrian", "pencil")
+                      for values in systems}
+    records = bott._fixed_points.cache_info()
+    assert (records.misses, records.hits) == (2 * 3, 2 * (4 * 5 - 3))
+
+
+def test_a_degree_asks_for_one_binomial_row(monkeypatch):
+    """The six points of a degree share one binomial row C(d + 1, k), as
+    long as the widest of the family's six tables; Family.fiber asks for
+    the same row."""
+    real, rows = exact.binomial_row, []
+
+    def recorded(n, length):
+        rows.append((n, length))
+        return real(n, length)
+
+    monkeypatch.setattr(exact, "binomial_row", recorded)
+    for family in (LEGENDRIAN, PENCIL):
+        width = max(len(f) for pair in P5_PAIRS
+                    for f in family.table(pair, DEFAULT_WEIGHTS).p)
+        for d in (3, 9):
+            del rows[:]
+            localize(family, d)
+            assert rows == [(d + 1, width)], family.name
+            del rows[:]
+            family.fiber((2, 4), d, DEFAULT_WEIGHTS)
+            assert rows == [(d + 1, width)], family.name
 
 
 def test_localize_asks_e_n_of_the_fibers_alone(monkeypatch):
     """e_n of the tangent weights is their product, so localize calls
     exact.elementary_symmetric once per fiber and never on a tangent.
-    The tangent cache is emptied first, so tangents kept by earlier tests
+    The record cache is emptied first, so tangents kept by earlier tests
     cannot hide a call."""
-    bott._tangent_euler.cache_clear()
+    bott._fixed_points.cache_clear()
     real, calls = exact.elementary_symmetric, []
 
     def counted(k, values):

@@ -456,7 +456,7 @@ def test_limit_routes_write_no_field(monkeypatch, method):
     for d in range(2, 7):
         _phi_basis_cached.cache_clear()
         limits._pair_chains.cache_clear()
-        bott.LEGENDRIAN.table.cache_clear()
+        bott._fixed_points.cache_clear()
         bott._both_checked.clear()
         report = legendrian_degree(d, method=method)
         assert report.degree == family_closed_form("legendrian", d)

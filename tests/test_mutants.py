@@ -196,8 +196,8 @@ MUTANTS = {
     ),
     "a checked both fiber evaluated at the default weights": (
         "bott.py",
-        "        fiber = family.fiber(pair, d, w)\n",
-        "        fiber = family.fiber(pair, d, DEFAULT_WEIGHTS)\n",
+        "    common, points, row, count = _at_degree(family, d, w)\n",
+        "    common, points, row, count = _at_degree(family, d, DEFAULT_WEIGHTS)\n",
         ["tests/test_bott.py::test_both_checks_each_degree_and_pair_once"],
     ),
     "a both key without d": (
@@ -457,8 +457,8 @@ MUTANTS = {
     ),
     "the six tangent numbers handed to the wrong pairs": (
         "bott.py",
-        "        n, sign, den, factor = euler[pair]\n",
-        "        n, sign, den, factor = euler[P5_PAIRS[P5_PAIRS.index(pair) - 1]]\n",
+        "    for pair, tangent in zip(P5_PAIRS, tangents):\n",
+        "    for pair, tangent in zip(P5_PAIRS, tangents[-1:] + tangents[:-1]):\n",
         [
             "tests/test_bott.py::test_d2_contribution_table",
             "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
@@ -468,8 +468,8 @@ MUTANTS = {
     ),
     "one pair's factor taken as common": (
         "bott.py",
-        " common // abs(den)\n",
-        " (common // abs(den) if pair != (3, 4) else common)\n",
+        " common // abs(den), ",
+        " (common // abs(den) if pair != (3, 4) else common), ",
         [
             "tests/test_bott.py::"
             "test_the_tangent_numbers_share_one_common_denominator[9,-4,2,0]",
@@ -529,9 +529,9 @@ MUTANTS = {
     ),
     "the fiber count guard removed": (
         "bott.py",
-        "        if fiber.p[0] != count:\n"
-        "            raise FiberCountError(\n"
-        "                \"fiber count %s, not %s, at d=%s\" "
+        "    if fiber.p[0] != count:\n"
+        "        raise FiberCountError(\n"
+        "            \"fiber count %s, not %s, at d=%s\" "
         "% (fiber.p[0], count, d))\n",
         "",
         [
@@ -542,8 +542,8 @@ MUTANTS = {
     ),
     "a fiber count guard that keeps the removed weights": (
         "bott.py",
-        "        count = comb(d + 4, 3) - self.removed(d)\n",
-        "        count = comb(d + 4, 3)\n",
+        "    count = comb(d + 4, 3) - family.removed(d)\n",
+        "    count = comb(d + 4, 3)\n",
         [
             "tests/test_pencil.py::test_twisted_fiber_size",
             "tests/test_pencil.py::"
@@ -552,8 +552,8 @@ MUTANTS = {
     ),
     "the image fiber table evaluated at n = d": (
         "bott.py",
-        "self.table(pair, as_weight_system(weights)), d + 1)",
-        "self.table(pair, as_weight_system(weights)), d)",
+        "exact.binomial_row(d + 1, width)",
+        "exact.binomial_row(d, width)",
         [
             "tests/test_bott.py::"
             "test_fiber_tables_commute_with_the_split_and_shifts[weights0]",
@@ -562,6 +562,38 @@ MUTANTS = {
             "tests/test_bott.py::test_image_fiber_needs_every_monomial_weight",
             "tests/test_transport_properties.py::"
             "test_power_sum_numerators_equal_the_counted_routes",
+        ],
+    ),
+    "the degree's binomial row one entry short of the widest table": (
+        "bott.py",
+        "exact.binomial_row(d + 1, width)",
+        "exact.binomial_row(d + 1, width - 1)",
+        # the dropped top difference is the same at all six pairs, and a
+        # constant summed over the fixed points by Bott's formula is 0, so
+        # only the contributions show it, not the degrees
+        [
+            "tests/test_bott.py::"
+            "test_fiber_tables_commute_with_the_split_and_shifts[weights0]",
+            "tests/test_transport_properties.py::"
+            "test_power_sum_numerators_equal_the_counted_routes",
+            "tests/test_transport_properties.py::"
+            "test_each_numerator_is_e_n_of_the_public_fiber",
+        ],
+    ),
+    # the first family to ask at a system fills the other's record too
+    "one record shared by both families": (
+        "bott.py",
+        "@lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families\n"
+        "def _fixed_points(family, w):\n",
+        "_owners = {}\n\n\n"
+        "@lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families\n"
+        "def _fixed_points(family, w):\n"
+        "    family = _owners.setdefault(w, family)\n",
+        [
+            "tests/test_bott.py::"
+            "test_the_tangent_numbers_share_one_common_denominator[0,2,7,10]",
+            "tests/test_transport_properties.py::"
+            "test_degree_is_the_sum_of_the_fraction_contributions",
         ],
     ),
     "the pencil's removed count d + 1": (

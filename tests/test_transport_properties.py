@@ -17,6 +17,7 @@ from foldeg.exact import (
     WeightSystem,
     character_weights,
     elementary_symmetric,
+    power_sums_at,
 )
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
@@ -321,6 +322,28 @@ def test_degree_is_the_sum_of_the_fraction_contributions(values, d):
         for c in report.contributions:
             assert type(c.value) is Fraction and c.denominator > 0
             assert c.value == Fraction(c.numerator, c.denominator)
+
+
+@hypothesis.given(values=ADMISSIBLE_WEIGHTS, d=st.integers(2, 200),
+                  name=st.sampled_from(("legendrian", "pencil")))
+def test_each_numerator_is_e_n_of_the_public_fiber(values, d, name):
+    """localize and Family.fiber read one record and evaluate it on one
+    path: at every pair each contribution's numerator is the sign of
+    the tangent product times e_n of Family.fiber(pair, d, w), and its
+    denominator is the product's absolute value.  That fiber is the
+    pair's table evaluated alone at d + 1 (exact.power_sums_at), with a
+    binomial row as long as its own longest p_j."""
+    family = FAMILIES[name]
+    report = localize(family, d, values)
+    for pair, c in zip(P5_PAIRS, report.contributions):
+        tangent = family.tangent_weights(pair, values)
+        euler = prod(tangent)
+        fiber = family.fiber(pair, d, values)
+        alone = power_sums_at(family.table(pair, WeightSystem(values)), d + 1)
+        assert fiber.p == alone.p
+        assert c.pair == pair and c.denominator == abs(euler)
+        assert c.numerator == (-1 if euler < 0 else 1) * elementary_symmetric(
+            len(tangent), fiber)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
