@@ -50,9 +50,10 @@ they act once per weight system and pair on the monomial power sums as
 polynomials in d (exact.Differences).  The six tables, the tangent
 numbers of the six pairs, their common denominator and each pair's
 factor to it make one record per family and weight system
-(_fixed_points), so a degree costs one binomial row and one fiber
-count, and at each pair one dot product per p_j, the count and length
-checks, the family's check, one Newton's step for e_n of the fiber and
+(_fixed_points), which checks once that the system is admissible and
+that each table reaches p_n.  So a degree costs one binomial row and
+one fiber count, and at each pair one dot product per p_j, the count
+check, the family's check, one Newton's step for e_n of the fiber and
 one product by the factor.  Every method sums these closed-form
 fibers.  The kernel route and "both" also compute the
 fibers directly (foldeg.limits), as checks that do not feed the sum
@@ -95,8 +96,8 @@ from .limits import (
 
 
 class FiberCountError(ArithmeticError):
-    """An evaluated fiber table has the wrong number of weights, or too
-    few power sums for e_n (always a bug, never data)."""
+    """A fiber table has too few power sums for e_n, or an evaluated one
+    the wrong number of weights (always a bug, never data)."""
 
 
 def tangent_weights_p5(pair, weights=DEFAULT_WEIGHTS):
@@ -178,9 +179,9 @@ class Family(namedtuple("Family", "name min_degree degree_bound table removed"
         """The fiber at pair in degree d as PowerSums: the table at d + 1,
         which must count the C(d+4,3) monomial weights of degree d + 1
         less the removed(d) that it leaves out (FiberCountError
-        otherwise).  It reads the record that localize reads, and
-        evaluates and counts the table as localize does (_at_degree,
-        _evaluated)."""
+        otherwise).  It reads the record that localize reads, built
+        with its checks (_fixed_points), and evaluates and counts the
+        table as localize does (_at_degree, _evaluated)."""
         i = P5_PAIRS.index(as_fixed_point(pair))
         _, points, row, count = _at_degree(self, d, as_weight_system(weights))
         return _evaluated(points[i][-1], row, count, d)
@@ -219,15 +220,24 @@ def _fixed_points(family, w):
     the product e_n = sign * den, den > 0; common is the lcm of the six
     den and factor = common // den; table is family.table(pair, w); and
     width is the length of the longest p_j of the six tables, so one
-    binomial row serves every point of a degree.  Every call with these
-    arguments shares the record: read it, never change it."""
+    binomial row serves every point of a degree.  It checks what holds
+    at every d, once: w must be admissible (InadmissibleWeights), and
+    each table must reach the p_n that e_n reads (FiberCountError).  A
+    build that raises is not cached, so a record that exists vouches for
+    both.  Every call with these arguments shares the record: read it,
+    never change it."""
+    w.require_admissible()
     tangents = [family.tangent_weights(p, w) for p in P5_PAIRS]
     common = lcm(*map(prod, tangents))  # lcm is positive
     points = []
     for pair, tangent in zip(P5_PAIRS, tangents):
+        n, table = len(tangent), family.table(pair, w)
+        if len(table.p) <= n:
+            raise FiberCountError("fiber table p_0..p_%d has no e_%d at %r"
+                                  % (len(table.p) - 1, n, pair))
         den = prod(tangent)
-        points.append((pair, len(tangent), -1 if den < 0 else 1, abs(den),
-                       common // abs(den), family.table(pair, w)))
+        points.append((pair, n, -1 if den < 0 else 1, abs(den),
+                       common // abs(den), table))
     width = max(len(f) for *_, table in points for f in table.p)
     return common, width, tuple(points)
 
@@ -264,15 +274,17 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     e_n(tangent) is their product.  It, its sign, the common denominator
     of all the points, each point's factor to it and each point's fiber
     table are read from one record per family and weight system
-    (_fixed_points).  A degree takes one binomial row and one fiber
+    (_fixed_points), whose build has checked the weights and that each
+    table reaches p_n.  A degree takes one binomial row and one fiber
     count (_at_degree); at each point it evaluates and counts the table
     (_evaluated, as Family.fiber does), checks it with family.check, to
     which options go, and takes e_n of it.  Fibers are taken one at a
     time, so only one is alive at once.  The sum is num * factor over
     the points, in ints over the common denominator, with no lcm or
     Fraction per term.  d must be an int (TypeError otherwise).  Raises
-    FiberCountError for a fiber of the wrong count or a table that stops
-    before p_n, and NonIntegralDegree unless the sum is an integer.
+    InadmissibleWeights, FiberCountError for a fiber of the wrong count
+    or a table that stops before p_n, and NonIntegralDegree unless the
+    sum is an integer.
     """
     d = index(d)
     if d < family.min_degree:
@@ -280,14 +292,11 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
             "%s family needs d >= %d, got %r"
             % (family.name, family.min_degree, d)
         )
-    w = as_weight_system(weights).require_admissible()
+    w = as_weight_system(weights)
     common, points, row, count = _at_degree(family, d, w)
     contributions, total = [], 0  # the sum is total / common
     for pair, n, sign, den, factor, table in points:
         fiber = _evaluated(table, row, count, d)
-        if len(fiber.p) <= n:
-            raise FiberCountError("fiber table p_0..p_%d has no e_%d at %r, d=%d"
-                                  % (len(fiber.p) - 1, n, pair, d))
         family.check(pair, d, w, fiber, **options)
         num = sign * exact.elementary_symmetric(n, fiber)
         contributions.append(FixedPointContribution(pair, num, den))

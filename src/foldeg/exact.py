@@ -336,15 +336,6 @@ def binomial_row(n, length):
     return tuple(row)
 
 
-def power_sums_at(table, n):
-    """The PowerSums of a table of Differences at an int n >= 0 (else
-    ValueError: every table counts degree-n monomials): one binomial_row
-    as long as its longest p_j, and power_sums_on_row."""
-    if operator.index(n) < 0:
-        raise ValueError("no monomials of degree %r" % (n,))
-    return power_sums_on_row(table, binomial_row(n, max(map(len, table.p))))
-
-
 def power_sums_on_row(table, row):
     """The PowerSums of a table of Differences at the n of a binomial row
     C(n, k), k < len(row), which no p_j of the table may outrun: one

@@ -112,8 +112,8 @@ def build_phi_basis(d):
     pivots of the divergence kernel, columns taken direction-major.
 
     >>> basis = build_phi_basis(1)
-    >>> len(basis)
-    15
+    >>> basis
+    SectionBasis(d=1, 15 fields)
     >>> basis[1].render(), basis[1].character
     ('x1*d/dx2', (1, -1, 0, 0))
     """

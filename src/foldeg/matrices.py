@@ -17,10 +17,11 @@ oracle of the closed forms:
   along the path omega_t = kappa_pq + t * kappa_kl, whose union-find
   blocks are the chains of foldeg.limits;
 * tangent_kernel_dimension: dim Phi_d less the rank of the contraction
-  with one form;
-* fiber_characters: the closed-form image fiber of foldeg.bott, written
-  out as its list of characters, which bott.closed_form_counts counts
-  one character at a time.
+  with one form.
+
+The closed-form image fiber of foldeg.bott written out as its list of
+characters, which bott.closed_form_counts counts one character at a
+time, is an oracle in tests/oracles.py.
 
 No module that `import foldeg` loads imports this one, so a cold start
 compiles neither it nor foldeg.forms, whose fields and forms it writes.  The names that stand for it elsewhere import it on
@@ -272,23 +273,3 @@ def build_contraction_matrix(fp, d, basis):
         fp, d, basis, monomials_of_degree(d + 1), entries
     )
 
-
-def fiber_characters(d, pair):
-    """The image fiber at [kappa_pair] as sorted Z^4 characters, in
-    closed form (foldeg.bott): m - e_p - e_q for each degree-(d+1)
-    monomial m that involves x_p or x_q, m - e_k - e_l for the others.
-
-    >>> fiber_characters(1, (1, 2))[:2]
-    ((-1, 0, 0, 1), (-1, 0, 1, 0))
-    """
-    if d < 1:
-        raise ValueError("field degree must be >= 1, got %r" % (d,))
-    p, q = pair = as_fixed_point(pair)
-    low = tuple(int(j in pair) for j in (1, 2, 3, 4))
-    high = tuple(1 - e for e in low)
-    fiber = []
-    for m in monomials_of_degree(d + 1):
-        a, b, c, e = m
-        s1, s2, s3, s4 = low if m[p - 1] or m[q - 1] else high
-        fiber.append((a - s1, b - s2, c - s3, e - s4))
-    return tuple(sorted(fiber))

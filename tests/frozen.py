@@ -49,7 +49,7 @@ LEGENDRIAN_DEGREES = {
 # row is the coefficient vector (c1, c2, c3, c4) meaning
 # c1*w1 + c2*w2 + c3*w3 + c4*w4.  These are the Z^4 characters of the
 # fiber: as a multiset, the table is
-# foldeg.matrices.fiber_characters(2, (3, 4)).
+# fiber_characters(2, (3, 4)) of tests/oracles.py.
 D2_P34_SYMBOLIC_WEIGHTS = (
     (2, -1, 0, 0),   # 2w1 - w2
     (1, 0, 0, 0),    # w1

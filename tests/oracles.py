@@ -16,7 +16,8 @@ basis polynomials, a polynomial's value by Horner's rule in Fractions,
 the image limit as a
 saturation over Z[t] localized at t, which knows nothing of torus
 levels, the image limit's rows as an echelon of M(1)
-cut down to the pivots' levels, the Legendrian image fiber as
+cut down to the pivots' levels, the closed-form Legendrian image fiber
+written out as its list of characters, the same fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
 points by a coordinate permutation, the kernel limit's weights as
 ranks of its projections onto each weight space, the divergence of a
@@ -50,6 +51,7 @@ from foldeg.exact import (
 )
 from foldeg.fields import (
     P5_PAIRS,
+    as_fixed_point,
     build_phi_basis,
     complementary_pair,
 )
@@ -654,6 +656,27 @@ def pivots_by_character(columns, pivots):
     for p in pivots:
         counts[owner[p]] += 1
     return counts
+
+
+def fiber_characters(d, pair):
+    """The image fiber at [kappa_pair] as sorted Z^4 characters, in
+    closed form (foldeg.bott): m - e_p - e_q for each degree-(d+1)
+    monomial m that involves x_p or x_q, m - e_k - e_l for the others.
+
+    >>> fiber_characters(1, (1, 2))[:2]
+    ((-1, 0, 0, 1), (-1, 0, 1, 0))
+    """
+    if d < 1:
+        raise ValueError("field degree must be >= 1, got %r" % (d,))
+    p, q = pair = as_fixed_point(pair)
+    low = tuple(int(j in pair) for j in (1, 2, 3, 4))
+    high = tuple(1 - e for e in low)
+    fiber = []
+    for m in monomials_of_degree(d + 1):
+        a, b, c, e = m
+        s1, s2, s3, s4 = low if m[p - 1] or m[q - 1] else high
+        fiber.append((a - s1, b - s2, c - s3, e - s4))
+    return tuple(sorted(fiber))
 
 
 # The fixed point whose image fiber _chain_fiber computes; the other five

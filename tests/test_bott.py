@@ -12,8 +12,8 @@ import foldeg.bott as bott
 import foldeg.exact as exact
 import foldeg.fields as fields
 import foldeg.limits as limits
-import foldeg.matrices as matrices
 import foldeg.pencil as pencil_module
+import oracles
 from foldeg.bott import (
     LEGENDRIAN,
     FiberCountError,
@@ -30,10 +30,11 @@ from foldeg.exact import (
     InadmissibleWeights,
     PowerSums,
     WeightSystem,
+    binomial_row,
     character_values,
     character_weights,
     power_sum_differences,
-    power_sums_at,
+    power_sums_on_row,
 )
 from foldeg.fields import P5_PAIRS, complementary_pair
 from foldeg.limits import (
@@ -44,7 +45,6 @@ from foldeg.limits import (
     MethodDisagreement,
     limit_fiber_weights,
 )
-from foldeg.matrices import fiber_characters
 from foldeg.pencil import PENCIL, pencil_degree, tangent_weights_g24
 from foldeg.reference import LEGENDRIAN_D2_CONTRIBUTIONS, LEGENDRIAN_D2_DEGREE
 from frozen import (
@@ -57,6 +57,7 @@ from frozen import (
 from oracles import (
     SOURCE_PAIR,
     _chain_fiber,
+    fiber_characters,
     transport_characters,
 )
 
@@ -154,6 +155,14 @@ def test_input_validation():
                     (PENCIL.closed_form, 5.0)):
         with pytest.raises(TypeError):
             call(d)
+    # the public fiber of either family at a d with no monomials of
+    # degree d + 1, or at a float d, even of integer value
+    assert len(LEGENDRIAN.fiber((1, 2), -1, DEFAULT_WEIGHTS)) == 1
+    for family in (LEGENDRIAN, PENCIL):
+        with pytest.raises(ValueError, match="no monomials of degree -1"):
+            family.fiber((1, 2), -2, DEFAULT_WEIGHTS)
+        with pytest.raises(TypeError):
+            family.fiber((1, 2), 2.0, DEFAULT_WEIGHTS)
     assert issubclass(NonIntegralDegree, ArithmeticError)
 
 
@@ -391,11 +400,12 @@ def test_fiber_tables_commute_with_the_split_and_shifts(weights):
     monomial power sums at that d gives."""
     w = WeightSystem(weights)
     for d in range(1, 60):
-        full = power_sums_at(power_sum_differences(w.values, 5), d + 1)
+        row = binomial_row(d + 1, 9)  # p_5 in four variables has degree 8
+        full = power_sums_on_row(power_sum_differences(w.values, 5), row)
         for pair in P5_PAIRS:
             k, l = complementary_pair(pair)
-            part = power_sums_at(
-                power_sum_differences((w.weight(k), w.weight(l)), 5), d + 1)
+            part = power_sums_on_row(
+                power_sum_differences((w.weight(k), w.weight(l)), 5), row)
             low, high = w.pair_sum(pair), w.pair_sum((k, l))
             image = (full - part).shifted(-low) + part.shifted(-high)
             assert LEGENDRIAN.fiber(pair, d, w).p == image.p, (pair, d)
@@ -412,15 +422,31 @@ def test_image_fiber_needs_every_monomial_weight():
     """Each fiber is its table at d + 1, and its count must be all
     C(d+4,3) monomial weights; a table that lacks a weight, or counts the
     pencil fiber's C(d+4,3) - (d+2), is refused rather than read as a
-    smaller fiber."""
+    smaller fiber.  The pencil table is padded out to the p_5 that e_5
+    reads, so that its count, not its length, is what is refused."""
     assert len(LEGENDRIAN.fiber((1, 2), 2, DEFAULT_WEIGHTS)) == 20
     table = LEGENDRIAN.table((1, 2), DEFAULT_WEIGHTS)
+    pencil = PENCIL.table((1, 2), DEFAULT_WEIGHTS)
     for bad, count in ((_without_a_zero(table), 19),
-                       (PENCIL.table((1, 2), DEFAULT_WEIGHTS), 16)):
+                       (PowerSums(pencil.p + (Differences(),)), 16)):
         family = LEGENDRIAN._replace(table=lambda pair, w: bad)
         with pytest.raises(FiberCountError,
                            match="fiber count %d, not 20" % count):
             family.fiber((1, 2), 2, DEFAULT_WEIGHTS)
+
+
+def test_a_table_short_of_p_n_is_refused_by_the_record():
+    """e_n reads p_0..p_n, so the record of a family refuses a table that
+    stops before p_n, naming its pair and n, whatever the degree; a
+    build that raises is not kept, so the next call raises again."""
+    short = LEGENDRIAN._replace(
+        table=lambda pair, w: PowerSums(LEGENDRIAN.table(pair, w).p[:5]))
+    for call in (lambda: short.fiber((3, 4), 2, DEFAULT_WEIGHTS),
+                 lambda: short.fiber((3, 4), 9, DEFAULT_WEIGHTS),
+                 lambda: localize(short, 3)):
+        with pytest.raises(FiberCountError,
+                           match=r"^fiber table p_0..p_4 has no e_5 at \(1, 2\)$"):
+            call()
 
 
 @pytest.mark.parametrize("weights", ((0, 2, 7, 10), (0, 1, 5, 13),
@@ -540,7 +566,7 @@ def test_both_builds_each_sorted_image_at_most_once(monkeypatch):
             counting(name, getattr(result, name).fget)))
     monkeypatch.setattr(result, "_characters",
                         counting("_characters", result._characters))
-    monkeypatch.setattr(matrices, "fiber_characters", lambda d, pair: (
+    monkeypatch.setattr(oracles, "fiber_characters", lambda d, pair: (
         built.update([("fiber_characters", d, pair)])
         or fiber_characters(d, pair)))
     for ws in (DEFAULT_WEIGHTS, ALT_WEIGHTS_A):
@@ -815,7 +841,7 @@ def test_localize_sums_the_table_of_the_family_it_is_given():
     report = localize(shifted, d)
     assert report.degree == plain.degree == PENCIL_D3_DEGREE
     for c, before in zip(report.contributions, plain.contributions):
-        fiber = power_sums_at(PENCIL.table(c.pair, DEFAULT_WEIGHTS), d + 1)
+        fiber = PENCIL.fiber(c.pair, d, DEFAULT_WEIGHTS)
         assert c.value == Fraction(
             exact.elementary_symmetric(4, fiber.shifted(1)),
             prod(tangent_weights_g24(c.pair)))

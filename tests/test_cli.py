@@ -434,7 +434,7 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
         (pencil, "PENCIL", lambda real: real._replace(
             table=lambda pair, w: PowerSums(real.table(pair, w).p[:4])),
          ["pencil", "--degree", "5"],
-         "fiber table p_0..p_3 has no e_4 at (1, 2), d=5"),
+         "fiber table p_0..p_3 has no e_4 at (1, 2)"),
         (polyfit, "FAMILIES", lambda real: {**real, "pencil": real[
             "pencil"]._replace(formula=lambda d: Fraction(1, 2))},
          ["interpolate", "--family", "pencil", "--min", "2", "--max", "14",

@@ -130,7 +130,8 @@ def test_newton_sum_of_forward_differences_gives_the_values_back(
     """The forward_differences of a random integer polynomial f of degree
     below m = len(coefficients), at the m points start..start + m - 1,
     give f(start + i) = sum_k D^k C(i, k) back, at those points and at
-    the next ones, as power_sums_at needs of its samples."""
+    the next ones, as the evaluation of a power-sum table on a binomial
+    row needs of its samples."""
     def f(x):
         return sum(c * x ** i for i, c in enumerate(coefficients))
 

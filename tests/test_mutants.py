@@ -1,14 +1,17 @@
 """A standing table of mutants, each one that named tests must catch
 (slow: run with -m slow).
 
-A row is (file under src/foldeg, old text, new text, test ids).  The
-old text must occur exactly once; it is replaced in a copy of src/
-under tmp_path, and only the named tests run, in a process that imports
-the copy.  Every named test must fail, within 300 s.  The rows run in
+A row is (file, old text, new text, test ids), the file one of
+src/foldeg, named by its file name, or one of the tests, named by its
+path from the root, tests/oracles.py.  The old text must occur exactly
+once; it is replaced in a copy under tmp_path, of src/ or of the tests
+with the root's conftest.py and pyproject.toml, and only the named
+tests run: on the copy of src/ from the root, or on src/ from the copy
+of the tests.  Every named test must fail, within 300 s.  The rows run in
 one warm interpreter, tests/mutant_server.py, started once per session:
 it has imported pytest and hypothesis but never foldeg, and forks one
-child per row, which puts the copy first on sys.path and runs
-pytest.main.  So a row pays for importing foldeg and its tests, not for
+child per row, which puts the row's src/ first on sys.path, changes to
+the row's root and runs pytest.main.  So a row pays for importing foldeg and its tests, not for
 starting Python, pytest and hypothesis again.  Where os.fork is missing,
 each row runs in a fresh ``python -m pytest`` as before.  Either way
 the tests run under the hypothesis profile "foldeg-mutants", which does
@@ -207,7 +210,7 @@ MUTANTS = {
         ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
     ),
     "fiber_characters with its two shifts swapped": (
-        "matrices.py",
+        "tests/oracles.py",
         "low if m[p - 1] or m[q - 1] else high\n",
         "high if m[p - 1] or m[q - 1] else low\n",
         [
@@ -725,14 +728,37 @@ MUTANTS = {
             "test_integrality_guard_sees_one_half_at_the_last_point",
         ],
     ),
-    "localize without its short-table check": (
+    "the record without its short-table check": (
         "bott.py",
-        "        if len(fiber.p) <= n:\n"
+        "        if len(table.p) <= n:\n"
         "            raise FiberCountError(\"fiber table p_0..p_%d has no e_%d "
-        "at %r, d=%d\"\n"
-        "                                  % (len(fiber.p) - 1, n, pair, d))\n",
+        "at %r\"\n"
+        "                                  % (len(table.p) - 1, n, pair))\n",
         "",
-        ["tests/test_cli.py::test_failed_computation_checks_exit_1[short-table]"],
+        [
+            "tests/test_cli.py::"
+            "test_failed_computation_checks_exit_1[short-table]",
+            "tests/test_bott.py::"
+            "test_a_table_short_of_p_n_is_refused_by_the_record",
+        ],
+    ),
+    # d = -2 counts C(2, 3) = 0 weights, and each table evaluates to a
+    # p_0 of 0 at n = -1, so only the guard refuses it
+    "a degree without its guard against negative monomial degrees": (
+        "bott.py",
+        "    if index(d) < -1:\n"
+        "        raise ValueError(\"no monomials of degree %r\" % (d + 1,))\n",
+        "",
+        ["tests/test_bott.py::test_input_validation"],
+    ),
+    "a tangent kernel one dimension too large": (
+        "matrices.py",
+        "    return len(basis) - rank(mat, len(basis))\n",
+        "    return len(basis) - rank(mat, len(basis)) + 1\n",
+        [
+            "tests/test_fields.py::test_family_dimensions[2]",
+            "tests/test_fields.py::test_family_dimensions[3]",
+        ],
     ),
     # the exit-1 clause as it once was, naming four check classes, which
     # cli no longer imports
@@ -815,19 +841,20 @@ MUTANTS = {
 }
 
 
-def run_in_subprocess(src, test_ids):
-    """The output of the named tests, run on src in a fresh pytest."""
+def run_in_subprocess(src, root, test_ids):
+    """The output of the named tests of root, run on src in a fresh
+    pytest."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", *PYTEST_ARGS, *test_ids],
-        cwd=ROOT, env=env, capture_output=True, text=True,
+        cwd=root, env=env, capture_output=True, text=True,
         timeout=ROW_TIMEOUT_S,
     ).stdout
 
 
 @pytest.fixture(scope="session")
 def run_row():
-    """Runs the named tests on a copy of src/ and returns their output:
+    """Runs the named tests of a root on a src/ and returns their output:
     in a fork of the session's warm server, or in a fresh pytest where
     os.fork is missing."""
     if not hasattr(os, "fork"):
@@ -840,8 +867,8 @@ def run_row():
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                               text=True)
 
-    def ask(src, test_ids):
-        server.stdin.write(json.dumps({"src": str(src),
+    def ask(src, root, test_ids):
+        server.stdin.write(json.dumps({"src": str(src), "root": str(root),
                                        "args": PYTEST_ARGS + list(test_ids),
                                        "timeout": ROW_TIMEOUT_S}) + "\n")
         server.stdin.flush()
@@ -858,16 +885,24 @@ def run_row():
 
 
 def survivors(run_row, path, old, new, test_ids, tmp_path):
-    """The named tests that pass on src/ with path's old text made new."""
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    target = src / "foldeg" / path
+    """The named tests that pass with path's old text made new, in a
+    copy of the tests when path is one of them, else in a copy of src/."""
+    skip = shutil.ignore_patterns("__pycache__")
+    if path.startswith("tests/"):
+        root, src = tmp_path, ROOT / "src"
+        shutil.copytree(ROOT / "tests", root / "tests", ignore=skip)
+        for name in ("conftest.py", "pyproject.toml"):
+            shutil.copy(ROOT / name, root)
+        target = root / path
+    else:
+        root, src = ROOT, tmp_path / "src"
+        shutil.copytree(ROOT / "src", src, ignore=skip)
+        target = src / "foldeg" / path
     text = target.read_text()
     assert text.count(old) == 1, "mutant rotted: %r is not once in %s" % (
         old, path)
     target.write_text(text.replace(old, new))
-    out = run_row(src, test_ids)
+    out = run_row(src, root, test_ids)
     failed = {line.split()[1] for line in out.splitlines()
               if line.startswith("FAILED ")}
     return [t for t in test_ids if t not in failed], out
@@ -882,10 +917,15 @@ def test_mutant_is_caught(name, run_row, tmp_path):
 
 @pytest.mark.slow
 def test_a_mutant_that_changes_nothing_survives(run_row, tmp_path):
-    """The harness can fail: a mutant that only adds a comment changes
-    nothing that a test sees, so every test it names passes."""
-    test_ids = ["tests/test_exact.py::test_weight_system_basics"]
-    survived, out = survivors(
-        run_row, "exact.py", "CACHED_SYSTEMS = 4\n", "CACHED_SYSTEMS = 4  # kept\n",
-        test_ids, tmp_path)
-    assert survived == test_ids, out
+    """The harness can fail: a mutant that only adds a comment, to src/
+    or to the tests, changes nothing that a test sees, so every test it
+    names passes."""
+    for path, old, test_id in (
+            ("exact.py", "CACHED_SYSTEMS = 4\n",
+             "tests/test_exact.py::test_weight_system_basics"),
+            ("tests/oracles.py", "SOURCE_PAIR = (1, 2)\n",
+             "tests/test_bott.py::"
+             "test_closed_form_equals_the_chain_fiber_oracle")):
+        survived, out = survivors(run_row, path, old, old[:-1] + "  # kept\n",
+                                  [test_id], tmp_path)
+        assert survived == [test_id], out

@@ -16,8 +16,9 @@ from foldeg.exact import (
     PowerSums,
     WeightSystem,
     character_weights,
+    binomial_row,
     elementary_symmetric,
-    power_sums_at,
+    power_sums_on_row,
 )
 from foldeg.fields import P5_PAIRS, build_phi_basis, complementary_pair
 from foldeg.limits import (
@@ -26,7 +27,7 @@ from foldeg.limits import (
     METHOD_KERNEL,
     limit_fiber_weights,
 )
-from foldeg.matrices import build_contraction_matrix, fiber_characters
+from foldeg.matrices import build_contraction_matrix
 from foldeg.pencil import PENCIL, tangent_weights_g24
 from foldeg.polyfit import FAMILIES
 from frozen import LEGENDRIAN_DEGREES, PENCIL_DEGREES
@@ -40,6 +41,7 @@ from oracles import (
     enumerated_complement_weights,
     enumerated_monomial_weights,
     enumerated_pencil_fiber,
+    fiber_characters,
     g24_tangent_from_p5,
     kernel_copies,
     kernel_counts_by_block,
@@ -331,15 +333,17 @@ def test_each_numerator_is_e_n_of_the_public_fiber(values, d, name):
     path: at every pair each contribution's numerator is the sign of
     the tangent product times e_n of Family.fiber(pair, d, w), and its
     denominator is the product's absolute value.  That fiber is the
-    pair's table evaluated alone at d + 1 (exact.power_sums_at), with a
-    binomial row as long as its own longest p_j."""
+    pair's table evaluated alone at d + 1, on a binomial row as long as
+    its own longest p_j."""
     family = FAMILIES[name]
     report = localize(family, d, values)
     for pair, c in zip(P5_PAIRS, report.contributions):
         tangent = family.tangent_weights(pair, values)
         euler = prod(tangent)
         fiber = family.fiber(pair, d, values)
-        alone = power_sums_at(family.table(pair, WeightSystem(values)), d + 1)
+        table = family.table(pair, WeightSystem(values))
+        alone = power_sums_on_row(
+            table, binomial_row(d + 1, max(map(len, table.p))))
         assert fiber.p == alone.p
         assert c.pair == pair and c.denominator == abs(euler)
         assert c.numerator == (-1 if euler < 0 else 1) * elementary_symmetric(
