@@ -69,7 +69,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from operator import index, itemgetter
+from operator import index
 
 from . import exact
 from .exact import (
@@ -353,8 +353,9 @@ def closed_form_counts(characters, pair):
     character at most once, as (chi_p - chi_q, chi_k - chi_l,
     chi_k + chi_l) names its chain and level."""
     (p, q), (k, l) = pair, complementary_pair(pair)
-    return [(ck >= 0 <= cl) + (cp == 0 == cq) for cp, cq, ck, cl in map(
-        itemgetter(p - 1, q - 1, k - 1, l - 1), characters)]
+    p, q, k, l = p - 1, q - 1, k - 1, l - 1  # chi_p is chi[p]
+    return [(chi[k] >= 0 <= chi[l]) + (chi[p] == 0 == chi[q])
+            for chi in characters]
 
 
 # 6 * d + i for each (d, P5_PAIRS[i]) whose direct fiber has passed both

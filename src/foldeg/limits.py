@@ -22,7 +22,7 @@ routes compute the limit on it:
   the chains' fields to one linalg.limit_rows sweep as _chains writes
   them, by descending level within each chain, and reads only the
   pivots of the integer echelon of M(1) it fills from them, counted
-  per character; END leaves no row live, so each chain pivots on its
+  per character; no row crosses END, so each chain pivots on its
   own.  Each pivot is one copy of its column's character in the fiber,
   whatever the weights.  The fiber this gives has a closed form, which
   foldeg.bott's image route evaluates instead, and which its "both"
@@ -37,9 +37,12 @@ routes compute the limit on it:
   can absorb on row r_K.  So c_K counts dim {x : low . x = 0,
   high . x in A_K}.  A_0 = 0 and A_(K+1) = {low . x : high . x in A_K},
   so every A_K is 0 or Q: it is Q after c_K if A_K = Q and low != 0, or
-  if A_K = 0 and rank [low; high] > rank high.  A character with f
-  fields of which the kernel takes c is f - c copies in the image fiber.
-  END has no field: it counts 0 and leaves A = 0 for the next chain.
+  if A_K = 0 and rank [low; high] > rank high.  A character of fewer
+  than three fields is padded with (0, 0) fields, which add no rank, so
+  every rank is read off three 2 x 2 minors and their entries.  A
+  character with f fields of which the kernel takes c is f - c copies
+  in the image fiber.  END, padded to zeros, counts 0 and leaves A = 0
+  for the next chain.
 
 Each route splits every field of the chains into the image fiber or the
 tangent kernel: it counts the image copies of each entry of the list,
@@ -56,7 +59,7 @@ evaluates no weight.
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 from math import comb
 from operator import itemgetter
 
@@ -102,6 +105,8 @@ def build_contraction_matrix(fp, d, basis):
 
 # The empty character that ends each chain in the list _chains writes.
 END = (None, ())
+# the (0, 0) fields that pad a character to three (_kernel_rule)
+_PAD = ((0, 0),) * 3
 
 
 def _chains(d, pair):
@@ -123,6 +128,8 @@ def _chains(d, pair):
     place = itemgetter(*((p, q, k, l).index(j) for j in (1, 2, 3, 4)))
     low, high = place((1, -1, 0, 0)), place((0, 0, 1, -1))
     (l1, l2, l3, l4), (h1, h2, h3, h4) = low, high
+    # chi one level down its chain: chi_p and chi_q up 1, chi_k and chi_l down
+    u1, u2, u3, u4 = place((1, 1, -1, -1))
     # the one field of a character whose entry at j is -1
     ones = {j: ((low[j - 1], high[j - 1]),) for j in (p, q, k, l)}
     n, chains = d - 1, []
@@ -137,19 +144,19 @@ def _chains(d, pair):
             bottom, tail = abs(b) - 2, b and ones[l if b > 0 else k]
             if top == bottom:
                 continue  # its one character has two entries -1
+            # the top character, placed once; the rest step down by u
+            cp, ck = (n - top + a) // 2, (top + b) // 2
+            c1, c2, c3, c4 = chi = place((cp, cp - a, ck, ck - b))
             if head:
-                cp, ck = (n - top + a) // 2, (top + b) // 2
-                chains.append((place((cp, cp - a, ck, ck - b)), head))
-            for lev in range(top - 2, bottom, -2):
-                cp, ck = (n - lev + a) // 2, (lev + b) // 2
-                m1, m2, m3, s = chi = place((cp, cp - a, ck, ck - b))
-                m1, m2, m3, s = m1 + 1, m2 + 1, m3 + 1, s + 1
+                chains.append((chi, head))
+            for _ in range(top - 2, bottom, -2):
+                c1, c2, c3, c4 = chi = c1 + u1, c2 + u2, c3 + u3, c4 + u4
+                m1, m2, m3, s = c1 + 1, c2 + 1, c3 + 1, c4 + 1
                 chains.append((chi, ((s * l1 - m1 * l4, s * h1 - m1 * h4),
                                      (s * l2 - m2 * l4, s * h2 - m2 * h4),
                                      (s * l3 - m3 * l4, s * h3 - m3 * h4))))
             if tail:
-                cp, ck = (n - bottom + a) // 2, (bottom + b) // 2
-                chains.append((place((cp, cp - a, ck, ck - b)), tail))
+                chains.append(((c1 + u1, c2 + u2, c3 + u3, c4 + u4), tail))
             # END after the chain, never empty: a = b = 0 spans n + 4 levels
             chains.append(END)
     return chains
@@ -169,26 +176,21 @@ def _pair_chains(d, pair):
 def _kernel_rule(chains):
     """The image multiplicity of each character of chains laid end to
     end by the rank rule of the module docstring: its f fields less its
-    copies in the kernel limit, which is the rank it adds.  absorbs is
-    A_K = Q; it starts false.  The empty character after a chain counts
-    0 and sets it false, as A_0 = 0 at the top of the next."""
+    copies in the kernel limit, which is the rank it adds.  Each
+    character is padded to three fields with (0, 0) ones; one of four
+    raises ValueError.  absorbs is A_K = Q; it starts false, and the
+    empty character after a chain, all zeros, counts 0 and sets it
+    false, as A_0 = 0 at the top of the next."""
     counts, absorbs = [], False
     for _, fields in chains:
-        if len(fields) == 1:  # one field (x, y): the ranks are truth tests
-            ((x, y),) = fields
-            counts.append(1 if x or (y and not absorbs) else 0)
-            absorbs = bool(x) and (absorbs or not y)
-        elif not fields:  # END
-            counts.append(0)
-            absorbs = False
-        elif absorbs:  # the rank of low
-            absorbs = any(x for x, _ in fields)
-            counts.append(int(absorbs))
-        else:  # rank [low; high] = [a minor != 0] + [an entry != 0]
-            both = any(x * b != y * a for (x, y), (a, b)
-                       in combinations(fields, 2)) + any(map(any, fields))
-            counts.append(both)
-            absorbs = both > any(y for _, y in fields)
+        (x1, y1), (x2, y2), (x3, y3) = fields + _PAD[len(fields):]
+        if absorbs or not (y1 or y2 or y3):  # the rank of low
+            absorbs = bool(x1 or x2 or x3)
+            counts.append(1 if absorbs else 0)
+        else:  # rank high = 1 and rank [low; high] = 1 + [a minor != 0]
+            absorbs = (x1 * y2 != y1 * x2 or x1 * y3 != y1 * x3
+                       or x2 * y3 != y2 * x3)
+            counts.append(2 if absorbs else 1)
     return counts
 
 

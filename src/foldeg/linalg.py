@@ -11,6 +11,8 @@ they load foldeg.matrices when called.  All results are exact; nothing
 here ever sees a float.
 """
 
+from itertools import chain
+
 
 def limit_rows(columns, ncols):
     """How many pivots of the limit at t = 0 of one torus chain's row
@@ -31,21 +33,25 @@ def limit_rows(columns, ncols):
     whichever rows pivot, so the rows are eliminated sparsely, as
     {column: nonzero int}, in one sweep along the chain.  Row K + 1
     joins as the sweep reaches character K, the first it touches.  Once
-    it is in, character K is done: only a row that leads in character
-    K + 1 stays live, so one row at most is live.  Row K + 1 is reduced
-    by it, over the union of the two rows' columns, if the two lead at
-    the same column; it then leads further on, where no row is live, or
-    is empty.  So a row completed on reading character K pivots in K or
-    in K - 1, and the count goes to the one whose columns it leads in.
+    it is in, character K is done, and one row at most is live: the last
+    one counted.  Row K + 1 is reduced by it, over the union of the two
+    rows' columns, if the two lead at the same column; it then leads
+    further on, where no row is live, or is empty.  So a row completed
+    on reading character K pivots in K or in K - 1, and the count goes
+    to the one whose columns it leads in; the next row leads in K or
+    later, so a live row that leads in K - 1 meets no other.  The sweep
+    inserts a row's columns in ascending order, so an unreduced row
+    leads at its first key; a reduced one, built from a set union that
+    keeps no order, leads at its least.
 
     The order is the caller's contract: one row that meets two levels
     keeps the higher.
 
     An empty character () ends a chain, so columns may hold several
     chains end to end, each followed by ().  At () first = c and every
-    live row leads below it: the chain's last row is reduced, no row
-    stays live, and the next chain starts from an empty row.  () counts
-    0, and each chain counts as it would alone.
+    live row leads below it: the chain's last row is reduced, no later
+    row meets the live one, and the next chain starts from an empty row.
+    () counts 0, and each chain counts as it would alone.
 
     >>> limit_rows([((1, 0),), ((0, 1),)], 2)
     [1, 0]
@@ -60,8 +66,8 @@ def limit_rows(columns, ncols):
     # ones of K), which is reduced before character K - 1 is done; the
     # empty character after the last completes the last row, which can
     # only pivot in the last character.
-    counts, live, row, c = [0] * len(columns), None, {}, 0
-    for K, fields in enumerate((*columns, ())):
+    counts, live, row, c = [0] * len(columns), (None, None), {}, 0
+    for K, fields in enumerate(chain(columns, ((),))):
         below, first = {}, c
         for low, high in fields:
             if high:
@@ -70,8 +76,9 @@ def limit_rows(columns, ncols):
                 below[c] = low
             c += 1
         if row:
-            lead = min(row)
-            if live and live[0] == lead:
+            for lead in row:  # the first key: row is unreduced
+                break
+            if live[0] == lead:
                 prow = live[1]
                 p, e = prow[lead], row[lead]
                 row = {j: v for j in row.keys() | prow.keys()
@@ -80,7 +87,7 @@ def limit_rows(columns, ncols):
                     lead = min(row)
             if row:
                 counts[K - (lead < first)] += 1
-        live = (lead, row) if row and lead >= first else None
+                live = lead, row
         row = below
     return counts
 

@@ -1,4 +1,5 @@
-"""Run the doctest examples in the package docstrings and the README."""
+"""Run the doctest examples in the package docstrings, the test
+oracles and the README."""
 
 import doctest
 import os
@@ -16,6 +17,7 @@ import foldeg.matrices
 import foldeg.pencil
 import foldeg.polyfit
 import foldeg.verify
+import oracles
 
 MODULES = (
     foldeg.exact,
@@ -29,6 +31,7 @@ MODULES = (
     foldeg.polyfit,
     foldeg.commands,
     foldeg.verify,
+    oracles,
 )
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

@@ -408,6 +408,19 @@ def test_kernel_rule_equals_the_echelon_oracle(weights):
                 assert Counter(got) == want[frozenset(chars)], (pair, d)
 
 
+def test_kernel_rule_takes_three_fields_at_most():
+    """_chains writes 0, 1 or 3 fields per character, and the rank rule
+    pads a shorter character to three.  A character of four fields is
+    refused (ValueError), wherever it stands in the list, not counted by
+    three of its fields."""
+    four = ((1, 0), (0, 1), (1, 1), (2, -1))
+    for chain in ([((0,), four)],
+                  [((0,), ((1, 0),)), ((1,), four)],
+                  [((0,), four), limits.END]):
+        with pytest.raises(ValueError, match="expected 3"):
+            limits._kernel_rule(chain)
+
+
 def test_chain_rank_guard_raises(monkeypatch):
     """A chain echelon that loses one pivot makes the chain fiber oracle
     raise its C(d+4, 3) rank guard."""

@@ -151,8 +151,8 @@ MUTANTS = {
     # so that row K + 1 meets character K after its sweep
     "a row admitted one character late": (
         "linalg.py",
-        "        live = (lead, row) if row and lead >= first else None\n",
-        "        live = (lead, row) if row and lead >= c else None\n",
+        "                live = lead, row\n",
+        "                live = (lead, row) if lead >= c else (None, None)\n",
         [
             "tests/test_linalg.py::"
             "test_echelon_and_limit_rows_leave_their_rows_unchanged",
@@ -224,8 +224,8 @@ MUTANTS = {
     ),
     "closed-form counts with their two terms swapped": (
         "bott.py",
-        "[(ck >= 0 <= cl) + (cp == 0 == cq)",
-        "[(cp >= 0 <= cq) + (ck == 0 == cl)",
+        "[(chi[k] >= 0 <= chi[l]) + (chi[p] == 0 == chi[q])",
+        "[(chi[p] >= 0 <= chi[q]) + (chi[k] == 0 == chi[l])",
         [
             "tests/test_bott.py::test_d3_degree",
             "tests/test_bott.py::"
@@ -245,13 +245,16 @@ MUTANTS = {
         ["tests/test_limits.py::test_method_disagreement_is_raised"],
     ),
     # the lowest inner level of a chain written as the one above it, when
-    # there is one: that character twice, with its three fields, and the
-    # lowest one not at all
+    # there is one: that character twice, with its three fields, the
+    # lowest one in the bottom's place with the bottom's one field, and
+    # the bottom one not at all
     "chains that write one character twice and drop another": (
         "limits.py",
-        "            for lev in range(top - 2, bottom, -2):\n",
+        "            for _ in range(top - 2, bottom, -2):\n",
         "            for lev in range(top - 2, bottom, -2):\n"
-        "                lev = max(lev, min(bottom + 4, top - 2))\n",
+        "                if lev == bottom + 2 < top - 2:\n"
+        "                    c1, c2, c3, c4 = "
+        "c1 - u1, c2 - u2, c3 - u3, c4 - u4\n",
         [
             "tests/test_bott.py::"
             "test_closed_form_counts_are_the_closed_form_fiber",
@@ -273,10 +276,12 @@ MUTANTS = {
             "test_failed_computation_checks_exit_1[basis-size]",
         ],
     ),
+    # a character of one field counted by rank [low; high] after an
+    # absorbing one, as if A_K = 0
     "the one-field rank rule without A_K": (
         "limits.py",
-        "counts.append(1 if x or (y and not absorbs) else 0)",
-        "counts.append(1 if x or y else 0)",
+        "        if absorbs or not (y1 or y2 or y3):",
+        "        if absorbs and len(fields) > 1 or not (y1 or y2 or y3):",
         [
             "tests/test_limits.py::test_methods_agree",
             "tests/test_transport_properties.py::"
@@ -296,11 +301,15 @@ MUTANTS = {
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
         ],
     ),
-    # A_K = Q at the bottom of a chain carried over to the top of the next
+    # A_K = Q at the bottom of a chain carried over to the top of the
+    # next: the empty character counted 0 and not padded
     "a chain end that keeps A_K": (
         "limits.py",
-        "            counts.append(0)\n            absorbs = False\n",
-        "            counts.append(0)\n",
+        "    for _, fields in chains:\n",
+        "    for _, fields in chains:\n"
+        "        if not fields:\n"
+        "            counts.append(0)\n"
+        "            continue\n",
         [
             "tests/test_linalg.py::"
             "test_chains_laid_end_to_end_sweep_as_each_alone",
@@ -825,18 +834,57 @@ MUTANTS = {
     ),
     "A_K updated from the high entries of the first two fields only": (
         "limits.py",
-        "            absorbs = both > any(y for _, y in fields)\n",
-        "            absorbs = both > any(y for _, y in fields[:2])\n",
+        "not (y1 or y2 or y3):",
+        "not (y1 or y2):",
         ["tests/test_transport_properties.py::"
          "test_kernel_rule_holds_on_any_chain"],
     ),
     "the rank rule without the minor of the second and third fields": (
         "limits.py",
-        "                       in combinations(fields, 2)) + any(map(any, fields))\n",
-        "                       in [*combinations(fields, 2)][:2])"
-        " + any(map(any, fields))\n",
+        "\n                       or x2 * y3 != y2 * x3)\n",
+        ")\n",
         ["tests/test_transport_properties.py::"
          "test_kernel_rule_holds_on_any_chain"],
+    ),
+    # the reduced row's lead read as the unreduced one's: the set union
+    # does not keep the columns in order
+    "a reduced row led by its first key, not its least": (
+        "linalg.py",
+        "                    lead = min(row)\n",
+        "                    for lead in row:\n"
+        "                        break\n",
+        [
+            "tests/test_linalg.py::"
+            "test_echelon_and_limit_rows_leave_their_rows_unchanged",
+        ],
+    ),
+    "a short character padded with a nonzero field": (
+        "limits.py",
+        "_PAD = ((0, 0),) * 3\n",
+        "_PAD = ((0, 1),) * 3\n",
+        [
+            "tests/test_limits.py::test_methods_agree",
+            "tests/test_transport_properties.py::"
+            "test_kernel_rule_holds_on_any_chain",
+            "tests/test_linalg.py::"
+            "test_chains_laid_end_to_end_sweep_as_each_alone",
+        ],
+    ),
+    # the six contractions of a tangent field no longer cancel
+    "contract keeping only the last term at each monomial": (
+        "forms.py",
+        "            out[m] = out.get(m, 0) + coeff * c\n",
+        "            out[m] = coeff * c\n",
+        ["tests/test_fields.py::"
+         "test_forms_that_annihilate_a_tangent_field[2-1]"],
+    ),
+    # a decomposable form's Pfaffian no longer vanishes
+    "a Pfaffian with one sign flipped": (
+        "forms.py",
+        "        return a12 * a34 - a13 * a24 + a14 * a23\n",
+        "        return a12 * a34 + a13 * a24 + a14 * a23\n",
+        ["tests/test_fields.py::"
+         "test_forms_that_annihilate_a_field_tangent_to_a_pencil[2-20]"],
     ),
 }
 
