@@ -6,7 +6,7 @@ Four subcommands:
   report (text or JSON);
 * ``verify`` recomputes the d=2 Legendrian localization and compares
   the fiber multiset, the six fractions, and the total against the
-  frozen constants in foldeg.reference;
+  frozen constants it holds;
 * ``interpolate --family F --min A --max B`` recomputes degrees,
   interpolates the exact counting polynomial, and compares it with the
   closed form (``--partial`` compares pointwise instead).
@@ -26,8 +26,8 @@ MethodDisagreement, SaturationRankError; a ZeroDivisionError or
 OverflowError too), reported on one ``error:`` line, or any
 verify/interpolate mismatch; 2 for invalid weights or bad usage (a degree
 below the family's minimum, --jobs below 1, an --out file that cannot be
-written), reported on one ``error:`` line.  All output is deterministic
-for fixed flags.
+written, the empty path included), reported on one ``error:`` line.  All
+output is deterministic for fixed flags.
 """
 
 import argparse
@@ -147,12 +147,13 @@ def _join_weights(argv):
 
 
 def _check_out(path):
-    """Refuse an --out path that cannot be written (UsageError): one
-    that names a directory, or whose directory is missing or not
-    writable.  Nothing is created."""
+    """Refuse an --out path that cannot be written (UsageError): the
+    empty path, one that names a directory, or one whose directory is
+    missing or not writable.  Nothing is created."""
     folder = os.path.dirname(path) or "."
     reason = ("Is a directory" if os.path.isdir(path)
-              else "No such file or directory" if not os.path.isdir(folder)
+              else "No such file or directory"
+              if not path or not os.path.isdir(folder)
               else None if os.access(folder, os.W_OK) else "Permission denied")
     if reason:
         raise UsageError("cannot write %s: %s" % (path, reason))
@@ -172,14 +173,14 @@ def main(argv=None):
             raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
         if hasattr(args, "weights"):
             args.weights.require_admissible()
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         # the subcommand's body is imported only now, when it runs
         where, name = args.body.split(".")
         json_dict, lines, ok = getattr(import_module("." + where, __package__), name)(args)
         report = json.dumps(json_dict, indent=2)
         # the file first, so a report that cannot be saved is not printed
-        if args.out:
+        if args.out is not None:
             try:
                 with open(args.out, "w") as fh:
                     fh.write(report + "\n")

@@ -6,7 +6,7 @@ equality test downstream is exact.
 """
 
 import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -126,7 +126,6 @@ def as_weight_system(w):
     return w if isinstance(w, WeightSystem) else WeightSystem(w)
 
 
-@lru_cache(maxsize=3)  # a degree d asks for d - 1, d and d + 1 at most
 def monomials_of_degree(k):
     """All degree-k monomials in x1..x4 as exponent 4-tuples.
 
@@ -193,21 +192,18 @@ class PowerSums:
 
     @classmethod
     def of(cls, values, top, copies=None):
-        """p_0..p_top of integers, each value taken copies[i] times if
-        copies is given, else counted once and summed over the distinct
-        values; TypeError for a value that is not an integer.
+        """p_0..p_top of integers, each value taken once, or copies[i]
+        times if copies is given; TypeError for a value that is not an
+        integer.
 
         >>> PowerSums.of([2, 2, 3], 2).p == PowerSums.of([2, 3], 2, [2, 1]).p
         True
         """
-        if copies is None:
-            counts = Counter(values)
-            values, copies = counts, counts.values()
-        distinct = list(map(operator.index, values))
-        terms = list(copies)
+        values = list(map(operator.index, values))
+        terms = [1] * len(values) if copies is None else list(copies)
         p = [sum(terms)]
         for _ in range(top):
-            terms = list(map(operator.mul, terms, distinct))
+            terms = list(map(operator.mul, terms, values))
             p.append(sum(terms))
         return cls(p)
 

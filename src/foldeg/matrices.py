@@ -8,8 +8,9 @@ oracle of the closed forms:
 
 * echelon, rank, rref and kernel_basis: dense exact elimination, the
   integer one fraction-free, the Fraction one reduced;
-* _write_fields: the Fraction fields of build_phi_basis(d), written as
-  fields.build_phi_basis documents them (SectionBasis.fields);
+* _write_fields: the Fraction fields of build_phi_basis(d), each
+  written from the formula that fields.build_phi_basis documents
+  (SectionBasis.fields);
 * scaled_terms and integer_contraction: the contraction of a whole
   basis with an integer form, over Z; forms.contract is its Fraction
   oracle, one field at a time;
@@ -158,24 +159,16 @@ def kernel_basis(rows, ncols):
 
 def _write_fields(d):
     """The fields of build_phi_basis(d), as it documents them."""
-    one = Fraction(1)
-    monos = monomials_of_degree(d)
-    # partners are degree-d monomials too: reuse those tuples, and build
-    # each coefficient -mu_j/(mu_4+1) once (mu_j + mu_4 <= d)
-    shared = dict(zip(monos, monos))
-    coefficient = {(e, s): Fraction(-e, s)
-                   for e in range(1, d + 1) for s in range(1, d + 2 - e)}
     fields = []
-    for mu in monos:
+    for mu in monomials_of_degree(d):
         for j in (1, 2, 3, 4):
             e = mu[j - 1]
             if j == 4 and e:
                 continue
-            terms = (MonomialField(one, mu, j),)
+            terms = (MonomialField(Fraction(1), mu, j),)
             if e:
-                partner = shared[_bump(_lower(mu, j), 4)]
-                c = coefficient[e, mu[3] + 1]
-                terms += (MonomialField(c, partner, 4),)
+                terms += (MonomialField(Fraction(-e, mu[3] + 1),
+                                        _bump(_lower(mu, j), 4), 4),)
             fields.append(BasisField(terms))
     return fields
 

@@ -1,12 +1,13 @@
-"""The regression checks behind ``foldeg verify``, and their report.
+"""The regression checks behind ``foldeg verify``, the frozen constants
+they compare against, and their report.
 
 foldeg.cli imports this module only when it runs ``verify``, so a cold
-start compiles neither it nor what only it reads: the frozen constants
-of foldeg.reference and the form algebra of foldeg.forms, which the
-worked tangency example contracts.  Like foldeg.commands, it calls the
-package's functions through their modules when it runs
-(bott.legendrian_degree), so that a wrapper put on them, before or
-after this module loads, sees these calls until it is taken off.
+start compiles neither it, with its constants, nor what only it reads:
+the form algebra of foldeg.forms, which the worked tangency example
+contracts.  Like foldeg.commands, it calls the package's functions
+through their modules when it runs (bott.legendrian_degree), so that a
+wrapper put on them, before or after this module loads, sees these
+calls until it is taken off.
 
 >>> [name for name, ok, _ in run_verify_checks(example=True) if not ok]
 []
@@ -14,9 +15,42 @@ after this module loads, sees these calls until it is taken off.
 
 from fractions import Fraction
 
-from . import bott, exact, limits, reference
+from . import bott, exact, limits
 from .forms import AntisymmetricForm, MonomialField, contract
 from .limits import METHOD_BOTH
+
+# ---------------------------------------------------------------------------
+# Frozen reference values.  Each was produced by the pipeline itself at
+# the default weight system (0, 2, 7, 10) and then cross-checked by an
+# independent route (a second elimination method, a symbolic fixed-point
+# transport, or a closed-form evaluation).  They are inlined so that
+# verify detects regressions without recomputing oracles, and read as
+# module globals when the checks run.
+#
+# Degree-2 Legendrian localization: the six fixed points in canonical
+# order (1,2), (1,3), (1,4), (2,3), (2,4), (3,4).  Each contribution is
+# e5(fiber weights) / e5(tangent weights) written with the raw
+# (unreduced) numerator and denominator, the denominator normalized to
+# be positive.
+LEGENDRIAN_D2_CONTRIBUTIONS = (
+    ((1, 2), 833800359, 42000),
+    ((1, 3), -38740434, 1500),
+    ((1, 4), 7716777, 336),
+    ((2, 3), -4199874, 336),
+    ((2, 4), -3398841, 1500),
+    ((3, 4), -105534, 42000),
+)
+
+LEGENDRIAN_D2_DEGREE = 2224
+
+# The limit fiber at the fixed point (3,4) for d = 2: twenty quotient
+# weights and the elementary symmetric value e5 used in the localization
+# numerator.
+D2_P34_QUOTIENT_WEIGHTS = (
+    -10, -8, -7, -6, -5, -3, -3, -2, -1, 0,
+    0, 2, 2, 3, 4, 4, 5, 7, 10, 13,
+)
+D2_P34_E5 = 105534
 
 
 def run_verify_checks(example=False):
@@ -35,22 +69,22 @@ def run_verify_checks(example=False):
         checks.append((name, ok, "computed %s, frozen %s" % (computed, frozen)))
 
     quotient = limits.limit_fiber_weights((3, 4), 2, method=METHOD_BOTH).quotient_weights
-    fiber, frozen_fiber = list(quotient), list(reference.D2_P34_QUOTIENT_WEIGHTS)
+    fiber, frozen_fiber = list(quotient), list(D2_P34_QUOTIENT_WEIGHTS)
     check("fiber-weights-d2-pair34", fiber == frozen_fiber, fiber, frozen_fiber)
     e5 = exact.elementary_symmetric(5, quotient)
-    check("fiber-e5-d2-pair34", e5 == reference.D2_P34_E5, e5, reference.D2_P34_E5)
+    check("fiber-e5-d2-pair34", e5 == D2_P34_E5, e5, D2_P34_E5)
 
     report = bott.legendrian_degree(2, method=METHOD_BOTH)
-    frozen = reference.LEGENDRIAN_D2_CONTRIBUTIONS
-    for contrib, (pair, num, den) in zip(report.contributions, frozen):
+    for contrib, (pair, num, den) in zip(report.contributions,
+                                         LEGENDRIAN_D2_CONTRIBUTIONS):
         check(
             "contribution-d2-pair%d%d" % pair,
             contrib.pair == pair and contrib.value == Fraction(num, den),
             "%d/%d" % (contrib.numerator, contrib.denominator),
             "%d/%d" % (num, den),
         )
-    degree = reference.LEGENDRIAN_D2_DEGREE
-    check("total-degree-d2", report.degree == degree, report.degree, degree)
+    check("total-degree-d2", report.degree == LEGENDRIAN_D2_DEGREE,
+          report.degree, LEGENDRIAN_D2_DEGREE)
 
     if example:
         leftover = contract(AntisymmetricForm({(1, 2): 1, (3, 4): 1}), (

@@ -5,7 +5,7 @@ cross-checked by an independent route (a second elimination method, a
 symbolic fixed-point transport, or a closed-form evaluation).  The
 constants are inlined so the test suite can detect regressions without
 recomputing oracles.  The four constants that ``foldeg verify`` reads
-are in foldeg.reference.
+are module constants of foldeg.verify.
 """
 
 from foldeg.exact import WeightSystem
@@ -17,7 +17,7 @@ ALT_WEIGHTS_A = WeightSystem((0, 1, 5, 13))
 ALT_WEIGHTS_B = WeightSystem((1, 3, 9, 20))
 
 # ---------------------------------------------------------------------------
-# Legendrian degrees; d = 2 is foldeg.reference.LEGENDRIAN_D2_DEGREE.
+# Legendrian degrees; d = 2 is foldeg.verify.LEGENDRIAN_D2_DEGREE.
 LEGENDRIAN_D3_DEGREE = 83520
 
 # Legendrian degrees for d = 2..17, the sixteen data points that pin
@@ -44,7 +44,7 @@ LEGENDRIAN_DEGREES = {
 # ---------------------------------------------------------------------------
 # The limit fiber at the fixed point (3,4) for d = 2, whose twenty
 # quotient weights at (0, 2, 7, 10) are
-# foldeg.reference.D2_P34_QUOTIENT_WEIGHTS, written symbolically as
+# foldeg.verify.D2_P34_QUOTIENT_WEIGHTS, written symbolically as
 # integer combinations of the four torus weights (w1, w2, w3, w4); each
 # row is the coefficient vector (c1, c2, c3, c4) meaning
 # c1*w1 + c2*w2 + c3*w3 + c4*w4.  These are the Z^4 characters of the

@@ -46,7 +46,7 @@ from foldeg.limits import (
     limit_fiber_weights,
 )
 from foldeg.pencil import PENCIL, pencil_degree, tangent_weights_g24
-from foldeg.reference import LEGENDRIAN_D2_CONTRIBUTIONS, LEGENDRIAN_D2_DEGREE
+from foldeg.verify import LEGENDRIAN_D2_CONTRIBUTIONS, LEGENDRIAN_D2_DEGREE
 from frozen import (
     ALT_WEIGHTS_A,
     ALT_WEIGHTS_B,
@@ -480,18 +480,6 @@ def test_both_sees_a_character_moved_at_constant_weight(monkeypatch):
     with pytest.raises(MethodDisagreement,
                        match=r"closed-form .* at \(3, 4\), d=3"):
         legendrian_degree(3, method=METHOD_BOTH)
-
-
-def test_a_both_sweep_keeps_three_monomial_lists():
-    """A degree d reads the monomials of degrees d - 1, d and d + 1 at
-    most, so the monomial cache keeps three lists: a sweep of "both"
-    over d = 2..8, each degree checked directly, never holds more."""
-    exact.monomials_of_degree.cache_clear()
-    sizes = []
-    for d in range(2, 9):
-        legendrian_degree(d, method=METHOD_BOTH)
-        sizes.append(exact.monomials_of_degree.cache_info().currsize)
-    assert max(sizes) == 3, sizes
 
 
 def test_both_checks_each_degree_and_pair_once(monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from foldeg import bott, cli, limits, pencil, polyfit, reference, verify
+from foldeg import bott, cli, limits, pencil, polyfit, verify
 from foldeg.exact import Differences, PowerSums
 from foldeg.fields import SectionBasis
 
@@ -175,18 +175,19 @@ def test_verify_json(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_reference_holds_only_what_verify_reads():
-    """foldeg.reference defines the four constants that verify compares
-    against and nothing else, imported names included; the frozen values
-    that only the tests read are in tests/frozen.py."""
-    assert {name for name in vars(reference) if not name.startswith("_")} == {
+def test_verify_holds_only_the_constants_it_reads():
+    """foldeg.verify defines the four frozen constants that its checks
+    compare against and no other; the frozen values that only the tests
+    read are in tests/frozen.py."""
+    assert {name for name in vars(verify)
+            if name.isupper() and name not in vars(limits)} == {
         "D2_P34_E5", "D2_P34_QUOTIENT_WEIGHTS",
         "LEGENDRIAN_D2_CONTRIBUTIONS", "LEGENDRIAN_D2_DEGREE"}
 
 
 def test_verify_detects_tampered_constant(capsys, monkeypatch):
     """Corrupting one frozen constant must fail exactly the named check."""
-    monkeypatch.setattr(reference, "LEGENDRIAN_D2_DEGREE", 9999)
+    monkeypatch.setattr(verify, "LEGENDRIAN_D2_DEGREE", 9999)
     code, out, _ = run(capsys, ["verify"])
     assert code == 1
     lines = out.splitlines()
@@ -196,10 +197,10 @@ def test_verify_detects_tampered_constant(capsys, monkeypatch):
 
 
 def test_verify_detects_tampered_fiber(capsys, monkeypatch):
-    tampered = list(reference.D2_P34_QUOTIENT_WEIGHTS)
+    tampered = list(verify.D2_P34_QUOTIENT_WEIGHTS)
     tampered[0] -= 1
     monkeypatch.setattr(
-        reference, "D2_P34_QUOTIENT_WEIGHTS", tuple(tampered)
+        verify, "D2_P34_QUOTIENT_WEIGHTS", tuple(tampered)
     )
     code, out, _ = run(capsys, ["verify"])
     assert code == 1
@@ -223,16 +224,16 @@ TAMPERED_DETAILS = {
 def test_verify_failure_details_are_exact(capsys, monkeypatch):
     """One frozen constant of each kind tampered: each failing check
     reports its computed and frozen values byte for byte."""
-    fiber = list(reference.D2_P34_QUOTIENT_WEIGHTS)
+    fiber = list(verify.D2_P34_QUOTIENT_WEIGHTS)
     fiber[0] -= 1
-    monkeypatch.setattr(reference, "D2_P34_QUOTIENT_WEIGHTS", tuple(fiber))
-    monkeypatch.setattr(reference, "D2_P34_E5", reference.D2_P34_E5 + 1)
-    contributions = list(reference.LEGENDRIAN_D2_CONTRIBUTIONS)
+    monkeypatch.setattr(verify, "D2_P34_QUOTIENT_WEIGHTS", tuple(fiber))
+    monkeypatch.setattr(verify, "D2_P34_E5", verify.D2_P34_E5 + 1)
+    contributions = list(verify.LEGENDRIAN_D2_CONTRIBUTIONS)
     contributions[1] = ((1, 3), -38740434, 1501)
     monkeypatch.setattr(
-        reference, "LEGENDRIAN_D2_CONTRIBUTIONS", tuple(contributions)
+        verify, "LEGENDRIAN_D2_CONTRIBUTIONS", tuple(contributions)
     )
-    monkeypatch.setattr(reference, "LEGENDRIAN_D2_DEGREE", 9999)
+    monkeypatch.setattr(verify, "LEGENDRIAN_D2_DEGREE", 9999)
 
     code, out, _ = run(capsys, ["verify"])
     assert code == 1
@@ -479,7 +480,8 @@ def _never_called(*args, **kwargs):
     ("missing-dir", "No such file or directory"),
     ("directory", "Is a directory"),
     ("unwritable-dir", "Permission denied"),
-], ids=["missing-dir", "directory", "unwritable-dir"])
+    ("empty", "No such file or directory"),
+], ids=["missing-dir", "directory", "unwritable-dir", "empty"])
 @pytest.mark.parametrize("argv", [
     ["interpolate", "--family", "legendrian", "--min", "2", "--max", "400",
      "--partial"],
@@ -488,10 +490,10 @@ def _never_called(*args, **kwargs):
 ], ids=["interpolate", "legendrian", "verify"])
 def test_an_unwritable_out_path_is_refused_before_computing(
         capsys, monkeypatch, tmp_path, argv, where, reason):
-    """An --out path whose directory is missing or not writable, or that
-    names a directory, exits 2 with one error: line before any
-    computation runs (each is replaced by a function that fails the
-    test), and creates no file."""
+    """An --out path whose directory is missing or not writable, that
+    names a directory, or that is empty, exits 2 with one error: line
+    before any computation runs (each is replaced by a function that
+    fails the test), and creates no file."""
     for module, name in ((bott, "legendrian_degree"), (pencil, "pencil_degree"),
                          (polyfit, "interpolate_family"),
                          (polyfit, "compute_degree_points"),
@@ -499,7 +501,8 @@ def test_an_unwritable_out_path_is_refused_before_computing(
         monkeypatch.setattr(module, name, _never_called)
     target = {"missing-dir": "/nonexistent/dir/x.json",
               "directory": str(tmp_path),
-              "unwritable-dir": str(tmp_path / "x.json")}[where]
+              "unwritable-dir": str(tmp_path / "x.json"),
+              "empty": ""}[where]
     if where == "unwritable-dir":
         # the tests may run as root, for whom every directory is writable
         monkeypatch.setattr(os, "access", lambda path, mode: False)
@@ -524,14 +527,14 @@ def test_a_write_that_fails_after_the_check_exits_2(capsys, monkeypatch, tmp_pat
 
 
 def test_import_leaves_the_process_pool_out():
-    """Only --jobs needs concurrent.futures and only verify reads
-    foldeg.reference; a plain start imports neither."""
+    """Only --jobs needs concurrent.futures and only the verify command
+    loads foldeg.verify; a plain start imports neither."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys, foldeg, foldeg.cli; "
         "print('concurrent.futures' in sys.modules, "
-        "'foldeg.reference' in sys.modules)"
+        "'foldeg.verify' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],

@@ -60,15 +60,15 @@ for step, argv in (("verify", ["verify", "--example", "--format", "json"]),
 print(json.dumps({"codes": codes, "steps": steps}))
 """
 
-VERIFIED = sorted(IMPORTED + ["foldeg.forms", "foldeg.reference", "foldeg.verify"])
+VERIFIED = sorted(IMPORTED + ["foldeg.forms", "foldeg.verify"])
 
 
 def test_the_workload_paths_load_only_the_import_set():
     """import foldeg, foldeg.cli loads the package and eight modules, and
     the public paths of the benchmark workloads load nothing more, but
-    for what verify alone reads: its body (foldeg.verify), the frozen
-    constants (foldeg.reference) and the form algebra of its worked
-    example (foldeg.forms).  Neither verify nor the degrees load the
+    for what verify alone reads: its body and frozen constants
+    (foldeg.verify) and the form algebra of its worked example
+    (foldeg.forms).  Neither verify nor the degrees load the
     other subcommands' bodies (foldeg.commands); a pencil command loads
     them and nothing else."""
     out = json.loads(run_fresh(WORKLOADS).splitlines()[-1])
@@ -217,3 +217,19 @@ def test_interpolate_without_jobs_imports_no_process_pool():
         "                           '--min', '2', '--max', '14'])\n"
         "print(code, 'concurrent.futures' in sys.modules)")
     assert out.split() == ["0", "False"]
+
+
+def test_the_size_script_counts_the_import_path_within_the_total():
+    """tests/sizes.py prints the module count, the lines and the AST
+    nodes of src/foldeg, and the nodes that a cold import compiles: one
+    module per file, and an import path above zero and no larger than
+    the whole."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sizes.py")
+    run = subprocess.run([sys.executable, script, SRC],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    modules, lines, nodes, on_import = map(int, run.stdout.split())
+    files = [name for name in os.listdir(os.path.join(SRC, "foldeg"))
+             if name.endswith(".py")]
+    assert modules == len(files) and lines > 0
+    assert 0 < on_import <= nodes

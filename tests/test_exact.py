@@ -218,6 +218,21 @@ def test_power_sums_of_reads_its_copies_once():
         PowerSums.of([2, 2, 3], 2).p)
 
 
+def test_power_sums_of_repeats_equal_the_distinct_values_with_copies():
+    """Without copies each value of the list counts once, so a list with
+    repeats has the power sums of its distinct values taken with their
+    multiplicities as copies, and p_j = sum v^j over the list."""
+    rng = random.Random(5500)
+    for _ in range(40):
+        values = [rng.randint(-4, 4) for _ in range(rng.randint(0, 12))]
+        top = rng.randint(0, 6)
+        counts = Counter(values)
+        got = PowerSums.of(values, top).p
+        assert got == PowerSums.of(counts.keys(), top, counts.values()).p
+        assert got == tuple(sum(v ** j for v in values)
+                            for j in range(top + 1)), values
+
+
 def test_elementary_symmetric_requires_integers():
     """Newton's identities divide exactly only on integers, so anything
     else is refused rather than answered wrongly."""

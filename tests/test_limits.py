@@ -38,7 +38,7 @@ from foldeg.matrices import (
     rank,
     rref,
 )
-from foldeg.reference import D2_P34_E5, D2_P34_QUOTIENT_WEIGHTS
+from foldeg.verify import D2_P34_E5, D2_P34_QUOTIENT_WEIGHTS
 from frozen import ALT_WEIGHTS_A, ALT_WEIGHTS_B, D2_P34_SYMBOLIC_WEIGHTS
 import oracles
 from oracles import (

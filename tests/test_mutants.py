@@ -404,8 +404,8 @@ MUTANTS = {
     # the function taken from bott when verify loads, not when it runs
     "verify bound to legendrian_degree as it was when verify loaded": (
         "verify.py",
-        "from . import bott, exact, limits, reference\n",
-        "from . import bott, exact, limits, reference\n"
+        "from . import bott, exact, limits\n",
+        "from . import bott, exact, limits\n"
         "from types import SimpleNamespace\n"
         "bott = SimpleNamespace(legendrian_degree=bott.legendrian_degree)\n",
         ["tests/test_cold_start.py::"
@@ -759,6 +759,29 @@ MUTANTS = {
         "        raise ValueError(\"no monomials of degree %r\" % (d + 1,))\n",
         "",
         ["tests/test_bott.py::test_input_validation"],
+    ),
+    "a written field whose partner coefficient has the wrong sign": (
+        "matrices.py",
+        "MonomialField(Fraction(-e, mu[3] + 1),",
+        "MonomialField(Fraction(e, mu[3] + 1),",
+        [
+            "tests/test_fields.py::test_phi_basis_dimensions_and_divergence",
+            "tests/test_fields.py::"
+            "test_closed_form_basis_matches_rref_oracle[weights0]",
+            "tests/test_fields.py::test_basis_field_render",
+        ],
+    ),
+    "PowerSums.of ignoring copies": (
+        "exact.py",
+        "        terms = [1] * len(values) if copies is None else list(copies)\n",
+        "        terms = [1] * len(values)\n",
+        [
+            "tests/test_bott.py::test_methods_give_same_degree",
+            "tests/test_bott.py::test_both_checks_closed_form_fibers",
+            "tests/test_exact.py::test_power_sums_of_reads_its_copies_once",
+            "tests/test_exact.py::"
+            "test_power_sums_of_repeats_equal_the_distinct_values_with_copies",
+        ],
     ),
     "a tangent kernel one dimension too large": (
         "matrices.py",

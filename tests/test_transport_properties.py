@@ -286,12 +286,12 @@ def test_power_sum_numerators_equal_the_counted_routes(values):
             assert len(fiber) == comb(d + 4, 3)
             image = counted_image_fiber(pair, d, w, counted)
             assert elementary_symmetric(5, fiber) == elementary_symmetric(
-                5, PowerSums.of(image, 5)), (pair, d)
+                5, PowerSums.of(image.keys(), 5, image.values())), (pair, d)
             fiber = PENCIL.fiber(pair, d, w)
             assert len(fiber) == comb(d + 4, 3) - (d + 2)
             twisted = counted_pencil_fiber(pair, d, w, counted)
             assert elementary_symmetric(4, fiber) == elementary_symmetric(
-                4, PowerSums.of(twisted, 4)), (pair, d)
+                4, PowerSums.of(twisted.keys(), 4, twisted.values())), (pair, d)
 
 
 @hypothesis.given(values=ADMISSIBLE_WEIGHTS)
