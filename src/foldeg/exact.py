@@ -386,10 +386,10 @@ class RationalPolynomial(namedtuple("RationalPolynomial", "coefficients")):
         """Coefficients, constant first, as scalar strings (JSON-ready)."""
         return [scalar_to_string(c) for c in self.coefficients]
 
-    def render(self, var="d"):
-        """Readable form, highest degree first, e.g. "d^2 + 2*d + 3"."""
+    def render(self):
+        """Readable form in d, highest degree first, e.g. "d^2 + 2*d + 3"."""
         return signed_sum(
-            (c, "" if k == 0 else var if k == 1 else "%s^%d" % (var, k))
+            (c, "" if k == 0 else "d" if k == 1 else "d^%d" % k)
             for k, c in reversed(list(enumerate(self.coefficients)))
             if c
         ) or "0"

@@ -16,15 +16,16 @@ pairs and the dimension formulas are here too, as the degree paths read
 them.
 
 The written fields, the antisymmetric forms and their contraction are in
-foldeg.forms, and the explicit matrices, which write the fields and rank
-the contraction for tangent_kernel_dimension, in foldeg.matrices.  A
-degree computation needs neither, so each is loaded the first time one
-of its names is asked for.  kernel_basis is imported here only because
-perfbench/tracing.py hooks the name.
+foldeg.forms, which no degree computation needs: SectionBasis.fields
+loads it the first time a caller reads the fields.  The tangency kernel
+at a form has a closed form too (tangent_kernel_dimension), so nothing
+here writes a field to count it.  kernel_basis is imported here only
+because perfbench/tracing.py hooks the name.
 """
 
 from collections import Counter
 from functools import lru_cache
+from operator import index
 
 from .exact import monomials_of_degree
 # Not called here: the basis has a closed form.  The name stays because
@@ -79,8 +80,8 @@ class SectionBasis:
     @property
     def fields(self):
         if self._fields is None:
-            from . import matrices
-            self._fields = _sized(tuple(matrices._write_fields(self.d)), self.d)
+            from . import forms
+            self._fields = _sized(tuple(forms._write_fields(self.d)), self.d)
         return self._fields
 
     def __len__(self):
@@ -143,8 +144,20 @@ def _phi_basis_cached(d):
 
 
 def tangent_kernel_dimension(form, d):
-    """Dimension of the fields in Phi_d tangent to the given form: dim
-    Phi_d less the exact rank of the contraction matrix
-    (foldeg.matrices.tangent_kernel_dimension)."""
-    from . import matrices
-    return matrices.tangent_kernel_dimension(form, d)
+    """Dimension of the fields in Phi_d tangent to the form, in closed form.
+
+    Contraction sends a field (p_i) to sum a_i * p_i, a_i the form's
+    linear forms, so the image of all degree-d fields is the degree-(d+1)
+    part of the ideal (a_1..a_4).  The Euler field E has omega(E) = 0
+    and div(fE) = (d+3)f, so every field is one in Phi_d plus a multiple
+    of E, and Phi_d has the same image.  The a_i, the rows of the form's
+    matrix, span a space of its rank: 4 when the Pfaffian is nonzero, so
+    the image is all of S_(d+1), of dimension C(d+4,3); else 2 (the form
+    is nonzero), and the image (l_1, l_2)_(d+1) has codimension d + 2,
+    the degree-(d+1) forms in the two other variables.  The kernel is dim
+    Phi_d less the image: contact_kernel_dimension(d), or d + 2 more.
+    """
+    d = index(d)
+    if d < 1:
+        raise ValueError("field degree must be >= 1, got %r" % (d,))
+    return contact_kernel_dimension(d) + (0 if form.pfaffian() else d + 2)

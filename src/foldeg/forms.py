@@ -6,13 +6,15 @@ field multiplies components and sums, landing in degree d+1: over Q for
 one field (contract).  Over Z, for a whole basis and a form with
 integer coefficients, it is matrices.integer_contraction.  A field is
 written as its terms, each a MonomialField c * mu * d/dx_j; the fields
-of a basis are BasisFields, one Z^4 character each.
+of a basis are BasisFields, one Z^4 character each, and _write_fields
+writes those of build_phi_basis(d) (SectionBasis.fields).
 
 No degree computation writes a field or a form: the degrees come from
 the closed-form counts of foldeg.fields.  So a cold start does not
 compile this module.  It loads on first use: from foldeg.verify (the
-worked tangency example), from foldeg.matrices, and from the package
-itself when AntisymmetricForm or contract is first read from it.
+worked tangency example), when a caller first reads the fields of a
+basis, from foldeg.matrices, and from the package itself when
+AntisymmetricForm or contract is first read from it.
 
 >>> form = AntisymmetricForm({(1, 2): 1, (3, 4): 1})
 >>> form, form.is_contact()
@@ -24,7 +26,8 @@ itself when AntisymmetricForm or contract is first read from it.
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import monomial_string, scalar_to_string, signed_sum
+from .exact import (monomial_string, monomials_of_degree, scalar_to_string,
+                     signed_sum)
 from .fields import P5_PAIRS
 
 MonomialField = namedtuple("MonomialField", "coefficient monomial direction")
@@ -150,3 +153,19 @@ class BasisField(namedtuple("BasisField", "terms")):
 
     def __repr__(self):
         return "BasisField(%s; character=%r)" % (self.render(), self.character)
+
+
+def _write_fields(d):
+    """The fields of build_phi_basis(d), as it documents them."""
+    fields = []
+    for mu in monomials_of_degree(d):
+        for j in (1, 2, 3, 4):
+            e = mu[j - 1]
+            if j == 4 and e:
+                continue
+            terms = (MonomialField(Fraction(1), mu, j),)
+            if e:
+                terms += (MonomialField(Fraction(-e, mu[3] + 1),
+                                        _bump(_lower(mu, j), 4), 4),)
+            fields.append(BasisField(terms))
+    return fields

@@ -1,37 +1,29 @@
-"""The explicit matrices: the written Phi_d basis, the global contraction
-and dense elimination over Z and Q.
+"""The explicit matrices: the global contraction and dense elimination
+over Z and Q.
 
 foldeg computes its degrees from closed-form tables and torus chains,
-and none of that writes a field or assembles a matrix.  This module
-holds the explicit form of the same data, which the tests use as the
-oracle of the closed forms:
+and none of that assembles a matrix.  This module holds the explicit
+form of the same data, which the tests use as the oracle of the closed
+forms:
 
 * echelon, rank, rref and kernel_basis: dense exact elimination, the
   integer one fraction-free, the Fraction one reduced;
-* _write_fields: the Fraction fields of build_phi_basis(d), each
-  written from the formula that fields.build_phi_basis documents
-  (SectionBasis.fields);
 * scaled_terms and integer_contraction: the contraction of a whole
   basis with an integer form, over Z; forms.contract is its Fraction
   oracle, one field at a time;
 * ContractionMatrix and build_contraction_matrix: the global contraction
   along the path omega_t = kappa_pq + t * kappa_kl, whose union-find
-  blocks are the chains of foldeg.limits;
-* tangent_kernel_dimension: dim Phi_d less the rank of the contraction
-  with one form.
+  blocks are the chains of foldeg.limits.
 
-The closed-form image fiber of foldeg.bott written out as its list of
-characters, which bott.closed_form_counts counts one character at a
-time, is an oracle in tests/oracles.py.
-
-No module that `import foldeg` loads imports this one, so a cold start
-compiles neither it nor foldeg.forms, whose fields and forms it writes.  The names that stand for it elsewhere import it on
-their first call: fields.tangent_kernel_dimension (public) and
-SectionBasis.fields, and, only because perfbench/tracing.py hooks them,
-linalg.rank, linalg.kernel_basis and limits.build_contraction_matrix.
+tests/oracles.py holds the rank oracle of fields.tangent_kernel_dimension
+and the closed-form image fiber of foldeg.bott written out as characters.
+No product path imports this module: only the names that
+perfbench/tracing.py hooks, linalg.rank, linalg.kernel_basis and
+limits.build_contraction_matrix, load it on their first call.
 
 >>> rank([[1, 2], [2, 4]], 2)
 1
+>>> from foldeg.fields import build_phi_basis
 >>> build_contraction_matrix((1, 2), 2, build_phi_basis(2))
 ContractionMatrix(fp=(1, 2), d=2, shape=(20, 36), 44 entries)
 """
@@ -41,8 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import monomials_of_degree
-from .fields import as_fixed_point, build_phi_basis, complementary_pair
-from .forms import AntisymmetricForm, BasisField, MonomialField, _bump, _lower
+from .fields import as_fixed_point, complementary_pair
+from .forms import AntisymmetricForm, _bump
 
 
 def echelon(rows, ncols):
@@ -157,22 +149,6 @@ def kernel_basis(rows, ncols):
     return canon
 
 
-def _write_fields(d):
-    """The fields of build_phi_basis(d), as it documents them."""
-    fields = []
-    for mu in monomials_of_degree(d):
-        for j in (1, 2, 3, 4):
-            e = mu[j - 1]
-            if j == 4 and e:
-                continue
-            terms = (MonomialField(Fraction(1), mu, j),)
-            if e:
-                terms += (MonomialField(Fraction(-e, mu[3] + 1),
-                                        _bump(_lower(mu, j), 4), 4),)
-            fields.append(BasisField(terms))
-    return fields
-
-
 def scaled_terms(field):
     """The terms of a basis field times the common denominator of its
     coefficients (mu_4+1 or a divisor of it), as (int coefficient,
@@ -211,21 +187,6 @@ def integer_contraction(form, basis):
                 key = (up[var - 1], col)
                 entries[key] = entries.get(key, 0) + coeff * c
     return {k: v for k, v in entries.items() if v}
-
-
-def tangent_kernel_dimension(form, d):
-    """Dimension of the fields in Phi_d tangent to the given form.
-
-    Computed as dim Phi_d minus the exact rank of the contraction matrix,
-    the form's coefficients scaled by their common denominator.
-    """
-    basis = build_phi_basis(d)
-    den = lcm(*(c.denominator for c in form.alpha))
-    scaled = AntisymmetricForm([c * den for c in form.alpha])
-    mat = [[0] * len(basis) for _ in monomials_of_degree(d + 1)]
-    for (r, c), v in integer_contraction(scaled, basis).items():
-        mat[r][c] = v
-    return len(basis) - rank(mat, len(basis))
 
 
 class ContractionMatrix(namedtuple(

@@ -22,13 +22,15 @@ one echelon per chain at SOURCE_PAIR and moved to the other fixed
 points by a coordinate permutation, the kernel limit's weights as
 ranks of its projections onto each weight space, the divergence of a
 field term by term, the basis Phi_d as the divergence kernel of each
-weight space in echelon form, the blocks of the global contraction by
-union-find, and the kernel limit as one integer echelon of
-[M(1)^T | I] per block.  They share no code with what they check beyond
-RationalPolynomial, the monomial list and weights, MonomialField,
-PowerSums.shifted (for the Stirling closed form), the complement of a
-pair, the Fraction rref and kernel basis, the integer echelon, and (for
-the image fiber) the chains of foldeg.limits, which split_chains takes
+weight space in echelon form, the tangency-kernel dimension at a form
+as dim Phi_d less the rank of its dense contraction matrix, the blocks
+of the global contraction by union-find, and the kernel limit as one
+integer echelon of [M(1)^T | I] per block.  They share no code with
+what they check beyond RationalPolynomial, the monomial list and
+weights, MonomialField, PowerSums.shifted (for the Stirling closed
+form), the complement of a pair, the Fraction rref and kernel basis,
+the integer echelon and contraction, the written basis, and (for the
+image fiber) the chains of foldeg.limits, which split_chains takes
 apart at the END after each.
 weight_ordered_basis puts the package's basis, which depends on d
 alone, in the order the echelon basis has under a weight system
@@ -39,7 +41,7 @@ order gives.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import itemgetter, mul
 
 from foldeg.exact import (
@@ -55,9 +57,9 @@ from foldeg.fields import (
     build_phi_basis,
     complementary_pair,
 )
-from foldeg.forms import MonomialField
+from foldeg.forms import AntisymmetricForm, MonomialField
 from foldeg.limits import END, SaturationRankError, _chains
-from foldeg.matrices import echelon, kernel_basis, rref
+from foldeg.matrices import echelon, integer_contraction, kernel_basis, rref
 
 
 def elementary_symmetric_recurrence(k, values):
@@ -454,6 +456,20 @@ def rref_phi_basis(d, weights):
             )
             fields.append((terms, wt))
     return fields
+
+
+def kernel_dimension_by_rank(form, d):
+    """The fields of Phi_d tangent to a form, counted as dim Phi_d less
+    the exact rank of the dense contraction matrix on the written basis,
+    the form's coefficients scaled by their common denominator: the
+    oracle of fields.tangent_kernel_dimension's closed form."""
+    basis = build_phi_basis(d)
+    den = lcm(*(c.denominator for c in form.alpha))
+    scaled = AntisymmetricForm([c * den for c in form.alpha])
+    mat = [[0] * len(basis) for _ in monomials_of_degree(d + 1)]
+    for (r, c), v in integer_contraction(scaled, basis).items():
+        mat[r][c] = v
+    return len(basis) - len(echelon(mat, len(basis))[1])
 
 
 def weight_ordered_basis(d, weights):

@@ -35,6 +35,7 @@ from foldeg.polyfit import (
     family_closed_form_polynomial,
     interpolate_family,
 )
+from oracles import kernel_dimension_by_rank
 
 WEIGHT_SYSTEMS = (
     WeightSystem((0, 2, 7, 10)),
@@ -109,8 +110,9 @@ def test_criterion_03_basis_dimensions():
 
 
 def test_criterion_04_kernel_rank_law():
-    """tangent_kernel_dimension = (d+4)(d+2)d/3 for five random
-    full-Pfaffian forms at each d = 2..5."""
+    """tangent_kernel_dimension = (d+4)(d+2)d/3, and so does the rank
+    of the dense contraction matrix, for five random full-Pfaffian forms
+    at each d = 2..5."""
     rng = random.Random(20260816)
     for d in range(2, 6):
         expected = (d + 4) * (d + 2) * d // 3
@@ -125,6 +127,7 @@ def test_criterion_04_kernel_rank_law():
                 continue
             produced += 1
             assert tangent_kernel_dimension(form, d) == expected
+            assert kernel_dimension_by_rank(form, d) == expected
 
 
 def test_criterion_05_method_agreement():

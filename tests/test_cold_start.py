@@ -1,11 +1,12 @@
 """What a cold start loads, and the entry points that load the rest.
 
-foldeg.matrices (the written basis, the global contraction and the dense
-elimination) and foldeg.forms (the form algebra) are compiled only when
-one of their names is first called, and the bodies of the subcommands
-(foldeg.commands, foldeg.verify) only when cli.main runs one.  Each test
-runs in a fresh interpreter, so no module that another test imported
-can hide a missing or circular import.
+foldeg.forms (the form algebra and the written basis) and
+foldeg.matrices (the global contraction and the dense elimination, which
+only the tests and the names that perfbench/tracing.py hooks read) are
+compiled only when one of their names is first called, and the bodies
+of the subcommands (foldeg.commands, foldeg.verify) only when cli.main
+runs one.  Each test runs in a fresh interpreter, so no module that
+another test imported can hide a missing or circular import.
 """
 
 import json
@@ -115,14 +116,19 @@ def test_every_exported_name_resolves_in_a_fresh_interpreter():
 
 
 @pytest.mark.parametrize("code, want", [
-    # a contact form: the kernel has dimension (d + 4)(d + 2)d / 3
-    ("from foldeg import AntisymmetricForm, tangent_kernel_dimension\n"
+    # a contact form: the kernel has dimension (d + 4)(d + 2)d / 3; a
+    # decomposable one, d + 2 more; neither writes a field
+    ("import sys\n"
+     "from foldeg import AntisymmetricForm, tangent_kernel_dimension\n"
      "print(tangent_kernel_dimension("
-     "AntisymmetricForm({(1, 2): 1, (3, 4): 1}), 2))",
-     "16"),
-    ("from foldeg import build_phi_basis\n"
-     "print(build_phi_basis(2)[1].render())",
-     "x1^2*d/dx2"),
+     "AntisymmetricForm({(1, 2): 1, (3, 4): 1}), 2),\n"
+     "      tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), 200),\n"
+     "      'foldeg.matrices' in sys.modules)",
+     "16 2747402 False"),
+    ("import sys\n"
+     "from foldeg import build_phi_basis\n"
+     "print(build_phi_basis(2)[1].render(), 'foldeg.matrices' in sys.modules)",
+     "x1^2*d/dx2 False"),
     ("from foldeg import linalg\n"
      "print(linalg.rank([[1, 2], [2, 4]], 2))\n"
      "print(*linalg.kernel_basis([[1, 2]], 2))",
@@ -130,10 +136,10 @@ def test_every_exported_name_resolves_in_a_fresh_interpreter():
     ("from foldeg import build_phi_basis, limits\n"
      "print(limits.build_contraction_matrix((1, 2), 2, build_phi_basis(2)))",
      "ContractionMatrix(fp=(1, 2), d=2, shape=(20, 36), 44 entries)"),
-    # a decomposable form: the kernel has rank 2 * C(d + 3, 3)
+    # matrices imported before fields and forms
     ("import foldeg.matrices as m\n"
-     "print(m.tangent_kernel_dimension(m.AntisymmetricForm.koszul((1, 2)), 1))",
-     "8"),
+     "print(m.rank([[1, 2], [2, 4]], 2))",
+     "1"),
 ], ids=["tangent_kernel_dimension", "written-basis", "linalg-stubs",
         "build_contraction_matrix", "matrices-first"])
 def test_each_moved_entry_point_works_as_the_first_call(code, want):
@@ -221,15 +227,28 @@ def test_interpolate_without_jobs_imports_no_process_pool():
 
 def test_the_size_script_counts_the_import_path_within_the_total():
     """tests/sizes.py prints the module count, the lines and the AST
-    nodes of src/foldeg, and the nodes that a cold import compiles: one
-    module per file, and an import path above zero and no larger than
-    the whole."""
+    nodes of src/foldeg, the nodes that a cold import compiles and the
+    lines of code: one module per file, an import path above zero and
+    no larger than the whole, and some lines but not all of them code."""
     script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sizes.py")
     run = subprocess.run([sys.executable, script, SRC],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    modules, lines, nodes, on_import = map(int, run.stdout.split())
+    modules, lines, nodes, on_import, code = map(int, run.stdout.split())
     files = [name for name in os.listdir(os.path.join(SRC, "foldeg"))
              if name.endswith(".py")]
     assert modules == len(files) and lines > 0
     assert 0 < on_import <= nodes
+    assert 0 < code < lines
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):
+    """A string that is no docstring counts as code on each of its
+    lines; a docstring, a comment and a blank line do not."""
+    from sizes import code_lines
+    path = tmp_path / "sample.py"
+    path.write_text('"""Module.\n\nmore."""\n# a comment\n\n'
+                    'import os  # trailing\n\n\n'
+                    'def f():\n    """Doc."""\n'
+                    '    x = """not a\n    docstring"""\n    return x\n')
+    assert code_lines(path) == 5

@@ -458,7 +458,7 @@ def test_rational_polynomial_render():
     p = RationalPolynomial([3, 0, Fraction(-1, 2), 1])
     assert p.render() == "d^3 - 1/2*d^2 + 3"
     assert RationalPolynomial().render() == "0"
-    assert RationalPolynomial([0, 1]).render("x") == "x"
+    assert RationalPolynomial([0, 1]).render() == "d"
     assert p.to_strings() == ["3", "0", "-1/2", "1"]
 
 

@@ -10,7 +10,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from foldeg import bott, fields, limits, matrices
+from foldeg import bott, fields, forms, limits
 from foldeg.bott import legendrian_degree
 from foldeg.exact import WeightSystem, character_weights, monomials_of_degree
 from foldeg.fields import (
@@ -35,6 +35,7 @@ from foldeg.polyfit import family_closed_form
 from oracles import (
     character_weight,
     divergence,
+    kernel_dimension_by_rank,
     rref_phi_basis,
     weight_ordered_basis,
 )
@@ -410,8 +411,8 @@ def test_phi_basis_size_guard_raises(monkeypatch):
 def test_written_fields_of_the_wrong_size_raise(monkeypatch):
     """The counts pass the size guard, but a written field list one short
     is refused when the fields are first read."""
-    real = matrices._write_fields
-    monkeypatch.setattr(matrices, "_write_fields", lambda d: real(d)[:-1])
+    real = forms._write_fields
+    monkeypatch.setattr(forms, "_write_fields", lambda d: real(d)[:-1])
     _phi_basis_cached.cache_clear()
     basis = build_phi_basis(2)
     assert len(basis) == phi_dimension(2)
@@ -435,7 +436,7 @@ def test_closed_form_counts_equal_the_written_fields(monkeypatch):
     for d in range(1, 16):
         _phi_basis_cached.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(matrices, "_write_fields", _refuse)
+            m.setattr(forms, "_write_fields", _refuse)
             basis = build_phi_basis(d)
             assert len(basis) == phi_dimension(d)
             counts = Counter(basis.characters)
@@ -450,9 +451,9 @@ def test_closed_form_counts_equal_the_written_fields(monkeypatch):
 @pytest.mark.parametrize("method", [METHOD_BOTH, METHOD_KERNEL])
 def test_limit_routes_write_no_field(monkeypatch, method):
     """From cold caches, the direct limit routes take the basis size
-    from its counts and never write a field, d = 2..6; the tangency
-    kernel and iterating the basis still write them."""
-    monkeypatch.setattr(matrices, "_write_fields", _refuse)
+    from its counts and never write a field, d = 2..6, and neither does
+    the tangency kernel; iterating the basis still writes them."""
+    monkeypatch.setattr(forms, "_write_fields", _refuse)
     for d in range(2, 7):
         _phi_basis_cached.cache_clear()
         limits._pair_chains.cache_clear()
@@ -460,8 +461,7 @@ def test_limit_routes_write_no_field(monkeypatch, method):
         bott._both_checked.clear()
         report = legendrian_degree(d, method=method)
         assert report.degree == family_closed_form("legendrian", d)
-    with pytest.raises(_Written):
-        tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), 3)
+    assert tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), 3) == 40
     with pytest.raises(_Written):
         list(build_phi_basis(4))
     _phi_basis_cached.cache_clear()
@@ -469,14 +469,15 @@ def test_limit_routes_write_no_field(monkeypatch, method):
 
 def test_tangent_kernel_dimension_contact_law():
     """Contact forms all give the same kernel dimension
-    (d+4)(d+2)d/3; a decomposable form gives strictly more."""
+    (d+4)(d+2)d/3, as the rank oracle does; a decomposable form gives
+    strictly more."""
     rng = random.Random(7)
     for d in (1, 2, 3):
         for _ in range(3):
             form = _random_form(rng, contact=True)
             assert tangent_kernel_dimension(form, d) == (
-                contact_kernel_dimension(d)
-            )
+                kernel_dimension_by_rank(form, d)
+            ) == contact_kernel_dimension(d)
     assert (
         tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), 2)
         > contact_kernel_dimension(2)
@@ -484,8 +485,8 @@ def test_tangent_kernel_dimension_contact_law():
     # non-integral coefficients: kappa_12/3 + kappa_34/2 is contact
     halves = AntisymmetricForm({(1, 2): Fraction(1, 3), (3, 4): Fraction(1, 2)})
     assert tangent_kernel_dimension(halves, 2) == (
-        contact_kernel_dimension(2)
-    )
+        kernel_dimension_by_rank(halves, 2)
+    ) == contact_kernel_dimension(2)
 
 
 def _decomposable_form(rng):
@@ -497,6 +498,44 @@ def _decomposable_form(rng):
         alpha = [a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1] for i, j in P5_PAIRS]
         if any(alpha):
             return AntisymmetricForm(alpha)
+
+
+def test_tangent_kernel_dimension_equals_the_rank_oracle():
+    """The closed form equals dim Phi_d less the rank of the dense
+    contraction matrix, d = 1..4, on 24 decomposable forms l_1 ^ l_2 and
+    24 random ones, a third of those with Fraction coefficients."""
+    rng = random.Random(56)
+    sample = [_decomposable_form(rng) for _ in range(24)]
+    for k in range(24):
+        form = _random_form(rng, contact=False)
+        if k % 3 == 0:
+            form = AntisymmetricForm(
+                [Fraction(a, rng.randint(1, 6)) for a in form.alpha])
+        sample.append(form)
+    assert sum(form.is_contact() for form in sample) >= 20
+    for d in (1, 2, 3, 4):
+        for form in sample:
+            assert tangent_kernel_dimension(form, d) == (
+                kernel_dimension_by_rank(form, d)), (form, d)
+
+
+def test_tangent_kernel_dimension_writes_no_field_at_any_degree(monkeypatch):
+    """At d = 200 the kernel dimension comes without a basis: the field
+    writer refuses every call and the basis cache sees no request."""
+    monkeypatch.setattr(forms, "_write_fields", _refuse)
+    before = _phi_basis_cached.cache_info()
+    contact = AntisymmetricForm({(1, 2): 1, (3, 4): 1})
+    assert tangent_kernel_dimension(contact, 200) == 204 * 202 * 200 // 3
+    assert tangent_kernel_dimension(AntisymmetricForm.koszul((1, 3)), 200) == (
+        phi_dimension(200) - comb(204, 3) + 202)
+    assert _phi_basis_cached.cache_info() == before
+
+
+@pytest.mark.parametrize("d, error", [(0, ValueError), (-1, ValueError),
+                                      (2.0, TypeError)])
+def test_tangent_kernel_dimension_refuses_a_bad_degree(d, error):
+    with pytest.raises(error):
+        tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), d)
 
 
 def _pencil_kernel_dimension(d):
@@ -600,13 +639,18 @@ def test_forms_that_annihilate_a_field_tangent_to_a_pencil(d, kernel):
 def test_family_dimensions(d):
     """The dimensions in the README: 5 + K_d - 1 = 4 + (d+4)(d+2)d/3 for
     the Legendrian family over the P^5 of forms, 4 + K'_d - 1 = 3 + K'_d
-    for the pencil family over G(2,4), with K_d and K'_d the
-    tangent_kernel_dimension of seeded contact and decomposable forms."""
+    for the pencil family over G(2,4), with K_d and K'_d the kernel
+    dimensions of seeded contact and decomposable forms, by the rank
+    oracle and by tangent_kernel_dimension."""
     rng = random.Random(17 + d)
-    legendrian = {5 + tangent_kernel_dimension(_random_form(rng), d) - 1
-                  for _ in range(3)}
-    pencil = {4 + tangent_kernel_dimension(_decomposable_form(rng), d) - 1
-              for _ in range(3)}
+
+    def kernel(form):
+        assert tangent_kernel_dimension(form, d) == (
+            kernel_dimension_by_rank(form, d))
+        return kernel_dimension_by_rank(form, d)
+
+    legendrian = {5 + kernel(_random_form(rng)) - 1 for _ in range(3)}
+    pencil = {4 + kernel(_decomposable_form(rng)) - 1 for _ in range(3)}
     assert legendrian == {4 + (d + 4) * (d + 2) * d // 3}
     assert pencil == {3 + _pencil_kernel_dimension(d)}
 

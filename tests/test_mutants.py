@@ -351,8 +351,8 @@ MUTANTS = {
     ),
     "written fields without their size guard": (
         "fields.py",
-        "_sized(tuple(matrices._write_fields(self.d)), self.d)",
-        "tuple(matrices._write_fields(self.d))",
+        "_sized(tuple(forms._write_fields(self.d)), self.d)",
+        "tuple(forms._write_fields(self.d))",
         ["tests/test_fields.py::"
          "test_written_fields_of_the_wrong_size_raise"],
     ),
@@ -368,9 +368,9 @@ MUTANTS = {
     ),
     "the explicit matrices imported eagerly at the end of fields": (
         "fields.py",
-        "    return matrices.tangent_kernel_dimension(form, d)\n",
-        "    return matrices.tangent_kernel_dimension(form, d)\n\n\n"
-        "from . import matrices  # noqa: E402, F401\n",
+        "    return contact_kernel_dimension(d) + (0 if form.pfaffian() else d + 2)\n",
+        "    return contact_kernel_dimension(d) + (0 if form.pfaffian() else d + 2)\n"
+        "\n\nfrom . import matrices  # noqa: E402, F401\n",
         ["tests/test_cold_start.py::"
          "test_the_workload_paths_load_only_the_import_set"],
     ),
@@ -761,7 +761,7 @@ MUTANTS = {
         ["tests/test_bott.py::test_input_validation"],
     ),
     "a written field whose partner coefficient has the wrong sign": (
-        "matrices.py",
+        "forms.py",
         "MonomialField(Fraction(-e, mu[3] + 1),",
         "MonomialField(Fraction(e, mu[3] + 1),",
         [
@@ -784,12 +784,26 @@ MUTANTS = {
         ],
     ),
     "a tangent kernel one dimension too large": (
-        "matrices.py",
-        "    return len(basis) - rank(mat, len(basis))\n",
-        "    return len(basis) - rank(mat, len(basis)) + 1\n",
+        "fields.py",
+        "(0 if form.pfaffian() else d + 2)",
+        "(0 if form.pfaffian() else d + 2) + 1",
         [
             "tests/test_fields.py::test_family_dimensions[2]",
             "tests/test_fields.py::test_family_dimensions[3]",
+            "tests/test_fields.py::"
+            "test_tangent_kernel_dimension_equals_the_rank_oracle",
+        ],
+    ),
+    "the tangent kernels of the two form ranks swapped": (
+        "fields.py",
+        "(0 if form.pfaffian() else d + 2)",
+        "(d + 2 if form.pfaffian() else 0)",
+        [
+            "tests/test_fields.py::"
+            "test_tangent_kernel_dimension_equals_the_rank_oracle",
+            "tests/test_fields.py::test_tangent_kernel_dimension_contact_law",
+            "tests/test_pencil.py::"
+            "test_rank_checks_against_exact_kernel_oracle",
         ],
     ),
     # the exit-1 clause as it once was, naming four check classes, which

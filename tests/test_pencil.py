@@ -35,7 +35,11 @@ from frozen import (
     PENCIL_D3_DEGREE,
     PENCIL_DEGREES,
 )
-from oracles import elementary_symmetric_recurrence, enumerated_pencil_fiber
+from oracles import (
+    elementary_symmetric_recurrence,
+    enumerated_pencil_fiber,
+    kernel_dimension_by_rank,
+)
 
 
 def test_fixed_pencils():
@@ -192,9 +196,11 @@ def test_rank_checks_table():
 
 def test_rank_checks_against_exact_kernel_oracle():
     """rank Pi_d is the tangency kernel of a rank-2 (decomposable) form;
-    the exact rank computation must agree with the closed formula."""
+    the exact rank computation and tangent_kernel_dimension must agree
+    with the closed formula."""
     form = AntisymmetricForm.koszul((1, 2))
     for d in (1, 2, 3):
+        assert kernel_dimension_by_rank(form, d) == _pencil_ranks(d)[1]
         assert tangent_kernel_dimension(form, d) == _pencil_ranks(d)[1]
 
 
