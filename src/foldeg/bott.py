@@ -6,7 +6,7 @@ elementary symmetric function of the fiber weights divided by the one of
 the tangent weights (Ellingsrud-Stromme, Bott's formula and enumerative
 geometry, JAMS 1996).  The sum must be an integer -- a hard error
 otherwise, since a non-integer can only mean a wrong fiber.  A family is
-data (Family): its minimum degree, polynomial bound, fiber table, check
+data (Family): its minimum degree, polynomial bound, fiber shift, check
 and tangent weights at a fixed point, and published degree, one exact
 integer formula in d; localize, the one loop over the fixed points,
 evaluates and counts each fiber on one path (_evaluated, which
@@ -14,8 +14,8 @@ Family.fiber shares) for any of them.  This module holds the Legendrian
 family (LEGENDRIAN, legendrian_degree), whose parameter space is the
 P^5 of antisymmetric forms; foldeg.pencil holds the pencil family, on
 the quadric G(2,4) in that P^5.  Both fiber tables are one split of the
-degree-(d+1) monomial weights at a pair (split_power_sums), shifted in
-two ways.
+degree-(d+1) monomial weights at a pair, which the family's record
+makes (_fixed_points), shifted in two ways (Family.shift).
 
 The Legendrian image fiber has a closed form.  At the pair (p,q) with
 complement (k,l) it is one character per degree-(d+1) monomial m:
@@ -43,15 +43,16 @@ m_1 = m_2 = 0: that character has no field, so the character below
 claims m through its high row, m - e_3 - e_4.
 
 The image route therefore takes each fiber's power sums p_0..p_5, all
-that e_5 needs, in closed form (_image_table, LEGENDRIAN.table), with
+that e_5 needs, in closed form (_image_table, LEGENDRIAN.shift), with
 no chains, echelon or field basis.  The split and the shifts are linear
 with constant coefficients, so they commute with forward differences:
 they act once per weight system and pair on the monomial power sums as
-polynomials in d (exact.Differences).  The six tables, the tangent
-numbers of the six pairs, their common denominator and each pair's
-factor to it make one record per family and weight system
-(_fixed_points), which checks once that the system is admissible and
-that each table reaches p_n.  So a degree costs one binomial row and
+polynomials in d (exact.Differences).  One record per family and
+weight system (_fixed_points) splits them up to the p_n that e_n reads,
+keeps the six fiber tables (Family.table), the tangent numbers of the
+six pairs, their common denominator and each pair's factor to it, and
+checks once that the system is admissible and that each table reaches
+p_n.  So a degree costs one binomial row and
 one fiber count, and at each pair one dot product per p_j, the count
 check, the family's check, one Newton's step for e_n of the fiber and
 one product by the factor.  Every method sums these closed-form
@@ -88,8 +89,6 @@ from .fields import P5_PAIRS, as_fixed_point, complementary_pair
 from .limits import (
     METHOD_BOTH,
     METHOD_IMAGE,
-    METHOD_KERNEL,
-    METHODS,
     MethodDisagreement,
     limit_fiber_weights,
 )
@@ -157,12 +156,13 @@ class DegreeReport(namedtuple(
         )
 
 
-class Family(namedtuple("Family", "name min_degree degree_bound table removed"
+class Family(namedtuple("Family", "name min_degree degree_bound shift removed"
                         " check tangent_weights formula")):
     """One family of foliations, as the data its localization needs.
 
-    At each torus-fixed point, a pair of P5_PAIRS, table(pair, w) builds
-    the fiber's power sums as Differences in d + 1 at a WeightSystem w,
+    At each torus-fixed point, a pair of P5_PAIRS, shift(pair, w,
+    reached, part) makes the fiber's power sums as Differences in d + 1
+    at a WeightSystem w from the split of the monomial ones there,
     removed(d) is how many monomials of degree d + 1 the fiber leaves
     out, check(pair, d, w, fiber, **options) checks each fiber that
     localize sums, and tangent_weights(pair, weights) gives the n
@@ -174,6 +174,13 @@ class Family(namedtuple("Family", "name min_degree degree_bound table removed"
     """
 
     __slots__ = ()
+
+    def table(self, pair, weights):
+        """The fiber table at pair and weights, p_0..p_n as Differences in
+        d + 1: the very one that the record holds and localize sums
+        (_fixed_points), the pair and weights checked as by fiber."""
+        i = P5_PAIRS.index(as_fixed_point(pair))
+        return _fixed_points(self, as_weight_system(weights))[2][i][-1]
 
     def fiber(self, pair, d, weights):
         """The fiber at pair in degree d as PowerSums: the table at d + 1,
@@ -209,29 +216,32 @@ class Family(namedtuple("Family", "name min_degree degree_bound table removed"
             self.closed_form(d) for d in range(lo, lo + self.degree_bound + 1)])
 
 
-TOP = 5  # p_0..p_5, all that e_5 of a Legendrian fiber reads
-
-
 @lru_cache(maxsize=2 * CACHED_SYSTEMS)  # both families
 def _fixed_points(family, w):
     """The record of a family at a WeightSystem w, for any d: (common,
     width, points), points an entry (pair, n, sign, den, factor, table)
     per pair of P5_PAIRS, in order.  There the n tangent weights have
     the product e_n = sign * den, den > 0; common is the lcm of the six
-    den and factor = common // den; table is family.table(pair, w); and
-    width is the length of the longest p_j of the six tables, so one
-    binomial row serves every point of a degree.  It checks what holds
-    at every d, once: w must be admissible (InadmissibleWeights), and
-    each table must reach the p_n that e_n reads (FiberCountError).  A
-    build that raises is not cached, so a record that exists vouches for
-    both.  Every call with these arguments shares the record: read it,
-    never change it."""
+    den and factor = common // den; table is family.shift(pair, w,
+    full - part, part), full the p_0..p_n of the degree-(d+1) monomial
+    weights as Differences in d + 1, built once, and part those of the
+    d + 2 monomials in x_k, x_l alone, (k,l) the complement of the pair;
+    and width is the length of the longest p_j of the six tables, so
+    one binomial row serves every point of a degree.  It checks what
+    holds at every d, once: w must be admissible (InadmissibleWeights),
+    and each table must reach the p_n that e_n reads (FiberCountError).
+    A build that raises is not cached, so a record that exists vouches
+    for both.  Every call with these arguments shares the record: read
+    it, never change it."""
     w.require_admissible()
     tangents = [family.tangent_weights(p, w) for p in P5_PAIRS]
     common = lcm(*map(prod, tangents))  # lcm is positive
-    points = []
+    n = len(tangents[0])  # every pair has the n tangent weights of e_n
+    full, points = power_sum_differences(w, n), []
     for pair, tangent in zip(P5_PAIRS, tangents):
-        n, table = len(tangent), family.table(pair, w)
+        k, l = complementary_pair(pair)
+        part = power_sum_differences((w.weight(k), w.weight(l)), n)
+        table = family.shift(pair, w, full - part, part)
         if len(table.p) <= n:
             raise FiberCountError("fiber table p_0..p_%d has no e_%d at %r"
                                   % (len(table.p) - 1, n, pair))
@@ -309,24 +319,10 @@ def localize(family, d, weights=DEFAULT_WEIGHTS, **options):
     return DegreeReport(family.name, d, w, tuple(contributions), total // common)
 
 
-def split_power_sums(pair, w, top):
-    """The power sums p_0..p_top of the degree-(d+1) monomial weights at w,
-    as Differences in d + 1, split at the pair (p,q) with complement
-    (k,l): (full - part, part), part those of the d + 2 monomials in
-    x_k, x_l alone, full - part those of the monomials that involve x_p
-    or x_q.  top is the n of the family's e_n: 5 here, 4 for the pencil.
-    It checks the pair and w for the tables' cached calls."""
-    k, l = complementary_pair(as_fixed_point(pair))
-    full = power_sum_differences(w.require_admissible(), top)
-    part = power_sum_differences((w.weight(k), w.weight(l)), top)
-    return full - part, part
-
-
-def _image_table(pair, w):
-    """The image fiber at pair as Differences in d + 1 (split_power_sums):
-    the monomials that involve x_p or x_q shifted by -(w_p + w_q), the
-    rest by -(w_k + w_l)."""
-    reached, part = split_power_sums(pair, w, TOP)
+def _image_table(pair, w, reached, part):
+    """The image fiber at pair as Differences in d + 1, from the record's
+    split (_fixed_points): the monomials that involve x_p or x_q,
+    reached, shifted by -(w_p + w_q), the rest, part, by -(w_k + w_l)."""
     low = w.pair_sum(pair)  # w_p + w_q, so w_k + w_l = sum(w) - low
     return reached.shifted(-low) + part.shifted(low - sum(w))
 
@@ -369,25 +365,25 @@ def legendrian_check(pair, d, w, fiber, method=None):
     default_method(d)): none under the image route.  The kernel route
     and "both" compute the fiber directly, and raise MethodDisagreement
     unless it has the closed-form count of every character
-    (closed_form_counts) and the power sums of fiber.  "both" checks a
-    (d, pair) once in a process, the kernel route every time."""
+    (closed_form_counts) and the power sums of fiber, p_0 up to its
+    last.  "both" checks a (d, pair) once in a process, the kernel route
+    every time; limit_fiber_weights refuses an unknown method."""
     if method is None:
         method = default_method(d)
     if method == METHOD_IMAGE:
         return
-    if method not in METHODS:
-        raise ValueError("unknown method %r" % (method,))
     key = 6 * d + P5_PAIRS.index(pair)
-    if method == METHOD_KERNEL or key not in _both_checked:
-        direct = limit_fiber_weights(pair, d, w, method)
-        characters, copies = direct.quotient_counts
-        if (copies != closed_form_counts(characters, pair)
-                or PowerSums.of(character_values(characters, w), TOP,
-                                copies).p != fiber.p):
-            raise MethodDisagreement("closed-form and direct fibers "
-                                     "disagree at %r, d=%d" % (pair, d))
-        if method == METHOD_BOTH:
-            _both_checked.add(key)
+    if method == METHOD_BOTH and key in _both_checked:
+        return
+    direct = limit_fiber_weights(pair, d, w, method)
+    characters, copies = direct.quotient_counts
+    if (copies != closed_form_counts(characters, pair)
+            or PowerSums.of(character_values(characters, w), len(fiber.p) - 1,
+                            copies).p != fiber.p):
+        raise MethodDisagreement("closed-form and direct fibers "
+                                 "disagree at %r, d=%d" % (pair, d))
+    if method == METHOD_BOTH:
+        _both_checked.add(key)
 
 
 def legendrian_formula(d):
@@ -407,7 +403,7 @@ def legendrian_formula(d):
 
 # The P^5 of antisymmetric forms: five tangent weights, so e_5 / e_5.
 LEGENDRIAN = Family(
-    "legendrian", 2, 15, table=_image_table, removed=lambda d: 0, check=legendrian_check,
+    "legendrian", 2, 15, shift=_image_table, removed=lambda d: 0, check=legendrian_check,
     tangent_weights=tangent_weights_p5, formula=legendrian_formula)
 
 

@@ -69,8 +69,8 @@ class WeightSystem(tuple):
     Admissible means the four weights are pairwise distinct and the six
     pair sums w_i + w_j (i < j) are pairwise distinct; both conditions
     together keep the fixed loci of all the induced actions finite.
-    The answer is cached by value, as are the fiber tables, so values,
-    the plain tuple, is read-only.
+    The answer is cached by value, as are the families' records of fiber
+    tables, so values, the plain tuple, is read-only.
     """
 
     __slots__ = ()
@@ -294,7 +294,6 @@ class Differences(tuple):
         return Differences([c * a for a in self])
 
 
-@lru_cache(maxsize=256)
 def power_sum_differences(ws, top):
     """p_0..p_top of the weights m.w of the degree-n monomials m in r =
     len(ws) variables as Differences in n, from their values at
@@ -305,9 +304,8 @@ def power_sum_differences(ws, top):
     nothing counted.  The lists grow from degree n - 1: lists[i] holds
     the weights of the degree-n monomials in the variables i, i + 1, ...
     of ws, which either hold variable i, ws[i] plus a weight of degree
-    n - 1 in lists[i], or lie in lists[i + 1].  A table is kept per
-    (ws, top): each family asks for the top of its e_n, so the pencil's
-    tables stop at p_4 and only the Legendrian ones reach p_5."""
+    n - 1 in lists[i], or lie in lists[i + 1].  Nothing is kept: a
+    family's record (foldeg.bott._fixed_points) asks once per system."""
     samples, lists = [], [[0]] * len(ws)
     for n in range(top + len(ws)):
         if n:

@@ -5,19 +5,19 @@ second family (PENCIL, pencil_degree).  A pencil <x_i, x_j> is the
 decomposable form x_i ^ x_j up to scale, so G(2,4) is the Pfaff-Plucker
 quadric in the P^5 of forms, off which the contact forms lie, with the
 same six fixed points.  The fiber at <x_p, x_q> is the part of the
-Legendrian split (foldeg.bott.split_power_sums) that the contraction
-with kappa_pq reaches, the C(d+4,3) - (d+2) monomials that involve x_p
-or x_q, twisted as a table in d (_twisted_table, PENCIL.table), built
-once per weight system into the family's record and evaluated and
-counted at each d by localize, as by Family.fiber; the tangent there
-has the weights w_j - w_i, i in the pair and j not
-(tangent_weights_g24).
+monomial split that the contraction with kappa_pq reaches, the
+C(d+4,3) - (d+2) monomials that involve x_p or x_q, twisted as a table
+in d (_twisted_table, PENCIL.shift).  The family's record
+(foldeg.bott._fixed_points) makes the split once per weight system, up
+to the p_4 that e_4 reads, as the tangent there has four weights
+w_j - w_i, i in the pair and j not (tangent_weights_g24); localize
+evaluates and counts the table at each d, as Family.fiber does.
 """
 
 from fractions import Fraction
 from math import comb
 
-from .bott import Family, localize, split_power_sums
+from .bott import Family, localize
 from .exact import DEFAULT_WEIGHTS, as_weight_system
 from .fields import as_fixed_point, complementary_pair
 
@@ -35,11 +35,11 @@ def tangent_weights_g24(pair, weights=DEFAULT_WEIGHTS):
                         for i in pair for j in complementary_pair(pair)))
 
 
-def _twisted_table(pair, w):
-    """The twisted fiber at <x_p, x_q> as Differences in d + 1, p_0..p_4,
-    all that e_4 reads: the split's monomials that involve x_p or x_q,
-    shifted by w_k + w_l, the line-bundle twist."""
-    reached, _ = split_power_sums(pair, w, 4)
+def _twisted_table(pair, w, reached, part):
+    """The twisted fiber at <x_p, x_q> as Differences in d + 1, from the
+    record's split (foldeg.bott._fixed_points): the monomials that
+    involve x_p or x_q, reached, shifted by w_k + w_l, the line-bundle
+    twist; the part in x_k, x_l alone is left out."""
     twist = sum(w) - w.pair_sum(pair)
     return reached.shifted(twist)
 
@@ -66,7 +66,7 @@ def pencil_formula(d):
 # G(2,4): four tangent weights, so e_4 / e_4.  The check looks up
 # pd_twisted_weights at each call, so a wrapper put on the name sees it.
 PENCIL = Family(
-    "pencil", 2, 12, table=_twisted_table, removed=lambda d: d + 2,
+    "pencil", 2, 12, shift=_twisted_table, removed=lambda d: d + 2,
     check=lambda *point: pd_twisted_weights(*point),
     tangent_weights=tangent_weights_g24, formula=pencil_formula)
 

@@ -166,6 +166,17 @@ def test_input_validation():
     assert issubclass(NonIntegralDegree, ArithmeticError)
 
 
+def test_an_unknown_method_is_refused_after_both_checked_every_pair():
+    """limit_fiber_weights is the one place that refuses an unknown
+    method, and the Legendrian check skips only what "both" has checked:
+    once "both" has checked every pair at d = 2, a method that is none
+    of METHODS is still refused there, not taken as checked."""
+    legendrian_degree(2, method=METHOD_BOTH)
+    assert len(bott._both_checked) == 6
+    with pytest.raises(ValueError, match="^unknown method 'nonsense'$"):
+        legendrian_degree(2, method="nonsense")
+
+
 def test_weights_accept_plain_sequences():
     report = legendrian_degree(2, [0, 2, 7, 10])
     assert report.degree == LEGENDRIAN_D2_DEGREE
@@ -199,21 +210,37 @@ def test_transport_matches_direct_fibers(weights):
 
 def counted_builds(monkeypatch):
     """Put in place of bott.LEGENDRIAN and pencil.PENCIL, the families
-    that legendrian_degree and pencil_degree read, copies whose table
-    builder counts its calls by (family name, weights), and empty the
+    that legendrian_degree and pencil_degree read, copies whose shift,
+    which the record runs once per pair to build that pair's fiber
+    table, counts its calls by (family name, weights), and empty the
     record cache, so that every record is built afresh; returns the
     Counter."""
     builds = Counter()
     for module, name in ((bott, "LEGENDRIAN"), (pencil_module, "PENCIL")):
         family = getattr(module, name)
 
-        def table(pair, w, family=family):
+        def shift(pair, w, reached, part, family=family):
             builds[family.name, w] += 1
-            return family.table(pair, w)
+            return family.shift(pair, w, reached, part)
 
-        monkeypatch.setattr(module, name, family._replace(table=table))
+        monkeypatch.setattr(module, name, family._replace(shift=shift))
     bott._fixed_points.cache_clear()
     return builds
+
+
+def counted_monomial_tables(monkeypatch):
+    """Count the monomial tables that bott asks exact for, as a list of
+    (weights, top) in the order asked, and empty the record cache, so
+    that every record is built afresh; returns the list."""
+    real, asked = bott.power_sum_differences, []
+
+    def recorded(ws, top):
+        asked.append((tuple(ws), top))
+        return real(ws, top)
+
+    monkeypatch.setattr(bott, "power_sum_differences", recorded)
+    bott._fixed_points.cache_clear()
+    return asked
 
 
 def test_image_route_computes_one_limit_per_degree(monkeypatch):
@@ -257,17 +284,17 @@ def test_image_route_computes_one_limit_per_degree(monkeypatch):
 def test_each_family_builds_its_monomial_tables_once_per_system(
         monkeypatch):
     """The power sums of the degree-(d+1) monomial weights, as polynomials
-    in d, are one table per weight system and top, and each family asks
-    for the top of its e_n: p_0..p_5 for the Legendrian e_5, p_0..p_4 for
-    the pencil e_4.  So a degree of each family builds its own tables
-    once, one in four variables and one in two per pair, and its six
-    fiber tables, and the next degree of each builds no table at all."""
+    in d, are one table per weight system and top, and each family's
+    record asks for the top of its e_n: p_0..p_5 for the Legendrian e_5,
+    p_0..p_4 for the pencil e_4.  So a degree of each family builds its
+    own tables once, one in four variables and one in two per pair, and
+    its six fiber tables, and the next degree of each builds no table at
+    all."""
     builds = counted_builds(monkeypatch)
-    monomial_tables = exact.power_sum_differences
-    monomial_tables.cache_clear()
+    monomial_tables = counted_monomial_tables(monkeypatch)
 
     def misses():
-        return [monomial_tables.cache_info().misses,
+        return [len(monomial_tables),
                 builds["legendrian", DEFAULT_WEIGHTS],
                 builds["pencil", DEFAULT_WEIGHTS]]
 
@@ -283,19 +310,52 @@ def test_each_family_builds_its_monomial_tables_once_per_system(
 def test_a_pencil_sweep_builds_no_table_past_p_4(monkeypatch):
     """e_4 reads p_0..p_4 of a fiber, so a sweep of pencil degrees over
     three weight systems asks for each monomial table, the full one and
-    the part of each split, at top 4 and never at top 5."""
-    real, tops = bott.power_sum_differences, []
-
-    def recorded(ws, top):
-        tops.append(top)
-        return real(ws, top)
-
-    monkeypatch.setattr(bott, "power_sum_differences", recorded)
-    bott._fixed_points.cache_clear()
+    the part of each split, at top 4 and never at top 5: seven tables
+    per system, each once, in the record of that system."""
+    asked = counted_monomial_tables(monkeypatch)
     for values in ((0, 2, 7, 10), (10, 16, 0, 3), (9, -4, 2, 0)):
         for d in range(2, 8):
             pencil_degree(d, values)
-    assert tops == [4] * (3 * 6 * 2)
+    assert [top for _, top in asked] == [4] * (3 * 7)
+
+
+@pytest.mark.parametrize("family, top", ((LEGENDRIAN, 5), (PENCIL, 4)),
+                         ids=("legendrian", "pencil"))
+def test_the_record_asks_for_each_monomial_table_once(monkeypatch, family,
+                                                      top):
+    """One record build asks for the four-variable table of the weights
+    once and, at each pair in order, the two-variable table of its
+    complement once, all at the top n of the family's e_n, the number of
+    its tangent weights; the next degree asks for none."""
+    asked = counted_monomial_tables(monkeypatch)
+    w = WeightSystem((9, -4, 2, 0))
+    localize(family, 5, w)
+    assert asked == [((9, -4, 2, 0), top)] + [
+        (tuple(w.weight(i) for i in complementary_pair(pair)), top)
+        for pair in P5_PAIRS]
+    assert top == len(family.tangent_weights((1, 2), w))
+    del asked[:]
+    localize(family, 6, w)
+    family.fiber((2, 4), 7, w)
+    assert asked == []
+
+
+def test_family_table_is_the_table_of_the_record():
+    """Family.table hands back the very table that the record holds and
+    localize sums, at any spelling of the pair and the weights, and
+    refuses a pair that is not a fixed point as Family.fiber does;
+    test_inadmissible_weights_raise_at_every_entry_point checks its
+    weights."""
+    for family in (LEGENDRIAN, PENCIL):
+        for values in ((0, 2, 7, 10), (9, -4, 2, 0)):
+            _, _, points = bott._fixed_points(family, WeightSystem(values))
+            for pair, point in zip(P5_PAIRS, points):
+                assert family.table(list(pair), values) is point[-1]
+                assert family.table(pair, WeightSystem(values)) is point[-1]
+        for bad in ((2, 1), (1, 1), (1, 5)):
+            for call in (family.table, lambda pair, w: family.fiber(pair, 2, w)):
+                with pytest.raises(ValueError, match="not a fixed-point pair"):
+                    call(bad, DEFAULT_WEIGHTS)
 
 
 @pytest.mark.parametrize("values", (
@@ -361,13 +421,14 @@ def test_both_checks_closed_form_fibers(monkeypatch):
     assert legendrian_degree(3, method=METHOD_BOTH).degree == (
         LEGENDRIAN_D3_DEGREE
     )
-    table = LEGENDRIAN.table
+    shift = LEGENDRIAN.shift
     moved = PowerSums([Differences()] + [Differences([1])] * 5)
 
-    def table_off_at_34(pair, w):  # a weight 0 moved to 1 at every d
-        return table(pair, w) + moved if pair == (3, 4) else table(pair, w)
+    def shift_off_at_34(pair, w, *split):  # a weight 0 moved to 1 at every d
+        table = shift(pair, w, *split)
+        return table + moved if pair == (3, 4) else table
 
-    off = LEGENDRIAN._replace(table=table_off_at_34)
+    off = LEGENDRIAN._replace(shift=shift_off_at_34)
 
     with monkeypatch.context() as m:
         _characters_moved_at_34(m, (1, 0, 0, 0))
@@ -429,7 +490,7 @@ def test_image_fiber_needs_every_monomial_weight():
     pencil = PENCIL.table((1, 2), DEFAULT_WEIGHTS)
     for bad, count in ((_without_a_zero(table), 19),
                        (PowerSums(pencil.p + (Differences(),)), 16)):
-        family = LEGENDRIAN._replace(table=lambda pair, w: bad)
+        family = LEGENDRIAN._replace(shift=lambda *split: bad)
         with pytest.raises(FiberCountError,
                            match="fiber count %d, not 20" % count):
             family.fiber((1, 2), 2, DEFAULT_WEIGHTS)
@@ -440,7 +501,7 @@ def test_a_table_short_of_p_n_is_refused_by_the_record():
     stops before p_n, naming its pair and n, whatever the degree; a
     build that raises is not kept, so the next call raises again."""
     short = LEGENDRIAN._replace(
-        table=lambda pair, w: PowerSums(LEGENDRIAN.table(pair, w).p[:5]))
+        shift=lambda *split: PowerSums(LEGENDRIAN.shift(*split).p[:5]))
     for call in (lambda: short.fiber((3, 4), 2, DEFAULT_WEIGHTS),
                  lambda: short.fiber((3, 4), 9, DEFAULT_WEIGHTS),
                  lambda: localize(short, 3)):
@@ -685,8 +746,8 @@ def test_a_wrong_fiber_table_gives_a_non_integral_sum(family, js, message):
     passes the count and Newton's step, but the Bott sum it gives is not
     an integer: localize raises NonIntegralDegree with the sum in lowest
     terms, which it takes in ints over the common tangent denominator."""
-    wrong = family._replace(table=lambda pair, w: _plus_one_in(
-        family.table(pair, w), js if pair == (3, 4) else ()))
+    wrong = family._replace(shift=lambda pair, *split: _plus_one_in(
+        family.shift(pair, *split), js if pair == (3, 4) else ()))
     with pytest.raises(NonIntegralDegree) as info:
         localize(wrong, 5)
     assert str(info.value) == message
@@ -818,14 +879,14 @@ def test_the_check_sees_each_summed_fiber_once(monkeypatch, family, options):
 
 
 def test_localize_sums_the_table_of_the_family_it_is_given():
-    """A family built with _replace(table=...) is what localize sums, and
+    """A family built with _replace(shift=...) is what localize sums, and
     no module attribute changes: with every fiber weight one larger, a
     twist by a constant character, each contribution is e_4 of the
     shifted fiber over the tangent product, the sum is still the degree,
     and pencil_degree still sums PENCIL's own table."""
     d, plain = 3, pencil_degree(3)
     shifted = PENCIL._replace(
-        table=lambda pair, w: PENCIL.table(pair, w).shifted(1))
+        shift=lambda *split: PENCIL.shift(*split).shifted(1))
     report = localize(shifted, d)
     assert report.degree == plain.degree == PENCIL_D3_DEGREE
     for c, before in zip(report.contributions, plain.contributions):
@@ -848,6 +909,8 @@ def test_inadmissible_weights_raise_at_every_entry_point(bad):
         *(lambda w, m=m: legendrian_degree(2, w, method=m) for m in METHODS),
         lambda w: LEGENDRIAN.fiber((1, 2), 2, w),
         lambda w: PENCIL.fiber((1, 2), 2, w),
+        lambda w: LEGENDRIAN.table((1, 2), w),
+        lambda w: PENCIL.table((1, 2), w),
         lambda w: tangent_weights_p5((1, 2), w),
         lambda w: tangent_weights_g24((1, 2), w),
         lambda w: limit_fiber_weights((1, 2), 2, w),

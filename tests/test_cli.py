@@ -397,13 +397,13 @@ def _plus_one_at_34(js):
     """The family with a fiber table whose p_j, j in js, are one too
     large at (3,4), at every d."""
     def wrong(family):
-        def table(pair, w):
-            p = family.table(pair, w).p
+        def shift(pair, *split):
+            p = family.shift(pair, *split).p
             if pair == (3, 4):
                 p = [f + Differences([1]) if j in js else f
                      for j, f in enumerate(p)]
             return PowerSums(p)
-        return family._replace(table=table)
+        return family._replace(shift=shift)
     return wrong
 
 
@@ -423,7 +423,7 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
             d, characters=real(d).characters + Counter([(d - 1, 0, 0, 0)])),
          KERNEL_3, "chains hold 70 fields, not dim Phi_d = 71 at (1, 2), d=3"),
         (bott, "LEGENDRIAN", lambda real: real._replace(
-            table=lambda pair, w: real.table(pair, w)
+            shift=lambda *split: real.shift(*split)
             - PowerSums([Differences([1])] + [Differences()] * 5)),
          ["legendrian", "--degree", "6"], "fiber count 119, not 120, at d=6"),
         (pencil, "PENCIL", _plus_one_at_34((1, 2, 3, 4)),
@@ -433,7 +433,7 @@ KERNEL_3 = ["legendrian", "--degree", "3", "--method", "kernel"]
         (pencil, "PENCIL", _plus_one_at_34((1,)),
          ["pencil", "--degree", "5"], "e_2 of these power sums is not integral"),
         (pencil, "PENCIL", lambda real: real._replace(
-            table=lambda pair, w: PowerSums(real.table(pair, w).p[:4])),
+            shift=lambda *split: PowerSums(real.shift(*split).p[:4])),
          ["pencil", "--degree", "5"],
          "fiber table p_0..p_3 has no e_4 at (1, 2)"),
         (polyfit, "FAMILIES", lambda real: {**real, "pencil": real[

@@ -161,8 +161,8 @@ MUTANTS = {
     ),
     "both without the closed-form comparison": (
         "bott.py",
-        "        if (copies != closed_form_counts(characters, pair)\n",
-        "        if (False\n",
+        "    if (copies != closed_form_counts(characters, pair)\n",
+        "    if (False\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
             "tests/test_bott.py::"
@@ -174,7 +174,7 @@ MUTANTS = {
         "bott.py",
         "(copies != closed_form_counts(characters, pair)\n",
         "(method == METHOD_BOTH\n"
-        "                and copies != "
+        "            and copies != "
         "closed_form_counts(characters, pair)\n",
         [
             "tests/test_bott.py::test_both_checks_closed_form_fibers",
@@ -184,17 +184,17 @@ MUTANTS = {
     ),
     "both without the power-sum comparison": (
         "bott.py",
-        "\n                or PowerSums.of("
-        "character_values(characters, w), TOP,"
-        "\n                                copies).p != fiber.p):\n",
+        "\n            or PowerSums.of("
+        "character_values(characters, w), len(fiber.p) - 1,"
+        "\n                            copies).p != fiber.p):\n",
         "):\n",
         ["tests/test_bott.py::test_both_checks_closed_form_fibers"],
     ),
     "a both key remembered before the comparison": (
         "bott.py",
-        "        direct = limit_fiber_weights(pair, d, w, method)\n",
-        "        _both_checked.add(key)\n"
-        "        direct = limit_fiber_weights(pair, d, w, method)\n",
+        "    direct = limit_fiber_weights(pair, d, w, method)\n",
+        "    _both_checked.add(key)\n"
+        "    direct = limit_fiber_weights(pair, d, w, method)\n",
         ["tests/test_bott.py::test_a_failed_both_check_is_not_remembered"],
     ),
     "a checked both fiber evaluated at the default weights": (
@@ -202,6 +202,15 @@ MUTANTS = {
         "    common, points, row, count = _at_degree(family, d, w)\n",
         "    common, points, row, count = _at_degree(family, d, DEFAULT_WEIGHTS)\n",
         ["tests/test_bott.py::test_both_checks_each_degree_and_pair_once"],
+    ),
+    # the check as it was with its own guard against an unknown method
+    # cut: a method that is none of METHODS skips every checked key
+    "a check that skips every checked key but the kernel route's": (
+        "bott.py",
+        "    if method == METHOD_BOTH and key in _both_checked:\n",
+        "    if method != \"kernel-limit\" and key in _both_checked:\n",
+        ["tests/test_bott.py::"
+         "test_an_unknown_method_is_refused_after_both_checked_every_pair"],
     ),
     "a both key without d": (
         "bott.py",
@@ -504,9 +513,9 @@ MUTANTS = {
         ],
     ),
     "the pencil asking for top = 3": (
-        "pencil.py",
-        "split_power_sums(pair, w, 4)",
-        "split_power_sums(pair, w, 3)",
+        "bott.py",
+        "    n = len(tangents[0])  #",
+        "    n = len(tangents[0]) - (family.name == \"pencil\")  #",
         [
             "tests/test_bott.py::test_a_pencil_sweep_builds_no_table_past_p_4",
             "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
@@ -526,8 +535,8 @@ MUTANTS = {
     ),
     "the split's part taken at the pair instead of its complement": (
         "bott.py",
-        "    k, l = complementary_pair(as_fixed_point(pair))\n",
-        "    k, l = as_fixed_point(pair)\n",
+        "        k, l = complementary_pair(pair)\n",
+        "        k, l = pair\n",
         [
             "tests/test_pencil.py::"
             "test_pencil_fiber_is_the_twisted_contraction_image",
@@ -649,14 +658,26 @@ MUTANTS = {
     ),
     "the split's full table at the default weights": (
         "bott.py",
-        "    full = power_sum_differences(w.require_admissible(), top)\n",
-        "    w.require_admissible()\n"
-        "    full = power_sum_differences((0, 2, 7, 10), top)\n",
+        "    full, points = power_sum_differences(w, n), []\n",
+        "    full, points = power_sum_differences((0, 2, 7, 10), n), []\n",
         [
             "tests/test_transport_properties.py::"
             "test_power_sum_numerators_equal_the_counted_routes",
             "tests/test_pencil.py::"
             "test_pencil_fiber_is_the_twisted_contraction_image",
+        ],
+    ),
+    "the record's monomial tables one power short": (
+        "bott.py",
+        "power_sum_differences(w, n)",
+        "power_sum_differences(w, n - 1)",
+        [
+            "tests/test_bott.py::"
+            "test_the_record_asks_for_each_monomial_table_once[legendrian]",
+            "tests/test_bott.py::"
+            "test_the_record_asks_for_each_monomial_table_once[pencil]",
+            "tests/test_bott.py::test_d2_contribution_table",
+            "tests/test_pencil.py::test_degrees_match_frozen_and_closed_form",
         ],
     ),
     "the G(2,4) tangent as w_i - w_j, not w_j - w_i": (

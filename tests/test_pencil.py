@@ -87,7 +87,7 @@ def test_twisted_fiber_needs_every_removed_weight():
     short = table - PowerSums([Differences([1])] + [Differences()] * 4)
     for bad, count in ((short, 15),
                        (power_sum_differences(DEFAULT_WEIGHTS.values, 5), 20)):
-        family = PENCIL._replace(table=lambda pair, w: bad)
+        family = PENCIL._replace(shift=lambda *split: bad)
         with pytest.raises(FiberCountError,
                            match="fiber count %d, not 16" % count):
             family.fiber((1, 2), 2, DEFAULT_WEIGHTS)
