@@ -227,23 +227,19 @@ class PowerSums:
         return PowerSums(q)
 
 
-def elementary_symmetric(k, values):
-    """e_k of PowerSums or of integers (else ValueError: Newton's step
-    divides exactly only on integers) by Newton's identities,
-    j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  ValueError unless
-    0 <= k, p_k is given and k <= p_0; NonIntegralDegree unless each
-    division by j is exact.
+def elementary_symmetric(k, sums):
+    """e_k of PowerSums by Newton's identities, j*e_j = sum_{i=1..j}
+    (-1)^(i-1) e_(j-i) p_i: TypeError for anything else (PowerSums.of
+    takes integers, the only values whose step divides exactly).
+    ValueError unless 0 <= k, p_k is given and k <= p_0;
+    NonIntegralDegree unless each division by j is exact.
 
-    >>> elementary_symmetric(2, [1, 2, 3])
+    >>> elementary_symmetric(2, PowerSums.of([1, 2, 3], 2))
     11
     """
-    if not isinstance(values, PowerSums):
-        values = tuple(values)
-        try:  # no power above the count: such a k is refused below
-            values = PowerSums.of(values, min(k, len(values)))
-        except TypeError:
-            raise ValueError("e_k needs integers, got %r" % (values,)) from None
-    p = values.p
+    if not isinstance(sums, PowerSums):
+        raise TypeError("e_k needs PowerSums.of integers, got %r" % (sums,))
+    p = sums.p
     if not 0 <= k < len(p) or k > p[0]:
         raise ValueError("no e_%r of %s values, p_0..p_%d" % (k, p[0], len(p) - 1))
     # f_j = (-1)^j e_j carries the sign: j*f_j = -sum f_(j-i) p_i, with f

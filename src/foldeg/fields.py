@@ -8,9 +8,9 @@ the Z^4 character mu - e_j, and divergence preserves characters: for
 each character chi the divergence is a single row x^chi with
 coefficients mu_j.  Its kernel has a closed form, graded by the
 characters: three fields for each chi of degree d - 1 with every entry
->= 0, and one for each chi = mu - e_j with mu_j = 0.  So the basis is
-counted, for d alone, without writing a field; its Fraction fields are
-written only when a caller reads them.  Torus weights w_1..w_4 give chi
+>= 0, and one for each chi = mu - e_j with mu_j = 0.  So the basis of
+d is dim Phi_d long; its characters are counted, and its Fraction
+fields written, only when a caller reads them.  Torus weights give chi
 the weight sum chi_i * w_i (exact.character_weights).  The six fixed
 pairs and the dimension formulas are here too, as the degree paths read
 them.
@@ -19,8 +19,7 @@ The written fields, the antisymmetric forms and their contraction are in
 foldeg.forms, which no degree computation needs: SectionBasis.fields
 loads it the first time a caller reads the fields.  The tangency kernel
 at a form has a closed form too (tangent_kernel_dimension), so nothing
-here writes a field to count it.  kernel_basis is imported here only
-because perfbench/tracing.py hooks the name.
+here writes a field to count it.
 """
 
 from collections import Counter
@@ -67,15 +66,25 @@ def contact_kernel_dimension(d):
 
 
 class SectionBasis:
-    """Basis of Phi_d in generation order, given the multiplicity of each
-    Z^4 character (build_phi_basis): it writes its fields when they are
-    first read; len needs none, and is summed once."""
+    """Basis of Phi_d in generation order (build_phi_basis), from d
+    alone: len is dim Phi_d, and the first read of characters (the
+    multiplicity of each Z^4 character, counted in closed form) or of
+    the fields makes them and checks their size against dim Phi_d."""
 
-    __slots__ = ("d", "characters", "_fields", "_size")
+    __slots__ = ("d", "_characters", "_fields")
 
-    def __init__(self, d, characters):
-        self.d, self.characters, self._fields = d, characters, None
-        self._size = sum(characters.values())
+    def __init__(self, d):
+        self.d, self._characters, self._fields = d, None, None
+
+    @property
+    def characters(self):
+        if self._characters is None:
+            counts = Counter(dict.fromkeys(monomials_of_degree(self.d - 1), 3))
+            for mu in monomials_of_degree(self.d):  # chi = mu - e_j, mu_j = 0
+                counts.update(mu[:j] + (-1,) + mu[j + 1:]
+                              for j in range(4) if not mu[j])
+            self._characters = _sized(counts, self.d, Counter.total)
+        return self._characters
 
     @property
     def fields(self):
@@ -85,7 +94,7 @@ class SectionBasis:
         return self._fields
 
     def __len__(self):
-        return self._size
+        return phi_dimension(self.d)
 
     def __iter__(self):
         return iter(self.fields)
@@ -101,10 +110,10 @@ def build_phi_basis(d):
     """Basis of the divergence-free degree-d fields, each of one Z^4
     character.
 
-    Counted in closed form, as the module docstring states; the fields
-    are written on first read.  For each degree-d monomial mu and
-    direction j: x^mu d/dx_j itself when mu_j = 0 (its divergence
-    vanishes); when mu_j > 0 and j < 4,
+    Its length is dim Phi_d; its characters are counted in closed form
+    (module docstring), and its fields written, on first read.  For each
+    degree-d monomial mu and direction j: x^mu d/dx_j itself when
+    mu_j = 0 (its divergence vanishes); when mu_j > 0 and j < 4,
     x^mu d/dx_j - mu_j/(mu_4+1) * x^(mu-e_j+e_4) d/dx_4, which cancels
     the divergence mu_j*x^(mu-e_j) against the d/dx_4 term of the same
     character; nothing for j = 4 with mu_4 > 0.  Fields come in
@@ -123,24 +132,17 @@ def build_phi_basis(d):
     return _phi_basis_cached(d)
 
 
-def _sized(counted, d):
+def _sized(counted, d, size=len):
     """counted, unless its size is not dim Phi_d (ArithmeticError)."""
-    if len(counted) != phi_dimension(d):
+    if size(counted) != phi_dimension(d):
         raise ArithmeticError("basis size %d != %d for d=%d"
-                              % (len(counted), phi_dimension(d), d))
+                              % (size(counted), phi_dimension(d), d))
     return counted
 
 
 # One entry: every caller asks for one degree at a time, so nothing is
 # kept across degrees.
-@lru_cache(maxsize=1)
-def _phi_basis_cached(d):
-    characters = Counter(dict.fromkeys(monomials_of_degree(d - 1), 3))
-    # chi = mu - e_j with mu_j = 0: mu's other three exponents, -1 put in
-    rest = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
-    for j in range(4):
-        characters.update(t[:j] + (-1,) + t[j:] for t in rest)
-    return _sized(SectionBasis(d, characters=characters), d)
+_phi_basis_cached = lru_cache(maxsize=1)(SectionBasis)
 
 
 def tangent_kernel_dimension(form, d):

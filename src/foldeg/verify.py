@@ -71,7 +71,7 @@ def run_verify_checks(example=False):
     quotient = limits.limit_fiber_weights((3, 4), 2, method=METHOD_BOTH).quotient_weights
     fiber, frozen_fiber = list(quotient), list(D2_P34_QUOTIENT_WEIGHTS)
     check("fiber-weights-d2-pair34", fiber == frozen_fiber, fiber, frozen_fiber)
-    e5 = exact.elementary_symmetric(5, quotient)
+    e5 = exact.elementary_symmetric(5, exact.PowerSums.of(quotient, 5))
     check("fiber-e5-d2-pair34", e5 == D2_P34_E5, e5, D2_P34_E5)
 
     report = bott.legendrian_degree(2, method=METHOD_BOTH)

@@ -1,6 +1,6 @@
 """The size of the package: the five figures that ROADMAP item 9 tracks.
 
-    python tests/sizes.py [SRC]
+    python tests/sizes.py [--by-module] [SRC]
 
 prints, on one line, for the modules SRC/foldeg/*.py (SRC defaults to
 the src/ beside these tests): their number, their lines as
@@ -9,7 +9,9 @@ the AST nodes of the modules that ``import foldeg, foldeg.cli`` loads
 in a fresh interpreter, the compile work of a cold start, and their
 lines of code: the lines that hold a token other than a comment, less
 the lines of docstrings (the leading string of a module, class or
-function, found by ``ast``).
+function, found by ``ast``).  With --by-module it prints instead one
+line per module, in file-name order: its name, its lines and its AST
+nodes, the split of the total lines and nodes.
 """
 
 import ast
@@ -54,17 +56,35 @@ def code_lines(path):
     return len(lines - docstrings)
 
 
+def wc_lines(path):
+    """Lines as ``wc -l`` counts them."""
+    return Path(path).read_text().count("\n")
+
+
+def modules(src=SRC):
+    return sorted(Path(src, "foldeg").glob("*.py"))
+
+
 def sizes(src=SRC):
     """(modules, lines, nodes, nodes on import, code lines) of
     src/foldeg."""
-    files = sorted(Path(src, "foldeg").glob("*.py"))
+    files = modules(src)
     loaded = subprocess.run(
         [sys.executable, "-c", LOADED], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=60, check=True).stdout.splitlines()
-    return (len(files), sum(path.read_text().count("\n") for path in files),
-            sum(map(nodes, files)), sum(map(nodes, loaded)),
-            sum(map(code_lines, files)))
+    return (len(files), sum(map(wc_lines, files)), sum(map(nodes, files)),
+            sum(map(nodes, loaded)), sum(map(code_lines, files)))
+
+
+def by_module(src=SRC):
+    """(name, lines, nodes) of each module of src/foldeg."""
+    return [(path.stem, wc_lines(path), nodes(path)) for path in modules(src)]
 
 
 if __name__ == "__main__":
-    print(*sizes(*sys.argv[1:]))
+    args = sys.argv[1:]
+    if args[:1] == ["--by-module"]:
+        for row in by_module(*args[1:]):
+            print(*row)
+    else:
+        print(*sizes(*args))

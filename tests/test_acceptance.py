@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from foldeg.bott import legendrian_degree, tangent_weights_p5
-from foldeg.exact import WeightSystem, elementary_symmetric
+from foldeg.exact import PowerSums, WeightSystem, elementary_symmetric
 from foldeg.fields import (
     P5_PAIRS,
     build_phi_basis,
@@ -96,8 +96,9 @@ def test_criterion_02_fiber_weights_at_pair34():
         [-2, 0, 2, 4, 13, 10, 7, 4, 5, 2, -1, -3, -6, 3, 0, -3, -5, -8, -7, -10]
     ))
     assert res.quotient_weights == expected
-    assert elementary_symmetric(5, expected) == 105534
-    assert elementary_symmetric(5, res.quotient_weights) == 105534
+    assert elementary_symmetric(5, PowerSums.of(expected, 5)) == 105534
+    assert elementary_symmetric(
+        5, PowerSums.of(res.quotient_weights, 5)) == 105534
     assert elapsed < 5.0, "criterion 2 took %.2fs" % elapsed
 
 

@@ -242,6 +242,24 @@ def test_the_size_script_counts_the_import_path_within_the_total():
     assert 0 < code < lines
 
 
+def test_the_size_script_splits_lines_and_nodes_by_module():
+    """tests/sizes.py --by-module prints one line per module of
+    src/foldeg, in file-name order: its name, lines and AST nodes, which
+    add up to the totals of the one-line output."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sizes.py")
+    runs = [subprocess.run([sys.executable, script, *flag, SRC],
+                           capture_output=True, text=True, timeout=120)
+            for flag in ([], ["--by-module"])]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    _, lines, nodes, _, _ = map(int, runs[0].stdout.split())
+    rows = [line.split() for line in runs[1].stdout.splitlines()]
+    assert [name for name, _, _ in rows] == sorted(
+        name[:-3] for name in os.listdir(os.path.join(SRC, "foldeg"))
+        if name.endswith(".py"))
+    assert sum(int(n) for _, n, _ in rows) == lines
+    assert sum(int(n) for _, _, n in rows) == nodes
+
+
 def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):
     """A string that is no docstring counts as code on each of its
     lines; a docstring, a comment and a blank line do not."""

@@ -235,9 +235,13 @@ def test_power_sums_of_repeats_equal_the_distinct_values_with_copies():
 
 def test_elementary_symmetric_requires_integers():
     """Newton's identities divide exactly only on integers, so anything
-    else is refused rather than answered wrongly."""
+    else is refused by PowerSums.of rather than answered wrongly, and
+    e_k itself takes PowerSums alone, pointing at PowerSums.of."""
     for bad in ([Fraction(1, 2), 1], [1.5, 2], [Fraction(4, 2)]):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
+            PowerSums.of(bad, 1)
+    for bad in ([1, 2], (1, 2), PowerSums.of([1, 2], 2).p):
+        with pytest.raises(TypeError, match="PowerSums.of"):
             elementary_symmetric(1, bad)
 
 
@@ -250,28 +254,27 @@ def test_elementary_symmetric_against_brute_force():
             brute = sum(
                 _prod(c) for c in combinations(vals, k)
             )
-            assert elementary_symmetric(k, vals) == brute
-    assert elementary_symmetric(0, []) == 1
+            assert elementary_symmetric(k, PowerSums.of(vals, k)) == brute
+    assert elementary_symmetric(0, PowerSums.of([], 0)) == 1
     with pytest.raises(ValueError):
-        elementary_symmetric(3, [1, 2])
+        elementary_symmetric(3, PowerSums.of([1, 2], 3))
     with pytest.raises(ValueError):
-        elementary_symmetric(-1, [1, 2])
+        elementary_symmetric(-1, PowerSums.of([1, 2], 2))
 
 
 def test_elementary_symmetric_takes_no_power_above_the_count(monkeypatch):
-    """e_k of n integers asks PowerSums.of for p_0..p_min(k, n) only, so a
-    k far above the count is refused at once rather than after k big
-    power sums."""
-    of = PowerSums.of.__func__
+    """e_k takes the power sums it is given and makes none, so a k far
+    above the count is refused at once rather than after k big power
+    sums."""
+    ps, short = PowerSums.of([1, 2, 3], 2), PowerSums.of([1, 2], 2)
 
-    def spied(cls, values, top):
-        assert top <= len(values), top
-        return of(cls, values, top)
+    def refused(cls, values, top, copies=None):
+        raise AssertionError("e_k asked PowerSums.of for p_0..p_%d" % top)
 
-    monkeypatch.setattr(PowerSums, "of", classmethod(spied))
-    assert elementary_symmetric(2, [1, 2, 3]) == 11
+    monkeypatch.setattr(PowerSums, "of", classmethod(refused))
+    assert elementary_symmetric(2, ps) == 11
     with pytest.raises(ValueError, match="no e_1000000000 of 2 values"):
-        elementary_symmetric(10**9, [1, 2])
+        elementary_symmetric(10**9, short)
 
 
 def test_power_sums_guard_newtons_step():

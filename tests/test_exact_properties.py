@@ -40,12 +40,14 @@ st = hypothesis.strategies
 )
 def test_power_sum_e_k_equals_the_recurrence(counts, k):
     """e_k by Newton's identities on the counts equals the product
-    recurrence over every value, from PowerSums.of and from a list."""
+    recurrence over every value, from PowerSums.of of every value and
+    of the counts."""
     values = [v for v, m in counts.items() for _ in range(m)]
     k = min(k, len(values))
     expected = elementary_symmetric_recurrence(k, values)
     assert elementary_symmetric(k, PowerSums.of(values, k)) == expected
-    assert elementary_symmetric(k, values) == expected
+    assert elementary_symmetric(
+        k, PowerSums.of(counts.keys(), k, counts.values())) == expected
 
 
 DIFFERENCES = st.lists(st.integers(-10**12, 10**12), max_size=8).map(Differences)

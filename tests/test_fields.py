@@ -401,11 +401,13 @@ def test_phi_basis_cache_keeps_one_entry():
 
 
 def test_phi_basis_size_guard_raises(monkeypatch):
-    """A basis whose size is not dim Phi_d is refused when it is built."""
+    """Characters whose closed-form count is not dim Phi_d are refused
+    when they are first read."""
     monkeypatch.setattr(fields, "phi_dimension", lambda d: 0)
     _phi_basis_cached.cache_clear()
     with pytest.raises(ArithmeticError, match="basis size"):
-        build_phi_basis(2)
+        build_phi_basis(2).characters
+    _phi_basis_cached.cache_clear()
 
 
 def test_written_fields_of_the_wrong_size_raise(monkeypatch):
@@ -464,6 +466,28 @@ def test_limit_routes_write_no_field(monkeypatch, method):
     assert tangent_kernel_dimension(AntisymmetricForm.koszul((1, 2)), 3) == 40
     with pytest.raises(_Written):
         list(build_phi_basis(4))
+    _phi_basis_cached.cache_clear()
+
+
+def test_the_degree_path_counts_no_character(monkeypatch):
+    """The degree path reads only the basis's length, dim Phi_d: with the
+    per-character count refusing every call, "both" at d = 2..4 and the
+    kernel route at d = 3 answer from cold caches, and the basis of every
+    d = 1..40 is dim Phi_d long."""
+    def refused(basis):
+        raise AssertionError("characters counted at d=%d" % basis.d)
+
+    monkeypatch.setattr(fields.SectionBasis, "characters", property(refused))
+    for d, method in ((2, METHOD_BOTH), (3, METHOD_BOTH), (4, METHOD_BOTH),
+                      (3, METHOD_KERNEL)):
+        _phi_basis_cached.cache_clear()
+        limits._pair_chains.cache_clear()
+        bott._fixed_points.cache_clear()
+        bott._both_checked.clear()
+        report = legendrian_degree(d, method=method)
+        assert report.degree == family_closed_form("legendrian", d)
+    for d in range(1, 41):
+        assert len(build_phi_basis(d)) == phi_dimension(d)
     _phi_basis_cached.cache_clear()
 
 

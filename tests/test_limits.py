@@ -9,17 +9,18 @@ from foldeg import fields, limits
 from foldeg.bott import legendrian_degree
 from foldeg.exact import (
     DEFAULT_WEIGHTS,
+    PowerSums,
     character_weights,
     elementary_symmetric,
     monomials_of_degree,
 )
 from foldeg.fields import (
     P5_PAIRS,
-    SectionBasis,
     as_fixed_point,
     build_phi_basis,
     complementary_pair,
     contact_kernel_dimension,
+    phi_dimension,
 )
 from foldeg.forms import AntisymmetricForm, contract
 from foldeg.limits import (
@@ -72,7 +73,8 @@ def test_frozen_fiber_at_pair34():
     res = limit_fiber_weights((3, 4), 2, method=METHOD_BOTH)
     assert tuple(res.quotient_weights) == D2_P34_QUOTIENT_WEIGHTS
     assert res.method == METHOD_BOTH
-    assert elementary_symmetric(5, res.quotient_weights) == D2_P34_E5
+    assert elementary_symmetric(
+        5, PowerSums.of(res.quotient_weights, 5)) == D2_P34_E5
 
 
 def test_fiber_sizes_and_partition():
@@ -635,11 +637,10 @@ def test_chains_need_a_positive_field_degree():
 @pytest.mark.parametrize("method", [METHOD_IMAGE, METHOD_KERNEL, METHOD_BOTH])
 def test_chains_short_of_the_basis_raise(monkeypatch, method):
     """Each route refuses chains whose image and kernel do not add up to
-    dim Phi_d, though its own rank is right: here the basis has one
-    field more, of character (d - 1, 0, 0, 0), than the chains."""
-    real = limits.build_phi_basis
-    monkeypatch.setattr(limits, "build_phi_basis", lambda d: SectionBasis(
-        d, characters=real(d).characters + Counter([(d - 1, 0, 0, 0)])))
+    dim Phi_d, though its own rank is right: here a stand-in basis has
+    one field more than the chains."""
+    monkeypatch.setattr(limits, "build_phi_basis",
+                        lambda d: range(phi_dimension(d) + 1))
     with pytest.raises(SaturationRankError, match=(
             r"chains hold 70 fields, not dim Phi_d = 71 at \(1, 2\), d=3")):
         limit_fiber_weights((1, 2), 3, method=method)

@@ -364,5 +364,6 @@ def test_tangent_euler_class_is_the_product_of_the_weights(values):
             tangent = family.tangent_weights(pair, w)
             euler = prod(tangent)
             assert euler != 0
-            assert euler == elementary_symmetric(len(tangent), tangent)
+            assert euler == elementary_symmetric(
+                len(tangent), PowerSums.of(tangent, len(tangent)))
             assert c.denominator == abs(euler)
