@@ -354,8 +354,7 @@ def closed_form_counts(characters, pair):
             for chi in characters]
 
 
-# 6 * d + i for each (d, P5_PAIRS[i]) whose direct fiber has passed both
-# checks of "both"; ints, so that the garbage collector tracks no key.
+# Each (d, pair) whose direct fiber has passed both checks of "both".
 _both_checked = set()
 
 
@@ -372,7 +371,7 @@ def legendrian_check(pair, d, w, fiber, method=None):
         method = default_method(d)
     if method == METHOD_IMAGE:
         return
-    key = 6 * d + P5_PAIRS.index(pair)
+    key = d, pair
     if method == METHOD_BOTH and key in _both_checked:
         return
     direct = limit_fiber_weights(pair, d, w, method)

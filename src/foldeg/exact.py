@@ -9,7 +9,6 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 
 def scalar_to_string(x):
@@ -361,17 +360,11 @@ class RationalPolynomial(namedtuple("RationalPolynomial", "coefficients")):
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        """p(x) as a Fraction, by Horner's rule in integers: with L the
-        lcm of the coefficient denominators and x = num/den, acc ends as
-        L * den^n * p(x), and power as den^(n+1)."""
-        x = Fraction(x)
-        num, den = x.numerator, x.denominator
-        common = lcm(*(c.denominator for c in self.coefficients))
-        acc, power = 0, 1
+        """p(x) as a Fraction, by Horner's rule."""
+        x, acc = Fraction(x), Fraction(0)
         for c in reversed(self.coefficients):
-            acc = acc * num + c.numerator * (common // c.denominator) * power
-            power *= den
-        return Fraction(acc * den, common * power)
+            acc = acc * x + c
+        return acc
 
     def __repr__(self):
         return "RationalPolynomial(%r)" % (list(self.coefficients),)

@@ -6,27 +6,24 @@ models the global vector fields of the plane-field geometry twisted so
 that coefficients are degree-d forms.  The monomial field mu*d/dx_j has
 the Z^4 character mu - e_j, and divergence preserves characters: for
 each character chi the divergence is a single row x^chi with
-coefficients mu_j.  Its kernel has a closed form, graded by the
-characters: three fields for each chi of degree d - 1 with every entry
->= 0, and one for each chi = mu - e_j with mu_j = 0.  So the basis of
-d is dim Phi_d long; its characters are counted, and its Fraction
-fields written, only when a caller reads them.  Torus weights give chi
-the weight sum chi_i * w_i (exact.character_weights).  The six fixed
-pairs and the dimension formulas are here too, as the degree paths read
-them.
+coefficients mu_j.  Its kernel has a closed form (build_phi_basis), so
+the basis of d is dim Phi_d long; its Fraction fields are written, and
+their characters read off them, only when a caller asks.  Torus weights
+give chi the weight sum chi_i * w_i (exact.character_weights).  The six
+fixed pairs and the dimension formulas are here too, as the degree paths
+read them.
 
 The written fields, the antisymmetric forms and their contraction are in
 foldeg.forms, which no degree computation needs: SectionBasis.fields
-loads it the first time a caller reads the fields.  The tangency kernel
-at a form has a closed form too (tangent_kernel_dimension), so nothing
-here writes a field to count it.
+loads it the first time a caller reads the fields or their characters.
+The tangency kernel at a form has a closed form too
+(tangent_kernel_dimension), so nothing here writes a field to count it.
 """
 
 from collections import Counter
 from functools import lru_cache
 from operator import index
 
-from .exact import monomials_of_degree
 # Not called here: the basis has a closed form.  The name stays because
 # perfbench/tracing.py hooks foldeg.fields.kernel_basis; ROADMAP item 1
 # deletes it.
@@ -67,24 +64,18 @@ def contact_kernel_dimension(d):
 
 class SectionBasis:
     """Basis of Phi_d in generation order (build_phi_basis), from d
-    alone: len is dim Phi_d, and the first read of characters (the
-    multiplicity of each Z^4 character, counted in closed form) or of
-    the fields makes them and checks their size against dim Phi_d."""
+    alone: len is dim Phi_d, and the first read of the fields writes
+    them and checks their number against dim Phi_d.  characters, the
+    multiplicity of each Z^4 character, is read off the fields."""
 
-    __slots__ = ("d", "_characters", "_fields")
+    __slots__ = ("d", "_fields")
 
     def __init__(self, d):
-        self.d, self._characters, self._fields = d, None, None
+        self.d, self._fields = d, None
 
     @property
     def characters(self):
-        if self._characters is None:
-            counts = Counter(dict.fromkeys(monomials_of_degree(self.d - 1), 3))
-            for mu in monomials_of_degree(self.d):  # chi = mu - e_j, mu_j = 0
-                counts.update(mu[:j] + (-1,) + mu[j + 1:]
-                              for j in range(4) if not mu[j])
-            self._characters = _sized(counts, self.d, Counter.total)
-        return self._characters
+        return Counter(f.character for f in self.fields)
 
     @property
     def fields(self):
@@ -110,8 +101,8 @@ def build_phi_basis(d):
     """Basis of the divergence-free degree-d fields, each of one Z^4
     character.
 
-    Its length is dim Phi_d; its characters are counted in closed form
-    (module docstring), and its fields written, on first read.  For each
+    Its length is dim Phi_d; its fields are written on first read, and
+    its characters read off them.  d must be an int.  For each
     degree-d monomial mu and direction j: x^mu d/dx_j itself when
     mu_j = 0 (its divergence vanishes); when mu_j > 0 and j < 4,
     x^mu d/dx_j - mu_j/(mu_4+1) * x^(mu-e_j+e_4) d/dx_4, which cancels
@@ -127,17 +118,18 @@ def build_phi_basis(d):
     >>> basis[1].render(), basis[1].character
     ('x1*d/dx2', (1, -1, 0, 0))
     """
+    d = index(d)
     if d < 1:
         raise ValueError("field degree must be >= 1, got %r" % (d,))
     return _phi_basis_cached(d)
 
 
-def _sized(counted, d, size=len):
-    """counted, unless its size is not dim Phi_d (ArithmeticError)."""
-    if size(counted) != phi_dimension(d):
+def _sized(fields, d):
+    """fields, unless their number is not dim Phi_d (ArithmeticError)."""
+    if len(fields) != phi_dimension(d):
         raise ArithmeticError("basis size %d != %d for d=%d"
-                              % (size(counted), phi_dimension(d), d))
-    return counted
+                              % (len(fields), phi_dimension(d), d))
+    return fields
 
 
 # One entry: every caller asks for one degree at a time, so nothing is

@@ -21,7 +21,9 @@ written out as its list of characters, the same fiber as
 one echelon per chain at SOURCE_PAIR and moved to the other fixed
 points by a coordinate permutation, the kernel limit's weights as
 ranks of its projections onto each weight space, the divergence of a
-field term by term, the basis Phi_d as the divergence kernel of each
+field term by term, the characters of Phi_d counted in closed form, as
+foldeg.fields counted them before it read them off the written fields,
+the basis Phi_d as the divergence kernel of each
 weight space in echelon form, the tangency-kernel dimension at a form
 as dim Phi_d less the rank of its dense contraction matrix, the blocks
 of the global contraction by union-find, and the kernel limit as one
@@ -425,6 +427,17 @@ def divergence(field):
             m = tuple(e - (i == j) for i, e in enumerate(mono, 1))
             out[m] = out.get(m, 0) + coeff * mono[j - 1]
     return {m: v for m, v in out.items() if v}
+
+
+def closed_form_characters(d):
+    """The characters of Phi_d as a Counter, in closed form: three fields
+    for each character of degree d - 1 with every entry >= 0, and one
+    for each chi = mu - e_j with mu of degree d and mu_j = 0."""
+    counts = Counter(dict.fromkeys(monomials_of_degree(d - 1), 3))
+    for mu in monomials_of_degree(d):
+        counts.update(mu[:j] + (-1,) + mu[j + 1:]
+                      for j in range(4) if not mu[j])
+    return counts
 
 
 def rref_phi_basis(d, weights):

@@ -10,8 +10,10 @@ in a fresh interpreter, the compile work of a cold start, and their
 lines of code: the lines that hold a token other than a comment, less
 the lines of docstrings (the leading string of a module, class or
 function, found by ``ast``).  With --by-module it prints instead one
-line per module, in file-name order: its name, its lines and its AST
-nodes, the split of the total lines and nodes.
+line per module, in file-name order: its name, lines, AST nodes and
+lines of code, and "loaded" if ``import foldeg, foldeg.cli`` compiles
+it, else "-".  So the rows split all five figures: their count, the
+sums of the three numeric columns, and the nodes of the loaded rows.
 """
 
 import ast
@@ -65,20 +67,30 @@ def modules(src=SRC):
     return sorted(Path(src, "foldeg").glob("*.py"))
 
 
+def loaded(src=SRC):
+    """The files of src/foldeg that ``import foldeg, foldeg.cli`` loads
+    in a fresh interpreter, resolved."""
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, check=True).stdout
+    return {Path(path).resolve() for path in out.splitlines()}
+
+
 def sizes(src=SRC):
     """(modules, lines, nodes, nodes on import, code lines) of
     src/foldeg."""
     files = modules(src)
-    loaded = subprocess.run(
-        [sys.executable, "-c", LOADED], env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=60, check=True).stdout.splitlines()
     return (len(files), sum(map(wc_lines, files)), sum(map(nodes, files)),
-            sum(map(nodes, loaded)), sum(map(code_lines, files)))
+            sum(map(nodes, loaded(src))), sum(map(code_lines, files)))
 
 
 def by_module(src=SRC):
-    """(name, lines, nodes) of each module of src/foldeg."""
-    return [(path.stem, wc_lines(path), nodes(path)) for path in modules(src)]
+    """(name, lines, nodes, code lines, "loaded" or "-") of each module
+    of src/foldeg."""
+    imported = loaded(src)
+    return [(path.stem, wc_lines(path), nodes(path), code_lines(path),
+             "loaded" if path.resolve() in imported else "-")
+            for path in modules(src)]
 
 
 if __name__ == "__main__":

@@ -244,20 +244,26 @@ def test_the_size_script_counts_the_import_path_within_the_total():
 
 def test_the_size_script_splits_lines_and_nodes_by_module():
     """tests/sizes.py --by-module prints one line per module of
-    src/foldeg, in file-name order: its name, lines and AST nodes, which
-    add up to the totals of the one-line output."""
+    src/foldeg, in file-name order: its name, lines, AST nodes, code
+    lines and whether the import loads it, which add up to all five
+    figures of the one-line output."""
     script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sizes.py")
     runs = [subprocess.run([sys.executable, script, *flag, SRC],
                            capture_output=True, text=True, timeout=120)
             for flag in ([], ["--by-module"])]
     assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
-    _, lines, nodes, _, _ = map(int, runs[0].stdout.split())
+    count, lines, nodes, on_import, code = map(int, runs[0].stdout.split())
     rows = [line.split() for line in runs[1].stdout.splitlines()]
-    assert [name for name, _, _ in rows] == sorted(
+    assert [row[0] for row in rows] == sorted(
         name[:-3] for name in os.listdir(os.path.join(SRC, "foldeg"))
         if name.endswith(".py"))
-    assert sum(int(n) for _, n, _ in rows) == lines
-    assert sum(int(n) for _, _, n in rows) == nodes
+    assert len(rows) == count
+    assert {row[4] for row in rows} == {"loaded", "-"}
+    assert [sum(int(row[k]) for row in rows) for k in (1, 2, 3)] == [
+        lines, nodes, code]
+    assert sum(int(row[2]) for row in rows if row[4] == "loaded") == on_import
+    assert {row[0] for row in rows if row[4] == "-"} >= {
+        "commands", "forms", "matrices", "verify"}
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):

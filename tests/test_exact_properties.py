@@ -170,9 +170,8 @@ def test_consecutive_points_with_a_fractional_ordinate(start, ys, data):
     ),
 )
 def test_evaluation_equals_fraction_horner(coefficients, x):
-    """Horner's rule in integers over the common denominator equals
-    Horner's rule in Fractions, at int and Fraction x; the value is
-    always a Fraction."""
+    """RationalPolynomial's value equals the oracle's Horner's rule in
+    Fractions, at int and Fraction x; the value is always a Fraction."""
     value = RationalPolynomial(coefficients)(x)
     assert type(value) is Fraction
     assert value == fraction_horner(coefficients, x)

@@ -34,6 +34,7 @@ from foldeg.matrices import (
 from foldeg.polyfit import family_closed_form
 from oracles import (
     character_weight,
+    closed_form_characters,
     divergence,
     kernel_dimension_by_rank,
     rref_phi_basis,
@@ -388,6 +389,21 @@ def test_phi_basis_validates_input():
         build_phi_basis(0)
 
 
+@pytest.mark.parametrize("d", [2.5, Fraction(2), "2"],
+                         ids=["float", "fraction", "str"])
+def test_phi_basis_refuses_a_degree_that_is_no_int(d):
+    """A degree that is no int raises TypeError at the call, and the
+    basis cache is left as it was."""
+    _phi_basis_cached.cache_clear()
+    build_phi_basis(3)
+    before = _phi_basis_cached.cache_info()
+    with pytest.raises(TypeError):
+        build_phi_basis(d)
+    assert _phi_basis_cached.cache_info() == before
+    assert len(build_phi_basis(3)) == phi_dimension(3)
+    _phi_basis_cached.cache_clear()
+
+
 def test_phi_basis_cache_keeps_one_entry():
     """The basis cache holds one degree: the twelve requests of
     each "both" degree hit it after one build, and the next degree
@@ -401,8 +417,8 @@ def test_phi_basis_cache_keeps_one_entry():
 
 
 def test_phi_basis_size_guard_raises(monkeypatch):
-    """Characters whose closed-form count is not dim Phi_d are refused
-    when they are first read."""
+    """A basis whose written fields are not dim Phi_d in number is
+    refused when its characters are first read, which writes them."""
     monkeypatch.setattr(fields, "phi_dimension", lambda d: 0)
     _phi_basis_cached.cache_clear()
     with pytest.raises(ArithmeticError, match="basis size"):
@@ -431,22 +447,20 @@ def _refuse(d):
     raise _Written(d)
 
 
-def test_closed_form_counts_equal_the_written_fields(monkeypatch):
-    """len, the characters and the weights come from the closed-form
-    counts before any field is written, and the characters are those of
-    the fields once they are written, d = 1..15."""
+def test_closed_form_counts_equal_the_written_fields():
+    """The characters counted in closed form (closed_form_characters)
+    are the basis's characters and those of its written fields, with
+    their weights, and add up to len, dim Phi_d, d = 1..15."""
     for d in range(1, 16):
         _phi_basis_cached.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(forms, "_write_fields", _refuse)
-            basis = build_phi_basis(d)
-            assert len(basis) == phi_dimension(d)
-            counts = Counter(basis.characters)
-            weights = character_weights(basis.characters.elements(), WEIGHTS)
-        assert counts == Counter(f.character for f in basis.fields)
-        assert weights == tuple(sorted(
+        basis = build_phi_basis(d)
+        counts = closed_form_characters(d)
+        assert counts == basis.characters == Counter(
+            f.character for f in basis.fields)
+        assert character_weights(counts.elements(), WEIGHTS) == tuple(sorted(
             character_weight(f.character, WEIGHTS) for f in basis))
-        assert len(basis.fields) == len(basis)
+        assert counts.total() == len(basis.fields) == len(basis) == (
+            phi_dimension(d))
     _phi_basis_cached.cache_clear()
 
 
